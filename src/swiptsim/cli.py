@@ -135,7 +135,7 @@ def validate_config(cfg: object, where: str = "config") -> None:
                     raise ConfigError(f"{where}: unknown key '{key}.{sub}'")
         elif allowed is bool and not isinstance(val, bool):
             raise ConfigError(f"{where}: '{key}' must be a boolean")
-        elif allowed is int and not isinstance(val, int):
+        elif allowed is int and (isinstance(val, bool) or not isinstance(val, int)):
             raise ConfigError(f"{where}: '{key}' must be an integer")
 
 
@@ -261,10 +261,14 @@ def _svg_chart(path: Path, series: dict[str, list[tuple[float, float]]],
     path.write_text("\n".join(parts), encoding="utf-8")
 
 
-def _hash(cfg: dict, seed: int) -> str:
+def _hash(cfg: dict, seed: int, trials: int | None) -> str:
+    """Provenance hash of the config file contents plus the command-line
+    overrides that change the output (seed and, when given, --trials)."""
     import hashlib
 
     blob = json.dumps(cfg, sort_keys=True, default=str) + f"|seed={seed}"
+    if trials is not None:
+        blob += f"|trials={trials}"
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -285,7 +289,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
         ccdf = ccdf_from_samples(samples, thresholds)
         rows += [(mu, t, c) for t, c in zip(thresholds, ccdf)]
         series[f"mu={mu:g}"] = list(zip(thresholds, ccdf))
-    h = _hash(cfg, seed)
+    h = _hash(cfg, seed, trials)
     write_csv(out / "papr_ccdf.csv", ("mu", "threshold_db", "ccdf"), rows, h, seed,
               comments=(f"n_trials={n_trials} n={ofdm.n_subcarriers} l={ofdm.oversampling_factor}",))
     if svg:
@@ -304,7 +308,7 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
         inverse_order=int(section.get("inverse_order", 7)),
         seed=seed,
     )
-    h = _hash(cfg, seed)
+    h = _hash(cfg, seed, trials)
     save_design(design, str(out / "dpd_design.txt"),
                 header=(f"config_hash={h} seed={seed}",))
     grid = _grid(section.get("reduction_grid_db"), (0.0, 4.0, 0.25))
@@ -345,7 +349,7 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
         rows.append((mu, snr_db, red.reduction_db, bp.k_l, bp.sigma_d2))
         series["snr_db"].append((mu, snr_db))
     design = optimize_mu(ofdm, pa, ibo_grid_db=(op.ibo_db,), sigma_a2=split.sigma_a2, seed=seed)
-    h = _hash(cfg, seed)
+    h = _hash(cfg, seed, trials)
     write_csv(out / "mu_sweep.csv",
               ("mu", "snr_db", "papr_reduction_db", "k_l_c", "sigma_d_c2"),
               rows, h, seed,
@@ -359,13 +363,13 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     base = build_scenario(cfg, seed, trials)
-    h = _hash(cfg, seed)
-    results = table_pipeline(base, seed=seed, trials=base.trials)
+    h = _hash(cfg, seed, trials)
+    table = {res.rows[0].axis_value: res.rows[0]
+             for res in table_pipeline(base, seed=seed, trials=base.trials)}
     rows = []
-    for res in results:
-        r = res.rows[0]
+    for tech, r in table.items():
         m = r.metrics
-        rows.append((r.axis_value, m.eta1, m.eta3, m.eta_e2e, r.ibo_reduction_db,
+        rows.append((tech, m.eta1, m.eta3, m.eta_e2e, r.ibo_reduction_db,
                      m.rate_bps_hz, m.harvested_norm, m.ber))
     write_csv(out / "technique_table.csv",
               ("technique", "eta1", "eta3", "eta1_eta3", "ibo_reduction_db",
@@ -378,10 +382,14 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
         ofdm = base.ofdm
         if kind == "rayleigh_multitap" and ofdm.cp_length < spec.n_taps - 1:
             ofdm = replace(ofdm, cp_length=2 ** int(np.ceil(np.log2(spec.n_taps))))
-        for tech in ("baseline", "dpd", "companding", "dpd_companding"):
-            s = replace(base, name=f"{kind}/{tech}", technique=tech,
-                        channel=spec, ofdm=ofdm, seed=seed)
-            r = run_scenario(s).rows[0]
+        for tech in table:
+            if spec == base.channel and ofdm == base.ofdm:
+                # the configured channel's rows are the technique table's
+                r = table[tech]
+            else:
+                s = replace(base, name=f"{kind}/{tech}", technique=tech,
+                            channel=spec, ofdm=ofdm, seed=seed)
+                r = run_scenario(s).rows[0]
             m = r.metrics
             chan_rows.append((kind, tech, m.eta1, m.eta3, m.eta_e2e,
                               r.ci("eta3"), m.ber))
@@ -404,7 +412,7 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
         if c not in CHANNEL_KINDS:
             raise ConfigError(f"config section 'ber.channels': unknown channel '{c}'")
     base = build_scenario(cfg, seed, trials)
-    h = _hash(cfg, seed)
+    h = _hash(cfg, seed, trials)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for kind in channels:
@@ -440,7 +448,7 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
     techniques = tuple(section.get("techniques", ("baseline", "companding")))
     base = build_scenario(cfg, seed, trials)
     pa_sat = base.pa.kind in ("sspa", "soft_limiter")
-    h = _hash(cfg, seed)
+    h = _hash(cfg, seed, trials)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for tech in techniques:
@@ -509,6 +517,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.trials is not None and args.trials < 1:
+            raise ConfigError("--trials must be at least 1")
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if seed < 0:

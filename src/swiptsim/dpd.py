@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -22,6 +22,8 @@ from .pa import PaModel
 log = logging.getLogger(__name__)
 
 EVM_MATCH_TOLERANCE = 0.01
+# below this EVM a chain counts as distortion-free
+DISTORTION_FREE_EVM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,13 @@ def design_ibo_reduction(
     uncorrected chain at the baseline operating point.
 
     EVM is measured on demodulated constellation points, so distortion
-    that lands out of band does not count against either chain.  Grid
-    search in step_db increments brackets the crossing; bisection refines
-    it to a millidB.  The same waveform block is reused for every
+    that lands out of band does not count against either chain.  The grid
+    of step_db increments is scanned upward and stops at the first EVM
+    crossing: the first point above the target, unless its EVM is below
+    DISTORTION_FREE_EVM (such a chain is scanned to the upper bound).
+    Bisection between the last feasible point before the crossing and the
+    crossing refines it to a millidB.  A non-monotone note covers only the
+    scanned part of the grid.  The same waveform block is reused for every
     candidate so the comparison is noise-free.
     """
     from .ofdm import ofdm_demodulate
@@ -204,10 +210,16 @@ def design_ibo_reduction(
 
     evm_dpd = lambda r: chain_evm(baseline_ibo_db - r, inverse_fit)
 
-    reductions = np.arange(0.0, max_reduction_db + 1e-9, step_db)
-    evms = np.array([evm_dpd(r) for r in reductions])
+    grid = np.arange(0.0, max_reduction_db + 1e-9, step_db)
+    scanned = []
+    for r in grid:
+        scanned.append(evm_dpd(r))
+        if scanned[-1] > target and scanned[-1] >= DISTORTION_FREE_EVM:
+            break
+    evms = np.array(scanned)
+    reductions = grid[:evms.size]
 
-    if np.all(evms < 1e-9):
+    if np.all(evms < DISTORTION_FREE_EVM):
         notes.append("distortion-free chain: search hit its upper bound")
         log.info("degenerate design: EVM is zero over the whole search range")
         return DpdDesign(
@@ -248,14 +260,15 @@ def design_ibo_reduction(
 
     last = int(np.flatnonzero(feasible).max())
     lo = float(reductions[last])
-    if last == len(reductions) - 1:
+    evm_lo = float(evms[last])
+    if last == len(grid) - 1:
         notes.append("search hit its upper bound; reduction may extend further")
         return DpdDesign(
             pa_fit=pa_fit,
             inverse_fit=inverse_fit,
             ibo_reduction_db=lo,
             evm_baseline=evm_base,
-            evm_with_dpd=float(evms[last]),
+            evm_with_dpd=evm_lo,
             baseline_ibo_db=baseline_ibo_db,
             degenerate=False,
             notes=tuple(notes),
@@ -264,8 +277,9 @@ def design_ibo_reduction(
     hi = float(reductions[last + 1])
     for _ in range(24):
         mid = 0.5 * (lo + hi)
-        if evm_dpd(mid) <= target:
-            lo = mid
+        evm_mid = evm_dpd(mid)
+        if evm_mid <= target:
+            lo, evm_lo = mid, evm_mid
         else:
             hi = mid
     return DpdDesign(
@@ -273,7 +287,7 @@ def design_ibo_reduction(
         inverse_fit=inverse_fit,
         ibo_reduction_db=lo,
         evm_baseline=evm_base,
-        evm_with_dpd=float(evm_dpd(lo)),
+        evm_with_dpd=evm_lo,
         baseline_ibo_db=baseline_ibo_db,
         degenerate=False,
         notes=tuple(notes),
@@ -289,7 +303,13 @@ def design_from_scratch(
     seed: int = 0,
 ) -> DpdDesign:
     """Convenience wrapper: build training data, fit both polynomials, run
-    the reduction search."""
+    the reduction search.
+
+    The design is a property of the amplifier operating point, so it is
+    computed on the numerology without a cyclic prefix: one design serves
+    every channel, whatever prefix a frequency-selective one needs.
+    """
+    cfg = replace(cfg, cp_length=0)
     amp_in, amp_out = make_training_set(pa_model, cfg, seed=seed)
     pa_fit = fit_pa_polynomial(amp_in, amp_out, pa_order)
     inverse_fit = fit_inverse_polynomial(amp_out, amp_in, inverse_order)

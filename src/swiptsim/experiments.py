@@ -128,6 +128,8 @@ def _saturating(pa: PaModel) -> bool:
 
 @lru_cache(maxsize=8)
 def _cached_dpd(pa: PaModel, cfg: OfdmConfig, ibo_db: float) -> DpdDesign:
+    """Design for one operating point; cfg has no cyclic prefix, matching
+    the numerology design_from_scratch designs on."""
     return design_from_scratch(pa, cfg, baseline_ibo_db=ibo_db)
 
 
@@ -137,11 +139,14 @@ def technique_reductions(s: Scenario) -> tuple[float, float, DpdDesign | None]:
     An explicit ibo_reduction_db override replaces the derived total
     (attributed to the DPD part for chain purposes).  A non-saturating
     amplifier has nothing to back off from, so reductions are zero there;
-    a degenerate DPD design likewise contributes zero.
+    a degenerate DPD design likewise contributes zero.  The DPD design is
+    shared by every scenario at one operating point: it does not depend on
+    the cyclic prefix, and its back-off search takes the first EVM
+    crossing of its grid (see design_ibo_reduction).
     """
     design = None
     if _uses_dpd(s.technique):
-        design = _cached_dpd(s.pa, s.ofdm, s.op.ibo_db)
+        design = _cached_dpd(s.pa, replace(s.ofdm, cp_length=0), s.op.ibo_db)
     if s.ibo_reduction_db is not None:
         return s.ibo_reduction_db, 0.0, design
     r_dpd = 0.0
@@ -156,19 +161,18 @@ def technique_reductions(s: Scenario) -> tuple[float, float, DpdDesign | None]:
 
 
 def _transmit(
-    grids: np.ndarray, s: Scenario, r_dpd: float, design: DpdDesign | None
+    x: np.ndarray, s: Scenario, r_dpd: float, design: DpdDesign | None
 ) -> np.ndarray:
     """Per-frame transmit waveforms for the scenario's technique.
 
-    The companded chain drives the amplifier with the compressed signal at
-    its natural (hotter) level: the compression power gain is exactly the
-    back-off reduction the technique claims.
+    x is the amplifier drive before back-off: the synthesized frames, or
+    their compressed form for a companded technique.  The companded chain
+    drives the amplifier with the compressed signal at its natural
+    (hotter) level: the compression power gain is exactly the back-off
+    reduction the technique claims.
     """
-    x = synthesize_waveforms(grids, s.ofdm)
     if s.technique == "linear":
         return x
-    if _uses_companding(s.technique):
-        x = compress_waveform(x, CompanderParams.default(mu=s.mu))
     ibo = s.op.ibo_db - r_dpd
     fit = design.inverse_fit if (design is not None and not design.degenerate) else None
     shape = x.shape
@@ -237,8 +241,13 @@ def run_scenario(s: Scenario) -> SweepResult:
     for _ in range(s.trials):
         bits = rng.integers(0, 2, size=n_bits_frame)
         grids = map_bits(bits).reshape(s.frame_symbols, cfg.n_subcarriers)
-        tx = _transmit(grids, s, r_dpd, design)
-        ref = _transmit(grids, base_s, 0.0, None) if needs_ref else tx
+        x = drive = synthesize_waveforms(grids, cfg)
+        rms_drive = None
+        if params is not None:
+            drive = compress_waveform(x, params)
+            rms_drive = float(np.sqrt(np.mean(np.abs(drive) ** 2)))
+        tx = _transmit(drive, s, r_dpd, design)
+        ref = _transmit(x, base_s, 0.0, None) if needs_ref else tx
         ref_power += float(np.mean(np.abs(ref) ** 2))
         real = sample_channel(s.channel, rng)
         real = ChannelRealization(taps=real.taps, path_loss_db=0.0)
@@ -246,10 +255,10 @@ def run_scenario(s: Scenario) -> SweepResult:
             ComplexSignal(tx.ravel(), cfg.sample_rate_hz), real, 0.0, rng,
             cp_length=cfg.cp_length,
         )
-        frames.append((bits, grids, clean, real))
+        frames.append((bits, clean, real, rms_drive))
     ref_power /= s.trials
 
-    rx_power = float(np.mean([f[2].mean_power for f in frames]))
+    rx_power = float(np.mean([f[1].mean_power for f in frames]))
     # two measurement scales, both deterministic given the seed: the
     # demodulator lives in a world normalized by the nominal (baseline)
     # amplifier output power, so a technique that reclaims back-off
@@ -263,7 +272,7 @@ def run_scenario(s: Scenario) -> SweepResult:
     eta3_num = np.zeros(s.trials)
     eta3_den = np.full(s.trials, np.nan)
     ber = np.empty(s.trials)
-    for i, (bits, grids, clean, real) in enumerate(frames):
+    for i, (bits, clean, real, rms_drive) in enumerate(frames):
         if rho > 0.0:
             p_w = np.abs(clean.samples * (np.sqrt(rho) * eh_pin)) ** 2
             eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
@@ -276,10 +285,8 @@ def run_scenario(s: Scenario) -> SweepResult:
             # known amplitude bookkeeping from the compressed transmit
             # waveform to the (noiseless) information-branch signal, so
             # the expander operates in its design domain
-            ref = compress_waveform(synthesize_waveforms(grids, cfg), params)
-            rms_ref = np.sqrt(np.mean(np.abs(ref) ** 2))
             rms_rx = np.sqrt((1.0 - rho) * normalized.mean_power)
-            scale = rms_rx / rms_ref if min(rms_ref, rms_rx) > 0 else 1.0
+            scale = rms_rx / rms_drive if min(rms_drive, rms_rx) > 0 else 1.0
         ber[i] = demodulate_and_ber(info_branch, real, cfg, bits, params, scale)
 
     if rho > 0.0:

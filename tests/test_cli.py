@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import shutil
 import subprocess
@@ -99,6 +100,21 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "seed" in capsys.readouterr().err
 
+    # bool is an int subclass, but not a seed
+    bool_seed = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "seed": True}, "bool_seed.json")
+    assert main(["papr", "--config", bool_seed, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "'seed' must be an integer" in capsys.readouterr().err
+
+    for threads in ("0", "-3"):
+        assert main(["ber", "--config", ok_cfg, "--threads", threads,
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+
+    for command in ("papr", "dpd-design", "mu-sweep", "e2e", "ber", "rate-energy"):
+        assert main([command, "--config", ok_cfg, "--trials", "0",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG, command
+        assert "--trials" in capsys.readouterr().err
+
 
 def test_main_runtime_error_when_out_is_a_file(tmp_path):
     blocker = tmp_path / "blocker"
@@ -124,6 +140,20 @@ def test_papr_outputs_and_rerun_identical(tmp_path):
     assert "mu,threshold_db,ccdf" in lines
     # mu grid x 4 thresholds
     assert sum(1 for ln in lines if not ln.startswith("#")) == 1 + 2 * 4
+
+
+def test_config_hash_covers_trials_override(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "ofdm": SMALL_OFDM,
+        "papr": {"mu_grid": [0.0], "thresholds_db": [4.0, 10.0, 2.0]},
+    })
+    firsts = []
+    for trials in ("300", "500"):
+        out = tmp_path / trials
+        assert main(["papr", "--config", cfg, "--out", str(out),
+                     "--trials", trials]) == EXIT_OK
+        firsts.append((out / "papr_ccdf.csv").read_text().splitlines()[0])
+    assert firsts[0] != firsts[1]
 
 
 def test_papr_svg_emission(tmp_path):
@@ -186,6 +216,18 @@ def test_e2e_outputs(tmp_path):
     assert len(table) == 2 + 4
     chan = (out / "channel_metrics.csv").read_text().splitlines()
     assert len(chan) == 2 + 4 * 4  # four channels x four techniques
+
+    table_rows = list(csv.DictReader(table[1:]))
+    chan_rows = list(csv.DictReader(chan[1:]))
+    for tech in ("baseline", "dpd", "companding", "dpd_companding"):
+        # eta1 is a transmit-side number: one DPD design serves every channel
+        eta1 = {r["eta1"] for r in chan_rows if r["technique"] == tech}
+        assert len(eta1) == 1, tech
+    awgn = [r for r in chan_rows if r["channel"] == "awgn"]
+    assert [r["technique"] for r in awgn] == [r["technique"] for r in table_rows]
+    for a, t in zip(awgn, table_rows):
+        for key in ("eta1", "eta3", "eta1_eta3", "ber"):
+            assert a[key] == t[key], (a["technique"], key)
 
 
 def test_ber_outputs_and_validation(tmp_path, capsys):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from swiptsim import dpd
 from swiptsim.dpd import (
     DpdDesign,
+    _amplitude_chain,
     chain_constellation_evm,
     design_from_scratch,
     design_ibo_reduction,
@@ -107,6 +111,26 @@ def test_design_point_frozen():
     assert design.evm_with_dpd <= design.evm_baseline * 1.01 + 1e-12
     assert not design.degenerate
     assert design.baseline_ibo_db == 8.0
+
+
+def test_design_ignores_cyclic_prefix():
+    with_cp = design_from_scratch(PA, replace(CFG, cp_length=4), seed=0)
+    assert with_cp == design_from_scratch(PA, CFG, seed=0)
+
+
+def test_search_stops_at_first_crossing(monkeypatch):
+    calls = 0
+
+    def counting_chain(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return _amplitude_chain(*args, **kwargs)
+
+    monkeypatch.setattr(dpd, "_amplitude_chain", counting_chain)
+    design = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)
+    assert design.ibo_reduction_db == pytest.approx(2.477963727712632, abs=1e-9)
+    # baseline, grid 0..2.5 dB up to the crossing, 24 bisection steps
+    assert calls <= 52
 
 
 def test_chain_evm_monotone_in_reduction():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swiptsim.channel import ChannelSpec
+from swiptsim.companding import CompanderParams, compress_waveform
 from swiptsim.dpd import design_from_scratch
 from swiptsim.experiments import (
     Scenario,
@@ -87,18 +88,18 @@ def test_transmit_linear_is_passthrough():
                                                      oversampling_factor=2))
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, size=2 * 64 * 2)
-    grids = map_bits(bits).reshape(2, 64)
-    out = _transmit(grids, s, 0.0, None)
-    np.testing.assert_array_equal(out, synthesize_waveforms(grids, s.ofdm))
+    x = synthesize_waveforms(map_bits(bits).reshape(2, 64), s.ofdm)
+    np.testing.assert_array_equal(_transmit(x, s, 0.0, None), x)
 
 
 def test_transmit_companding_radiates_hotter():
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, size=2 * 64 * 4)
-    grids = map_bits(bits).reshape(4, 64)
-    base = _transmit(grids, Scenario(technique="baseline", ofdm=cfg), 0.0, None)
-    comp = _transmit(grids, Scenario(technique="companding", ofdm=cfg), 0.0, None)
+    x = synthesize_waveforms(map_bits(bits).reshape(4, 64), cfg)
+    drive = compress_waveform(x, CompanderParams.default(mu=1.25))
+    base = _transmit(x, Scenario(technique="baseline", ofdm=cfg), 0.0, None)
+    comp = _transmit(drive, Scenario(technique="companding", ofdm=cfg), 0.0, None)
     p_base = np.mean(np.abs(base) ** 2)
     p_comp = np.mean(np.abs(comp) ** 2)
     assert p_comp > 1.2 * p_base
