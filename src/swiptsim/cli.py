@@ -22,12 +22,14 @@ are rejected with their location.  Schema (defaults in parentheses):
   scenario:    technique ("baseline"), mu (1.25), p_rf_tx_dbm (30),
                trials (50), frame_symbols (4), ibo_reduction_db (null)
   eh:          kind ("curve" | "linear"), eta3_linear (0.5),
-               calibration (path to CSV, default: packaged rectenna)
-  papr:        mu_grid ([0, 1.25, 255]), n_trials (20000),
+               calibration (path to CSV, default: packaged rectenna;
+               its bytes enter the config hash)
+  papr:        mu_grid ([0, 1.25, 255]; mu >= 0, 0 = uncompressed),
+               n_trials (20000, >= 1),
                thresholds_db ([-1, 14, 0.05] as min/max/step)
   dpd:         pa_order (4), inverse_order (7),
                reduction_grid_db ([0, 4, 0.25] as min/max/step)
-  mu_sweep:    mu_grid ([0.25 .. 4.0 step 0.25]), papr_trials (4000)
+  mu_sweep:    mu_grid ([0.25 .. 4.0 step 0.25]; mu > 0), papr_trials (4000, >= 1)
   ber:         ebn0_db ([0, 4, 8]), techniques (["baseline","companding"]),
                channels (all four)
   rate_energy: rho_grid (0..0.9 plus 1-10^-k tail), techniques
@@ -44,6 +46,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +55,7 @@ from .channel import CHANNEL_KINDS, ChannelSpec
 from .companding import (
     CompanderParams,
     analytic_companded_bussgang,
-    companded_papr_reduction,
+    companded_papr_reductions,
     companded_snr,
     compress_waveform,
     optimize_mu,
@@ -74,7 +77,7 @@ from .link import (
     harvested,
     sinr,
 )
-from .ofdm import OfdmConfig, ccdf_from_samples, papr_samples
+from .ofdm import OfdmConfig, ccdf_from_samples, papr_samples_many
 from .pa import OperatingPoint, PaModel, bussgang_analytic_sl, efficiency_at_backoff
 
 EXIT_OK = 0
@@ -184,6 +187,8 @@ def build_eh(cfg: dict) -> EhModel:
     path = section.get("calibration")
     if path is None:
         return EhModel.default()
+    if not isinstance(path, str):
+        raise ConfigError("config section 'eh.calibration': must be a path string")
     try:
         return EhModel(kind="curve", curve=load_calibration(path))
     except (OSError, ValueError) as exc:
@@ -262,34 +267,70 @@ def _svg_chart(path: Path, series: dict[str, list[tuple[float, float]]],
 
 
 def _hash(cfg: dict, seed: int, trials: int | None) -> str:
-    """Provenance hash of the config file contents plus the command-line
-    overrides that change the output (seed and, when given, --trials)."""
+    """Provenance hash of the config file contents, the bytes of the
+    calibration file it names, and the command-line overrides that change
+    the output (seed and, when given, --trials)."""
     import hashlib
 
     blob = json.dumps(cfg, sort_keys=True, default=str) + f"|seed={seed}"
     if trials is not None:
         blob += f"|trials={trials}"
+    calibration = cfg.get("eh", {}).get("calibration")
+    # inline CSV text (see load_calibration) is already part of the config
+    if isinstance(calibration, str) and "\n" not in calibration:
+        try:
+            data = Path(calibration).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"config section 'eh.calibration': {exc}") from exc
+        blob += f"|calibration={hashlib.sha256(data).hexdigest()}"
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _trial_count(section: dict, key: str, default: int, where: str,
+                 trials: int | None) -> int:
+    """The section's Monte Carlo count, or --trials when given; the
+    configured value must be a positive integer either way."""
+    try:
+        n = int(section.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section '{where}.{key}': {exc}") from exc
+    if n < 1:
+        raise ConfigError(f"config section '{where}.{key}': must be at least 1, got {n}")
+    return trials if trials is not None else n
+
+
+def _mu_grid(section: dict, default, where: str, allow_zero: bool) -> list[float]:
+    """The section's mu grid as floats; mu must be finite and positive
+    (or zero, meaning no compression, where allow_zero)."""
+    try:
+        grid = [float(m) for m in section.get("mu_grid", default)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section '{where}.mu_grid': {exc}") from exc
+    for mu in grid:
+        if not np.isfinite(mu) or mu < 0 or (mu == 0 and not allow_zero):
+            need = "non-negative" if allow_zero else "positive"
+            raise ConfigError(f"config section '{where}.mu_grid': mu must be finite "
+                              f"and {need}, got {mu:g}")
+    return grid
 
 
 def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("papr", {})
-    mu_grid = [float(m) for m in section.get("mu_grid", (0.0, 1.25, 255.0))]
-    n_trials = trials if trials is not None else int(section.get("n_trials", 20000))
+    mu_grid = _mu_grid(section, (0.0, 1.25, 255.0), "papr", allow_zero=True)
+    n_trials = _trial_count(section, "n_trials", 20000, "papr", trials)
     thresholds = _grid(section.get("thresholds_db"), (-1.0, 14.0, 0.05))
     ofdm = build_ofdm(cfg)
+    h = _hash(cfg, seed, trials)
+    # mu = 0 is the uncompressed curve; every curve shares one set of symbols
+    transforms = [partial(compress_waveform, params=CompanderParams.default(mu=mu))
+                  if mu > 0 else None for mu in mu_grid]
+    curves = papr_samples_many(ofdm, n_trials, seed, transforms)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for mu in mu_grid:
-        transform = None
-        if mu > 0:
-            params = CompanderParams.default(mu=mu)
-            transform = lambda w, p=params: compress_waveform(w, p)
-        samples = papr_samples(ofdm, n_trials, seed, transform=transform)
+    for mu, samples in zip(mu_grid, curves):
         ccdf = ccdf_from_samples(samples, thresholds)
         rows += [(mu, t, c) for t, c in zip(thresholds, ccdf)]
         series[f"mu={mu:g}"] = list(zip(thresholds, ccdf))
-    h = _hash(cfg, seed, trials)
     write_csv(out / "papr_ccdf.csv", ("mu", "threshold_db", "ccdf"), rows, h, seed,
               comments=(f"n_trials={n_trials} n={ofdm.n_subcarriers} l={ofdm.oversampling_factor}",))
     if svg:
@@ -302,13 +343,13 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     section = cfg.get("dpd", {})
     ofdm = build_ofdm(cfg)
     pa, op = build_pa(cfg)
+    h = _hash(cfg, seed, trials)
     design = design_from_scratch(
         pa, ofdm, baseline_ibo_db=op.ibo_db,
         pa_order=int(section.get("pa_order", 4)),
         inverse_order=int(section.get("inverse_order", 7)),
         seed=seed,
     )
-    h = _hash(cfg, seed, trials)
     save_design(design, str(out / "dpd_design.txt"),
                 header=(f"config_hash={h} seed={seed}",))
     grid = _grid(section.get("reduction_grid_db"), (0.0, 4.0, 0.25))
@@ -333,23 +374,23 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
 
 def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("mu_sweep", {})
-    mu_grid = [float(m) for m in section.get("mu_grid", np.arange(0.25, 4.01, 0.25))]
-    papr_trials = trials if trials is not None else int(section.get("papr_trials", 4000))
+    mu_grid = _mu_grid(section, np.arange(0.25, 4.01, 0.25), "mu_sweep", allow_zero=False)
+    papr_trials = _trial_count(section, "papr_trials", 4000, "mu_sweep", trials)
     ofdm = build_ofdm(cfg)
     pa, op = build_pa(cfg)
     split = build_split(cfg)
+    h = _hash(cfg, seed, trials)
+    grid_params = [CompanderParams.default(mu=mu) for mu in mu_grid]
+    reductions = companded_papr_reductions(ofdm, grid_params, n_trials=papr_trials, seed=seed)
     rows = []
     series = {"snr_db": []}
-    for mu in mu_grid:
-        params = CompanderParams.default(mu=mu)
+    for mu, params, red in zip(mu_grid, grid_params, reductions):
         bp = analytic_companded_bussgang(params, op.ibo_db)
         snr = companded_snr(params, ofdm.n_subcarriers, split.sigma_a2, bp.sigma_d2)
-        red = companded_papr_reduction(ofdm, params, n_trials=papr_trials, seed=seed)
         snr_db = 10.0 * np.log10(snr)
         rows.append((mu, snr_db, red.reduction_db, bp.k_l, bp.sigma_d2))
         series["snr_db"].append((mu, snr_db))
     design = optimize_mu(ofdm, pa, ibo_grid_db=(op.ibo_db,), sigma_a2=split.sigma_a2, seed=seed)
-    h = _hash(cfg, seed, trials)
     write_csv(out / "mu_sweep.csv",
               ("mu", "snr_db", "papr_reduction_db", "k_l_c", "sigma_d_c2"),
               rows, h, seed,

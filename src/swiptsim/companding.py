@@ -11,11 +11,13 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from .ofdm import ComplexSignal, OfdmConfig, papr_samples, papr_quantile_db
+from .ofdm import ComplexSignal, OfdmConfig, papr_quantile_db, papr_samples_many
 from .pa import BussgangParams, OperatingPoint, PaModel, bussgang_analytic_sl
 
 log = logging.getLogger(__name__)
@@ -172,15 +174,34 @@ def companded_papr_reduction(
     exceedance: float = 1e-3,
 ) -> PaprReduction:
     """PAPR at the given CCDF exceedance before and after compression."""
-    before = papr_samples(cfg, n_trials, seed)
-    after = papr_samples(
-        cfg, n_trials, seed, transform=lambda w: compress_waveform(w, params)
+    return companded_papr_reductions(cfg, (params,), n_trials, seed, exceedance)[0]
+
+
+def companded_papr_reductions(
+    cfg: OfdmConfig,
+    params_seq: Sequence[CompanderParams],
+    n_trials: int = 20000,
+    seed: int = 0,
+    exceedance: float = 1e-3,
+) -> list[PaprReduction]:
+    """:func:`companded_papr_reduction` for each parameter set, from one
+    seeded set of symbols.
+
+    Every entry is compressed from the same waveforms, so the "before"
+    PAPR is measured once and shared; entry i equals
+    ``companded_papr_reduction(cfg, params_seq[i], n_trials, seed, exceedance)``.
+    """
+    params_seq = tuple(params_seq)
+    samples = papr_samples_many(
+        cfg, n_trials, seed,
+        (None, *(partial(compress_waveform, params=p) for p in params_seq)),
     )
-    return PaprReduction(
-        mu=params.mu,
-        papr_before_db=papr_quantile_db(before, exceedance),
-        papr_after_db=papr_quantile_db(after, exceedance),
-    )
+    before = papr_quantile_db(samples[0], exceedance)
+    return [
+        PaprReduction(mu=p.mu, papr_before_db=before,
+                      papr_after_db=papr_quantile_db(after, exceedance))
+        for p, after in zip(params_seq, samples[1:])
+    ]
 
 
 def compress_waveform(waveform: np.ndarray, params: CompanderParams) -> np.ndarray:

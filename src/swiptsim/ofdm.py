@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,31 +175,55 @@ def papr_samples(
     n_trials: int,
     seed: int,
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    chunk: int = 512,
+    chunk: int = 64,
 ) -> np.ndarray:
     """Per-symbol PAPR (dB) of random QPSK OFDM symbols.
 
     ``transform``, if given, is applied to the batch of time-domain waveforms
     before the PAPR is measured (e.g. a compressor).
     """
+    return papr_samples_many(cfg, n_trials, seed, (transform,), chunk)[0]
+
+
+def papr_samples_many(
+    cfg: OfdmConfig,
+    n_trials: int,
+    seed: int,
+    transforms: Sequence[Optional[Callable[[np.ndarray], np.ndarray]]],
+    chunk: int = 64,
+) -> np.ndarray:
+    """Per-symbol PAPR (dB) of one set of random QPSK OFDM symbols under
+    several transforms, shape ``(len(transforms), n_trials)``.
+
+    One seeded draw serves every transform: each batch of symbols is drawn
+    and synthesized once, then row i holds the PAPR of ``transforms[i]``
+    applied to it (``None`` measures the raw waveform).  Row i is therefore
+    bit-identical to ``papr_samples(cfg, n_trials, seed, transforms[i])``.
+    ``chunk`` only bounds memory, as symbols per batch: the bit stream, and
+    so the result, does not depend on it.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     rng = np.random.default_rng(seed)
-    out = np.empty(n_trials)
-    done = 0
-    while done < n_trials:
-        m = min(chunk, n_trials - done)
+    out = np.empty((len(transforms), n_trials))
+    for start in range(0, n_trials, chunk):
+        m = min(chunk, n_trials - start)
         bits = rng.integers(0, 2, size=(m, 2 * cfg.n_subcarriers))
         grids = _QPSK_SCALE * (
             (1.0 - 2.0 * bits[:, 0::2]) + 1j * (1.0 - 2.0 * bits[:, 1::2])
         )
         x = synthesize_waveforms(grids, cfg)
-        if transform is not None:
-            x = transform(x)
-        p = np.abs(x) ** 2
-        out[done:done + m] = 10.0 * np.log10(p.max(axis=-1) / p.mean(axis=-1))
-        done += m
+        for row, transform in zip(out, transforms):
+            # one transform's temporaries are freed before the next runs
+            row[start:start + m] = _papr_rows(x if transform is None else transform(x))
     return out
+
+
+def _papr_rows(x: np.ndarray) -> np.ndarray:
+    p = np.abs(x) ** 2
+    return 10.0 * np.log10(p.max(axis=-1) / p.mean(axis=-1))
 
 
 def ccdf_from_samples(

@@ -6,11 +6,13 @@ import subprocess
 
 import pytest
 
+from swiptsim import ofdm
 from swiptsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
     ConfigError,
+    _hash,
     build_eh,
     build_pa,
     build_scenario,
@@ -75,6 +77,8 @@ def test_build_helpers():
         build_eh({"eh": {"kind": "diode"}})
     with pytest.raises(ConfigError, match="eh.calibration"):
         build_eh({"eh": {"calibration": "/does/not/exist.csv"}})
+    with pytest.raises(ConfigError, match="path string"):
+        build_eh({"eh": {"calibration": 5}})
 
     s = build_scenario({"scenario": {"technique": "dpd", "trials": 7}}, seed=5,
                        trials=None)
@@ -114,6 +118,21 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main([command, "--config", ok_cfg, "--trials", "0",
                      "--out", str(tmp_path)]) == EXIT_CONFIG, command
         assert "--trials" in capsys.readouterr().err
+
+    # PAPR inputs are rejected before any work; mu = 0 in papr means
+    # "no compression", mu-sweep needs mu > 0
+    bad_papr = [
+        ("papr", {"papr": {"mu_grid": [-1.0, 1.25]}}, "papr.mu_grid"),
+        ("papr", {"papr": {"n_trials": 0}}, "papr.n_trials"),
+        ("mu-sweep", {"mu_sweep": {"mu_grid": [0.0, 1.0]}}, "mu_sweep.mu_grid"),
+        ("mu-sweep", {"mu_sweep": {"papr_trials": 0}}, "mu_sweep.papr_trials"),
+    ]
+    for i, (command, section, where) in enumerate(bad_papr):
+        path = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, **section}, f"bad_papr{i}.json")
+        out = tmp_path / f"bad_papr{i}"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG, where
+        assert where in capsys.readouterr().err
+        assert not any(out.iterdir()), where
 
 
 def test_main_runtime_error_when_out_is_a_file(tmp_path):
@@ -156,6 +175,27 @@ def test_config_hash_covers_trials_override(tmp_path):
     assert firsts[0] != firsts[1]
 
 
+def test_config_hash_covers_calibration_bytes(tmp_path):
+    cal = tmp_path / "cal.csv"
+    cfg = write_cfg(tmp_path, {"eh": {"calibration": str(cal)},
+                               "rate_energy": {"rho_grid": [0.5]}})
+    firsts = []
+    for text in ("p_in_dbm,eta3\n-10.0,0.1\n10.0,0.3\n",
+                 "p_in_dbm,eta3\n-10.0,0.1\n10.0,0.4\n"):
+        cal.write_text(text)
+        out = tmp_path / str(len(firsts))
+        assert main(["rate-energy", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        firsts.append((out / "rate_energy.csv").read_text().splitlines()[0])
+    assert firsts[0] != firsts[1]
+    # a file the hash cannot read is a config error on every command
+    cal.unlink()
+    assert main(["papr", "--config", cfg, "--out", str(tmp_path / "p"),
+                 "--trials", "10"]) == EXIT_CONFIG
+    # without the key the hash is the one of the config dict alone
+    assert _hash({"ofdm": SMALL_OFDM}, 3, None) == "5d3d830c7a87"
+    assert _hash({"eh": {"kind": "linear"}}, 0, 50) == "16d08af444b0"
+
+
 def test_papr_svg_emission(tmp_path):
     cfg = write_cfg(tmp_path, {
         "ofdm": SMALL_OFDM, "svg": True,
@@ -174,6 +214,36 @@ def test_handlers_do_not_mutate_config(tmp_path):
     snapshot = copy.deepcopy(cfg)
     assert cmd_papr(cfg, 0, tmp_path, 50, 1, False) == EXIT_OK
     assert cfg == snapshot
+
+
+def _count_synthesis(monkeypatch):
+    calls = []
+    real = ofdm.synthesize_waveforms
+
+    def counting(grids, cfg):
+        calls.append(len(grids))
+        return real(grids, cfg)
+
+    monkeypatch.setattr(ofdm, "synthesize_waveforms", counting)
+    return calls
+
+
+def test_papr_curves_share_one_synthesis(tmp_path, monkeypatch):
+    # one chunk of 64 symbols is synthesized once for all mu values, not
+    # once per mu and again for the uncompressed reference
+    n = 130
+    calls = _count_synthesis(monkeypatch)
+    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
+                               "mu_sweep": {"mu_grid": [0.5, 1.25, 4.0], "papr_trials": n}})
+    assert main(["mu-sweep", "--config", cfg, "--out", str(tmp_path / "m")]) == EXIT_OK
+    assert calls == [64, 64, 2]
+
+    calls.clear()
+    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "papr": {"mu_grid": [0.0, 1.25, 255.0]}},
+                    "papr.json")
+    assert main(["papr", "--config", cfg, "--out", str(tmp_path / "p"),
+                 "--trials", str(n)]) == EXIT_OK
+    assert calls == [64, 64, 2]
 
 
 def test_dpd_design_outputs(tmp_path):

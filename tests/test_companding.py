@@ -11,6 +11,7 @@ from swiptsim.companding import (
     analytic_companded_bussgang,
     companded_bussgang,
     companded_papr_reduction,
+    companded_papr_reductions,
     companded_snr,
     companding_ibo_reduction_db,
     compress,
@@ -190,6 +191,17 @@ def test_papr_reduction_goldens():
     )
     assert r255.reduction_db == pytest.approx(8.710256614734073, abs=1e-9)
     assert r255.reduction_db > r.reduction_db
+
+
+def test_papr_reductions_share_one_draw():
+    cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
+    grid = [CompanderParams.default(mu=mu) for mu in (0.5, 1.25, 4.0, 255.0)]
+    many = companded_papr_reductions(cfg, grid, n_trials=300, seed=3, exceedance=1e-2)
+    single = [companded_papr_reduction(cfg, p, n_trials=300, seed=3, exceedance=1e-2)
+              for p in grid]
+    assert many == single
+    assert len({r.papr_before_db for r in many}) == 1
+    assert companded_papr_reductions(cfg, [], n_trials=10) == []
 
 
 def test_optimize_mu_design_point():
