@@ -30,8 +30,9 @@ are rejected with their location.  Schema (defaults in parentheses):
   dpd:         pa_order (4), inverse_order (7),
                reduction_grid_db ([0, 4, 0.25] as min/max/step)
   mu_sweep:    mu_grid ([0.25 .. 4.0 step 0.25]; mu > 0), papr_trials (4000, >= 1)
-  ber:         ebn0_db ([0, 4, 8]), techniques (["baseline","companding"]),
-               channels (all four)
+  ber:         ebn0_db ([0, 4, 8]; non-empty, finite), techniques
+               (["baseline","companding"]), channels (all four); the lists
+               are non-empty and without repeats
   rate_energy: rho_grid (0..0.9 plus 1-10^-k tail), techniques
                (["baseline","companding"])
   seed:        integer (0); --seed wins over the file
@@ -62,9 +63,11 @@ from .companding import (
 )
 from .dpd import chain_constellation_evm, design_from_scratch, save_design
 from .experiments import (
+    TABLE_TECHNIQUES,
+    TECHNIQUES,
     Scenario,
-    run_scenario,
-    sweep,
+    run_techniques,
+    sweep_techniques,
     table_pipeline,
     write_csv,
 )
@@ -314,6 +317,41 @@ def _mu_grid(section: dict, default, where: str, allow_zero: bool) -> list[float
     return grid
 
 
+def _floats(section: dict, key: str, default, where: str) -> list[float]:
+    """The section's non-empty list of finite numbers."""
+    raw = section.get(key, default)
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError(f"config section '{where}.{key}': must be a non-empty list")
+    try:
+        values = [float(v) for v in raw]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section '{where}.{key}': {exc}") from exc
+    for v in values:
+        if not np.isfinite(v):
+            raise ConfigError(f"config section '{where}.{key}': values must be finite, got {v:g}")
+    return values
+
+
+def _names(section: dict, key: str, default, allowed, where: str, what: str) -> tuple[str, ...]:
+    """The section's non-empty list of distinct names from allowed."""
+    names = section.get(key, default)
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ConfigError(f"config section '{where}.{key}': must be a non-empty list")
+    for name in names:
+        if name not in allowed:
+            raise ConfigError(f"config section '{where}.{key}': unknown {what} '{name}'")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"config section '{where}.{key}': each {what} may appear once")
+    return tuple(names)
+
+
+def _channel_ofdm(ofdm: OfdmConfig, spec: ChannelSpec) -> OfdmConfig:
+    """The numerology with a cyclic prefix long enough for the channel."""
+    if spec.kind == "rayleigh_multitap" and ofdm.cp_length < spec.n_taps - 1:
+        return replace(ofdm, cp_length=2 ** int(np.ceil(np.log2(spec.n_taps))))
+    return ofdm
+
+
 def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("papr", {})
     mu_grid = _mu_grid(section, (0.0, 1.25, 255.0), "papr", allow_zero=True)
@@ -405,12 +443,11 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
-    table = {res.rows[0].axis_value: res.rows[0]
-             for res in table_pipeline(base, seed=seed, trials=base.trials)}
+    table = [res.rows[0] for res in table_pipeline(base, seed=seed, trials=base.trials)]
     rows = []
-    for tech, r in table.items():
+    for r in table:
         m = r.metrics
-        rows.append((tech, m.eta1, m.eta3, m.eta_e2e, r.ibo_reduction_db,
+        rows.append((r.axis_value, m.eta1, m.eta3, m.eta_e2e, r.ibo_reduction_db,
                      m.rate_bps_hz, m.harvested_norm, m.ber))
     write_csv(out / "technique_table.csv",
               ("technique", "eta1", "eta3", "eta1_eta3", "ibo_reduction_db",
@@ -420,17 +457,14 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     chan_rows = []
     for kind in CHANNEL_KINDS:
         spec = replace(build_channel(cfg), kind=kind)
-        ofdm = base.ofdm
-        if kind == "rayleigh_multitap" and ofdm.cp_length < spec.n_taps - 1:
-            ofdm = replace(ofdm, cp_length=2 ** int(np.ceil(np.log2(spec.n_taps))))
-        for tech in table:
-            if spec == base.channel and ofdm == base.ofdm:
-                # the configured channel's rows are the technique table's
-                r = table[tech]
-            else:
-                s = replace(base, name=f"{kind}/{tech}", technique=tech,
-                            channel=spec, ofdm=ofdm, seed=seed)
-                r = run_scenario(s).rows[0]
+        ofdm = _channel_ofdm(base.ofdm, spec)
+        if spec == base.channel and ofdm == base.ofdm:
+            # the configured channel's rows are the technique table's
+            results = table
+        else:
+            s = replace(base, name=kind, channel=spec, ofdm=ofdm)
+            results = (res.rows[0] for res in run_techniques(s, TABLE_TECHNIQUES))
+        for tech, r in zip(TABLE_TECHNIQUES, results):
             m = r.metrics
             chan_rows.append((kind, tech, m.eta1, m.eta3, m.eta_e2e,
                               r.ci("eta3"), m.ber))
@@ -443,33 +477,25 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
 
 def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("ber", {})
-    ebn0 = [float(v) for v in section.get("ebn0_db", (0.0, 4.0, 8.0))]
-    techniques = tuple(section.get("techniques", ("baseline", "companding")))
-    channels = tuple(section.get("channels", CHANNEL_KINDS))
-    for t in techniques:
-        if t not in ("linear", "baseline", "dpd", "companding", "dpd_companding"):
-            raise ConfigError(f"config section 'ber.techniques': unknown technique '{t}'")
-    for c in channels:
-        if c not in CHANNEL_KINDS:
-            raise ConfigError(f"config section 'ber.channels': unknown channel '{c}'")
+    ebn0 = _floats(section, "ebn0_db", (0.0, 4.0, 8.0), "ber")
+    techniques = _names(section, "techniques", ("baseline", "companding"), TECHNIQUES,
+                        "ber", "technique")
+    channels = _names(section, "channels", CHANNEL_KINDS, CHANNEL_KINDS, "ber", "channel")
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for kind in channels:
         spec = replace(base.channel, kind=kind)
-        ofdm = base.ofdm
-        if kind == "rayleigh_multitap" and ofdm.cp_length < spec.n_taps - 1:
-            ofdm = replace(ofdm, cp_length=2 ** int(np.ceil(np.log2(spec.n_taps))))
-        for tech in techniques:
-            s = replace(
-                base, technique=tech, channel=spec, ofdm=ofdm,
-                split=replace(base.split, rho=0.0, sigma_p2=0.0),
-                name=f"{kind}/{tech}",
-            )
-            res = sweep("snr", ebn0, s, threads=threads)
+        s = replace(
+            base, channel=spec, ofdm=_channel_ofdm(base.ofdm, spec),
+            split=replace(base.split, rho=0.0, sigma_p2=0.0), name=kind,
+        )
+        # every technique shares each Eb/N0 point's draws
+        n_bits = 2 * s.ofdm.n_subcarriers * s.frame_symbols * s.trials
+        for tech, res in zip(techniques,
+                             sweep_techniques("snr", ebn0, s, techniques, threads)):
             for point in res.rows:
-                n_bits = 2 * ofdm.n_subcarriers * s.frame_symbols * s.trials
                 rows.append((kind, tech, point.axis_value, point.metrics.ber,
                              point.ci("ber"), n_bits))
             series[f"{kind}/{tech}"] = [(p.axis_value, p.metrics.ber) for p in res.rows]

@@ -1,9 +1,11 @@
 """Scenario definitions, the Monte Carlo runner, and sweep pipelines.
 
 A Scenario bundles the full transmit/channel/receive configuration for
-one technique; run_scenario turns it into link metrics with batch-means
-confidence intervals.  sweep() repeats a scenario along one axis and
-table_pipeline() produces the four-technique efficiency comparison.
+one technique; run_techniques turns it into link metrics with batch-means
+confidence intervals for several techniques over one set of random draws,
+and run_scenario for one.  sweep_techniques() and sweep() repeat a scenario
+along one axis and table_pipeline() produces the four-technique efficiency
+comparison.
 
 Measurement conventions, used consistently everywhere:
 
@@ -22,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .channel import ChannelRealization, ChannelSpec, apply_channel, sample_channel
 from .companding import (
@@ -44,13 +46,14 @@ from .link import (
     companded_sinr,
     demodulate_and_ber,
     harvested,
-    power_split,
+    split_branches,
     sinr,
 )
 from .ofdm import ComplexSignal, OfdmConfig, map_bits, synthesize_waveforms
 from .pa import OperatingPoint, PaModel, bussgang_analytic_sl, efficiency_at_backoff
 
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
+TABLE_TECHNIQUES = ("baseline", "dpd", "companding", "dpd_companding")
 N_CI_BATCHES = 20
 
 
@@ -213,108 +216,161 @@ def _batch_ci(samples: np.ndarray) -> float:
     if b < 2:
         return float("nan")
     means = np.array([chunk.mean() for chunk in np.array_split(samples, b)])
-    return float(stats.t.ppf(0.975, b - 1) * means.std(ddof=1) / np.sqrt(b))
+    return float(stdtrit(b - 1, 0.975) * means.std(ddof=1) / np.sqrt(b))
 
 
-def run_scenario(s: Scenario) -> SweepResult:
-    """Monte Carlo evaluation of one scenario.
+def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
+    """Monte Carlo evaluation of several techniques over one set of draws.
 
-    Deterministic for a fixed seed.  The rectifier works on the EH branch
-    with its ensemble mean pinned to 0 dBm; the demodulator works on the
-    information branch at equal average transmit power through the faded
-    channel with unit path loss.
+    Result k is bit-identical to run_scenario(replace(s, technique=
+    techniques[k])).  For a fixed seed and channel every technique sees the
+    same bits, channel taps and splitter noise, so each frame's bits, QPSK
+    grid, synthesis, taps and noise are drawn once and every technique is
+    pushed through them: the frames are compressed once for the companded
+    techniques, and the baseline amplification of the uncompressed frames,
+    which sets every technique's power reference, is computed once (and is
+    the baseline technique's own transmit waveform).  The random stream is
+    the single-technique one: every trial's bits and taps in trial order,
+    then per frame the antenna, EH-branch and information-branch noise.
+
+    Memory: the faded channel output of every technique in every trial is
+    held until the noise pass, len(techniques) x trials x frame_symbols x
+    (N*L + cp_length) complex128 samples, because the normalizations need
+    the ensemble powers first.
+
+    The rectifier works on the EH branch with its ensemble mean pinned to
+    0 dBm; the demodulator works on the information branch at equal average
+    transmit power through the faded channel with unit path loss.
     """
-    r_dpd, r_comp, design = technique_reductions(s)
-    ibo_eff = s.op.ibo_db - r_dpd - r_comp
-    eta1 = efficiency_at_backoff(ibo_eff) if _saturating(s.pa) else 0.5
-    rate, h_p_norm = _closed_form(s, r_dpd, r_comp)
+    techniques = tuple(techniques)
+    if not techniques:
+        raise ValueError("run_techniques needs at least one technique")
+    if len(set(techniques)) != len(techniques):
+        raise ValueError(f"techniques must not repeat, got {techniques}")
+    scenarios = tuple(replace(s, technique=t) for t in techniques)
+    reductions = [technique_reductions(sk) for sk in scenarios]
+    n_tech = len(techniques)
 
     rng = np.random.default_rng(s.seed)
     cfg = s.ofdm
     n_bits_frame = 2 * cfg.n_subcarriers * s.frame_symbols
-    params = CompanderParams.default(mu=s.mu) if _uses_companding(s.technique) else None
-
-    needs_ref = s.technique not in ("linear", "baseline")
-    base_s = replace(s, technique="baseline") if needs_ref else s
+    companded = [_uses_companding(t) for t in techniques]
+    params = CompanderParams.default(mu=s.mu) if any(companded) else None
+    # the baseline amplifier output of the uncompressed frames is the power
+    # reference of every technique except linear and baseline, which use
+    # their own; a baseline at zero reduction transmits exactly that output
+    ref_s = replace(s, technique="baseline")
+    own_ref = [t in ("linear", "baseline") for t in techniques]
+    ref_from = next((k for k, t in enumerate(techniques)
+                     if t == "baseline" and reductions[k][0] == 0.0), None)
     frames = []
-    ref_power = 0.0
+    ref_power = [0.0] * n_tech
+    rx_powers = []
     for _ in range(s.trials):
         bits = rng.integers(0, 2, size=n_bits_frame)
         grids = map_bits(bits).reshape(s.frame_symbols, cfg.n_subcarriers)
-        x = drive = synthesize_waveforms(grids, cfg)
-        rms_drive = None
+        x = synthesize_waveforms(grids, cfg)
+        compressed = rms_drive = None
         if params is not None:
-            drive = compress_waveform(x, params)
-            rms_drive = float(np.sqrt(np.mean(np.abs(drive) ** 2)))
-        tx = _transmit(drive, s, r_dpd, design)
-        ref = _transmit(x, base_s, 0.0, None) if needs_ref else tx
-        ref_power += float(np.mean(np.abs(ref) ** 2))
+            compressed = compress_waveform(x, params)
+            rms_drive = float(np.sqrt(np.mean(np.abs(compressed) ** 2)))
+        txs = [
+            _transmit(compressed if c else x, sk, r_dpd, design)
+            for c, sk, (r_dpd, _, design) in zip(companded, scenarios, reductions)
+        ]
+        p_ref = 0.0
+        if not all(own_ref):
+            ref = txs[ref_from] if ref_from is not None else _transmit(x, ref_s, 0.0, None)
+            p_ref = float(np.mean(np.abs(ref) ** 2))
+        for k in range(n_tech):
+            ref_power[k] += float(np.mean(np.abs(txs[k]) ** 2)) if own_ref[k] else p_ref
         real = sample_channel(s.channel, rng)
         real = ChannelRealization(taps=real.taps, path_loss_db=0.0)
-        clean = apply_channel(
-            ComplexSignal(tx.ravel(), cfg.sample_rate_hz), real, 0.0, rng,
-            cp_length=cfg.cp_length,
-        )
+        clean = np.stack([
+            apply_channel(
+                ComplexSignal(tx.ravel(), cfg.sample_rate_hz), real, 0.0, rng,
+                cp_length=cfg.cp_length,
+            ).samples
+            for tx in txs
+        ])
+        rx_powers.append([float(np.mean(np.abs(c) ** 2)) for c in clean])
         frames.append((bits, clean, real, rms_drive))
-    ref_power /= s.trials
 
-    rx_power = float(np.mean([f[1].mean_power for f in frames]))
+    rx_power = [float(np.mean(p)) for p in zip(*rx_powers)]
     # two measurement scales, both deterministic given the seed: the
     # demodulator lives in a world normalized by the nominal (baseline)
     # amplifier output power, so a technique that reclaims back-off
     # radiates its extra power rather than having it scaled away; the
     # rectifier sees its branch pinned to 1 mW ensemble mean, where the
     # thermal noise floor is irrelevant and therefore omitted
-    norm = np.sqrt(1.0 / ref_power)
+    norm = [np.sqrt(1.0 / (p / s.trials)) for p in ref_power]
     rho = s.split.rho
-    eh_pin = np.sqrt(1e-3 / (rx_power * max(rho, 1e-12)))
+    eh_pin = [np.sqrt(1e-3 / (p * max(rho, 1e-12))) for p in rx_power]
 
-    eta3_num = np.zeros(s.trials)
-    eta3_den = np.full(s.trials, np.nan)
-    ber = np.empty(s.trials)
+    eta3_num = np.zeros((n_tech, s.trials))
+    eta3_den = np.full((n_tech, s.trials), np.nan)
+    ber = np.empty((n_tech, s.trials))
     for i, (bits, clean, real, rms_drive) in enumerate(frames):
         if rho > 0.0:
-            p_w = np.abs(clean.samples * (np.sqrt(rho) * eh_pin)) ** 2
-            eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
-            eta3_num[i] = float(np.sum(eff * p_w))
-            eta3_den[i] = float(np.sum(p_w))
-        normalized = clean.with_samples(clean.samples * norm)
-        _, info_branch = power_split(normalized, s.split, rng)
-        scale = None
-        if params is not None:
-            # known amplitude bookkeeping from the compressed transmit
-            # waveform to the (noiseless) information-branch signal, so
-            # the expander operates in its design domain
-            rms_rx = np.sqrt((1.0 - rho) * normalized.mean_power)
-            scale = rms_rx / rms_drive if min(rms_drive, rms_rx) > 0 else 1.0
-        ber[i] = demodulate_and_ber(info_branch, real, cfg, bits, params, scale)
+            for k in range(n_tech):
+                p_w = np.abs(clean[k] * (np.sqrt(rho) * eh_pin[k])) ** 2
+                eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
+                eta3_num[k, i] = float(np.sum(eff * p_w))
+                eta3_den[k, i] = float(np.sum(p_w))
+        normalized = np.stack([clean[k] * norm[k] for k in range(n_tech)])
+        _, info = split_branches(normalized, s.split, rng)
+        for k in range(n_tech):
+            scale = None
+            if companded[k]:
+                # known amplitude bookkeeping from the compressed transmit
+                # waveform to the (noiseless) information-branch signal, so
+                # the expander operates in its design domain
+                rms_rx = np.sqrt((1.0 - rho) * float(np.mean(np.abs(normalized[k]) ** 2)))
+                scale = rms_rx / rms_drive if min(rms_drive, rms_rx) > 0 else 1.0
+            ber[k, i] = demodulate_and_ber(
+                ComplexSignal(info[k], cfg.sample_rate_hz), real, cfg, bits,
+                params if companded[k] else None, scale,
+            )
 
-    if rho > 0.0:
-        eta3_mc = float(eta3_num.sum() / eta3_den.sum())
-        eta3_frames = eta3_num / eta3_den
-    else:
-        eta3_mc = 0.0
-        eta3_frames = eta3_num
-    metrics = LinkMetrics(
-        rate_bps_hz=rate,
-        harvested_norm=h_p_norm,
-        ber=float(ber.mean()),
-        eta1=eta1,
-        eta3=eta3_mc,
-        eta_e2e=eta1 * eta3_mc,
-    )
-    ci = (
-        ("eta3", _batch_ci(eta3_frames)),
-        ("ber", _batch_ci(ber)),
-    )
-    row = PointResult(
-        axis_value=s.name, metrics=metrics, ci_half=ci,
-        ibo_reduction_db=r_dpd + r_comp,
-    )
-    return SweepResult(
-        axis="scenario", values=(s.name,), rows=(row,),
-        seed=s.seed, config_hash=config_hash(s),
-    )
+    results = []
+    for k, sk in enumerate(scenarios):
+        r_dpd, r_comp, _ = reductions[k]
+        ibo_eff = sk.op.ibo_db - r_dpd - r_comp
+        eta1 = efficiency_at_backoff(ibo_eff) if _saturating(sk.pa) else 0.5
+        rate, h_p_norm = _closed_form(sk, r_dpd, r_comp)
+        if rho > 0.0:
+            eta3_mc = float(eta3_num[k].sum() / eta3_den[k].sum())
+            eta3_frames = eta3_num[k] / eta3_den[k]
+        else:
+            eta3_mc = 0.0
+            eta3_frames = eta3_num[k]
+        metrics = LinkMetrics(
+            rate_bps_hz=rate,
+            harvested_norm=h_p_norm,
+            ber=float(ber[k].mean()),
+            eta1=eta1,
+            eta3=eta3_mc,
+            eta_e2e=eta1 * eta3_mc,
+        )
+        ci = (
+            ("eta3", _batch_ci(eta3_frames)),
+            ("ber", _batch_ci(ber[k])),
+        )
+        row = PointResult(
+            axis_value=sk.name, metrics=metrics, ci_half=ci,
+            ibo_reduction_db=r_dpd + r_comp,
+        )
+        results.append(SweepResult(
+            axis="scenario", values=(sk.name,), rows=(row,),
+            seed=sk.seed, config_hash=config_hash(sk),
+        ))
+    return tuple(results)
+
+
+def run_scenario(s: Scenario) -> SweepResult:
+    """Monte Carlo evaluation of one scenario; deterministic for a fixed
+    seed (see run_techniques)."""
+    return run_techniques(s, (s.technique,))[0]
 
 
 def table_pipeline(
@@ -323,14 +379,15 @@ def table_pipeline(
     """Four-technique comparison under AWGN (the efficiency table).
 
     Returns one single-row SweepResult per technique, in the canonical
-    order baseline, DPD, companding, DPD+companding.
+    order baseline, DPD, companding, DPD+companding, each named after its
+    technique; all four share one set of draws (see run_techniques).
     """
-    base = base if base is not None else Scenario()
-    order = ("baseline", "dpd", "companding", "dpd_companding")
+    base = replace(base if base is not None else Scenario(), trials=trials, seed=seed)
     out = []
-    for tech in order:
-        s = replace(base, name=tech, technique=tech, trials=trials, seed=seed)
-        out.append(run_scenario(s))
+    for tech, res in zip(TABLE_TECHNIQUES, run_techniques(base, TABLE_TECHNIQUES)):
+        row = replace(res.rows[0], axis_value=tech)
+        named = replace(base, name=tech, technique=tech)
+        out.append(replace(res, values=(tech,), rows=(row,), config_hash=config_hash(named)))
     return tuple(out)
 
 
@@ -359,17 +416,25 @@ def _point_scenario(axis: str, value: float, base: Scenario) -> Scenario:
     raise ValueError(f"axis must be one of {_AXES}")
 
 
-def sweep(axis: str, values, base: Scenario, threads: int = 1) -> SweepResult:
-    """Run the base scenario along one axis; deterministic in (base, seed).
+def sweep_techniques(
+    axis: str, values, base: Scenario, techniques, threads: int = 1
+) -> tuple[SweepResult, ...]:
+    """Run the base scenario along one axis for several techniques;
+    deterministic in (base, seed).
 
-    Points get independent child seeds and may run in a thread pool;
-    results are merged in axis order regardless of completion order.
+    Result k is bit-identical to sweep(axis, values, replace(base,
+    technique=techniques[k]), threads).  Points get independent child
+    seeds and may run in a thread pool; at each point every technique
+    shares one set of draws through run_techniques, so a point holds one
+    channel output per technique per trial in memory.  Rows are merged in
+    axis order regardless of completion order.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}")
     values = tuple(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
+    techniques = tuple(techniques)
     children = np.random.SeedSequence(base.seed).spawn(len(values))
     points = [
         replace(
@@ -379,20 +444,28 @@ def sweep(axis: str, values, base: Scenario, threads: int = 1) -> SweepResult:
         )
         for i, v in enumerate(values)
     ]
+    run = partial(run_techniques, techniques=techniques)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_scenario, points))
+            results = list(pool.map(run, points))
     else:
-        results = [run_scenario(p) for p in points]
-    rows = tuple(
-        replace(res.rows[0], axis_value=v) for v, res in zip(values, results)
+        results = [run(p) for p in points]
+    return tuple(
+        SweepResult(
+            axis=axis, values=values,
+            rows=tuple(replace(res[k].rows[0], axis_value=v)
+                       for v, res in zip(values, results)),
+            seed=base.seed, config_hash=config_hash(replace(base, technique=tech)),
+        )
+        for k, tech in enumerate(techniques)
     )
-    return SweepResult(
-        axis=axis, values=values, rows=rows,
-        seed=base.seed, config_hash=config_hash(base),
-    )
+
+
+def sweep(axis: str, values, base: Scenario, threads: int = 1) -> SweepResult:
+    """Run the base scenario along one axis (see sweep_techniques)."""
+    return sweep_techniques(axis, values, base, (base.technique,), threads)[0]
 
 
 def _fmt(v) -> str:

@@ -76,20 +76,31 @@ def _cn(rng: np.random.Generator, size: int, variance: float) -> np.ndarray:
     return s * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
-def power_split(
-    signal: ComplexSignal, split: SplitConfig, rng: np.random.Generator
-) -> tuple[ComplexSignal, ComplexSignal]:
-    """Split a received waveform into (EH branch, information branch).
+def split_branches(
+    y: np.ndarray, split: SplitConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(EH branch, information branch) sample arrays for y of shape (..., n).
 
     One antenna-noise realization rides the signal into the splitter, so
     both branches see it scaled by their amplitude share; each branch then
-    adds its own processing noise.
+    adds its own processing noise.  The three draws have n samples each and
+    broadcast over the leading axes: the rows of a 2-D y are alternative
+    transmit waveforms received through one noise realization, and each row
+    gets exactly what a 1-D call on it alone would give.
     """
-    y = signal.samples
-    w_a = _cn(rng, y.size, split.sigma_a2)
-    noisy = y + w_a
-    eh = np.sqrt(split.rho) * noisy + _cn(rng, y.size, split.sigma_p2)
-    info = np.sqrt(1.0 - split.rho) * noisy + _cn(rng, y.size, split.sigma_p2)
+    n = y.shape[-1]
+    noisy = y + _cn(rng, n, split.sigma_a2)
+    eh = np.sqrt(split.rho) * noisy + _cn(rng, n, split.sigma_p2)
+    info = np.sqrt(1.0 - split.rho) * noisy + _cn(rng, n, split.sigma_p2)
+    return eh, info
+
+
+def power_split(
+    signal: ComplexSignal, split: SplitConfig, rng: np.random.Generator
+) -> tuple[ComplexSignal, ComplexSignal]:
+    """Split a received waveform into (EH branch, information branch);
+    see split_branches."""
+    eh, info = split_branches(signal.samples, split, rng)
     return signal.with_samples(eh), signal.with_samples(info)
 
 

@@ -1,12 +1,16 @@
 import copy
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from swiptsim import ofdm
+import swiptsim
+from swiptsim import dpd, experiments, ofdm, pa
 from swiptsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -134,6 +138,27 @@ def test_main_exit_codes(tmp_path, capsys):
         assert where in capsys.readouterr().err
         assert not any(out.iterdir()), where
 
+    # BER sweep inputs: an empty, non-numeric or non-finite Eb/N0 grid, and
+    # empty or repeated technique and channel lists
+    bad_ber = [
+        ({"ebn0_db": []}, "ber.ebn0_db"),
+        ({"ebn0_db": ["x"]}, "ber.ebn0_db"),
+        ({"ebn0_db": [float("nan")]}, "ber.ebn0_db"),
+        ({"ebn0_db": 4.0}, "ber.ebn0_db"),
+        ({"ebn0_db": "48"}, "ber.ebn0_db"),
+        ({"techniques": []}, "ber.techniques"),
+        ({"techniques": "baseline"}, "ber.techniques"),
+        ({"techniques": ["baseline", "baseline"]}, "ber.techniques"),
+        ({"channels": []}, "ber.channels"),
+        ({"channels": ["awgn", "awgn"]}, "ber.channels"),
+    ]
+    for i, (section, where) in enumerate(bad_ber):
+        path = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "ber": section}, f"bad_ber{i}.json")
+        out = tmp_path / f"bad_ber{i}"
+        assert main(["ber", "--config", path, "--out", str(out)]) == EXIT_CONFIG, section
+        assert where in capsys.readouterr().err
+        assert not any(out.iterdir()), section
+
 
 def test_main_runtime_error_when_out_is_a_file(tmp_path):
     blocker = tmp_path / "blocker"
@@ -244,6 +269,46 @@ def test_papr_curves_share_one_synthesis(tmp_path, monkeypatch):
     assert main(["papr", "--config", cfg, "--out", str(tmp_path / "p"),
                  "--trials", str(n)]) == EXIT_OK
     assert calls == [64, 64, 2]
+
+
+def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
+    # one pass per channel: each trial is synthesized once for all four
+    # techniques (plus the DPD design's own two batches), and the baseline
+    # amplifier output doubles as every technique's power reference, so a
+    # frame is amplified four times, not seven
+    n = 3
+    synth = {"experiments": 0, "dpd": 0}
+    for name, module in (("experiments", experiments), ("dpd", dpd)):
+        def counting(grids, cfg, _real=module.synthesize_waveforms, _name=name):
+            synth[_name] += 1
+            return _real(grids, cfg)
+        monkeypatch.setattr(module, "synthesize_waveforms", counting)
+    frame_sizes = []
+    real_am_am = pa.PaModel.am_am
+
+    def counting_am_am(self, magnitude):
+        frame_sizes.append(magnitude.size)
+        return real_am_am(self, magnitude)
+
+    monkeypatch.setattr(pa.PaModel, "am_am", counting_am_am)
+    experiments._cached_dpd.cache_clear()
+    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
+                               "scenario": {"trials": n, "frame_symbols": 2}})
+    assert main(["e2e", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert synth == {"experiments": 4 * n, "dpd": 2}
+    # frames carry 2 symbols of 128 samples; the multitap channel adds a
+    # 4-sample prefix to each
+    frames = [s for s in frame_sizes if s in (2 * 128, 2 * 132)]
+    assert len(frames) == 4 * 4 * n
+
+
+def test_import_skips_scipy_stats():
+    # scipy.stats costs about 0.4 s and 17 MB on import; nothing needs it
+    code = "import sys, swiptsim.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(swiptsim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_dpd_design_outputs(tmp_path):

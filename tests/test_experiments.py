@@ -3,19 +3,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swiptsim.channel import ChannelSpec
+from swiptsim.channel import CHANNEL_KINDS, ChannelSpec
 from swiptsim.companding import CompanderParams, compress_waveform
 from swiptsim.dpd import design_from_scratch
 from swiptsim.experiments import (
+    TECHNIQUES,
     Scenario,
+    _batch_ci,
     _noise_for_ebn0,
     _point_scenario,
     _transmit,
     append_manifest,
     config_hash,
     run_scenario,
+    run_techniques,
     sweep,
+    sweep_techniques,
     sweep_to_csv,
     table_pipeline,
     technique_reductions,
@@ -246,3 +252,105 @@ def test_config_hash_sensitivity():
     b = config_hash(Scenario(mu=1.3))
     assert a != b
     assert len(a) == 12
+
+
+def _assert_same_result(a, b):
+    """SweepResults equal field by field, NaN confidence intervals included."""
+    assert (a.axis, a.values, a.seed, a.config_hash) == (b.axis, b.values, b.seed, b.config_hash)
+    assert len(a.rows) == len(b.rows)
+    for ra, rb in zip(a.rows, b.rows):
+        assert ra.axis_value == rb.axis_value
+        assert ra.metrics == rb.metrics
+        assert ra.ibo_reduction_db == rb.ibo_reduction_db
+        assert [n for n, _ in ra.ci_half] == [n for n, _ in rb.ci_half]
+        np.testing.assert_array_equal([v for _, v in ra.ci_half], [v for _, v in rb.ci_half])
+
+
+TINY = OfdmConfig(n_subcarriers=16, oversampling_factor=2)
+# any non-empty ordered subset of the techniques
+technique_subsets = st.permutations(TECHNIQUES).flatmap(
+    lambda order: st.integers(1, len(order)).map(lambda n: tuple(order[:n])))
+
+
+def _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed):
+    split = SplitConfig(rho=0.0 if rho_zero else SplitConfig().rho, sigma_p2=sigma_p2)
+    cp = 4 if kind == "rayleigh_multitap" else 0
+    return Scenario(ofdm=replace(TINY, cp_length=cp), channel=ChannelSpec(kind=kind),
+                    split=split, trials=trials, seed=seed, frame_symbols=2)
+
+
+@given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),
+       rho_zero=st.booleans(), sigma_p2=st.sampled_from((0.0, 1e-3)),
+       trials=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_run_techniques_matches_single_runs(techniques, kind, rho_zero, sigma_p2,
+                                            trials, seed):
+    # one shared pass gives every technique exactly its own run's result
+    s = _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed)
+    shared = run_techniques(s, techniques)
+    assert len(shared) == len(techniques)
+    for tech, res in zip(techniques, shared):
+        _assert_same_result(res, run_scenario(replace(s, technique=tech)))
+
+
+def test_run_techniques_reference_without_baseline():
+    # an explicit reduction moves the baseline off the nominal back-off, so
+    # its own waveform is no longer the other techniques' power reference
+    s = replace(_tiny_scenario("rayleigh_flat", False, 1e-3, 3, 5), ibo_reduction_db=1.5)
+    for techniques in (("baseline", "companding"), ("dpd", "baseline"), ("linear", "dpd")):
+        for tech, res in zip(techniques, run_techniques(s, techniques)):
+            _assert_same_result(res, run_scenario(replace(s, technique=tech)))
+
+
+def test_run_techniques_validation():
+    s = Scenario(trials=1)
+    with pytest.raises(ValueError, match="at least one"):
+        run_techniques(s, ())
+    with pytest.raises(ValueError, match="repeat"):
+        run_techniques(s, ("baseline", "baseline"))
+    with pytest.raises(ValueError, match="technique"):
+        run_techniques(s, ("beamforming",))
+
+
+@given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),
+       ebn0=st.lists(st.sampled_from((0.0, 4.0, 8.0, 12.0)), min_size=1, max_size=3,
+                     unique=True),
+       threads=st.sampled_from((1, 2)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_sweep_techniques_matches_single_sweeps(techniques, kind, ebn0, threads, seed):
+    s = _tiny_scenario(kind, True, 0.0, 2, seed)
+    shared = sweep_techniques("snr", ebn0, s, techniques, threads)
+    assert len(shared) == len(techniques)
+    for tech, res in zip(techniques, shared):
+        _assert_same_result(res, sweep("snr", ebn0, replace(s, technique=tech), threads))
+
+
+def test_table_pipeline_matches_per_technique_runs():
+    # the table is the four named single-technique runs it always was,
+    # provenance hashes included
+    base = Scenario(ofdm=TINY, channel=ChannelSpec(kind="rice_flat"),
+                    split=SplitConfig(rho=0.5))
+    table = table_pipeline(base, seed=3, trials=3)
+    for tech, res in zip(("baseline", "dpd", "companding", "dpd_companding"), table):
+        ref = run_scenario(replace(base, name=tech, technique=tech, trials=3, seed=3))
+        _assert_same_result(res, ref)
+    # values of the earlier one-run-per-technique table_pipeline
+    assert [r.config_hash for r in table] == [
+        "ed964bd92b8a", "44de0842bb9a", "4a6b7f9c475c", "73932037f535"]
+    assert [r.rows[0].metrics.eta3 for r in table] == [
+        0.43343242515960223, 0.4312129417061382, 0.44204842167760944, 0.4435557679042033]
+
+
+def test_batch_ci_matches_student_t_quantile():
+    # scipy.special.stdtrit stands in for scipy.stats.t.ppf, which costs a
+    # slow import; the half-widths are bit-identical for every batch count
+    from scipy import stats
+
+    rng = np.random.default_rng(0)
+    for n in range(2, 41):
+        samples = rng.random(n)
+        b = min(20, n)
+        means = np.array([c.mean() for c in np.array_split(samples, b)])
+        expected = float(stats.t.ppf(0.975, b - 1) * means.std(ddof=1) / np.sqrt(b))
+        assert _batch_ci(samples) == expected
+    assert np.isnan(_batch_ci(np.ones(1)))

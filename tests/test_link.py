@@ -16,6 +16,7 @@ from swiptsim.link import (
     harvested,
     power_split,
     sinr,
+    split_branches,
 )
 from swiptsim.ofdm import ComplexSignal, OfdmConfig, map_bits, synthesize_waveforms
 
@@ -68,6 +69,23 @@ def test_power_split_extreme_ratios():
     eh, info = power_split(ComplexSignal(x, 1.0), split, rng)
     assert eh.mean_power == pytest.approx(0.04, rel=0.02)  # noise only
     assert info.mean_power == pytest.approx(1.04, rel=0.02)
+
+
+def test_split_branches_broadcasts_one_draw():
+    # the rows of a 2-D input share one noise realization: each row gets
+    # exactly what power_split gives that row alone from the same stream,
+    # and the stream advances as far as one 1-D call
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    split = SplitConfig(rho=0.3, sigma_a2=0.02, sigma_p2=0.01)
+    shared = np.random.default_rng(7)
+    eh, info = split_branches(rows, split, shared)
+    for k, row in enumerate(rows):
+        alone = np.random.default_rng(7)
+        eh_k, info_k = power_split(ComplexSignal(row, 1.0), split, alone)
+        np.testing.assert_array_equal(eh[k], eh_k.samples)
+        np.testing.assert_array_equal(info[k], info_k.samples)
+    assert shared.random() == alone.random()
 
 
 def test_sinr_goldens():
