@@ -52,15 +52,11 @@ def resolve_anchors(seed=0, n_symbols=400):
     """Re-derive (SCALE, RISE_C) from the dual 0.434 anchor and report drift."""
     from scipy.optimize import brentq
 
-    from swiptsim.ofdm import ComplexSignal, OfdmConfig, random_qpsk_grid, synthesize_waveforms
-    from swiptsim.pa import OperatingPoint, PaModel, apply_pa
+    from swiptsim.ofdm import OfdmConfig, random_frames
+    from swiptsim.pa import PaModel, amplify
 
-    cfg = OfdmConfig()
-    rng = np.random.default_rng(seed)
-    grids = np.stack([random_qpsk_grid(cfg, rng) for _ in range(n_symbols)])
-    x = synthesize_waveforms(grids, cfg).ravel()
-    pa = PaModel.sspa(smoothness=1.2)
-    y = apply_pa(ComplexSignal(x, cfg.sample_rate_hz), pa, OperatingPoint(ibo_db=8.0)).samples
+    _, x = random_frames(OfdmConfig(), n_symbols, np.random.default_rng(seed))
+    y = amplify(x, PaModel.sspa(smoothness=1.2), 8.0)
     p = np.abs(y) ** 2
     p *= 1.0 / p.mean()  # 0 dBm mean, watts scaled to mW
     p_dbm = 10.0 * np.log10(np.maximum(p, 1e-15))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import ComplexSignal, OfdmConfig
+from .ofdm import OfdmConfig
 
 SPEED_OF_LIGHT = 2.998e8
 
@@ -94,13 +94,14 @@ def sample_channel(spec: ChannelSpec, rng: np.random.Generator) -> ChannelRealiz
 
 
 def apply_channel(
-    signal: ComplexSignal,
+    x: np.ndarray,
     realization: ChannelRealization,
     sigma_a2: float,
     rng: np.random.Generator,
     cp_length: int | None = None,
-) -> ComplexSignal:
-    """Convolve with the taps, apply path loss, add antenna noise.
+) -> np.ndarray:
+    """Convolve a one-dimensional sample array with the taps, apply path
+    loss, add antenna noise.
 
     When ``cp_length`` is given it must cover the channel memory, since the
     receiver relies on the prefix to keep subcarriers separable.
@@ -113,12 +114,11 @@ def apply_channel(
             f"cyclic prefix of {cp_length} samples cannot absorb a "
             f"{taps.size}-tap channel"
         )
-    x = signal.samples
     y = np.convolve(x, taps)[: x.size] if taps.size > 1 else x * taps[0]
     y = y * 10.0 ** (realization.path_loss_db / 20.0)
     if sigma_a2 > 0.0:
         y = y + math.sqrt(sigma_a2) * _cn(rng, y.shape)
-    return signal.with_samples(y)
+    return y
 
 
 def subcarrier_gains(realization: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:

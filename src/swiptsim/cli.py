@@ -24,17 +24,19 @@ are rejected with their location.  Schema (defaults in parentheses):
   eh:          kind ("curve" | "linear"), eta3_linear (0.5),
                calibration (path to CSV, default: packaged rectenna;
                its bytes enter the config hash)
-  papr:        mu_grid ([0, 1.25, 255]; mu >= 0, 0 = uncompressed),
+  papr:        mu_grid ([0, 1.25, 255]; non-empty, mu >= 0, 0 = uncompressed),
                n_trials (20000, >= 1),
                thresholds_db ([-1, 14, 0.05] as min/max/step)
   dpd:         pa_order (4), inverse_order (7),
                reduction_grid_db ([0, 4, 0.25] as min/max/step)
-  mu_sweep:    mu_grid ([0.25 .. 4.0 step 0.25]; mu > 0), papr_trials (4000, >= 1)
+  mu_sweep:    mu_grid ([0.25 .. 4.0 step 0.25]; non-empty, mu > 0),
+               papr_trials (4000, >= 1)
   ber:         ebn0_db ([0, 4, 8]; non-empty, finite), techniques
                (["baseline","companding"]), channels (all four); the lists
                are non-empty and without repeats
-  rate_energy: rho_grid (0..0.9 plus 1-10^-k tail), techniques
-               (["baseline","companding"])
+  rate_energy: rho_grid (0..0.9 plus 1-10^-k tail; non-empty, in [0, 1]),
+               techniques (["baseline","companding"]; non-empty, without
+               repeats, from "linear", "baseline", "companding")
   seed:        integer (0); --seed wins over the file
   svg:         false — also emit minimal SVG line charts
 
@@ -61,7 +63,7 @@ from .companding import (
     compress_waveform,
     optimize_mu,
 )
-from .dpd import chain_constellation_evm, design_from_scratch, save_design
+from .dpd import design_from_scratch, probe_evm, save_design
 from .experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
@@ -303,17 +305,14 @@ def _trial_count(section: dict, key: str, default: int, where: str,
 
 
 def _mu_grid(section: dict, default, where: str, allow_zero: bool) -> list[float]:
-    """The section's mu grid as floats; mu must be finite and positive
-    (or zero, meaning no compression, where allow_zero)."""
-    try:
-        grid = [float(m) for m in section.get("mu_grid", default)]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section '{where}.mu_grid': {exc}") from exc
+    """The section's non-empty mu grid; mu must be finite and positive (or
+    zero, meaning no compression, where allow_zero)."""
+    grid = _floats(section, "mu_grid", default, where)
     for mu in grid:
-        if not np.isfinite(mu) or mu < 0 or (mu == 0 and not allow_zero):
+        if mu < 0 or (mu == 0 and not allow_zero):
             need = "non-negative" if allow_zero else "positive"
-            raise ConfigError(f"config section '{where}.mu_grid': mu must be finite "
-                              f"and {need}, got {mu:g}")
+            raise ConfigError(f"config section '{where}.mu_grid': mu must be {need}, "
+                              f"got {mu:g}")
     return grid
 
 
@@ -391,10 +390,11 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     save_design(design, str(out / "dpd_design.txt"),
                 header=(f"config_hash={h} seed={seed}",))
     grid = _grid(section.get("reduction_grid_db"), (0.0, 4.0, 0.25))
+    chain_evm = probe_evm(pa, ofdm, seed=seed + 1)
     rows = []
     series = {"evm": [], "eta1": []}
     for r in grid:
-        e = chain_constellation_evm(pa, ofdm, op.ibo_db - r, design.inverse_fit, seed=seed + 1)
+        e = chain_evm(op.ibo_db - r, design.inverse_fit)
         eta1 = efficiency_at_backoff(op.ibo_db - r)
         rows.append((float(r), e, eta1, 100.0 * (eta1 - efficiency_at_backoff(op.ibo_db))))
         series["evm"].append((float(r), e))
@@ -412,7 +412,8 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
 
 def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("mu_sweep", {})
-    mu_grid = _mu_grid(section, np.arange(0.25, 4.01, 0.25), "mu_sweep", allow_zero=False)
+    mu_grid = _mu_grid(section, tuple(np.arange(0.25, 4.01, 0.25)), "mu_sweep",
+                       allow_zero=False)
     papr_trials = _trial_count(section, "papr_trials", 4000, "mu_sweep", trials)
     ofdm = build_ofdm(cfg)
     pa, op = build_pa(cfg)
@@ -511,18 +512,18 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
 def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("rate_energy", {})
     default_grid = list(np.linspace(0.0, 0.9, 10)) + [1 - 10.0 ** (-k) for k in range(2, 7)]
-    rho_grid = [float(v) for v in section.get("rho_grid", default_grid)]
-    techniques = tuple(section.get("techniques", ("baseline", "companding")))
+    rho_grid = _floats(section, "rho_grid", default_grid, "rate_energy")
+    if not all(0.0 <= rho <= 1.0 for rho in rho_grid):
+        raise ConfigError("config section 'rate_energy.rho_grid': rho must lie in [0, 1]")
+    techniques = _names(section, "techniques", ("baseline", "companding"),
+                        ("linear", "baseline", "companding"), "rate_energy",
+                        "closed-form technique")
     base = build_scenario(cfg, seed, trials)
     pa_sat = base.pa.kind in ("sspa", "soft_limiter")
     h = _hash(cfg, seed, trials)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for tech in techniques:
-        if tech not in ("linear", "baseline", "companding"):
-            raise ConfigError(
-                "config section 'rate_energy.techniques': only closed-form "
-                f"techniques allowed, got '{tech}'")
         params = CompanderParams.default(mu=base.mu)
         if tech == "linear" or not pa_sat:
             k_l, sd2 = 1.0, 0.0
@@ -535,7 +536,7 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
         p = base.p_rf_tx
         curve_r, curve_h = [], []
         for rho in rho_grid:
-            split = replace(base.split, rho=float(rho))
+            split = replace(base.split, rho=rho)
             if tech == "companding":
                 snr_v = companded_sinr(split, params, k_l, sd2, 1.0, p)
                 he = companded_harvested(split, params, k_l, sd2, 1.0, p,
@@ -544,9 +545,9 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
                 snr_v = sinr(split, k_l, sd2, 1.0, p)
                 he = harvested(split, k_l, sd2, 1.0, p, EhModel.linear(), 1.0, p)
             rate = achievable_rate(snr_v)
-            rows.append((float(rho), tech, rate, he.h_p_norm))
-            curve_r.append((float(rho), rate))
-            curve_h.append((float(rho), he.h_p_norm))
+            rows.append((rho, tech, rate, he.h_p_norm))
+            curve_r.append((rho, rate))
+            curve_h.append((rho, he.h_p_norm))
         series[f"rate/{tech}"] = curve_r
         series[f"h_p/{tech}"] = curve_h
     write_csv(out / "rate_energy.csv",

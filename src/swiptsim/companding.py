@@ -1,8 +1,10 @@
 """Mu-law companding of OFDM envelopes and the companded-chain noise model.
 
-Compression acts on the complex envelope: the magnitude is mapped through
-the mu-law characteristic and the phase is kept.  A real-signal variant
-using sgn() is provided for testing the scalar transfer curves directly.
+Compression acts on the complex envelope of a sample array:
+compress_waveform and expand_waveform map each magnitude through the
+mu-law characteristic and its inverse and keep the phase.  A real-signal
+variant using sgn() is provided for testing the scalar transfer curves
+directly.
 """
 
 from __future__ import annotations
@@ -17,8 +19,16 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .ofdm import ComplexSignal, OfdmConfig, papr_quantile_db, papr_samples_many
-from .pa import BussgangParams, OperatingPoint, PaModel, bussgang_analytic_sl
+from .ofdm import OfdmConfig, papr_quantile_db, papr_samples_many, random_frames
+from .pa import (
+    BussgangParams,
+    OperatingPoint,
+    PaModel,
+    amplify,
+    bussgang_analytic_sl,
+    bussgang_estimate,
+    scale_envelope,
+)
 
 log = logging.getLogger(__name__)
 
@@ -74,29 +84,6 @@ def compress_real(samples: np.ndarray, params: CompanderParams) -> np.ndarray:
 def expand_real(samples: np.ndarray, params: CompanderParams) -> np.ndarray:
     s = np.asarray(samples, dtype=float)
     return np.sign(s) * expand_magnitude(np.abs(s), params)
-
-
-def _remap(signal: ComplexSignal, new_mag: np.ndarray, old_mag: np.ndarray) -> ComplexSignal:
-    ratio = np.divide(new_mag, old_mag, out=np.zeros_like(old_mag), where=old_mag > 0)
-    return signal.with_samples(signal.samples * ratio)
-
-
-def compress(signal: ComplexSignal, params: CompanderParams) -> ComplexSignal:
-    m = np.abs(signal.samples)
-    peak_seen = float(m.max(initial=0.0))
-    if peak_seen > params.peak:
-        warnings.warn(
-            f"sample magnitude {peak_seen:.3f} exceeds configured peak "
-            f"{params.peak:.3f}; compression continues past the knee",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _remap(signal, compress_magnitude(m, params), m)
-
-
-def expand(signal: ComplexSignal, params: CompanderParams) -> ComplexSignal:
-    m = np.abs(signal.samples)
-    return _remap(signal, expand_magnitude(m, params), m)
 
 
 def mu_law_noise_factor(params: CompanderParams) -> float:
@@ -205,27 +192,13 @@ def companded_papr_reductions(
 
 
 def compress_waveform(waveform: np.ndarray, params: CompanderParams) -> np.ndarray:
-    """Array-level compression used inside Monte Carlo loops."""
-    m = np.abs(waveform)
-    cm = compress_magnitude(m, params)
-    ratio = np.divide(cm, m, out=np.zeros_like(m), where=m > 0)
-    return waveform * ratio
+    """Mu-law compression of every sample magnitude, phase kept."""
+    return scale_envelope(waveform, partial(compress_magnitude, params=params))
 
 
 def expand_waveform(waveform: np.ndarray, params: CompanderParams) -> np.ndarray:
-    m = np.abs(waveform)
-    em = expand_magnitude(m, params)
-    ratio = np.divide(em, m, out=np.zeros_like(m), where=m > 0)
-    return waveform * ratio
-
-
-def _ofdm_block(cfg: OfdmConfig, n_symbols: int, seed: int) -> np.ndarray:
-    from .ofdm import random_qpsk_grid, synthesize_waveforms
-
-    rng = np.random.default_rng(seed)
-    grids = np.stack([random_qpsk_grid(cfg, rng) for _ in range(n_symbols)])
-    x = synthesize_waveforms(grids, cfg).ravel()
-    return x / np.sqrt(np.mean(np.abs(x) ** 2))
+    """Inverse of :func:`compress_waveform`."""
+    return scale_envelope(waveform, partial(expand_magnitude, params=params))
 
 
 def companded_bussgang(
@@ -244,17 +217,8 @@ def companded_bussgang(
     the amplifier at its natural power (compression raises it above unity),
     which is the whole operating-point story for companding.
     """
-    x = _ofdm_block(cfg, n_symbols, seed)
-    xc = compress_waveform(x, params)
-    g = 10.0 ** (-ibo_db / 20.0)
-    u = xc * g
-    m = np.abs(u)
-    out = pa_model.am_am(m)
-    y = u * np.divide(out, m, out=np.ones_like(m), where=m > 0) / g
-    k = np.vdot(x, y) / np.vdot(x, x)
-    k_l = float(k.real)
-    sigma_d2 = float(np.mean(np.abs(y) ** 2) - abs(k) ** 2 * np.mean(np.abs(x) ** 2))
-    return BussgangParams(k_l=k_l, sigma_d2=max(sigma_d2, 0.0))
+    _, x = random_frames(cfg, n_symbols, np.random.default_rng(seed))
+    return bussgang_estimate(x, amplify(compress_waveform(x, params), pa_model, ibo_db))
 
 
 def analytic_companded_bussgang(params: CompanderParams, ibo_db: float) -> BussgangParams:

@@ -10,14 +10,13 @@ original operating point.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .ofdm import ComplexSignal, OfdmConfig, normalize_power, random_qpsk_grid, synthesize_waveforms
-from .pa import PaModel
+from .ofdm import OfdmConfig, ofdm_demodulate, random_frames
+from .pa import PaModel, amplify
 
 log = logging.getLogger(__name__)
 
@@ -92,32 +91,9 @@ def make_training_set(
     ramp = np.linspace(0.0, overdrive * pa_model.a_sat, ramp_points)
     amp_in = ramp
     if cfg is not None:
-        rng = np.random.default_rng(seed)
-        frame = synthesize_waveforms(random_qpsk_grid(cfg, rng), cfg)
-        amp_in = np.concatenate([ramp, np.abs(normalize_power(frame))])
+        _, frame = random_frames(cfg, 1, np.random.default_rng(seed))
+        amp_in = np.concatenate([ramp, np.abs(frame)])
     return amp_in, pa_model.am_am(amp_in)
-
-
-def predistort(signal: ComplexSignal, inverse_fit: PolyFit) -> ComplexSignal:
-    """Map sample magnitudes through the inverse polynomial, keeping phase.
-
-    Magnitudes beyond the fit's domain are clamped to domain_max first;
-    that is reported with a warning rather than an error since it simply
-    pins those samples at the amplifier's reachable ceiling.
-    """
-    m = np.abs(signal.samples)
-    clipped = m > inverse_fit.domain_max
-    if np.any(clipped):
-        warnings.warn(
-            f"{int(clipped.sum())} of {m.size} samples beyond the inverse-fit "
-            f"domain ({inverse_fit.domain_max:.4f}); clamped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    target = np.minimum(m, inverse_fit.domain_max)
-    drive = np.clip(inverse_fit(target), 0.0, None)
-    ratio = np.divide(drive, m, out=np.zeros_like(m), where=m > 0)
-    return signal.with_samples(signal.samples * ratio)
 
 
 def evm(reference: np.ndarray, measured: np.ndarray) -> float:
@@ -146,24 +122,18 @@ class DpdDesign:
     notes: tuple[str, ...] = field(default=())
 
 
-def _amplitude_chain(
-    x: np.ndarray,
-    pa_model: PaModel,
-    ibo_db: float,
-    inverse_fit: PolyFit | None,
-) -> np.ndarray:
-    """Back-off, optional predistortion, amplifier, then gain removal."""
-    g = 10.0 ** (-ibo_db / 20.0)
-    u = x * g
-    if inverse_fit is not None:
-        m = np.abs(u)
-        target = np.minimum(m, inverse_fit.domain_max)
-        drive = np.clip(inverse_fit(target), 0.0, None)
-        u = u * np.divide(drive, m, out=np.zeros_like(m), where=m > 0)
-    m = np.abs(u)
-    out = pa_model.am_am(m)
-    y = u * np.divide(out, m, out=np.ones_like(m), where=m > 0)
-    return y / g
+def probe_evm(pa_model: PaModel, cfg: OfdmConfig, seed: int = 0, n_symbols: int = 64):
+    """EVM of the demodulated constellation through amplify() on one
+    noise-free random probe of n_symbols symbols, drawn and synthesized
+    once: returns evaluate(ibo_db, inverse_fit=None) -> EVM."""
+    grids, x = random_frames(cfg, n_symbols, np.random.default_rng(seed))
+
+    def evaluate(ibo_db: float, inverse_fit: PolyFit | None = None) -> float:
+        y = amplify(x, pa_model, ibo_db, inverse_fit)
+        rx = ofdm_demodulate(y.reshape(n_symbols, -1), cfg)
+        return evm(grids.ravel(), rx.ravel())
+
+    return evaluate
 
 
 def design_ibo_reduction(
@@ -191,20 +161,8 @@ def design_ibo_reduction(
     scanned part of the grid.  The same waveform block is reused for every
     candidate so the comparison is noise-free.
     """
-    from .ofdm import ofdm_demodulate
-
-    rng = np.random.default_rng(seed)
-    grids = np.stack([random_qpsk_grid(cfg, rng) for _ in range(n_symbols)])
-    waveforms = synthesize_waveforms(grids, cfg)
-    x = waveforms.ravel()
-    x = x / np.sqrt(np.mean(np.abs(x) ** 2))
-
-    def chain_evm(ibo_db: float, fit: PolyFit | None) -> float:
-        y = _amplitude_chain(x, pa_model, ibo_db, fit)
-        rx = ofdm_demodulate(y.reshape(n_symbols, -1), cfg)
-        return evm(grids.ravel(), rx.ravel())
-
-    evm_base = chain_evm(baseline_ibo_db, None)
+    chain_evm = probe_evm(pa_model, cfg, seed, n_symbols)
+    evm_base = chain_evm(baseline_ibo_db)
     target = evm_base * (1.0 + tolerance)
     notes: list[str] = []
 
@@ -316,27 +274,6 @@ def design_from_scratch(
     return design_ibo_reduction(
         pa_model, pa_fit, inverse_fit, baseline_ibo_db, cfg, seed=seed + 1
     )
-
-
-def chain_constellation_evm(
-    pa_model: PaModel,
-    cfg: OfdmConfig,
-    ibo_db: float,
-    inverse_fit: PolyFit | None = None,
-    seed: int = 0,
-    n_symbols: int = 64,
-) -> float:
-    """EVM of the demodulated constellation through back-off, optional
-    predistortion, and the amplifier, on a noise-free random frame."""
-    from .ofdm import ofdm_demodulate
-
-    rng = np.random.default_rng(seed)
-    grids = np.stack([random_qpsk_grid(cfg, rng) for _ in range(n_symbols)])
-    x = synthesize_waveforms(grids, cfg).ravel()
-    x = x / np.sqrt(np.mean(np.abs(x) ** 2))
-    y = _amplitude_chain(x, pa_model, ibo_db, inverse_fit)
-    rx = ofdm_demodulate(y.reshape(n_symbols, -1), cfg)
-    return evm(grids.ravel(), rx.ravel())
 
 
 def save_design(design: DpdDesign, path: str, header: tuple[str, ...] = ()) -> None:

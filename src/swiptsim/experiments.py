@@ -36,7 +36,7 @@ from .companding import (
     companding_ibo_reduction_db,
     compress_waveform,
 )
-from .dpd import DpdDesign, _amplitude_chain, design_from_scratch
+from .dpd import DpdDesign, design_from_scratch
 from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
 from .link import (
     LinkMetrics,
@@ -49,8 +49,8 @@ from .link import (
     split_branches,
     sinr,
 )
-from .ofdm import ComplexSignal, OfdmConfig, map_bits, synthesize_waveforms
-from .pa import OperatingPoint, PaModel, bussgang_analytic_sl, efficiency_at_backoff
+from .ofdm import OfdmConfig, map_bits, synthesize_waveforms
+from .pa import OperatingPoint, PaModel, amplify, bussgang_analytic_sl, efficiency_at_backoff
 
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
 TABLE_TECHNIQUES = ("baseline", "dpd", "companding", "dpd_companding")
@@ -176,19 +176,8 @@ def _transmit(
     """
     if s.technique == "linear":
         return x
-    ibo = s.op.ibo_db - r_dpd
     fit = design.inverse_fit if (design is not None and not design.degenerate) else None
-    shape = x.shape
-    flat = x.ravel()
-    m = np.abs(flat)
-    g = 10.0 ** (-ibo / 20.0)
-    if fit is None:
-        out = s.pa.am_am(m * g) / g
-    else:
-        y = _amplitude_chain(flat, s.pa, ibo, fit)
-        return y.reshape(shape)
-    ratio = np.divide(out, m, out=np.zeros_like(m), where=m > 0)
-    return (flat * ratio).reshape(shape)
+    return amplify(x, s.pa, s.op.ibo_db - r_dpd, fit)
 
 
 def _closed_form(s: Scenario, r_dpd: float, r_comp: float):
@@ -287,10 +276,7 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
         real = sample_channel(s.channel, rng)
         real = ChannelRealization(taps=real.taps, path_loss_db=0.0)
         clean = np.stack([
-            apply_channel(
-                ComplexSignal(tx.ravel(), cfg.sample_rate_hz), real, 0.0, rng,
-                cp_length=cfg.cp_length,
-            ).samples
+            apply_channel(tx.ravel(), real, 0.0, rng, cp_length=cfg.cp_length)
             for tx in txs
         ])
         rx_powers.append([float(np.mean(np.abs(c) ** 2)) for c in clean])
@@ -328,8 +314,7 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
                 rms_rx = np.sqrt((1.0 - rho) * float(np.mean(np.abs(normalized[k]) ** 2)))
                 scale = rms_rx / rms_drive if min(rms_drive, rms_rx) > 0 else 1.0
             ber[k, i] = demodulate_and_ber(
-                ComplexSignal(info[k], cfg.sample_rate_hz), real, cfg, bits,
-                params if companded[k] else None, scale,
+                info[k], real, cfg, bits, params if companded[k] else None, scale,
             )
 
     results = []

@@ -21,8 +21,6 @@ from importlib import resources
 import numpy as np
 from scipy.interpolate import LSQUnivariateSpline, PPoly
 
-from .ofdm import ComplexSignal
-
 _WATT_FLOOR = 1e-15
 
 
@@ -135,7 +133,7 @@ class HarvestResult:
         return self.p_dc_w / self.p_in_w if self.p_in_w > 0 else 0.0
 
 
-def harvest_dc(model: EhModel, signal: ComplexSignal, mode: str = "instantaneous") -> HarvestResult:
+def harvest_dc(model: EhModel, samples: np.ndarray, mode: str = "instantaneous") -> HarvestResult:
     """DC power recovered from a waveform whose |samples|^2 are watts.
 
     Instantaneous mode pushes each sample's power through the efficiency
@@ -145,7 +143,7 @@ def harvest_dc(model: EhModel, signal: ComplexSignal, mode: str = "instantaneous
     """
     if mode not in ("instantaneous", "average"):
         raise ValueError(f"unknown harvest mode {mode!r}")
-    p_w = np.abs(signal.samples) ** 2
+    p_w = np.abs(samples) ** 2
     p_mean = float(p_w.mean())
     if mode == "average":
         eff = float(eta3(model, watts_to_dbm(p_mean)))

@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ChannelRealization, subcarrier_gains
 from .companding import CompanderParams, expand_waveform, mu_law_noise_factor
 from .harvester import EhModel, eta3, watts_to_dbm
-from .ofdm import ComplexSignal, OfdmConfig, demap_symbols, ofdm_demodulate
+from .ofdm import OfdmConfig, demap_symbols, ofdm_demodulate
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,6 @@ def split_branches(
     eh = np.sqrt(split.rho) * noisy + _cn(rng, n, split.sigma_p2)
     info = np.sqrt(1.0 - split.rho) * noisy + _cn(rng, n, split.sigma_p2)
     return eh, info
-
-
-def power_split(
-    signal: ComplexSignal, split: SplitConfig, rng: np.random.Generator
-) -> tuple[ComplexSignal, ComplexSignal]:
-    """Split a received waveform into (EH branch, information branch);
-    see split_branches."""
-    eh, info = split_branches(signal.samples, split, rng)
-    return signal.with_samples(eh), signal.with_samples(info)
 
 
 def sinr(
@@ -227,7 +218,7 @@ def companded_harvested(
 
 
 def demodulate_and_ber(
-    info_branch: ComplexSignal,
+    info_branch: np.ndarray,
     realization: ChannelRealization,
     cfg: OfdmConfig,
     truth_bits: np.ndarray,
@@ -242,7 +233,7 @@ def demodulate_and_ber(
     Then per symbol: CP removal, DFT, single-tap zero-forcing with the
     true subcarrier gains, and a hard QPSK decision.
     """
-    y = info_branch.samples
+    y = info_branch
     if expander is not None:
         scale = 1.0 if expander_scale is None else expander_scale
         if scale <= 0.0:

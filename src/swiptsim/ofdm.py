@@ -1,4 +1,10 @@
-"""OFDM baseband synthesis, demodulation and PAPR statistics."""
+"""OFDM baseband synthesis, demodulation and PAPR statistics.
+
+Every signal in the package is a plain complex128 array of baseband
+samples, one OFDM symbol per row where a function takes a batch; the
+numerology that gives it meaning (subcarriers, oversampling, prefix,
+sample rate) travels separately as an OfdmConfig.
+"""
 
 from __future__ import annotations
 
@@ -8,44 +14,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 _QPSK_SCALE = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ComplexSignal:
-    """A block of complex-baseband samples tagged with its sampling rate.
-
-    The sample array is the common currency between the transmit, channel and
-    receive blocks; it is validated (finite, one-dimensional) on construction
-    and treated as immutable afterwards.
-    """
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1:
-            raise ValueError("samples must be a one-dimensional array")
-        if not np.all(np.isfinite(samples.real)) or not np.all(np.isfinite(samples.imag)):
-            raise ValueError("samples must be finite")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def with_samples(self, samples: np.ndarray) -> "ComplexSignal":
-        """New signal at the same rate with replaced samples."""
-        return ComplexSignal(samples, self.sample_rate_hz)
-
-    @property
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
-
-    @property
-    def peak_power(self) -> float:
-        return float(np.max(np.abs(self.samples) ** 2))
 
 
 @dataclass(frozen=True)
@@ -93,8 +61,12 @@ def map_bits(bits: np.ndarray) -> np.ndarray:
         raise ValueError("bit vector must be one-dimensional with even length")
     if bits.size and not np.isin(bits, (0, 1)).all():
         raise ValueError("bits must be 0 or 1")
-    pairs = bits.reshape(-1, 2).astype(np.float64)
-    return _QPSK_SCALE * ((1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1]))
+    return _qpsk(bits)
+
+
+def _qpsk(bits: np.ndarray) -> np.ndarray:
+    # unchecked map_bits on the bit pairs along the last axis
+    return _QPSK_SCALE * ((1.0 - 2.0 * bits[..., 0::2]) + 1j * (1.0 - 2.0 * bits[..., 1::2]))
 
 
 def demap_symbols(symbols: np.ndarray) -> np.ndarray:
@@ -109,6 +81,19 @@ def demap_symbols(symbols: np.ndarray) -> np.ndarray:
 def random_qpsk_grid(cfg: OfdmConfig, rng: np.random.Generator) -> np.ndarray:
     """One random QPSK subcarrier grid for cfg."""
     return map_bits(rng.integers(0, 2, size=2 * cfg.n_subcarriers))
+
+
+def random_frames(
+    cfg: OfdmConfig, n_symbols: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n_symbols random QPSK grids, shape (n_symbols, N), and their
+    synthesized symbols as one flat waveform scaled to unit mean power.
+
+    The draw equals n_symbols sequential random_qpsk_grid calls and leaves
+    rng in the same state.
+    """
+    grids = _qpsk(rng.integers(0, 2, size=(n_symbols, 2 * cfg.n_subcarriers)))
+    return grids, normalize_power(synthesize_waveforms(grids, cfg).ravel())
 
 
 def _pack_spectrum(grids: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -137,18 +122,9 @@ def synthesize_waveforms(grids: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     return x
 
 
-def ofdm_modulate(grid: np.ndarray, cfg: OfdmConfig) -> ComplexSignal:
-    """Modulate one subcarrier grid into a time-domain symbol (CP included)."""
-    grid = np.asarray(grid, dtype=np.complex128)
-    if grid.shape != (cfg.n_subcarriers,):
-        raise ValueError(f"grid must have shape ({cfg.n_subcarriers},)")
-    return ComplexSignal(synthesize_waveforms(grid, cfg), cfg.sample_rate_hz)
-
-
-def ofdm_demodulate(signal, cfg: OfdmConfig) -> np.ndarray:
-    """Recover the subcarrier grid from a time-domain symbol; inverse of
-    :func:`ofdm_modulate` up to numerical precision."""
-    x = signal.samples if isinstance(signal, ComplexSignal) else np.asarray(signal)
+def ofdm_demodulate(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Recover the subcarrier grid of each time-domain symbol (last axis);
+    inverse of :func:`synthesize_waveforms` up to numerical precision."""
     if cfg.cp_length:
         x = x[..., cfg.cp_length:]
     if x.shape[-1] != cfg.n_samples:
@@ -160,9 +136,8 @@ def ofdm_demodulate(signal, cfg: OfdmConfig) -> np.ndarray:
     )
 
 
-def papr_db(signal) -> float:
+def papr_db(x: np.ndarray) -> float:
     """Peak-to-average power ratio, 10*log10(max|x|^2 / mean|x|^2)."""
-    x = signal.samples if isinstance(signal, ComplexSignal) else np.asarray(signal)
     p = np.abs(x) ** 2
     mean = p.mean()
     if mean <= 0:
@@ -210,11 +185,9 @@ def papr_samples_many(
     out = np.empty((len(transforms), n_trials))
     for start in range(0, n_trials, chunk):
         m = min(chunk, n_trials - start)
+        # not random_frames: the compander depends on level, so no normalizing
         bits = rng.integers(0, 2, size=(m, 2 * cfg.n_subcarriers))
-        grids = _QPSK_SCALE * (
-            (1.0 - 2.0 * bits[:, 0::2]) + 1j * (1.0 - 2.0 * bits[:, 1::2])
-        )
-        x = synthesize_waveforms(grids, cfg)
+        x = synthesize_waveforms(_qpsk(bits), cfg)
         for row, transform in zip(out, transforms):
             # one transform's temporaries are freed before the next runs
             row[start:start + m] = _papr_rows(x if transform is None else transform(x))

@@ -1,8 +1,12 @@
-"""Memoryless power-amplifier models and Bussgang linearization.
+"""Memoryless power-amplifier models, the transmit amplifier chain, and
+Bussgang linearization.
 
 AM/AM-only models (AM/PM conversion is neglected): the solid-state amplifier
 with a smooth saturation knee, the hard-clipping soft limiter, and a fitted
-polynomial transfer used by the predistorter module.
+polynomial transfer used by the predistorter module.  Every nonlinearity in
+the package acts on the envelope and keeps the phase, through
+:func:`scale_envelope`; :func:`amplify` is the one back-off, predistortion
+and amplifier chain.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import erfc
-
-from .ofdm import ComplexSignal
 
 MAX_CLASS_A_EFFICIENCY = 0.5
 
@@ -111,30 +113,42 @@ def soft_limiter(samples, pa: PaModel, op: OperatingPoint):
 
     Below the clip threshold the magnitude is scaled by A_c/nu, above it the
     output is pinned at A_s; the phase is preserved. The back-off gain is part
-    of the limiter here (for the pre-gain convention use apply_pa).
+    of the limiter here (for the pre-gain convention use amplify).
     """
-    x = np.asarray(samples, dtype=np.complex128)
     nu = op.nu
     a_c = op.clipping_level
-    mag = np.abs(x)
     threshold = nu * pa.a_sat / a_c
-    out_mag = np.where(mag <= threshold, mag * (a_c / nu), pa.a_sat)
-    ratio = np.divide(out_mag, mag, out=np.full_like(mag, a_c / nu), where=mag > 0)
-    return x * ratio
+    return scale_envelope(
+        np.asarray(samples, dtype=np.complex128),
+        lambda m: np.where(m <= threshold, m * (a_c / nu), pa.a_sat),
+    )
 
 
-def apply_pa(signal: ComplexSignal, pa: PaModel, op: OperatingPoint) -> ComplexSignal:
-    """Drive the PA at the configured back-off.
+def scale_envelope(x: np.ndarray, f) -> np.ndarray:
+    """x with every sample magnitude m mapped to f(m) and its phase kept;
+    zero samples stay zero."""
+    m = np.abs(x)
+    return x * np.divide(f(m), m, out=np.zeros_like(m), where=m > 0)
 
-    The input is expected at unit average power; the back-off enters as the
-    explicit pre-gain 10^(-IBO/20) and the AM/AM characteristic is applied
-    sample-wise with the phase left untouched.
+
+def amplify(x: np.ndarray, pa: PaModel, ibo_db: float, inverse_fit=None) -> np.ndarray:
+    """Back-off, optional predistortion, the AM/AM characteristic, then the
+    back-off gain divided out again, on a waveform of any shape.
+
+    With g = 10^(-ibo_db/20) the amplifier sees x * g.  inverse_fit, a
+    predistorter polynomial (see :mod:`swiptsim.dpd`), maps each backed-off
+    magnitude to the drive that should reach it, after clamping the
+    magnitude to the fit's domain and the drive at zero.  The two branches
+    keep the two arithmetic orders the seeded results were computed in.
     """
-    u = signal.samples * op.input_gain
-    mag = np.abs(u)
-    out_mag = pa.am_am(mag)
-    ratio = np.divide(out_mag, mag, out=np.ones_like(mag), where=mag > 0)
-    return signal.with_samples(u * ratio)
+    g = 10.0 ** (-ibo_db / 20.0)
+    if inverse_fit is None:
+        return scale_envelope(x, lambda m: pa.am_am(m * g) / g)
+    u = scale_envelope(
+        x * g,
+        lambda m: np.clip(inverse_fit(np.minimum(m, inverse_fit.domain_max)), 0.0, None),
+    )
+    return scale_envelope(u, pa.am_am) / g
 
 
 def class_a_efficiency(papr_db: float) -> float:
@@ -165,12 +179,6 @@ class BussgangParams:
     sigma_d2: float
 
 
-def _as_array(signal) -> np.ndarray:
-    if isinstance(signal, ComplexSignal):
-        return signal.samples
-    return np.asarray(signal, dtype=np.complex128)
-
-
 def bussgang_estimate(reference, output) -> BussgangParams:
     """Empirical Bussgang decomposition of output against reference.
 
@@ -178,8 +186,8 @@ def bussgang_estimate(reference, output) -> BussgangParams:
     with sample-mean estimators; sigma_d^2 is clamped at zero since tiny
     negative values only arise from floating-point noise.
     """
-    x = _as_array(reference)
-    y = _as_array(output)
+    x = np.asarray(reference, dtype=np.complex128)
+    y = np.asarray(output, dtype=np.complex128)
     if x.size != y.size:
         raise ValueError("reference and output lengths differ")
     p_in = float(np.mean(np.abs(x) ** 2))

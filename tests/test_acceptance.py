@@ -33,14 +33,12 @@ from swiptsim.ofdm import (
     synthesize_waveforms,
 )
 from swiptsim.pa import (
-    OperatingPoint,
     PaModel,
-    apply_pa,
+    amplify,
     bussgang_estimate,
     class_a_efficiency,
     efficiency_at_backoff,
 )
-from swiptsim.ofdm import ComplexSignal
 
 IBO_NOMINAL_DB = 8.0
 
@@ -190,12 +188,9 @@ def test_criterion_8_property_suite_spot_checks():
 
     n = 2 ** 16
     gauss = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-    sig = ComplexSignal(gauss, 1.0)
-    op = OperatingPoint(ibo_db=6.0)
-    pa = PaModel.soft_limiter_model()
-    out = apply_pa(sig, pa, op)
-    bp = bussgang_estimate(sig, out)
-    resid = out.samples - bp.k_l * gauss
+    out = amplify(gauss, PaModel.soft_limiter_model(), 6.0)
+    bp = bussgang_estimate(gauss, out)
+    resid = out - bp.k_l * gauss
     ortho = abs(np.mean(resid * np.conj(gauss))) / np.mean(np.abs(gauss) ** 2)
     checks["Bussgang orthogonality"] = ortho <= 1e-8
 

@@ -123,13 +123,24 @@ def test_main_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path)]) == EXIT_CONFIG, command
         assert "--trials" in capsys.readouterr().err
 
-    # PAPR inputs are rejected before any work; mu = 0 in papr means
-    # "no compression", mu-sweep needs mu > 0
+    # PAPR and rate-energy inputs are rejected before any work; mu = 0 in
+    # papr means "no compression", mu-sweep needs mu > 0; rate-energy takes
+    # rho in [0, 1] and the closed-form techniques only, once each
     bad_papr = [
         ("papr", {"papr": {"mu_grid": [-1.0, 1.25]}}, "papr.mu_grid"),
+        ("papr", {"papr": {"mu_grid": []}}, "papr.mu_grid"),
         ("papr", {"papr": {"n_trials": 0}}, "papr.n_trials"),
         ("mu-sweep", {"mu_sweep": {"mu_grid": [0.0, 1.0]}}, "mu_sweep.mu_grid"),
+        ("mu-sweep", {"mu_sweep": {"mu_grid": []}}, "mu_sweep.mu_grid"),
         ("mu-sweep", {"mu_sweep": {"papr_trials": 0}}, "mu_sweep.papr_trials"),
+        ("rate-energy", {"rate_energy": {"rho_grid": []}}, "rate_energy.rho_grid"),
+        ("rate-energy", {"rate_energy": {"rho_grid": ["x"]}}, "rate_energy.rho_grid"),
+        ("rate-energy", {"rate_energy": {"rho_grid": [0.5, 1.5]}}, "rate_energy.rho_grid"),
+        ("rate-energy", {"rate_energy": {"rho_grid": [-0.1]}}, "rate_energy.rho_grid"),
+        ("rate-energy", {"rate_energy": {"techniques": []}}, "rate_energy.techniques"),
+        ("rate-energy", {"rate_energy": {"techniques": ["baseline", "baseline"]}},
+         "rate_energy.techniques"),
+        ("rate-energy", {"rate_energy": {"techniques": ["dpd"]}}, "rate_energy.techniques"),
     ]
     for i, (command, section, where) in enumerate(bad_papr):
         path = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, **section}, f"bad_papr{i}.json")
@@ -271,14 +282,27 @@ def test_papr_curves_share_one_synthesis(tmp_path, monkeypatch):
     assert calls == [64, 64, 2]
 
 
+def test_dpd_design_synthesizes_its_probe_once(tmp_path, monkeypatch):
+    # the training frame, the design's probe and the EVM table's probe are
+    # the only syntheses: the table evaluates every reduction-grid point on
+    # one probe, so the count does not grow with the grid
+    calls = _count_synthesis(monkeypatch)
+    for i, grid in enumerate(([0.0, 1.0, 0.5], [0.0, 4.0, 0.25])):
+        calls.clear()
+        cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "dpd": {"reduction_grid_db": grid}},
+                        f"dpd{i}.json")
+        assert main(["dpd-design", "--config", cfg, "--out", str(tmp_path / f"o{i}")]) == EXIT_OK
+        assert calls == [1, 64, 64], grid
+
+
 def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
     # one pass per channel: each trial is synthesized once for all four
     # techniques (plus the DPD design's own two batches), and the baseline
     # amplifier output doubles as every technique's power reference, so a
     # frame is amplified four times, not seven
     n = 3
-    synth = {"experiments": 0, "dpd": 0}
-    for name, module in (("experiments", experiments), ("dpd", dpd)):
+    synth = {"experiments": 0, "ofdm": 0}
+    for name, module in (("experiments", experiments), ("ofdm", ofdm)):
         def counting(grids, cfg, _real=module.synthesize_waveforms, _name=name):
             synth[_name] += 1
             return _real(grids, cfg)
@@ -295,7 +319,8 @@ def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
                                "scenario": {"trials": n, "frame_symbols": 2}})
     assert main(["e2e", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
-    assert synth == {"experiments": 4 * n, "dpd": 2}
+    # the DPD design draws its training frame and probe through ofdm
+    assert synth == {"experiments": 4 * n, "ofdm": 2}
     # frames carry 2 symbols of 128 samples; the multitap channel adds a
     # 4-sample prefix to each
     frames = [s for s in frame_sizes if s in (2 * 128, 2 * 132)]

@@ -6,8 +6,6 @@ import pytest
 from swiptsim import dpd
 from swiptsim.dpd import (
     DpdDesign,
-    _amplitude_chain,
-    chain_constellation_evm,
     design_from_scratch,
     design_ibo_reduction,
     evm,
@@ -15,11 +13,11 @@ from swiptsim.dpd import (
     fit_pa_polynomial,
     load_design,
     make_training_set,
-    predistort,
+    probe_evm,
     save_design,
 )
-from swiptsim.ofdm import ComplexSignal, OfdmConfig
-from swiptsim.pa import PaModel
+from swiptsim.ofdm import OfdmConfig
+from swiptsim.pa import PaModel, amplify
 
 CFG = OfdmConfig()
 PA = PaModel.sspa(smoothness=1.2)
@@ -78,18 +76,18 @@ def test_low_order_inverse_is_much_worse():
 def test_predistort_phase_preserved_and_clamps():
     amp_in, amp_out = make_training_set(PA, CFG, seed=0)
     inv = fit_inverse_polynomial(amp_out, amp_in, order=7)
+    # a unit-gain linear amplifier at 0 dB back-off leaves the predistorter
+    # output as the chain output
+    identity = PaModel.polynomial((0.0, 1.0))
     rng = np.random.default_rng(1)
     # scaled to stay inside the fitted domain, so no clamping here
     x = 0.25 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    sig = ComplexSignal(x, 1.0)
-    y = predistort(sig, inv)
+    y = amplify(x, identity, 0.0, inv)
     mask = np.abs(x) > 0
-    np.testing.assert_allclose(np.angle(y.samples[mask]), np.angle(x[mask]), atol=1e-12)
-    # way past the reachable output ceiling: clamped, with a warning
-    big = ComplexSignal(np.array([10.0 + 0j]), 1.0)
-    with pytest.warns(RuntimeWarning):
-        out = predistort(big, inv)
-    assert abs(out.samples[0]) <= inv(np.array([inv.domain_max]))[0] + 1e-9
+    np.testing.assert_allclose(np.angle(y[mask]), np.angle(x[mask]), atol=1e-12)
+    # way past the reachable output ceiling: clamped to the fit's domain
+    out = amplify(np.array([10.0 + 0j]), identity, 0.0, inv)
+    assert abs(out[0]) <= inv(np.array([inv.domain_max]))[0] + 1e-9
 
 
 def test_evm_basics():
@@ -124,9 +122,9 @@ def test_search_stops_at_first_crossing(monkeypatch):
     def counting_chain(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return _amplitude_chain(*args, **kwargs)
+        return amplify(*args, **kwargs)
 
-    monkeypatch.setattr(dpd, "_amplitude_chain", counting_chain)
+    monkeypatch.setattr(dpd, "amplify", counting_chain)
     design = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)
     assert design.ibo_reduction_db == pytest.approx(2.477963727712632, abs=1e-9)
     # baseline, grid 0..2.5 dB up to the crossing, 24 bisection steps
@@ -135,18 +133,17 @@ def test_search_stops_at_first_crossing(monkeypatch):
 
 def test_chain_evm_monotone_in_reduction():
     design = design_from_scratch(PA, CFG, seed=0)
-    evms = [
-        chain_constellation_evm(PA, CFG, 8.0 - r, design.inverse_fit, seed=3)
-        for r in (0.0, 1.0, 2.0, 3.0)
-    ]
+    chain_evm = probe_evm(PA, CFG, seed=3)
+    evms = [chain_evm(8.0 - r, design.inverse_fit) for r in (0.0, 1.0, 2.0, 3.0)]
     assert np.all(np.diff(evms) > 0)
 
 
 def test_dpd_beats_no_dpd_at_reduced_backoff():
     design = design_from_scratch(PA, CFG, seed=0)
     ibo = 8.0 - design.ibo_reduction_db
-    with_dpd = chain_constellation_evm(PA, CFG, ibo, design.inverse_fit, seed=4)
-    without = chain_constellation_evm(PA, CFG, ibo, None, seed=4)
+    chain_evm = probe_evm(PA, CFG, seed=4)
+    with_dpd = chain_evm(ibo, design.inverse_fit)
+    without = chain_evm(ibo, None)
     assert with_dpd < without
 
 

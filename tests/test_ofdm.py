@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from swiptsim.companding import CompanderParams, compress_waveform
 from swiptsim.ofdm import (
-    ComplexSignal,
     OfdmConfig,
     ccdf_from_samples,
     demap_symbols,
     map_bits,
     normalize_power,
     ofdm_demodulate,
-    ofdm_modulate,
     papr_ccdf,
     papr_db,
     papr_quantile_db,
     papr_samples,
     papr_samples_many,
+    random_frames,
     random_qpsk_grid,
     synthesize_waveforms,
 )
@@ -77,9 +76,8 @@ def test_qpsk_waveform_unit_power_exact():
 def test_modulate_demodulate_roundtrip():
     rng = np.random.default_rng(2)
     grid = random_qpsk_grid(CFG, rng)
-    sig = ofdm_modulate(grid, CFG)
-    assert sig.sample_rate_hz == CFG.sample_rate_hz
-    np.testing.assert_allclose(ofdm_demodulate(sig, CFG), grid, atol=1e-12)
+    x = synthesize_waveforms(grid, CFG)
+    np.testing.assert_allclose(ofdm_demodulate(x, CFG), grid, atol=1e-12)
 
 
 def test_parseval():
@@ -201,13 +199,24 @@ def test_normalize_power():
         normalize_power(np.zeros(8, dtype=complex))
 
 
-def test_complex_signal_validation():
-    with pytest.raises(ValueError):
-        ComplexSignal(np.ones((2, 2), dtype=complex), 1.0)
-    with pytest.raises(ValueError):
-        ComplexSignal(np.array([np.inf + 0j]), 1.0)
-    with pytest.raises(ValueError):
-        ComplexSignal(np.ones(4, dtype=complex), 0.0)
+@given(
+    log2_n=st.integers(1, 6),
+    l=st.integers(1, 4),
+    n_symbols=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_random_frames_matches_sequential_draws(log2_n, l, n_symbols, seed):
+    # one draw for the whole block equals n_symbols random_qpsk_grid calls,
+    # and the generator ends in the same state
+    cfg = OfdmConfig(n_subcarriers=2 ** log2_n, oversampling_factor=l)
+    block, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+    grids, x = random_frames(cfg, n_symbols, block)
+    expected = np.stack([random_qpsk_grid(cfg, alone) for _ in range(n_symbols)])
+    np.testing.assert_array_equal(grids, expected)
+    assert block.bit_generator.state == alone.bit_generator.state
+    wave = synthesize_waveforms(expected, cfg).ravel()
+    np.testing.assert_array_equal(x, normalize_power(wave))
 
 
 def test_config_validation():

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swiptsim.ofdm import ComplexSignal
 from swiptsim.pa import (
     BussgangParams,
     OperatingPoint,
     PaModel,
-    apply_pa,
+    amplify,
     bussgang_analytic_sl,
     bussgang_estimate,
     class_a_efficiency,
     efficiency_at_backoff,
+    scale_envelope,
     soft_limiter,
     sspa_am_am,
 )
@@ -72,20 +72,32 @@ def test_am_am_monotone(mags):
 def test_apply_pa_phase_preserved():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    sig = ComplexSignal(x, 1.0)
-    y = apply_pa(sig, PaModel.sspa(), OperatingPoint(ibo_db=3.0))
+    y = amplify(x, PaModel.sspa(), 3.0)
     mask = np.abs(x) > 0
     np.testing.assert_allclose(
-        np.angle(y.samples[mask]), np.angle(x[mask]), atol=1e-12
+        np.angle(y[mask]), np.angle(x[mask]), atol=1e-12
     )
 
 
 def test_apply_pa_linear_region():
-    # far below saturation the chain is just the back-off pre-gain
+    # far below saturation the back-off pre-gain is all the amplifier does,
+    # and amplify divides it out again
     x = _gaussian_block(4096, seed=2) * 1e-3
-    sig = ComplexSignal(x, 1.0)
-    y = apply_pa(sig, PaModel.sspa(), OperatingPoint(ibo_db=6.0))
-    np.testing.assert_allclose(y.samples, x * 10 ** (-6 / 20), rtol=1e-6)
+    y = amplify(x, PaModel.sspa(), 6.0)
+    np.testing.assert_allclose(y, x, rtol=1e-6)
+
+
+def test_scale_envelope_keeps_phase_and_zero():
+    x = np.array([0j, 3 + 4j, -2j, -0.5 + 0j])
+    y = scale_envelope(x, lambda m: 2.0 * m + 1.0)
+    assert y[0] == 0
+    np.testing.assert_allclose(np.abs(y[1:]), 2.0 * np.abs(x[1:]) + 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.angle(y[1:]), np.angle(x[1:]), atol=1e-12)
+    # any shape: a 2-D block maps like its flattened samples
+    block = _gaussian_block(64, seed=5).reshape(4, 16)
+    f = lambda m: np.sqrt(m)
+    np.testing.assert_array_equal(scale_envelope(block, f).ravel(),
+                                  scale_envelope(block.ravel(), f))
 
 
 def test_operating_point_gains():
@@ -145,20 +157,20 @@ def test_bussgang_as_printed_variant():
 
 def test_bussgang_empirical_matches_analytic():
     op = OperatingPoint(ibo_db=6.0)
-    sig = ComplexSignal(_gaussian_block(seed=0), 1.0)
-    y = apply_pa(sig, PaModel.soft_limiter_model(), op)
-    est = bussgang_estimate(sig, y)
+    x = _gaussian_block(seed=0)
+    # the closed form keeps the back-off gain that amplify divides out
+    y = amplify(x, PaModel.soft_limiter_model(), op.ibo_db) * op.input_gain
+    est = bussgang_estimate(x, y)
     ana = bussgang_analytic_sl(op)
     assert est.k_l == pytest.approx(ana.k_l, abs=2e-3)
     assert est.sigma_d2 == pytest.approx(ana.sigma_d2, rel=0.15)
 
 
 def test_bussgang_residual_orthogonality():
-    sig = ComplexSignal(_gaussian_block(seed=3), 1.0)
-    y = apply_pa(sig, PaModel.sspa(), OperatingPoint(ibo_db=4.0))
-    est = bussgang_estimate(sig, y)
-    x = sig.samples
-    d = y.samples - est.k_l * x
+    x = _gaussian_block(seed=3)
+    y = amplify(x, PaModel.sspa(), 4.0)
+    est = bussgang_estimate(x, y)
+    d = y - est.k_l * x
     rel = abs(np.vdot(x, d) / x.size) / np.sqrt(
         np.mean(np.abs(x) ** 2) * np.mean(np.abs(d) ** 2)
     )
