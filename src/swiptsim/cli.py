@@ -40,6 +40,12 @@ are rejected with their location.  Schema (defaults in parentheses):
   seed:        integer (0); --seed wins over the file
   svg:         false — also emit minimal SVG line charts
 
+Flags: --config, --seed, --out, --trials (overrides the command's Monte
+Carlo count) and --threads.  papr, mu-sweep and ber read --threads (worker
+threads for the PAPR batches and the Eb/N0 points; default every core this
+process may use); their output does not depend on it.  dpd-design, e2e and
+rate-energy run serially and reject it.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime or I/O error.
 """
 
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -361,7 +368,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
     # mu = 0 is the uncompressed curve; every curve shares one set of symbols
     transforms = [partial(compress_waveform, params=CompanderParams.default(mu=mu))
                   if mu > 0 else None for mu in mu_grid]
-    curves = papr_samples_many(ofdm, n_trials, seed, transforms)
+    curves = papr_samples_many(ofdm, n_trials, seed, transforms, threads=threads)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for mu, samples in zip(mu_grid, curves):
@@ -420,7 +427,8 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
     split = build_split(cfg)
     h = _hash(cfg, seed, trials)
     grid_params = [CompanderParams.default(mu=mu) for mu in mu_grid]
-    reductions = companded_papr_reductions(ofdm, grid_params, n_trials=papr_trials, seed=seed)
+    reductions = companded_papr_reductions(ofdm, grid_params, n_trials=papr_trials, seed=seed,
+                                           threads=threads)
     rows = []
     series = {"snr_db": []}
     for mu, params, red in zip(mu_grid, grid_params, reductions):
@@ -568,6 +576,18 @@ _COMMANDS = {
 }
 
 
+# the subcommands that run on the calling thread alone
+_SERIAL = ("dpd-design", "e2e", "rate-energy")
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="swiptsim",
@@ -580,15 +600,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--trials", type=int, default=None,
                         help="override Monte Carlo trial count")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep points")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads for papr, mu-sweep and ber (default: every "
+                             "usable core); the output does not depend on it")
     args = parser.parse_args(argv)
 
     try:
         if args.trials is not None and args.trials < 1:
             raise ConfigError("--trials must be at least 1")
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
+        threads = args.threads
+        if threads is not None:
+            if threads < 1:
+                raise ConfigError("--threads must be at least 1")
+            if args.command in _SERIAL:
+                raise ConfigError(f"--threads: {args.command} runs serially and takes no "
+                                  "thread count")
+        else:
+            threads = _usable_cores()
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if seed < 0:
@@ -596,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         svg = bool(cfg.get("svg", False))
-        return _COMMANDS[args.command](cfg, seed, out, args.trials, args.threads, svg)
+        return _COMMANDS[args.command](cfg, seed, out, args.trials, threads, svg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

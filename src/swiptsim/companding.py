@@ -170,18 +170,21 @@ def companded_papr_reductions(
     n_trials: int = 20000,
     seed: int = 0,
     exceedance: float = 1e-3,
+    threads: int = 1,
 ) -> list[PaprReduction]:
     """:func:`companded_papr_reduction` for each parameter set, from one
     seeded set of symbols.
 
     Every entry is compressed from the same waveforms, so the "before"
     PAPR is measured once and shared; entry i equals
-    ``companded_papr_reduction(cfg, params_seq[i], n_trials, seed, exceedance)``.
+    ``companded_papr_reduction(cfg, params_seq[i], n_trials, seed, exceedance)``
+    for any ``threads`` (see :func:`papr_samples_many`).
     """
     params_seq = tuple(params_seq)
     samples = papr_samples_many(
         cfg, n_trials, seed,
         (None, *(partial(compress_waveform, params=p) for p in params_seq)),
+        threads=threads,
     )
     before = papr_quantile_db(samples[0], exceedance)
     return [

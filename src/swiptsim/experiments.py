@@ -49,7 +49,7 @@ from .link import (
     split_branches,
     sinr,
 )
-from .ofdm import OfdmConfig, map_bits, synthesize_waveforms
+from .ofdm import OfdmConfig, _qpsk, synthesize_waveforms
 from .pa import OperatingPoint, PaModel, amplify, bussgang_analytic_sl, efficiency_at_backoff
 
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
@@ -257,7 +257,7 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
     rx_powers = []
     for _ in range(s.trials):
         bits = rng.integers(0, 2, size=n_bits_frame)
-        grids = map_bits(bits).reshape(s.frame_symbols, cfg.n_subcarriers)
+        grids = _qpsk(bits).reshape(s.frame_symbols, cfg.n_subcarriers)
         x = synthesize_waveforms(grids, cfg)
         compressed = rms_drive = None
         if params is not None:

@@ -8,6 +8,8 @@ sample rate) travels separately as an OfdmConfig.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -150,7 +152,7 @@ def papr_samples(
     n_trials: int,
     seed: int,
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    chunk: int = 64,
+    chunk: Optional[int] = None,
 ) -> np.ndarray:
     """Per-symbol PAPR (dB) of random QPSK OFDM symbols.
 
@@ -160,12 +162,16 @@ def papr_samples(
     return papr_samples_many(cfg, n_trials, seed, (transform,), chunk)[0]
 
 
+_CHUNK_BYTES = 1 << 20
+
+
 def papr_samples_many(
     cfg: OfdmConfig,
     n_trials: int,
     seed: int,
     transforms: Sequence[Optional[Callable[[np.ndarray], np.ndarray]]],
-    chunk: int = 64,
+    chunk: Optional[int] = None,
+    threads: int = 1,
 ) -> np.ndarray:
     """Per-symbol PAPR (dB) of one set of random QPSK OFDM symbols under
     several transforms, shape ``(len(transforms), n_trials)``.
@@ -174,23 +180,57 @@ def papr_samples_many(
     and synthesized once, then row i holds the PAPR of ``transforms[i]``
     applied to it (``None`` measures the raw waveform).  Row i is therefore
     bit-identical to ``papr_samples(cfg, n_trials, seed, transforms[i])``.
-    ``chunk`` only bounds memory, as symbols per batch: the bit stream, and
-    so the result, does not depend on it.
+    ``chunk`` only bounds memory, as symbols per batch; by default a batch
+    holds as many symbols as fit in 1 MiB of complex128 waveform, prefix
+    included.  A pool of ``threads`` workers synthesizes, transforms and
+    measures the batches, with at most 2 * threads of them in flight (the
+    transforms must be thread-safe); the bits are still drawn in order on
+    the calling thread and each batch fills its own columns.  Neither the
+    chunk nor the thread count touches the bit stream, so the result does
+    not depend on them.  Memory grows with ``threads``: each worker holds
+    its batch, its last waveform and the transforms' temporaries (peak RSS
+    rose by about 5 MB per thread from 2 to 16 threads at N=512, L=4 with
+    16 companders).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if chunk is None:
+        chunk = max(1, _CHUNK_BYTES // (16 * (cfg.n_samples + cfg.cp_length)))
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     rng = np.random.default_rng(seed)
     out = np.empty((len(transforms), n_trials))
-    for start in range(0, n_trials, chunk):
-        m = min(chunk, n_trials - start)
+
+    def draw(start: int) -> np.ndarray:
         # not random_frames: the compander depends on level, so no normalizing
-        bits = rng.integers(0, 2, size=(m, 2 * cfg.n_subcarriers))
-        x = synthesize_waveforms(_qpsk(bits), cfg)
+        m = min(chunk, n_trials - start)
+        return rng.integers(0, 2, size=(m, 2 * cfg.n_subcarriers))
+
+    # each worker holds its last waveform until its next one is made: this
+    # keeps the allocator from returning the top of the heap to the system
+    # and faulting it back in every batch (about 50 page faults per symbol
+    # at N=1024, L=4 without it)
+    held = threading.local()
+
+    def measure(start: int, bits: np.ndarray) -> None:
+        held.x = x = synthesize_waveforms(_qpsk(bits), cfg)
         for row, transform in zip(out, transforms):
             # one transform's temporaries are freed before the next runs
-            row[start:start + m] = _papr_rows(x if transform is None else transform(x))
+            row[start:start + len(bits)] = _papr_rows(x if transform is None else transform(x))
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    # a bounded window: the next batch is drawn only once the oldest is done
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for start in range(0, n_trials, chunk):
+            if len(pending) == 2 * threads:
+                pending.popleft().result()
+            pending.append(pool.submit(measure, start, draw(start)))
+        for future in pending:
+            future.result()
     return out
 
 

@@ -118,6 +118,15 @@ def test_main_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "--threads" in capsys.readouterr().err
 
+    # the serial subcommands reject a thread count instead of dropping it
+    for command in ("dpd-design", "e2e", "rate-energy"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"serial_{command}_{threads}"
+            assert main([command, "--config", ok_cfg, "--threads", threads,
+                         "--out", str(out)]) == EXIT_CONFIG, command
+            assert "--threads" in capsys.readouterr().err
+            assert not out.exists(), command
+
     for command in ("papr", "dpd-design", "mu-sweep", "e2e", "ber", "rate-energy"):
         assert main([command, "--config", ok_cfg, "--trials", "0",
                      "--out", str(tmp_path)]) == EXIT_CONFIG, command
@@ -265,21 +274,56 @@ def _count_synthesis(monkeypatch):
 
 
 def test_papr_curves_share_one_synthesis(tmp_path, monkeypatch):
-    # one chunk of 64 symbols is synthesized once for all mu values, not
-    # once per mu and again for the uncompressed reference
-    n = 130
+    # each 512-symbol chunk (1 MiB of 128-sample symbols) is synthesized
+    # once for all mu values, not once per mu and again for the
+    # uncompressed reference; the pool may finish the chunks in any order
+    n = 1100
     calls = _count_synthesis(monkeypatch)
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
                                "mu_sweep": {"mu_grid": [0.5, 1.25, 4.0], "papr_trials": n}})
     assert main(["mu-sweep", "--config", cfg, "--out", str(tmp_path / "m")]) == EXIT_OK
-    assert calls == [64, 64, 2]
+    assert sorted(calls, reverse=True) == [512, 512, 76]
 
     calls.clear()
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "papr": {"mu_grid": [0.0, 1.25, 255.0]}},
                     "papr.json")
     assert main(["papr", "--config", cfg, "--out", str(tmp_path / "p"),
                  "--trials", str(n)]) == EXIT_OK
-    assert calls == [64, 64, 2]
+    assert sorted(calls, reverse=True) == [512, 512, 76]
+
+
+@pytest.mark.parametrize("ofdm_cfg", [{"n_subcarriers": 512, "oversampling_factor": 4},
+                                      {"n_subcarriers": 512, "oversampling_factor": 4,
+                                       "cp_length": 16},
+                                      {"n_subcarriers": 1024, "oversampling_factor": 4}])
+def test_default_papr_chunk_fits_one_mib(tmp_path, monkeypatch, ofdm_cfg):
+    # the default chunk holds as many symbols as fit in 1 MiB of complex128
+    # waveform, prefix included, and the chunks cover every trial once
+    n = 100
+    calls = _count_synthesis(monkeypatch)
+    cfg = write_cfg(tmp_path, {"ofdm": ofdm_cfg,
+                               "mu_sweep": {"mu_grid": [1.25], "papr_trials": n}})
+    assert main(["mu-sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    symbol_bytes = 16 * (ofdm_cfg["n_subcarriers"] * ofdm_cfg["oversampling_factor"]
+                         + ofdm_cfg.get("cp_length", 0))
+    assert sum(calls) == n
+    assert max(calls) == (1 << 20) // symbol_bytes
+
+
+def test_papr_outputs_do_not_depend_on_threads(tmp_path):
+    # several chunks (64 symbols of 1024 samples each) in flight at once
+    cfg = write_cfg(tmp_path, {
+        "ofdm": {"n_subcarriers": 256, "oversampling_factor": 4},
+        "papr": {"mu_grid": [0.0, 1.25, 255.0], "n_trials": 300},
+        "mu_sweep": {"mu_grid": [0.5, 1.25, 4.0], "papr_trials": 300},
+    })
+    for command, name in (("papr", "papr_ccdf.csv"), ("mu-sweep", "mu_sweep.csv")):
+        outputs = set()
+        for i, flag in enumerate((["--threads", "1"], ["--threads", "2"], [])):
+            out = tmp_path / f"{command}{i}"
+            assert main([command, "--config", cfg, "--out", str(out), *flag]) == EXIT_OK
+            outputs.add((out / name).read_bytes())
+        assert len(outputs) == 1, command
 
 
 def test_dpd_design_synthesizes_its_probe_once(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 from functools import partial
 
 import numpy as np
@@ -149,15 +150,25 @@ _TRANSFORMS = (
 
 
 @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**16),
+       threads=st.sampled_from((1, 2, 3, 8)),
        picks=st.lists(st.sampled_from(range(len(_TRANSFORMS))), min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_papr_samples_many_matches_single_calls(data, n, seed, picks):
-    chunk = data.draw(st.integers(1, n), label="chunk")
+def test_papr_samples_many_matches_single_calls(data, n, seed, threads, picks):
+    # batches drawn in order on the calling thread and measured in a pool,
+    # with more workers than cores and rapid thread switching, give the
+    # single-transform rows of one batch bit for bit; a batch written to the
+    # wrong columns or lost would change them
+    chunk = data.draw(st.none() | st.integers(1, n), label="chunk")
     transforms = [_TRANSFORMS[i] for i in picks]
-    many = papr_samples_many(SMALL, n, seed, transforms, chunk=chunk)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = papr_samples_many(SMALL, n, seed, transforms, chunk=chunk, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
     assert many.shape == (len(transforms), n)
     for row, t in zip(many, transforms):
-        np.testing.assert_array_equal(row, papr_samples(SMALL, n, seed, transform=t))
+        np.testing.assert_array_equal(row, papr_samples(SMALL, n, seed, transform=t, chunk=n))
 
 
 def test_papr_samples_many_validation():
@@ -165,6 +176,9 @@ def test_papr_samples_many_validation():
         papr_samples_many(SMALL, 0, 0, (None,))
     with pytest.raises(ValueError, match="chunk"):
         papr_samples_many(SMALL, 10, 0, (None,), chunk=0)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            papr_samples_many(SMALL, 10, 0, (None,), threads=threads)
 
 
 def test_papr_quantiles_frozen():
