@@ -7,7 +7,7 @@ dpd-design   Predistorter design: fit file plus an EVM/efficiency table.
 mu-sweep     Post-expansion SNR, PAPR reduction, and cascade gain vs mu.
 e2e          Four-technique efficiency table plus per-channel metrics.
 ber          BER vs Eb/N0 per technique and channel.
-rate-energy  Closed-form rate and harvested power vs splitting ratio.
+rate-energy  Closed-form rate and H_P/E vs splitting ratio.
 
 Configuration is a JSON object; every key is optional and unknown keys
 are rejected with their location.  Schema (defaults in parentheses):
@@ -25,12 +25,12 @@ are rejected with their location.  Schema (defaults in parentheses):
                calibration (path to CSV, default: packaged rectenna;
                its bytes enter the config hash)
   papr:        mu_grid ([0, 1.25, 255]; non-empty, mu >= 0, 0 = uncompressed),
-               n_trials (20000, >= 1),
+               n_trials (20000, integer >= 1),
                thresholds_db ([-1, 14, 0.05] as min/max/step)
-  dpd:         pa_order (4), inverse_order (7),
+  dpd:         pa_order (4), inverse_order (7) (integers >= 1),
                reduction_grid_db ([0, 4, 0.25] as min/max/step)
   mu_sweep:    mu_grid ([0.25 .. 4.0 step 0.25]; non-empty, mu > 0),
-               papr_trials (4000, >= 1)
+               papr_trials (4000, integer >= 1)
   ber:         ebn0_db ([0, 4, 8]; non-empty, finite), techniques
                (["baseline","companding"]), channels (all four); the lists
                are non-empty and without repeats
@@ -40,11 +40,22 @@ are rejected with their location.  Schema (defaults in parentheses):
   seed:        integer (0); --seed wins over the file
   svg:         false — also emit minimal SVG line charts
 
-Flags: --config, --seed, --out, --trials (overrides the command's Monte
-Carlo count) and --threads.  papr, mu-sweep and ber read --threads (worker
-threads for the PAPR batches and the Eb/N0 points; default every core this
-process may use); their output does not depend on it.  dpd-design, e2e and
-rate-energy run serially and reject it.
+A grid (thresholds_db, reduction_grid_db) is a non-empty list of finite
+numbers; three values whose third is below the second are [min, max,
+step] and need min <= max and a positive step.
+
+Flags: --config, --seed, --out, --trials and --threads.  --trials
+overrides the Monte Carlo count of papr, mu-sweep, e2e and ber;
+dpd-design and rate-energy have none and reject it.  papr, mu-sweep and
+ber read --threads (worker threads for the PAPR batches and the Eb/N0
+points; default every core this process may use); their output does not
+depend on it.  dpd-design, e2e and rate-energy run serially and reject it.
+
+The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
+form (experiments.closed_form), not Monte Carlo estimates: the
+soft-limiter Bussgang model at the technique's back-off, a linear 0.5
+harvester, and no fading.  rate-energy reads scenario.ibo_reduction_db
+like e2e does.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime or I/O error.
 """
@@ -75,22 +86,17 @@ from .experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
     Scenario,
+    closed_form,
     run_techniques,
     sweep_techniques,
     table_pipeline,
+    technique_reductions,
     write_csv,
 )
 from .harvester import EhModel, load_calibration
-from .link import (
-    SplitConfig,
-    achievable_rate,
-    companded_harvested,
-    companded_sinr,
-    harvested,
-    sinr,
-)
+from .link import SplitConfig
 from .ofdm import OfdmConfig, ccdf_from_samples, papr_samples_many
-from .pa import OperatingPoint, PaModel, bussgang_analytic_sl, efficiency_at_backoff
+from .pa import OperatingPoint, PaModel, efficiency_at_backoff
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,14 +234,18 @@ def build_scenario(cfg: dict, seed: int, trials: int | None) -> Scenario:
     )
 
 
-def _grid(spec, default: tuple[float, float, float]) -> np.ndarray:
-    """Interpret [min, max, step] triple; other list lengths are literal grids."""
-    if spec is None:
-        spec = list(default)
+def _grid(section: dict, key: str, default, where: str) -> np.ndarray:
+    """The section's grid: a [min, max, step] triple (three values whose
+    third is below the second) needs min <= max and a positive step; any
+    other non-empty list of finite numbers is a literal grid."""
+    spec = _floats(section, key, default, where)
     if len(spec) == 3 and spec[2] < spec[1]:
-        lo, hi, step = (float(v) for v in spec)
+        lo, hi, step = spec
+        if step <= 0 or lo > hi:
+            raise ConfigError(f"config section '{where}.{key}': a [min, max, step] grid "
+                              f"needs min <= max and a positive step, got {spec}")
         return np.arange(lo, hi + step / 2, step)
-    return np.asarray([float(v) for v in spec])
+    return np.asarray(spec)
 
 
 def _svg_chart(path: Path, series: dict[str, list[tuple[float, float]]],
@@ -298,16 +308,20 @@ def _hash(cfg: dict, seed: int, trials: int | None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _count(section: dict, key: str, default: int, where: str) -> int:
+    """The section's count: an integer of at least 1 (a bool is not one)."""
+    n = section.get(key, default)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"config section '{where}.{key}': must be an integer of at least 1, "
+                          f"got {n!r}")
+    return n
+
+
 def _trial_count(section: dict, key: str, default: int, where: str,
                  trials: int | None) -> int:
     """The section's Monte Carlo count, or --trials when given; the
-    configured value must be a positive integer either way."""
-    try:
-        n = int(section.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section '{where}.{key}': {exc}") from exc
-    if n < 1:
-        raise ConfigError(f"config section '{where}.{key}': must be at least 1, got {n}")
+    configured value must be a count either way."""
+    n = _count(section, key, default, where)
     return trials if trials is not None else n
 
 
@@ -362,7 +376,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
     section = cfg.get("papr", {})
     mu_grid = _mu_grid(section, (0.0, 1.25, 255.0), "papr", allow_zero=True)
     n_trials = _trial_count(section, "n_trials", 20000, "papr", trials)
-    thresholds = _grid(section.get("thresholds_db"), (-1.0, 14.0, 0.05))
+    thresholds = _grid(section, "thresholds_db", (-1.0, 14.0, 0.05), "papr")
     ofdm = build_ofdm(cfg)
     h = _hash(cfg, seed, trials)
     # mu = 0 is the uncompressed curve; every curve shares one set of symbols
@@ -388,15 +402,15 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     ofdm = build_ofdm(cfg)
     pa, op = build_pa(cfg)
     h = _hash(cfg, seed, trials)
+    pa_order = _count(section, "pa_order", 4, "dpd")
+    inverse_order = _count(section, "inverse_order", 7, "dpd")
+    grid = _grid(section, "reduction_grid_db", (0.0, 4.0, 0.25), "dpd")
     design = design_from_scratch(
         pa, ofdm, baseline_ibo_db=op.ibo_db,
-        pa_order=int(section.get("pa_order", 4)),
-        inverse_order=int(section.get("inverse_order", 7)),
-        seed=seed,
+        pa_order=pa_order, inverse_order=inverse_order, seed=seed,
     )
     save_design(design, str(out / "dpd_design.txt"),
                 header=(f"config_hash={h} seed={seed}",))
-    grid = _grid(section.get("reduction_grid_db"), (0.0, 4.0, 0.25))
     chain_evm = probe_evm(pa, ofdm, seed=seed + 1)
     rows = []
     series = {"evm": [], "eta1": []}
@@ -527,35 +541,19 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
                         ("linear", "baseline", "companding"), "rate_energy",
                         "closed-form technique")
     base = build_scenario(cfg, seed, trials)
-    pa_sat = base.pa.kind in ("sspa", "soft_limiter")
     h = _hash(cfg, seed, trials)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for tech in techniques:
-        params = CompanderParams.default(mu=base.mu)
-        if tech == "linear" or not pa_sat:
-            k_l, sd2 = 1.0, 0.0
-        elif tech == "companding":
-            bp = analytic_companded_bussgang(params, base.op.ibo_db)
-            k_l, sd2 = bp.k_l, bp.sigma_d2
-        else:
-            bp = bussgang_analytic_sl(OperatingPoint(ibo_db=base.op.ibo_db))
-            k_l, sd2 = bp.k_l, bp.sigma_d2
-        p = base.p_rf_tx
+        s = replace(base, technique=tech)
+        r_dpd, r_comp, _ = technique_reductions(s)
         curve_r, curve_h = [], []
         for rho in rho_grid:
-            split = replace(base.split, rho=rho)
-            if tech == "companding":
-                snr_v = companded_sinr(split, params, k_l, sd2, 1.0, p)
-                he = companded_harvested(split, params, k_l, sd2, 1.0, p,
-                                         EhModel.linear(), 1.0, p)
-            else:
-                snr_v = sinr(split, k_l, sd2, 1.0, p)
-                he = harvested(split, k_l, sd2, 1.0, p, EhModel.linear(), 1.0, p)
-            rate = achievable_rate(snr_v)
-            rows.append((rho, tech, rate, he.h_p_norm))
+            rate, h_p_norm = closed_form(replace(s, split=replace(s.split, rho=rho)),
+                                         r_dpd, r_comp)
+            rows.append((rho, tech, rate, h_p_norm))
             curve_r.append((rho, rate))
-            curve_h.append((rho, he.h_p_norm))
+            curve_h.append((rho, h_p_norm))
         series[f"rate/{tech}"] = curve_r
         series[f"h_p/{tech}"] = curve_h
     write_csv(out / "rate_energy.csv",
@@ -578,6 +576,8 @@ _COMMANDS = {
 
 # the subcommands that run on the calling thread alone
 _SERIAL = ("dpd-design", "e2e", "rate-energy")
+# the subcommands without a Monte Carlo count
+_NO_TRIALS = ("dpd-design", "rate-energy")
 
 
 def _usable_cores() -> int:
@@ -599,15 +599,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--trials", type=int, default=None,
-                        help="override Monte Carlo trial count")
+                        help="override the Monte Carlo count of papr, mu-sweep, e2e and ber")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for papr, mu-sweep and ber (default: every "
                              "usable core); the output does not depend on it")
     args = parser.parse_args(argv)
 
     try:
-        if args.trials is not None and args.trials < 1:
-            raise ConfigError("--trials must be at least 1")
+        if args.trials is not None:
+            if args.trials < 1:
+                raise ConfigError("--trials must be at least 1")
+            if args.command in _NO_TRIALS:
+                raise ConfigError(f"--trials: {args.command} has no Monte Carlo count")
         threads = args.threads
         if threads is not None:
             if threads < 1:

@@ -2,9 +2,7 @@
 
 Compression acts on the complex envelope of a sample array:
 compress_waveform and expand_waveform map each magnitude through the
-mu-law characteristic and its inverse and keep the phase.  A real-signal
-variant using sgn() is provided for testing the scalar transfer curves
-directly.
+mu-law characteristic and its inverse and keep the phase.
 """
 
 from __future__ import annotations
@@ -75,17 +73,6 @@ def expand_magnitude(magnitude: np.ndarray, params: CompanderParams) -> np.ndarr
     return (params.peak / params.mu) * np.expm1(m * math.log1p(params.mu) / params.peak)
 
 
-def compress_real(samples: np.ndarray, params: CompanderParams) -> np.ndarray:
-    """Scalar mu-law on a real vector, sign preserved."""
-    s = np.asarray(samples, dtype=float)
-    return np.sign(s) * compress_magnitude(np.abs(s), params)
-
-
-def expand_real(samples: np.ndarray, params: CompanderParams) -> np.ndarray:
-    s = np.asarray(samples, dtype=float)
-    return np.sign(s) * expand_magnitude(np.abs(s), params)
-
-
 def mu_law_noise_factor(params: CompanderParams) -> float:
     """Gain applied by the expander to additive noise and distortion.
 
@@ -94,12 +81,6 @@ def mu_law_noise_factor(params: CompanderParams) -> float:
     """
     t = math.log1p(params.mu)
     return (t / params.mu) ** 2 + (t / params.peak) ** 2
-
-
-def noise_distortion_power(sigma2: float, params: CompanderParams) -> float:
-    if sigma2 < 0.0:
-        raise ValueError("variance must be non-negative")
-    return sigma2 * mu_law_noise_factor(params)
 
 
 def companded_snr(
@@ -153,17 +134,6 @@ class PaprReduction:
         return self.papr_before_db - self.papr_after_db
 
 
-def companded_papr_reduction(
-    cfg: OfdmConfig,
-    params: CompanderParams,
-    n_trials: int = 20000,
-    seed: int = 0,
-    exceedance: float = 1e-3,
-) -> PaprReduction:
-    """PAPR at the given CCDF exceedance before and after compression."""
-    return companded_papr_reductions(cfg, (params,), n_trials, seed, exceedance)[0]
-
-
 def companded_papr_reductions(
     cfg: OfdmConfig,
     params_seq: Sequence[CompanderParams],
@@ -172,12 +142,12 @@ def companded_papr_reductions(
     exceedance: float = 1e-3,
     threads: int = 1,
 ) -> list[PaprReduction]:
-    """:func:`companded_papr_reduction` for each parameter set, from one
-    seeded set of symbols.
+    """PAPR at the given CCDF exceedance before and after compression with
+    each parameter set, from one seeded set of symbols.
 
     Every entry is compressed from the same waveforms, so the "before"
     PAPR is measured once and shared; entry i equals
-    ``companded_papr_reduction(cfg, params_seq[i], n_trials, seed, exceedance)``
+    ``companded_papr_reductions(cfg, [params_seq[i]], n_trials, seed, exceedance)[0]``
     for any ``threads`` (see :func:`papr_samples_many`).
     """
     params_seq = tuple(params_seq)

@@ -17,6 +17,10 @@ Measurement conventions, used consistently everywhere:
 * BER is measured at equal average transmit power (PA output normalized
   over the run) through a unit-path-loss channel, so the noise variance
   alone sets the operating SNR.
+* Rate and H_P/E are closed forms, not Monte Carlo estimates: closed_form
+  uses the soft-limiter Bussgang model at the technique's back-off, a
+  linear 0.5 harvester, and no fading, whatever the scenario's amplifier,
+  harvester and channel.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .companding import (
     CompanderParams,
     companding_ibo_reduction_db,
     compress_waveform,
+    mu_law_noise_factor,
 )
 from .dpd import DpdDesign, design_from_scratch
 from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
@@ -42,8 +47,6 @@ from .link import (
     LinkMetrics,
     SplitConfig,
     achievable_rate,
-    companded_harvested,
-    companded_sinr,
     demodulate_and_ber,
     harvested,
     split_branches,
@@ -180,22 +183,30 @@ def _transmit(
     return amplify(x, s.pa, s.op.ibo_db - r_dpd, fit)
 
 
-def _closed_form(s: Scenario, r_dpd: float, r_comp: float):
-    """Analytic (K_L, sigma_d^2) plus rate and harvested metrics."""
+def closed_form(s: Scenario, r_dpd: float, r_comp: float) -> tuple[float, float]:
+    """Closed-form (rate in bits/s/Hz, H_P/E) of the scenario's technique
+    at its back-off reductions (see technique_reductions).
+
+    K_L and sigma_d^2 are the soft-limiter Bussgang values at the back-off
+    ibo - r_dpd - r_comp, or (1, 0) for the linear technique and for an
+    amplifier that does not saturate.  A companded technique is always
+    expanded at the receiver (as in run_techniques), so its antenna noise
+    and distortion are scaled by the expander's noise factor.  The link is
+    unfaded (|h|^2 = 1) and the harvester linear at 0.5, with the transmit
+    power as the maximum power.
+    """
     p = s.p_rf_tx
     if s.technique == "linear" or not _saturating(s.pa):
         k_l, sd2 = 1.0, 0.0
     else:
         bp = bussgang_analytic_sl(OperatingPoint(ibo_db=s.op.ibo_db - r_dpd - r_comp))
         k_l, sd2 = bp.k_l, bp.sigma_d2
-    if _uses_companding(s.technique) and _saturating(s.pa):
-        params = CompanderParams.default(mu=s.mu)
-        snr_v = companded_sinr(s.split, params, k_l, sd2, 1.0, p)
-        he = companded_harvested(s.split, params, k_l, sd2, 1.0, p, EhModel.linear(), 1.0, p)
-    else:
-        snr_v = sinr(s.split, k_l, sd2, 1.0, p)
-        he = harvested(s.split, k_l, sd2, 1.0, p, EhModel.linear(), 1.0, p)
-    return achievable_rate(snr_v), he.h_p_norm
+    f = 1.0
+    if _uses_companding(s.technique):
+        f = mu_law_noise_factor(CompanderParams.default(mu=s.mu))
+    split = replace(s.split, sigma_a2=s.split.sigma_a2 * f)
+    rate = achievable_rate(sinr(split, k_l, sd2 * f, 1.0, p))
+    return rate, harvested(split, k_l, sd2 * f, 1.0, p, EhModel.linear(), p).h_p_norm
 
 
 def _batch_ci(samples: np.ndarray) -> float:
@@ -322,7 +333,7 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
         r_dpd, r_comp, _ = reductions[k]
         ibo_eff = sk.op.ibo_db - r_dpd - r_comp
         eta1 = efficiency_at_backoff(ibo_eff) if _saturating(sk.pa) else 0.5
-        rate, h_p_norm = _closed_form(sk, r_dpd, r_comp)
+        rate, h_p_norm = closed_form(sk, r_dpd, r_comp)
         if rho > 0.0:
             eta3_mc = float(eta3_num[k].sum() / eta3_den[k].sum())
             eta3_frames = eta3_num[k] / eta3_den[k]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,36 +119,6 @@ def eta3(model: EhModel, p_in_dbm) -> np.ndarray:
 
 def watts_to_dbm(p_w) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(p_w, dtype=float), _WATT_FLOOR) * 1e3)
-
-
-@dataclass(frozen=True)
-class HarvestResult:
-    p_dc_w: float
-    p_in_w: float
-    mode: str
-
-    @property
-    def efficiency(self) -> float:
-        return self.p_dc_w / self.p_in_w if self.p_in_w > 0 else 0.0
-
-
-def harvest_dc(model: EhModel, samples: np.ndarray, mode: str = "instantaneous") -> HarvestResult:
-    """DC power recovered from a waveform whose |samples|^2 are watts.
-
-    Instantaneous mode pushes each sample's power through the efficiency
-    curve and averages the DC, so envelope shape matters; average mode
-    evaluates the curve once at the mean power, which is how the
-    closed-form link expressions treat it.
-    """
-    if mode not in ("instantaneous", "average"):
-        raise ValueError(f"unknown harvest mode {mode!r}")
-    p_w = np.abs(samples) ** 2
-    p_mean = float(p_w.mean())
-    if mode == "average":
-        eff = float(eta3(model, watts_to_dbm(p_mean)))
-        return HarvestResult(p_dc_w=eff * p_mean, p_in_w=p_mean, mode=mode)
-    eff = eta3(model, watts_to_dbm(p_w))
-    return HarvestResult(p_dc_w=float(np.mean(eff * p_w)), p_in_w=p_mean, mode=mode)
 
 
 def _parse_calibration(text: str, where: str):

@@ -5,10 +5,13 @@ The receiver taps the incoming waveform into an energy-harvesting branch
 Antenna noise is picked up before the splitter and therefore appears,
 scaled, in both branches; processing noise is injected per branch.
 
-The closed-form metrics model every transmit nonlinearity through its
-linear (Bussgang) gain K_L and additive distortion power sigma_d^2.
-Companded variants swap in the expanded-noise and expanded-distortion
-powers of the mu-law receiver.
+The closed-form metrics (sinr, harvested) model every transmit
+nonlinearity through its linear (Bussgang) gain K_L and additive
+distortion power sigma_d^2, with no fading by default.  The rate_bps_hz
+and h_p_norm columns come from experiments.closed_form, which feeds them
+the soft-limiter Bussgang model at the technique's back-off, a linear
+0.5 harvester, and, for a companded technique, the antenna noise and
+distortion scaled by the expander's noise factor.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, subcarrier_gains
-from .companding import CompanderParams, expand_waveform, mu_law_noise_factor
+from .companding import CompanderParams, expand_waveform
 from .harvester import EhModel, eta3, watts_to_dbm
 from .ofdm import OfdmConfig, demap_symbols, ofdm_demodulate
 
@@ -113,29 +116,6 @@ def sinr(
     return num / den
 
 
-def companded_sinr(
-    split: SplitConfig,
-    params: CompanderParams,
-    k_l_c: float,
-    sigma_d_c2: float,
-    h_gain2: float = 1.0,
-    p_rf_tx: float = 1.0,
-) -> float:
-    """SINR after mu-law expansion at the receiver.
-
-    Expansion multiplies both the antenna noise and the residual clipping
-    distortion by the small-signal factor of the expander, so the plain
-    expression is reused with inflated variances.
-    """
-    factor = mu_law_noise_factor(params)
-    inflated = SplitConfig(
-        rho=split.rho,
-        sigma_a2=split.sigma_a2 * factor,
-        sigma_p2=split.sigma_p2,
-    )
-    return sinr(inflated, k_l_c, sigma_d_c2 * factor, h_gain2, p_rf_tx)
-
-
 def achievable_rate(sinr_value: float) -> float:
     """Shannon rate in bits/s/Hz for the given SINR."""
     if sinr_value < 0.0:
@@ -145,31 +125,8 @@ def achievable_rate(sinr_value: float) -> float:
 
 @dataclass(frozen=True)
 class HarvestedEnergy:
-    h_e: float
     h_p: float
     h_p_norm: float
-
-
-def _eh_input_power(
-    split: SplitConfig,
-    k_l: float,
-    sigma_d2: float,
-    h_gain2: float,
-    p_rf_tx: float,
-    sigma_a2: float,
-) -> float:
-    gamma_e = split.gamma_eh(p_rf_tx)
-    return (
-        h_gain2 * gamma_e * (k_l**2 + sigma_d2)
-        + split.rho * sigma_a2
-        + split.sigma_p2
-    )
-
-
-def _convert(eh: EhModel, p_in: float, t: float, p_max: float) -> HarvestedEnergy:
-    eff = float(eta3(eh, watts_to_dbm(p_in)))
-    h_e = eff * p_in * t
-    return HarvestedEnergy(h_e=h_e, h_p=h_e / t, h_p_norm=h_e / t / p_max)
 
 
 def harvested(
@@ -179,10 +136,9 @@ def harvested(
     h_gain2: float = 1.0,
     p_rf_tx: float = 1.0,
     eh: EhModel | None = None,
-    t: float = 1.0,
     p_max: float | None = None,
 ) -> HarvestedEnergy:
-    """Energy collected by the EH branch over one symbol of duration t.
+    """DC power h_p collected by the EH branch.
 
     Signal, distortion, and noise all carry power into the rectifier, so
     every term contributes.  h_p_norm divides by the maximum transmit
@@ -192,29 +148,15 @@ def harvested(
     power, taken in watts; closed-form sweeps normally use linear mode.
     """
     eh = eh if eh is not None else EhModel.linear()
-    p_in = _eh_input_power(split, k_l, sigma_d2, h_gain2, p_rf_tx, split.sigma_a2)
-    return _convert(eh, p_in, t, p_max if p_max is not None else p_rf_tx)
-
-
-def companded_harvested(
-    split: SplitConfig,
-    params: CompanderParams,
-    k_l_c: float,
-    sigma_d_c2: float,
-    h_gain2: float = 1.0,
-    p_rf_tx: float = 1.0,
-    eh: EhModel | None = None,
-    t: float = 1.0,
-    p_max: float | None = None,
-) -> HarvestedEnergy:
-    """Harvested energy with the companded transmit chain (expanded-noise
-    and expanded-distortion powers in place of the plain ones)."""
-    eh = eh if eh is not None else EhModel.linear()
-    factor = mu_law_noise_factor(params)
-    p_in = _eh_input_power(
-        split, k_l_c, sigma_d_c2 * factor, h_gain2, p_rf_tx, split.sigma_a2 * factor
+    if p_max is None:
+        p_max = p_rf_tx
+    p_in = (
+        h_gain2 * split.gamma_eh(p_rf_tx) * (k_l**2 + sigma_d2)
+        + split.rho * split.sigma_a2
+        + split.sigma_p2
     )
-    return _convert(eh, p_in, t, p_max if p_max is not None else p_rf_tx)
+    h_p = float(eta3(eh, watts_to_dbm(p_in))) * p_in
+    return HarvestedEnergy(h_p=h_p, h_p_norm=h_p / p_max)
 
 
 def demodulate_and_ber(

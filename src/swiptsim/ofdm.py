@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -246,21 +246,6 @@ def ccdf_from_samples(
     ordered = np.sort(np.asarray(papr_db_samples))
     above = ordered.size - np.searchsorted(ordered, thresholds_db, side="right")
     return above / ordered.size
-
-
-def papr_ccdf(
-    cfg: OfdmConfig,
-    n_trials: int,
-    seed: int,
-    thresholds_db: Optional[np.ndarray] = None,
-    transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo PAPR CCDF on a threshold grid (default -1..14 dB)."""
-    if thresholds_db is None:
-        thresholds_db = np.arange(-1.0, 14.0 + 1e-9, 0.05)
-    thresholds_db = np.asarray(thresholds_db, dtype=float)
-    samples = papr_samples(cfg, n_trials, seed, transform=transform)
-    return thresholds_db, ccdf_from_samples(samples, thresholds_db)
 
 
 def papr_quantile_db(papr_db_samples: np.ndarray, exceedance: float) -> float:

@@ -108,22 +108,6 @@ def sspa_am_am(magnitude, pa: PaModel):
     return m / (1.0 + (m / pa.a_sat) ** two_p) ** (1.0 / two_p)
 
 
-def soft_limiter(samples, pa: PaModel, op: OperatingPoint):
-    """Two-branch clipped amplifier acting on a unit-power input block.
-
-    Below the clip threshold the magnitude is scaled by A_c/nu, above it the
-    output is pinned at A_s; the phase is preserved. The back-off gain is part
-    of the limiter here (for the pre-gain convention use amplify).
-    """
-    nu = op.nu
-    a_c = op.clipping_level
-    threshold = nu * pa.a_sat / a_c
-    return scale_envelope(
-        np.asarray(samples, dtype=np.complex128),
-        lambda m: np.where(m <= threshold, m * (a_c / nu), pa.a_sat),
-    )
-
-
 def scale_envelope(x: np.ndarray, f) -> np.ndarray:
     """x with every sample magnitude m mapped to f(m) and its phase kept;
     zero samples stay zero."""
@@ -198,22 +182,15 @@ def bussgang_estimate(reference, output) -> BussgangParams:
     return BussgangParams(float(k.real), max(float(sigma_d2), 0.0))
 
 
-def bussgang_analytic_sl(
-    op: OperatingPoint, sigma_formula: str = "consistent"
-) -> BussgangParams:
+def bussgang_analytic_sl(op: OperatingPoint) -> BussgangParams:
     """Closed-form Bussgang parameters of the clipped (soft-limiter) chain
     driven by a unit-power circular Gaussian input.
 
-    K_L(nu) = (A_c/nu) (1 - exp(-nu^2) + (sqrt(pi) nu / 2) erfc(nu)).
-
-    sigma_formula selects the distortion-power expression:
-
-    * ``"as_printed"`` evaluates (A_c/nu)(1 - exp(-nu^2) - K_L^2) verbatim.
-      Its prefactor enters unsquared against the power-like K_L^2 term, which
-      is dimensionally inconsistent; kept for side-by-side reporting only.
-    * ``"consistent"`` (default) matches the second moment of the clipped
-      chain, (A_c/nu)^2 (1 - exp(-nu^2)) - K_L^2, and agrees with the
-      empirical estimator.
+    K_L(nu) = (A_c/nu) (1 - exp(-nu^2) + (sqrt(pi) nu / 2) erfc(nu)) and
+    sigma_d^2 = (A_c/nu)^2 (1 - exp(-nu^2)) - K_L^2.  This distortion power
+    matches the second moment of the clipped chain and the empirical
+    estimator; the printed form, with an unsquared A_c/nu prefactor against
+    the power-like K_L^2 term, is dimensionally inconsistent.
     """
     nu = op.nu
     if nu <= 0:
@@ -221,10 +198,5 @@ def bussgang_analytic_sl(
     a_c = op.clipping_level
     bracket = 1.0 - np.exp(-(nu**2)) + (np.sqrt(np.pi) * nu / 2.0) * erfc(nu)
     k_l = (a_c / nu) * bracket
-    if sigma_formula == "as_printed":
-        sigma_d2 = (a_c / nu) * (1.0 - np.exp(-(nu**2)) - k_l**2)
-    elif sigma_formula == "consistent":
-        sigma_d2 = (a_c / nu) ** 2 * (1.0 - np.exp(-(nu**2))) - k_l**2
-    else:
-        raise ValueError("sigma_formula must be 'consistent' or 'as_printed'")
+    sigma_d2 = (a_c / nu) ** 2 * (1.0 - np.exp(-(nu**2))) - k_l**2
     return BussgangParams(float(k_l), max(float(sigma_d2), 0.0))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swiptsim
@@ -16,6 +17,7 @@ from swiptsim.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     ConfigError,
+    _grid,
     _hash,
     build_eh,
     build_pa,
@@ -25,6 +27,7 @@ from swiptsim.cli import (
     main,
     validate_config,
 )
+from swiptsim.link import SplitConfig
 
 SMALL_OFDM = {"n_subcarriers": 64, "oversampling_factor": 2}
 
@@ -132,13 +135,40 @@ def test_main_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path)]) == EXIT_CONFIG, command
         assert "--trials" in capsys.readouterr().err
 
-    # PAPR and rate-energy inputs are rejected before any work; mu = 0 in
-    # papr means "no compression", mu-sweep needs mu > 0; rate-energy takes
-    # rho in [0, 1] and the closed-form techniques only, once each
+    # a trial count given to a subcommand without Monte Carlo is an error,
+    # not a silent change of the provenance hash
+    for command in ("dpd-design", "rate-energy"):
+        out = tmp_path / f"no_trials_{command}"
+        assert main([command, "--config", ok_cfg, "--trials", "5",
+                     "--out", str(out)]) == EXIT_CONFIG, command
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists(), command
+
+    # PAPR, DPD and rate-energy inputs are rejected before any work; mu = 0
+    # in papr means "no compression", mu-sweep needs mu > 0; a grid is a
+    # list of numbers, and a [min, max, step] triple needs min <= max and a
+    # positive step; counts and DPD orders are integers of at least 1;
+    # rate-energy takes rho in [0, 1] and the closed-form techniques only,
+    # once each
     bad_papr = [
+        ("papr", {"papr": {"thresholds_db": 3}}, "papr.thresholds_db"),
+        ("papr", {"papr": {"thresholds_db": ["a", 1, 2]}}, "papr.thresholds_db"),
+        ("papr", {"papr": {"thresholds_db": [0, 1, 0]}}, "papr.thresholds_db"),
+        ("papr", {"papr": {"thresholds_db": [0, 4, -1]}}, "papr.thresholds_db"),
+        ("papr", {"papr": {"thresholds_db": [5, 4, 1]}}, "papr.thresholds_db"),
+        ("dpd-design", {"dpd": {"reduction_grid_db": 3}}, "dpd.reduction_grid_db"),
+        ("dpd-design", {"dpd": {"reduction_grid_db": ["a", 1, 2]}}, "dpd.reduction_grid_db"),
+        ("dpd-design", {"dpd": {"reduction_grid_db": [0, 1, 0]}}, "dpd.reduction_grid_db"),
+        ("dpd-design", {"dpd": {"reduction_grid_db": [0, 4, -1]}}, "dpd.reduction_grid_db"),
+        ("dpd-design", {"dpd": {"pa_order": "x"}}, "dpd.pa_order"),
+        ("dpd-design", {"dpd": {"pa_order": 2.7}}, "dpd.pa_order"),
+        ("dpd-design", {"dpd": {"pa_order": True}}, "dpd.pa_order"),
+        ("dpd-design", {"dpd": {"pa_order": 0}}, "dpd.pa_order"),
+        ("dpd-design", {"dpd": {"inverse_order": 2.7}}, "dpd.inverse_order"),
         ("papr", {"papr": {"mu_grid": [-1.0, 1.25]}}, "papr.mu_grid"),
         ("papr", {"papr": {"mu_grid": []}}, "papr.mu_grid"),
         ("papr", {"papr": {"n_trials": 0}}, "papr.n_trials"),
+        ("papr", {"papr": {"n_trials": 2.7}}, "papr.n_trials"),
         ("mu-sweep", {"mu_sweep": {"mu_grid": [0.0, 1.0]}}, "mu_sweep.mu_grid"),
         ("mu-sweep", {"mu_sweep": {"mu_grid": []}}, "mu_sweep.mu_grid"),
         ("mu-sweep", {"mu_sweep": {"papr_trials": 0}}, "mu_sweep.papr_trials"),
@@ -394,6 +424,32 @@ def test_dpd_design_outputs(tmp_path):
     assert len(lines) == 2 + 3  # grid 0, 0.5, 1.0
 
 
+def test_dpd_orders_reach_the_design(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "ofdm": SMALL_OFDM,
+        "dpd": {"pa_order": 3, "inverse_order": 5, "reduction_grid_db": [0.0]},
+    })
+    out = tmp_path / "o"
+    assert main(["dpd-design", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    lines = (out / "dpd_design.txt").read_text().splitlines()
+    assert "pa_order=3" in lines
+    assert "inverse_order=5" in lines
+
+
+def test_grid_triples_and_literal_lists():
+    # three values whose third is below the second are [min, max, step];
+    # any other list is taken as it is
+    def grid(spec):
+        return _grid({"g": spec}, "g", None, "s")
+
+    np.testing.assert_array_equal(grid([0, 1, 0.5]), [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(grid([2, 2, 1]), [2.0])
+    np.testing.assert_array_equal(grid([1, 2, 3]), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(grid([4]), [4.0])
+    np.testing.assert_array_equal(_grid({}, "g", (-1.0, 14.0, 0.05), "s"),
+                                  np.arange(-1.0, 14.0 + 0.025, 0.05))
+
+
 def test_mu_sweep_outputs(tmp_path):
     cfg = write_cfg(tmp_path, {
         "ofdm": SMALL_OFDM,
@@ -468,6 +524,31 @@ def test_rate_energy_outputs_and_validation(tmp_path, capsys):
     bad = write_cfg(tmp_path, {"rate_energy": {"techniques": ["dpd"]}}, "bad_re.json")
     assert main(["rate-energy", "--config", bad, "--out", str(out)]) == EXIT_CONFIG
     assert "closed-form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"pa": {"kind": "polynomial", "coeffs": [0.0, 1.0, 0.0, -0.05]}},
+    {"scenario": {"trials": 2, "frame_symbols": 1, "ibo_reduction_db": 2.0}},
+], ids=["sspa", "polynomial", "ibo_reduction_db"])
+def test_rate_energy_matches_e2e_closed_form(tmp_path, extra):
+    # both commands write one closed form: a rate-energy row equals the
+    # technique-table row of the same technique at the same rho
+    cfg = write_cfg(tmp_path, {
+        "ofdm": SMALL_OFDM,
+        "scenario": {"trials": 2, "frame_symbols": 1},
+        "rate_energy": {"rho_grid": [SplitConfig().rho]},
+        **extra,
+    })
+    out = tmp_path / "o"
+    assert main(["e2e", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["rate-energy", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    table = {r["technique"]: (r["rate_bps_hz"], r["h_p_norm"]) for r in
+             csv.DictReader((out / "technique_table.csv").read_text().splitlines()[1:])}
+    curves = list(csv.DictReader((out / "rate_energy.csv").read_text().splitlines()[1:]))
+    assert [r["technique"] for r in curves] == ["baseline", "companding"]
+    for r in curves:
+        assert (r["rate_bps_hz"], r["h_p_norm"]) == table[r["technique"]], r["technique"]
 
 
 def test_seed_from_config_file(tmp_path):

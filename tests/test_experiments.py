@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swiptsim.channel import CHANNEL_KINDS, ChannelSpec
-from swiptsim.companding import CompanderParams, compress_waveform
+from swiptsim.companding import (
+    CompanderParams,
+    analytic_companded_bussgang,
+    compress_waveform,
+    mu_law_noise_factor,
+)
 from swiptsim.dpd import design_from_scratch
 from swiptsim.experiments import (
     TECHNIQUES,
@@ -17,6 +22,7 @@ from swiptsim.experiments import (
     _point_scenario,
     _transmit,
     append_manifest,
+    closed_form,
     config_hash,
     run_scenario,
     run_techniques,
@@ -28,9 +34,9 @@ from swiptsim.experiments import (
     write_csv,
 )
 from swiptsim.harvester import EhModel
-from swiptsim.link import SplitConfig
+from swiptsim.link import SplitConfig, achievable_rate, harvested, sinr
 from swiptsim.ofdm import OfdmConfig, map_bits, synthesize_waveforms
-from swiptsim.pa import PaModel
+from swiptsim.pa import OperatingPoint, PaModel, bussgang_analytic_sl
 
 
 def test_scenario_validation():
@@ -87,6 +93,30 @@ def test_non_saturating_pa_has_no_reduction():
     s = Scenario(technique="companding", pa=PaModel.polynomial((0.0, 1.0)))
     r_dpd, r_comp, design = technique_reductions(s)
     assert (r_dpd, r_comp, design) == (0.0, 0.0, None)
+
+
+def test_closed_form_bussgang_and_expander_factor():
+    # K_L and sigma_d^2 come from the soft-limiter formula at the technique's
+    # back-off, (1, 0) for the linear technique; a companded technique also
+    # scales the antenna noise and the distortion by the expander's factor
+    base = Scenario(technique="baseline", split=SplitConfig(rho=0.5))
+    p = base.p_rf_tx
+
+    def plain(split, k_l, sd2):
+        return (achievable_rate(sinr(split, k_l, sd2, 1.0, p)),
+                harvested(split, k_l, sd2, 1.0, p, EhModel.linear(), p).h_p_norm)
+
+    bp = bussgang_analytic_sl(OperatingPoint(ibo_db=8.0))
+    assert closed_form(base, 0.0, 0.0) == plain(base.split, bp.k_l, bp.sigma_d2)
+    assert closed_form(replace(base, technique="linear"), 0.0, 0.0) == plain(base.split, 1.0, 0.0)
+
+    comp = replace(base, technique="companding")
+    params = CompanderParams.default(mu=comp.mu)
+    bp_c = analytic_companded_bussgang(params, 8.0)
+    f = mu_law_noise_factor(params)
+    inflated = replace(base.split, sigma_a2=base.split.sigma_a2 * f)
+    assert closed_form(comp, 0.0, technique_reductions(comp)[1]) == plain(
+        inflated, bp_c.k_l, bp_c.sigma_d2 * f)
 
 
 def test_transmit_linear_is_passthrough():

@@ -3,14 +3,13 @@ import pytest
 
 from swiptsim.harvester import (
     EhModel,
-    HarvestResult,
     RectennaCurve,
     default_rectenna,
     eta3,
-    harvest_dc,
     load_calibration,
     watts_to_dbm,
 )
+from swiptsim.link import SplitConfig, harvested
 
 TWO_POINT = "p_in_dbm,eta3\n-10.0,0.1\n10.0,0.3\n"
 
@@ -139,47 +138,9 @@ def test_curve_shape_validation():
                       sensitivity_dbm=0.0, saturation_dbm=1.0)
 
 
-def test_harvest_dc_modes_and_conservation():
-    rng = np.random.default_rng(3)
-    model = EhModel.default()
-    x = (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)) * np.sqrt(
-        1e-3 / 2
-    )
-    inst = harvest_dc(model, x, mode="instantaneous")
-    avg = harvest_dc(model, x, mode="average")
-    assert 0.0 < inst.p_dc_w < inst.p_in_w
-    assert 0.0 < avg.p_dc_w < avg.p_in_w
-    assert inst.p_in_w == pytest.approx(avg.p_in_w, rel=1e-12)
-    assert inst.efficiency <= 1.0
-    with pytest.raises(ValueError):
-        harvest_dc(model, x, mode="median")
-
-
-def test_harvest_dc_permutation_invariance():
-    rng = np.random.default_rng(4)
-    model = EhModel.default()
-    x = (rng.standard_normal(5_000) + 1j * rng.standard_normal(5_000)) * np.sqrt(5e-4)
-    a = harvest_dc(model, x)
-    b = harvest_dc(model, rng.permutation(x))
-    assert a.p_dc_w == b.p_dc_w
-
-
-def test_harvest_dc_constant_envelope_mode_equality():
-    # with a flat envelope, per-sample and mean-power evaluation coincide
-    model = EhModel.default()
-    sig = np.full(64, np.sqrt(1e-3), dtype=complex)
-    inst = harvest_dc(model, sig, mode="instantaneous")
-    avg = harvest_dc(model, sig, mode="average")
-    assert inst.p_dc_w == pytest.approx(avg.p_dc_w, rel=1e-12)
-
-
-def test_harvest_result_zero_input():
-    res = HarvestResult(p_dc_w=0.0, p_in_w=0.0, mode="average")
-    assert res.efficiency == 0.0
-
-
 def test_linear_model_harvest():
-    model = EhModel.linear(0.25)
-    sig = np.full(16, np.sqrt(2e-3), dtype=complex)
-    res = harvest_dc(model, sig)
-    assert res.p_dc_w == pytest.approx(0.25 * 2e-3, rel=1e-12)
+    # the whole transmit power reaches a noiseless harvester
+    split = SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=0.0)
+    res = harvested(split, k_l=1.0, sigma_d2=0.0, p_rf_tx=2e-3, eh=EhModel.linear(0.25))
+    assert res.h_p == pytest.approx(0.25 * 2e-3, rel=1e-12)
+    assert res.h_p_norm == pytest.approx(0.25, rel=1e-12)

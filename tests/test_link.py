@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from swiptsim.channel import ChannelRealization, ChannelSpec, apply_channel, sample_channel
-from swiptsim.companding import CompanderParams
-from swiptsim.harvester import EhModel
+from swiptsim.companding import CompanderParams, mu_law_noise_factor
+from swiptsim.experiments import Scenario, closed_form
+from swiptsim.harvester import EhModel, eta3, watts_to_dbm
 from swiptsim.link import (
     LinkMetrics,
     SplitConfig,
     achievable_rate,
-    companded_harvested,
-    companded_sinr,
     demodulate_and_ber,
     harvested,
     sinr,
     split_branches,
 )
 from swiptsim.ofdm import OfdmConfig, map_bits, synthesize_waveforms
+from swiptsim.pa import PaModel
 
 
 def test_split_config_validation():
@@ -113,18 +113,24 @@ def test_sinr_degenerate_cases():
     assert np.isfinite(sinr(clean, k_l=1.0, sigma_d2=0.01))
 
 
+def _companded(split):
+    """A companded technique on an amplifier that does not saturate, so
+    its closed form has K_L = 1 and no distortion."""
+    return Scenario(technique="companding", pa=PaModel.polynomial((0.0, 1.0)), split=split)
+
+
 def test_companded_sinr_golden_and_noise_inflation():
     split = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)
-    params = CompanderParams.default()
-    s = companded_sinr(split, params, k_l_c=1.0, sigma_d_c2=0.0)
+    rate, _ = closed_form(_companded(split), 0.0, 0.0)
+    s = 2.0**rate - 1.0
     assert s == pytest.approx(397.44561957530163, rel=1e-12)
     # expansion scales antenna noise and distortion but not the
     # post-expander processing noise
-    from swiptsim.companding import mu_law_noise_factor
-
-    f = mu_law_noise_factor(params)
+    f = mu_law_noise_factor(CompanderParams.default())
     manual = 0.5 / (0.5 * 1e-3 * f + 1e-3)
     assert s == pytest.approx(manual, rel=1e-12)
+    inflated = dataclasses.replace(split, sigma_a2=1e-3 * f)
+    assert rate == achievable_rate(sinr(inflated, k_l=1.0, sigma_d2=0.0))
 
 
 def test_achievable_rate_basics():
@@ -151,13 +157,12 @@ def test_harvested_goldens_and_limits():
     split = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)
     plain = harvested(split, k_l=1.0, sigma_d2=0.0)
     assert plain.h_p_norm == pytest.approx(0.25075, rel=1e-12)
-    comp = companded_harvested(split, CompanderParams.default(), k_l_c=1.0, sigma_d_c2=0.0)
-    assert comp.h_p_norm == pytest.approx(0.25062901687095496, rel=1e-12)
+    _, comp = closed_form(_companded(split), 0.0, 0.0)
+    assert comp == pytest.approx(0.25062901687095496, rel=1e-12)
 
     ideal = harvested(SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=0.0),
                       k_l=1.0, sigma_d2=0.0)
     assert ideal.h_p_norm == pytest.approx(0.5, rel=1e-12)
-    assert ideal.h_e == ideal.h_p  # t defaults to one second
 
 
 def test_harvested_never_exceeds_input():
@@ -166,6 +171,17 @@ def test_harvested_never_exceeds_input():
         he = harvested(split, k_l=1.0, sigma_d2=0.02, p_rf_tx=1e-3, eh=eh)
         p_in = 0.9 * 1e-3 * 1.02 + 0.9 * 1e-3 + 1e-3
         assert he.h_p <= p_in
+
+
+def test_constant_envelope_harvest_matches_closed_form():
+    # with a flat envelope the Monte Carlo pass's per-sample rectenna lookup
+    # and the closed form's lookup at the mean power coincide
+    eh = EhModel.default()
+    p_w = np.full(64, 1e-3)
+    per_sample = float(np.sum(eta3(eh, watts_to_dbm(p_w)) * p_w)) / p_w.size
+    quiet = SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=0.0)
+    closed = harvested(quiet, k_l=1.0, sigma_d2=0.0, p_rf_tx=1e-3, eh=eh)
+    assert per_sample == pytest.approx(closed.h_p, rel=1e-12)
 
 
 def test_rate_energy_tradeoff_monotone_in_rho():
