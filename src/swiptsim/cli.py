@@ -12,18 +12,19 @@ rate-energy  Closed-form rate and H_P/E vs splitting ratio.
 Configuration is a JSON object; every key is optional and unknown keys
 are rejected with their location.  Schema (defaults in parentheses):
 
-  ofdm:        n_subcarriers (512), subcarrier_spacing_hz (15e3),
-               oversampling_factor (4), cp_length (0)
+  ofdm:        n_subcarriers (512), oversampling_factor (4), cp_length (0)
   pa:          kind ("sspa" | "soft_limiter" | "polynomial"), a_sat (1.0),
-               smoothness (1.2), coeffs (null), ibo_db (8.0)
+               smoothness (1.2; sspa only), coeffs (polynomial only: a
+               non-empty list of finite numbers), ibo_db (8.0)
   split:       rho (1 - 1e-6), sigma_a2 (1e-3), sigma_p2 (1e-3)
-  channel:     kind ("awgn"), rice_k_db (20), pdp_db ([0,-10,-20]),
-               carrier_hz (915e6), distance_m (1.0)
-  scenario:    technique ("baseline"), mu (1.25), p_rf_tx_dbm (30),
-               trials (50), frame_symbols (4), ibo_reduction_db (null)
-  eh:          kind ("curve" | "linear"), eta3_linear (0.5),
-               calibration (path to CSV, default: packaged rectenna;
-               its bytes enter the config hash)
+  channel:     kind ("awgn"), rice_k_db (20), pdp_db ([0,-10,-20]; a list
+               of finite numbers starting at 0)
+  scenario:    mu (1.25, finite and > 0), p_rf_tx_dbm (30, finite),
+               trials (50), frame_symbols (4) (integers >= 1),
+               ibo_reduction_db (null or finite)
+  eh:          kind ("curve" | "linear"), eta3_linear (0.5; linear only),
+               calibration (curve only: path to CSV, default: packaged
+               rectenna; its bytes enter the config hash)
   papr:        mu_grid ([0, 1.25, 255]; non-empty, mu >= 0, 0 = uncompressed),
                n_trials (20000, integer >= 1),
                thresholds_db ([-1, 14, 0.05] as min/max/step)
@@ -42,7 +43,9 @@ are rejected with their location.  Schema (defaults in parentheses):
 
 A grid (thresholds_db, reduction_grid_db) is a non-empty list of finite
 numbers; three values whose third is below the second are [min, max,
-step] and need min <= max and a positive step.
+step] and need min <= max and a positive step.  A key that the section's
+kind does not read (pa.smoothness, pa.coeffs, eh.eta3_linear,
+eh.calibration) is an error, not a silently dropped value.
 
 Flags: --config, --seed, --out, --trials and --threads.  --trials
 overrides the Monte Carlo count of papr, mu-sweep, e2e and ber;
@@ -54,10 +57,13 @@ depend on it.  dpd-design, e2e and rate-energy run serially and reject it.
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
 form (experiments.closed_form), not Monte Carlo estimates: the
 soft-limiter Bussgang model at the technique's back-off, a linear 0.5
-harvester, and no fading.  rate-energy reads scenario.ibo_reduction_db
-like e2e does.
+harvester, and no fading.  The closed form ignores pa.a_sat and
+pa.smoothness.  rate-energy reads scenario.ibo_reduction_db like e2e
+does.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime or I/O error.
+Exit codes: 0 success, 2 configuration error (an unknown key, a key the
+section's kind does not read, or a malformed or out-of-range value), 3
+runtime or I/O error.
 """
 
 from __future__ import annotations
@@ -108,11 +114,11 @@ class ConfigError(ValueError):
 
 
 _SCHEMA: dict[str, set[str] | type] = {
-    "ofdm": {"n_subcarriers", "subcarrier_spacing_hz", "oversampling_factor", "cp_length"},
+    "ofdm": {"n_subcarriers", "oversampling_factor", "cp_length"},
     "pa": {"kind", "a_sat", "smoothness", "coeffs", "ibo_db"},
     "split": {"rho", "sigma_a2", "sigma_p2"},
-    "channel": {"kind", "rice_k_db", "pdp_db", "carrier_hz", "distance_m"},
-    "scenario": {"technique", "mu", "p_rf_tx_dbm", "trials", "frame_symbols", "ibo_reduction_db"},
+    "channel": {"kind", "rice_k_db", "pdp_db"},
+    "scenario": {"mu", "p_rf_tx_dbm", "trials", "frame_symbols", "ibo_reduction_db"},
     "eh": {"kind", "eta3_linear", "calibration"},
     "papr": {"mu_grid", "n_trials", "thresholds_db"},
     "dpd": {"pa_order", "inverse_order", "reduction_grid_db"},
@@ -171,14 +177,23 @@ def build_ofdm(cfg: dict) -> OfdmConfig:
     return _build(OfdmConfig, "ofdm", cfg.get("ofdm", {}))
 
 
+def _check_kind_keys(section: dict, kind: str, owners: dict[str, str], where: str) -> None:
+    """Reject a key that the chosen kind does not read; owners maps each
+    kind-specific key to the one kind that reads it."""
+    for key, owner in owners.items():
+        if key in section and kind != owner:
+            raise ConfigError(f"config section '{where}.{key}': only {where}.kind "
+                              f"'{owner}' reads it, not {kind!r}")
+
+
 def build_pa(cfg: dict) -> tuple[PaModel, OperatingPoint]:
     section = dict(cfg.get("pa", {}))
     ibo = section.pop("ibo_db", 8.0)
     section.setdefault("kind", "sspa")
-    if section.get("coeffs") is not None:
-        section["coeffs"] = tuple(section["coeffs"])
-    else:
-        section.pop("coeffs", None)
+    _check_kind_keys(section, section["kind"],
+                     {"coeffs": "polynomial", "smoothness": "sspa"}, "pa")
+    if "coeffs" in section:
+        section["coeffs"] = tuple(_floats(section, "coeffs", None, "pa"))
     pa = _build(PaModel, "pa", section)
     op = _build(OperatingPoint, "pa.ibo_db", {"ibo_db": ibo})
     return pa, op
@@ -191,17 +206,18 @@ def build_split(cfg: dict) -> SplitConfig:
 def build_channel(cfg: dict) -> ChannelSpec:
     section = dict(cfg.get("channel", {}))
     if "pdp_db" in section:
-        section["pdp_db"] = tuple(section["pdp_db"])
+        section["pdp_db"] = tuple(_floats(section, "pdp_db", None, "channel"))
     return _build(ChannelSpec, "channel", section)
 
 
 def build_eh(cfg: dict) -> EhModel:
     section = dict(cfg.get("eh", {}))
     kind = section.get("kind", "curve")
+    if kind not in ("linear", "curve"):
+        raise ConfigError(f"config section 'eh': unknown kind '{kind}'")
+    _check_kind_keys(section, kind, {"eta3_linear": "linear", "calibration": "curve"}, "eh")
     if kind == "linear":
         return _build(EhModel.linear, "eh", {"eta3": section.get("eta3_linear", 0.5)})
-    if kind != "curve":
-        raise ConfigError(f"config section 'eh': unknown kind '{kind}'")
     path = section.get("calibration")
     if path is None:
         return EhModel.default()
@@ -437,7 +453,7 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
                        allow_zero=False)
     papr_trials = _trial_count(section, "papr_trials", 4000, "mu_sweep", trials)
     ofdm = build_ofdm(cfg)
-    pa, op = build_pa(cfg)
+    _, op = build_pa(cfg)
     split = build_split(cfg)
     h = _hash(cfg, seed, trials)
     grid_params = [CompanderParams.default(mu=mu) for mu in mu_grid]
@@ -451,11 +467,11 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
         snr_db = 10.0 * np.log10(snr)
         rows.append((mu, snr_db, red.reduction_db, bp.k_l, bp.sigma_d2))
         series["snr_db"].append((mu, snr_db))
-    design = optimize_mu(ofdm, pa, ibo_grid_db=(op.ibo_db,), sigma_a2=split.sigma_a2, seed=seed)
+    design = optimize_mu(ofdm.n_subcarriers, op.ibo_db, split.sigma_a2)
     write_csv(out / "mu_sweep.csv",
               ("mu", "snr_db", "papr_reduction_db", "k_l_c", "sigma_d_c2"),
               rows, h, seed,
-              comments=(f"mu_star={design.mu_star:.4f} at ibo_db={design.ibo_db:g} "
+              comments=(f"mu_star={design.mu_star:.4f} at ibo_db={op.ibo_db:g} "
                         f"(unimodal={int(design.unimodal)})",))
     if svg:
         _svg_chart(out / "mu_sweep.svg", series, "mu", "post-expansion SNR (dB)")

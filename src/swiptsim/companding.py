@@ -205,93 +205,60 @@ def analytic_companded_bussgang(params: CompanderParams, ibo_db: float) -> Bussg
     return bussgang_analytic_sl(OperatingPoint(ibo_db=eff_ibo))
 
 
-def _analytic_sigma_dc2(params: CompanderParams, ibo_db: float) -> float:
-    return analytic_companded_bussgang(params, ibo_db).sigma_d2
-
-
 @dataclass(frozen=True)
 class MuDesign:
     mu_star: float
-    ibo_db: float
     snr: float
-    peak: float
-    sigma_a2: float
-    method: str
     unimodal: bool
 
 
 def optimize_mu(
-    cfg: OfdmConfig,
-    pa_model: PaModel,
-    ibo_grid_db: tuple[float, ...] = (8.0,),
+    n_subcarriers: int,
+    ibo_db: float,
+    sigma_a2: float,
     mu_grid: tuple[float, ...] = tuple(float(m) for m in np.arange(0.25, 4.01, 0.25)),
-    sigma_a2: float = 1e-3,
-    peak: float | None = None,
-    seed: int = 0,
-    distortion: str = "analytic",
-    tol: float = 1e-3,
 ) -> MuDesign:
-    """Pick mu maximizing the post-expansion SNR over a (mu, IBO) grid.
+    """Pick mu maximizing the post-expansion SNR at one IBO.
 
-    Grid search brackets the maximum, golden-section refines it to ``tol``.
-    The default "analytic" distortion model evaluates the soft-limiter
-    closed form at the companded operating point and is fully
-    deterministic; "empirical" re-estimates the cascade distortion by
-    Monte Carlo per candidate with common random numbers.
+    The distortion is the soft-limiter closed form at the companded
+    operating point (analytic_companded_bussgang), with the ensemble peak,
+    so the search is deterministic.  Grid search brackets the maximum and
+    golden-section refines it to 1e-3.
     """
-    if not ibo_grid_db or not mu_grid:
-        raise ValueError("ibo and mu grids must be non-empty")
-    if distortion not in ("analytic", "empirical"):
-        raise ValueError(f"unknown distortion model {distortion!r}")
-    a = ensemble_peak() if peak is None else peak
+    if not mu_grid:
+        raise ValueError("mu grid must be non-empty")
+    a = ensemble_peak()
 
-    def snr_at(mu: float, ibo_db: float) -> float:
+    def snr_at(mu: float) -> float:
         p = CompanderParams(mu=mu, peak=a)
-        if distortion == "analytic":
-            sd2 = _analytic_sigma_dc2(p, ibo_db)
-        else:
-            sd2 = companded_bussgang(cfg, p, ibo_db, pa_model, seed=seed).sigma_d2
-        return companded_snr(p, cfg.n_subcarriers, sigma_a2, sd2)
+        sd2 = analytic_companded_bussgang(p, ibo_db).sigma_d2
+        return companded_snr(p, n_subcarriers, sigma_a2, sd2)
 
-    best_mu, best_ibo, best_snr = mu_grid[0], ibo_grid_db[0], -math.inf
-    unimodal = True
-    for ibo in ibo_grid_db:
-        vals = [snr_at(mu, ibo) for mu in mu_grid]
-        rises = np.diff(vals) > 0
-        if rises.size > 1 and np.any(np.diff(rises.astype(int)) > 0):
-            unimodal = False
-            log.warning("SNR(mu) not unimodal on the search grid at IBO=%.2f dB", ibo)
-        i = int(np.argmax(vals))
-        if vals[i] > best_snr:
-            best_mu, best_ibo, best_snr = mu_grid[i], ibo, vals[i]
+    vals = [snr_at(mu) for mu in mu_grid]
+    rises = np.diff(vals) > 0
+    unimodal = not (rises.size > 1 and np.any(np.diff(rises.astype(int)) > 0))
+    if not unimodal:
+        log.warning("SNR(mu) not unimodal on the search grid at IBO=%.2f dB", ibo_db)
+    i = int(np.argmax(vals))
+    best_mu, best_snr = mu_grid[i], vals[i]
 
-    if len(mu_grid) > 1:
-        i = mu_grid.index(best_mu)
-        lo = mu_grid[max(i - 1, 0)]
-        hi = mu_grid[min(i + 1, len(mu_grid) - 1)]
-        if hi > lo:
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-            fc, fd = snr_at(c, best_ibo), snr_at(d, best_ibo)
-            while hi - lo > tol:
-                if fc > fd:
-                    hi, d, fd = d, c, fc
-                    c = hi - invphi * (hi - lo)
-                    fc = snr_at(c, best_ibo)
-                else:
-                    lo, c, fc = c, d, fd
-                    d = lo + invphi * (hi - lo)
-                    fd = snr_at(d, best_ibo)
-            best_mu = 0.5 * (lo + hi)
-            best_snr = snr_at(best_mu, best_ibo)
+    lo = mu_grid[max(i - 1, 0)]
+    hi = mu_grid[min(i + 1, len(mu_grid) - 1)]
+    if hi > lo:
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        c = hi - invphi * (hi - lo)
+        d = lo + invphi * (hi - lo)
+        fc, fd = snr_at(c), snr_at(d)
+        while hi - lo > 1e-3:
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - invphi * (hi - lo)
+                fc = snr_at(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + invphi * (hi - lo)
+                fd = snr_at(d)
+        best_mu = 0.5 * (lo + hi)
+        best_snr = snr_at(best_mu)
 
-    return MuDesign(
-        mu_star=float(best_mu),
-        ibo_db=float(best_ibo),
-        snr=float(best_snr),
-        peak=a,
-        sigma_a2=sigma_a2,
-        method=distortion,
-        unimodal=unimodal,
-    )
+    return MuDesign(mu_star=float(best_mu), snr=float(best_snr), unimodal=unimodal)

@@ -168,6 +168,18 @@ def design_ibo_reduction(
 
     evm_dpd = lambda r: chain_evm(baseline_ibo_db - r, inverse_fit)
 
+    def design(reduction: float, evm_with_dpd: float, degenerate: bool = False) -> DpdDesign:
+        return DpdDesign(
+            pa_fit=pa_fit,
+            inverse_fit=inverse_fit,
+            ibo_reduction_db=reduction,
+            evm_baseline=evm_base,
+            evm_with_dpd=evm_with_dpd,
+            baseline_ibo_db=baseline_ibo_db,
+            degenerate=degenerate,
+            notes=tuple(notes),
+        )
+
     grid = np.arange(0.0, max_reduction_db + 1e-9, step_db)
     scanned = []
     for r in grid:
@@ -180,16 +192,7 @@ def design_ibo_reduction(
     if np.all(evms < DISTORTION_FREE_EVM):
         notes.append("distortion-free chain: search hit its upper bound")
         log.info("degenerate design: EVM is zero over the whole search range")
-        return DpdDesign(
-            pa_fit=pa_fit,
-            inverse_fit=inverse_fit,
-            ibo_reduction_db=float(max_reduction_db),
-            evm_baseline=evm_base,
-            evm_with_dpd=float(evms[-1]),
-            baseline_ibo_db=baseline_ibo_db,
-            degenerate=True,
-            notes=tuple(notes),
-        )
+        return design(float(max_reduction_db), float(evms[-1]), degenerate=True)
 
     non_monotone = np.flatnonzero(np.diff(evms) < -1e-12)
     if non_monotone.size:
@@ -205,32 +208,14 @@ def design_ibo_reduction(
             f"({evms[0]:.4f}) already exceeds {target:.4f}"
         )
         log.warning(notes[-1])
-        return DpdDesign(
-            pa_fit=pa_fit,
-            inverse_fit=inverse_fit,
-            ibo_reduction_db=0.0,
-            evm_baseline=evm_base,
-            evm_with_dpd=float(evms[0]),
-            baseline_ibo_db=baseline_ibo_db,
-            degenerate=False,
-            notes=tuple(notes),
-        )
+        return design(0.0, float(evms[0]))
 
     last = int(np.flatnonzero(feasible).max())
     lo = float(reductions[last])
     evm_lo = float(evms[last])
     if last == len(grid) - 1:
         notes.append("search hit its upper bound; reduction may extend further")
-        return DpdDesign(
-            pa_fit=pa_fit,
-            inverse_fit=inverse_fit,
-            ibo_reduction_db=lo,
-            evm_baseline=evm_base,
-            evm_with_dpd=evm_lo,
-            baseline_ibo_db=baseline_ibo_db,
-            degenerate=False,
-            notes=tuple(notes),
-        )
+        return design(lo, evm_lo)
 
     hi = float(reductions[last + 1])
     for _ in range(24):
@@ -240,16 +225,7 @@ def design_ibo_reduction(
             lo, evm_lo = mid, evm_mid
         else:
             hi = mid
-    return DpdDesign(
-        pa_fit=pa_fit,
-        inverse_fit=inverse_fit,
-        ibo_reduction_db=lo,
-        evm_baseline=evm_base,
-        evm_with_dpd=evm_lo,
-        baseline_ibo_db=baseline_ibo_db,
-        degenerate=False,
-        notes=tuple(notes),
-    )
+    return design(lo, evm_lo)
 
 
 def design_from_scratch(

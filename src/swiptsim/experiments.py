@@ -15,18 +15,21 @@ Measurement conventions, used consistently everywhere:
   branch, with the ensemble mean power pinned to 0 dBm so the working
   point matches the rectenna calibration anchor.
 * BER is measured at equal average transmit power (PA output normalized
-  over the run) through a unit-path-loss channel, so the noise variance
+  over the run) through a unit-mean-gain channel, so the noise variance
   alone sets the operating SNR.
 * Rate and H_P/E are closed forms, not Monte Carlo estimates: closed_form
   uses the soft-limiter Bussgang model at the technique's back-off, a
   linear 0.5 harvester, and no fading, whatever the scenario's amplifier,
-  harvester and channel.
+  harvester and channel; the amplifier's a_sat and smoothness do not
+  enter it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import stdtrit
 
-from .channel import ChannelRealization, ChannelSpec, apply_channel, sample_channel
+from .channel import ChannelSpec, apply_channel, sample_channel
 from .companding import (
     CompanderParams,
     companding_ibo_reduction_db,
@@ -82,10 +85,18 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.technique not in TECHNIQUES:
             raise ValueError(f"technique must be one of {TECHNIQUES}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.frame_symbols < 1:
-            raise ValueError("frame_symbols must be at least 1")
+        for name in ("trials", "frame_symbols"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {n!r}")
+        for name in ("mu", "p_rf_tx_dbm", "ibo_reduction_db"):
+            v = getattr(self, name)
+            if v is None and name == "ibo_reduction_db":
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        if not self.mu > 0.0:
+            raise ValueError("mu must be positive")
         if self.eh is None:
             object.__setattr__(self, "eh", EhModel.default())
 
@@ -240,7 +251,7 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
 
     The rectifier works on the EH branch with its ensemble mean pinned to
     0 dBm; the demodulator works on the information branch at equal average
-    transmit power through the faded channel with unit path loss.
+    transmit power through the faded channel.
     """
     techniques = tuple(techniques)
     if not techniques:
@@ -284,14 +295,10 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
             p_ref = float(np.mean(np.abs(ref) ** 2))
         for k in range(n_tech):
             ref_power[k] += float(np.mean(np.abs(txs[k]) ** 2)) if own_ref[k] else p_ref
-        real = sample_channel(s.channel, rng)
-        real = ChannelRealization(taps=real.taps, path_loss_db=0.0)
-        clean = np.stack([
-            apply_channel(tx.ravel(), real, 0.0, rng, cp_length=cfg.cp_length)
-            for tx in txs
-        ])
+        taps = sample_channel(s.channel, rng)
+        clean = np.stack([apply_channel(tx.ravel(), taps, cfg.cp_length) for tx in txs])
         rx_powers.append([float(np.mean(np.abs(c) ** 2)) for c in clean])
-        frames.append((bits, clean, real, rms_drive))
+        frames.append((bits, clean, taps, rms_drive))
 
     rx_power = [float(np.mean(p)) for p in zip(*rx_powers)]
     # two measurement scales, both deterministic given the seed: the
@@ -307,7 +314,7 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
     eta3_num = np.zeros((n_tech, s.trials))
     eta3_den = np.full((n_tech, s.trials), np.nan)
     ber = np.empty((n_tech, s.trials))
-    for i, (bits, clean, real, rms_drive) in enumerate(frames):
+    for i, (bits, clean, taps, rms_drive) in enumerate(frames):
         if rho > 0.0:
             for k in range(n_tech):
                 p_w = np.abs(clean[k] * (np.sqrt(rho) * eh_pin[k])) ** 2
@@ -325,7 +332,7 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
                 rms_rx = np.sqrt((1.0 - rho) * float(np.mean(np.abs(normalized[k]) ** 2)))
                 scale = rms_rx / rms_drive if min(rms_drive, rms_rx) > 0 else 1.0
             ber[k, i] = demodulate_and_ber(
-                info[k], real, cfg, bits, params if companded[k] else None, scale,
+                info[k], taps, cfg, bits, params if companded[k] else None, scale,
             )
 
     results = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, subcarrier_gains
+from .channel import subcarrier_gains
 from .companding import CompanderParams, expand_waveform
 from .harvester import EhModel, eta3, watts_to_dbm
 from .ofdm import OfdmConfig, demap_symbols, ofdm_demodulate
@@ -161,7 +161,7 @@ def harvested(
 
 def demodulate_and_ber(
     info_branch: np.ndarray,
-    realization: ChannelRealization,
+    taps: tuple[complex, ...],
     cfg: OfdmConfig,
     truth_bits: np.ndarray,
     expander: CompanderParams | None = None,
@@ -196,7 +196,7 @@ def demodulate_and_ber(
             f"{sym_len}-sample symbols"
         )
     grid_hat = ofdm_demodulate(y.reshape(-1, sym_len), cfg)
-    h_k = subcarrier_gains(realization, cfg)
+    h_k = subcarrier_gains(taps, cfg)
     if np.any(np.abs(h_k) == 0.0):
         raise ValueError("channel nulls a subcarrier, zero-forcing undefined")
     bits_hat = demap_symbols((grid_hat / h_k).ravel())

@@ -22,12 +22,12 @@ _QPSK_SCALE = 1.0 / np.sqrt(2.0)
 class OfdmConfig:
     """OFDM numerology.
 
-    Defaults (N=512 QPSK subcarriers at 15 kHz spacing, 4x oversampling)
-    match the link evaluation setup used throughout the package.
+    Defaults (N=512 QPSK subcarriers, 4x oversampling) match the link
+    evaluation setup used throughout the package.  Everything runs in
+    samples, so no subcarrier spacing or sample rate is needed.
     """
 
     n_subcarriers: int = 512
-    subcarrier_spacing_hz: float = 15e3
     oversampling_factor: int = 4
     cp_length: int = 0
 
@@ -35,8 +35,6 @@ class OfdmConfig:
         n = self.n_subcarriers
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("n_subcarriers must be a power of two >= 2")
-        if self.subcarrier_spacing_hz <= 0:
-            raise ValueError("subcarrier_spacing_hz must be positive")
         if self.oversampling_factor < 1:
             raise ValueError("oversampling_factor must be >= 1")
         if not 0 <= self.cp_length < n * self.oversampling_factor:
@@ -46,10 +44,6 @@ class OfdmConfig:
     def n_samples(self) -> int:
         """Samples per symbol body (CP excluded)."""
         return self.n_subcarriers * self.oversampling_factor
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.n_samples * self.subcarrier_spacing_hz
 
 
 def map_bits(bits: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from swiptsim.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     ConfigError,
+    _SCHEMA,
     _grid,
     _hash,
     build_eh,
@@ -87,9 +88,8 @@ def test_build_helpers():
     with pytest.raises(ConfigError, match="path string"):
         build_eh({"eh": {"calibration": 5}})
 
-    s = build_scenario({"scenario": {"technique": "dpd", "trials": 7}}, seed=5,
-                       trials=None)
-    assert s.technique == "dpd"
+    s = build_scenario({"scenario": {"mu": 2.0, "trials": 7}}, seed=5, trials=None)
+    assert s.mu == 2.0
     assert s.trials == 7
     assert s.seed == 5
     assert build_scenario({}, seed=0, trials=3).trials == 3
@@ -100,9 +100,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["papr", "--config", ok_cfg, "--out", str(tmp_path / "o"),
                  "--trials", "50"]) == EXIT_OK
 
-    bad_key = write_cfg(tmp_path, {"ofdm": {"bogus": 1}}, "bad_key.json")
-    assert main(["papr", "--config", bad_key, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "unknown key 'ofdm.bogus'" in capsys.readouterr().err
+    # bogus keys and the keys that no output depended on
+    for section, key in (("ofdm", "bogus"), ("ofdm", "subcarrier_spacing_hz"),
+                         ("channel", "carrier_hz"), ("channel", "distance_m"),
+                         ("scenario", "technique")):
+        bad_key = write_cfg(tmp_path, {section: {key: 1}}, "bad_key.json")
+        assert main(["papr", "--config", bad_key, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"unknown key '{section}.{key}'" in capsys.readouterr().err
 
     assert main(["papr", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -149,7 +153,8 @@ def test_main_exit_codes(tmp_path, capsys):
     # list of numbers, and a [min, max, step] triple needs min <= max and a
     # positive step; counts and DPD orders are integers of at least 1;
     # rate-energy takes rho in [0, 1] and the closed-form techniques only,
-    # once each
+    # once each; a kind-specific key needs its kind, and scenario and
+    # channel values must have the right type and range
     bad_papr = [
         ("papr", {"papr": {"thresholds_db": 3}}, "papr.thresholds_db"),
         ("papr", {"papr": {"thresholds_db": ["a", 1, 2]}}, "papr.thresholds_db"),
@@ -180,6 +185,23 @@ def test_main_exit_codes(tmp_path, capsys):
         ("rate-energy", {"rate_energy": {"techniques": ["baseline", "baseline"]}},
          "rate_energy.techniques"),
         ("rate-energy", {"rate_energy": {"techniques": ["dpd"]}}, "rate_energy.techniques"),
+        # a key that the chosen kind does not read
+        ("rate-energy", {"eh": {"eta3_linear": 2}}, "eh.eta3_linear"),
+        ("rate-energy", {"eh": {"kind": "linear", "calibration": "cal.csv"}}, "eh.calibration"),
+        ("rate-energy", {"pa": {"coeffs": [1]}}, "pa.coeffs"),
+        ("rate-energy", {"pa": {"kind": "soft_limiter", "smoothness": 2.0}}, "pa.smoothness"),
+        ("rate-energy", {"pa": {"kind": "polynomial", "coeffs": [0, 1], "smoothness": 2.0}},
+         "pa.smoothness"),
+        ("rate-energy", {"pa": {"kind": "polynomial", "coeffs": 5}}, "pa.coeffs"),
+        # malformed scenario and channel values
+        ("rate-energy", {"scenario": {"p_rf_tx_dbm": "x"}}, "p_rf_tx_dbm must be a finite"),
+        ("rate-energy", {"scenario": {"trials": 2.5}}, "trials must be an integer"),
+        ("rate-energy", {"scenario": {"frame_symbols": 1.5}}, "frame_symbols must be an integer"),
+        ("rate-energy", {"scenario": {"mu": 0}}, "mu must be positive"),
+        ("rate-energy", {"scenario": {"mu": -1}}, "mu must be positive"),
+        ("rate-energy", {"scenario": {"ibo_reduction_db": "x"}}, "ibo_reduction_db must be"),
+        ("rate-energy", {"channel": {"pdp_db": 5}}, "channel.pdp_db"),
+        ("rate-energy", {"channel": {"pdp_db": [0, "a"]}}, "channel.pdp_db"),
     ]
     for i, (command, section, where) in enumerate(bad_papr):
         path = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, **section}, f"bad_papr{i}.json")
@@ -567,16 +589,126 @@ def test_seed_from_config_file(tmp_path):
     assert first.endswith("seed=9")
 
 
-@pytest.mark.skipif(shutil.which("swiptsim") is None,
-                    reason="console script not on PATH")
+# a tiny numerology and short runs, so that every subcommand takes well
+# under a second
+KNOB_BASE = {
+    "ofdm": {"n_subcarriers": 16, "oversampling_factor": 2},
+    "scenario": {"trials": 2, "frame_symbols": 2},
+    "papr": {"mu_grid": [0.0, 1.25], "n_trials": 50, "thresholds_db": [2.0, 10.0, 2.0]},
+    "dpd": {"reduction_grid_db": [0.0, 1.0]},
+    "mu_sweep": {"mu_grid": [0.5, 1.0, 2.0], "papr_trials": 50},
+    "ber": {"ebn0_db": [4.0], "techniques": ["baseline"], "channels": ["awgn"]},
+    "rate_energy": {"rho_grid": [0.5]},
+}
+
+# (subcommand, dotted key, value, base sections that the key needs)
+KNOB_PROBES = [
+    ("papr", "ofdm.n_subcarriers", 32, {}),
+    ("papr", "ofdm.oversampling_factor", 4, {}),
+    ("ber", "ofdm.cp_length", 4, {}),
+    ("dpd-design", "pa.kind", "soft_limiter", {}),
+    ("dpd-design", "pa.a_sat", 2.0, {}),
+    ("dpd-design", "pa.smoothness", 3.0, {}),
+    ("dpd-design", "pa.coeffs", [0.0, 1.0, 0.0, -0.1],
+     {"pa": {"kind": "polynomial", "coeffs": [0.0, 1.0, 0.0, -0.05]}}),
+    ("rate-energy", "pa.ibo_db", 6.0, {}),
+    ("e2e", "split.rho", 0.5, {}),
+    ("rate-energy", "split.sigma_a2", 1e-2, {}),
+    ("rate-energy", "split.sigma_p2", 1e-2, {}),
+    ("e2e", "channel.kind", "rayleigh_flat", {}),
+    ("ber", "channel.rice_k_db", 0.0, {"ber": {"channels": ["rice_flat"]}}),
+    ("ber", "channel.pdp_db", [0.0, -3.0], {"ber": {"channels": ["rayleigh_multitap"]}}),
+    ("rate-energy", "scenario.mu", 4.0, {"rate_energy": {"techniques": ["companding"]}}),
+    ("rate-energy", "scenario.p_rf_tx_dbm", 20.0, {}),
+    ("ber", "scenario.trials", 3, {}),
+    ("ber", "scenario.frame_symbols", 3, {}),
+    ("rate-energy", "scenario.ibo_reduction_db", 2.0, {}),
+    ("e2e", "eh.kind", "linear", {}),
+    ("e2e", "eh.eta3_linear", 0.3, {"eh": {"kind": "linear"}}),
+    ("e2e", "eh.calibration", "p_in_dbm,eta3\n-30.0,0.1\n20.0,0.3\n", {}),
+    ("papr", "papr.mu_grid", [0.0, 4.0], {}),
+    ("papr", "papr.n_trials", 60, {}),
+    ("papr", "papr.thresholds_db", [2.0, 10.0, 4.0], {}),
+    ("dpd-design", "dpd.pa_order", 3, {}),
+    ("dpd-design", "dpd.inverse_order", 5, {}),
+    ("dpd-design", "dpd.reduction_grid_db", [0.0, 2.0], {}),
+    ("mu-sweep", "mu_sweep.mu_grid", [0.5, 1.0, 3.0], {}),
+    ("mu-sweep", "mu_sweep.papr_trials", 60, {}),
+    ("ber", "ber.ebn0_db", [8.0], {}),
+    ("ber", "ber.techniques", ["companding"], {}),
+    ("ber", "ber.channels", ["rayleigh_flat"], {}),
+    ("rate-energy", "rate_energy.rho_grid", [0.25], {}),
+    ("rate-energy", "rate_energy.techniques", ["linear"], {}),
+    ("papr", "seed", 1, {}),
+    ("papr", "svg", True, {}),
+]
+
+
+def _with(cfg: dict, sections: dict) -> dict:
+    """cfg with each section of sections merged in (top-level values replaced)."""
+    out = copy.deepcopy(cfg)
+    for key, val in sections.items():
+        if isinstance(val, dict):
+            out.setdefault(key, {}).update(val)
+        else:
+            out[key] = val
+    return out
+
+
+def _outputs(run_dir: Path, command: str, cfg: dict) -> dict[str, list[str]]:
+    """Every file the subcommand writes, without its config_hash line."""
+    run_dir.mkdir()
+    out = run_dir / "out"
+    assert main([command, "--config", write_cfg(run_dir, cfg), "--out", str(out)]) == EXIT_OK
+    return {p.name: [ln for ln in p.read_text().splitlines()
+                     if not ln.startswith("# config_hash=")]
+            for p in sorted(out.iterdir())}
+
+
+def test_knob_probes_cover_the_schema():
+    leaves = set()
+    for key, allowed in _SCHEMA.items():
+        leaves |= {f"{key}.{sub}" for sub in allowed} if isinstance(allowed, set) else {key}
+    assert sorted(probe[1] for probe in KNOB_PROBES) == sorted(leaves)
+
+
+@pytest.mark.parametrize("command,key,value,needs", KNOB_PROBES,
+                         ids=[probe[1] for probe in KNOB_PROBES])
+def test_every_config_key_changes_an_output(tmp_path, command, key, value, needs):
+    base = _with(KNOB_BASE, needs)
+    section, _, sub = key.rpartition(".")
+    probe = _with(base, {section: {sub: value}} if section else {key: value})
+    changed = _outputs(tmp_path / "probe", command, probe)
+    assert changed != _outputs(tmp_path / "base", command, base)
+
+
+def _console_command() -> tuple[list[str], dict]:
+    """The installed console script, or the module run by this interpreter
+    with the package source on its path."""
+    script = shutil.which("swiptsim")
+    if script is not None:
+        return [script], dict(os.environ)
+    src = str(Path(swiptsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return [sys.executable, "-m", "swiptsim.cli"], {**os.environ, "PYTHONPATH": path}
+
+
 def test_console_script(tmp_path):
+    command, env = _console_command()
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
                                "papr": {"mu_grid": [0.0],
                                         "thresholds_db": [4.0, 10.0, 2.0]}})
     proc = subprocess.run(
-        ["swiptsim", "papr", "--config", cfg, "--out", str(tmp_path / "o"),
-         "--trials", "50"],
-        capture_output=True, text=True,
+        command + ["papr", "--config", cfg, "--out", str(tmp_path / "o"), "--trials", "50"],
+        capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == EXIT_OK, proc.stderr
     assert "papr: wrote" in proc.stdout
+
+    bad = write_cfg(tmp_path, {"channel": {"distance_m": 1.0}}, "bad.json")
+    proc = subprocess.run(
+        command + ["papr", "--config", bad, "--out", str(tmp_path / "bad")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "unknown key 'channel.distance_m'" in proc.stderr

@@ -170,21 +170,17 @@ def test_papr_reductions_share_one_draw():
 
 
 def test_optimize_mu_design_point():
-    design = optimize_mu(CFG, PA)
+    design = optimize_mu(CFG.n_subcarriers, 8.0, 1e-3)
     assert isinstance(design, MuDesign)
     assert design.mu_star == pytest.approx(1.1908697296616064, abs=2e-3)
     assert design.unimodal
-    assert design.method == "analytic"
-    assert design.ibo_db == 8.0
 
 
 def test_optimize_mu_single_point_grid():
-    design = optimize_mu(CFG, PA, mu_grid=(1.25,))
+    design = optimize_mu(CFG.n_subcarriers, 8.0, 1e-3, mu_grid=(1.25,))
     assert design.mu_star == 1.25
 
 
 def test_optimize_mu_validation():
     with pytest.raises(ValueError):
-        optimize_mu(CFG, PA, mu_grid=())
-    with pytest.raises(ValueError):
-        optimize_mu(CFG, PA, distortion="oracle")
+        optimize_mu(CFG.n_subcarriers, 8.0, 1e-3, mu_grid=())

@@ -364,9 +364,10 @@ def test_table_pipeline_matches_per_technique_runs():
     for tech, res in zip(("baseline", "dpd", "companding", "dpd_companding"), table):
         ref = run_scenario(replace(base, name=tech, technique=tech, trials=3, seed=3))
         _assert_same_result(res, ref)
-    # values of the earlier one-run-per-technique table_pipeline
+    # the provenance hashes of the four named scenarios, and the eta3 values
+    # of the earlier one-run-per-technique table_pipeline
     assert [r.config_hash for r in table] == [
-        "ed964bd92b8a", "44de0842bb9a", "4a6b7f9c475c", "73932037f535"]
+        "4d4053f23ecc", "32ae7759437f", "bf99129cb250", "0b157ee0459d"]
     assert [r.rows[0].metrics.eta3 for r in table] == [
         0.43343242515960223, 0.4312129417061382, 0.44204842167760944, 0.4435557679042033]
 

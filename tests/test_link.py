@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from swiptsim.channel import ChannelRealization, ChannelSpec, apply_channel, sample_channel
+from swiptsim.channel import ChannelSpec, apply_channel, sample_channel
 from swiptsim.companding import CompanderParams, mu_law_noise_factor
 from swiptsim.experiments import Scenario, closed_form
 from swiptsim.harvester import EhModel, eta3, watts_to_dbm
@@ -208,10 +208,9 @@ def test_noiseless_ber_is_zero_through_fading():
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2, cp_length=8)
     rng = np.random.default_rng(11)
     bits, sig = _build_frame(cfg, rng, 4)
-    real = sample_channel(ChannelSpec(kind="rayleigh_multitap"), rng)
-    real = ChannelRealization(taps=real.taps, path_loss_db=0.0)
-    rx = apply_channel(sig, real, 0.0, rng, cp_length=cfg.cp_length)
-    assert demodulate_and_ber(rx, real, cfg, bits) == 0.0
+    taps = sample_channel(ChannelSpec(kind="rayleigh_multitap"), rng)
+    rx = apply_channel(sig, taps, cp_length=cfg.cp_length)
+    assert demodulate_and_ber(rx, taps, cfg, bits) == 0.0
 
 
 def test_tiny_mu_expander_matches_plain_receiver():
@@ -220,11 +219,11 @@ def test_tiny_mu_expander_matches_plain_receiver():
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
     rng = np.random.default_rng(13)
     bits, sig = _build_frame(cfg, rng, 4)
-    real = ChannelRealization(taps=(1.0 + 0j,), path_loss_db=0.0)
-    rx = apply_channel(sig, real, 0.5, rng)
-    plain = demodulate_and_ber(rx, real, cfg, bits)
+    taps = (1.0 + 0j,)
+    _, rx = split_branches(sig, SplitConfig(rho=0.0, sigma_a2=0.5, sigma_p2=0.0), rng)
+    plain = demodulate_and_ber(rx, taps, cfg, bits)
     tiny = CompanderParams.default(mu=1e-9)
-    expanded = demodulate_and_ber(rx, real, cfg, bits, expander=tiny,
+    expanded = demodulate_and_ber(rx, taps, cfg, bits, expander=tiny,
                                   expander_scale=1.0)
     assert plain > 0.0
     assert expanded == plain
@@ -234,16 +233,15 @@ def test_demodulate_rejections():
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
     rng = np.random.default_rng(17)
     bits, sig = _build_frame(cfg, rng, 2)
-    real = ChannelRealization(taps=(1.0 + 0j,), path_loss_db=0.0)
+    taps = (1.0 + 0j,)
 
     with pytest.raises(ValueError, match="nulls"):
-        demodulate_and_ber(sig, ChannelRealization(taps=(0.0 + 0j,),
-                                                   path_loss_db=0.0), cfg, bits)
+        demodulate_and_ber(sig, (0.0 + 0j,), cfg, bits)
     short = sig[:-1]
     with pytest.raises(ValueError, match="whole number"):
-        demodulate_and_ber(short, real, cfg, bits)
+        demodulate_and_ber(short, taps, cfg, bits)
     with pytest.raises(ValueError, match="truth bit count"):
-        demodulate_and_ber(sig, real, cfg, bits[:-2])
+        demodulate_and_ber(sig, taps, cfg, bits[:-2])
     with pytest.raises(ValueError, match="positive"):
-        demodulate_and_ber(sig, real, cfg, bits, expander=CompanderParams.default(),
+        demodulate_and_ber(sig, taps, cfg, bits, expander=CompanderParams.default(),
                            expander_scale=0.0)
