@@ -21,6 +21,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from swiptsim.channel import CHANNEL_KINDS, ChannelSpec  # noqa: E402
+from swiptsim.cli import _channel_ofdm  # noqa: E402
 from swiptsim.experiments import (  # noqa: E402
     TECHNIQUES,
     Scenario,
@@ -28,6 +29,7 @@ from swiptsim.experiments import (  # noqa: E402
     sweep,
     sweep_to_csv,
 )
+from swiptsim.ofdm import OfdmConfig  # noqa: E402
 
 
 def main():
@@ -42,10 +44,13 @@ def main():
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("out"))
     args = ap.parse_args()
 
+    channel = ChannelSpec(kind=args.channel)
     base = Scenario(
         name=f"rate-energy/{args.technique}/{args.channel}",
         technique=args.technique,
-        channel=ChannelSpec(kind=args.channel),
+        # a frequency-selective channel needs a cyclic prefix
+        ofdm=_channel_ofdm(OfdmConfig(), channel),
+        channel=channel,
         trials=args.trials,
         seed=args.seed,
     )

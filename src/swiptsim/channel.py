@@ -59,26 +59,32 @@ def sample_channel(spec: ChannelSpec, rng: np.random.Generator) -> tuple[complex
     return tuple(complex(t) for t in draws)
 
 
-def apply_channel(
-    x: np.ndarray, taps: tuple[complex, ...], cp_length: int | None = None
-) -> np.ndarray:
-    """Convolve a one-dimensional sample array with the taps.
+def apply_channel(x: np.ndarray, taps, cp_length: int | None = None) -> np.ndarray:
+    """Convolve samples with channel taps: a one-dimensional x with one
+    realization, or each row of x (..., n) with its own row of taps
+    (..., n_taps).
 
     When ``cp_length`` is given it must cover the channel memory, since the
     receiver relies on the prefix to keep subcarriers separable.  Antenna
     noise is added at the receiver (see link.split_branches).
     """
     h = np.asarray(taps)
-    if cp_length is not None and h.size - 1 > cp_length:
+    if cp_length is not None and h.shape[-1] - 1 > cp_length:
         raise ValueError(
             f"cyclic prefix of {cp_length} samples cannot absorb a "
-            f"{h.size}-tap channel"
+            f"{h.shape[-1]}-tap channel"
         )
-    return np.convolve(x, h)[: x.size] if h.size > 1 else x * h[0]
+    if h.shape[-1] == 1:
+        return x * h
+    out = np.empty(x.shape, dtype=np.result_type(x, h))
+    for row in np.ndindex(x.shape[:-1]):
+        out[row] = np.convolve(x[row], h[row])[: x.shape[-1]]
+    return out
 
 
-def subcarrier_gains(taps: tuple[complex, ...], cfg: OfdmConfig) -> np.ndarray:
-    """Per-subcarrier complex gains, ordered like the modulator's grid."""
+def subcarrier_gains(taps, cfg: OfdmConfig) -> np.ndarray:
+    """Per-subcarrier complex gains, ordered like the modulator's grid, of
+    one realization or of each row of taps with shape (..., n_taps)."""
     spectrum = np.fft.fft(np.asarray(taps), cfg.n_samples)
     n, l = cfg.n_subcarriers, cfg.oversampling_factor
-    return np.concatenate([spectrum[: n // 2], spectrum[n * l - n // 2:]])
+    return np.concatenate([spectrum[..., : n // 2], spectrum[..., n * l - n // 2:]], axis=-1)

@@ -29,7 +29,8 @@ are rejected with their location.  Schema (defaults in parentheses):
                n_trials (20000, integer >= 1),
                thresholds_db ([-1, 14, 0.05] as min/max/step)
   dpd:         pa_order (4), inverse_order (7) (integers >= 1),
-               reduction_grid_db ([0, 4, 0.25] as min/max/step)
+               reduction_grid_db ([0, 4, 0.25] as min/max/step; no
+               reduction above pa.ibo_db)
   mu_sweep:    mu_grid ([0.25 .. 4.0 step 0.25]; non-empty, mu > 0),
                papr_trials (4000, integer >= 1)
   ber:         ebn0_db ([0, 4, 8]; non-empty, finite), techniques
@@ -49,10 +50,11 @@ eh.calibration) is an error, not a silently dropped value.
 
 Flags: --config, --seed, --out, --trials and --threads.  --trials
 overrides the Monte Carlo count of papr, mu-sweep, e2e and ber;
-dpd-design and rate-energy have none and reject it.  papr, mu-sweep and
-ber read --threads (worker threads for the PAPR batches and the Eb/N0
-points; default every core this process may use); their output does not
-depend on it.  dpd-design, e2e and rate-energy run serially and reject it.
+dpd-design and rate-energy have none and reject it.  papr, mu-sweep, e2e
+and ber read --threads (worker threads for the PAPR batches, the Monte
+Carlo trial blocks and the Eb/N0 points; default every core this process
+may use); their output does not depend on it.  dpd-design and rate-energy
+run serially and reject it.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
 form (experiments.closed_form), not Monte Carlo estimates: the
@@ -421,6 +423,9 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     pa_order = _count(section, "pa_order", 4, "dpd")
     inverse_order = _count(section, "inverse_order", 7, "dpd")
     grid = _grid(section, "reduction_grid_db", (0.0, 4.0, 0.25), "dpd")
+    if grid.max() > op.ibo_db:
+        raise ConfigError(f"config section 'dpd.reduction_grid_db': a reduction of "
+                          f"{grid.max():g} dB runs past pa.ibo_db = {op.ibo_db:g} dB")
     design = design_from_scratch(
         pa, ofdm, baseline_ibo_db=op.ibo_db,
         pa_order=pa_order, inverse_order=inverse_order, seed=seed,
@@ -482,7 +487,8 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
-    table = [res.rows[0] for res in table_pipeline(base, seed=seed, trials=base.trials)]
+    table = [res.rows[0]
+             for res in table_pipeline(base, seed=seed, trials=base.trials, threads=threads)]
     rows = []
     for r in table:
         m = r.metrics
@@ -502,7 +508,7 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
             results = table
         else:
             s = replace(base, name=kind, channel=spec, ofdm=ofdm)
-            results = (res.rows[0] for res in run_techniques(s, TABLE_TECHNIQUES))
+            results = (res.rows[0] for res in run_techniques(s, TABLE_TECHNIQUES, threads))
         for tech, r in zip(TABLE_TECHNIQUES, results):
             m = r.metrics
             chan_rows.append((kind, tech, m.eta1, m.eta3, m.eta_e2e,
@@ -591,7 +597,7 @@ _COMMANDS = {
 
 
 # the subcommands that run on the calling thread alone
-_SERIAL = ("dpd-design", "e2e", "rate-energy")
+_SERIAL = ("dpd-design", "rate-energy")
 # the subcommands without a Monte Carlo count
 _NO_TRIALS = ("dpd-design", "rate-energy")
 
@@ -617,8 +623,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trials", type=int, default=None,
                         help="override the Monte Carlo count of papr, mu-sweep, e2e and ber")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for papr, mu-sweep and ber (default: every "
-                             "usable core); the output does not depend on it")
+                        help="worker threads for papr, mu-sweep, e2e and ber (default: "
+                             "every usable core); the output does not depend on it")
     args = parser.parse_args(argv)
 
     try:

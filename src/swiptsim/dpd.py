@@ -97,17 +97,22 @@ def make_training_set(
 
 
 def evm(reference: np.ndarray, measured: np.ndarray) -> float:
-    """RMS error after removing the least-squares complex bulk gain."""
+    """RMS error after removing the least-squares complex bulk gain.
+
+    The inner products are pairwise np.sum forms, not np.vdot: BLAS
+    threads a long dot product, and its partial sums, and so the last
+    digits, would depend on the core count.
+    """
     ref = np.asarray(reference).ravel()
     mea = np.asarray(measured).ravel()
     if ref.shape != mea.shape:
         raise ValueError("reference and measured lengths differ")
-    ref_power = np.vdot(ref, ref).real
+    ref_power = np.sum(np.abs(ref) ** 2)
     if ref_power <= 0.0:
         raise ValueError("reference power must be positive")
-    alpha = np.vdot(ref, mea) / ref_power
+    alpha = np.sum(np.conj(ref) * mea) / ref_power
     err = mea - alpha * ref
-    return float(np.sqrt(np.vdot(err, err).real / ref_power))
+    return float(np.sqrt(np.sum(np.abs(err) ** 2) / ref_power))
 
 
 @dataclass(frozen=True)
@@ -122,16 +127,33 @@ class DpdDesign:
     notes: tuple[str, ...] = field(default=())
 
 
+# the probe's amplifier and demodulator run over blocks of about this many
+# bytes of complex128 waveform: 8 symbols at N*L = 2048 measured fastest,
+# and the whole 64-symbol probe at once faulted in fresh pages every call
+_BLOCK_BYTES = 1 << 18
+
+
 def probe_evm(pa_model: PaModel, cfg: OfdmConfig, seed: int = 0, n_symbols: int = 64):
     """EVM of the demodulated constellation through amplify() on one
     noise-free random probe of n_symbols symbols, drawn and synthesized
-    once: returns evaluate(ibo_db, inverse_fit=None) -> EVM."""
+    once: returns evaluate(ibo_db, inverse_fit=None) -> EVM.
+
+    Each evaluation amplifies and demodulates the probe in blocks of
+    symbols (see _BLOCK_BYTES) into one preallocated grid, so evaluate is
+    not thread-safe, and measures the EVM on the whole grid; both steps act
+    per sample or per symbol, so the result does not depend on the block
+    size.
+    """
     grids, x = random_frames(cfg, n_symbols, np.random.default_rng(seed))
+    symbols = x.reshape(n_symbols, -1)
+    block = max(1, _BLOCK_BYTES // symbols[0].nbytes)
+    rx = np.empty_like(grids)
 
     def evaluate(ibo_db: float, inverse_fit: PolyFit | None = None) -> float:
-        y = amplify(x, pa_model, ibo_db, inverse_fit)
-        rx = ofdm_demodulate(y.reshape(n_symbols, -1), cfg)
-        return evm(grids.ravel(), rx.ravel())
+        for start in range(0, n_symbols, block):
+            y = amplify(symbols[start:start + block], pa_model, ibo_db, inverse_fit)
+            rx[start:start + block] = ofdm_demodulate(y, cfg)
+        return evm(grids, rx)
 
     return evaluate
 

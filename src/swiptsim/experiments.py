@@ -53,9 +53,10 @@ from .link import (
     demodulate_and_ber,
     harvested,
     split_branches,
+    split_noise,
     sinr,
 )
-from .ofdm import OfdmConfig, _qpsk, synthesize_waveforms
+from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms
 from .pa import OperatingPoint, PaModel, amplify, bussgang_analytic_sl, efficiency_at_backoff
 
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
@@ -230,7 +231,14 @@ def _batch_ci(samples: np.ndarray) -> float:
     return float(stdtrit(b - 1, 0.975) * means.std(ddof=1) / np.sqrt(b))
 
 
-def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
+# run_techniques works on blocks of trials of about this many bytes of
+# complex128 frame, 2 frames of 4 symbols at N*L = 2048: on 2 cores one
+# frame per block ran slower, and 4 frames raised the peak RSS of e2e on
+# two threads from about 123 to 131 MB
+_BLOCK_BYTES = 1 << 18
+
+
+def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResult, ...]:
     """Monte Carlo evaluation of several techniques over one set of draws.
 
     Result k is bit-identical to run_scenario(replace(s, technique=
@@ -244,10 +252,22 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
     the single-technique one: every trial's bits and taps in trial order,
     then per frame the antenna, EH-branch and information-branch noise.
 
+    The trials run in blocks of about _BLOCK_BYTES of frame samples, twice:
+    transmit and channel, then, once the ensemble powers are known, noise,
+    rectenna and demodulator.  The calling thread draws every block's bits,
+    taps and noise in order; with threads > 1 a pool of that many workers
+    processes the blocks, at most 2 * threads in flight (see
+    ofdm.run_bounded), and with 1 the calling thread does, so a sweep's
+    pool over points never nests another.  No result depends on the block
+    size or the thread count.
+
     Memory: the faded channel output of every technique in every trial is
     held until the noise pass, len(techniques) x trials x frame_symbols x
     (N*L + cp_length) complex128 samples, because the normalizations need
-    the ensemble powers first.
+    the ensemble powers first, and so are every trial's bits (2 N x
+    frame_symbols int64) and taps.  Each block in flight adds three frames
+    of complex noise per trial, and each block being processed the
+    temporaries of one technique at a time.
 
     The rectifier works on the EH branch with its ensemble mean pinned to
     0 dBm; the demodulator works on the information branch at equal average
@@ -258,13 +278,19 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
         raise ValueError("run_techniques needs at least one technique")
     if len(set(techniques)) != len(techniques):
         raise ValueError(f"techniques must not repeat, got {techniques}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     scenarios = tuple(replace(s, technique=t) for t in techniques)
     reductions = [technique_reductions(sk) for sk in scenarios]
     n_tech = len(techniques)
 
     rng = np.random.default_rng(s.seed)
     cfg = s.ofdm
+    trials = s.trials
     n_bits_frame = 2 * cfg.n_subcarriers * s.frame_symbols
+    frame_len = s.frame_symbols * (cfg.n_samples + cfg.cp_length)
+    block = max(1, _BLOCK_BYTES // (16 * frame_len))
+    blocks = [slice(i, min(i + block, trials)) for i in range(0, trials, block)]
     companded = [_uses_companding(t) for t in techniques]
     params = CompanderParams.default(mu=s.mu) if any(companded) else None
     # the baseline amplifier output of the uncompressed frames is the power
@@ -274,66 +300,96 @@ def run_techniques(s: Scenario, techniques) -> tuple[SweepResult, ...]:
     own_ref = [t in ("linear", "baseline") for t in techniques]
     ref_from = next((k for k, t in enumerate(techniques)
                      if t == "baseline" and reductions[k][0] == 0.0), None)
-    frames = []
-    ref_power = [0.0] * n_tech
-    rx_powers = []
-    for _ in range(s.trials):
-        bits = rng.integers(0, 2, size=n_bits_frame)
-        grids = _qpsk(bits).reshape(s.frame_symbols, cfg.n_subcarriers)
-        x = synthesize_waveforms(grids, cfg)
-        compressed = rms_drive = None
+
+    def run(work, jobs) -> None:
+        if threads == 1:
+            for job in jobs:
+                work(*job)
+        else:
+            run_bounded(work, jobs, threads)
+
+    bits = np.empty((trials, n_bits_frame), dtype=np.int64)
+    taps = np.empty((trials, s.channel.n_taps), dtype=np.complex128)
+    clean = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
+    ref_p = np.empty((n_tech, trials))
+    rx_p = np.empty((n_tech, trials))
+    rms_drive = np.empty(trials)
+
+    def draw_frames():
+        for rows in blocks:
+            for i in range(rows.start, rows.stop):
+                bits[i] = rng.integers(0, 2, size=n_bits_frame)
+                taps[i] = sample_channel(s.channel, rng)
+            yield (rows,)
+
+    def transmit(rows: slice) -> None:
+        grids = _qpsk(bits[rows]).reshape(-1, s.frame_symbols, cfg.n_subcarriers)
+        x = synthesize_waveforms(grids, cfg).reshape(-1, frame_len)
+        compressed = None
         if params is not None:
             compressed = compress_waveform(x, params)
-            rms_drive = float(np.sqrt(np.mean(np.abs(compressed) ** 2)))
-        txs = [
-            _transmit(compressed if c else x, sk, r_dpd, design)
-            for c, sk, (r_dpd, _, design) in zip(companded, scenarios, reductions)
-        ]
-        p_ref = 0.0
+            rms_drive[rows] = np.sqrt(np.mean(np.abs(compressed) ** 2, axis=-1))
+        for k, (c, sk, (r_dpd, _, design)) in enumerate(zip(companded, scenarios, reductions)):
+            tx = _transmit(compressed if c else x, sk, r_dpd, design)
+            if own_ref[k]:
+                ref_p[k, rows] = np.mean(np.abs(tx) ** 2, axis=-1)
+            clean[k, rows] = apply_channel(tx, taps[rows], cfg.cp_length)
+            rx_p[k, rows] = np.mean(np.abs(clean[k, rows]) ** 2, axis=-1)
         if not all(own_ref):
-            ref = txs[ref_from] if ref_from is not None else _transmit(x, ref_s, 0.0, None)
-            p_ref = float(np.mean(np.abs(ref) ** 2))
-        for k in range(n_tech):
-            ref_power[k] += float(np.mean(np.abs(txs[k]) ** 2)) if own_ref[k] else p_ref
-        taps = sample_channel(s.channel, rng)
-        clean = np.stack([apply_channel(tx.ravel(), taps, cfg.cp_length) for tx in txs])
-        rx_powers.append([float(np.mean(np.abs(c) ** 2)) for c in clean])
-        frames.append((bits, clean, taps, rms_drive))
+            if ref_from is not None:
+                p_ref = ref_p[ref_from, rows]
+            else:
+                p_ref = np.mean(np.abs(_transmit(x, ref_s, 0.0, None)) ** 2, axis=-1)
+            for k in range(n_tech):
+                if not own_ref[k]:
+                    ref_p[k, rows] = p_ref
 
-    rx_power = [float(np.mean(p)) for p in zip(*rx_powers)]
+    run(transmit, draw_frames())
+
+    # a sequential sum in trial order, as the reference powers always were
+    ref_power = np.cumsum(ref_p, axis=1)[:, -1]
+    rx_power = [np.mean(p) for p in rx_p]
     # two measurement scales, both deterministic given the seed: the
     # demodulator lives in a world normalized by the nominal (baseline)
     # amplifier output power, so a technique that reclaims back-off
     # radiates its extra power rather than having it scaled away; the
     # rectifier sees its branch pinned to 1 mW ensemble mean, where the
     # thermal noise floor is irrelevant and therefore omitted
-    norm = [np.sqrt(1.0 / (p / s.trials)) for p in ref_power]
+    norm = [np.sqrt(1.0 / (p / trials)) for p in ref_power]
     rho = s.split.rho
     eh_pin = [np.sqrt(1e-3 / (p * max(rho, 1e-12))) for p in rx_power]
 
-    eta3_num = np.zeros((n_tech, s.trials))
-    eta3_den = np.full((n_tech, s.trials), np.nan)
-    ber = np.empty((n_tech, s.trials))
-    for i, (bits, clean, taps, rms_drive) in enumerate(frames):
-        if rho > 0.0:
-            for k in range(n_tech):
-                p_w = np.abs(clean[k] * (np.sqrt(rho) * eh_pin[k])) ** 2
-                eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
-                eta3_num[k, i] = float(np.sum(eff * p_w))
-                eta3_den[k, i] = float(np.sum(p_w))
-        normalized = np.stack([clean[k] * norm[k] for k in range(n_tech)])
-        _, info = split_branches(normalized, s.split, rng)
+    eta3_num = np.zeros((n_tech, trials))
+    eta3_den = np.full((n_tech, trials), np.nan)
+    ber = np.empty((n_tech, trials))
+
+    def draw_noise():
+        for rows in blocks:
+            yield rows, split_noise(s.split, rng, frame_len, (rows.stop - rows.start,))
+
+    def receive(rows: slice, noise: np.ndarray) -> None:
         for k in range(n_tech):
+            if rho > 0.0:
+                p_w = np.abs(clean[k, rows] * (np.sqrt(rho) * eh_pin[k])) ** 2
+                eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
+                eta3_num[k, rows] = np.sum(eff * p_w, axis=-1)
+                eta3_den[k, rows] = np.sum(p_w, axis=-1)
+            normalized = clean[k, rows] * norm[k]
+            _, info = split_branches(normalized, s.split, noise)
             scale = None
             if companded[k]:
                 # known amplitude bookkeeping from the compressed transmit
                 # waveform to the (noiseless) information-branch signal, so
                 # the expander operates in its design domain
-                rms_rx = np.sqrt((1.0 - rho) * float(np.mean(np.abs(normalized[k]) ** 2)))
-                scale = rms_rx / rms_drive if min(rms_drive, rms_rx) > 0 else 1.0
-            ber[k, i] = demodulate_and_ber(
-                info[k], taps, cfg, bits, params if companded[k] else None, scale,
+                rms_rx = np.sqrt((1.0 - rho) * np.mean(np.abs(normalized) ** 2, axis=-1))
+                drive = rms_drive[rows]
+                scale = np.ones_like(rms_rx)
+                np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
+            ber[k, rows] = demodulate_and_ber(
+                info, taps[rows], cfg, bits[rows], params if companded[k] else None, scale,
             )
+
+    run(receive, draw_noise())
 
     results = []
     for k, sk in enumerate(scenarios):
@@ -377,17 +433,18 @@ def run_scenario(s: Scenario) -> SweepResult:
 
 
 def table_pipeline(
-    base: Scenario | None = None, seed: int = 0, trials: int = 50
+    base: Scenario | None = None, seed: int = 0, trials: int = 50, threads: int = 1
 ) -> tuple[SweepResult, ...]:
     """Four-technique comparison under AWGN (the efficiency table).
 
     Returns one single-row SweepResult per technique, in the canonical
     order baseline, DPD, companding, DPD+companding, each named after its
-    technique; all four share one set of draws (see run_techniques).
+    technique; all four share one set of draws, processed by ``threads``
+    workers (see run_techniques).
     """
     base = replace(base if base is not None else Scenario(), trials=trials, seed=seed)
     out = []
-    for tech, res in zip(TABLE_TECHNIQUES, run_techniques(base, TABLE_TECHNIQUES)):
+    for tech, res in zip(TABLE_TECHNIQUES, run_techniques(base, TABLE_TECHNIQUES, threads)):
         row = replace(res.rows[0], axis_value=tech)
         named = replace(base, name=tech, technique=tech)
         out.append(replace(res, values=(tech,), rows=(row,), config_hash=config_hash(named)))
@@ -428,9 +485,10 @@ def sweep_techniques(
     Result k is bit-identical to sweep(axis, values, replace(base,
     technique=techniques[k]), threads).  Points get independent child
     seeds and may run in a thread pool; at each point every technique
-    shares one set of draws through run_techniques, so a point holds one
-    channel output per technique per trial in memory.  Rows are merged in
-    axis order regardless of completion order.
+    shares one set of draws through run_techniques, whose trial blocks run
+    on the point's own thread, so a point holds one channel output per
+    technique per trial in memory.  Rows are merged in axis order
+    regardless of completion order.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}")

@@ -72,29 +72,50 @@ class LinkMetrics:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def _cn(rng: np.random.Generator, size: int, variance: float) -> np.ndarray:
-    if variance == 0.0:
-        return np.zeros(size, dtype=np.complex128)
-    s = np.sqrt(variance / 2.0)
-    return s * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+def split_noise(
+    split: SplitConfig, rng: np.random.Generator, n: int, trials: tuple[int, ...] = ()
+) -> np.ndarray:
+    """The antenna, EH-branch and information-branch noise of
+    split_branches for the receptions indexed by trials, shape trials +
+    (3, n).
+
+    Each reception, in C order, draws its three noises of n samples in
+    turn, real part then imaginary part; a noise of variance 0 draws
+    nothing and is zero.  One call leaves rng where one split_branches
+    call per reception, in order, would.
+    """
+    variances = (split.sigma_a2, split.sigma_p2, split.sigma_p2)
+    z = rng.standard_normal(tuple(trials) + (sum(v != 0.0 for v in variances), 2, n))
+    noise = np.zeros(tuple(trials) + (3, n), dtype=np.complex128)
+    drawn = 0
+    for i, v in enumerate(variances):
+        if v != 0.0:
+            re, im = z[..., drawn, 0, :], z[..., drawn, 1, :]
+            noise[..., i, :] = np.sqrt(v / 2.0) * (re + 1j * im)
+            drawn += 1
+    return noise
 
 
 def split_branches(
-    y: np.ndarray, split: SplitConfig, rng: np.random.Generator
+    y: np.ndarray, split: SplitConfig, rng: np.random.Generator | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(EH branch, information branch) sample arrays for y of shape (..., n).
 
     One antenna-noise realization rides the signal into the splitter, so
     both branches see it scaled by their amplitude share; each branch then
-    adds its own processing noise.  The three draws have n samples each and
-    broadcast over the leading axes: the rows of a 2-D y are alternative
-    transmit waveforms received through one noise realization, and each row
-    gets exactly what a 1-D call on it alone would give.
+    adds its own processing noise.  rng is a Generator, which draws one
+    reception's noise, or the noise that split_noise drew for a block of
+    receptions, whose trial axes lead y's.  Each reception's noise
+    broadcasts over the remaining leading axes of y: those rows are
+    alternative transmit waveforms received through one noise realization,
+    and each row gets exactly what a 1-D call on it alone would give.
     """
-    n = y.shape[-1]
-    noisy = y + _cn(rng, n, split.sigma_a2)
-    eh = np.sqrt(split.rho) * noisy + _cn(rng, n, split.sigma_p2)
-    info = np.sqrt(1.0 - split.rho) * noisy + _cn(rng, n, split.sigma_p2)
+    noise = split_noise(split, rng, y.shape[-1]) if isinstance(rng, np.random.Generator) else rng
+    lead = noise.shape[:-2]
+    noise = noise.reshape(lead + (1,) * (y.ndim - len(lead) - 1) + noise.shape[-2:])
+    noisy = y + noise[..., 0, :]
+    eh = np.sqrt(split.rho) * noisy + noise[..., 1, :]
+    info = np.sqrt(1.0 - split.rho) * noisy + noise[..., 2, :]
     return eh, info
 
 
@@ -161,46 +182,56 @@ def harvested(
 
 def demodulate_and_ber(
     info_branch: np.ndarray,
-    taps: tuple[complex, ...],
+    taps,
     cfg: OfdmConfig,
     truth_bits: np.ndarray,
     expander: CompanderParams | None = None,
-    expander_scale: float | None = None,
-) -> float:
+    expander_scale=None,
+):
     """Demodulate the information branch and count bit errors.
 
-    Optional mu-law expansion runs first; ``expander_scale`` is the known
-    amplitude gain between the transmitted compressed waveform and this
-    branch, so the expander operates in the domain it was designed for.
-    Then per symbol: CP removal, DFT, single-tap zero-forcing with the
-    true subcarrier gains, and a hard QPSK decision.
+    Takes one frame, or a block of frames along the leading axes of
+    info_branch (..., samples), with their taps (..., n_taps), truth bits
+    (..., bits) and expander scales (...); returns the bit error rate of
+    each frame, a float for a single frame.  Optional mu-law expansion runs
+    first; ``expander_scale`` is the known amplitude gain between the
+    transmitted compressed waveform and this branch, so the expander
+    operates in the domain it was designed for.  Then per symbol: CP
+    removal, DFT, single-tap zero-forcing with the true subcarrier gains,
+    and a hard QPSK decision.
     """
-    y = info_branch
+    y = np.asarray(info_branch)
+    lead = y.shape[:-1]
     if expander is not None:
-        scale = 1.0 if expander_scale is None else expander_scale
-        if scale <= 0.0:
+        scale = np.broadcast_to(1.0 if expander_scale is None else expander_scale, lead)
+        if np.any(scale <= 0.0):
             raise ValueError("expander_scale must be positive")
+        scale = scale[..., None]
         yn = y / scale
         # noise can push samples far past the compressor's output range,
         # where the expander grows exponentially; saturate well above the
-        # legitimate domain so such samples stay finite
+        # legitimate domain so such samples stay finite.  Only the frames
+        # with such a sample are rescaled: (yn * m) / m is not always yn
         m = np.abs(yn)
         cap = 64.0 * expander.peak
-        if np.any(m > cap):
-            yn = yn * np.minimum(m, cap) / np.where(m > 0, m, 1.0)
+        over = np.any(m > cap, axis=-1)
+        if np.any(over):
+            m = m[over]
+            yn[over] = yn[over] * np.minimum(m, cap) / np.where(m > 0, m, 1.0)
         y = expand_waveform(yn, expander) * scale
     sym_len = cfg.n_samples + cfg.cp_length
-    if y.size % sym_len:
+    if y.shape[-1] % sym_len:
         raise ValueError(
-            f"branch length {y.size} is not a whole number of "
+            f"branch length {y.shape[-1]} is not a whole number of "
             f"{sym_len}-sample symbols"
         )
-    grid_hat = ofdm_demodulate(y.reshape(-1, sym_len), cfg)
-    h_k = subcarrier_gains(taps, cfg)
+    grid_hat = ofdm_demodulate(y.reshape(lead + (-1, sym_len)), cfg)
+    h_k = subcarrier_gains(np.asarray(taps).reshape(lead + (-1,)), cfg)
     if np.any(np.abs(h_k) == 0.0):
         raise ValueError("channel nulls a subcarrier, zero-forcing undefined")
-    bits_hat = demap_symbols((grid_hat / h_k).ravel())
-    truth = np.asarray(truth_bits).ravel()
-    if truth.size != bits_hat.size:
+    bits_hat = demap_symbols((grid_hat / h_k[..., None, :]).ravel()).reshape(lead + (-1,))
+    truth = np.asarray(truth_bits).reshape(lead + (-1,))
+    if truth.shape != bits_hat.shape:
         raise ValueError("truth bit count does not match the demodulated grid")
-    return float(np.mean(bits_hat != truth))
+    ber = np.mean(bits_hat != truth, axis=-1)
+    return float(ber) if not lead else ber

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -214,18 +214,31 @@ def papr_samples_many(
             # one transform's temporaries are freed before the next runs
             row[start:start + len(bits)] = _papr_rows(x if transform is None else transform(x))
 
+    run_bounded(measure, ((start, draw(start)) for start in range(0, n_trials, chunk)),
+                threads)
+    return out
+
+
+def run_bounded(work: Callable, jobs: Iterable[tuple], threads: int) -> None:
+    """Call work(*job) for every job on a pool of ``threads`` worker threads,
+    with at most 2 * threads jobs in flight.
+
+    ``jobs`` is iterated on the calling thread, and the next job only once
+    the oldest in flight is done when the window is full: jobs drawn from a
+    random stream are drawn in order and held in bounded memory.  Each job
+    must write its results where no other job writes.  The first exception
+    a job raises, in job order, is re-raised.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
-    # a bounded window: the next batch is drawn only once the oldest is done
     pending = deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, n_trials, chunk):
+        for job in jobs:
+            pending.append(pool.submit(work, *job))
             if len(pending) == 2 * threads:
                 pending.popleft().result()
-            pending.append(pool.submit(measure, start, draw(start)))
         for future in pending:
             future.result()
-    return out
 
 
 def _papr_rows(x: np.ndarray) -> np.ndarray:

@@ -168,7 +168,9 @@ def bussgang_estimate(reference, output) -> BussgangParams:
 
     K_L = E{x* g[x]} / E{|x|^2} and sigma_d^2 = E{|g[x]|^2} - |K_L|^2 E{|x|^2}
     with sample-mean estimators; sigma_d^2 is clamped at zero since tiny
-    negative values only arise from floating-point noise.
+    negative values only arise from floating-point noise.  The cross term
+    is a pairwise np.sum, not np.vdot, whose BLAS threading would make the
+    last digits depend on the core count.
     """
     x = np.asarray(reference, dtype=np.complex128)
     y = np.asarray(output, dtype=np.complex128)
@@ -177,7 +179,7 @@ def bussgang_estimate(reference, output) -> BussgangParams:
     p_in = float(np.mean(np.abs(x) ** 2))
     if p_in <= 0:
         raise ValueError("reference power is zero")
-    k = np.vdot(x, y) / (x.size * p_in)
+    k = np.sum(np.conj(x) * y) / (x.size * p_in)
     sigma_d2 = float(np.mean(np.abs(y) ** 2)) - abs(k) ** 2 * p_in
     return BussgangParams(float(k.real), max(float(sigma_d2), 0.0))
 

@@ -126,7 +126,7 @@ def test_main_exit_codes(tmp_path, capsys):
         assert "--threads" in capsys.readouterr().err
 
     # the serial subcommands reject a thread count instead of dropping it
-    for command in ("dpd-design", "e2e", "rate-energy"):
+    for command in ("dpd-design", "rate-energy"):
         for threads in ("1", "2"):
             out = tmp_path / f"serial_{command}_{threads}"
             assert main([command, "--config", ok_cfg, "--threads", threads,
@@ -170,6 +170,10 @@ def test_main_exit_codes(tmp_path, capsys):
         ("dpd-design", {"dpd": {"pa_order": True}}, "dpd.pa_order"),
         ("dpd-design", {"dpd": {"pa_order": 0}}, "dpd.pa_order"),
         ("dpd-design", {"dpd": {"inverse_order": 2.7}}, "dpd.inverse_order"),
+        # a reduction grid that runs past the back-off
+        ("dpd-design", {"pa": {"ibo_db": 1.0}}, "dpd.reduction_grid_db"),
+        ("dpd-design", {"pa": {"ibo_db": 3.0}, "dpd": {"reduction_grid_db": [0, 3.5]}},
+         "dpd.reduction_grid_db"),
         ("papr", {"papr": {"mu_grid": [-1.0, 1.25]}}, "papr.mu_grid"),
         ("papr", {"papr": {"mu_grid": []}}, "papr.mu_grid"),
         ("papr", {"papr": {"n_trials": 0}}, "papr.n_trials"),
@@ -395,19 +399,24 @@ def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
     # one pass per channel: each trial is synthesized once for all four
     # techniques (plus the DPD design's own two batches), and the baseline
     # amplifier output doubles as every technique's power reference, so a
-    # frame is amplified four times, not seven
+    # frame is amplified four times, not seven; the Monte Carlo works on
+    # blocks of frames, so frames are counted, not calls
     n = 3
     synth = {"experiments": 0, "ofdm": 0}
     for name, module in (("experiments", experiments), ("ofdm", ofdm)):
         def counting(grids, cfg, _real=module.synthesize_waveforms, _name=name):
-            synth[_name] += 1
+            # the Monte Carlo synthesizes (frames, symbols, N) blocks
+            synth[_name] += len(grids) if grids.ndim == 3 else 1
             return _real(grids, cfg)
         monkeypatch.setattr(module, "synthesize_waveforms", counting)
-    frame_sizes = []
+    frames = []
     real_am_am = pa.PaModel.am_am
 
     def counting_am_am(self, magnitude):
-        frame_sizes.append(magnitude.size)
+        # frames carry 2 symbols of 128 samples; the multitap channel adds
+        # a 4-sample prefix to each
+        if magnitude.shape[-1] in (2 * 128, 2 * 132):
+            frames.append(magnitude.size // magnitude.shape[-1])
         return real_am_am(self, magnitude)
 
     monkeypatch.setattr(pa.PaModel, "am_am", counting_am_am)
@@ -417,10 +426,34 @@ def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
     assert main(["e2e", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
     # the DPD design draws its training frame and probe through ofdm
     assert synth == {"experiments": 4 * n, "ofdm": 2}
-    # frames carry 2 symbols of 128 samples; the multitap channel adds a
-    # 4-sample prefix to each
-    frames = [s for s in frame_sizes if s in (2 * 128, 2 * 132)]
-    assert len(frames) == 4 * 4 * n
+    assert sum(frames) == 4 * 4 * n
+
+
+def test_e2e_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
+    # one trial per block, so several blocks are in flight at once
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", 16 * 2 * 128)
+    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "split": {"rho": 0.5},
+                               "scenario": {"trials": 5, "frame_symbols": 2}})
+    outputs = set()
+    for i, flag in enumerate((["--threads", "1"], ["--threads", "2"], [])):
+        out = tmp_path / f"e2e{i}"
+        assert main(["e2e", "--config", cfg, "--out", str(out), *flag]) == EXIT_OK
+        outputs.add(tuple((out / name).read_bytes()
+                          for name in ("technique_table.csv", "channel_metrics.csv")))
+    assert len(outputs) == 1
+
+
+def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
+    # the script lengthens the cyclic prefix for a frequency-selective
+    # channel as the CLI does
+    script = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--channel", "rayleigh_multitap", "--trials", "2",
+         "--rho", "0.5", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "rate_energy_companding_rayleigh_multitap.csv").read_text().splitlines()
+    assert lines[-1].startswith("0.5,")
 
 
 def test_import_skips_scipy_stats():

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swiptsim
 from swiptsim import dpd
 from swiptsim.dpd import (
     DpdDesign,
@@ -16,7 +21,7 @@ from swiptsim.dpd import (
     probe_evm,
     save_design,
 )
-from swiptsim.ofdm import OfdmConfig
+from swiptsim.ofdm import OfdmConfig, ofdm_demodulate, random_frames
 from swiptsim.pa import PaModel, amplify
 
 CFG = OfdmConfig()
@@ -117,18 +122,59 @@ def test_design_ignores_cyclic_prefix():
 
 
 def test_search_stops_at_first_crossing(monkeypatch):
+    # one EVM per chain evaluation; the chain amplifies its probe in blocks
     calls = 0
 
     def counting_chain(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return amplify(*args, **kwargs)
+        return evm(*args, **kwargs)
 
-    monkeypatch.setattr(dpd, "amplify", counting_chain)
+    monkeypatch.setattr(dpd, "evm", counting_chain)
     design = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)
     assert design.ibo_reduction_db == pytest.approx(2.477963727712632, abs=1e-9)
     # baseline, grid 0..2.5 dB up to the crossing, 24 bisection steps
     assert calls <= 52
+
+
+def test_probe_evm_blocks_bit_identical(monkeypatch):
+    # the probe is amplified and demodulated in blocks of symbols; any
+    # block size gives the EVM of the whole probe in one piece
+    design = design_from_scratch(PA, CFG, seed=0)
+    grids, x = random_frames(CFG, 64, np.random.default_rng(5))
+    expected = []
+    for ibo, fit in ((8.0, None), (5.5, design.inverse_fit)):
+        y = amplify(x, PA, ibo, fit)
+        expected.append(evm(grids, ofdm_demodulate(y.reshape(64, -1), CFG)))
+    symbol_bytes = 16 * CFG.n_samples
+    for symbols in (1, 3, 8, 64, 100):
+        monkeypatch.setattr(dpd, "_BLOCK_BYTES", symbols * symbol_bytes)
+        chain_evm = probe_evm(PA, CFG, seed=5)
+        assert [chain_evm(8.0), chain_evm(5.5, design.inverse_fit)] == expected, symbols
+
+
+def test_design_does_not_depend_on_blas_threads():
+    # BLAS threads long dot products, so np.vdot's last digits followed the
+    # core count; the pairwise sums of evm and bussgang_estimate do not
+    code = (
+        "import numpy as np\n"
+        "from swiptsim.dpd import design_from_scratch\n"
+        "from swiptsim.ofdm import OfdmConfig\n"
+        "from swiptsim.pa import PaModel, amplify, bussgang_estimate\n"
+        "pa = PaModel.sspa(smoothness=1.2)\n"
+        "d = design_from_scratch(pa, OfdmConfig(), 8.0, seed=0)\n"
+        "x = np.random.default_rng(0).standard_normal(1 << 17) + 0j\n"
+        "b = bussgang_estimate(x, amplify(x, pa, 4.0))\n"
+        "print(repr((d.ibo_reduction_db, d.evm_baseline, d.evm_with_dpd, b.k_l, b.sigma_d2)))\n"
+    )
+    outputs = set()
+    for blas_threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+               "PYTHONPATH": str(Path(swiptsim.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_chain_evm_monotone_in_reduction():

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swiptsim import experiments
 from swiptsim.channel import CHANNEL_KINDS, ChannelSpec
 from swiptsim.companding import (
     CompanderParams,
@@ -323,6 +325,41 @@ def test_run_techniques_matches_single_runs(techniques, kind, rho_zero, sigma_p2
         _assert_same_result(res, run_scenario(replace(s, technique=tech)))
 
 
+@given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),
+       rho_zero=st.booleans(), sigma_p2=st.sampled_from((0.0, 1e-3)),
+       trials=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_run_techniques_blocks_and_threads_bit_identical(techniques, kind, rho_zero,
+                                                         sigma_p2, trials, seed):
+    # neither the trials per block nor the worker count touches a result
+    s = _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed)
+    frame_bytes = 16 * s.frame_symbols * (s.ofdm.n_samples + s.ofdm.cp_length)
+    reference = run_techniques(s, techniques)
+    for per_block in (1, 2, 3, trials):
+        for threads in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(experiments, "_BLOCK_BYTES", per_block * frame_bytes)
+                blocked = run_techniques(s, techniques, threads)
+            for a, b in zip(blocked, reference):
+                _assert_same_result(a, b)
+
+
+def test_run_techniques_pool_stress(monkeypatch):
+    # more workers than cores, one trial per block and a short switch
+    # interval: every block's slice of the shared result arrays arrives
+    s = _tiny_scenario("rayleigh_multitap", False, 1e-3, 24, 11)
+    reference = run_techniques(s, TECHNIQUES)
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = run_techniques(s, TECHNIQUES, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(stressed, reference):
+        _assert_same_result(a, b)
+
+
 def test_run_techniques_reference_without_baseline():
     # an explicit reduction moves the baseline off the nominal back-off, so
     # its own waveform is no longer the other techniques' power reference
@@ -340,6 +377,8 @@ def test_run_techniques_validation():
         run_techniques(s, ("baseline", "baseline"))
     with pytest.raises(ValueError, match="technique"):
         run_techniques(s, ("beamforming",))
+    with pytest.raises(ValueError, match="threads"):
+        run_techniques(s, ("baseline",), threads=0)
 
 
 @given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),

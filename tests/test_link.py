@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from swiptsim import link
 from swiptsim.channel import ChannelSpec, apply_channel, sample_channel
 from swiptsim.companding import CompanderParams, mu_law_noise_factor
 from swiptsim.experiments import Scenario, closed_form
@@ -227,6 +228,39 @@ def test_tiny_mu_expander_matches_plain_receiver():
                                   expander_scale=1.0)
     assert plain > 0.0
     assert expanded == plain
+
+
+def test_demodulate_block_caps_the_expander_row_by_row(monkeypatch):
+    # a block of frames demodulates exactly as each frame alone, and the
+    # expander cap rescales only the frames with a sample beyond it
+    cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2, cp_length=4)
+    rng = np.random.default_rng(19)
+    frames = [_build_frame(cfg, rng, 2) for _ in range(3)]
+    bits = np.stack([b for b, _ in frames])
+    rx = np.stack([x for _, x in frames])
+    taps = np.array([sample_channel(ChannelSpec(kind="rayleigh_multitap"), rng)
+                     for _ in range(3)])
+    rx = np.stack([apply_channel(x, t, cfg.cp_length) for x, t in zip(rx, taps)])
+    rx = rx + 0.05 * (rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape))
+    params = CompanderParams.default()
+    scale = np.array([0.7, 1.0, 1.3])
+    rx[1, 10] = 100.0 * params.peak  # beyond the cap of 64 x peak
+    expanded = []
+    real_expand = link.expand_waveform
+
+    def recording_expand(waveform, p):
+        expanded.append(waveform.copy())
+        return real_expand(waveform, p)
+
+    monkeypatch.setattr(link, "expand_waveform", recording_expand)
+    block = demodulate_and_ber(rx, taps, cfg, bits, params, scale)
+    alone = [demodulate_and_ber(rx[i], tuple(taps[i]), cfg, bits[i], params, float(scale[i]))
+             for i in range(3)]
+    np.testing.assert_array_equal(block, alone)
+    np.testing.assert_array_equal(expanded[0], np.stack(expanded[1:]))
+    capped = np.abs(expanded[0]) > 64.0 * params.peak * (1 - 1e-12)
+    assert capped.any(axis=-1).tolist() == [False, True, False]
+    assert np.isfinite(block).all()
 
 
 def test_demodulate_rejections():
