@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate src/swiptsim/data/rectenna_default.csv.
+"""Regenerate src/swiptsim/data/rectenna_default.csv and its fitted curve.
 
 The default rectenna curve is a logistic rise times a logistic fall,
 
@@ -10,6 +10,12 @@ solved (see --resolve) so that the curve passes through eta3 = 0.434 at
 0 dBm both pointwise and as the power-weighted average over a clipped
 OFDM envelope whose mean power is normalized to 0 dBm.  The fall side is
 shaped to put the peak near +3.5 dBm with a breakdown-like decline.
+
+Every run also fits the written CSV (the same spline fit as any
+calibration file, which needs scipy) and writes the knots and segments as
+repr floats to src/swiptsim/_rectenna_default.py; the package reads the
+default curve from that module, so the two files are always regenerated
+together.
 
 Run from the repo root:
 
@@ -22,7 +28,10 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "swiptsim"
+sys.path.insert(0, str(PACKAGE.parent))
+CSV_PATH = PACKAGE / "data" / "rectenna_default.csv"
+MODULE_PATH = PACKAGE / "_rectenna_default.py"
 
 RISE_C = 1.290
 RISE_W = 5.0
@@ -76,9 +85,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolve", action="store_true",
                     help="re-run the 0.434 anchor solve and print drift")
-    ap.add_argument("--out", type=pathlib.Path,
-                    default=pathlib.Path(__file__).resolve().parents[1]
-                    / "src" / "swiptsim" / "data" / "rectenna_default.csv")
     args = ap.parse_args()
 
     if args.resolve:
@@ -96,9 +102,34 @@ def main():
     ]
     for p, e in zip(GRID_DBM, eta):
         lines.append(f"{p:.1f},{e:.8f}")
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {args.out} ({len(GRID_DBM)} rows)")
+    CSV_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {CSV_PATH} ({len(GRID_DBM)} rows)")
+    MODULE_PATH.write_text(frozen_module(CSV_PATH), encoding="utf-8")
+    print(f"wrote {MODULE_PATH}")
+
+
+def frozen_module(csv_path: pathlib.Path) -> str:
+    """Source of the module holding the fitted curve of csv_path."""
+    from swiptsim.harvester import load_calibration
+
+    curve = load_calibration(csv_path)
+    lines = [
+        '"""The default rectenna curve: the fit of data/rectenna_default.csv.',
+        "",
+        "Generated by scripts/build_rectenna_calibration.py together with the CSV;",
+        "do not edit.  Each segment is (c3, c2, c1, c0) in powers of p - knot.",
+        '"""',
+        "",
+        "KNOTS = (",
+        *(f"    {k!r}," for k in curve.knots),
+        ")",
+        "SEGMENTS = (",
+        *(f"    ({', '.join(repr(c) for c in seg)})," for seg in curve.segments),
+        ")",
+        f"SENSITIVITY_DBM = {curve.sensitivity_dbm!r}",
+        f"SATURATION_DBM = {curve.saturation_dbm!r}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ are rejected with their location.  Schema (defaults in parentheses):
   ofdm:        n_subcarriers (512), oversampling_factor (4), cp_length (0)
   pa:          kind ("sspa" | "soft_limiter" | "polynomial"), a_sat (1.0),
                smoothness (1.2; sspa only), coeffs (polynomial only: a
-               non-empty list of finite numbers), ibo_db (8.0)
+               non-empty list of finite numbers), ibo_db (8.0, >= 0)
   split:       rho (1 - 1e-6), sigma_a2 (1e-3), sigma_p2 (1e-3)
   channel:     kind ("awgn"), rice_k_db (20), pdp_db ([0,-10,-20]; a list
                of finite numbers starting at 0)
@@ -198,6 +198,8 @@ def build_pa(cfg: dict) -> tuple[PaModel, OperatingPoint]:
         section["coeffs"] = tuple(_floats(section, "coeffs", None, "pa"))
     pa = _build(PaModel, "pa", section)
     op = _build(OperatingPoint, "pa.ibo_db", {"ibo_db": ibo})
+    if op.ibo_db < 0.0:
+        raise ConfigError(f"config section 'pa.ibo_db': must be non-negative, got {ibo}")
     return pa, op
 
 

@@ -15,7 +15,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ofdm import OfdmConfig, papr_quantile_db, papr_samples_many, random_frames
 from .pa import (
@@ -99,18 +98,35 @@ def companded_snr(
     return 1.0 / denom
 
 
+def _gauss_legendre_panels(edges: Sequence[float], order: int) -> tuple[np.ndarray, np.ndarray]:
+    t, w = np.polynomial.legendre.leggauss(order)
+    half = np.diff(edges) / 2.0
+    mid = (np.asarray(edges[:-1]) + np.asarray(edges[1:])) / 2.0
+    return (np.concatenate([h * t + m for h, m in zip(half, mid)]),
+            np.concatenate([h * w for h in half]))
+
+
+# 32-node Gauss-Legendre rules on panels that crowd toward r = 0, where the
+# mu-law curve bends most; a single 100-node rule on [0, 10] is off by 4e-9
+_R_NODES, _R_WEIGHTS = _gauss_legendre_panels((0.0, 0.01, 0.1, 1.0, 4.0, 10.0), 32)
+
+
 def compressed_power_gain(params: CompanderParams) -> float:
     """Mean-power gain s^2 = E[F_C(m)^2] of compression on a unit-power envelope.
 
-    Evaluated by quadrature over the Rayleigh envelope density 2 r exp(-r^2),
-    so the result is deterministic.  Compression lifts the body of the
-    envelope distribution toward the peak, raising average power while the
-    peak stays put; this is what lets the amplifier run closer to
-    saturation at an unchanged clipping level.
+    Evaluated by quadrature over the Rayleigh envelope density 2 r exp(-r^2)
+    on [0, 10], so the result is deterministic: a composite 32-node
+    Gauss-Legendre rule on the panels [0, 0.01, 0.1, 1, 4, 10].  For mu from
+    1e-3 to 255 it is within 1.1e-15 relative of scipy's adaptive quad run
+    at epsrel 1e-13 (quad at its default tolerance errs by up to 2e-7,
+    near mu = 78.6, but agrees within 1.1e-15 on the mu grid 0.25..4).
+    Compression lifts the body of the envelope distribution toward the
+    peak, raising average power while the peak stays put; this is what lets
+    the amplifier run closer to saturation at an unchanged clipping level.
     """
-    fc2 = lambda r: compress_magnitude(r, params) ** 2 * 2.0 * r * math.exp(-r * r)
-    val, _ = quad(fc2, 0.0, 10.0)
-    return val
+    r = _R_NODES
+    fc2 = compress_magnitude(r, params) ** 2 * 2.0 * r * np.exp(-r * r)
+    return float(np.sum(_R_WEIGHTS * fc2))
 
 
 def companding_ibo_reduction_db(params: CompanderParams) -> float:

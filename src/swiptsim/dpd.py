@@ -177,7 +177,9 @@ def design_ibo_reduction(
     that lands out of band does not count against either chain.  The grid
     of step_db increments is scanned upward and stops at the first EVM
     crossing: the first point above the target, unless its EVM is below
-    DISTORTION_FREE_EVM (such a chain is scanned to the upper bound).
+    DISTORTION_FREE_EVM (such a chain is scanned to the upper bound).  A
+    baseline EVM below DISTORTION_FREE_EVM is round-off, not distortion:
+    the design is degenerate at the upper bound without a scan.
     Bisection between the last feasible point before the crossing and the
     crossing refines it to a millidB.  A non-monotone note covers only the
     scanned part of the grid.  The same waveform block is reused for every
@@ -201,6 +203,13 @@ def design_ibo_reduction(
             degenerate=degenerate,
             notes=tuple(notes),
         )
+
+    if evm_base < DISTORTION_FREE_EVM:
+        # a linear amplifier leaves only round-off, which no predistorted
+        # chain can match: there is no distortion to trade for back-off
+        notes.append("distortion-free baseline: reduction set to the search's upper bound")
+        log.info("degenerate design: EVM is zero at the baseline")
+        return design(float(max_reduction_db), evm_dpd(max_reduction_db), degenerate=True)
 
     grid = np.arange(0.0, max_reduction_db + 1e-9, step_db)
     scanned = []

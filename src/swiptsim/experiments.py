@@ -30,12 +30,12 @@ import hashlib
 import json
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .channel import ChannelSpec, apply_channel, sample_channel
 from .companding import (
@@ -62,6 +62,15 @@ from .pa import OperatingPoint, PaModel, amplify, bussgang_analytic_sl, efficien
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
 TABLE_TECHNIQUES = ("baseline", "dpd", "companding", "dpd_companding")
 N_CI_BATCHES = 20
+# Student-t 97.5% quantiles for 1..N_CI_BATCHES - 1 degrees of freedom,
+# scipy.special.stdtrit(d, 0.975) as repr floats
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087,
+)
 
 
 @dataclass(frozen=True)
@@ -228,7 +237,7 @@ def _batch_ci(samples: np.ndarray) -> float:
     if b < 2:
         return float("nan")
     means = np.array([chunk.mean() for chunk in np.array_split(samples, b)])
-    return float(stdtrit(b - 1, 0.975) * means.std(ddof=1) / np.sqrt(b))
+    return float(_T975[b - 2] * means.std(ddof=1) / np.sqrt(b))
 
 
 # run_techniques works on blocks of trials of about this many bytes of
@@ -507,8 +516,6 @@ def sweep_techniques(
     ]
     run = partial(run_techniques, techniques=techniques)
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, points))
     else:

@@ -5,7 +5,12 @@ rectenna whose conversion efficiency depends on instantaneous input power.
 The curve is a least-squares piecewise cubic over user-marked knots,
 loaded from a calibration CSV.  A default calibration shaped like a
 single-diode rectifier (sensitivity floor, rising efficiency, peak, then
-breakdown decline) ships with the package.
+breakdown decline) ships with the package as ``data/rectenna_default.csv``.
+Its fitted knots and segments are frozen in the generated module
+``_rectenna_default.py`` (both written by
+``scripts/build_rectenna_calibration.py``), so the default curve needs no
+spline fit and no scipy at run time; a user calibration file is fitted
+with scipy when it is loaded.
 """
 
 from __future__ import annotations
@@ -14,11 +19,9 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import LSQUnivariateSpline, PPoly
 
 _WATT_FLOOR = 1e-15
 
@@ -38,9 +41,10 @@ class RectennaCurve:
         if any(b <= a for a, b in zip(self.knots, self.knots[1:])):
             raise ValueError("knots must be strictly ascending")
 
-    def _ppoly(self) -> PPoly:
-        c = np.array(self.segments).T
-        return PPoly(c, np.asarray(self.knots))
+    @cached_property
+    def _cubic(self) -> _PiecewiseCubic:
+        """The raw piecewise cubic, clipped to the knot range."""
+        return _PiecewiseCubic(self.knots, self.segments)
 
     def eta3(self, p_in_dbm) -> np.ndarray:
         """Efficiency at the given input power(s); zero below sensitivity,
@@ -54,15 +58,66 @@ class RectennaCurve:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        val = self._ppoly()(np.clip(p, self.knots[0], hi))
+        val = self._cubic(p)
         val = np.where(p < self.sensitivity_dbm, 0.0, val)
         return np.clip(val, 0.0, 1.0)
+
+
+class _PiecewiseCubic:
+    """A piecewise cubic evaluated at x clipped to its knot range, bit for
+    bit as scipy's PPoly evaluates it: intervals closed on the left (the
+    last also on the right), and the powers summed from the constant term
+    up; Horner's rule rounds differently.  A segment is (c3, c2, c1, c0),
+    highest power first.
+
+    The interval search starts from a uniform grid of cells over the knot
+    range (at most MAX_CELLS), and refines by comparing with the knots: a
+    few passes over the samples where a binary search branches on each.
+    """
+
+    MAX_CELLS = 4096
+
+    def __init__(self, knots, segments):
+        k = np.asarray(knots, dtype=float)
+        c = np.asarray(segments, dtype=float)
+        self.lo, self.hi = k[0], k[-1]
+        # cells a quarter of the narrowest knot gap need one refinement step
+        self.cells = int(min(self.MAX_CELLS, np.ceil(4.0 * (self.hi - self.lo)
+                                                     / np.diff(k).min())))
+        h = (self.hi - self.lo) / self.cells
+        self.inv_h = 1.0 / h
+        # the interior knots at or below the cell edges e[-1] .. e[cells + 1];
+        # a sample in cell j lies in (e[j - 1], e[j + 2]] despite round-off,
+        # so it is at most `steps` knots past the count at e[j - 1]
+        below = np.searchsorted(k[1:-1], self.lo + np.arange(-1, self.cells + 2) * h,
+                                side="right")
+        self.first = below[:self.cells].copy()
+        self.steps = int(np.max(below[3:] - below[:self.cells]))
+        self.bounds = np.append(k[1:-1], np.inf)
+        self.starts = k[:-1].copy()
+        self.c0, self.c1, self.c2, self.c3 = (np.ascontiguousarray(c[:, 3 - j])
+                                              for j in range(4))
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        # fmin also sends NaN, whose result is NaN in any cell, to the last cell
+        i = self.first[np.fmin((x - self.lo) * self.inv_h, self.cells - 1).astype(np.intp)]
+        for _ in range(self.steps):
+            i += x >= self.bounds[i]
+        d = x - self.starts[i]
+        res = self.c0[i]
+        res += self.c1[i] * d
+        z = d * d
+        res += self.c2[i] * z
+        z *= d
+        res += self.c3[i] * z
+        return res
 
 
 def _validate_curve(curve: RectennaCurve, where: str) -> None:
     lo, hi = curve.knots[0], curve.knots[-1]
     grid = np.linspace(lo, hi, 4001)
-    vals = curve._ppoly()(grid)
+    vals = curve._cubic(grid)
     if vals.min() < -1e-6 or vals.max() > 1.0 + 1e-6:
         raise ValueError(
             f"{where}: fitted efficiency leaves [0, 1] "
@@ -78,10 +133,9 @@ def _validate_curve(curve: RectennaCurve, where: str) -> None:
     if np.any(np.diff(before) < -1e-3):
         raise ValueError(f"{where}: efficiency is not single-peaked")
     # segment continuity at the interior breakpoints
-    pp = curve._ppoly()
     for k in curve.knots[1:-1]:
-        left = pp(k - 1e-9)
-        right = pp(k + 1e-9)
+        left = curve._cubic(k - 1e-9)
+        right = curve._cubic(k + 1e-9)
         if abs(left - right) > 1e-6:
             raise ValueError(f"{where}: discontinuity at knot {k:g} dBm")
 
@@ -201,6 +255,8 @@ def load_calibration(path_or_text, where: str = "calibration") -> RectennaCurve:
     if bad:
         raise ValueError(f"{where}: knots {bad} outside the data range")
 
+    from scipy.interpolate import LSQUnivariateSpline, PPoly
+
     spline = LSQUnivariateSpline(powers, effs, t=interior, k=3)
     pp = PPoly.from_spline(spline._eval_args)
     # PPoly.from_spline repeats boundary breakpoints; keep unique intervals
@@ -209,7 +265,7 @@ def load_calibration(path_or_text, where: str = "calibration") -> RectennaCurve:
     segments = tuple(tuple(float(c) for c in pp.c[:, j]) for j in keep)
 
     dense = np.linspace(powers[0], powers[-1], 4001)
-    fitted = PPoly(np.array(segments).T, np.asarray(knots))(dense)
+    fitted = _PiecewiseCubic(knots, segments)(dense)
     curve = RectennaCurve(
         knots=knots,
         segments=segments,
@@ -222,5 +278,15 @@ def load_calibration(path_or_text, where: str = "calibration") -> RectennaCurve:
 
 @lru_cache(maxsize=1)
 def default_rectenna() -> RectennaCurve:
-    res = resources.files("swiptsim").joinpath("data/rectenna_default.csv")
-    return load_calibration(res)
+    """The packaged default curve: the fit of data/rectenna_default.csv,
+    read from its frozen copy and validated like any other fit."""
+    from . import _rectenna_default
+
+    curve = RectennaCurve(
+        knots=_rectenna_default.KNOTS,
+        segments=_rectenna_default.SEGMENTS,
+        sensitivity_dbm=_rectenna_default.SENSITIVITY_DBM,
+        saturation_dbm=_rectenna_default.SATURATION_DBM,
+    )
+    _validate_curve(curve, "default rectenna")
+    return curve

@@ -11,12 +11,12 @@ and amplifier chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import erfc
 
 MAX_CLASS_A_EFFICIENCY = 0.5
 
@@ -198,7 +198,7 @@ def bussgang_analytic_sl(op: OperatingPoint) -> BussgangParams:
     if nu <= 0:
         raise ValueError("nu must be positive")
     a_c = op.clipping_level
-    bracket = 1.0 - np.exp(-(nu**2)) + (np.sqrt(np.pi) * nu / 2.0) * erfc(nu)
+    bracket = 1.0 - np.exp(-(nu**2)) + (np.sqrt(np.pi) * nu / 2.0) * math.erfc(nu)
     k_l = (a_c / nu) * bracket
     sigma_d2 = (a_c / nu) ** 2 * (1.0 - np.exp(-(nu**2))) - k_l**2
     return BussgangParams(float(k_l), max(float(sigma_d2), 0.0))

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from swiptsim.cli import (
     main,
     validate_config,
 )
+from swiptsim.harvester import EhModel
 from swiptsim.link import SplitConfig
 
 SMALL_OFDM = {"n_subcarriers": 64, "oversampling_factor": 2}
@@ -174,6 +176,11 @@ def test_main_exit_codes(tmp_path, capsys):
         ("dpd-design", {"pa": {"ibo_db": 1.0}}, "dpd.reduction_grid_db"),
         ("dpd-design", {"pa": {"ibo_db": 3.0}, "dpd": {"reduction_grid_db": [0, 3.5]}},
          "dpd.reduction_grid_db"),
+        # a negative back-off, even with a grid that stays below it
+        ("dpd-design", {"pa": {"ibo_db": -1.0}, "dpd": {"reduction_grid_db": [-2.0]}},
+         "pa.ibo_db"),
+        ("e2e", {"pa": {"ibo_db": -1.0}}, "pa.ibo_db"),
+        ("rate-energy", {"pa": {"ibo_db": -1.0}}, "pa.ibo_db"),
         ("papr", {"papr": {"mu_grid": [-1.0, 1.25]}}, "papr.mu_grid"),
         ("papr", {"papr": {"mu_grid": []}}, "papr.mu_grid"),
         ("papr", {"papr": {"n_trials": 0}}, "papr.n_trials"),
@@ -456,13 +463,52 @@ def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
     assert lines[-1].startswith("0.5,")
 
 
-def test_import_skips_scipy_stats():
-    # scipy.stats costs about 0.4 s and 17 MB on import; nothing needs it
-    code = "import sys, swiptsim.cli; print('scipy.stats' in sys.modules)"
+_SCIPY_PROBE = """
+import json, sys
+from swiptsim.cli import main
+cfg, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
+codes = [main([c, "--config", cfg, "--out", f"{out}/{c}"]) for c in commands]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def _scipy_after(tmp_path, cfg: dict, commands: tuple[str, ...]):
+    """(exit codes, scipy modules loaded) after running the commands in a
+    fresh interpreter."""
+    path = write_cfg(tmp_path, cfg, "scipy_probe.json")
     env = {**os.environ, "PYTHONPATH": str(Path(swiptsim.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, path, str(tmp_path / "o"),
+                           *commands], capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy costs about 0.6 s and 45 MB on import: the package imports it
+    # only to fit a user calibration file
+    small = {
+        "ofdm": SMALL_OFDM,
+        "scenario": {"trials": 2, "frame_symbols": 1},
+        "papr": {"n_trials": 20},
+        "mu_sweep": {"papr_trials": 20},
+        "dpd": {"reduction_grid_db": [0.0, 1.0, 1.0]},
+        "ber": {"ebn0_db": [4.0], "channels": ["awgn"]},
+    }
+    commands = ("papr", "dpd-design", "mu-sweep", "e2e", "ber", "rate-energy")
+    codes, loaded = _scipy_after(tmp_path, small, commands)
+    assert codes == [EXIT_OK] * 6
+    assert loaded == []
+
+
+def test_calibration_file_fits_with_scipy(tmp_path):
+    csv_text = (resources.files("swiptsim") / "data" / "rectenna_default.csv").read_text()
+    cal = tmp_path / "cal.csv"
+    cal.write_text(csv_text)
+    cfg = {"ofdm": SMALL_OFDM, "eh": {"calibration": str(cal)}}
+    codes, loaded = _scipy_after(tmp_path, cfg, ("rate-energy",))
+    assert codes == [EXIT_OK]
+    assert "scipy.interpolate" in loaded
+    # the same curve as the packaged default
+    assert build_eh(cfg).curve == EhModel.default().curve
 
 
 def test_dpd_design_outputs(tmp_path):

@@ -116,6 +116,26 @@ def test_compressed_power_gain_golden():
     )
 
 
+def test_compressed_power_gain_matches_adaptive_quadrature():
+    from scipy.integrate import quad
+
+    def by_quad(params, **tol):
+        fc2 = lambda r: compress_magnitude(r, params) ** 2 * 2.0 * r * math.exp(-r * r)
+        return quad(fc2, 0.0, 10.0, **tol)[0]
+
+    a = ensemble_peak()
+    # the mu-sweep grid, against quad at its default tolerance
+    for mu in np.arange(0.25, 4.01, 0.25):
+        params = CompanderParams(mu=float(mu), peak=a)
+        assert compressed_power_gain(params) == pytest.approx(by_quad(params), rel=1e-14)
+    # up to mu = 255 against a tight quad: at its default tolerance quad
+    # itself is off by up to 2e-7 (near mu = 78.6)
+    for mu in np.geomspace(1e-3, 255.0, 40):
+        params = CompanderParams(mu=float(mu), peak=a)
+        tight = by_quad(params, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert compressed_power_gain(params) == pytest.approx(tight, rel=1e-14), mu
+
+
 def test_power_gain_increasing_in_mu():
     gains = [
         compressed_power_gain(CompanderParams(mu=m, peak=ensemble_peak()))

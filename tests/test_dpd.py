@@ -203,6 +203,17 @@ def test_degenerate_design_flagged():
     assert any("upper bound" in n for n in design.notes)
 
 
+def test_linear_amplifier_design_is_degenerate():
+    # the baseline EVM of a linear amplifier is round-off, which the
+    # predistorted chain's own round-off cannot match
+    design = design_from_scratch(PaModel.polynomial([0.0, 1.0]), CFG)
+    assert design.evm_baseline < 1e-12
+    assert design.degenerate
+    assert design.ibo_reduction_db == 8.0
+    assert not any("already exceeds" in n for n in design.notes)
+    assert any("upper bound" in n for n in design.notes)
+
+
 def test_infeasible_inverse_returns_zero():
     hard = PaModel.sspa(smoothness=3.0)
     amp_in, amp_out = make_training_set(hard, CFG, seed=0)

@@ -411,6 +411,14 @@ def test_table_pipeline_matches_per_technique_runs():
         0.43343242515960223, 0.4312129417061382, 0.44204842167760944, 0.4435557679042033]
 
 
+def test_t_table_matches_scipy_stdtrit():
+    from scipy.special import stdtrit
+
+    assert len(experiments._T975) == experiments.N_CI_BATCHES - 1
+    for d, q in enumerate(experiments._T975, start=1):
+        assert q == float(stdtrit(d, 0.975)), d
+
+
 def test_batch_ci_matches_student_t_quantile():
     # scipy.special.stdtrit stands in for scipy.stats.t.ppf, which costs a
     # slow import; the half-widths are bit-identical for every batch count

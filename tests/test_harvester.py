@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,6 @@ def test_default_curve_flat_extrapolation_warns():
 def test_default_curve_reproduces_its_own_table():
     curve = default_rectenna()
     import csv
-    from importlib import resources
 
     rows = []
     text = resources.files("swiptsim").joinpath("data/rectenna_default.csv").read_text()
@@ -69,6 +70,57 @@ def test_default_curve_reproduces_its_own_table():
     effs = np.array([r[1] for r in rows])
     drift = np.max(np.abs(curve.eta3(powers) - effs))
     assert drift < 1e-3
+
+
+def test_default_curve_is_the_fit_of_the_packaged_csv():
+    # the frozen module and the CSV are regenerated together; editing one
+    # alone fails here
+    csv_path = resources.files("swiptsim") / "data" / "rectenna_default.csv"
+    fitted = load_calibration(csv_path)
+    frozen = default_rectenna()
+    assert frozen.knots == fitted.knots
+    assert frozen.segments == fitted.segments
+    assert frozen.sensitivity_dbm == fitted.sensitivity_dbm
+    assert frozen.saturation_dbm == fitted.saturation_dbm
+
+
+def test_piecewise_kernel_matches_scipy_ppoly():
+    from scipy.interpolate import PPoly
+
+    curve = default_rectenna()
+    knots = np.asarray(curve.knots)
+    pp = PPoly(np.array(curve.segments).T, knots)
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        rng.uniform(knots[0] - 5.0, knots[-1] + 5.0, 10**6),
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [-np.inf, np.inf, np.nan],
+    ])
+    # the kernel clips to the knot range, as eta3 did before calling PPoly
+    inside = np.clip(x, knots[0], knots[-1])
+    assert np.array_equal(curve._cubic(x), pp(inside), equal_nan=True)
+    # any shape, as eta3 is called on blocks of frames
+    block = x[:6000].reshape(3, 2000)
+    assert np.array_equal(curve._cubic(block), pp(inside[:6000]).reshape(3, 2000))
+    assert curve._cubic(1.5) == pp(1.5)
+
+
+def test_piecewise_kernel_matches_ppoly_on_uneven_knots():
+    # knot gaps over seven decades: the search grid is capped and takes
+    # several refinement steps per point
+    from scipy.interpolate import PPoly
+
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        knots = np.cumsum(np.concatenate([[-40.0], 10.0 ** rng.uniform(-6, 1, 60)]))
+        segments = rng.normal(size=(knots.size - 1, 4))
+        curve = RectennaCurve(knots=tuple(knots), segments=tuple(map(tuple, segments)),
+                              sensitivity_dbm=knots[0], saturation_dbm=knots[-1])
+        assert curve._cubic.steps > 1
+        x = np.concatenate([rng.uniform(knots[0], knots[-1], 10**5), knots,
+                            np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        inside = np.clip(x, knots[0], knots[-1])
+        assert np.array_equal(curve._cubic(x), PPoly(segments.T, knots)(inside))
 
 
 def test_default_curve_knot_count():
