@@ -86,10 +86,10 @@ from .companding import (
     analytic_companded_bussgang,
     companded_papr_reductions,
     companded_snr,
-    compress_waveform,
+    compress_magnitude,
     optimize_mu,
 )
-from .dpd import design_from_scratch, probe_evm, save_design
+from .dpd import design_with_probe, probe_evm, save_design
 from .experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
@@ -400,7 +400,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
     ofdm = build_ofdm(cfg)
     h = _hash(cfg, seed, trials)
     # mu = 0 is the uncompressed curve; every curve shares one set of symbols
-    transforms = [partial(compress_waveform, params=CompanderParams.default(mu=mu))
+    transforms = [partial(compress_magnitude, params=CompanderParams.default(mu=mu))
                   if mu > 0 else None for mu in mu_grid]
     curves = papr_samples_many(ofdm, n_trials, seed, transforms, threads=threads)
     rows = []
@@ -428,13 +428,14 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     if grid.max() > op.ibo_db:
         raise ConfigError(f"config section 'dpd.reduction_grid_db': a reduction of "
                           f"{grid.max():g} dB runs past pa.ibo_db = {op.ibo_db:g} dB")
-    design = design_from_scratch(
+    design, design_evm = design_with_probe(
         pa, ofdm, baseline_ibo_db=op.ibo_db,
         pa_order=pa_order, inverse_order=inverse_order, seed=seed,
     )
     save_design(design, str(out / "dpd_design.txt"),
                 header=(f"config_hash={h} seed={seed}",))
-    chain_evm = probe_evm(pa, ofdm, seed=seed + 1)
+    # the table measures on the design's probe unless a prefix changes it
+    chain_evm = design_evm if ofdm.cp_length == 0 else probe_evm(pa, ofdm, seed=seed + 1)
     rows = []
     series = {"evm": [], "eta1": []}
     for r in grid:

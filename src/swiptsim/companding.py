@@ -162,14 +162,16 @@ def companded_papr_reductions(
     each parameter set, from one seeded set of symbols.
 
     Every entry is compressed from the same waveforms, so the "before"
-    PAPR is measured once and shared; entry i equals
+    PAPR is measured once and shared.  Compression keeps the phase, so the
+    PAPR is measured on the compressed envelope, with no compressed
+    waveform built.  Entry i equals
     ``companded_papr_reductions(cfg, [params_seq[i]], n_trials, seed, exceedance)[0]``
     for any ``threads`` (see :func:`papr_samples_many`).
     """
     params_seq = tuple(params_seq)
     samples = papr_samples_many(
         cfg, n_trials, seed,
-        (None, *(partial(compress_waveform, params=p) for p in params_seq)),
+        (None, *(partial(compress_magnitude, params=p) for p in params_seq)),
         threads=threads,
     )
     before = papr_quantile_db(samples[0], exceedance)

@@ -159,19 +159,19 @@ def probe_evm(pa_model: PaModel, cfg: OfdmConfig, seed: int = 0, n_symbols: int 
 
 
 def design_ibo_reduction(
-    pa_model: PaModel,
     pa_fit: PolyFit,
     inverse_fit: PolyFit,
     baseline_ibo_db: float,
-    cfg: OfdmConfig,
-    seed: int = 0,
-    n_symbols: int = 64,
+    chain_evm,
     step_db: float = 0.1,
     max_reduction_db: float = 8.0,
     tolerance: float = EVM_MATCH_TOLERANCE,
 ) -> DpdDesign:
     """Largest back-off reduction whose predistorted EVM still matches the
     uncorrected chain at the baseline operating point.
+
+    chain_evm is an evaluator of :func:`probe_evm`: every candidate is
+    measured on its one probe, so the comparison is noise-free.
 
     EVM is measured on demodulated constellation points, so distortion
     that lands out of band does not count against either chain.  The grid
@@ -182,10 +182,8 @@ def design_ibo_reduction(
     the design is degenerate at the upper bound without a scan.
     Bisection between the last feasible point before the crossing and the
     crossing refines it to a millidB.  A non-monotone note covers only the
-    scanned part of the grid.  The same waveform block is reused for every
-    candidate so the comparison is noise-free.
+    scanned part of the grid.
     """
-    chain_evm = probe_evm(pa_model, cfg, seed, n_symbols)
     evm_base = chain_evm(baseline_ibo_db)
     target = evm_base * (1.0 + tolerance)
     notes: list[str] = []
@@ -274,13 +272,27 @@ def design_from_scratch(
     computed on the numerology without a cyclic prefix: one design serves
     every channel, whatever prefix a frequency-selective one needs.
     """
+    return design_with_probe(pa_model, cfg, baseline_ibo_db, pa_order, inverse_order, seed)[0]
+
+
+def design_with_probe(
+    pa_model: PaModel,
+    cfg: OfdmConfig,
+    baseline_ibo_db: float = 8.0,
+    pa_order: int = 4,
+    inverse_order: int = 7,
+    seed: int = 0,
+):
+    """design_from_scratch, and the evaluator its search ran on: that of
+    probe_evm(pa_model, cfg without its prefix, seed + 1).  The evaluator
+    writes into one preallocated grid, so it must not be shared between
+    threads."""
     cfg = replace(cfg, cp_length=0)
     amp_in, amp_out = make_training_set(pa_model, cfg, seed=seed)
     pa_fit = fit_pa_polynomial(amp_in, amp_out, pa_order)
     inverse_fit = fit_inverse_polynomial(amp_out, amp_in, inverse_order)
-    return design_ibo_reduction(
-        pa_model, pa_fit, inverse_fit, baseline_ibo_db, cfg, seed=seed + 1
-    )
+    chain_evm = probe_evm(pa_model, cfg, seed=seed + 1)
+    return design_ibo_reduction(pa_fit, inverse_fit, baseline_ibo_db, chain_evm), chain_evm
 
 
 def save_design(design: DpdDesign, path: str, header: tuple[str, ...] = ()) -> None:

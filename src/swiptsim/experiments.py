@@ -514,6 +514,10 @@ def sweep_techniques(
         )
         for i, v in enumerate(values)
     ]
+    # the points share one operating point: design its predistorter here,
+    # once, not once per worker that misses the cache at the same time
+    for tech in techniques:
+        technique_reductions(replace(base, technique=tech))
     run = partial(run_techniques, techniques=techniques)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -157,8 +157,10 @@ def papr_samples(
 ) -> np.ndarray:
     """Per-symbol PAPR (dB) of random QPSK OFDM symbols.
 
-    ``transform``, if given, is applied to the batch of time-domain waveforms
-    before the PAPR is measured (e.g. a compressor).
+    ``transform``, if given, is an envelope map: it takes the sample
+    magnitudes of a batch of symbols and returns the magnitudes whose PAPR
+    is measured (e.g. a compressor's characteristic).  A PAPR depends on
+    the envelope alone, so a map that keeps the phase needs no waveform.
     """
     return papr_samples_many(cfg, n_trials, seed, (transform,), chunk)[0]
 
@@ -175,23 +177,24 @@ def papr_samples_many(
     threads: int = 1,
 ) -> np.ndarray:
     """Per-symbol PAPR (dB) of one set of random QPSK OFDM symbols under
-    several transforms, shape ``(len(transforms), n_trials)``.
+    several envelope maps, shape ``(len(transforms), n_trials)``.
 
-    One seeded draw serves every transform: each batch of symbols is drawn
-    and synthesized once, then row i holds the PAPR of ``transforms[i]``
-    applied to it (``None`` measures the raw waveform).  Row i is therefore
-    bit-identical to ``papr_samples(cfg, n_trials, seed, transforms[i])``.
+    One seeded draw serves every map: each batch of symbols is drawn,
+    synthesized and reduced to its sample magnitudes once, then row i holds
+    the PAPR of ``transforms[i]`` applied to those magnitudes (``None``
+    measures the raw envelope).  Row i is therefore bit-identical to
+    ``papr_samples(cfg, n_trials, seed, transforms[i])``.
     ``chunk`` only bounds memory, as symbols per batch; by default a batch
     holds as many symbols as fit in 1 MiB of complex128 waveform, prefix
-    included.  A pool of ``threads`` workers synthesizes, transforms and
+    included.  A pool of ``threads`` workers synthesizes, maps and
     measures the batches, with at most 2 * threads of them in flight (the
-    transforms must be thread-safe); the bits are still drawn in order on
+    maps must be thread-safe); the bits are still drawn in order on
     the calling thread and each batch fills its own columns.  Neither the
     chunk nor the thread count touches the bit stream, so the result does
     not depend on them.  Memory grows with ``threads``: each worker holds
-    its batch, its last waveform and the transforms' temporaries (peak RSS
-    rose by about 5 MB per thread from 2 to 16 threads at N=512, L=4 with
-    16 companders).
+    its batch, its last waveform, its magnitudes and the maps' temporaries
+    (peak RSS rose by about 5 MB per thread from 2 to 16 threads at N=512,
+    L=4 with 16 companders).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -216,10 +219,11 @@ def papr_samples_many(
     held = threading.local()
 
     def measure(start: int, bits: np.ndarray) -> None:
-        held.x = x = synthesize_waveforms(_qpsk(bits), cfg)
+        held.x = synthesize_waveforms(_qpsk(bits), cfg)
+        m = np.abs(held.x)
         for row, transform in zip(out, transforms):
-            # one transform's temporaries are freed before the next runs
-            row[start:start + len(bits)] = _papr_rows(x if transform is None else transform(x))
+            # one map's temporaries are freed before the next runs
+            row[start:start + len(bits)] = _papr_rows(m if transform is None else transform(m))
 
     run_bounded(measure, ((start, draw(start)) for start in range(0, n_trials, chunk)),
                 threads)
@@ -246,8 +250,9 @@ def run_bounded(work: Callable, jobs: Iterable[tuple], threads: int) -> None:
             future.result()
 
 
-def _papr_rows(x: np.ndarray) -> np.ndarray:
-    p = np.abs(x) ** 2
+def _papr_rows(m: np.ndarray) -> np.ndarray:
+    # per-row PAPR (dB) of sample magnitudes
+    p = m ** 2
     return 10.0 * np.log10(p.max(axis=-1) / p.mean(axis=-1))
 
 

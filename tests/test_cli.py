@@ -1,10 +1,12 @@
 import copy
 import csv
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -389,17 +391,46 @@ def test_papr_outputs_do_not_depend_on_threads(tmp_path):
         assert len(outputs) == 1, command
 
 
+# sha256 of each CSV at seed 0 on _DIGEST_CFG, recorded before the PAPR
+# path moved from complex waveforms to envelopes; a change that moves a
+# byte of these files updates the digests and says so
+_DIGEST_CFG = {
+    "ofdm": {"n_subcarriers": 64, "oversampling_factor": 4, "cp_length": 8},
+    "papr": {"mu_grid": [0.0, 1.25, 255.0], "n_trials": 2000},
+    "mu_sweep": {"mu_grid": [0.5, 1.25, 4.0, 255.0], "papr_trials": 2000},
+}
+_CSV_SHA256 = {
+    "papr_ccdf.csv": "b0318c0638888392491102f2237c8dfcd61082805440b2c204eeaf393b93d2db",
+    "mu_sweep.csv": "085ae446b3a9338cf415d493f7146fca841eed18023fe729874fc36de93339e1",
+    "dpd_evm.csv": "3576c63122c9a3d1043b26928869c16e94d1ed8852d9ecff368a8c45fbb18421",
+}
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    cfg = write_cfg(tmp_path, _DIGEST_CFG)
+    for command, name, flags in (("papr", "papr_ccdf.csv", ["--threads", "2"]),
+                                 ("mu-sweep", "mu_sweep.csv", ["--threads", "2"]),
+                                 ("dpd-design", "dpd_evm.csv", [])):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--seed", "0", "--out", str(out),
+                     *flags]) == EXIT_OK
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == _CSV_SHA256[name], name
+
+
 def test_dpd_design_synthesizes_its_probe_once(tmp_path, monkeypatch):
-    # the training frame, the design's probe and the EVM table's probe are
-    # the only syntheses: the table evaluates every reduction-grid point on
-    # one probe, so the count does not grow with the grid
+    # the training frame and the design's probe are the only syntheses: the
+    # EVM table evaluates every reduction-grid point on the design's probe,
+    # so the count does not grow with the grid; a cyclic prefix, which the
+    # design leaves out, gives the table a probe of its own
     calls = _count_synthesis(monkeypatch)
     for i, grid in enumerate(([0.0, 1.0, 0.5], [0.0, 4.0, 0.25])):
-        calls.clear()
-        cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "dpd": {"reduction_grid_db": grid}},
-                        f"dpd{i}.json")
-        assert main(["dpd-design", "--config", cfg, "--out", str(tmp_path / f"o{i}")]) == EXIT_OK
-        assert calls == [1, 64, 64], grid
+        for cp, expected in ((0, [1, 64]), (4, [1, 64, 64])):
+            calls.clear()
+            cfg = write_cfg(tmp_path, {"ofdm": {**SMALL_OFDM, "cp_length": cp},
+                                       "dpd": {"reduction_grid_db": grid}}, f"dpd{i}{cp}.json")
+            assert main(["dpd-design", "--config", cfg,
+                         "--out", str(tmp_path / f"o{i}{cp}")]) == EXIT_OK
+            assert calls == expected, (grid, cp)
 
 
 def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
@@ -609,6 +640,37 @@ def test_ber_outputs_and_validation(tmp_path, capsys):
     assert "unknown technique" in capsys.readouterr().err
     bad_ch = write_cfg(tmp_path, {"ber": {"channels": ["underwater"]}}, "bad_ch.json")
     assert main(["ber", "--config", bad_ch, "--out", str(out)]) == EXIT_CONFIG
+
+
+def test_ber_designs_one_predistorter(tmp_path, monkeypatch):
+    # every Eb/N0 point shares one operating point, so one design serves
+    # them all at any thread count; the design is slowed down so that point
+    # workers would all miss the cache together if they had to design it
+    designs = []
+    real = experiments.design_from_scratch
+
+    def counting(*args, **kwargs):
+        designs.append(args)
+        time.sleep(0.2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "design_from_scratch", counting)
+    cfg = write_cfg(tmp_path, {
+        "ofdm": SMALL_OFDM,
+        "scenario": {"trials": 2, "frame_symbols": 2},
+        "ber": {"ebn0_db": [0.0, 4.0, 8.0], "techniques": ["baseline", "dpd"],
+                "channels": ["awgn"]},
+    })
+    outputs = set()
+    for threads in (1, 2, 3):
+        designs.clear()
+        experiments._cached_dpd.cache_clear()
+        out = tmp_path / f"t{threads}"
+        assert main(["ber", "--config", cfg, "--out", str(out),
+                     "--threads", str(threads)]) == EXIT_OK
+        assert len(designs) == 1, threads
+        outputs.add((out / "ber_curves.csv").read_bytes())
+    assert len(outputs) == 1
 
 
 def test_rate_energy_outputs_and_validation(tmp_path, capsys):

@@ -219,7 +219,7 @@ def test_infeasible_inverse_returns_zero():
     amp_in, amp_out = make_training_set(hard, CFG, seed=0)
     pa_fit = fit_pa_polynomial(amp_in, amp_out, 4)
     bad_inv = fit_inverse_polynomial(amp_out, amp_in, 1)
-    design = design_ibo_reduction(hard, pa_fit, bad_inv, 0.0, CFG, seed=1)
+    design = design_ibo_reduction(pa_fit, bad_inv, 0.0, probe_evm(hard, CFG, seed=1))
     assert design.ibo_reduction_db == 0.0
     assert any("no feasible reduction" in n for n in design.notes)
 

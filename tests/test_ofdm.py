@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swiptsim.companding import CompanderParams, compress_waveform
+from swiptsim.companding import CompanderParams, compress_magnitude, compress_waveform
 from swiptsim.ofdm import (
     OfdmConfig,
+    _papr_rows,
+    _qpsk,
     ccdf_from_samples,
     demap_symbols,
     map_bits,
@@ -142,9 +144,9 @@ def test_papr_samples_chunking_consistent():
 SMALL = OfdmConfig(n_subcarriers=16, oversampling_factor=2)
 _TRANSFORMS = (
     None,
-    lambda w: 2.0 * w,
-    partial(compress_waveform, params=CompanderParams.default(mu=1.25)),
-    partial(compress_waveform, params=CompanderParams.default(mu=255.0)),
+    lambda m: 2.0 * m,
+    partial(compress_magnitude, params=CompanderParams.default(mu=1.25)),
+    partial(compress_magnitude, params=CompanderParams.default(mu=255.0)),
 )
 
 
@@ -168,6 +170,28 @@ def test_papr_samples_many_matches_single_calls(data, n, seed, threads, picks):
     assert many.shape == (len(transforms), n)
     for row, t in zip(many, transforms):
         np.testing.assert_array_equal(row, papr_samples(SMALL, n, seed, transform=t, chunk=n))
+
+
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 24),
+       l=st.sampled_from((1, 2, 4)), cp=st.sampled_from((0, 3)),
+       mus=st.lists(st.floats(0.01, 255.0), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_envelope_papr_matches_waveform_definition(seed, n, l, cp, mus):
+    # the PAPR is measured on the envelope; the definition compresses the
+    # complex waveform and takes its magnitude, which differs from the
+    # envelope map only by the rounding of the complex multiply
+    cfg = OfdmConfig(n_subcarriers=16, oversampling_factor=l, cp_length=cp)
+    params = [CompanderParams.default(mu=mu) for mu in mus]
+    many = papr_samples_many(cfg, n, seed,
+                             (None, *(partial(compress_magnitude, params=p) for p in params)))
+    bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2 * cfg.n_subcarriers))
+    x = synthesize_waveforms(_qpsk(bits), cfg)
+    # the raw row is the complex-abs form bit for bit
+    p = np.abs(x) ** 2
+    np.testing.assert_array_equal(many[0], 10.0 * np.log10(p.max(axis=-1) / p.mean(axis=-1)))
+    for row, prm in zip(many[1:], params):
+        np.testing.assert_allclose(row, _papr_rows(np.abs(compress_waveform(x, prm))),
+                                   rtol=0, atol=1e-12)
 
 
 def test_papr_samples_many_validation():
