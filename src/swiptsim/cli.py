@@ -52,9 +52,13 @@ Flags: --config, --seed, --out, --trials and --threads.  --trials
 overrides the Monte Carlo count of papr, mu-sweep, e2e and ber;
 dpd-design and rate-energy have none and reject it.  papr, mu-sweep, e2e
 and ber read --threads (worker threads for the PAPR batches, the Monte
-Carlo trial blocks and the Eb/N0 points; default every core this process
-may use); their output does not depend on it.  dpd-design and rate-energy
-run serially and reject it.
+Carlo trial blocks, and the Eb/N0 points of every channel, which ber runs
+in one pool; default every core this process may use); their output does
+not depend on it.  An Eb/N0 point in flight holds one faded frame per
+technique per trial, 13 MB for 2 techniques x 50 trials x 4 symbols at
+N*L = 2048 (about 16 MB with its working arrays), so ber's memory grows
+with --threads up to channels x points.  dpd-design and rate-energy run
+serially and reject it.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
 form (experiments.closed_form), not Monte Carlo estimates: the
@@ -531,18 +535,21 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     channels = _names(section, "channels", CHANNEL_KINDS, CHANNEL_KINDS, "ber", "channel")
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
-    rows = []
-    series: dict[str, list[tuple[float, float]]] = {}
+    bases = []
     for kind in channels:
         spec = replace(base.channel, kind=kind)
-        s = replace(
+        bases.append(replace(
             base, channel=spec, ofdm=_channel_ofdm(base.ofdm, spec),
             split=replace(base.split, rho=0.0, sigma_p2=0.0), name=kind,
-        )
-        # every technique shares each Eb/N0 point's draws
+        ))
+    # every technique shares each Eb/N0 point's draws, and the points of
+    # every channel run in one pool
+    swept = sweep_techniques("snr", ebn0, bases, techniques, threads)
+    rows = []
+    series: dict[str, list[tuple[float, float]]] = {}
+    for kind, s, results in zip(channels, bases, swept):
         n_bits = 2 * s.ofdm.n_subcarriers * s.frame_symbols * s.trials
-        for tech, res in zip(techniques,
-                             sweep_techniques("snr", ebn0, s, techniques, threads)):
+        for tech, res in zip(techniques, results):
             for point in res.rows:
                 rows.append((kind, tech, point.axis_value, point.metrics.ber,
                              point.ci("ber"), n_bits))

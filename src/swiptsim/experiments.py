@@ -3,9 +3,10 @@
 A Scenario bundles the full transmit/channel/receive configuration for
 one technique; run_techniques turns it into link metrics with batch-means
 confidence intervals for several techniques over one set of random draws,
-and run_scenario for one.  sweep_techniques() and sweep() repeat a scenario
-along one axis and table_pipeline() produces the four-technique efficiency
-comparison.
+and run_scenario for one.  sweep_techniques() repeats several base
+scenarios (one per channel in the ber command) along one axis and runs
+every base's points in one thread pool; sweep() repeats one.
+table_pipeline() produces the four-technique efficiency comparison.
 
 Measurement conventions, used consistently everywhere:
 
@@ -52,7 +53,7 @@ from .link import (
     achievable_rate,
     demodulate_and_ber,
     harvested,
-    split_branches,
+    info_branch,
     split_noise,
     sinr,
 )
@@ -243,7 +244,7 @@ def _batch_ci(samples: np.ndarray) -> float:
 # run_techniques works on blocks of trials of about this many bytes of
 # complex128 frame, 2 frames of 4 symbols at N*L = 2048: on 2 cores one
 # frame per block ran slower, and 4 frames raised the peak RSS of e2e on
-# two threads from about 123 to 131 MB
+# two threads from about 77 to 85 MB
 _BLOCK_BYTES = 1 << 18
 
 
@@ -296,6 +297,7 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
     rng = np.random.default_rng(s.seed)
     cfg = s.ofdm
     trials = s.trials
+    rho = s.split.rho
     n_bits_frame = 2 * cfg.n_subcarriers * s.frame_symbols
     frame_len = s.frame_symbols * (cfg.n_samples + cfg.cp_length)
     block = max(1, _BLOCK_BYTES // (16 * frame_len))
@@ -321,6 +323,7 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
     taps = np.empty((trials, s.channel.n_taps), dtype=np.complex128)
     clean = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
     ref_p = np.empty((n_tech, trials))
+    # the received powers only set the EH branch's level, unused at rho = 0
     rx_p = np.empty((n_tech, trials))
     rms_drive = np.empty(trials)
 
@@ -343,7 +346,8 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
             if own_ref[k]:
                 ref_p[k, rows] = np.mean(np.abs(tx) ** 2, axis=-1)
             clean[k, rows] = apply_channel(tx, taps[rows], cfg.cp_length)
-            rx_p[k, rows] = np.mean(np.abs(clean[k, rows]) ** 2, axis=-1)
+            if rho > 0.0:
+                rx_p[k, rows] = np.mean(np.abs(clean[k, rows]) ** 2, axis=-1)
         if not all(own_ref):
             if ref_from is not None:
                 p_ref = ref_p[ref_from, rows]
@@ -357,7 +361,6 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
 
     # a sequential sum in trial order, as the reference powers always were
     ref_power = np.cumsum(ref_p, axis=1)[:, -1]
-    rx_power = [np.mean(p) for p in rx_p]
     # two measurement scales, both deterministic given the seed: the
     # demodulator lives in a world normalized by the nominal (baseline)
     # amplifier output power, so a technique that reclaims back-off
@@ -365,8 +368,8 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
     # rectifier sees its branch pinned to 1 mW ensemble mean, where the
     # thermal noise floor is irrelevant and therefore omitted
     norm = [np.sqrt(1.0 / (p / trials)) for p in ref_power]
-    rho = s.split.rho
-    eh_pin = [np.sqrt(1e-3 / (p * max(rho, 1e-12))) for p in rx_power]
+    if rho > 0.0:
+        eh_pin = [np.sqrt(1e-3 / (np.mean(p) * max(rho, 1e-12))) for p in rx_p]
 
     eta3_num = np.zeros((n_tech, trials))
     eta3_den = np.full((n_tech, trials), np.nan)
@@ -384,7 +387,7 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
                 eta3_num[k, rows] = np.sum(eff * p_w, axis=-1)
                 eta3_den[k, rows] = np.sum(p_w, axis=-1)
             normalized = clean[k, rows] * norm[k]
-            _, info = split_branches(normalized, s.split, noise)
+            info = info_branch(normalized, s.split, noise)
             scale = None
             if companded[k]:
                 # known amplitude bookkeeping from the compressed transmit
@@ -486,58 +489,76 @@ def _point_scenario(axis: str, value: float, base: Scenario) -> Scenario:
 
 
 def sweep_techniques(
-    axis: str, values, base: Scenario, techniques, threads: int = 1
-) -> tuple[SweepResult, ...]:
-    """Run the base scenario along one axis for several techniques;
-    deterministic in (base, seed).
+    axis: str, values, bases, techniques, threads: int = 1
+) -> tuple[tuple[SweepResult, ...], ...]:
+    """Run each base scenario along one axis for several techniques;
+    deterministic in (bases, seeds).
 
-    Result k is bit-identical to sweep(axis, values, replace(base,
-    technique=techniques[k]), threads).  Points get independent child
-    seeds and may run in a thread pool; at each point every technique
-    shares one set of draws through run_techniques, whose trial blocks run
-    on the point's own thread, so a point holds one channel output per
-    technique per trial in memory.  Rows are merged in axis order
-    regardless of completion order.
+    Result [b][k] is bit-identical to sweep(axis, values, replace(
+    bases[b], technique=techniques[k]), threads).  Each base's points get
+    independent child seeds of that base's seed.  The predistorters are
+    designed on the calling thread, then the points of every base run in
+    one pool of ``threads`` workers; at each point every technique shares
+    one set of draws through run_techniques, whose trial blocks run on the
+    point's own thread.  A point in flight holds one faded frame per
+    technique per trial (13 MB for 2 techniques x 50 trials x 4 symbols at
+    N*L = 2048; peak RSS grew by about 16 MB per thread with the bits and
+    working arrays), so memory grows with ``threads`` up to len(bases) x
+    len(values) points.  Rows are merged in axis order regardless of
+    completion order.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}")
     values = tuple(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
+    bases = tuple(bases)
+    if not bases:
+        raise ValueError("sweep needs at least one base scenario")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     techniques = tuple(techniques)
-    children = np.random.SeedSequence(base.seed).spawn(len(values))
-    points = [
-        replace(
-            _point_scenario(axis, v, base),
-            seed=int(children[i].generate_state(1)[0]),
-            name=f"{base.name}[{axis}={v:g}]",
-        )
-        for i, v in enumerate(values)
-    ]
-    # the points share one operating point: design its predistorter here,
-    # once, not once per worker that misses the cache at the same time
-    for tech in techniques:
-        technique_reductions(replace(base, technique=tech))
+    points = []
+    for base in bases:
+        children = np.random.SeedSequence(base.seed).spawn(len(values))
+        points += [
+            replace(
+                _point_scenario(axis, v, base),
+                seed=int(children[i].generate_state(1)[0]),
+                name=f"{base.name}[{axis}={v:g}]",
+            )
+            for i, v in enumerate(values)
+        ]
+    # the points of a base share one operating point: design its
+    # predistorter here, once, not once per worker that misses the cache
+    # at the same time
+    for base in bases:
+        for tech in techniques:
+            technique_reductions(replace(base, technique=tech))
     run = partial(run_techniques, techniques=techniques)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, points))
     else:
         results = [run(p) for p in points]
+    n = len(values)
     return tuple(
-        SweepResult(
-            axis=axis, values=values,
-            rows=tuple(replace(res[k].rows[0], axis_value=v)
-                       for v, res in zip(values, results)),
-            seed=base.seed, config_hash=config_hash(replace(base, technique=tech)),
+        tuple(
+            SweepResult(
+                axis=axis, values=values,
+                rows=tuple(replace(res[k].rows[0], axis_value=v)
+                           for v, res in zip(values, results[b * n:(b + 1) * n])),
+                seed=base.seed, config_hash=config_hash(replace(base, technique=tech)),
+            )
+            for k, tech in enumerate(techniques)
         )
-        for k, tech in enumerate(techniques)
+        for b, base in enumerate(bases)
     )
 
 
 def sweep(axis: str, values, base: Scenario, threads: int = 1) -> SweepResult:
     """Run the base scenario along one axis (see sweep_techniques)."""
-    return sweep_techniques(axis, values, base, (base.technique,), threads)[0]
+    return sweep_techniques(axis, values, (base,), (base.technique,), threads)[0][0]
 
 
 def _fmt(v) -> str:

@@ -86,14 +86,32 @@ def split_noise(
     """
     variances = (split.sigma_a2, split.sigma_p2, split.sigma_p2)
     z = rng.standard_normal(tuple(trials) + (sum(v != 0.0 for v in variances), 2, n))
-    noise = np.zeros(tuple(trials) + (3, n), dtype=np.complex128)
+    noise = np.empty(tuple(trials) + (3, n), dtype=np.complex128)
     drawn = 0
     for i, v in enumerate(variances):
         if v != 0.0:
-            re, im = z[..., drawn, 0, :], z[..., drawn, 1, :]
-            noise[..., i, :] = np.sqrt(v / 2.0) * (re + 1j * im)
+            # the parts written in place equal sqrt(v/2) * (re + 1j*im) bit
+            # for bit: the complex product's 0 * x terms add nothing
+            np.multiply(np.sqrt(v / 2.0), z[..., drawn, 0, :], out=noise.real[..., i, :])
+            np.multiply(np.sqrt(v / 2.0), z[..., drawn, 1, :], out=noise.imag[..., i, :])
             drawn += 1
+        else:
+            noise[..., i, :] = 0.0
     return noise
+
+
+def _align_noise(noise: np.ndarray, ndim: int) -> np.ndarray:
+    """noise with unit axes after its trial axes, so that it broadcasts
+    over the remaining leading axes of an ndim-dimensional signal."""
+    lead = noise.shape[:-2]
+    return noise.reshape(lead + (1,) * (ndim - len(lead) - 1) + noise.shape[-2:])
+
+
+def info_branch(y: np.ndarray, split: SplitConfig, noise: np.ndarray) -> np.ndarray:
+    """The information branch of split_branches(y, split, noise) alone,
+    for noise drawn by split_noise."""
+    noise = _align_noise(noise, y.ndim)
+    return np.sqrt(1.0 - split.rho) * (y + noise[..., 0, :]) + noise[..., 2, :]
 
 
 def split_branches(
@@ -111,12 +129,9 @@ def split_branches(
     and each row gets exactly what a 1-D call on it alone would give.
     """
     noise = split_noise(split, rng, y.shape[-1]) if isinstance(rng, np.random.Generator) else rng
-    lead = noise.shape[:-2]
-    noise = noise.reshape(lead + (1,) * (y.ndim - len(lead) - 1) + noise.shape[-2:])
-    noisy = y + noise[..., 0, :]
-    eh = np.sqrt(split.rho) * noisy + noise[..., 1, :]
-    info = np.sqrt(1.0 - split.rho) * noisy + noise[..., 2, :]
-    return eh, info
+    aligned = _align_noise(noise, y.ndim)
+    eh = np.sqrt(split.rho) * (y + aligned[..., 0, :]) + aligned[..., 1, :]
+    return eh, info_branch(y, split, noise)
 
 
 def sinr(

@@ -406,15 +406,39 @@ _CSV_SHA256 = {
 }
 
 
+# the Monte Carlo commands on a config of their own, so that the digests
+# above keep their config hash: a cyclic prefix, which the multipath
+# channel lengthens, and rho = 0.5, so that the rectenna runs; recorded
+# before ber ran every channel's points in one pool
+_MC_DIGEST_CFG = {
+    "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
+    "split": {"rho": 0.5},
+    "scenario": {"trials": 4, "frame_symbols": 2},
+    "ber": {"ebn0_db": [0.0, 6.0], "techniques": ["baseline", "companding", "dpd"]},
+}
+_MC_CSV_SHA256 = {
+    "ber_curves.csv": "d599b2cb40a8a76cedc20b12ddbff825807b45aa25d847f8067bcbedf8428286",
+    "technique_table.csv": "b10478000aa36d67ecc191a645f82dd1d9f3e77442d3083d8076f7e683477658",
+    "channel_metrics.csv": "15da373f17f6703bec5f4f5f0bde339c5c4bb57347a969e1d090d43b1c66f9bd",
+}
+
+
 def test_outputs_match_recorded_digests(tmp_path):
     cfg = write_cfg(tmp_path, _DIGEST_CFG)
-    for command, name, flags in (("papr", "papr_ccdf.csv", ["--threads", "2"]),
-                                 ("mu-sweep", "mu_sweep.csv", ["--threads", "2"]),
-                                 ("dpd-design", "dpd_evm.csv", [])):
+    mc_cfg = write_cfg(tmp_path, _MC_DIGEST_CFG, "mc.json")
+    digests = {**_CSV_SHA256, **_MC_CSV_SHA256}
+    for path, command, names, flags in (
+        (cfg, "papr", ("papr_ccdf.csv",), ["--threads", "2"]),
+        (cfg, "mu-sweep", ("mu_sweep.csv",), ["--threads", "2"]),
+        (cfg, "dpd-design", ("dpd_evm.csv",), []),
+        (mc_cfg, "ber", ("ber_curves.csv",), ["--threads", "2"]),
+        (mc_cfg, "e2e", ("technique_table.csv", "channel_metrics.csv"), ["--threads", "2"]),
+    ):
         out = tmp_path / command
-        assert main([command, "--config", cfg, "--seed", "0", "--out", str(out),
+        assert main([command, "--config", path, "--seed", "0", "--out", str(out),
                      *flags]) == EXIT_OK
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == _CSV_SHA256[name], name
+        for name in names:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digests[name], name
 
 
 def test_dpd_design_synthesizes_its_probe_once(tmp_path, monkeypatch):
@@ -643,9 +667,10 @@ def test_ber_outputs_and_validation(tmp_path, capsys):
 
 
 def test_ber_designs_one_predistorter(tmp_path, monkeypatch):
-    # every Eb/N0 point shares one operating point, so one design serves
-    # them all at any thread count; the design is slowed down so that point
-    # workers would all miss the cache together if they had to design it
+    # every Eb/N0 point of every channel shares one operating point, so one
+    # design serves them all at any thread count, though the multipath
+    # channel lengthens the cyclic prefix; the design is slowed down so that
+    # point workers would all miss the cache together if they had to design it
     designs = []
     real = experiments.design_from_scratch
 
@@ -659,7 +684,7 @@ def test_ber_designs_one_predistorter(tmp_path, monkeypatch):
         "ofdm": SMALL_OFDM,
         "scenario": {"trials": 2, "frame_symbols": 2},
         "ber": {"ebn0_db": [0.0, 4.0, 8.0], "techniques": ["baseline", "dpd"],
-                "channels": ["awgn"]},
+                "channels": ["awgn", "rayleigh_multitap"]},
     })
     outputs = set()
     for threads in (1, 2, 3):

@@ -203,6 +203,10 @@ def test_sweep_validation():
         sweep("bandwidth", (1.0,), base)
     with pytest.raises(ValueError, match="at least one"):
         sweep("rho", (), base)
+    with pytest.raises(ValueError, match="threads"):
+        sweep("rho", (1.0,), base, threads=0)
+    with pytest.raises(ValueError, match="base scenario"):
+        sweep_techniques("rho", (1.0,), (), ("baseline",))
 
 
 def test_sweep_rows_follow_axis_order():
@@ -381,17 +385,22 @@ def test_run_techniques_validation():
         run_techniques(s, ("baseline",), threads=0)
 
 
-@given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),
+@given(techniques=technique_subsets,
+       kinds=st.lists(st.sampled_from(CHANNEL_KINDS), min_size=1, max_size=3, unique=True),
        ebn0=st.lists(st.sampled_from((0.0, 4.0, 8.0, 12.0)), min_size=1, max_size=3,
                      unique=True),
-       threads=st.sampled_from((1, 2)), seed=st.integers(0, 2**32 - 1))
+       threads=st.sampled_from((1, 2, 3)), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
-def test_sweep_techniques_matches_single_sweeps(techniques, kind, ebn0, threads, seed):
-    s = _tiny_scenario(kind, True, 0.0, 2, seed)
-    shared = sweep_techniques("snr", ebn0, s, techniques, threads)
-    assert len(shared) == len(techniques)
-    for tech, res in zip(techniques, shared):
-        _assert_same_result(res, sweep("snr", ebn0, replace(s, technique=tech), threads))
+def test_sweep_techniques_matches_single_sweeps(techniques, kinds, ebn0, threads, seed):
+    # the points of every base run in one pool, and each base's results are
+    # its own sweep's
+    bases = [_tiny_scenario(kind, True, 0.0, 2, seed) for kind in kinds]
+    swept = sweep_techniques("snr", ebn0, bases, techniques, threads)
+    assert len(swept) == len(bases)
+    for s, shared in zip(bases, swept):
+        assert len(shared) == len(techniques)
+        for tech, res in zip(techniques, shared):
+            _assert_same_result(res, sweep("snr", ebn0, replace(s, technique=tech), threads))
 
 
 def test_table_pipeline_matches_per_technique_runs():

@@ -16,6 +16,7 @@ from swiptsim.link import (
     harvested,
     sinr,
     split_branches,
+    split_noise,
 )
 from swiptsim.ofdm import OfdmConfig, map_bits, synthesize_waveforms
 from swiptsim.pa import PaModel
@@ -90,6 +91,34 @@ def test_split_branches_broadcasts_one_draw():
         np.testing.assert_array_equal(eh[k], eh_k)
         np.testing.assert_array_equal(info[k], info_k)
     assert shared.random() == alone.random()
+
+
+def _split_noise_complex_form(split, rng, n, trials=()):
+    # split_noise as it was written before it filled the real and imaginary
+    # parts in place: sqrt(v/2) * (re + 1j*im) into a zeroed array
+    variances = (split.sigma_a2, split.sigma_p2, split.sigma_p2)
+    z = rng.standard_normal(tuple(trials) + (sum(v != 0.0 for v in variances), 2, n))
+    noise = np.zeros(tuple(trials) + (3, n), dtype=np.complex128)
+    drawn = 0
+    for i, v in enumerate(variances):
+        if v != 0.0:
+            re, im = z[..., drawn, 0, :], z[..., drawn, 1, :]
+            noise[..., i, :] = np.sqrt(v / 2.0) * (re + 1j * im)
+            drawn += 1
+    return noise
+
+
+@pytest.mark.parametrize("sigma_a2, sigma_p2",
+                         [(1e-3, 1e-3), (0.0, 0.02), (0.5, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("trials", [(), (3,), (2, 4)])
+def test_split_noise_matches_complex_form(sigma_a2, sigma_p2, trials):
+    split = SplitConfig(rho=0.3, sigma_a2=sigma_a2, sigma_p2=sigma_p2)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    noise = split_noise(split, rng, 64, trials)
+    ref = _split_noise_complex_form(split, ref_rng, 64, trials)
+    assert noise.shape == ref.shape
+    assert noise.tobytes() == ref.tobytes()
+    assert rng.random() == ref_rng.random()
 
 
 def test_sinr_goldens():
