@@ -43,6 +43,9 @@ def main():
                     default=list(np.round(np.linspace(0.1, 0.9, 9), 3)))
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("out"))
     args = ap.parse_args()
+    for flag in ("trials", "threads"):
+        if getattr(args, flag) < 1:
+            ap.error(f"--{flag} must be at least 1")
 
     channel = ChannelSpec(kind=args.channel)
     base = Scenario(

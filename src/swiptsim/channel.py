@@ -59,14 +59,15 @@ def sample_channel(spec: ChannelSpec, rng: np.random.Generator) -> tuple[complex
     return tuple(complex(t) for t in draws)
 
 
-def apply_channel(x: np.ndarray, taps, cp_length: int | None = None) -> np.ndarray:
+def apply_channel(x: np.ndarray, taps, cp_length: int | None = None, out=None) -> np.ndarray:
     """Convolve samples with channel taps: a one-dimensional x with one
     realization, or each row of x (..., n) with its own row of taps
-    (..., n_taps).
+    (..., n_taps).  The result goes into ``out`` if given (it must not
+    overlap x), else into a new array.
 
     When ``cp_length`` is given it must cover the channel memory, since the
     receiver relies on the prefix to keep subcarriers separable.  Antenna
-    noise is added at the receiver (see link.split_branches).
+    noise is added at the receiver (see link.split_noise).
     """
     h = np.asarray(taps)
     if cp_length is not None and h.shape[-1] - 1 > cp_length:
@@ -75,8 +76,9 @@ def apply_channel(x: np.ndarray, taps, cp_length: int | None = None) -> np.ndarr
             f"{h.shape[-1]}-tap channel"
         )
     if h.shape[-1] == 1:
-        return x * h
-    out = np.empty(x.shape, dtype=np.result_type(x, h))
+        return np.multiply(x, h, out=out)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x, h))
     for row in np.ndindex(x.shape[:-1]):
         out[row] = np.convolve(x[row], h[row])[: x.shape[-1]]
     return out

@@ -56,9 +56,10 @@ Carlo trial blocks, and the Eb/N0 points of every channel, which ber runs
 in one pool; default every core this process may use); their output does
 not depend on it.  An Eb/N0 point in flight holds one faded frame per
 technique per trial, 13 MB for 2 techniques x 50 trials x 4 symbols at
-N*L = 2048 (about 16 MB with its working arrays), so ber's memory grows
-with --threads up to channels x points.  dpd-design and rate-energy run
-serially and reject it.
+N*L = 2048 (about 16 MB of peak RSS with its working arrays, measured
+from 1 to 12 threads), so ber's memory grows with --threads up to
+channels x points.  dpd-design and rate-energy run serially and reject
+it.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
 form (experiments.closed_form), not Monte Carlo estimates: the

@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .ofdm import OfdmConfig, ofdm_demodulate, random_frames
 from .pa import PaModel, amplify
@@ -39,7 +38,14 @@ class PolyFit:
             raise ValueError("coefficient count must equal order + 1")
 
     def __call__(self, amplitude: np.ndarray) -> np.ndarray:
-        return npoly.polyval(np.asarray(amplitude, dtype=float), np.asarray(self.coeffs))
+        # numpy's polyval, c[-1] + x*0 then c[i] + y*x, in one array
+        x = np.asarray(amplitude, dtype=float)
+        y = x * 0.0
+        y += self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
+            y *= x
+            y += c
+        return y
 
 
 def _ls_poly(x: np.ndarray, y: np.ndarray, order: int) -> PolyFit:
@@ -319,39 +325,3 @@ def save_design(design: DpdDesign, path: str, header: tuple[str, ...] = ()) -> N
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_design(path: str) -> DpdDesign:
-    kv: dict[str, str] = {}
-    notes: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            if key == "note":
-                notes.append(value)
-            else:
-                kv[key] = value
-    pa_fit = PolyFit(
-        order=int(kv["pa_order"]),
-        coeffs=tuple(float(c) for c in kv["pa_coeffs"].split(",")),
-        domain_max=float(kv["pa_domain_max"]),
-        residual_rms=float(kv["pa_residual_rms"]),
-    )
-    inverse_fit = PolyFit(
-        order=int(kv["inverse_order"]),
-        coeffs=tuple(float(c) for c in kv["inverse_coeffs"].split(",")),
-        domain_max=float(kv["inverse_domain_max"]),
-        residual_rms=float(kv["inverse_residual_rms"]),
-    )
-    return DpdDesign(
-        pa_fit=pa_fit,
-        inverse_fit=inverse_fit,
-        ibo_reduction_db=float(kv["ibo_reduction_db"]),
-        evm_baseline=float(kv["evm_baseline"]),
-        evm_with_dpd=float(kv["evm_with_dpd"]),
-        baseline_ibo_db=float(kv["baseline_ibo_db"]),
-        degenerate=bool(int(kv.get("degenerate", "0"))),
-        notes=tuple(notes),
-    )

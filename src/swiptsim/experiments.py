@@ -162,7 +162,8 @@ def _cached_dpd(pa: PaModel, cfg: OfdmConfig, ibo_db: float) -> DpdDesign:
 
 
 def technique_reductions(s: Scenario) -> tuple[float, float, DpdDesign | None]:
-    """(DPD reduction, companding reduction) in dB for the scenario.
+    """(DPD reduction in dB, companding reduction in dB, DPD design or
+    None) for the scenario; the design is None for a technique without DPD.
 
     An explicit ibo_reduction_db override replaces the derived total
     (attributed to the DPD part for chain purposes).  A non-saturating
@@ -242,10 +243,13 @@ def _batch_ci(samples: np.ndarray) -> float:
 
 
 # run_techniques works on blocks of trials of about this many bytes of
-# complex128 frame, 2 frames of 4 symbols at N*L = 2048: on 2 cores one
-# frame per block ran slower, and 4 frames raised the peak RSS of e2e on
-# two threads from about 77 to 85 MB
-_BLOCK_BYTES = 1 << 18
+# complex128 frame, 4 frames of 4 symbols at N*L = 2048: on 2 cores a numpy
+# call on one or two frames gains nothing from a second thread, and one on
+# four or more does.  e2e at N*L = 2048, 50 trials, two threads on a 2-core
+# VM: the Monte Carlo took 0.79 s with 2 frames per block, 0.64 s with 4
+# and 0.63 s with 8 (medians of 5 runs), at a peak RSS of 73.8, 78.5 and
+# 88.9 MB
+_BLOCK_BYTES = 1 << 19
 
 
 def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResult, ...]:
@@ -275,9 +279,12 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
     held until the noise pass, len(techniques) x trials x frame_symbols x
     (N*L + cp_length) complex128 samples, because the normalizations need
     the ensemble powers first, and so are every trial's bits (2 N x
-    frame_symbols int64) and taps.  Each block in flight adds three frames
-    of complex noise per trial, and each block being processed the
-    temporaries of one technique at a time.
+    frame_symbols int8) and taps.  Each block in flight adds two frames of
+    complex noise per trial (the antenna and information-branch noise),
+    and each block being processed the temporaries of one technique at a
+    time; the information branch is built in the faded frames' memory.
+    With 4 techniques x 50 trials x 4 symbols at N*L = 2048 the faded
+    frames take 26 MB, and e2e peaked at 78.5 MB of RSS on two threads.
 
     The rectifier works on the EH branch with its ensemble mean pinned to
     0 dBm; the demodulator works on the information branch at equal average
@@ -319,7 +326,7 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
         else:
             run_bounded(work, jobs, threads)
 
-    bits = np.empty((trials, n_bits_frame), dtype=np.int64)
+    bits = np.empty((trials, n_bits_frame), dtype=np.int8)
     taps = np.empty((trials, s.channel.n_taps), dtype=np.complex128)
     clean = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
     ref_p = np.empty((n_tech, trials))
@@ -345,7 +352,7 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
             tx = _transmit(compressed if c else x, sk, r_dpd, design)
             if own_ref[k]:
                 ref_p[k, rows] = np.mean(np.abs(tx) ** 2, axis=-1)
-            clean[k, rows] = apply_channel(tx, taps[rows], cfg.cp_length)
+            apply_channel(tx, taps[rows], cfg.cp_length, out=clean[k, rows])
             if rho > 0.0:
                 rx_p[k, rows] = np.mean(np.abs(clean[k, rows]) ** 2, axis=-1)
         if not all(own_ref):
@@ -382,21 +389,26 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
     def receive(rows: slice, noise: np.ndarray) -> None:
         for k in range(n_tech):
             if rho > 0.0:
-                p_w = np.abs(clean[k, rows] * (np.sqrt(rho) * eh_pin[k])) ** 2
+                p_w = np.abs(clean[k, rows] * (np.sqrt(rho) * eh_pin[k]))
+                p_w **= 2
                 eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
-                eta3_num[k, rows] = np.sum(eff * p_w, axis=-1)
+                eff *= p_w
+                eta3_num[k, rows] = np.sum(eff, axis=-1)
                 eta3_den[k, rows] = np.sum(p_w, axis=-1)
-            normalized = clean[k, rows] * norm[k]
-            info = info_branch(normalized, s.split, noise)
+            # this technique's faded frames are read for the last time: the
+            # information branch is built in their memory
+            info = clean[k, rows]
+            info *= norm[k]
             scale = None
             if companded[k]:
                 # known amplitude bookkeeping from the compressed transmit
                 # waveform to the (noiseless) information-branch signal, so
                 # the expander operates in its design domain
-                rms_rx = np.sqrt((1.0 - rho) * np.mean(np.abs(normalized) ** 2, axis=-1))
+                rms_rx = np.sqrt((1.0 - rho) * np.mean(np.abs(info) ** 2, axis=-1))
                 drive = rms_drive[rows]
                 scale = np.ones_like(rms_rx)
                 np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
+            info_branch(info, s.split, noise)
             ber[k, rows] = demodulate_and_ber(
                 info, taps[rows], cfg, bits[rows], params if companded[k] else None, scale,
             )
@@ -503,9 +515,9 @@ def sweep_techniques(
     point's own thread.  A point in flight holds one faded frame per
     technique per trial (13 MB for 2 techniques x 50 trials x 4 symbols at
     N*L = 2048; peak RSS grew by about 16 MB per thread with the bits and
-    working arrays), so memory grows with ``threads`` up to len(bases) x
-    len(values) points.  Rows are merged in axis order regardless of
-    completion order.
+    working arrays, from 1 to 12 threads), so memory grows with ``threads``
+    up to len(bases) x len(values) points.  Rows are merged in axis order
+    regardless of completion order.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}")

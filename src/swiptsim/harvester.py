@@ -58,9 +58,10 @@ class RectennaCurve:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        val = self._cubic(p)
-        val = np.where(p < self.sensitivity_dbm, 0.0, val)
-        return np.clip(val, 0.0, 1.0)
+        # the cubic's own array (0-d for a scalar p, so that it can be written)
+        val = np.asarray(self._cubic(p))
+        val[p < self.sensitivity_dbm] = 0.0
+        return np.clip(val, 0.0, 1.0, out=val)
 
 
 class _PiecewiseCubic:

@@ -75,63 +75,48 @@ class LinkMetrics:
 def split_noise(
     split: SplitConfig, rng: np.random.Generator, n: int, trials: tuple[int, ...] = ()
 ) -> np.ndarray:
-    """The antenna, EH-branch and information-branch noise of
-    split_branches for the receptions indexed by trials, shape trials +
-    (3, n).
+    """The antenna and information-branch noise of the receptions indexed
+    by trials, shape trials + (2, n).
 
-    Each reception, in C order, draws its three noises of n samples in
-    turn, real part then imaginary part; a noise of variance 0 draws
-    nothing and is zero.  One call leaves rng where one split_branches
-    call per reception, in order, would.
+    Each reception, in C order, draws its antenna, EH-branch and
+    information-branch noises of n samples in turn, real part then
+    imaginary part; a noise of variance 0 draws nothing and is zero.  The
+    EH-branch noise is drawn only to keep that stream: no result reads it.
+    The draws go through one reception's buffer at a time.
     """
     variances = (split.sigma_a2, split.sigma_p2, split.sigma_p2)
-    z = rng.standard_normal(tuple(trials) + (sum(v != 0.0 for v in variances), 2, n))
-    noise = np.empty(tuple(trials) + (3, n), dtype=np.complex128)
-    drawn = 0
-    for i, v in enumerate(variances):
-        if v != 0.0:
-            # the parts written in place equal sqrt(v/2) * (re + 1j*im) bit
+    drawn = [i for i, v in enumerate(variances) if v != 0.0]
+    # (row of the result, place of its noise in a reception's draw, scale)
+    kept = [(row, drawn.index(i), np.sqrt(variances[i] / 2.0))
+            for row, i in enumerate((0, 2)) if i in drawn]
+    noise = np.zeros(tuple(trials) + (2, n), dtype=np.complex128)
+    z = np.empty((len(drawn), 2, n))
+    for trial in np.ndindex(*trials):
+        rng.standard_normal(out=z)
+        for row, j, scale in kept:
+            # the parts written in place equal scale * (re + 1j*im) bit
             # for bit: the complex product's 0 * x terms add nothing
-            np.multiply(np.sqrt(v / 2.0), z[..., drawn, 0, :], out=noise.real[..., i, :])
-            np.multiply(np.sqrt(v / 2.0), z[..., drawn, 1, :], out=noise.imag[..., i, :])
-            drawn += 1
-        else:
-            noise[..., i, :] = 0.0
+            np.multiply(scale, z[j, 0], out=noise.real[trial + (row,)])
+            np.multiply(scale, z[j, 1], out=noise.imag[trial + (row,)])
     return noise
 
 
-def _align_noise(noise: np.ndarray, ndim: int) -> np.ndarray:
-    """noise with unit axes after its trial axes, so that it broadcasts
-    over the remaining leading axes of an ndim-dimensional signal."""
-    lead = noise.shape[:-2]
-    return noise.reshape(lead + (1,) * (ndim - len(lead) - 1) + noise.shape[-2:])
-
-
 def info_branch(y: np.ndarray, split: SplitConfig, noise: np.ndarray) -> np.ndarray:
-    """The information branch of split_branches(y, split, noise) alone,
-    for noise drawn by split_noise."""
-    noise = _align_noise(noise, y.ndim)
-    return np.sqrt(1.0 - split.rho) * (y + noise[..., 0, :]) + noise[..., 2, :]
+    """The information branch of the received samples y (..., n), built in
+    y's own memory (y is overwritten and returned), for noise drawn by
+    split_noise.
 
-
-def split_branches(
-    y: np.ndarray, split: SplitConfig, rng: np.random.Generator | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(EH branch, information branch) sample arrays for y of shape (..., n).
-
-    One antenna-noise realization rides the signal into the splitter, so
-    both branches see it scaled by their amplitude share; each branch then
-    adds its own processing noise.  rng is a Generator, which draws one
-    reception's noise, or the noise that split_noise drew for a block of
-    receptions, whose trial axes lead y's.  Each reception's noise
-    broadcasts over the remaining leading axes of y: those rows are
-    alternative transmit waveforms received through one noise realization,
-    and each row gets exactly what a 1-D call on it alone would give.
+    The antenna noise rides the signal into the splitter, which passes a
+    1 - rho share of the power; the branch then adds its processing noise.
+    The noise broadcasts against y: the noise of receptions of shape
+    trials + (2, n) for y of shape trials + (n,), or one reception's
+    (2, n) shared by every row of y (alternative transmit waveforms
+    received through one noise realization).
     """
-    noise = split_noise(split, rng, y.shape[-1]) if isinstance(rng, np.random.Generator) else rng
-    aligned = _align_noise(noise, y.ndim)
-    eh = np.sqrt(split.rho) * (y + aligned[..., 0, :]) + aligned[..., 1, :]
-    return eh, info_branch(y, split, noise)
+    y += noise[..., 0, :]
+    y *= np.sqrt(1.0 - split.rho)
+    y += noise[..., 1, :]
+    return y
 
 
 def sinr(

@@ -119,7 +119,8 @@ def synthesize_waveforms(grids: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     if grids.shape[-1] != cfg.n_subcarriers:
         raise ValueError("grid length must equal n_subcarriers")
     padded = _pack_spectrum(grids, cfg)
-    x = np.sqrt(cfg.oversampling_factor) * np.fft.ifft(padded, norm="ortho")
+    x = np.fft.ifft(padded, norm="ortho")
+    x *= np.sqrt(cfg.oversampling_factor)
     if cfg.cp_length:
         x = np.concatenate([x[..., -cfg.cp_length:], x], axis=-1)
     return x
@@ -132,11 +133,11 @@ def ofdm_demodulate(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
         x = x[..., cfg.cp_length:]
     if x.shape[-1] != cfg.n_samples:
         raise ValueError("sample count does not match the configuration")
-    spectrum = np.fft.fft(x, norm="ortho") / np.sqrt(cfg.oversampling_factor)
+    spectrum = np.fft.fft(x, norm="ortho")
     n, l = cfg.n_subcarriers, cfg.oversampling_factor
-    return np.concatenate(
-        [spectrum[..., : n // 2], spectrum[..., n * l - n // 2:]], axis=-1
-    )
+    grid = np.concatenate([spectrum[..., : n // 2], spectrum[..., n * l - n // 2:]], axis=-1)
+    grid /= np.sqrt(l)
+    return grid
 
 
 def papr_db(x: np.ndarray) -> float:

@@ -105,14 +105,23 @@ def sspa_am_am(magnitude, pa: PaModel):
     if np.any(m < 0):
         raise ValueError("magnitude must be non-negative")
     two_p = 2.0 * pa.smoothness
-    return m / (1.0 + (m / pa.a_sat) ** two_p) ** (1.0 / two_p)
+    # the denominator, in the formula's order, in one array (a scalar for a
+    # 0-d m), which then takes the result
+    d = m / pa.a_sat
+    d **= two_p
+    d += 1.0
+    d **= 1.0 / two_p
+    return np.divide(m, d, out=d if d.ndim else None)
 
 
 def scale_envelope(x: np.ndarray, f) -> np.ndarray:
     """x with every sample magnitude m mapped to f(m) and its phase kept;
     zero samples stay zero."""
-    m = np.abs(x)
-    return x * np.divide(f(m), m, out=np.zeros_like(m), where=m > 0)
+    # the magnitudes (0-d for a scalar x, so that they can be written) are
+    # overwritten with the gains f(m) / m; a zero magnitude keeps gain 0
+    m = np.asarray(np.abs(x))
+    np.divide(f(m), m, out=m, where=m > 0)
+    return x * m
 
 
 def amplify(x: np.ndarray, pa: PaModel, ibo_db: float, inverse_fit=None) -> np.ndarray:
@@ -132,7 +141,9 @@ def amplify(x: np.ndarray, pa: PaModel, ibo_db: float, inverse_fit=None) -> np.n
         x * g,
         lambda m: np.clip(inverse_fit(np.minimum(m, inverse_fit.domain_max)), 0.0, None),
     )
-    return scale_envelope(u, pa.am_am) / g
+    y = scale_envelope(u, pa.am_am)
+    y /= g
+    return y
 
 
 def class_a_efficiency(papr_db: float) -> float:

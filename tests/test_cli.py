@@ -409,7 +409,8 @@ _CSV_SHA256 = {
 # the Monte Carlo commands on a config of their own, so that the digests
 # above keep their config hash: a cyclic prefix, which the multipath
 # channel lengthens, and rho = 0.5, so that the rectenna runs; recorded
-# before ber ran every channel's points in one pool
+# before ber ran every channel's points in one pool, and checked at 1, 2
+# and 3 threads, which must not move a byte
 _MC_DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
     "split": {"rho": 0.5},
@@ -431,10 +432,12 @@ def test_outputs_match_recorded_digests(tmp_path):
         (cfg, "papr", ("papr_ccdf.csv",), ["--threads", "2"]),
         (cfg, "mu-sweep", ("mu_sweep.csv",), ["--threads", "2"]),
         (cfg, "dpd-design", ("dpd_evm.csv",), []),
-        (mc_cfg, "ber", ("ber_curves.csv",), ["--threads", "2"]),
-        (mc_cfg, "e2e", ("technique_table.csv", "channel_metrics.csv"), ["--threads", "2"]),
+        *((mc_cfg, command, names, ["--threads", str(threads)])
+          for command, names in (("ber", ("ber_curves.csv",)),
+                                 ("e2e", ("technique_table.csv", "channel_metrics.csv")))
+          for threads in (1, 2, 3)),
     ):
-        out = tmp_path / command
+        out = tmp_path / "-".join((command, *flags))
         assert main([command, "--config", path, "--seed", "0", "--out", str(out),
                      *flags]) == EXIT_OK
         for name in names:
@@ -516,6 +519,18 @@ def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (tmp_path / "rate_energy_companding_rayleigh_multitap.csv").read_text().splitlines()
     assert lines[-1].startswith("0.5,")
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--threads"])
+def test_rate_energy_script_rejects_a_zero_count(tmp_path, flag):
+    # a usage error, exit 2 as the CLI's config errors, not a traceback
+    script = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
+    proc = subprocess.run([sys.executable, str(script), flag, "0", "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"{flag} must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 _SCIPY_PROBE = """

@@ -10,13 +10,11 @@ import pytest
 import swiptsim
 from swiptsim import dpd
 from swiptsim.dpd import (
-    DpdDesign,
     design_from_scratch,
     design_ibo_reduction,
     evm,
     fit_inverse_polynomial,
     fit_pa_polynomial,
-    load_design,
     make_training_set,
     probe_evm,
     save_design,
@@ -34,6 +32,17 @@ def test_fit_recovers_linear_transfer():
     np.testing.assert_allclose(fit.coeffs, [0, 0.7, 0, 0], atol=1e-10)
     assert fit.residual_rms < 1e-12
     assert fit.domain_max == 2.0
+
+
+def test_fit_evaluates_as_polyval():
+    # PolyFit runs numpy's polyval recurrence in one array: same bits
+    from numpy.polynomial import polynomial as npoly
+
+    amp_in, amp_out = make_training_set(PA, CFG, seed=0)
+    fit = fit_inverse_polynomial(amp_out, amp_in, 7)
+    x = np.linspace(0.0, 1.5, 1001)
+    assert fit(x).tobytes() == npoly.polyval(x, np.asarray(fit.coeffs)).tobytes()
+    assert fit(0.3) == npoly.polyval(0.3, np.asarray(fit.coeffs))
 
 
 def test_fit_rejects_degenerate_training():
@@ -224,19 +233,11 @@ def test_infeasible_inverse_returns_zero():
     assert any("no feasible reduction" in n for n in design.notes)
 
 
-def test_save_load_roundtrip(tmp_path):
+def test_save_design_writes_header(tmp_path):
     design = design_from_scratch(PA, CFG, seed=0)
     path = tmp_path / "design.txt"
     save_design(design, str(path), header=("written by the test suite",))
     assert path.read_text().startswith("# written by the test suite\n")
-    loaded = load_design(str(path))
-    assert isinstance(loaded, DpdDesign)
-    assert loaded.ibo_reduction_db == design.ibo_reduction_db
-    assert loaded.evm_baseline == design.evm_baseline
-    assert loaded.pa_fit.coeffs == design.pa_fit.coeffs
-    assert loaded.inverse_fit.coeffs == design.inverse_fit.coeffs
-    assert loaded.degenerate == design.degenerate
-    assert loaded.notes == design.notes
 
 
 def test_training_set_covers_overdrive():

@@ -339,7 +339,7 @@ def test_run_techniques_blocks_and_threads_bit_identical(techniques, kind, rho_z
     s = _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed)
     frame_bytes = 16 * s.frame_symbols * (s.ofdm.n_samples + s.ofdm.cp_length)
     reference = run_techniques(s, techniques)
-    for per_block in (1, 2, 3, trials):
+    for per_block in (1, 2, 3, 4, trials):
         for threads in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(experiments, "_BLOCK_BYTES", per_block * frame_bytes)

@@ -14,8 +14,8 @@ from swiptsim.link import (
     achievable_rate,
     demodulate_and_ber,
     harvested,
+    info_branch,
     sinr,
-    split_branches,
     split_noise,
 )
 from swiptsim.ofdm import OfdmConfig, map_bits, synthesize_waveforms
@@ -52,50 +52,51 @@ def _power(x):
 
 
 def test_power_split_bookkeeping():
-    # unit-power signal, shared antenna noise, per-branch processing noise
+    # unit-power signal, antenna noise scaled with it by the splitter,
+    # then the branch's own processing noise
     rng = np.random.default_rng(3)
     n = 200_000
     x = np.exp(2j * np.pi * rng.random(n))
     split = SplitConfig(rho=0.6, sigma_a2=0.02, sigma_p2=0.01)
-    eh, info = split_branches(x, split, rng)
-    assert _power(eh) == pytest.approx(0.6 * 1.02 + 0.01, rel=0.01)
+    noise = split_noise(split, rng, n)
+    info = info_branch(x.copy(), split, noise)
     assert _power(info) == pytest.approx(0.4 * 1.02 + 0.01, rel=0.01)
-    # the antenna-noise realization is common to both branches
-    res_eh = eh - np.sqrt(0.6) * x
+    # the antenna-noise realization reaches the branch at its amplitude share
     res_info = info - np.sqrt(0.4) * x
-    cov = np.mean(res_eh * np.conj(res_info)).real
-    assert cov == pytest.approx(np.sqrt(0.6 * 0.4) * 0.02, rel=0.05)
+    cov = np.mean(res_info * np.conj(noise[0])).real
+    assert cov == pytest.approx(np.sqrt(0.4) * 0.02, rel=0.05)
 
 
 def test_power_split_extreme_ratios():
     rng = np.random.default_rng(5)
     x = np.ones(50_000, dtype=complex)
-    split = SplitConfig(rho=0.0, sigma_a2=0.0, sigma_p2=0.04)
-    eh, info = split_branches(x, split, rng)
-    assert _power(eh) == pytest.approx(0.04, rel=0.02)  # noise only
-    assert _power(info) == pytest.approx(1.04, rel=0.02)
+    for rho, expected in ((0.0, 1.04), (1.0, 0.04)):  # all signal, noise only
+        split = SplitConfig(rho=rho, sigma_a2=0.0, sigma_p2=0.04)
+        info = info_branch(x.copy(), split, split_noise(split, rng, x.size))
+        assert _power(info) == pytest.approx(expected, rel=0.02)
 
 
-def test_split_branches_broadcasts_one_draw():
-    # the rows of a 2-D input share one noise realization: each row gets
+def test_info_branch_broadcasts_one_draw():
+    # the rows of a 2-D input share one reception's noise: each row gets
     # exactly what a 1-D call gives that row alone from the same stream,
-    # and the stream advances as far as one 1-D call
+    # and the stream advances as far as one 1-D draw
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
     split = SplitConfig(rho=0.3, sigma_a2=0.02, sigma_p2=0.01)
     shared = np.random.default_rng(7)
-    eh, info = split_branches(rows, split, shared)
+    info = info_branch(rows.copy(), split, split_noise(split, shared, 64))
     for k, row in enumerate(rows):
         alone = np.random.default_rng(7)
-        eh_k, info_k = split_branches(row, split, alone)
-        np.testing.assert_array_equal(eh[k], eh_k)
+        info_k = info_branch(row.copy(), split, split_noise(split, alone, 64))
         np.testing.assert_array_equal(info[k], info_k)
     assert shared.random() == alone.random()
 
 
 def _split_noise_complex_form(split, rng, n, trials=()):
-    # split_noise as it was written before it filled the real and imaginary
-    # parts in place: sqrt(v/2) * (re + 1j*im) into a zeroed array
+    # split_noise as it was written when it also returned the EH-branch
+    # noise (row 1) and drew every reception at once, before it filled the
+    # real and imaginary parts in place: sqrt(v/2) * (re + 1j*im) into a
+    # zeroed array of shape trials + (3, n)
     variances = (split.sigma_a2, split.sigma_p2, split.sigma_p2)
     z = rng.standard_normal(tuple(trials) + (sum(v != 0.0 for v in variances), 2, n))
     noise = np.zeros(tuple(trials) + (3, n), dtype=np.complex128)
@@ -112,10 +113,12 @@ def _split_noise_complex_form(split, rng, n, trials=()):
                          [(1e-3, 1e-3), (0.0, 0.02), (0.5, 0.0), (0.0, 0.0)])
 @pytest.mark.parametrize("trials", [(), (3,), (2, 4)])
 def test_split_noise_matches_complex_form(sigma_a2, sigma_p2, trials):
+    # the antenna and information-branch rows bit for bit, and the stream
+    # left where the three-row draw left it
     split = SplitConfig(rho=0.3, sigma_a2=sigma_a2, sigma_p2=sigma_p2)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     noise = split_noise(split, rng, 64, trials)
-    ref = _split_noise_complex_form(split, ref_rng, 64, trials)
+    ref = _split_noise_complex_form(split, ref_rng, 64, trials)[..., [0, 2], :]
     assert noise.shape == ref.shape
     assert noise.tobytes() == ref.tobytes()
     assert rng.random() == ref_rng.random()
@@ -250,7 +253,8 @@ def test_tiny_mu_expander_matches_plain_receiver():
     rng = np.random.default_rng(13)
     bits, sig = _build_frame(cfg, rng, 4)
     taps = (1.0 + 0j,)
-    _, rx = split_branches(sig, SplitConfig(rho=0.0, sigma_a2=0.5, sigma_p2=0.0), rng)
+    split = SplitConfig(rho=0.0, sigma_a2=0.5, sigma_p2=0.0)
+    rx = info_branch(sig, split, split_noise(split, rng, sig.size))
     plain = demodulate_and_ber(rx, taps, cfg, bits)
     tiny = CompanderParams.default(mu=1e-9)
     expanded = demodulate_and_ber(rx, taps, cfg, bits, expander=tiny,

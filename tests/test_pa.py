@@ -97,6 +97,26 @@ def test_scale_envelope_keeps_phase_and_zero():
     f = lambda m: np.sqrt(m)
     np.testing.assert_array_equal(scale_envelope(block, f).ravel(),
                                   scale_envelope(block.ravel(), f))
+    # and a scalar
+    assert scale_envelope(3 + 4j, lambda m: 2.0 * m + 1.0) == pytest.approx(2.2 * (3 + 4j))
+    assert scale_envelope(0j, lambda m: m + 1.0) == 0
+
+
+@pytest.mark.parametrize("smoothness", [0.25, 1.0, 1.2, 3.0])
+def test_in_place_kernels_match_their_formulas(smoothness):
+    # the kernels compute in their own arrays; the formulas as written
+    # before, one temporary per operation, must give the same bits
+    pa = PaModel.sspa(a_sat=0.8, smoothness=smoothness)
+    m = np.abs(_gaussian_block(4096, seed=9)) * 2.0
+    m[7] = 0.0
+    two_p = 2.0 * smoothness
+    formula = m / (1.0 + (m / pa.a_sat) ** two_p) ** (1.0 / two_p)
+    assert sspa_am_am(m, pa).tobytes() == formula.tobytes()
+    x = _gaussian_block(4096, seed=10)
+    x[3] = 0.0
+    mag = np.abs(x)
+    ref = x * np.divide(pa.am_am(mag), mag, out=np.zeros_like(mag), where=mag > 0)
+    assert scale_envelope(x, pa.am_am).tobytes() == ref.tobytes()
 
 
 def test_operating_point_gains():
