@@ -521,6 +521,25 @@ def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
     assert lines[-1].startswith("0.5,")
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
+    # the bytes of sweep_to_csv and the provenance of append_manifest, at
+    # either worker count
+    script = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--channel", "rayleigh_multitap", "--trials", "2",
+         "--rho", "0.3", "0.6", "--seed", "0", "--threads", str(threads),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    data = (tmp_path / "rate_energy_companding_rayleigh_multitap.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "cc79c82dde8147dd1fef22ddf966a55a1008cd314d8a28a9eb1665b27596d1e2")
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert (entry["config_hash"], entry["axis"], entry["n_points"]) == ("b511e4e6b72a", "rho", 2)
+
+
 @pytest.mark.parametrize("flag", ["--trials", "--threads"])
 def test_rate_energy_script_rejects_a_zero_count(tmp_path, flag):
     # a usage error, exit 2 as the CLI's config errors, not a traceback
