@@ -67,10 +67,9 @@ def main():
     append_manifest(args.out / "manifest.jsonl", result, base)
 
     print(f"{'rho':>6}{'rate b/s/Hz':>13}{'H_P/E':>10}{'eta3':>8}{'+-':>8}")
-    for row in result.rows:
-        m = row.metrics
-        print(f"{row.axis_value:>6.2f}{m.rate_bps_hz:>13.3f}"
-              f"{m.harvested_norm:>10.4f}{m.eta3:>8.4f}{row.ci('eta3'):>8.4f}")
+    for rho, m in zip(result.values, result.rows):
+        print(f"{rho:>6.2f}{m.rate_bps_hz:>13.3f}"
+              f"{m.harvested_norm:>10.4f}{m.eta3:>8.4f}{m.eta3_ci:>8.4f}")
     print(f"\nwrote {csv_path} and appended to {args.out / 'manifest.jsonl'}")
 
 

@@ -12,11 +12,12 @@ rate-energy  Closed-form rate and H_P/E vs splitting ratio.
 Configuration is a JSON object; every key is optional and unknown keys
 are rejected with their location.  Schema (defaults in parentheses):
 
-  ofdm:        n_subcarriers (512), oversampling_factor (4), cp_length (0)
+  ofdm:        n_subcarriers (512), oversampling_factor (4), cp_length (0),
+               all integers
   pa:          kind ("sspa" | "soft_limiter" | "polynomial"), a_sat (1.0),
                smoothness (1.2; sspa only), coeffs (polynomial only: a
-               non-empty list of finite numbers), ibo_db (8.0, >= 0)
-  split:       rho (1 - 1e-6), sigma_a2 (1e-3), sigma_p2 (1e-3)
+               non-empty list of finite numbers), ibo_db (8.0, >= 0); finite
+  split:       rho (1 - 1e-6), sigma_a2 (1e-3), sigma_p2 (1e-3); finite
   channel:     kind ("awgn"), rice_k_db (20), pdp_db ([0,-10,-20]; a list
                of finite numbers starting at 0)
   scenario:    mu (1.25, finite and > 0), p_rf_tx_dbm (30, finite),
@@ -102,7 +103,6 @@ from .experiments import (
     closed_form,
     run_techniques,
     sweep_techniques,
-    table_pipeline,
     technique_reductions,
     write_csv,
 )
@@ -495,13 +495,11 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
-    table = [res.rows[0]
-             for res in table_pipeline(base, seed=seed, trials=base.trials, threads=threads)]
-    rows = []
-    for r in table:
-        m = r.metrics
-        rows.append((r.axis_value, m.eta1, m.eta3, m.eta_e2e, r.ibo_reduction_db,
-                     m.rate_bps_hz, m.harvested_norm, m.ber))
+    # the table runs on the configured channel, with a prefix that absorbs it
+    table_s = replace(base, ofdm=_channel_ofdm(base.ofdm, base.channel))
+    table = run_techniques(table_s, TABLE_TECHNIQUES, threads)
+    rows = [(tech, m.eta1, m.eta3, m.eta_e2e, m.ibo_reduction_db, m.rate_bps_hz,
+             m.harvested_norm, m.ber) for tech, m in zip(TABLE_TECHNIQUES, table)]
     write_csv(out / "technique_table.csv",
               ("technique", "eta1", "eta3", "eta1_eta3", "ibo_reduction_db",
                "rate_bps_hz", "h_p_norm", "ber"),
@@ -509,18 +507,12 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
 
     chan_rows = []
     for kind in CHANNEL_KINDS:
-        spec = replace(build_channel(cfg), kind=kind)
-        ofdm = _channel_ofdm(base.ofdm, spec)
-        if spec == base.channel and ofdm == base.ofdm:
-            # the configured channel's rows are the technique table's
-            results = table
-        else:
-            s = replace(base, name=kind, channel=spec, ofdm=ofdm)
-            results = (res.rows[0] for res in run_techniques(s, TABLE_TECHNIQUES, threads))
-        for tech, r in zip(TABLE_TECHNIQUES, results):
-            m = r.metrics
-            chan_rows.append((kind, tech, m.eta1, m.eta3, m.eta_e2e,
-                              r.ci("eta3"), m.ber))
+        spec = replace(base.channel, kind=kind)
+        s = replace(base, channel=spec, ofdm=_channel_ofdm(base.ofdm, spec))
+        # the configured channel's rows are the technique table's
+        results = table if s == table_s else run_techniques(s, TABLE_TECHNIQUES, threads)
+        for tech, m in zip(TABLE_TECHNIQUES, results):
+            chan_rows.append((kind, tech, m.eta1, m.eta3, m.eta_e2e, m.eta3_ci, m.ber))
     write_csv(out / "channel_metrics.csv",
               ("channel", "technique", "eta1", "eta3", "eta1_eta3", "eta3_ci", "ber"),
               chan_rows, h, seed)
@@ -541,7 +533,7 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
         spec = replace(base.channel, kind=kind)
         bases.append(replace(
             base, channel=spec, ofdm=_channel_ofdm(base.ofdm, spec),
-            split=replace(base.split, rho=0.0, sigma_p2=0.0), name=kind,
+            split=replace(base.split, rho=0.0, sigma_p2=0.0),
         ))
     # every technique shares each Eb/N0 point's draws, and the points of
     # every channel run in one pool
@@ -551,10 +543,8 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     for kind, s, results in zip(channels, bases, swept):
         n_bits = 2 * s.ofdm.n_subcarriers * s.frame_symbols * s.trials
         for tech, res in zip(techniques, results):
-            for point in res.rows:
-                rows.append((kind, tech, point.axis_value, point.metrics.ber,
-                             point.ci("ber"), n_bits))
-            series[f"{kind}/{tech}"] = [(p.axis_value, p.metrics.ber) for p in res.rows]
+            rows += [(kind, tech, v, m.ber, m.ber_ci, n_bits) for v, m in zip(ebn0, res.rows)]
+            series[f"{kind}/{tech}"] = [(v, m.ber) for v, m in zip(ebn0, res.rows)]
     write_csv(out / "ber_curves.csv",
               ("channel", "technique", "ebn0_db", "ber", "ber_ci", "n_bits"),
               rows, h, seed)
@@ -607,10 +597,9 @@ _COMMANDS = {
 }
 
 
-# the subcommands that run on the calling thread alone
+# the subcommands without Monte Carlo: they have no trial count and run on
+# the calling thread alone
 _SERIAL = ("dpd-design", "rate-energy")
-# the subcommands without a Monte Carlo count
-_NO_TRIALS = ("dpd-design", "rate-energy")
 
 
 def _usable_cores() -> int:
@@ -642,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.trials is not None:
             if args.trials < 1:
                 raise ConfigError("--trials must be at least 1")
-            if args.command in _NO_TRIALS:
+            if args.command in _SERIAL:
                 raise ConfigError(f"--trials: {args.command} has no Monte Carlo count")
         threads = args.threads
         if threads is not None:

@@ -1,12 +1,12 @@
 """Scenario definitions, the Monte Carlo runner, and sweep pipelines.
 
 A Scenario bundles the full transmit/channel/receive configuration for
-one technique; run_techniques turns it into link metrics with batch-means
-confidence intervals for several techniques over one set of random draws,
-and run_scenario for one.  sweep_techniques() repeats several base
-scenarios (one per channel in the ber command) along one axis and runs
-every base's points in one thread pool; sweep() repeats one.
-table_pipeline() produces the four-technique efficiency comparison.
+one technique; run_techniques turns it into one LinkMetrics per technique,
+with batch-means confidence intervals, for several techniques over one set
+of random draws (TABLE_TECHNIQUES gives the four-technique efficiency
+comparison).  sweep_techniques() repeats several base scenarios (one per
+channel in the ber command) along one axis and runs every base's points in
+one thread pool; sweep() repeats one.
 
 Measurement conventions, used consistently everywhere:
 
@@ -118,21 +118,12 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class PointResult:
-    axis_value: object
-    metrics: LinkMetrics
-    ci_half: tuple[tuple[str, float], ...]
-    ibo_reduction_db: float
-
-    def ci(self, name: str) -> float:
-        return dict(self.ci_half)[name]
-
-
-@dataclass(frozen=True)
 class SweepResult:
+    """One technique along one axis: rows[i] is the result at values[i]."""
+
     axis: str
     values: tuple
-    rows: tuple[PointResult, ...]
+    rows: tuple[LinkMetrics, ...]
     seed: int
     config_hash: str
 
@@ -252,14 +243,16 @@ def _batch_ci(samples: np.ndarray) -> float:
 _BLOCK_BYTES = 1 << 19
 
 
-def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResult, ...]:
-    """Monte Carlo evaluation of several techniques over one set of draws.
+def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[LinkMetrics, ...]:
+    """Monte Carlo evaluation of several techniques over one set of draws:
+    one LinkMetrics per technique, in order, deterministic for a fixed seed.
 
-    Result k is bit-identical to run_scenario(replace(s, technique=
-    techniques[k])).  For a fixed seed and channel every technique sees the
-    same bits, channel taps and splitter noise, so each frame's bits, QPSK
-    grid, synthesis, taps and noise are drawn once and every technique is
-    pushed through them: the frames are compressed once for the companded
+    Result k is bit-identical to the single-technique run
+    run_techniques(replace(s, technique=t), (t,))[0] for t = techniques[k].
+    For a fixed seed and channel every technique sees the same bits,
+    channel taps and splitter noise, so each frame's bits, QPSK grid,
+    synthesis, taps and noise are drawn once and every technique is pushed
+    through them: the frames are compressed once for the companded
     techniques, and the baseline amplification of the uncompressed frames,
     which sets every technique's power reference, is computed once (and is
     the baseline technique's own transmit waveform).  The random stream is
@@ -427,52 +420,12 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[SweepResu
         else:
             eta3_mc = 0.0
             eta3_frames = eta3_num[k]
-        metrics = LinkMetrics(
-            rate_bps_hz=rate,
-            harvested_norm=h_p_norm,
-            ber=float(ber[k].mean()),
-            eta1=eta1,
-            eta3=eta3_mc,
-            eta_e2e=eta1 * eta3_mc,
-        )
-        ci = (
-            ("eta3", _batch_ci(eta3_frames)),
-            ("ber", _batch_ci(ber[k])),
-        )
-        row = PointResult(
-            axis_value=sk.name, metrics=metrics, ci_half=ci,
-            ibo_reduction_db=r_dpd + r_comp,
-        )
-        results.append(SweepResult(
-            axis="scenario", values=(sk.name,), rows=(row,),
-            seed=sk.seed, config_hash=config_hash(sk),
+        results.append(LinkMetrics(
+            rate_bps_hz=rate, harvested_norm=h_p_norm, ber=float(ber[k].mean()), eta1=eta1,
+            eta3=eta3_mc, eta_e2e=eta1 * eta3_mc, ibo_reduction_db=r_dpd + r_comp,
+            eta3_ci=_batch_ci(eta3_frames), ber_ci=_batch_ci(ber[k]),
         ))
     return tuple(results)
-
-
-def run_scenario(s: Scenario) -> SweepResult:
-    """Monte Carlo evaluation of one scenario; deterministic for a fixed
-    seed (see run_techniques)."""
-    return run_techniques(s, (s.technique,))[0]
-
-
-def table_pipeline(
-    base: Scenario | None = None, seed: int = 0, trials: int = 50, threads: int = 1
-) -> tuple[SweepResult, ...]:
-    """Four-technique comparison under AWGN (the efficiency table).
-
-    Returns one single-row SweepResult per technique, in the canonical
-    order baseline, DPD, companding, DPD+companding, each named after its
-    technique; all four share one set of draws, processed by ``threads``
-    workers (see run_techniques).
-    """
-    base = replace(base if base is not None else Scenario(), trials=trials, seed=seed)
-    out = []
-    for tech, res in zip(TABLE_TECHNIQUES, run_techniques(base, TABLE_TECHNIQUES, threads)):
-        row = replace(res.rows[0], axis_value=tech)
-        named = replace(base, name=tech, technique=tech)
-        out.append(replace(res, values=(tech,), rows=(row,), config_hash=config_hash(named)))
-    return tuple(out)
 
 
 _AXES = ("rho", "mu", "ibo_reduction", "p_rf_tx", "snr")
@@ -506,8 +459,9 @@ def sweep_techniques(
     """Run each base scenario along one axis for several techniques;
     deterministic in (bases, seeds).
 
-    Result [b][k] is bit-identical to sweep(axis, values, replace(
-    bases[b], technique=techniques[k]), threads).  Each base's points get
+    Result [b][k] is technique k along the axis on base b, one row per
+    value, bit-identical to sweep(axis, values, replace(bases[b],
+    technique=techniques[k]), threads).  Each base's points get
     independent child seeds of that base's seed.  The predistorters are
     designed on the calling thread, then the points of every base run in
     one pool of ``threads`` workers; at each point every technique shares
@@ -534,11 +488,7 @@ def sweep_techniques(
     for base in bases:
         children = np.random.SeedSequence(base.seed).spawn(len(values))
         points += [
-            replace(
-                _point_scenario(axis, v, base),
-                seed=int(children[i].generate_state(1)[0]),
-                name=f"{base.name}[{axis}={v:g}]",
-            )
+            replace(_point_scenario(axis, v, base), seed=int(children[i].generate_state(1)[0]))
             for i, v in enumerate(values)
         ]
     # the points of a base share one operating point: design its
@@ -558,8 +508,7 @@ def sweep_techniques(
         tuple(
             SweepResult(
                 axis=axis, values=values,
-                rows=tuple(replace(res[k].rows[0], axis_value=v)
-                           for v, res in zip(values, results[b * n:(b + 1) * n])),
+                rows=tuple(res[k] for res in results[b * n:(b + 1) * n]),
                 seed=base.seed, config_hash=config_hash(replace(base, technique=tech)),
             )
             for k, tech in enumerate(techniques)
@@ -569,7 +518,8 @@ def sweep_techniques(
 
 
 def sweep(axis: str, values, base: Scenario, threads: int = 1) -> SweepResult:
-    """Run the base scenario along one axis (see sweep_techniques)."""
+    """Run the base scenario's technique along one axis, one row per value
+    (see sweep_techniques)."""
     return sweep_techniques(axis, values, (base,), (base.technique,), threads)[0][0]
 
 
@@ -596,12 +546,9 @@ def sweep_to_csv(result: SweepResult, path, comments=()) -> None:
         "eta_e2e", "ibo_reduction_db", "eta3_ci", "ber_ci",
     )
     rows = [
-        (
-            r.axis_value, r.metrics.rate_bps_hz, r.metrics.harvested_norm,
-            r.metrics.ber, r.metrics.eta1, r.metrics.eta3, r.metrics.eta_e2e,
-            r.ibo_reduction_db, r.ci("eta3"), r.ci("ber"),
-        )
-        for r in result.rows
+        (v, m.rate_bps_hz, m.harvested_norm, m.ber, m.eta1, m.eta3, m.eta_e2e,
+         m.ibo_reduction_db, m.eta3_ci, m.ber_ci)
+        for v, m in zip(result.values, result.rows)
     ]
     write_csv(path, cols, rows, result.config_hash, result.seed, comments)
 

@@ -16,6 +16,7 @@ distortion scaled by the expander's noise factor.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +43,9 @@ class SplitConfig:
     sigma_p2: float = 1e-3
 
     def __post_init__(self) -> None:
+        for name in ("rho", "sigma_a2", "sigma_p2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
         if self.sigma_a2 < 0.0 or self.sigma_p2 < 0.0:
@@ -56,12 +60,18 @@ class SplitConfig:
 
 @dataclass(frozen=True)
 class LinkMetrics:
+    """One technique's link metrics at its back-off reduction; the CIs are
+    95% half-widths of eta3 and BER, NaN below two trials."""
+
     rate_bps_hz: float
     harvested_norm: float
     ber: float
     eta1: float
     eta3: float
     eta_e2e: float
+    ibo_reduction_db: float
+    eta3_ci: float
+    ber_ci: float
 
     def __post_init__(self) -> None:
         if self.rate_bps_hz < 0.0:

@@ -8,6 +8,7 @@ sample rate) travels separately as an OfdmConfig.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,10 @@ class OfdmConfig:
     cp_length: int = 0
 
     def __post_init__(self):
+        for name in ("n_subcarriers", "oversampling_factor", "cp_length"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         n = self.n_subcarriers
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("n_subcarriers must be a power of two >= 2")

@@ -40,6 +40,9 @@ class PaModel:
     def __post_init__(self):
         if self.kind not in _PA_KINDS:
             raise ValueError(f"kind must be one of {_PA_KINDS}")
+        for name in ("a_sat", "smoothness"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.a_sat <= 0:
             raise ValueError("a_sat must be positive")
         if self.kind == "sspa" and self.smoothness <= 0:

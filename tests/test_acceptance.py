@@ -22,7 +22,13 @@ from swiptsim.companding import (
     optimize_mu,
 )
 from swiptsim.dpd import design_from_scratch
-from swiptsim.experiments import Scenario, run_scenario, sweep, sweep_to_csv, table_pipeline
+from swiptsim.experiments import (
+    TABLE_TECHNIQUES,
+    Scenario,
+    run_techniques,
+    sweep,
+    sweep_to_csv,
+)
 from swiptsim.harvester import EhModel
 from swiptsim.link import SplitConfig, achievable_rate, harvested, sinr
 from swiptsim.ofdm import (
@@ -119,8 +125,8 @@ def test_criterion_5_combined_technique():
 
 
 def test_criterion_6_efficiency_table():
-    results = table_pipeline(seed=1, trials=50)
-    rows = {res.rows[0].axis_value: res.rows[0].metrics for res in results}
+    results = run_techniques(Scenario(seed=1, trials=50), TABLE_TECHNIQUES)
+    rows = dict(zip(TABLE_TECHNIQUES, results))
     order = ("baseline", "dpd", "companding", "dpd_companding")
     eta1 = [100.0 * rows[t].eta1 for t in order]
     eta3 = [100.0 * rows[t].eta3 for t in order]
@@ -161,7 +167,7 @@ def test_criterion_7_qpsk_awgn_ber_oracle():
     for point, ebn0 in zip(res.rows, points):
         p_theory = stats.norm.sf(np.sqrt(2.0 * 10.0 ** (ebn0 / 10.0)))
         sigma = np.sqrt(p_theory * (1.0 - p_theory) / n_bits)
-        devs.append(abs(point.metrics.ber - p_theory) / sigma)
+        devs.append(abs(point.ber - p_theory) / sigma)
     ok = all(d < 3.0 for d in devs)
     _report(7, "uncoded QPSK vs closed form", ok,
             f"{n_bits} bits/point, deviations "
@@ -255,7 +261,7 @@ def _eta3_by_channel(mu: float):
         s = Scenario(technique="companding", mu=mu, trials=50, seed=3,
                      ofdm=ofdm, channel=ChannelSpec(kind=kind))
         res = sweep("snr", (0.0, 4.0, 8.0), s)
-        out[kind] = [r.metrics.eta3 for r in res.rows]
+        out[kind] = [r.eta3 for r in res.rows]
     return out
 
 
@@ -268,7 +274,7 @@ def _ber_by_channel(mu: float):
                          channel=ChannelSpec(kind=kind),
                          split=SplitConfig(rho=0.0, sigma_a2=1.0, sigma_p2=0.0))
             res = sweep("snr", (0.0, 4.0, 8.0), s)
-            out[(kind, tech)] = [r.metrics.ber for r in res.rows]
+            out[(kind, tech)] = [r.ber for r in res.rows]
     return out
 
 

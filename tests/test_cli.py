@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import swiptsim
-from swiptsim import dpd, experiments, ofdm, pa
+from swiptsim import cli, dpd, experiments, ofdm, pa
 from swiptsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -215,6 +215,14 @@ def test_main_exit_codes(tmp_path, capsys):
         ("rate-energy", {"scenario": {"ibo_reduction_db": "x"}}, "ibo_reduction_db must be"),
         ("rate-energy", {"channel": {"pdp_db": 5}}, "channel.pdp_db"),
         ("rate-energy", {"channel": {"pdp_db": [0, "a"]}}, "channel.pdp_db"),
+        # non-integer numerology and non-finite splitter and amplifier numbers
+        ("e2e", {"ofdm": {**SMALL_OFDM, "oversampling_factor": 2.5}},
+         "oversampling_factor must be an integer"),
+        ("e2e", {"ofdm": {**SMALL_OFDM, "cp_length": 1.5}}, "cp_length must be an integer"),
+        ("e2e", {"split": {"sigma_a2": float("nan")}}, "sigma_a2 must be finite"),
+        ("e2e", {"split": {"sigma_p2": float("inf")}}, "sigma_p2 must be finite"),
+        ("e2e", {"pa": {"a_sat": float("nan")}}, "a_sat must be finite"),
+        ("e2e", {"pa": {"smoothness": float("inf")}}, "smoothness must be finite"),
     ]
     for i, (command, section, where) in enumerate(bad_papr):
         path = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, **section}, f"bad_papr{i}.json")
@@ -678,6 +686,31 @@ def test_e2e_outputs(tmp_path):
     for a, t in zip(awgn, table_rows):
         for key in ("eta1", "eta3", "eta1_eta3", "ber"):
             assert a[key] == t[key], (a["technique"], key)
+
+
+def test_e2e_runs_on_a_configured_multitap_channel(tmp_path, monkeypatch):
+    # the technique table lengthens the cyclic prefix as the channel rows
+    # do, and the configured channel's rows are the table's own pass
+    passes = []
+    real = cli.run_techniques
+
+    def counting(s, *args):
+        passes.append(s.channel.kind)
+        return real(s, *args)
+
+    monkeypatch.setattr(cli, "run_techniques", counting)
+    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "channel": {"kind": "rayleigh_multitap"},
+                               "scenario": {"trials": 2, "frame_symbols": 2}})
+    out = tmp_path / "o"
+    assert main(["e2e", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(passes) == 4
+    table = list(csv.DictReader((out / "technique_table.csv").read_text().splitlines()[1:]))
+    chan = list(csv.DictReader((out / "channel_metrics.csv").read_text().splitlines()[1:]))
+    multitap = [r for r in chan if r["channel"] == "rayleigh_multitap"]
+    assert [r["technique"] for r in multitap] == [r["technique"] for r in table]
+    for m, t in zip(multitap, table):
+        for key in ("eta1", "eta3", "eta1_eta3", "ber"):
+            assert m[key] == t[key], (m["technique"], key)
 
 
 def test_ber_outputs_and_validation(tmp_path, capsys):

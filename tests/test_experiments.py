@@ -1,6 +1,6 @@
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from swiptsim.companding import (
 )
 from swiptsim.dpd import design_from_scratch
 from swiptsim.experiments import (
+    TABLE_TECHNIQUES,
     TECHNIQUES,
     Scenario,
     _batch_ci,
@@ -26,12 +27,10 @@ from swiptsim.experiments import (
     append_manifest,
     closed_form,
     config_hash,
-    run_scenario,
     run_techniques,
     sweep,
     sweep_techniques,
     sweep_to_csv,
-    table_pipeline,
     technique_reductions,
     write_csv,
 )
@@ -146,21 +145,17 @@ def test_transmit_companding_radiates_hotter():
 def test_run_scenario_deterministic():
     s = Scenario(technique="companding", trials=5, seed=42,
                  channel=ChannelSpec(kind="rayleigh_flat"))
-    a = run_scenario(s)
-    b = run_scenario(s)
-    assert a.rows[0].metrics == b.rows[0].metrics
-    assert a.config_hash == b.config_hash
-    assert a.axis == "scenario"
-    assert a.values == (s.name,)
-    assert a.rows[0].ci("eta3") == b.rows[0].ci("eta3")
+    (a,) = run_techniques(s, (s.technique,))
+    (b,) = run_techniques(s, (s.technique,))
+    assert a == b
 
 
 def test_run_scenario_rho_zero_harvests_nothing():
     s = Scenario(trials=2, split=SplitConfig(rho=0.0, sigma_a2=1e-3,
                                              sigma_p2=0.0))
-    res = run_scenario(s)
-    assert res.rows[0].metrics.eta3 == 0.0
-    assert res.rows[0].metrics.eta_e2e == 0.0
+    (m,) = run_techniques(s, (s.technique,))
+    assert m.eta3 == 0.0
+    assert m.eta_e2e == 0.0
 
 
 def test_identity_chain_has_textbook_efficiencies():
@@ -168,21 +163,19 @@ def test_identity_chain_has_textbook_efficiencies():
     # every technique equivalent: eta1 stays at the class-A ceiling and
     # eta3 at the configured constant
     base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5))
-    for res in table_pipeline(base, seed=2, trials=5):
-        m = res.rows[0].metrics
+    for m in run_techniques(replace(base, seed=2, trials=5), TABLE_TECHNIQUES):
         assert m.eta1 == 0.5
         assert m.eta3 == 0.5
         assert m.eta_e2e == 0.25
-        assert res.rows[0].ibo_reduction_db == 0.0
+        assert m.ibo_reduction_db == 0.0
 
 
 def test_table_pipeline_order_and_shape():
     base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5),
                     split=SplitConfig(rho=0.5))
-    results = table_pipeline(base, seed=0, trials=2)
-    names = [r.rows[0].axis_value for r in results]
-    assert names == ["baseline", "dpd", "companding", "dpd_companding"]
-    assert all(len(r.rows) == 1 for r in results)
+    results = run_techniques(replace(base, seed=0, trials=2), TABLE_TECHNIQUES)
+    assert TABLE_TECHNIQUES == ("baseline", "dpd", "companding", "dpd_companding")
+    assert len(results) == len(TABLE_TECHNIQUES)
 
 
 def test_point_scenario_axes():
@@ -214,7 +207,9 @@ def test_sweep_rows_follow_axis_order():
     res = sweep("rho", (0.2, 0.5, 0.8), base)
     assert res.axis == "rho"
     assert res.values == (0.2, 0.5, 0.8)
-    assert [r.axis_value for r in res.rows] == [0.2, 0.5, 0.8]
+    # the closed-form rate falls as the information branch's share does
+    rates = [r.rate_bps_hz for r in res.rows]
+    assert rates[0] > rates[1] > rates[2]
     assert res.seed == 9
 
 
@@ -222,9 +217,7 @@ def test_sweep_threads_match_serial():
     base = Scenario(trials=3, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
     serial = sweep("rho", (0.2, 0.5, 0.8), base, threads=1)
     pooled = sweep("rho", (0.2, 0.5, 0.8), base, threads=3)
-    for a, b in zip(serial.rows, pooled.rows):
-        assert a.metrics == b.metrics
-        assert a.ci_half == b.ci_half
+    assert serial.rows == pooled.rows
 
 
 def test_sweep_csv_byte_identical(tmp_path):
@@ -247,8 +240,8 @@ def test_ci_shrinks_with_trials():
     ratios = []
     for seed in (11, 12, 13):
         base = Scenario(channel=ChannelSpec(kind="rayleigh_flat"), seed=seed)
-        small = run_scenario(replace(base, trials=40)).rows[0].ci("eta3")
-        big = run_scenario(replace(base, trials=160)).rows[0].ci("eta3")
+        small = run_techniques(replace(base, trials=40), (base.technique,))[0].eta3_ci
+        big = run_techniques(replace(base, trials=160), (base.technique,))[0].eta3_ci
         ratios.append(small / big)
     geomean = float(np.exp(np.mean(np.log(ratios))))
     assert geomean == pytest.approx(2.1219522422676014, rel=1e-9)
@@ -269,7 +262,7 @@ def test_write_csv_provenance(tmp_path):
 def test_append_manifest(tmp_path):
     path = tmp_path / "manifest.jsonl"
     s = Scenario(trials=1, channel=ChannelSpec(kind="awgn"))
-    res = run_scenario(s)
+    res = sweep("rho", (0.2, 0.5), s)
     append_manifest(path, res, s)
     append_manifest(path, res, s)
     lines = path.read_text().splitlines()
@@ -277,7 +270,8 @@ def test_append_manifest(tmp_path):
     entry = json.loads(lines[0])
     assert entry["config_hash"] == res.config_hash
     assert entry["seed"] == s.seed
-    assert entry["axis"] == "scenario"
+    assert entry["axis"] == "rho"
+    assert entry["n_points"] == 2
     assert entry["technique"] == "baseline"
     assert entry["channel"] == "awgn"
     assert set(entry["versions"]) == {"swiptsim", "numpy"}
@@ -290,16 +284,17 @@ def test_config_hash_sensitivity():
     assert len(a) == 12
 
 
+def _assert_same_metrics(a, b):
+    """LinkMetrics equal field by field, NaN confidence intervals included."""
+    np.testing.assert_array_equal(astuple(a), astuple(b))
+
+
 def _assert_same_result(a, b):
     """SweepResults equal field by field, NaN confidence intervals included."""
     assert (a.axis, a.values, a.seed, a.config_hash) == (b.axis, b.values, b.seed, b.config_hash)
     assert len(a.rows) == len(b.rows)
     for ra, rb in zip(a.rows, b.rows):
-        assert ra.axis_value == rb.axis_value
-        assert ra.metrics == rb.metrics
-        assert ra.ibo_reduction_db == rb.ibo_reduction_db
-        assert [n for n, _ in ra.ci_half] == [n for n, _ in rb.ci_half]
-        np.testing.assert_array_equal([v for _, v in ra.ci_half], [v for _, v in rb.ci_half])
+        _assert_same_metrics(ra, rb)
 
 
 TINY = OfdmConfig(n_subcarriers=16, oversampling_factor=2)
@@ -325,8 +320,8 @@ def test_run_techniques_matches_single_runs(techniques, kind, rho_zero, sigma_p2
     s = _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed)
     shared = run_techniques(s, techniques)
     assert len(shared) == len(techniques)
-    for tech, res in zip(techniques, shared):
-        _assert_same_result(res, run_scenario(replace(s, technique=tech)))
+    for tech, m in zip(techniques, shared):
+        _assert_same_metrics(m, run_techniques(s, (tech,))[0])
 
 
 @given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),
@@ -345,7 +340,7 @@ def test_run_techniques_blocks_and_threads_bit_identical(techniques, kind, rho_z
                 mp.setattr(experiments, "_BLOCK_BYTES", per_block * frame_bytes)
                 blocked = run_techniques(s, techniques, threads)
             for a, b in zip(blocked, reference):
-                _assert_same_result(a, b)
+                _assert_same_metrics(a, b)
 
 
 def test_run_techniques_pool_stress(monkeypatch):
@@ -361,7 +356,7 @@ def test_run_techniques_pool_stress(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(stressed, reference):
-        _assert_same_result(a, b)
+        _assert_same_metrics(a, b)
 
 
 def test_run_techniques_reference_without_baseline():
@@ -369,8 +364,8 @@ def test_run_techniques_reference_without_baseline():
     # its own waveform is no longer the other techniques' power reference
     s = replace(_tiny_scenario("rayleigh_flat", False, 1e-3, 3, 5), ibo_reduction_db=1.5)
     for techniques in (("baseline", "companding"), ("dpd", "baseline"), ("linear", "dpd")):
-        for tech, res in zip(techniques, run_techniques(s, techniques)):
-            _assert_same_result(res, run_scenario(replace(s, technique=tech)))
+        for tech, m in zip(techniques, run_techniques(s, techniques)):
+            _assert_same_metrics(m, run_techniques(s, (tech,))[0])
 
 
 def test_run_techniques_validation():
@@ -404,19 +399,18 @@ def test_sweep_techniques_matches_single_sweeps(techniques, kinds, ebn0, threads
 
 
 def test_table_pipeline_matches_per_technique_runs():
-    # the table is the four named single-technique runs it always was,
-    # provenance hashes included
+    # the table is the four single-technique runs it always was
     base = Scenario(ofdm=TINY, channel=ChannelSpec(kind="rice_flat"),
                     split=SplitConfig(rho=0.5))
-    table = table_pipeline(base, seed=3, trials=3)
-    for tech, res in zip(("baseline", "dpd", "companding", "dpd_companding"), table):
-        ref = run_scenario(replace(base, name=tech, technique=tech, trials=3, seed=3))
-        _assert_same_result(res, ref)
+    table = run_techniques(replace(base, trials=3, seed=3), TABLE_TECHNIQUES)
+    for tech, m in zip(TABLE_TECHNIQUES, table):
+        _assert_same_metrics(m, run_techniques(replace(base, trials=3, seed=3), (tech,))[0])
     # the provenance hashes of the four named scenarios, and the eta3 values
-    # of the earlier one-run-per-technique table_pipeline
-    assert [r.config_hash for r in table] == [
+    # of the earlier one-run-per-technique table
+    assert [config_hash(replace(base, name=tech, technique=tech, trials=3, seed=3))
+            for tech in TABLE_TECHNIQUES] == [
         "4d4053f23ecc", "32ae7759437f", "bf99129cb250", "0b157ee0459d"]
-    assert [r.rows[0].metrics.eta3 for r in table] == [
+    assert [m.eta3 for m in table] == [
         0.43343242515960223, 0.4312129417061382, 0.44204842167760944, 0.4435557679042033]
 
 

@@ -36,15 +36,16 @@ def test_split_config_validation():
 
 
 def test_link_metrics_validation():
+    # a confidence interval is NaN below two trials
+    ok = dict(rate_bps_hz=1.0, harvested_norm=0.0, ber=0.0, eta1=0.5, eta3=0.5,
+              eta_e2e=0.25, ibo_reduction_db=0.0, eta3_ci=float("nan"), ber_ci=float("nan"))
+    assert LinkMetrics(**ok).ibo_reduction_db == 0.0
     with pytest.raises(ValueError):
-        LinkMetrics(rate_bps_hz=-1.0, harvested_norm=0.0, ber=0.0,
-                    eta1=0.5, eta3=0.5, eta_e2e=0.25)
+        LinkMetrics(**{**ok, "rate_bps_hz": -1.0})
     with pytest.raises(ValueError):
-        LinkMetrics(rate_bps_hz=1.0, harvested_norm=0.0, ber=1.5,
-                    eta1=0.5, eta3=0.5, eta_e2e=0.25)
+        LinkMetrics(**{**ok, "ber": 1.5})
     with pytest.raises(ValueError):
-        LinkMetrics(rate_bps_hz=1.0, harvested_norm=0.0, ber=0.0,
-                    eta1=-0.1, eta3=0.5, eta_e2e=0.25)
+        LinkMetrics(**{**ok, "eta1": -0.1})
 
 
 def _power(x):
