@@ -529,10 +529,8 @@ def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
     assert lines[-1].startswith("0.5,")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
-    # the bytes of sweep_to_csv and the provenance of append_manifest, at
-    # either worker count
+def _run_pinned_script(tmp_path, threads):
+    """The rate-energy script's CSV bytes and manifest lines on a pinned run."""
     script = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
     proc = subprocess.run(
         [sys.executable, str(script), "--channel", "rayleigh_multitap", "--trials", "2",
@@ -541,9 +539,26 @@ def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     data = (tmp_path / "rate_energy_companding_rayleigh_multitap.csv").read_bytes()
+    return data, (tmp_path / "manifest.jsonl").read_text().splitlines()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rate_energy_script_csv_body_is_pinned(tmp_path, threads):
+    # the bytes of sweep_to_csv after its provenance line, at either worker
+    # count: the rows do not depend on what the config hash covers
+    data, _ = _run_pinned_script(tmp_path, threads)
+    body = data.split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == (
+        "a60dd1d827883e6765b32a22cf15761bd30d60d757cdfc484d46530dad850ac2")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
+    # the whole file, provenance line included, and the provenance of
+    # append_manifest, at either worker count
+    data, (line,) = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
         "cc79c82dde8147dd1fef22ddf966a55a1008cd314d8a28a9eb1665b27596d1e2")
-    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
     entry = json.loads(line)
     assert (entry["config_hash"], entry["axis"], entry["n_points"]) == ("b511e4e6b72a", "rho", 2)
 
