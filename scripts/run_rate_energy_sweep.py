@@ -49,7 +49,6 @@ def main():
 
     channel = ChannelSpec(kind=args.channel)
     base = Scenario(
-        name=f"rate-energy/{args.technique}/{args.channel}",
         technique=args.technique,
         # a frequency-selective channel needs a cyclic prefix
         ofdm=_channel_ofdm(OfdmConfig(), channel),

@@ -22,7 +22,7 @@ are rejected with their location.  Schema (defaults in parentheses):
                of finite numbers starting at 0)
   scenario:    mu (1.25, finite and > 0), p_rf_tx_dbm (30, finite),
                trials (50), frame_symbols (4) (integers >= 1),
-               ibo_reduction_db (null or finite)
+               ibo_reduction_db (null, or finite and at most pa.ibo_db)
   eh:          kind ("curve" | "linear"), eta3_linear (0.5; linear only),
                calibration (curve only: path to CSV, default: packaged
                rectenna; its bytes enter the config hash)
@@ -88,6 +88,7 @@ import numpy as np
 
 from .channel import CHANNEL_KINDS, ChannelSpec
 from .companding import (
+    MU_GRID,
     CompanderParams,
     analytic_companded_bussgang,
     companded_papr_reductions,
@@ -109,7 +110,7 @@ from .experiments import (
 from .harvester import EhModel, load_calibration
 from .link import SplitConfig
 from .ofdm import OfdmConfig, ccdf_from_samples, papr_samples_many
-from .pa import OperatingPoint, PaModel, efficiency_at_backoff
+from .pa import PaModel, efficiency_at_backoff
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -193,19 +194,19 @@ def _check_kind_keys(section: dict, kind: str, owners: dict[str, str], where: st
                               f"'{owner}' reads it, not {kind!r}")
 
 
-def build_pa(cfg: dict) -> tuple[PaModel, OperatingPoint]:
+def build_pa(cfg: dict) -> tuple[PaModel, float]:
+    """The amplifier and its nominal input back-off in dB."""
     section = dict(cfg.get("pa", {}))
     ibo = section.pop("ibo_db", 8.0)
+    if isinstance(ibo, bool) or not isinstance(ibo, (int, float)) or not 0.0 <= ibo < np.inf:
+        raise ConfigError(f"config section 'pa.ibo_db': must be a finite non-negative "
+                          f"number, got {ibo!r}")
     section.setdefault("kind", "sspa")
     _check_kind_keys(section, section["kind"],
                      {"coeffs": "polynomial", "smoothness": "sspa"}, "pa")
     if "coeffs" in section:
         section["coeffs"] = tuple(_floats(section, "coeffs", None, "pa"))
-    pa = _build(PaModel, "pa", section)
-    op = _build(OperatingPoint, "pa.ibo_db", {"ibo_db": ibo})
-    if op.ibo_db < 0.0:
-        raise ConfigError(f"config section 'pa.ibo_db': must be non-negative, got {ibo}")
-    return pa, op
+    return _build(PaModel, "pa", section), ibo
 
 
 def build_split(cfg: dict) -> SplitConfig:
@@ -242,14 +243,14 @@ def build_scenario(cfg: dict, seed: int, trials: int | None) -> Scenario:
     section = dict(cfg.get("scenario", {}))
     if trials is not None:
         section["trials"] = trials
-    pa, op = build_pa(cfg)
+    pa, ibo_db = build_pa(cfg)
     return _build(
         Scenario,
         "scenario",
         dict(
             ofdm=build_ofdm(cfg),
             pa=pa,
-            op=op,
+            ibo_db=ibo_db,
             channel=build_channel(cfg),
             split=build_split(cfg),
             eh=build_eh(cfg),
@@ -391,9 +392,15 @@ def _names(section: dict, key: str, default, allowed, where: str, what: str) -> 
 
 
 def _channel_ofdm(ofdm: OfdmConfig, spec: ChannelSpec) -> OfdmConfig:
-    """The numerology with a cyclic prefix long enough for the channel."""
+    """The numerology with a cyclic prefix long enough for the channel; a
+    config error if that prefix does not fit in the symbol."""
     if spec.kind == "rayleigh_multitap" and ofdm.cp_length < spec.n_taps - 1:
-        return replace(ofdm, cp_length=2 ** int(np.ceil(np.log2(spec.n_taps))))
+        cp = 2 ** int(np.ceil(np.log2(spec.n_taps)))
+        try:
+            return replace(ofdm, cp_length=cp)
+        except ValueError as exc:
+            raise ConfigError(f"channel '{spec.kind}' needs a cyclic prefix of {cp} "
+                              f"samples: {exc}") from exc
     return ofdm
 
 
@@ -425,16 +432,16 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
 def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("dpd", {})
     ofdm = build_ofdm(cfg)
-    pa, op = build_pa(cfg)
+    pa, ibo_db = build_pa(cfg)
     h = _hash(cfg, seed, trials)
     pa_order = _count(section, "pa_order", 4, "dpd")
     inverse_order = _count(section, "inverse_order", 7, "dpd")
     grid = _grid(section, "reduction_grid_db", (0.0, 4.0, 0.25), "dpd")
-    if grid.max() > op.ibo_db:
+    if grid.max() > ibo_db:
         raise ConfigError(f"config section 'dpd.reduction_grid_db': a reduction of "
-                          f"{grid.max():g} dB runs past pa.ibo_db = {op.ibo_db:g} dB")
+                          f"{grid.max():g} dB runs past pa.ibo_db = {ibo_db:g} dB")
     design, design_evm = design_with_probe(
-        pa, ofdm, baseline_ibo_db=op.ibo_db,
+        pa, ofdm, baseline_ibo_db=ibo_db,
         pa_order=pa_order, inverse_order=inverse_order, seed=seed,
     )
     save_design(design, str(out / "dpd_design.txt"),
@@ -444,9 +451,9 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     rows = []
     series = {"evm": [], "eta1": []}
     for r in grid:
-        e = chain_evm(op.ibo_db - r, design.inverse_fit)
-        eta1 = efficiency_at_backoff(op.ibo_db - r)
-        rows.append((float(r), e, eta1, 100.0 * (eta1 - efficiency_at_backoff(op.ibo_db))))
+        e = chain_evm(ibo_db - r, design.inverse_fit)
+        eta1 = efficiency_at_backoff(ibo_db - r)
+        rows.append((float(r), e, eta1, 100.0 * (eta1 - efficiency_at_backoff(ibo_db))))
         series["evm"].append((float(r), e))
         series["eta1"].append((float(r), eta1))
     write_csv(out / "dpd_evm.csv",
@@ -462,11 +469,10 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
 
 def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("mu_sweep", {})
-    mu_grid = _mu_grid(section, tuple(np.arange(0.25, 4.01, 0.25)), "mu_sweep",
-                       allow_zero=False)
+    mu_grid = _mu_grid(section, MU_GRID, "mu_sweep", allow_zero=False)
     papr_trials = _trial_count(section, "papr_trials", 4000, "mu_sweep", trials)
     ofdm = build_ofdm(cfg)
-    _, op = build_pa(cfg)
+    _, ibo_db = build_pa(cfg)
     split = build_split(cfg)
     h = _hash(cfg, seed, trials)
     grid_params = [CompanderParams.default(mu=mu) for mu in mu_grid]
@@ -475,16 +481,16 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
     rows = []
     series = {"snr_db": []}
     for mu, params, red in zip(mu_grid, grid_params, reductions):
-        bp = analytic_companded_bussgang(params, op.ibo_db)
+        bp = analytic_companded_bussgang(params, ibo_db)
         snr = companded_snr(params, ofdm.n_subcarriers, split.sigma_a2, bp.sigma_d2)
         snr_db = 10.0 * np.log10(snr)
         rows.append((mu, snr_db, red.reduction_db, bp.k_l, bp.sigma_d2))
         series["snr_db"].append((mu, snr_db))
-    design = optimize_mu(ofdm.n_subcarriers, op.ibo_db, split.sigma_a2)
+    design = optimize_mu(ofdm.n_subcarriers, ibo_db, split.sigma_a2)
     write_csv(out / "mu_sweep.csv",
               ("mu", "snr_db", "papr_reduction_db", "k_l_c", "sigma_d_c2"),
               rows, h, seed,
-              comments=(f"mu_star={design.mu_star:.4f} at ibo_db={op.ibo_db:g} "
+              comments=(f"mu_star={design.mu_star:.4f} at ibo_db={ibo_db:g} "
                         f"(unimodal={int(design.unimodal)})",))
     if svg:
         _svg_chart(out / "mu_sweep.svg", series, "mu", "post-expansion SNR (dB)")
@@ -495,8 +501,13 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
-    # the table runs on the configured channel, with a prefix that absorbs it
-    table_s = replace(base, ofdm=_channel_ofdm(base.ofdm, base.channel))
+    # every channel's scenario, with a prefix that absorbs it, before any
+    # work; the table runs on the configured channel
+    chans = []
+    for kind in CHANNEL_KINDS:
+        spec = replace(base.channel, kind=kind)
+        chans.append(replace(base, channel=spec, ofdm=_channel_ofdm(base.ofdm, spec)))
+    table_s = chans[CHANNEL_KINDS.index(base.channel.kind)]
     table = run_techniques(table_s, TABLE_TECHNIQUES, threads)
     rows = [(tech, m.eta1, m.eta3, m.eta_e2e, m.ibo_reduction_db, m.rate_bps_hz,
              m.harvested_norm, m.ber) for tech, m in zip(TABLE_TECHNIQUES, table)]
@@ -506,9 +517,7 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
               rows, h, seed)
 
     chan_rows = []
-    for kind in CHANNEL_KINDS:
-        spec = replace(base.channel, kind=kind)
-        s = replace(base, channel=spec, ofdm=_channel_ofdm(base.ofdm, spec))
+    for kind, s in zip(CHANNEL_KINDS, chans):
         # the configured channel's rows are the technique table's
         results = table if s == table_s else run_techniques(s, TABLE_TECHNIQUES, threads)
         for tech, m in zip(TABLE_TECHNIQUES, results):

@@ -16,32 +16,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .ofdm import OfdmConfig, papr_quantile_db, papr_samples_many, random_frames
-from .pa import (
-    BussgangParams,
-    OperatingPoint,
-    PaModel,
-    amplify,
-    bussgang_analytic_sl,
-    bussgang_estimate,
-    scale_envelope,
-)
+from .ofdm import OfdmConfig, papr_quantile_db, papr_samples_many
+from .pa import BussgangParams, bussgang_analytic_sl, scale_envelope
 
 log = logging.getLogger(__name__)
 
+# the CCDF exceedance of the ensemble peak and of the reported PAPR
+EXCEEDANCE = 1e-3
+# the grid optimize_mu searches before its golden-section refinement
+MU_GRID = tuple(float(m) for m in np.arange(0.25, 4.01, 0.25))
 
-def ensemble_peak(exceedance: float = 1e-3) -> float:
+
+def ensemble_peak() -> float:
     """Fixed peak amplitude A for unit-power OFDM envelopes.
 
     The envelope of a long unit-power OFDM waveform is Rayleigh to a very
-    good approximation, so the amplitude exceeded by a fraction
-    ``exceedance`` of samples is sqrt(-ln(exceedance)).  Using a fixed
-    ensemble value instead of the per-symbol maximum means the receiver
-    needs no side information to expand.
+    good approximation, so the amplitude exceeded by a fraction EXCEEDANCE
+    of samples is sqrt(-ln(EXCEEDANCE)).  Using a fixed ensemble value
+    instead of the per-symbol maximum means the receiver needs no side
+    information to expand.
     """
-    if not 0.0 < exceedance < 1.0:
-        raise ValueError("exceedance must lie in (0, 1)")
-    return math.sqrt(-math.log(exceedance))
+    return math.sqrt(-math.log(EXCEEDANCE))
 
 
 @dataclass(frozen=True)
@@ -155,17 +150,16 @@ def companded_papr_reductions(
     params_seq: Sequence[CompanderParams],
     n_trials: int = 20000,
     seed: int = 0,
-    exceedance: float = 1e-3,
     threads: int = 1,
 ) -> list[PaprReduction]:
-    """PAPR at the given CCDF exceedance before and after compression with
-    each parameter set, from one seeded set of symbols.
+    """PAPR at the CCDF exceedance EXCEEDANCE before and after compression
+    with each parameter set, from one seeded set of symbols.
 
     Every entry is compressed from the same waveforms, so the "before"
     PAPR is measured once and shared.  Compression keeps the phase, so the
     PAPR is measured on the compressed envelope, with no compressed
     waveform built.  Entry i equals
-    ``companded_papr_reductions(cfg, [params_seq[i]], n_trials, seed, exceedance)[0]``
+    ``companded_papr_reductions(cfg, [params_seq[i]], n_trials, seed)[0]``
     for any ``threads`` (see :func:`papr_samples_many`).
     """
     params_seq = tuple(params_seq)
@@ -174,10 +168,10 @@ def companded_papr_reductions(
         (None, *(partial(compress_magnitude, params=p) for p in params_seq)),
         threads=threads,
     )
-    before = papr_quantile_db(samples[0], exceedance)
+    before = papr_quantile_db(samples[0], EXCEEDANCE)
     return [
         PaprReduction(mu=p.mu, papr_before_db=before,
-                      papr_after_db=papr_quantile_db(after, exceedance))
+                      papr_after_db=papr_quantile_db(after, EXCEEDANCE))
         for p, after in zip(params_seq, samples[1:])
     ]
 
@@ -192,26 +186,6 @@ def expand_waveform(waveform: np.ndarray, params: CompanderParams) -> np.ndarray
     return scale_envelope(waveform, partial(expand_magnitude, params=params))
 
 
-def companded_bussgang(
-    cfg: OfdmConfig,
-    params: CompanderParams,
-    ibo_db: float,
-    pa_model: PaModel,
-    seed: int = 0,
-    n_symbols: int = 64,
-) -> BussgangParams:
-    """Empirical Bussgang parameters of the compress -> back-off -> PA cascade.
-
-    The reference is the uncompressed unit-power waveform; the back-off gain
-    is divided out of the output so k_l reports the cascade's bulk scaling
-    relative to a transparent linear chain.  The compressed signal drives
-    the amplifier at its natural power (compression raises it above unity),
-    which is the whole operating-point story for companding.
-    """
-    _, x = random_frames(cfg, n_symbols, np.random.default_rng(seed))
-    return bussgang_estimate(x, amplify(compress_waveform(x, params), pa_model, ibo_db))
-
-
 def analytic_companded_bussgang(params: CompanderParams, ibo_db: float) -> BussgangParams:
     """Linear gain and clipping distortion of the companded drive, from the
     soft-limiter closed form.
@@ -220,31 +194,23 @@ def analytic_companded_bussgang(params: CompanderParams, ibo_db: float) -> Bussg
     so the limiter formulas are evaluated at the shifted operating point.
     """
     eff_ibo = ibo_db - companding_ibo_reduction_db(params)
-    return bussgang_analytic_sl(OperatingPoint(ibo_db=eff_ibo))
+    return bussgang_analytic_sl(eff_ibo)
 
 
 @dataclass(frozen=True)
 class MuDesign:
     mu_star: float
-    snr: float
     unimodal: bool
 
 
-def optimize_mu(
-    n_subcarriers: int,
-    ibo_db: float,
-    sigma_a2: float,
-    mu_grid: tuple[float, ...] = tuple(float(m) for m in np.arange(0.25, 4.01, 0.25)),
-) -> MuDesign:
+def optimize_mu(n_subcarriers: int, ibo_db: float, sigma_a2: float) -> MuDesign:
     """Pick mu maximizing the post-expansion SNR at one IBO.
 
     The distortion is the soft-limiter closed form at the companded
     operating point (analytic_companded_bussgang), with the ensemble peak,
-    so the search is deterministic.  Grid search brackets the maximum and
-    golden-section refines it to 1e-3.
+    so the search is deterministic.  A search of MU_GRID brackets the
+    maximum and golden-section refines it to 1e-3.
     """
-    if not mu_grid:
-        raise ValueError("mu grid must be non-empty")
     a = ensemble_peak()
 
     def snr_at(mu: float) -> float:
@@ -252,31 +218,25 @@ def optimize_mu(
         sd2 = analytic_companded_bussgang(p, ibo_db).sigma_d2
         return companded_snr(p, n_subcarriers, sigma_a2, sd2)
 
-    vals = [snr_at(mu) for mu in mu_grid]
+    vals = [snr_at(mu) for mu in MU_GRID]
     rises = np.diff(vals) > 0
     unimodal = not (rises.size > 1 and np.any(np.diff(rises.astype(int)) > 0))
     if not unimodal:
         log.warning("SNR(mu) not unimodal on the search grid at IBO=%.2f dB", ibo_db)
     i = int(np.argmax(vals))
-    best_mu, best_snr = mu_grid[i], vals[i]
-
-    lo = mu_grid[max(i - 1, 0)]
-    hi = mu_grid[min(i + 1, len(mu_grid) - 1)]
-    if hi > lo:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, fd = snr_at(c), snr_at(d)
-        while hi - lo > 1e-3:
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - invphi * (hi - lo)
-                fc = snr_at(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + invphi * (hi - lo)
-                fd = snr_at(d)
-        best_mu = 0.5 * (lo + hi)
-        best_snr = snr_at(best_mu)
-
-    return MuDesign(mu_star=float(best_mu), snr=float(best_snr), unimodal=unimodal)
+    lo = MU_GRID[max(i - 1, 0)]
+    hi = MU_GRID[min(i + 1, len(MU_GRID) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = snr_at(c), snr_at(d)
+    while hi - lo > 1e-3:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = snr_at(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = snr_at(d)
+    return MuDesign(mu_star=float(0.5 * (lo + hi)), unimodal=unimodal)

@@ -22,6 +22,13 @@ log = logging.getLogger(__name__)
 EVM_MATCH_TOLERANCE = 0.01
 # below this EVM a chain counts as distortion-free
 DISTORTION_FREE_EVM = 1e-9
+# the back-off reduction search's step and upper bound, the probe's length
+# in symbols, and the training ramp's points and reach in units of a_sat
+SCAN_STEP_DB = 0.1
+MAX_REDUCTION_DB = 8.0
+PROBE_SYMBOLS = 64
+RAMP_POINTS = 4096
+RAMP_OVERDRIVE = 1.2
 
 
 @dataclass(frozen=True)
@@ -81,24 +88,18 @@ def fit_inverse_polynomial(train_out: np.ndarray, train_in: np.ndarray, order: i
 
 
 def make_training_set(
-    pa_model: PaModel,
-    cfg: OfdmConfig | None = None,
-    seed: int = 0,
-    ramp_points: int = 4096,
-    overdrive: float = 1.2,
+    pa_model: PaModel, cfg: OfdmConfig, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude training data: a deterministic ramp plus one modulated frame.
 
-    The ramp spans [0, overdrive * a_sat] so the fit sees the full
-    compression knee.  The modulated frame is kept at its natural
-    unit-power scale; its peaks push the observed output range up to the
-    saturation ceiling, which sets how far the inverse fit can reach.
+    The ramp of RAMP_POINTS spans [0, RAMP_OVERDRIVE * a_sat] so the fit
+    sees the full compression knee.  The modulated frame is kept at its
+    natural unit-power scale; its peaks push the observed output range up
+    to the saturation ceiling, which sets how far the inverse fit can reach.
     """
-    ramp = np.linspace(0.0, overdrive * pa_model.a_sat, ramp_points)
-    amp_in = ramp
-    if cfg is not None:
-        _, frame = random_frames(cfg, 1, np.random.default_rng(seed))
-        amp_in = np.concatenate([ramp, np.abs(frame)])
+    ramp = np.linspace(0.0, RAMP_OVERDRIVE * pa_model.a_sat, RAMP_POINTS)
+    _, frame = random_frames(cfg, 1, np.random.default_rng(seed))
+    amp_in = np.concatenate([ramp, np.abs(frame)])
     return amp_in, pa_model.am_am(amp_in)
 
 
@@ -139,9 +140,9 @@ class DpdDesign:
 _BLOCK_BYTES = 1 << 18
 
 
-def probe_evm(pa_model: PaModel, cfg: OfdmConfig, seed: int = 0, n_symbols: int = 64):
+def probe_evm(pa_model: PaModel, cfg: OfdmConfig, seed: int = 0):
     """EVM of the demodulated constellation through amplify() on one
-    noise-free random probe of n_symbols symbols, drawn and synthesized
+    noise-free random probe of PROBE_SYMBOLS symbols, drawn and synthesized
     once: returns evaluate(ibo_db, inverse_fit=None) -> EVM.
 
     Each evaluation amplifies and demodulates the probe in blocks of
@@ -150,13 +151,13 @@ def probe_evm(pa_model: PaModel, cfg: OfdmConfig, seed: int = 0, n_symbols: int 
     per sample or per symbol, so the result does not depend on the block
     size.
     """
-    grids, x = random_frames(cfg, n_symbols, np.random.default_rng(seed))
-    symbols = x.reshape(n_symbols, -1)
+    grids, x = random_frames(cfg, PROBE_SYMBOLS, np.random.default_rng(seed))
+    symbols = x.reshape(PROBE_SYMBOLS, -1)
     block = max(1, _BLOCK_BYTES // symbols[0].nbytes)
     rx = np.empty_like(grids)
 
     def evaluate(ibo_db: float, inverse_fit: PolyFit | None = None) -> float:
-        for start in range(0, n_symbols, block):
+        for start in range(0, PROBE_SYMBOLS, block):
             y = amplify(symbols[start:start + block], pa_model, ibo_db, inverse_fit)
             rx[start:start + block] = ofdm_demodulate(y, cfg)
         return evm(grids, rx)
@@ -165,33 +166,28 @@ def probe_evm(pa_model: PaModel, cfg: OfdmConfig, seed: int = 0, n_symbols: int 
 
 
 def design_ibo_reduction(
-    pa_fit: PolyFit,
-    inverse_fit: PolyFit,
-    baseline_ibo_db: float,
-    chain_evm,
-    step_db: float = 0.1,
-    max_reduction_db: float = 8.0,
-    tolerance: float = EVM_MATCH_TOLERANCE,
+    pa_fit: PolyFit, inverse_fit: PolyFit, baseline_ibo_db: float, chain_evm
 ) -> DpdDesign:
     """Largest back-off reduction whose predistorted EVM still matches the
-    uncorrected chain at the baseline operating point.
+    uncorrected chain at the baseline operating point, within a relative
+    EVM_MATCH_TOLERANCE.
 
     chain_evm is an evaluator of :func:`probe_evm`: every candidate is
     measured on its one probe, so the comparison is noise-free.
 
     EVM is measured on demodulated constellation points, so distortion
     that lands out of band does not count against either chain.  The grid
-    of step_db increments is scanned upward and stops at the first EVM
-    crossing: the first point above the target, unless its EVM is below
-    DISTORTION_FREE_EVM (such a chain is scanned to the upper bound).  A
-    baseline EVM below DISTORTION_FREE_EVM is round-off, not distortion:
-    the design is degenerate at the upper bound without a scan.
-    Bisection between the last feasible point before the crossing and the
-    crossing refines it to a millidB.  A non-monotone note covers only the
-    scanned part of the grid.
+    of SCAN_STEP_DB increments up to MAX_REDUCTION_DB is scanned upward and
+    stops at the first EVM crossing: the first point above the target,
+    unless its EVM is below DISTORTION_FREE_EVM (such a chain is scanned to
+    the upper bound).  A baseline EVM below DISTORTION_FREE_EVM is
+    round-off, not distortion: the design is degenerate at the upper bound
+    without a scan.  Bisection between the last feasible point before the
+    crossing and the crossing refines it to a millidB.  A non-monotone note
+    covers only the scanned part of the grid.
     """
     evm_base = chain_evm(baseline_ibo_db)
-    target = evm_base * (1.0 + tolerance)
+    target = evm_base * (1.0 + EVM_MATCH_TOLERANCE)
     notes: list[str] = []
 
     evm_dpd = lambda r: chain_evm(baseline_ibo_db - r, inverse_fit)
@@ -213,9 +209,9 @@ def design_ibo_reduction(
         # chain can match: there is no distortion to trade for back-off
         notes.append("distortion-free baseline: reduction set to the search's upper bound")
         log.info("degenerate design: EVM is zero at the baseline")
-        return design(float(max_reduction_db), evm_dpd(max_reduction_db), degenerate=True)
+        return design(MAX_REDUCTION_DB, evm_dpd(MAX_REDUCTION_DB), degenerate=True)
 
-    grid = np.arange(0.0, max_reduction_db + 1e-9, step_db)
+    grid = np.arange(0.0, MAX_REDUCTION_DB + 1e-9, SCAN_STEP_DB)
     scanned = []
     for r in grid:
         scanned.append(evm_dpd(r))
@@ -227,7 +223,7 @@ def design_ibo_reduction(
     if np.all(evms < DISTORTION_FREE_EVM):
         notes.append("distortion-free chain: search hit its upper bound")
         log.info("degenerate design: EVM is zero over the whole search range")
-        return design(float(max_reduction_db), float(evms[-1]), degenerate=True)
+        return design(MAX_REDUCTION_DB, float(evms[-1]), degenerate=True)
 
     non_monotone = np.flatnonzero(np.diff(evms) < -1e-12)
     if non_monotone.size:

@@ -58,7 +58,7 @@ from .link import (
     sinr,
 )
 from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms
-from .pa import OperatingPoint, PaModel, amplify, bussgang_analytic_sl, efficiency_at_backoff
+from .pa import PaModel, amplify, bussgang_analytic_sl, efficiency_at_backoff
 
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
 TABLE_TECHNIQUES = ("baseline", "dpd", "companding", "dpd_companding")
@@ -76,12 +76,12 @@ _T975 = (
 
 @dataclass(frozen=True)
 class Scenario:
-    """One point of the technique x channel experiment grid."""
+    """One point of the technique x channel experiment grid; ibo_db is the
+    amplifier's nominal input back-off, which DPD and companding reduce."""
 
-    name: str = "default"
     ofdm: OfdmConfig = OfdmConfig()
     pa: PaModel = PaModel.sspa(smoothness=1.2)
-    op: OperatingPoint = OperatingPoint(ibo_db=8.0)
+    ibo_db: float = 8.0
     technique: str = "baseline"
     channel: ChannelSpec = ChannelSpec()
     split: SplitConfig = SplitConfig()
@@ -100,7 +100,7 @@ class Scenario:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {n!r}")
-        for name in ("mu", "p_rf_tx_dbm", "ibo_reduction_db"):
+        for name in ("ibo_db", "mu", "p_rf_tx_dbm", "ibo_reduction_db"):
             v = getattr(self, name)
             if v is None and name == "ibo_reduction_db":
                 continue
@@ -108,6 +108,9 @@ class Scenario:
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
+        if self.ibo_reduction_db is not None and self.ibo_reduction_db > self.ibo_db:
+            raise ValueError(f"ibo_reduction_db = {self.ibo_reduction_db:g} dB runs past "
+                             f"ibo_db = {self.ibo_db:g} dB")
         if self.eh is None:
             object.__setattr__(self, "eh", EhModel.default())
 
@@ -166,7 +169,7 @@ def technique_reductions(s: Scenario) -> tuple[float, float, DpdDesign | None]:
     """
     design = None
     if _uses_dpd(s.technique):
-        design = _cached_dpd(s.pa, replace(s.ofdm, cp_length=0), s.op.ibo_db)
+        design = _cached_dpd(s.pa, replace(s.ofdm, cp_length=0), s.ibo_db)
     if s.ibo_reduction_db is not None:
         return s.ibo_reduction_db, 0.0, design
     r_dpd = 0.0
@@ -194,7 +197,7 @@ def _transmit(
     if s.technique == "linear":
         return x
     fit = design.inverse_fit if (design is not None and not design.degenerate) else None
-    return amplify(x, s.pa, s.op.ibo_db - r_dpd, fit)
+    return amplify(x, s.pa, s.ibo_db - r_dpd, fit)
 
 
 def closed_form(s: Scenario, r_dpd: float, r_comp: float) -> tuple[float, float]:
@@ -213,14 +216,14 @@ def closed_form(s: Scenario, r_dpd: float, r_comp: float) -> tuple[float, float]
     if s.technique == "linear" or not _saturating(s.pa):
         k_l, sd2 = 1.0, 0.0
     else:
-        bp = bussgang_analytic_sl(OperatingPoint(ibo_db=s.op.ibo_db - r_dpd - r_comp))
+        bp = bussgang_analytic_sl(s.ibo_db - r_dpd - r_comp)
         k_l, sd2 = bp.k_l, bp.sigma_d2
     f = 1.0
     if _uses_companding(s.technique):
         f = mu_law_noise_factor(CompanderParams.default(mu=s.mu))
     split = replace(s.split, sigma_a2=s.split.sigma_a2 * f)
     rate = achievable_rate(sinr(split, k_l, sd2 * f, 1.0, p))
-    return rate, harvested(split, k_l, sd2 * f, 1.0, p, EhModel.linear(), p).h_p_norm
+    return rate, harvested(split, k_l, sd2 * f, 1.0, p, EhModel.linear()).h_p_norm
 
 
 def _batch_ci(samples: np.ndarray) -> float:
@@ -411,7 +414,7 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[LinkMetri
     results = []
     for k, sk in enumerate(scenarios):
         r_dpd, r_comp, _ = reductions[k]
-        ibo_eff = sk.op.ibo_db - r_dpd - r_comp
+        ibo_eff = sk.ibo_db - r_dpd - r_comp
         eta1 = efficiency_at_backoff(ibo_eff) if _saturating(sk.pa) else 0.5
         rate, h_p_norm = closed_form(sk, r_dpd, r_comp)
         if rho > 0.0:
@@ -428,7 +431,7 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[LinkMetri
     return tuple(results)
 
 
-_AXES = ("rho", "mu", "ibo_reduction", "p_rf_tx", "snr")
+_AXES = ("rho", "snr")
 
 
 def _noise_for_ebn0(ebn0_db: float, cfg: OfdmConfig) -> float:
@@ -440,12 +443,6 @@ def _noise_for_ebn0(ebn0_db: float, cfg: OfdmConfig) -> float:
 def _point_scenario(axis: str, value: float, base: Scenario) -> Scenario:
     if axis == "rho":
         return replace(base, split=replace(base.split, rho=float(value)))
-    if axis == "mu":
-        return replace(base, mu=float(value))
-    if axis == "ibo_reduction":
-        return replace(base, ibo_reduction_db=float(value))
-    if axis == "p_rf_tx":
-        return replace(base, p_rf_tx_dbm=float(value))
     if axis == "snr":
         return replace(
             base, split=replace(base.split, sigma_a2=_noise_for_ebn0(value, base.ofdm))
@@ -456,8 +453,9 @@ def _point_scenario(axis: str, value: float, base: Scenario) -> Scenario:
 def sweep_techniques(
     axis: str, values, bases, techniques, threads: int = 1
 ) -> tuple[tuple[SweepResult, ...], ...]:
-    """Run each base scenario along one axis for several techniques;
-    deterministic in (bases, seeds).
+    """Run each base scenario along one axis, "rho" (the splitting ratio)
+    or "snr" (an Eb/N0 in dB that sets the antenna noise), for several
+    techniques; deterministic in (bases, seeds).
 
     Result [b][k] is technique k along the axis on base b, one row per
     value, bit-identical to sweep(axis, values, replace(bases[b],

@@ -167,27 +167,24 @@ def harvested(
     h_gain2: float = 1.0,
     p_rf_tx: float = 1.0,
     eh: EhModel | None = None,
-    p_max: float | None = None,
 ) -> HarvestedEnergy:
     """DC power h_p collected by the EH branch.
 
     Signal, distortion, and noise all carry power into the rectifier, so
-    every term contributes.  h_p_norm divides by the maximum transmit
-    power (default: p_rf_tx itself) to give the dimensionless H_P/E.
+    every term contributes.  h_p_norm divides by the transmit power p_rf_tx
+    to give the dimensionless H_P/E.
 
     In curve mode the conversion efficiency is read at the total branch
     power, taken in watts; closed-form sweeps normally use linear mode.
     """
     eh = eh if eh is not None else EhModel.linear()
-    if p_max is None:
-        p_max = p_rf_tx
     p_in = (
         h_gain2 * split.gamma_eh(p_rf_tx) * (k_l**2 + sigma_d2)
         + split.rho * split.sigma_a2
         + split.sigma_p2
     )
     h_p = float(eta3(eh, watts_to_dbm(p_in))) * p_in
-    return HarvestedEnergy(h_p=h_p, h_p_norm=h_p / p_max)
+    return HarvestedEnergy(h_p=h_p, h_p_norm=h_p / p_rf_tx)
 
 
 def demodulate_and_ber(

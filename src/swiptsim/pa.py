@@ -74,34 +74,6 @@ class PaModel:
         return npoly.polyval(m, np.asarray(self.coeffs))
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """PA drive level: input back-off in dB and the clipping level A_c.
-
-    The back-off nu^2 = 10^(ibo_db/10) is applied to a unit-average-power
-    input as the amplitude pre-gain 10^(-ibo_db/20). clipping_level defaults
-    to 1, the a_sat / mean-input-power normalization for unit-power drive
-    and unit saturation.
-    """
-
-    ibo_db: float
-    clipping_level: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.ibo_db):
-            raise ValueError("ibo_db must be finite")
-        if self.clipping_level <= 0:
-            raise ValueError("clipping_level must be positive")
-
-    @property
-    def nu(self) -> float:
-        return 10.0 ** (self.ibo_db / 20.0)
-
-    @property
-    def input_gain(self) -> float:
-        return 10.0 ** (-self.ibo_db / 20.0)
-
-
 def sspa_am_am(magnitude, pa: PaModel):
     """Smooth saturation AM/AM: m / (1 + (m/A_s)^(2p))^(1/(2p))."""
     m = np.asarray(magnitude, dtype=float)
@@ -198,20 +170,22 @@ def bussgang_estimate(reference, output) -> BussgangParams:
     return BussgangParams(float(k.real), max(float(sigma_d2), 0.0))
 
 
-def bussgang_analytic_sl(op: OperatingPoint) -> BussgangParams:
+def bussgang_analytic_sl(ibo_db: float) -> BussgangParams:
     """Closed-form Bussgang parameters of the clipped (soft-limiter) chain
-    driven by a unit-power circular Gaussian input.
+    driven by a unit-power circular Gaussian input at an input back-off of
+    ibo_db, nu = 10^(ibo_db/20).
 
     K_L(nu) = (A_c/nu) (1 - exp(-nu^2) + (sqrt(pi) nu / 2) erfc(nu)) and
-    sigma_d^2 = (A_c/nu)^2 (1 - exp(-nu^2)) - K_L^2.  This distortion power
+    sigma_d^2 = (A_c/nu)^2 (1 - exp(-nu^2)) - K_L^2, with the clipping level
+    A_c = 1 of unit-power drive into unit saturation.  This distortion power
     matches the second moment of the clipped chain and the empirical
     estimator; the printed form, with an unsquared A_c/nu prefactor against
     the power-like K_L^2 term, is dimensionally inconsistent.
     """
-    nu = op.nu
+    nu = 10.0 ** (ibo_db / 20.0)
     if nu <= 0:
         raise ValueError("nu must be positive")
-    a_c = op.clipping_level
+    a_c = 1.0
     bracket = 1.0 - np.exp(-(nu**2)) + (np.sqrt(np.pi) * nu / 2.0) * math.erfc(nu)
     k_l = (a_c / nu) * bracket
     sigma_d2 = (a_c / nu) ** 2 * (1.0 - np.exp(-(nu**2))) - k_l**2

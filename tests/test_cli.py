@@ -74,12 +74,12 @@ def test_load_config_error_paths(tmp_path):
 
 
 def test_build_helpers():
-    pa, op = build_pa({"pa": {"kind": "soft_limiter", "ibo_db": 6.0}})
+    pa, ibo_db = build_pa({"pa": {"kind": "soft_limiter", "ibo_db": 6.0}})
     assert pa.kind == "soft_limiter"
-    assert op.ibo_db == 6.0
-    pa, op = build_pa({})
+    assert ibo_db == 6.0
+    pa, ibo_db = build_pa({})
     assert pa.kind == "sspa"
-    assert op.ibo_db == 8.0
+    assert ibo_db == 8.0
     with pytest.raises(ConfigError, match="'pa'"):
         build_pa({"pa": {"kind": "valve"}})
 
@@ -183,6 +183,21 @@ def test_main_exit_codes(tmp_path, capsys):
          "pa.ibo_db"),
         ("e2e", {"pa": {"ibo_db": -1.0}}, "pa.ibo_db"),
         ("rate-energy", {"pa": {"ibo_db": -1.0}}, "pa.ibo_db"),
+        # a back-off that is not a finite number: a bool is not 1 dB
+        ("dpd-design", {"pa": {"ibo_db": True}}, "pa.ibo_db"),
+        ("rate-energy", {"pa": {"ibo_db": True}}, "pa.ibo_db"),
+        ("rate-energy", {"pa": {"ibo_db": "8"}}, "pa.ibo_db"),
+        ("mu-sweep", {"pa": {"ibo_db": float("inf")}}, "pa.ibo_db"),
+        ("dpd-design", {"pa": {"ibo_db": float("nan")}}, "pa.ibo_db"),
+        # a reduction override that runs past the back-off
+        ("e2e", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
+        ("ber", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
+        ("rate-energy", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
+        # N*L = 2 cannot hold the 4-sample prefix of the 3-tap channel
+        ("e2e", {"ofdm": {"n_subcarriers": 2, "oversampling_factor": 1}},
+         "'rayleigh_multitap' needs a cyclic prefix of 4"),
+        ("ber", {"ofdm": {"n_subcarriers": 2, "oversampling_factor": 1}},
+         "'rayleigh_multitap' needs a cyclic prefix of 4"),
         ("papr", {"papr": {"mu_grid": [-1.0, 1.25]}}, "papr.mu_grid"),
         ("papr", {"papr": {"mu_grid": []}}, "papr.mu_grid"),
         ("papr", {"papr": {"n_trials": 0}}, "papr.n_trials"),
@@ -558,9 +573,9 @@ def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
     # append_manifest, at either worker count
     data, (line,) = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "cc79c82dde8147dd1fef22ddf966a55a1008cd314d8a28a9eb1665b27596d1e2")
+        "225d94e8947ac209d0dbde11c427a5dfa829b15f203b046d4d74a46a47e75446")
     entry = json.loads(line)
-    assert (entry["config_hash"], entry["axis"], entry["n_points"]) == ("b511e4e6b72a", "rho", 2)
+    assert (entry["config_hash"], entry["axis"], entry["n_points"]) == ("dd203124c321", "rho", 2)
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--threads"])

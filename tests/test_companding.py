@@ -9,7 +9,6 @@ from swiptsim.companding import (
     CompanderParams,
     MuDesign,
     analytic_companded_bussgang,
-    companded_bussgang,
     companded_papr_reductions,
     companded_snr,
     companding_ibo_reduction_db,
@@ -22,8 +21,8 @@ from swiptsim.companding import (
     mu_law_noise_factor,
     optimize_mu,
 )
-from swiptsim.ofdm import OfdmConfig
-from swiptsim.pa import PaModel
+from swiptsim.ofdm import OfdmConfig, random_frames
+from swiptsim.pa import PaModel, amplify, bussgang_estimate
 
 CFG = OfdmConfig()
 PA = PaModel.sspa(smoothness=1.2)
@@ -32,8 +31,6 @@ PA = PaModel.sspa(smoothness=1.2)
 def test_ensemble_peak_value():
     assert ensemble_peak() == pytest.approx(math.sqrt(-math.log(1e-3)), abs=1e-15)
     assert ensemble_peak() == pytest.approx(2.628260884878466, abs=1e-12)
-    with pytest.raises(ValueError):
-        ensemble_peak(0.0)
 
 
 def test_params_validation():
@@ -151,11 +148,19 @@ def test_analytic_companded_bussgang_golden():
     assert bp.sigma_d2 == pytest.approx(0.0002574823827539985, abs=1e-12)
 
 
+def _cascade_bussgang(params, ibo_db):
+    """Empirical Bussgang parameters of the compress -> back-off -> PA
+    cascade against the uncompressed waveform, the compressed signal
+    driving the amplifier at its natural (hotter) power."""
+    _, x = random_frames(CFG, 64, np.random.default_rng(0))
+    return bussgang_estimate(x, amplify(compress_waveform(x, params), PA, ibo_db))
+
+
 def test_companded_bussgang_empirical_goldens():
     params = CompanderParams.default(mu=1.25)
     k_by_ibo = []
     for ibo in (2.0, 4.0, 6.0, 8.0):
-        bp = companded_bussgang(CFG, params, ibo, PA, seed=0, n_symbols=64)
+        bp = _cascade_bussgang(params, ibo)
         k_by_ibo.append(bp.k_l)
     np.testing.assert_allclose(
         k_by_ibo,
@@ -163,7 +168,7 @@ def test_companded_bussgang_empirical_goldens():
         atol=1e-9,
     )
     assert np.all(np.diff(k_by_ibo) > 0)
-    bp6 = companded_bussgang(CFG, params, 6.0, PA, seed=0, n_symbols=64)
+    bp6 = _cascade_bussgang(params, 6.0)
     assert bp6.sigma_d2 == pytest.approx(0.02926637147850153, abs=1e-9)
 
 
@@ -181,8 +186,8 @@ def test_papr_reduction_goldens():
 def test_papr_reductions_share_one_draw():
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
     grid = [CompanderParams.default(mu=mu) for mu in (0.5, 1.25, 4.0, 255.0)]
-    many = companded_papr_reductions(cfg, grid, n_trials=300, seed=3, exceedance=1e-2)
-    single = [companded_papr_reductions(cfg, [p], n_trials=300, seed=3, exceedance=1e-2)[0]
+    many = companded_papr_reductions(cfg, grid, n_trials=300, seed=3)
+    single = [companded_papr_reductions(cfg, [p], n_trials=300, seed=3)[0]
               for p in grid]
     assert many == single
     assert len({r.papr_before_db for r in many}) == 1
@@ -194,13 +199,3 @@ def test_optimize_mu_design_point():
     assert isinstance(design, MuDesign)
     assert design.mu_star == pytest.approx(1.1908697296616064, abs=2e-3)
     assert design.unimodal
-
-
-def test_optimize_mu_single_point_grid():
-    design = optimize_mu(CFG.n_subcarriers, 8.0, 1e-3, mu_grid=(1.25,))
-    assert design.mu_star == 1.25
-
-
-def test_optimize_mu_validation():
-    with pytest.raises(ValueError):
-        optimize_mu(CFG.n_subcarriers, 8.0, 1e-3, mu_grid=())

@@ -241,7 +241,9 @@ def test_save_design_writes_header(tmp_path):
 
 
 def test_training_set_covers_overdrive():
-    amp_in, amp_out = make_training_set(PA, CFG, seed=0, overdrive=1.5)
-    assert amp_in.max() >= 1.5 * PA.a_sat - 1e-9
+    # a ramp to 1.2 a_sat, then one modulated frame
+    amp_in, amp_out = make_training_set(PA, CFG, seed=0)
+    np.testing.assert_array_equal(amp_in[:4096], np.linspace(0.0, 1.2 * PA.a_sat, 4096))
+    assert amp_in.size == 4096 + CFG.n_samples
     assert amp_in.size == amp_out.size
     np.testing.assert_allclose(amp_out, PA.am_am(amp_in))

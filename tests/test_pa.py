@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from swiptsim.pa import (
     BussgangParams,
-    OperatingPoint,
     PaModel,
     amplify,
     bussgang_analytic_sl,
@@ -55,8 +54,6 @@ def test_model_validation():
         PaModel.sspa(a_sat=0.0)
     with pytest.raises(ValueError):
         PaModel.sspa(smoothness=-1.0)
-    with pytest.raises(ValueError):
-        OperatingPoint(ibo_db=np.inf)
 
 
 @given(st.lists(st.floats(0, 10, allow_nan=False), min_size=2, max_size=32))
@@ -119,29 +116,22 @@ def test_in_place_kernels_match_their_formulas(smoothness):
     assert scale_envelope(x, pa.am_am).tobytes() == ref.tobytes()
 
 
-def test_operating_point_gains():
-    op = OperatingPoint(ibo_db=6.0)
-    assert op.nu == pytest.approx(10 ** 0.3)
-    assert op.input_gain * op.nu == pytest.approx(1.0)
-
-
 def test_soft_limiter_two_branch():
     # below the clip threshold the chain is transparent; above it the
     # backed-off drive is pinned at a_sat, which the back-off gain scales
     # back up to nu
     pa = PaModel.soft_limiter_model()
-    op = OperatingPoint(ibo_db=6.0)
     x = np.array([0.1 + 0j, 10.0 + 0j])
-    y = amplify(x, pa, op.ibo_db)
+    y = amplify(x, pa, 6.0)
     assert abs(y[0]) == pytest.approx(0.1)
-    assert abs(y[1]) == pytest.approx(op.nu)
+    assert abs(y[1]) == pytest.approx(10 ** 0.3)
 
 
 def test_clip_probability_matches_rayleigh_tail():
-    op = OperatingPoint(ibo_db=6.0)
+    nu = 10 ** (6.0 / 20)
     x = _gaussian_block(seed=0)
-    frac = float(np.mean(np.abs(x * op.input_gain) > 1.0))
-    assert frac == pytest.approx(np.exp(-op.nu**2), rel=0.05)
+    frac = float(np.mean(np.abs(x / nu) > 1.0))
+    assert frac == pytest.approx(np.exp(-nu**2), rel=0.05)
 
 
 def test_class_a_efficiency():
@@ -162,21 +152,20 @@ def test_efficiency_at_backoff():
 
 
 def test_bussgang_analytic_goldens():
-    bp0 = bussgang_analytic_sl(OperatingPoint(ibo_db=0.0))
+    bp0 = bussgang_analytic_sl(0.0)
     assert bp0.k_l == pytest.approx(0.7715233514688886, abs=1e-12)
     assert bp0.sigma_d2 == pytest.approx(0.03687227696677142, abs=1e-12)
-    bp6 = bussgang_analytic_sl(OperatingPoint(ibo_db=6.0))
+    bp6 = bussgang_analytic_sl(6.0)
     assert bp6.k_l == pytest.approx(0.4960653960811059, abs=1e-12)
     assert bp6.sigma_d2 == pytest.approx(0.0004191730546804773, abs=1e-12)
 
 
 def test_bussgang_empirical_matches_analytic():
-    op = OperatingPoint(ibo_db=6.0)
     x = _gaussian_block(seed=0)
     # the closed form keeps the back-off gain that amplify divides out
-    y = amplify(x, PaModel.soft_limiter_model(), op.ibo_db) * op.input_gain
+    y = amplify(x, PaModel.soft_limiter_model(), 6.0) * 10 ** (-6.0 / 20)
     est = bussgang_estimate(x, y)
-    ana = bussgang_analytic_sl(op)
+    ana = bussgang_analytic_sl(6.0)
     assert est.k_l == pytest.approx(ana.k_l, abs=2e-3)
     assert est.sigma_d2 == pytest.approx(ana.sigma_d2, rel=0.15)
 
