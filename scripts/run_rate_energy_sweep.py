@@ -15,21 +15,20 @@ Run from the repo root:
 import argparse
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from swiptsim.channel import CHANNEL_KINDS, ChannelSpec  # noqa: E402
-from swiptsim.cli import _channel_ofdm  # noqa: E402
 from swiptsim.experiments import (  # noqa: E402
     TECHNIQUES,
     Scenario,
     append_manifest,
-    sweep,
-    sweep_to_csv,
+    metrics_to_csv,
+    run_techniques,
 )
-from swiptsim.ofdm import OfdmConfig  # noqa: E402
 
 
 def main():
@@ -48,25 +47,23 @@ def main():
             ap.error(f"--{flag} must be at least 1")
 
     channel = ChannelSpec(kind=args.channel)
-    base = Scenario(
-        technique=args.technique,
-        # a frequency-selective channel needs a cyclic prefix
-        ofdm=_channel_ofdm(OfdmConfig(), channel),
-        channel=channel,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    result = sweep("rho", args.rho, base, threads=args.threads)
+    base = Scenario(technique=args.technique, channel=channel, trials=args.trials,
+                    seed=args.seed)
+    # one pass: every rho is a receiver on the same draws, and a
+    # frequency-selective channel gets a cyclic prefix
+    receivers = [(channel, replace(base.split, rho=rho)) for rho in args.rho]
+    rows = [res[0] for res in run_techniques(base, (args.technique,), receivers,
+                                             threads=args.threads)]
 
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / f"rate_energy_{args.technique}_{args.channel}.csv"
-    sweep_to_csv(result, csv_path,
+    metrics_to_csv(csv_path, base, "rho", args.rho, rows,
                  comments=(f"technique={args.technique} channel={args.channel} "
                            f"trials={args.trials}",))
-    append_manifest(args.out / "manifest.jsonl", result, base)
+    append_manifest(args.out / "manifest.jsonl", base, "rho", len(rows))
 
     print(f"{'rho':>6}{'rate b/s/Hz':>13}{'H_P/E':>10}{'eta3':>8}{'+-':>8}")
-    for rho, m in zip(result.values, result.rows):
+    for rho, m in zip(args.rho, rows):
         print(f"{rho:>6.2f}{m.rate_bps_hz:>13.3f}"
               f"{m.harvested_norm:>10.4f}{m.eta3:>8.4f}{m.eta3_ci:>8.4f}")
     print(f"\nwrote {csv_path} and appended to {args.out / 'manifest.jsonl'}")

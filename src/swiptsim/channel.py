@@ -59,11 +59,10 @@ def sample_channel(spec: ChannelSpec, rng: np.random.Generator) -> tuple[complex
     return tuple(complex(t) for t in draws)
 
 
-def apply_channel(x: np.ndarray, taps, cp_length: int | None = None, out=None) -> np.ndarray:
-    """Convolve samples with channel taps: a one-dimensional x with one
-    realization, or each row of x (..., n) with its own row of taps
-    (..., n_taps).  The result goes into ``out`` if given (it must not
-    overlap x), else into a new array.
+def apply_channel(x: np.ndarray, taps, cp_length: int | None = None) -> np.ndarray:
+    """Convolve samples with channel taps, into a new array of x's length:
+    a one-dimensional x with one realization, or each row of x (..., n)
+    with its own row of taps (..., n_taps).
 
     When ``cp_length`` is given it must cover the channel memory, since the
     receiver relies on the prefix to keep subcarriers separable.  Antenna
@@ -75,12 +74,9 @@ def apply_channel(x: np.ndarray, taps, cp_length: int | None = None, out=None) -
             f"cyclic prefix of {cp_length} samples cannot absorb a "
             f"{h.shape[-1]}-tap channel"
         )
-    if h.shape[-1] == 1:
-        return np.multiply(x, h, out=out)
-    if out is None:
-        out = np.empty(x.shape, dtype=np.result_type(x, h))
-    for row in np.ndindex(x.shape[:-1]):
-        out[row] = np.convolve(x[row], h[row])[: x.shape[-1]]
+    out = x * h[..., :1]
+    for lag in range(1, h.shape[-1]):
+        out[..., lag:] += x[..., :-lag] * h[..., lag:lag + 1]
     return out
 
 

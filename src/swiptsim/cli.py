@@ -36,7 +36,9 @@ are rejected with their location.  Schema (defaults in parentheses):
                papr_trials (4000, integer >= 1)
   ber:         ebn0_db ([0, 4, 8]; non-empty, finite), techniques
                (["baseline","companding"]), channels (all four); the lists
-               are non-empty and without repeats
+               are non-empty and without repeats.  ber replaces the whole
+               split section (rho 0, sigma_p2 0, sigma_a2 from each Eb/N0
+               point) and reads no eh key
   rate_energy: rho_grid (0..0.9 plus 1-10^-k tail; non-empty, in [0, 1]),
                techniques (["baseline","companding"]; non-empty, without
                repeats, from "linear", "baseline", "companding")
@@ -52,22 +54,24 @@ eh.calibration) is an error, not a silently dropped value.
 Flags: --config, --seed, --out, --trials and --threads.  --trials
 overrides the Monte Carlo count of papr, mu-sweep, e2e and ber;
 dpd-design and rate-energy have none and reject it.  papr, mu-sweep, e2e
-and ber read --threads (worker threads for the PAPR batches, the Monte
-Carlo trial blocks, and the Eb/N0 points of every channel, which ber runs
-in one pool; default every core this process may use); their output does
-not depend on it.  An Eb/N0 point in flight holds one faded frame per
-technique per trial, 13 MB for 2 techniques x 50 trials x 4 symbols at
-N*L = 2048 (about 16 MB of peak RSS with its working arrays, measured
-from 1 to 12 threads), so ber's memory grows with --threads up to
-channels x points.  dpd-design and rate-energy run serially and reject
-it.
+and ber read --threads (worker threads for the PAPR batches and for the
+Monte Carlo trial blocks; default every core this process may use); their
+output does not depend on it.  e2e and ber each make one Monte Carlo
+pass (experiments.run_techniques), with one receiver per channel, and in
+ber per channel and Eb/N0 point: every receiver shares the pass's bits
+and transmit frames, and every receiver on a channel its taps and noise
+draws.  Each job being processed holds its block's noise draws on one
+channel, so memory grows with --threads: ber at its defaults peaked at
+58, 63 and 106 MB of RSS at 1, 2 and 12 threads.  dpd-design and
+rate-energy run serially and reject it.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
 form (experiments.closed_form), not Monte Carlo estimates: the
 soft-limiter Bussgang model at the technique's back-off, a linear 0.5
 harvester, and no fading.  The closed form ignores pa.a_sat and
 pa.smoothness.  rate-energy reads scenario.ibo_reduction_db like e2e
-does.
+does.  A derived back-off reduction above pa.ibo_db is a configuration
+error in e2e, ber and rate-energy, found before any work.
 
 Exit codes: 0 success, 2 configuration error (an unknown key, a key the
 section's kind does not read, or a malformed or out-of-range value), 3
@@ -101,9 +105,10 @@ from .experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
     Scenario,
+    channel_ofdm,
     closed_form,
+    noise_for_ebn0,
     run_techniques,
-    sweep_techniques,
     technique_reductions,
     write_csv,
 )
@@ -391,17 +396,21 @@ def _names(section: dict, key: str, default, allowed, where: str, what: str) -> 
     return tuple(names)
 
 
-def _channel_ofdm(ofdm: OfdmConfig, spec: ChannelSpec) -> OfdmConfig:
-    """The numerology with a cyclic prefix long enough for the channel; a
-    config error if that prefix does not fit in the symbol."""
-    if spec.kind == "rayleigh_multitap" and ofdm.cp_length < spec.n_taps - 1:
-        cp = 2 ** int(np.ceil(np.log2(spec.n_taps)))
-        try:
-            return replace(ofdm, cp_length=cp)
-        except ValueError as exc:
-            raise ConfigError(f"channel '{spec.kind}' needs a cyclic prefix of {cp} "
-                              f"samples: {exc}") from exc
-    return ofdm
+def _check_work(base: Scenario, techniques, channels=()) -> None:
+    """Config errors that the work would meet only late, raised before it:
+    a channel whose cyclic prefix does not fit in the symbol, and a
+    technique whose derived back-off reduction runs past pa.ibo_db (this
+    designs the predistorter, which the run then reuses)."""
+    try:
+        for spec in channels:
+            channel_ofdm(base.ofdm, spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
+        for tech in techniques:
+            technique_reductions(replace(base, technique=tech))
+    except ValueError as exc:
+        raise ConfigError(f"config section 'pa.ibo_db': {exc}") from exc
 
 
 def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
@@ -501,27 +510,20 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
-    # every channel's scenario, with a prefix that absorbs it, before any
-    # work; the table runs on the configured channel
-    chans = []
-    for kind in CHANNEL_KINDS:
-        spec = replace(base.channel, kind=kind)
-        chans.append(replace(base, channel=spec, ofdm=_channel_ofdm(base.ofdm, spec)))
-    table_s = chans[CHANNEL_KINDS.index(base.channel.kind)]
-    table = run_techniques(table_s, TABLE_TECHNIQUES, threads)
+    # one pass for every channel; the table is the configured channel's rows
+    receivers = [(replace(base.channel, kind=kind), base.split) for kind in CHANNEL_KINDS]
+    _check_work(base, TABLE_TECHNIQUES, [spec for spec, _ in receivers])
+    results = run_techniques(base, TABLE_TECHNIQUES, receivers, threads)
+    table = results[CHANNEL_KINDS.index(base.channel.kind)]
     rows = [(tech, m.eta1, m.eta3, m.eta_e2e, m.ibo_reduction_db, m.rate_bps_hz,
              m.harvested_norm, m.ber) for tech, m in zip(TABLE_TECHNIQUES, table)]
+    chan_rows = [(kind, tech, m.eta1, m.eta3, m.eta_e2e, m.eta3_ci, m.ber)
+                 for kind, res in zip(CHANNEL_KINDS, results)
+                 for tech, m in zip(TABLE_TECHNIQUES, res)]
     write_csv(out / "technique_table.csv",
               ("technique", "eta1", "eta3", "eta1_eta3", "ibo_reduction_db",
                "rate_bps_hz", "h_p_norm", "ber"),
               rows, h, seed)
-
-    chan_rows = []
-    for kind, s in zip(CHANNEL_KINDS, chans):
-        # the configured channel's rows are the technique table's
-        results = table if s == table_s else run_techniques(s, TABLE_TECHNIQUES, threads)
-        for tech, m in zip(TABLE_TECHNIQUES, results):
-            chan_rows.append((kind, tech, m.eta1, m.eta3, m.eta_e2e, m.eta3_ci, m.ber))
     write_csv(out / "channel_metrics.csv",
               ("channel", "technique", "eta1", "eta3", "eta1_eta3", "eta3_ci", "ber"),
               chan_rows, h, seed)
@@ -537,23 +539,23 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     channels = _names(section, "channels", CHANNEL_KINDS, CHANNEL_KINDS, "ber", "channel")
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
-    bases = []
-    for kind in channels:
-        spec = replace(base.channel, kind=kind)
-        bases.append(replace(
-            base, channel=spec, ofdm=_channel_ofdm(base.ofdm, spec),
-            split=replace(base.split, rho=0.0, sigma_p2=0.0),
-        ))
-    # every technique shares each Eb/N0 point's draws, and the points of
-    # every channel run in one pool
-    swept = sweep_techniques("snr", ebn0, bases, techniques, threads)
+    # one receiver per channel and Eb/N0 point, each with the whole split
+    # replaced: no harvesting and no processing noise
+    specs = [replace(base.channel, kind=kind) for kind in channels]
+    receivers = [(spec, SplitConfig(rho=0.0, sigma_a2=noise_for_ebn0(v, base.ofdm),
+                                    sigma_p2=0.0))
+                 for spec in specs for v in ebn0]
+    _check_work(base, techniques, specs)
+    results = run_techniques(base, techniques, receivers, threads)
+    n_bits = 2 * base.ofdm.n_subcarriers * base.frame_symbols * base.trials
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for kind, s, results in zip(channels, bases, swept):
-        n_bits = 2 * s.ofdm.n_subcarriers * s.frame_symbols * s.trials
-        for tech, res in zip(techniques, results):
-            rows += [(kind, tech, v, m.ber, m.ber_ci, n_bits) for v, m in zip(ebn0, res.rows)]
-            series[f"{kind}/{tech}"] = [(v, m.ber) for v, m in zip(ebn0, res.rows)]
+    for i, kind in enumerate(channels):
+        points = results[i * len(ebn0):(i + 1) * len(ebn0)]
+        for k, tech in enumerate(techniques):
+            rows += [(kind, tech, v, res[k].ber, res[k].ber_ci, n_bits)
+                     for v, res in zip(ebn0, points)]
+            series[f"{kind}/{tech}"] = [(v, res[k].ber) for v, res in zip(ebn0, points)]
     write_csv(out / "ber_curves.csv",
               ("channel", "technique", "ebn0_db", "ber", "ber_ci", "n_bits"),
               rows, h, seed)
@@ -574,6 +576,7 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
                         "closed-form technique")
     base = build_scenario(cfg, seed, trials)
     h = _hash(cfg, seed, trials)
+    _check_work(base, techniques)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for tech in techniques:

@@ -1,12 +1,12 @@
-"""Scenario definitions, the Monte Carlo runner, and sweep pipelines.
+"""Scenario definitions, the Monte Carlo runner, and CSV output.
 
-A Scenario bundles the full transmit/channel/receive configuration for
-one technique; run_techniques turns it into one LinkMetrics per technique,
-with batch-means confidence intervals, for several techniques over one set
-of random draws (TABLE_TECHNIQUES gives the four-technique efficiency
-comparison).  sweep_techniques() repeats several base scenarios (one per
-channel in the ber command) along one axis and runs every base's points in
-one thread pool; sweep() repeats one.
+A Scenario bundles the full transmit/channel/receive configuration;
+run_techniques turns it into one LinkMetrics per technique and receiver,
+with batch-means confidence intervals, for several techniques at several
+receivers (channel and splitter pairs) over one set of random draws
+(TABLE_TECHNIQUES gives the four-technique efficiency comparison).  A
+sweep over the splitting ratio or Eb/N0 is one pass with one receiver per
+point.
 
 Measurement conventions, used consistently everywhere:
 
@@ -31,14 +31,13 @@ import hashlib
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelSpec, apply_channel, sample_channel
+from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
 from .companding import (
     CompanderParams,
     companding_ibo_reduction_db,
@@ -120,17 +119,6 @@ class Scenario:
         return 10.0 ** ((self.p_rf_tx_dbm - 30.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """One technique along one axis: rows[i] is the result at values[i]."""
-
-    axis: str
-    values: tuple
-    rows: tuple[LinkMetrics, ...]
-    seed: int
-    config_hash: str
-
-
 def config_hash(scenario: Scenario) -> str:
     blob = json.dumps(asdict(scenario), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -160,12 +148,13 @@ def technique_reductions(s: Scenario) -> tuple[float, float, DpdDesign | None]:
     None) for the scenario; the design is None for a technique without DPD.
 
     An explicit ibo_reduction_db override replaces the derived total
-    (attributed to the DPD part for chain purposes).  A non-saturating
-    amplifier has nothing to back off from, so reductions are zero there;
-    a degenerate DPD design likewise contributes zero.  The DPD design is
-    shared by every scenario at one operating point: it does not depend on
-    the cyclic prefix, and its back-off search takes the first EVM
-    crossing of its grid (see design_ibo_reduction).
+    (attributed to the DPD part for chain purposes); a derived total above
+    ibo_db is a ValueError.  A non-saturating amplifier has nothing to back
+    off from, so reductions are zero there; a degenerate DPD design
+    likewise contributes zero.  The DPD design is shared by every scenario
+    at one operating point: it does not depend on the cyclic prefix, and
+    its back-off search takes the first EVM crossing of its grid (see
+    design_ibo_reduction).
     """
     design = None
     if _uses_dpd(s.technique):
@@ -180,6 +169,9 @@ def technique_reductions(s: Scenario) -> tuple[float, float, DpdDesign | None]:
         r_dpd = design.ibo_reduction_db
     if _uses_companding(s.technique):
         r_comp = companding_ibo_reduction_db(CompanderParams.default(mu=s.mu))
+    if r_dpd + r_comp > s.ibo_db:
+        raise ValueError(f"the {s.technique} technique's back-off reduction of "
+                         f"{r_dpd + r_comp:g} dB runs past ibo_db = {s.ibo_db:g} dB")
     return r_dpd, r_comp, design
 
 
@@ -236,6 +228,42 @@ def _batch_ci(samples: np.ndarray) -> float:
     return float(_T975[b - 2] * means.std(ddof=1) / np.sqrt(b))
 
 
+def channel_ofdm(ofdm: OfdmConfig, spec: ChannelSpec) -> OfdmConfig:
+    """The numerology with a cyclic prefix long enough for the channel;
+    a ValueError naming the channel if that prefix does not fit in the
+    symbol."""
+    if spec.kind == "rayleigh_multitap" and ofdm.cp_length < spec.n_taps - 1:
+        cp = 2 ** int(np.ceil(np.log2(spec.n_taps)))
+        try:
+            return replace(ofdm, cp_length=cp)
+        except ValueError as exc:
+            raise ValueError(f"channel '{spec.kind}' needs a cyclic prefix of {cp} "
+                             f"samples: {exc}") from exc
+    return ofdm
+
+
+def noise_for_ebn0(ebn0_db: float, cfg: OfdmConfig) -> float:
+    """Antenna-noise variance giving the target Eb/N0 for a unit-power
+    QPSK transmit waveform (oversampling discards out-of-band noise)."""
+    return cfg.oversampling_factor / (2.0 * 10.0 ** (ebn0_db / 10.0))
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    # one independent stream of the run's seed per key: (0,) the bits,
+    # (1 + i, 0) the taps of channel kind i and (1 + i, 1, t) its noise in
+    # trial t
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _with_prefix(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Frames of whole symbols (..., symbols * N*L), each symbol with the
+    numerology's cyclic prefix."""
+    if not cfg.cp_length:
+        return x
+    sym = x.reshape(x.shape[:-1] + (-1, cfg.n_samples))
+    return np.concatenate([sym[..., -cfg.cp_length:], sym], axis=-1).reshape(x.shape[:-1] + (-1,))
+
+
 # run_techniques works on blocks of trials of about this many bytes of
 # complex128 frame, 4 frames of 4 symbols at N*L = 2048: on 2 cores a numpy
 # call on one or two frames gains nothing from a second thread, and one on
@@ -246,63 +274,79 @@ def _batch_ci(samples: np.ndarray) -> float:
 _BLOCK_BYTES = 1 << 19
 
 
-def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[LinkMetrics, ...]:
-    """Monte Carlo evaluation of several techniques over one set of draws:
-    one LinkMetrics per technique, in order, deterministic for a fixed seed.
+def run_techniques(
+    s: Scenario, techniques, receivers=None, threads: int = 1
+) -> tuple[tuple[LinkMetrics, ...], ...]:
+    """Monte Carlo evaluation of several techniques at several receivers
+    over one set of draws: results[r][k] is the LinkMetrics of technique k
+    at receiver r, deterministic for a fixed seed.
 
-    Result k is bit-identical to the single-technique run
-    run_techniques(replace(s, technique=t), (t,))[0] for t = techniques[k].
-    For a fixed seed and channel every technique sees the same bits,
-    channel taps and splitter noise, so each frame's bits, QPSK grid,
-    synthesis, taps and noise are drawn once and every technique is pushed
-    through them: the frames are compressed once for the companded
-    techniques, and the baseline amplification of the uncompressed frames,
-    which sets every technique's power reference, is computed once (and is
-    the baseline technique's own transmit waveform).  The random stream is
-    the single-technique one: every trial's bits and taps in trial order,
-    then per frame the antenna, EH-branch and information-branch noise.
+    A receiver is a (ChannelSpec, SplitConfig) pair; the default is the
+    scenario's own (s.channel, s.split).  Each receiver's numerology is
+    s.ofdm with a prefix long enough for its channel (see channel_ofdm).
+    Result [r][k] is bit-identical to run_techniques(s, (techniques[k],),
+    (receivers[r],))[0][0]: no result depends on the other techniques or
+    receivers of the pass, on the block size or on the thread count.
+
+    Common random numbers: the bits come from one stream of the seed and
+    are drawn once; each channel's taps come from a stream keyed on (seed,
+    channel kind), and its unit-variance antenna and information-branch
+    noise from streams keyed on (seed, channel kind, trial), and every
+    receiver on a channel scales the same normal draws by its own
+    variances.  Each technique's transmit frames are computed once,
+    without a cyclic prefix: the chain acts per sample, so a receiver adds
+    its own prefix after the amplifier.  The frames are compressed once
+    for the companded techniques, and the baseline amplification of the
+    uncompressed frames, which sets every technique's power reference, is
+    computed once (and is the baseline technique's own transmit waveform).
 
     The trials run in blocks of about _BLOCK_BYTES of frame samples, twice:
-    transmit and channel, then, once the ensemble powers are known, noise,
-    rectenna and demodulator.  The calling thread draws every block's bits,
-    taps and noise in order; with threads > 1 a pool of that many workers
-    processes the blocks, at most 2 * threads in flight (see
-    ofdm.run_bounded), and with 1 the calling thread does, so a sweep's
-    pool over points never nests another.  No result depends on the block
-    size or the thread count.
+    transmit, then, once the ensemble powers are known, one job per block
+    and channel that draws the block's noise, adds the channel's prefix,
+    applies its taps and builds every receiver's branches.  With
+    threads > 1 a pool of that many workers processes the jobs, at most
+    2 * threads in flight (see ofdm.run_bounded), and with 1 the calling
+    thread does.
 
-    Memory: the faded channel output of every technique in every trial is
-    held until the noise pass, len(techniques) x trials x frame_symbols x
-    (N*L + cp_length) complex128 samples, because the normalizations need
-    the ensemble powers first, and so are every trial's bits (2 N x
-    frame_symbols int8) and taps.  Each block in flight adds two frames of
-    complex noise per trial (the antenna and information-branch noise),
-    and each block being processed the temporaries of one technique at a
-    time; the information branch is built in the faded frames' memory.
-    With 4 techniques x 50 trials x 4 symbols at N*L = 2048 the faded
-    frames take 26 MB, and e2e peaked at 78.5 MB of RSS on two threads.
+    Memory: every technique's transmit frames are held for the receive
+    pass, len(techniques) x trials x frame_symbols x N*L complex128
+    samples, because the normalizations need the ensemble powers first, and
+    so are every trial's bits (2 N x frame_symbols int8) and every
+    channel's taps.  A job being processed adds its block's unit noise and
+    one receiver's scaled noise (two complex frames per trial each), one
+    faded frame per trial and the temporaries of one technique and receiver
+    at a time.  With 4 techniques x 50 trials x 4 symbols at N*L = 2048 the
+    frames take 26 MB.
 
-    The rectifier works on the EH branch with its ensemble mean pinned to
-    0 dBm; the demodulator works on the information branch at equal average
-    transmit power through the faded channel.
+    The rectifier works on the faded frames with their ensemble mean
+    pinned to 0 dBm, which removes rho, so every receiver with rho > 0 on
+    one channel reports the same eta3; the demodulator works on the
+    information branch at equal average transmit power through the faded
+    channel.
     """
     techniques = tuple(techniques)
+    receivers = ((s.channel, s.split),) if receivers is None else tuple(receivers)
     if not techniques:
         raise ValueError("run_techniques needs at least one technique")
     if len(set(techniques)) != len(techniques):
         raise ValueError(f"techniques must not repeat, got {techniques}")
+    if not receivers:
+        raise ValueError("run_techniques needs at least one receiver")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     scenarios = tuple(replace(s, technique=t) for t in techniques)
     reductions = [technique_reductions(sk) for sk in scenarios]
     n_tech = len(techniques)
+    # the distinct channels, each with its numerology and its receivers
+    channels = list(dict.fromkeys(spec for spec, _ in receivers))
+    chan_cfg = [channel_ofdm(s.ofdm, spec) for spec in channels]
+    on_chan = [[r for r, (spec, _) in enumerate(receivers) if spec == c] for c in channels]
+    harvests = [any(receivers[r][1].rho > 0.0 for r in rs) for rs in on_chan]
 
-    rng = np.random.default_rng(s.seed)
-    cfg = s.ofdm
+    # the frames carry no prefix: each receiver adds its own
+    cfg = replace(s.ofdm, cp_length=0)
     trials = s.trials
-    rho = s.split.rho
-    n_bits_frame = 2 * cfg.n_subcarriers * s.frame_symbols
-    frame_len = s.frame_symbols * (cfg.n_samples + cfg.cp_length)
+    frame_len = s.frame_symbols * cfg.n_samples
     block = max(1, _BLOCK_BYTES // (16 * frame_len))
     blocks = [slice(i, min(i + block, trials)) for i in range(0, trials, block)]
     companded = [_uses_companding(t) for t in techniques]
@@ -310,7 +354,6 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[LinkMetri
     # the baseline amplifier output of the uncompressed frames is the power
     # reference of every technique except linear and baseline, which use
     # their own; a baseline at zero reduction transmits exactly that output
-    ref_s = replace(s, technique="baseline")
     own_ref = [t in ("linear", "baseline") for t in techniques]
     ref_from = next((k for k, t in enumerate(techniques)
                      if t == "baseline" and reductions[k][0] == 0.0), None)
@@ -322,20 +365,23 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[LinkMetri
         else:
             run_bounded(work, jobs, threads)
 
-    bits = np.empty((trials, n_bits_frame), dtype=np.int8)
-    taps = np.empty((trials, s.channel.n_taps), dtype=np.complex128)
-    clean = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
+    bits = _stream(s.seed, 0).integers(
+        0, 2, size=(trials, 2 * cfg.n_subcarriers * s.frame_symbols), dtype=np.int8)
+    kinds = [1 + CHANNEL_KINDS.index(spec.kind) for spec in channels]
+    taps = []
+    for spec, key in zip(channels, kinds):
+        rng = _stream(s.seed, key, 0)
+        taps.append(np.array([sample_channel(spec, rng) for _ in range(trials)]))
+    tx = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
     ref_p = np.empty((n_tech, trials))
-    # the received powers only set the EH branch's level, unused at rho = 0
-    rx_p = np.empty((n_tech, trials))
-    rms_drive = np.empty(trials)
+    # the received powers only set the rectifier's level
+    rx_p = np.empty((len(channels), n_tech, trials))
+    rms_drive = np.empty((len(channels), trials))
 
-    def draw_frames():
-        for rows in blocks:
-            for i in range(rows.start, rows.stop):
-                bits[i] = rng.integers(0, 2, size=n_bits_frame)
-                taps[i] = sample_channel(s.channel, rng)
-            yield (rows,)
+    def faded(k: int, c: int, rows: slice) -> np.ndarray:
+        # technique k's frames of the trials in rows, prefixed, through channel c
+        x = _with_prefix(tx[k, rows], chan_cfg[c])
+        return apply_channel(x, taps[c][rows], chan_cfg[c].cp_length)
 
     def transmit(rows: slice) -> None:
         grids = _qpsk(bits[rows]).reshape(-1, s.frame_symbols, cfg.n_subcarriers)
@@ -343,24 +389,27 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[LinkMetri
         compressed = None
         if params is not None:
             compressed = compress_waveform(x, params)
-            rms_drive[rows] = np.sqrt(np.mean(np.abs(compressed) ** 2, axis=-1))
-        for k, (c, sk, (r_dpd, _, design)) in enumerate(zip(companded, scenarios, reductions)):
-            tx = _transmit(compressed if c else x, sk, r_dpd, design)
+            for c, cfg_c in enumerate(chan_cfg):
+                drive = _with_prefix(compressed, cfg_c)
+                rms_drive[c, rows] = np.sqrt(np.mean(np.abs(drive) ** 2, axis=-1))
+        for k, (comp, sk, (r_dpd, _, design)) in enumerate(zip(companded, scenarios,
+                                                               reductions)):
+            tx[k, rows] = _transmit(compressed if comp else x, sk, r_dpd, design)
             if own_ref[k]:
-                ref_p[k, rows] = np.mean(np.abs(tx) ** 2, axis=-1)
-            apply_channel(tx, taps[rows], cfg.cp_length, out=clean[k, rows])
-            if rho > 0.0:
-                rx_p[k, rows] = np.mean(np.abs(clean[k, rows]) ** 2, axis=-1)
+                ref_p[k, rows] = np.mean(np.abs(tx[k, rows]) ** 2, axis=-1)
+            for c in range(len(channels)):
+                if harvests[c]:
+                    rx_p[c, k, rows] = np.mean(np.abs(faded(k, c, rows)) ** 2, axis=-1)
         if not all(own_ref):
             if ref_from is not None:
                 p_ref = ref_p[ref_from, rows]
             else:
-                p_ref = np.mean(np.abs(_transmit(x, ref_s, 0.0, None)) ** 2, axis=-1)
+                p_ref = np.mean(np.abs(amplify(x, s.pa, s.ibo_db)) ** 2, axis=-1)
             for k in range(n_tech):
                 if not own_ref[k]:
                     ref_p[k, rows] = p_ref
 
-    run(transmit, draw_frames())
+    run(transmit, ((rows,) for rows in blocks))
 
     # a sequential sum in trial order, as the reference powers always were
     ref_power = np.cumsum(ref_p, axis=1)[:, -1]
@@ -371,154 +420,73 @@ def run_techniques(s: Scenario, techniques, threads: int = 1) -> tuple[LinkMetri
     # rectifier sees its branch pinned to 1 mW ensemble mean, where the
     # thermal noise floor is irrelevant and therefore omitted
     norm = [np.sqrt(1.0 / (p / trials)) for p in ref_power]
-    if rho > 0.0:
-        eh_pin = [np.sqrt(1e-3 / (np.mean(p) * max(rho, 1e-12))) for p in rx_p]
+    eh_pin = [np.sqrt(1e-3 / np.mean(p, axis=-1)) if h else None
+              for p, h in zip(rx_p, harvests)]
 
-    eta3_num = np.zeros((n_tech, trials))
-    eta3_den = np.full((n_tech, trials), np.nan)
-    ber = np.empty((n_tech, trials))
+    # the rectifier's sums, written for the channels that harvest
+    eta3_num = np.empty((len(channels), n_tech, trials))
+    eta3_den = np.empty_like(eta3_num)
+    ber = np.empty((len(receivers), n_tech, trials))
 
-    def draw_noise():
-        for rows in blocks:
-            yield rows, split_noise(s.split, rng, frame_len, (rows.stop - rows.start,))
-
-    def receive(rows: slice, noise: np.ndarray) -> None:
+    def receive(rows: slice, c: int) -> None:
+        # each trial's unit noise on this channel, from its own stream
+        n = s.frame_symbols * (chan_cfg[c].n_samples + chan_cfg[c].cp_length)
+        z = np.empty((rows.stop - rows.start, 2, 2, n))
+        for i in range(rows.start, rows.stop):
+            _stream(s.seed, kinds[c], 1, i).standard_normal(out=z[i - rows.start])
         for k in range(n_tech):
-            if rho > 0.0:
-                p_w = np.abs(clean[k, rows] * (np.sqrt(rho) * eh_pin[k]))
+            y = faded(k, c, rows)
+            if harvests[c]:
+                p_w = np.abs(y * eh_pin[c][k])
                 p_w **= 2
                 eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
                 eff *= p_w
-                eta3_num[k, rows] = np.sum(eff, axis=-1)
-                eta3_den[k, rows] = np.sum(p_w, axis=-1)
-            # this technique's faded frames are read for the last time: the
-            # information branch is built in their memory
-            info = clean[k, rows]
-            info *= norm[k]
-            scale = None
-            if companded[k]:
-                # known amplitude bookkeeping from the compressed transmit
-                # waveform to the (noiseless) information-branch signal, so
-                # the expander operates in its design domain
-                rms_rx = np.sqrt((1.0 - rho) * np.mean(np.abs(info) ** 2, axis=-1))
-                drive = rms_drive[rows]
-                scale = np.ones_like(rms_rx)
-                np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
-            info_branch(info, s.split, noise)
-            ber[k, rows] = demodulate_and_ber(
-                info, taps[rows], cfg, bits[rows], params if companded[k] else None, scale,
-            )
+                eta3_num[c, k, rows] = np.sum(eff, axis=-1)
+                eta3_den[c, k, rows] = np.sum(p_w, axis=-1)
+            for r in on_chan[c]:
+                split = receivers[r][1]
+                # the last receiver builds its branch in the faded frames
+                info = np.multiply(y, norm[k], out=y if r == on_chan[c][-1] else None)
+                scale = None
+                if companded[k]:
+                    # known amplitude bookkeeping from the compressed
+                    # transmit waveform to the (noiseless) information-branch
+                    # signal, so the expander operates in its design domain
+                    rms_rx = np.sqrt((1.0 - split.rho) * np.mean(np.abs(info) ** 2, axis=-1))
+                    drive = rms_drive[c, rows]
+                    scale = np.ones_like(rms_rx)
+                    np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
+                info_branch(info, split, split_noise(split, z))
+                ber[r, k, rows] = demodulate_and_ber(
+                    info, taps[c][rows], chan_cfg[c], bits[rows],
+                    params if companded[k] else None, scale,
+                )
 
-    run(receive, draw_noise())
+    run(receive, ((rows, c) for rows in blocks for c in range(len(channels))))
 
     results = []
-    for k, sk in enumerate(scenarios):
-        r_dpd, r_comp, _ = reductions[k]
-        ibo_eff = sk.ibo_db - r_dpd - r_comp
-        eta1 = efficiency_at_backoff(ibo_eff) if _saturating(sk.pa) else 0.5
-        rate, h_p_norm = closed_form(sk, r_dpd, r_comp)
-        if rho > 0.0:
-            eta3_mc = float(eta3_num[k].sum() / eta3_den[k].sum())
-            eta3_frames = eta3_num[k] / eta3_den[k]
-        else:
-            eta3_mc = 0.0
-            eta3_frames = eta3_num[k]
-        results.append(LinkMetrics(
-            rate_bps_hz=rate, harvested_norm=h_p_norm, ber=float(ber[k].mean()), eta1=eta1,
-            eta3=eta3_mc, eta_e2e=eta1 * eta3_mc, ibo_reduction_db=r_dpd + r_comp,
-            eta3_ci=_batch_ci(eta3_frames), ber_ci=_batch_ci(ber[k]),
-        ))
+    for r, (spec, split) in enumerate(receivers):
+        c = channels.index(spec)
+        row = []
+        for k, sk in enumerate(scenarios):
+            r_dpd, r_comp, _ = reductions[k]
+            ibo_eff = sk.ibo_db - r_dpd - r_comp
+            eta1 = efficiency_at_backoff(ibo_eff) if _saturating(sk.pa) else 0.5
+            rate, h_p_norm = closed_form(replace(sk, split=split), r_dpd, r_comp)
+            if split.rho > 0.0:
+                eta3_mc = float(eta3_num[c, k].sum() / eta3_den[c, k].sum())
+                eta3_frames = eta3_num[c, k] / eta3_den[c, k]
+            else:
+                eta3_mc = 0.0
+                eta3_frames = np.zeros(trials)
+            row.append(LinkMetrics(
+                rate_bps_hz=rate, harvested_norm=h_p_norm, ber=float(ber[r, k].mean()),
+                eta1=eta1, eta3=eta3_mc, eta_e2e=eta1 * eta3_mc,
+                ibo_reduction_db=r_dpd + r_comp,
+                eta3_ci=_batch_ci(eta3_frames), ber_ci=_batch_ci(ber[r, k]),
+            ))
+        results.append(tuple(row))
     return tuple(results)
-
-
-_AXES = ("rho", "snr")
-
-
-def _noise_for_ebn0(ebn0_db: float, cfg: OfdmConfig) -> float:
-    """Antenna-noise variance giving the target Eb/N0 for a unit-power
-    QPSK transmit waveform (oversampling discards out-of-band noise)."""
-    return cfg.oversampling_factor / (2.0 * 10.0 ** (ebn0_db / 10.0))
-
-
-def _point_scenario(axis: str, value: float, base: Scenario) -> Scenario:
-    if axis == "rho":
-        return replace(base, split=replace(base.split, rho=float(value)))
-    if axis == "snr":
-        return replace(
-            base, split=replace(base.split, sigma_a2=_noise_for_ebn0(value, base.ofdm))
-        )
-    raise ValueError(f"axis must be one of {_AXES}")
-
-
-def sweep_techniques(
-    axis: str, values, bases, techniques, threads: int = 1
-) -> tuple[tuple[SweepResult, ...], ...]:
-    """Run each base scenario along one axis, "rho" (the splitting ratio)
-    or "snr" (an Eb/N0 in dB that sets the antenna noise), for several
-    techniques; deterministic in (bases, seeds).
-
-    Result [b][k] is technique k along the axis on base b, one row per
-    value, bit-identical to sweep(axis, values, replace(bases[b],
-    technique=techniques[k]), threads).  Each base's points get
-    independent child seeds of that base's seed.  The predistorters are
-    designed on the calling thread, then the points of every base run in
-    one pool of ``threads`` workers; at each point every technique shares
-    one set of draws through run_techniques, whose trial blocks run on the
-    point's own thread.  A point in flight holds one faded frame per
-    technique per trial (13 MB for 2 techniques x 50 trials x 4 symbols at
-    N*L = 2048; peak RSS grew by about 16 MB per thread with the bits and
-    working arrays, from 1 to 12 threads), so memory grows with ``threads``
-    up to len(bases) x len(values) points.  Rows are merged in axis order
-    regardless of completion order.
-    """
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}")
-    values = tuple(values)
-    if not values:
-        raise ValueError("sweep needs at least one axis value")
-    bases = tuple(bases)
-    if not bases:
-        raise ValueError("sweep needs at least one base scenario")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    techniques = tuple(techniques)
-    points = []
-    for base in bases:
-        children = np.random.SeedSequence(base.seed).spawn(len(values))
-        points += [
-            replace(_point_scenario(axis, v, base), seed=int(children[i].generate_state(1)[0]))
-            for i, v in enumerate(values)
-        ]
-    # the points of a base share one operating point: design its
-    # predistorter here, once, not once per worker that misses the cache
-    # at the same time
-    for base in bases:
-        for tech in techniques:
-            technique_reductions(replace(base, technique=tech))
-    run = partial(run_techniques, techniques=techniques)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, points))
-    else:
-        results = [run(p) for p in points]
-    n = len(values)
-    return tuple(
-        tuple(
-            SweepResult(
-                axis=axis, values=values,
-                rows=tuple(res[k] for res in results[b * n:(b + 1) * n]),
-                seed=base.seed, config_hash=config_hash(replace(base, technique=tech)),
-            )
-            for k, tech in enumerate(techniques)
-        )
-        for b, base in enumerate(bases)
-    )
-
-
-def sweep(axis: str, values, base: Scenario, threads: int = 1) -> SweepResult:
-    """Run the base scenario's technique along one axis, one row per value
-    (see sweep_techniques)."""
-    return sweep_techniques(axis, values, (base,), (base.technique,), threads)[0][0]
 
 
 def _fmt(v) -> str:
@@ -538,34 +506,34 @@ def write_csv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def sweep_to_csv(result: SweepResult, path, comments=()) -> None:
+def metrics_to_csv(path, s: Scenario, axis: str, values, rows, comments=()) -> None:
+    """One technique along one axis, rows[i] at values[i], under the
+    provenance of the base scenario s."""
     cols = (
-        result.axis, "rate_bps_hz", "h_p_norm", "ber", "eta1", "eta3",
+        axis, "rate_bps_hz", "h_p_norm", "ber", "eta1", "eta3",
         "eta_e2e", "ibo_reduction_db", "eta3_ci", "ber_ci",
     )
     rows = [
         (v, m.rate_bps_hz, m.harvested_norm, m.ber, m.eta1, m.eta3, m.eta_e2e,
          m.ibo_reduction_db, m.eta3_ci, m.ber_ci)
-        for v, m in zip(result.values, result.rows)
+        for v, m in zip(values, rows)
     ]
-    write_csv(path, cols, rows, result.config_hash, result.seed, comments)
+    write_csv(path, cols, rows, config_hash(s), s.seed, comments)
 
 
-def append_manifest(path, result: SweepResult, scenario: Scenario) -> None:
+def append_manifest(path, s: Scenario, axis: str, n_points: int) -> None:
     """One JSON line per run: enough provenance to reproduce the file."""
-    import numpy
-
     from . import __version__
 
     entry = {
-        "config_hash": result.config_hash,
-        "seed": result.seed,
-        "axis": result.axis,
-        "n_points": len(result.values),
-        "trials": scenario.trials,
-        "technique": scenario.technique,
-        "channel": scenario.channel.kind,
-        "versions": {"swiptsim": __version__, "numpy": numpy.__version__},
+        "config_hash": config_hash(s),
+        "seed": s.seed,
+        "axis": axis,
+        "n_points": n_points,
+        "trials": s.trials,
+        "technique": s.technique,
+        "channel": s.channel.kind,
+        "versions": {"swiptsim": __version__, "numpy": np.__version__},
     }
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")

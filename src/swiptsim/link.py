@@ -82,38 +82,28 @@ class LinkMetrics:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def split_noise(
-    split: SplitConfig, rng: np.random.Generator, n: int, trials: tuple[int, ...] = ()
-) -> np.ndarray:
-    """The antenna and information-branch noise of the receptions indexed
-    by trials, shape trials + (2, n).
+def split_noise(split: SplitConfig, z: np.ndarray) -> np.ndarray:
+    """The antenna and information-branch noise of shape (..., 2, n), from
+    unit normal draws z of shape (..., 2, 2, n): for the antenna and then
+    the branch, the real and then the imaginary parts.
 
-    Each reception, in C order, draws its antenna, EH-branch and
-    information-branch noises of n samples in turn, real part then
-    imaginary part; a noise of variance 0 draws nothing and is zero.  The
-    EH-branch noise is drawn only to keep that stream: no result reads it.
-    The draws go through one reception's buffer at a time.
+    Every receiver that shares z scales the same draws by its own
+    variances; a variance of 0 gives zero noise.
     """
-    variances = (split.sigma_a2, split.sigma_p2, split.sigma_p2)
-    drawn = [i for i, v in enumerate(variances) if v != 0.0]
-    # (row of the result, place of its noise in a reception's draw, scale)
-    kept = [(row, drawn.index(i), np.sqrt(variances[i] / 2.0))
-            for row, i in enumerate((0, 2)) if i in drawn]
-    noise = np.zeros(tuple(trials) + (2, n), dtype=np.complex128)
-    z = np.empty((len(drawn), 2, n))
-    for trial in np.ndindex(*trials):
-        rng.standard_normal(out=z)
-        for row, j, scale in kept:
-            # the parts written in place equal scale * (re + 1j*im) bit
-            # for bit: the complex product's 0 * x terms add nothing
-            np.multiply(scale, z[j, 0], out=noise.real[trial + (row,)])
-            np.multiply(scale, z[j, 1], out=noise.imag[trial + (row,)])
+    noise = np.zeros(z.shape[:-3] + (2, z.shape[-1]), dtype=np.complex128)
+    for row, v in enumerate((split.sigma_a2, split.sigma_p2)):
+        if v != 0.0:
+            scale = np.sqrt(v / 2.0)
+            # the parts written in place equal scale * (re + 1j*im) bit for
+            # bit: the complex product's 0 * x terms add nothing
+            np.multiply(scale, z[..., row, 0, :], out=noise.real[..., row, :])
+            np.multiply(scale, z[..., row, 1, :], out=noise.imag[..., row, :])
     return noise
 
 
 def info_branch(y: np.ndarray, split: SplitConfig, noise: np.ndarray) -> np.ndarray:
     """The information branch of the received samples y (..., n), built in
-    y's own memory (y is overwritten and returned), for noise drawn by
+    y's own memory (y is overwritten and returned), for noise from
     split_noise.
 
     The antenna noise rides the signal into the splitter, which passes a

@@ -25,9 +25,9 @@ from swiptsim.dpd import design_from_scratch
 from swiptsim.experiments import (
     TABLE_TECHNIQUES,
     Scenario,
+    metrics_to_csv,
+    noise_for_ebn0,
     run_techniques,
-    sweep,
-    sweep_to_csv,
 )
 from swiptsim.harvester import EhModel
 from swiptsim.link import SplitConfig, achievable_rate, harvested, sinr
@@ -125,7 +125,7 @@ def test_criterion_5_combined_technique():
 
 
 def test_criterion_6_efficiency_table():
-    results = run_techniques(Scenario(seed=1, trials=50), TABLE_TECHNIQUES)
+    (results,) = run_techniques(Scenario(seed=1, trials=50), TABLE_TECHNIQUES)
     rows = dict(zip(TABLE_TECHNIQUES, results))
     order = ("baseline", "dpd", "companding", "dpd_companding")
     eta1 = [100.0 * rows[t].eta1 for t in order]
@@ -160,11 +160,11 @@ def test_criterion_7_qpsk_awgn_ber_oracle():
         seed=7,
     )
     points = (0.0, 4.0, 8.0)
-    res = sweep("snr", points, s)
+    res = run_techniques(s, (s.technique,), _ebn0_receivers(s, points))
     n_bits = 2 * s.ofdm.n_subcarriers * s.frame_symbols * s.trials
     assert n_bits >= 1_000_000
     devs = []
-    for point, ebn0 in zip(res.rows, points):
+    for (point,), ebn0 in zip(res, points):
         p_theory = stats.norm.sf(np.sqrt(2.0 * 10.0 ** (ebn0 / 10.0)))
         sigma = np.sqrt(p_theory * (1.0 - p_theory) / n_bits)
         devs.append(abs(point.ber - p_theory) / sigma)
@@ -241,9 +241,12 @@ def test_criterion_8_property_suite_spot_checks():
         import tempfile
         from pathlib import Path
 
+        rhos = (0.2, 0.5, 0.8)
+        receivers = [(base.channel, dataclasses.replace(base.split, rho=rho)) for rho in rhos]
+        rows = [res[0] for res in run_techniques(base, (base.technique,), receivers)]
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "sweep.csv"
-            sweep_to_csv(sweep("rho", (0.2, 0.5, 0.8), base), path)
+            metrics_to_csv(path, base, "rho", rhos, rows)
             return path.read_bytes()
 
     checks["byte-identical CSV"] = csv_bytes() == csv_bytes()
@@ -254,28 +257,31 @@ def test_criterion_8_property_suite_spot_checks():
     assert all(checks.values()), checks
 
 
+def _ebn0_receivers(s: Scenario, points, kinds=None):
+    # one receiver per channel and Eb/N0 point, each keeping the scenario's
+    # splitting ratio and processing noise
+    kinds = (s.channel.kind,) if kinds is None else kinds
+    return [(ChannelSpec(kind=kind),
+             dataclasses.replace(s.split, sigma_a2=noise_for_ebn0(v, s.ofdm)))
+            for kind in kinds for v in points]
+
+
+_KINDS = ("awgn", "rice_flat", "rayleigh_flat", "rayleigh_multitap")
+
+
 def _eta3_by_channel(mu: float):
-    out = {}
-    for kind in ("awgn", "rice_flat", "rayleigh_flat", "rayleigh_multitap"):
-        ofdm = OfdmConfig(cp_length=8) if kind == "rayleigh_multitap" else OfdmConfig()
-        s = Scenario(technique="companding", mu=mu, trials=50, seed=3,
-                     ofdm=ofdm, channel=ChannelSpec(kind=kind))
-        res = sweep("snr", (0.0, 4.0, 8.0), s)
-        out[kind] = [r.eta3 for r in res.rows]
-    return out
+    s = Scenario(technique="companding", mu=mu, trials=50, seed=3)
+    res = run_techniques(s, (s.technique,), _ebn0_receivers(s, (0.0, 4.0, 8.0), _KINDS))
+    return {kind: [m.eta3 for (m,) in res[3 * i:3 * i + 3]] for i, kind in enumerate(_KINDS)}
 
 
 def _ber_by_channel(mu: float):
-    out = {}
-    for kind in ("awgn", "rice_flat", "rayleigh_flat", "rayleigh_multitap"):
-        ofdm = OfdmConfig(cp_length=8) if kind == "rayleigh_multitap" else OfdmConfig()
-        for tech in ("baseline", "companding"):
-            s = Scenario(technique=tech, mu=mu, trials=60, seed=5, ofdm=ofdm,
-                         channel=ChannelSpec(kind=kind),
-                         split=SplitConfig(rho=0.0, sigma_a2=1.0, sigma_p2=0.0))
-            res = sweep("snr", (0.0, 4.0, 8.0), s)
-            out[(kind, tech)] = [r.ber for r in res.rows]
-    return out
+    techniques = ("baseline", "companding")
+    s = Scenario(mu=mu, trials=60, seed=5,
+                 split=SplitConfig(rho=0.0, sigma_a2=1.0, sigma_p2=0.0))
+    res = run_techniques(s, techniques, _ebn0_receivers(s, (0.0, 4.0, 8.0), _KINDS))
+    return {(kind, tech): [r[k].ber for r in res[3 * i:3 * i + 3]]
+            for i, kind in enumerate(_KINDS) for k, tech in enumerate(techniques)}
 
 
 def test_criterion_9_fading_channel_trends():
@@ -294,7 +300,7 @@ def test_criterion_9_fading_channel_trends():
     ber = _ber_by_channel(mu)
     ber_ok = all(
         c <= b
-        for kind in ("awgn", "rice_flat", "rayleigh_flat", "rayleigh_multitap")
+        for kind in _KINDS
         for c, b in zip(ber[(kind, "companding")], ber[(kind, "baseline")])
     )
     ok = pairs_close and chain_ok and ber_ok

@@ -66,6 +66,12 @@ def test_apply_channel_is_linear_convolution():
     taps = (0.8 + 0.1j, 0.2 - 0.3j)
     out = apply_channel(x, taps)
     np.testing.assert_allclose(out, np.convolve(x, taps)[: x.size], atol=1e-12)
+    # a block of frames, each through its own taps, row by row
+    rows = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    row_taps = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    out = apply_channel(rows, row_taps)
+    for y, x_row, h in zip(out, rows, row_taps):
+        np.testing.assert_allclose(y, np.convolve(x_row, h)[: x_row.size], atol=1e-12)
 
 
 def test_apply_channel_rejects_short_prefix():

@@ -31,6 +31,7 @@ from swiptsim.cli import (
     main,
     validate_config,
 )
+from swiptsim.channel import CHANNEL_KINDS
 from swiptsim.harvester import EhModel
 from swiptsim.link import SplitConfig
 
@@ -193,6 +194,14 @@ def test_main_exit_codes(tmp_path, capsys):
         ("e2e", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
         ("ber", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
         ("rate-energy", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
+        # a derived back-off reduction (companding: about 1.63 dB) that runs
+        # past the back-off: found before the Monte Carlo and the closed form
+        ("e2e", {"pa": {"ibo_db": 1.0}, "scenario": {"trials": 2, "frame_symbols": 1}},
+         "runs past ibo_db = 1 dB"),
+        ("ber", {"pa": {"ibo_db": 1.0}, "scenario": {"trials": 2, "frame_symbols": 1}},
+         "runs past ibo_db = 1 dB"),
+        ("rate-energy", {"pa": {"ibo_db": 1.0}, "scenario": {"trials": 2, "frame_symbols": 1}},
+         "runs past ibo_db = 1 dB"),
         # N*L = 2 cannot hold the 4-sample prefix of the 3-tap channel
         ("e2e", {"ofdm": {"n_subcarriers": 2, "oversampling_factor": 1}},
          "'rayleigh_multitap' needs a cyclic prefix of 4"),
@@ -432,8 +441,9 @@ _CSV_SHA256 = {
 # the Monte Carlo commands on a config of their own, so that the digests
 # above keep their config hash: a cyclic prefix, which the multipath
 # channel lengthens, and rho = 0.5, so that the rectenna runs; recorded
-# before ber ran every channel's points in one pool, and checked at 1, 2
-# and 3 threads, which must not move a byte
+# when one pass of common random numbers came to serve every channel and
+# Eb/N0 point, and checked at 1, 2 and 3 threads, which must not move a
+# byte
 _MC_DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
     "split": {"rho": 0.5},
@@ -441,9 +451,9 @@ _MC_DIGEST_CFG = {
     "ber": {"ebn0_db": [0.0, 6.0], "techniques": ["baseline", "companding", "dpd"]},
 }
 _MC_CSV_SHA256 = {
-    "ber_curves.csv": "d599b2cb40a8a76cedc20b12ddbff825807b45aa25d847f8067bcbedf8428286",
-    "technique_table.csv": "b10478000aa36d67ecc191a645f82dd1d9f3e77442d3083d8076f7e683477658",
-    "channel_metrics.csv": "15da373f17f6703bec5f4f5f0bde339c5c4bb57347a969e1d090d43b1c66f9bd",
+    "ber_curves.csv": "c3a3aa9f3cfafbb67f7499458bd6e09fd3fdd4663210b4c26cfd69e07e0e5281",
+    "technique_table.csv": "cfff130c03d8c07cfe65951f5ea7a473fb5e53d321d4fe4af5e3b65dd01a3a5b",
+    "channel_metrics.csv": "78399601fcb6233cf30981aa16e893b9160945d74a692c61e790216b78fc45f3",
 }
 
 
@@ -483,13 +493,9 @@ def test_dpd_design_synthesizes_its_probe_once(tmp_path, monkeypatch):
             assert calls == expected, (grid, cp)
 
 
-def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
-    # one pass per channel: each trial is synthesized once for all four
-    # techniques (plus the DPD design's own two batches), and the baseline
-    # amplifier output doubles as every technique's power reference, so a
-    # frame is amplified four times, not seven; the Monte Carlo works on
-    # blocks of frames, so frames are counted, not calls
-    n = 3
+def _count_transmit(tmp_path, monkeypatch, command):
+    """(trials synthesized by the Monte Carlo and by ofdm, frames
+    amplified) over one run of the command with 3 trials of 2 symbols."""
     synth = {"experiments": 0, "ofdm": 0}
     for name, module in (("experiments", experiments), ("ofdm", ofdm)):
         def counting(grids, cfg, _real=module.synthesize_waveforms, _name=name):
@@ -501,20 +507,38 @@ def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
     real_am_am = pa.PaModel.am_am
 
     def counting_am_am(self, magnitude):
-        # frames carry 2 symbols of 128 samples; the multitap channel adds
-        # a 4-sample prefix to each
-        if magnitude.shape[-1] in (2 * 128, 2 * 132):
+        # frames carry 2 symbols of 128 samples and no prefix: each
+        # receiver adds its own after the amplifier
+        if magnitude.shape[-1] == 2 * 128:
             frames.append(magnitude.size // magnitude.shape[-1])
         return real_am_am(self, magnitude)
 
     monkeypatch.setattr(pa.PaModel, "am_am", counting_am_am)
     experiments._cached_dpd.cache_clear()
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
-                               "scenario": {"trials": n, "frame_symbols": 2}})
-    assert main(["e2e", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
-    # the DPD design draws its training frame and probe through ofdm
-    assert synth == {"experiments": 4 * n, "ofdm": 2}
-    assert sum(frames) == 4 * 4 * n
+                               "scenario": {"trials": 3, "frame_symbols": 2}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == EXIT_OK
+    return synth, sum(frames)
+
+
+def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
+    # one transmit pass over the whole Monte Carlo: each trial is
+    # synthesized once for all four techniques and all four channels (plus
+    # the DPD design's own two batches, through ofdm), and each technique
+    # amplifies each frame once, the baseline output doubling as every
+    # technique's power reference; the Monte Carlo works on blocks of
+    # frames, so frames are counted, not calls
+    synth, frames = _count_transmit(tmp_path, monkeypatch, "e2e")
+    assert synth == {"experiments": 3, "ofdm": 2}
+    assert frames == 4 * 3
+
+
+def test_ber_techniques_share_each_frame(tmp_path, monkeypatch):
+    # one synthesis per trial serves every channel and Eb/N0 point, and
+    # each of the two default techniques amplifies each frame once
+    synth, frames = _count_transmit(tmp_path, monkeypatch, "ber")
+    assert synth == {"experiments": 3, "ofdm": 0}
+    assert frames == 2 * 3
 
 
 def test_e2e_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
@@ -559,12 +583,12 @@ def _run_pinned_script(tmp_path, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_rate_energy_script_csv_body_is_pinned(tmp_path, threads):
-    # the bytes of sweep_to_csv after its provenance line, at either worker
+    # the bytes of metrics_to_csv after its provenance line, at either worker
     # count: the rows do not depend on what the config hash covers
     data, _ = _run_pinned_script(tmp_path, threads)
     body = data.split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == (
-        "a60dd1d827883e6765b32a22cf15761bd30d60d757cdfc484d46530dad850ac2")
+        "7f90c08440eced7effb6b161a2bfbfc013da95ac36f1dbd670e9af1f8da2f0f6")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -573,9 +597,9 @@ def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
     # append_manifest, at either worker count
     data, (line,) = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "225d94e8947ac209d0dbde11c427a5dfa829b15f203b046d4d74a46a47e75446")
+        "cff1f8307cacdefecd03f958d6736b6a7d31a63fde64d73c3f7883b6a43bea24")
     entry = json.loads(line)
-    assert (entry["config_hash"], entry["axis"], entry["n_points"]) == ("dd203124c321", "rho", 2)
+    assert (entry["config_hash"], entry["axis"], entry["n_points"]) == ("83658331fcb3", "rho", 2)
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--threads"])
@@ -720,20 +744,20 @@ def test_e2e_outputs(tmp_path):
 
 def test_e2e_runs_on_a_configured_multitap_channel(tmp_path, monkeypatch):
     # the technique table lengthens the cyclic prefix as the channel rows
-    # do, and the configured channel's rows are the table's own pass
+    # do, and the table and every channel's rows come from one pass
     passes = []
     real = cli.run_techniques
 
-    def counting(s, *args):
-        passes.append(s.channel.kind)
-        return real(s, *args)
+    def counting(s, techniques, receivers, *args):
+        passes.append([spec.kind for spec, _ in receivers])
+        return real(s, techniques, receivers, *args)
 
     monkeypatch.setattr(cli, "run_techniques", counting)
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "channel": {"kind": "rayleigh_multitap"},
                                "scenario": {"trials": 2, "frame_symbols": 2}})
     out = tmp_path / "o"
     assert main(["e2e", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert len(passes) == 4
+    assert passes == [list(CHANNEL_KINDS)]
     table = list(csv.DictReader((out / "technique_table.csv").read_text().splitlines()[1:]))
     chan = list(csv.DictReader((out / "channel_metrics.csv").read_text().splitlines()[1:]))
     multitap = [r for r in chan if r["channel"] == "rayleigh_multitap"]

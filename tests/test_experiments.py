@@ -21,16 +21,14 @@ from swiptsim.experiments import (
     TECHNIQUES,
     Scenario,
     _batch_ci,
-    _noise_for_ebn0,
-    _point_scenario,
     _transmit,
     append_manifest,
+    channel_ofdm,
     closed_form,
     config_hash,
+    metrics_to_csv,
+    noise_for_ebn0,
     run_techniques,
-    sweep,
-    sweep_techniques,
-    sweep_to_csv,
     technique_reductions,
     write_csv,
 )
@@ -60,10 +58,21 @@ def test_scenario_validation():
 
 def test_noise_for_ebn0():
     cfg = OfdmConfig()
-    assert _noise_for_ebn0(0.0, cfg) == pytest.approx(2.0)  # L=4
-    assert _noise_for_ebn0(10.0, cfg) == pytest.approx(0.2)
+    assert noise_for_ebn0(0.0, cfg) == pytest.approx(2.0)  # L=4
+    assert noise_for_ebn0(10.0, cfg) == pytest.approx(0.2)
     nyquist = OfdmConfig(oversampling_factor=1)
-    assert _noise_for_ebn0(0.0, nyquist) == pytest.approx(0.5)
+    assert noise_for_ebn0(0.0, nyquist) == pytest.approx(0.5)
+
+
+def test_channel_ofdm_lengthens_the_prefix_for_multitap_only():
+    cfg = OfdmConfig(n_subcarriers=16, oversampling_factor=2)
+    assert channel_ofdm(cfg, ChannelSpec(kind="rayleigh_flat")) == cfg
+    assert channel_ofdm(cfg, ChannelSpec(kind="rayleigh_multitap")).cp_length == 4
+    long_cp = replace(cfg, cp_length=8)
+    assert channel_ofdm(long_cp, ChannelSpec(kind="rayleigh_multitap")) == long_cp
+    with pytest.raises(ValueError, match="'rayleigh_multitap' needs a cyclic prefix of 4"):
+        channel_ofdm(OfdmConfig(n_subcarriers=2, oversampling_factor=1),
+                     ChannelSpec(kind="rayleigh_multitap"))
 
 
 def test_technique_reductions():
@@ -150,15 +159,15 @@ def test_transmit_companding_radiates_hotter():
 def test_run_scenario_deterministic():
     s = Scenario(technique="companding", trials=5, seed=42,
                  channel=ChannelSpec(kind="rayleigh_flat"))
-    (a,) = run_techniques(s, (s.technique,))
-    (b,) = run_techniques(s, (s.technique,))
+    ((a,),) = run_techniques(s, (s.technique,))
+    ((b,),) = run_techniques(s, (s.technique,))
     assert a == b
 
 
 def test_run_scenario_rho_zero_harvests_nothing():
     s = Scenario(trials=2, split=SplitConfig(rho=0.0, sigma_a2=1e-3,
                                              sigma_p2=0.0))
-    (m,) = run_techniques(s, (s.technique,))
+    ((m,),) = run_techniques(s, (s.technique,))
     assert m.eta3 == 0.0
     assert m.eta_e2e == 0.0
 
@@ -168,7 +177,7 @@ def test_identity_chain_has_textbook_efficiencies():
     # every technique equivalent: eta1 stays at the class-A ceiling and
     # eta3 at the configured constant
     base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5))
-    for m in run_techniques(replace(base, seed=2, trials=5), TABLE_TECHNIQUES):
+    for m in run_techniques(replace(base, seed=2, trials=5), TABLE_TECHNIQUES)[0]:
         assert m.eta1 == 0.5
         assert m.eta3 == 0.5
         assert m.eta_e2e == 0.25
@@ -178,60 +187,52 @@ def test_identity_chain_has_textbook_efficiencies():
 def test_table_pipeline_order_and_shape():
     base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5),
                     split=SplitConfig(rho=0.5))
-    results = run_techniques(replace(base, seed=0, trials=2), TABLE_TECHNIQUES)
+    (results,) = run_techniques(replace(base, seed=0, trials=2), TABLE_TECHNIQUES)
     assert TABLE_TECHNIQUES == ("baseline", "dpd", "companding", "dpd_companding")
     assert len(results) == len(TABLE_TECHNIQUES)
 
 
-def test_point_scenario_axes():
-    base = Scenario()
-    assert _point_scenario("rho", 0.3, base).split.rho == 0.3
-    snr_s = _point_scenario("snr", 10.0, base)
-    assert snr_s.split.sigma_a2 == pytest.approx(_noise_for_ebn0(10.0, base.ofdm))
-    with pytest.raises(ValueError):
-        _point_scenario("bandwidth", 1.0, base)
-
-
 def test_sweep_validation():
-    base = Scenario(trials=1)
-    with pytest.raises(ValueError, match="axis"):
-        sweep("bandwidth", (1.0,), base)
-    with pytest.raises(ValueError, match="at least one"):
-        sweep("rho", (), base)
+    s = Scenario(trials=1)
+    with pytest.raises(ValueError, match="at least one receiver"):
+        run_techniques(s, ("baseline",), ())
     with pytest.raises(ValueError, match="threads"):
-        sweep("rho", (1.0,), base, threads=0)
-    with pytest.raises(ValueError, match="base scenario"):
-        sweep_techniques("rho", (1.0,), (), ("baseline",))
+        run_techniques(s, ("baseline",), ((s.channel, s.split),), threads=0)
+
+
+def _rho_sweep(base, rhos, threads=1):
+    # one technique along rho: one receiver per point on the base's channel
+    receivers = [(base.channel, replace(base.split, rho=rho)) for rho in rhos]
+    return [res[0] for res in run_techniques(base, (base.technique,), receivers, threads)]
 
 
 def test_sweep_rows_follow_axis_order():
     base = Scenario(trials=2, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
-    res = sweep("rho", (0.2, 0.5, 0.8), base)
-    assert res.axis == "rho"
-    assert res.values == (0.2, 0.5, 0.8)
+    rows = _rho_sweep(base, (0.2, 0.5, 0.8))
+    assert len(rows) == 3
     # the closed-form rate falls as the information branch's share does
-    rates = [r.rate_bps_hz for r in res.rows]
+    rates = [r.rate_bps_hz for r in rows]
     assert rates[0] > rates[1] > rates[2]
-    assert res.seed == 9
+    # the pin to 0 dBm removes rho from the rectifier's input
+    assert rows[0].eta3 == rows[1].eta3 == rows[2].eta3 > 0.0
 
 
 def test_sweep_threads_match_serial():
     base = Scenario(trials=3, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
-    serial = sweep("rho", (0.2, 0.5, 0.8), base, threads=1)
-    pooled = sweep("rho", (0.2, 0.5, 0.8), base, threads=3)
-    assert serial.rows == pooled.rows
+    serial = _rho_sweep(base, (0.2, 0.5, 0.8), threads=1)
+    pooled = _rho_sweep(base, (0.2, 0.5, 0.8), threads=3)
+    assert serial == pooled
 
 
 def test_sweep_csv_byte_identical(tmp_path):
     base = Scenario(trials=3, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
-    res = sweep("rho", (0.2, 0.5, 0.8), base)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    sweep_to_csv(res, p1)
-    sweep_to_csv(sweep("rho", (0.2, 0.5, 0.8), base), p2)
+    metrics_to_csv(p1, base, "rho", (0.2, 0.5, 0.8), _rho_sweep(base, (0.2, 0.5, 0.8)))
+    metrics_to_csv(p2, base, "rho", (0.2, 0.5, 0.8), _rho_sweep(base, (0.2, 0.5, 0.8)))
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     header = b1.decode().splitlines()
-    assert header[0] == f"# config_hash={res.config_hash} seed=9"
+    assert header[0] == f"# config_hash={config_hash(base)} seed=9"
     assert header[1].split(",")[0] == "rho"
     assert len(header) == 2 + 3
 
@@ -242,11 +243,11 @@ def test_ci_shrinks_with_trials():
     ratios = []
     for seed in (11, 12, 13):
         base = Scenario(channel=ChannelSpec(kind="rayleigh_flat"), seed=seed)
-        small = run_techniques(replace(base, trials=40), (base.technique,))[0].eta3_ci
-        big = run_techniques(replace(base, trials=160), (base.technique,))[0].eta3_ci
+        small = run_techniques(replace(base, trials=40), (base.technique,))[0][0].eta3_ci
+        big = run_techniques(replace(base, trials=160), (base.technique,))[0][0].eta3_ci
         ratios.append(small / big)
     geomean = float(np.exp(np.mean(np.log(ratios))))
-    assert geomean == pytest.approx(2.1219522422676014, rel=1e-9)
+    assert geomean == pytest.approx(1.8006192433068842, rel=1e-9)
     assert 1.5 < geomean < 2.8
 
 
@@ -264,13 +265,12 @@ def test_write_csv_provenance(tmp_path):
 def test_append_manifest(tmp_path):
     path = tmp_path / "manifest.jsonl"
     s = Scenario(trials=1, channel=ChannelSpec(kind="awgn"))
-    res = sweep("rho", (0.2, 0.5), s)
-    append_manifest(path, res, s)
-    append_manifest(path, res, s)
+    append_manifest(path, s, "rho", 2)
+    append_manifest(path, s, "rho", 2)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     entry = json.loads(lines[0])
-    assert entry["config_hash"] == res.config_hash
+    assert entry["config_hash"] == config_hash(s)
     assert entry["seed"] == s.seed
     assert entry["axis"] == "rho"
     assert entry["n_points"] == 2
@@ -289,14 +289,6 @@ def test_config_hash_sensitivity():
 def _assert_same_metrics(a, b):
     """LinkMetrics equal field by field, NaN confidence intervals included."""
     np.testing.assert_array_equal(astuple(a), astuple(b))
-
-
-def _assert_same_result(a, b):
-    """SweepResults equal field by field, NaN confidence intervals included."""
-    assert (a.axis, a.values, a.seed, a.config_hash) == (b.axis, b.values, b.seed, b.config_hash)
-    assert len(a.rows) == len(b.rows)
-    for ra, rb in zip(a.rows, b.rows):
-        _assert_same_metrics(ra, rb)
 
 
 TINY = OfdmConfig(n_subcarriers=16, oversampling_factor=2)
@@ -320,10 +312,10 @@ def test_run_techniques_matches_single_runs(techniques, kind, rho_zero, sigma_p2
                                             trials, seed):
     # one shared pass gives every technique exactly its own run's result
     s = _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed)
-    shared = run_techniques(s, techniques)
+    (shared,) = run_techniques(s, techniques)
     assert len(shared) == len(techniques)
     for tech, m in zip(techniques, shared):
-        _assert_same_metrics(m, run_techniques(s, (tech,))[0])
+        _assert_same_metrics(m, run_techniques(s, (tech,))[0][0])
 
 
 @given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),
@@ -335,12 +327,12 @@ def test_run_techniques_blocks_and_threads_bit_identical(techniques, kind, rho_z
     # neither the trials per block nor the worker count touches a result
     s = _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed)
     frame_bytes = 16 * s.frame_symbols * (s.ofdm.n_samples + s.ofdm.cp_length)
-    reference = run_techniques(s, techniques)
+    (reference,) = run_techniques(s, techniques)
     for per_block in (1, 2, 3, 4, trials):
         for threads in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(experiments, "_BLOCK_BYTES", per_block * frame_bytes)
-                blocked = run_techniques(s, techniques, threads)
+                (blocked,) = run_techniques(s, techniques, threads=threads)
             for a, b in zip(blocked, reference):
                 _assert_same_metrics(a, b)
 
@@ -349,16 +341,18 @@ def test_run_techniques_pool_stress(monkeypatch):
     # more workers than cores, one trial per block and a short switch
     # interval: every block's slice of the shared result arrays arrives
     s = _tiny_scenario("rayleigh_multitap", False, 1e-3, 24, 11)
-    reference = run_techniques(s, TECHNIQUES)
+    receivers = [(ChannelSpec(kind=kind), s.split) for kind in CHANNEL_KINDS]
+    reference = run_techniques(s, TECHNIQUES, receivers)
     monkeypatch.setattr(experiments, "_BLOCK_BYTES", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        stressed = run_techniques(s, TECHNIQUES, threads=8)
+        stressed = run_techniques(s, TECHNIQUES, receivers, threads=8)
     finally:
         sys.setswitchinterval(interval)
-    for a, b in zip(stressed, reference):
-        _assert_same_metrics(a, b)
+    for res_a, res_b in zip(stressed, reference):
+        for a, b in zip(res_a, res_b):
+            _assert_same_metrics(a, b)
 
 
 def test_run_techniques_reference_without_baseline():
@@ -366,8 +360,8 @@ def test_run_techniques_reference_without_baseline():
     # its own waveform is no longer the other techniques' power reference
     s = replace(_tiny_scenario("rayleigh_flat", False, 1e-3, 3, 5), ibo_reduction_db=1.5)
     for techniques in (("baseline", "companding"), ("dpd", "baseline"), ("linear", "dpd")):
-        for tech, m in zip(techniques, run_techniques(s, techniques)):
-            _assert_same_metrics(m, run_techniques(s, (tech,))[0])
+        for tech, m in zip(techniques, run_techniques(s, techniques)[0]):
+            _assert_same_metrics(m, run_techniques(s, (tech,))[0][0])
 
 
 def test_run_techniques_validation():
@@ -380,40 +374,51 @@ def test_run_techniques_validation():
         run_techniques(s, ("beamforming",))
     with pytest.raises(ValueError, match="threads"):
         run_techniques(s, ("baseline",), threads=0)
+    with pytest.raises(ValueError, match="at least one receiver"):
+        run_techniques(s, ("baseline",), ())
 
 
 @given(techniques=technique_subsets,
-       kinds=st.lists(st.sampled_from(CHANNEL_KINDS), min_size=1, max_size=3, unique=True),
-       ebn0=st.lists(st.sampled_from((0.0, 4.0, 8.0, 12.0)), min_size=1, max_size=3,
-                     unique=True),
-       threads=st.sampled_from((1, 2, 3)), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=15, deadline=None)
-def test_sweep_techniques_matches_single_sweeps(techniques, kinds, ebn0, threads, seed):
-    # the points of every base run in one pool, and each base's results are
-    # its own sweep's
-    bases = [_tiny_scenario(kind, True, 0.0, 2, seed) for kind in kinds]
-    swept = sweep_techniques("snr", ebn0, bases, techniques, threads)
-    assert len(swept) == len(bases)
-    for s, shared in zip(bases, swept):
-        assert len(shared) == len(techniques)
-        for tech, res in zip(techniques, shared):
-            _assert_same_result(res, sweep("snr", ebn0, replace(s, technique=tech), threads))
+       receivers=st.lists(
+           st.tuples(st.sampled_from(CHANNEL_KINDS), st.sampled_from((0.0, 0.3, 0.9)),
+                     st.sampled_from((0.0, 4.0, 12.0)), st.sampled_from((0.0, 1e-3))),
+           min_size=1, max_size=5),
+       per_block=st.integers(1, 4), threads=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_receivers_match_single_receiver_runs(techniques, receivers, per_block, threads,
+                                              seed):
+    # every receiver of a pass gets exactly what a pass of its own gives it,
+    # whatever else shares the draws, the block size and the worker count
+    s = _tiny_scenario("awgn", False, 1e-3, 3, seed)
+    receivers = [(ChannelSpec(kind=kind),
+                  SplitConfig(rho=rho, sigma_a2=noise_for_ebn0(ebn0, s.ofdm), sigma_p2=sp2))
+                 for kind, rho, ebn0, sp2 in receivers]
+    frame_bytes = 16 * s.frame_symbols * s.ofdm.n_samples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_BLOCK_BYTES", per_block * frame_bytes)
+        shared = run_techniques(s, techniques, receivers, threads)
+    assert len(shared) == len(receivers)
+    for receiver, res in zip(receivers, shared):
+        assert len(res) == len(techniques)
+        for tech, m in zip(techniques, res):
+            _assert_same_metrics(m, run_techniques(s, (tech,), (receiver,))[0][0])
 
 
 def test_table_pipeline_matches_per_technique_runs():
     # the table is the four single-technique runs it always was
     base = Scenario(ofdm=TINY, channel=ChannelSpec(kind="rice_flat"),
                     split=SplitConfig(rho=0.5))
-    table = run_techniques(replace(base, trials=3, seed=3), TABLE_TECHNIQUES)
+    (table,) = run_techniques(replace(base, trials=3, seed=3), TABLE_TECHNIQUES)
     for tech, m in zip(TABLE_TECHNIQUES, table):
-        _assert_same_metrics(m, run_techniques(replace(base, trials=3, seed=3), (tech,))[0])
+        _assert_same_metrics(m, run_techniques(replace(base, trials=3, seed=3), (tech,))[0][0])
     # the provenance hashes of the four technique scenarios, and the eta3
-    # values of the earlier one-run-per-technique table
+    # values of the common-random-number stream layout
     assert [config_hash(replace(base, technique=tech, trials=3, seed=3))
             for tech in TABLE_TECHNIQUES] == [
         "5b98069f1af4", "c1b8ccff4532", "6886a07733d4", "cb29c4bf1d9f"]
     assert [m.eta3 for m in table] == [
-        0.43343242515960223, 0.4312129417061382, 0.44204842167760944, 0.4435557679042033]
+        0.44047054453969364, 0.43686671492052526, 0.44569522164387027, 0.44669321418961644]
 
 
 def test_t_table_matches_scipy_stdtrit():

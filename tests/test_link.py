@@ -59,7 +59,7 @@ def test_power_split_bookkeeping():
     n = 200_000
     x = np.exp(2j * np.pi * rng.random(n))
     split = SplitConfig(rho=0.6, sigma_a2=0.02, sigma_p2=0.01)
-    noise = split_noise(split, rng, n)
+    noise = split_noise(split, rng.standard_normal((2, 2, n)))
     info = info_branch(x.copy(), split, noise)
     assert _power(info) == pytest.approx(0.4 * 1.02 + 0.01, rel=0.01)
     # the antenna-noise realization reaches the branch at its amplitude share
@@ -73,56 +73,38 @@ def test_power_split_extreme_ratios():
     x = np.ones(50_000, dtype=complex)
     for rho, expected in ((0.0, 1.04), (1.0, 0.04)):  # all signal, noise only
         split = SplitConfig(rho=rho, sigma_a2=0.0, sigma_p2=0.04)
-        info = info_branch(x.copy(), split, split_noise(split, rng, x.size))
+        info = info_branch(x.copy(), split, split_noise(split, rng.standard_normal((2, 2, x.size))))
         assert _power(info) == pytest.approx(expected, rel=0.02)
 
 
 def test_info_branch_broadcasts_one_draw():
     # the rows of a 2-D input share one reception's noise: each row gets
-    # exactly what a 1-D call gives that row alone from the same stream,
-    # and the stream advances as far as one 1-D draw
+    # exactly what a 1-D call gives that row alone from the same draws
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
     split = SplitConfig(rho=0.3, sigma_a2=0.02, sigma_p2=0.01)
-    shared = np.random.default_rng(7)
-    info = info_branch(rows.copy(), split, split_noise(split, shared, 64))
+    noise = split_noise(split, np.random.default_rng(7).standard_normal((2, 2, 64)))
+    info = info_branch(rows.copy(), split, noise)
     for k, row in enumerate(rows):
-        alone = np.random.default_rng(7)
-        info_k = info_branch(row.copy(), split, split_noise(split, alone, 64))
-        np.testing.assert_array_equal(info[k], info_k)
-    assert shared.random() == alone.random()
-
-
-def _split_noise_complex_form(split, rng, n, trials=()):
-    # split_noise as it was written when it also returned the EH-branch
-    # noise (row 1) and drew every reception at once, before it filled the
-    # real and imaginary parts in place: sqrt(v/2) * (re + 1j*im) into a
-    # zeroed array of shape trials + (3, n)
-    variances = (split.sigma_a2, split.sigma_p2, split.sigma_p2)
-    z = rng.standard_normal(tuple(trials) + (sum(v != 0.0 for v in variances), 2, n))
-    noise = np.zeros(tuple(trials) + (3, n), dtype=np.complex128)
-    drawn = 0
-    for i, v in enumerate(variances):
-        if v != 0.0:
-            re, im = z[..., drawn, 0, :], z[..., drawn, 1, :]
-            noise[..., i, :] = np.sqrt(v / 2.0) * (re + 1j * im)
-            drawn += 1
-    return noise
+        np.testing.assert_array_equal(info[k], info_branch(row.copy(), split, noise))
 
 
 @pytest.mark.parametrize("sigma_a2, sigma_p2",
                          [(1e-3, 1e-3), (0.0, 0.02), (0.5, 0.0), (0.0, 0.0)])
 @pytest.mark.parametrize("trials", [(), (3,), (2, 4)])
 def test_split_noise_matches_complex_form(sigma_a2, sigma_p2, trials):
-    # the antenna and information-branch rows bit for bit, and the stream
-    # left where the three-row draw left it
+    # the real and imaginary parts written in place are the complex
+    # product sqrt(v/2) * (re + 1j*im) of the unit draws bit for bit, and a
+    # variance of 0 gives zeros
     split = SplitConfig(rho=0.3, sigma_a2=sigma_a2, sigma_p2=sigma_p2)
-    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    noise = split_noise(split, rng, 64, trials)
-    ref = _split_noise_complex_form(split, ref_rng, 64, trials)[..., [0, 2], :]
+    z = np.random.default_rng(11).standard_normal(tuple(trials) + (2, 2, 64))
+    noise = split_noise(split, z)
+    ref = np.zeros(tuple(trials) + (2, 64), dtype=np.complex128)
+    for row, v in enumerate((sigma_a2, sigma_p2)):
+        if v != 0.0:
+            ref[..., row, :] = np.sqrt(v / 2.0) * (z[..., row, 0, :] + 1j * z[..., row, 1, :])
     assert noise.shape == ref.shape
     assert noise.tobytes() == ref.tobytes()
-    assert rng.random() == ref_rng.random()
 
 
 def test_sinr_goldens():
@@ -255,7 +237,7 @@ def test_tiny_mu_expander_matches_plain_receiver():
     bits, sig = _build_frame(cfg, rng, 4)
     taps = (1.0 + 0j,)
     split = SplitConfig(rho=0.0, sigma_a2=0.5, sigma_p2=0.0)
-    rx = info_branch(sig, split, split_noise(split, rng, sig.size))
+    rx = info_branch(sig, split, split_noise(split, rng.standard_normal((2, 2, sig.size))))
     plain = demodulate_and_ber(rx, taps, cfg, bits)
     tiny = CompanderParams.default(mu=1e-9)
     expanded = demodulate_and_ber(rx, taps, cfg, bits, expander=tiny,
