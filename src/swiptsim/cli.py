@@ -65,6 +65,10 @@ channel, so memory grows with --threads: ber at its defaults peaked at
 58, 63 and 106 MB of RSS at 1, 2 and 12 threads.  dpd-design and
 rate-energy run serially and reject it.
 
+dpd-design measures its EVM table (dpd_evm.csv) on the probe its design
+searched, which carries no cyclic prefix, so ofdm.cp_length changes
+neither the table nor the design.
+
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
 form (experiments.closed_form), not Monte Carlo estimates: the
 soft-limiter Bussgang model at the technique's back-off, a linear 0.5
@@ -100,7 +104,7 @@ from .companding import (
     compress_magnitude,
     optimize_mu,
 )
-from .dpd import design_with_probe, probe_evm, save_design
+from .dpd import design_with_probe, save_design
 from .experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
@@ -455,12 +459,10 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     )
     save_design(design, str(out / "dpd_design.txt"),
                 header=(f"config_hash={h} seed={seed}",))
-    # the table measures on the design's probe unless a prefix changes it
-    chain_evm = design_evm if ofdm.cp_length == 0 else probe_evm(pa, ofdm, seed=seed + 1)
     rows = []
     series = {"evm": [], "eta1": []}
     for r in grid:
-        e = chain_evm(ibo_db - r, design.inverse_fit)
+        e = design_evm(ibo_db - r, design.inverse_fit)
         eta1 = efficiency_at_backoff(ibo_db - r)
         rows.append((float(r), e, eta1, 100.0 * (eta1 - efficiency_at_backoff(ibo_db))))
         series["evm"].append((float(r), e))

@@ -44,7 +44,7 @@ from .companding import (
     compress_waveform,
     mu_law_noise_factor,
 )
-from .dpd import DpdDesign, design_from_scratch
+from .dpd import DpdDesign, PolyFit, design_from_scratch
 from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
 from .link import (
     LinkMetrics,
@@ -124,10 +124,6 @@ def config_hash(scenario: Scenario) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _uses_dpd(technique: str) -> bool:
-    return technique in ("dpd", "dpd_companding")
-
-
 def _uses_companding(technique: str) -> bool:
     return technique in ("companding", "dpd_companding")
 
@@ -143,9 +139,11 @@ def _cached_dpd(pa: PaModel, cfg: OfdmConfig, ibo_db: float) -> DpdDesign:
     return design_from_scratch(pa, cfg, baseline_ibo_db=ibo_db)
 
 
-def technique_reductions(s: Scenario) -> tuple[float, float, DpdDesign | None]:
-    """(DPD reduction in dB, companding reduction in dB, DPD design or
-    None) for the scenario; the design is None for a technique without DPD.
+def technique_reductions(s: Scenario) -> tuple[float, float, PolyFit | None]:
+    """(DPD reduction in dB, companding reduction in dB, predistorter) for
+    the scenario; the predistorter is the inverse fit that the transmit
+    chain (pa.amplify) applies, None for a technique without DPD and for a
+    degenerate design.
 
     An explicit ibo_reduction_db override replaces the derived total
     (attributed to the DPD part for chain purposes); a derived total above
@@ -156,40 +154,22 @@ def technique_reductions(s: Scenario) -> tuple[float, float, DpdDesign | None]:
     its back-off search takes the first EVM crossing of its grid (see
     design_ibo_reduction).
     """
-    design = None
-    if _uses_dpd(s.technique):
+    r_dpd, fit = 0.0, None
+    if s.technique in ("dpd", "dpd_companding"):
         design = _cached_dpd(s.pa, replace(s.ofdm, cp_length=0), s.ibo_db)
+        if not design.degenerate:
+            r_dpd, fit = design.ibo_reduction_db, design.inverse_fit
     if s.ibo_reduction_db is not None:
-        return s.ibo_reduction_db, 0.0, design
-    r_dpd = 0.0
-    r_comp = 0.0
+        return s.ibo_reduction_db, 0.0, fit
     if not _saturating(s.pa):
-        return 0.0, 0.0, design
-    if design is not None and not design.degenerate:
-        r_dpd = design.ibo_reduction_db
+        return 0.0, 0.0, fit
+    r_comp = 0.0
     if _uses_companding(s.technique):
         r_comp = companding_ibo_reduction_db(CompanderParams.default(mu=s.mu))
     if r_dpd + r_comp > s.ibo_db:
         raise ValueError(f"the {s.technique} technique's back-off reduction of "
                          f"{r_dpd + r_comp:g} dB runs past ibo_db = {s.ibo_db:g} dB")
-    return r_dpd, r_comp, design
-
-
-def _transmit(
-    x: np.ndarray, s: Scenario, r_dpd: float, design: DpdDesign | None
-) -> np.ndarray:
-    """Per-frame transmit waveforms for the scenario's technique.
-
-    x is the amplifier drive before back-off: the synthesized frames, or
-    their compressed form for a companded technique.  The companded chain
-    drives the amplifier with the compressed signal at its natural
-    (hotter) level: the compression power gain is exactly the back-off
-    reduction the technique claims.
-    """
-    if s.technique == "linear":
-        return x
-    fit = design.inverse_fit if (design is not None and not design.degenerate) else None
-    return amplify(x, s.pa, s.ibo_db - r_dpd, fit)
+    return r_dpd, r_comp, fit
 
 
 def closed_form(s: Scenario, r_dpd: float, r_comp: float) -> tuple[float, float]:
@@ -305,8 +285,8 @@ def run_techniques(
     and channel that draws the block's noise, adds the channel's prefix,
     applies its taps and builds every receiver's branches.  With
     threads > 1 a pool of that many workers processes the jobs, at most
-    2 * threads in flight (see ofdm.run_bounded), and with 1 the calling
-    thread does.
+    2 * threads in flight, and with 1 the calling thread does (see
+    ofdm.run_bounded).
 
     Memory: every technique's transmit frames are held for the receive
     pass, len(techniques) x trials x frame_symbols x N*L complex128
@@ -358,13 +338,6 @@ def run_techniques(
     ref_from = next((k for k, t in enumerate(techniques)
                      if t == "baseline" and reductions[k][0] == 0.0), None)
 
-    def run(work, jobs) -> None:
-        if threads == 1:
-            for job in jobs:
-                work(*job)
-        else:
-            run_bounded(work, jobs, threads)
-
     bits = _stream(s.seed, 0).integers(
         0, 2, size=(trials, 2 * cfg.n_subcarriers * s.frame_symbols), dtype=np.int8)
     kinds = [1 + CHANNEL_KINDS.index(spec.kind) for spec in channels]
@@ -392,9 +365,15 @@ def run_techniques(
             for c, cfg_c in enumerate(chan_cfg):
                 drive = _with_prefix(compressed, cfg_c)
                 rms_drive[c, rows] = np.sqrt(np.mean(np.abs(drive) ** 2, axis=-1))
-        for k, (comp, sk, (r_dpd, _, design)) in enumerate(zip(companded, scenarios,
-                                                               reductions)):
-            tx[k, rows] = _transmit(compressed if comp else x, sk, r_dpd, design)
+        for k, (tech, comp, (r_dpd, _, fit)) in enumerate(zip(techniques, companded,
+                                                              reductions)):
+            # the companded chain drives the amplifier with the compressed
+            # frames at their natural (hotter) level: the compression power
+            # gain is exactly the back-off reduction the technique claims
+            drive = compressed if comp else x
+            if tech != "linear":
+                drive = amplify(drive, s.pa, s.ibo_db - r_dpd, fit)
+            tx[k, rows] = drive
             if own_ref[k]:
                 ref_p[k, rows] = np.mean(np.abs(tx[k, rows]) ** 2, axis=-1)
             for c in range(len(channels)):
@@ -409,7 +388,7 @@ def run_techniques(
                 if not own_ref[k]:
                     ref_p[k, rows] = p_ref
 
-    run(transmit, ((rows,) for rows in blocks))
+    run_bounded(transmit, ((rows,) for rows in blocks), threads)
 
     # a sequential sum in trial order, as the reference powers always were
     ref_power = np.cumsum(ref_p, axis=1)[:, -1]
@@ -462,7 +441,7 @@ def run_techniques(
                     params if companded[k] else None, scale,
                 )
 
-    run(receive, ((rows, c) for rows in blocks for c in range(len(channels))))
+    run_bounded(receive, ((rows, c) for rows in blocks for c in range(len(channels))), threads)
 
     results = []
     for r, (spec, split) in enumerate(receivers):

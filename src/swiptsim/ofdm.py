@@ -192,9 +192,9 @@ def papr_samples_many(
     ``papr_samples(cfg, n_trials, seed, transforms[i])``.
     ``chunk`` only bounds memory, as symbols per batch; by default a batch
     holds as many symbols as fit in 1 MiB of complex128 waveform, prefix
-    included.  A pool of ``threads`` workers synthesizes, maps and
-    measures the batches, with at most 2 * threads of them in flight (the
-    maps must be thread-safe); the bits are still drawn in order on
+    included.  ``threads`` workers synthesize, map and measure the
+    batches (see run_bounded), with at most 2 * threads of them in flight
+    (the maps must be thread-safe); the bits are still drawn in order on
     the calling thread and each batch fills its own columns.  Neither the
     chunk nor the thread count touches the bit stream, so the result does
     not depend on them.  Memory grows with ``threads``: each worker holds
@@ -238,7 +238,8 @@ def papr_samples_many(
 
 def run_bounded(work: Callable, jobs: Iterable[tuple], threads: int) -> None:
     """Call work(*job) for every job on a pool of ``threads`` worker threads,
-    with at most 2 * threads jobs in flight.
+    with at most 2 * threads jobs in flight; with one thread, on the calling
+    thread, one job after the other, and no pool is started.
 
     ``jobs`` is iterated on the calling thread, and the next job only once
     the oldest in flight is done when the window is full: jobs drawn from a
@@ -246,6 +247,10 @@ def run_bounded(work: Callable, jobs: Iterable[tuple], threads: int) -> None:
     must write its results where no other job writes.  The first exception
     a job raises, in job order, is re-raised.
     """
+    if threads == 1:
+        for job in jobs:
+            work(*job)
+        return
     pending = deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for job in jobs:

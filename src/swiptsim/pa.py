@@ -5,8 +5,10 @@ AM/AM-only models (AM/PM conversion is neglected): the solid-state amplifier
 with a smooth saturation knee, the hard-clipping soft limiter, and a fitted
 polynomial transfer used by the predistorter module.  Every nonlinearity in
 the package acts on the envelope and keeps the phase, through
-:func:`scale_envelope`; :func:`amplify` is the one back-off, predistortion
-and amplifier chain.
+:func:`scale_envelope`.  :func:`amplify` is the one transmit chain: a
+single envelope map, back-off, then the optional predistorter, then the
+AM/AM curve, that every amplified technique and the predistorter design
+run.
 """
 
 from __future__ import annotations
@@ -63,30 +65,26 @@ class PaModel:
         return cls("polynomial", coeffs=tuple(float(c) for c in coeffs))
 
     def am_am(self, magnitude):
-        """Output amplitude for a given input amplitude (unit linear gain)."""
+        """Output amplitude for a given input amplitude (unit linear gain).
+
+        The sspa curve is the smooth saturation m / (1 + (m/A_s)^(2p))^(1/(2p))
+        (Rapp 1991), the soft limiter min(m, A_s).
+        """
         m = np.asarray(magnitude, dtype=float)
         if np.any(m < 0):
             raise ValueError("magnitude must be non-negative")
-        if self.kind == "sspa":
-            return sspa_am_am(m, self)
         if self.kind == "soft_limiter":
             return np.minimum(m, self.a_sat)
-        return npoly.polyval(m, np.asarray(self.coeffs))
-
-
-def sspa_am_am(magnitude, pa: PaModel):
-    """Smooth saturation AM/AM: m / (1 + (m/A_s)^(2p))^(1/(2p))."""
-    m = np.asarray(magnitude, dtype=float)
-    if np.any(m < 0):
-        raise ValueError("magnitude must be non-negative")
-    two_p = 2.0 * pa.smoothness
-    # the denominator, in the formula's order, in one array (a scalar for a
-    # 0-d m), which then takes the result
-    d = m / pa.a_sat
-    d **= two_p
-    d += 1.0
-    d **= 1.0 / two_p
-    return np.divide(m, d, out=d if d.ndim else None)
+        if self.kind == "polynomial":
+            return npoly.polyval(m, np.asarray(self.coeffs))
+        two_p = 2.0 * self.smoothness
+        # the denominator, in the formula's order, in one array (a scalar for a
+        # 0-d m), which then takes the result
+        d = m / self.a_sat
+        d **= two_p
+        d += 1.0
+        d **= 1.0 / two_p
+        return np.divide(m, d, out=d if d.ndim else None)
 
 
 def scale_envelope(x: np.ndarray, f) -> np.ndarray:
@@ -100,25 +98,24 @@ def scale_envelope(x: np.ndarray, f) -> np.ndarray:
 
 
 def amplify(x: np.ndarray, pa: PaModel, ibo_db: float, inverse_fit=None) -> np.ndarray:
-    """Back-off, optional predistortion, the AM/AM characteristic, then the
-    back-off gain divided out again, on a waveform of any shape.
+    """The transmit chain on a waveform of any shape: back-off, optional
+    predistortion and the AM/AM characteristic, with the back-off gain
+    divided out again, as one envelope map.
 
-    With g = 10^(-ibo_db/20) the amplifier sees x * g.  inverse_fit, a
-    predistorter polynomial (see :mod:`swiptsim.dpd`), maps each backed-off
-    magnitude to the drive that should reach it, after clamping the
-    magnitude to the fit's domain and the drive at zero.  The two branches
-    keep the two arithmetic orders the seeded results were computed in.
+    With g = 10^(-ibo_db/20) each magnitude m maps to am_am(pd(m g)) / g.
+    pd is the identity, or, given inverse_fit, a predistorter polynomial
+    (see :mod:`swiptsim.dpd`) that maps each backed-off magnitude, clamped
+    to the fit's domain, to the drive that should reach it, clamped at zero.
     """
     g = 10.0 ** (-ibo_db / 20.0)
-    if inverse_fit is None:
-        return scale_envelope(x, lambda m: pa.am_am(m * g) / g)
-    u = scale_envelope(
-        x * g,
-        lambda m: np.clip(inverse_fit(np.minimum(m, inverse_fit.domain_max)), 0.0, None),
-    )
-    y = scale_envelope(u, pa.am_am)
-    y /= g
-    return y
+
+    def envelope(m):
+        u = m * g
+        if inverse_fit is not None:
+            u = np.clip(inverse_fit(np.minimum(u, inverse_fit.domain_max)), 0.0, None)
+        return pa.am_am(u) / g
+
+    return scale_envelope(x, envelope)
 
 
 def class_a_efficiency(papr_db: float) -> float:

@@ -424,8 +424,9 @@ def test_papr_outputs_do_not_depend_on_threads(tmp_path):
 
 
 # sha256 of each CSV at seed 0 on _DIGEST_CFG, recorded before the PAPR
-# path moved from complex waveforms to envelopes; a change that moves a
-# byte of these files updates the digests and says so
+# path moved from complex waveforms to envelopes (dpd_evm.csv when its
+# table came to be measured on the design's probe whatever the prefix); a
+# change that moves a byte of these files updates the digests and says so
 _DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 4, "cp_length": 8},
     "papr": {"mu_grid": [0.0, 1.25, 255.0], "n_trials": 2000},
@@ -434,7 +435,7 @@ _DIGEST_CFG = {
 _CSV_SHA256 = {
     "papr_ccdf.csv": "b0318c0638888392491102f2237c8dfcd61082805440b2c204eeaf393b93d2db",
     "mu_sweep.csv": "085ae446b3a9338cf415d493f7146fca841eed18023fe729874fc36de93339e1",
-    "dpd_evm.csv": "3576c63122c9a3d1043b26928869c16e94d1ed8852d9ecff368a8c45fbb18421",
+    "dpd_evm.csv": "a761218ca5c23e5da56805506eefbd7f9901e01c9fd77dd43d8d152a91fa9286",
 }
 
 
@@ -480,17 +481,34 @@ def test_outputs_match_recorded_digests(tmp_path):
 def test_dpd_design_synthesizes_its_probe_once(tmp_path, monkeypatch):
     # the training frame and the design's probe are the only syntheses: the
     # EVM table evaluates every reduction-grid point on the design's probe,
-    # so the count does not grow with the grid; a cyclic prefix, which the
-    # design leaves out, gives the table a probe of its own
+    # so the count grows neither with the grid nor with a cyclic prefix,
+    # which the design and so the table leave out
     calls = _count_synthesis(monkeypatch)
     for i, grid in enumerate(([0.0, 1.0, 0.5], [0.0, 4.0, 0.25])):
-        for cp, expected in ((0, [1, 64]), (4, [1, 64, 64])):
+        for cp in (0, 4):
             calls.clear()
             cfg = write_cfg(tmp_path, {"ofdm": {**SMALL_OFDM, "cp_length": cp},
                                        "dpd": {"reduction_grid_db": grid}}, f"dpd{i}{cp}.json")
             assert main(["dpd-design", "--config", cfg,
                          "--out", str(tmp_path / f"o{i}{cp}")]) == EXIT_OK
-            assert calls == expected, (grid, cp)
+            assert calls == [1, 64], (grid, cp)
+
+
+def test_dpd_evm_table_ignores_cyclic_prefix(tmp_path):
+    # the table measures the chain the design searched, so a prefix moves
+    # neither the design nor a byte of the table below its provenance line
+    bodies = set()
+    for cp in (0, 8):
+        cfg = write_cfg(tmp_path, {"ofdm": {"n_subcarriers": 64, "oversampling_factor": 4,
+                                            "cp_length": cp},
+                                   "dpd": {"reduction_grid_db": [0.0, 2.0, 1.0]}}, f"cp{cp}.json")
+        out = tmp_path / f"cp{cp}"
+        assert main(["dpd-design", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        design = [line for line in (out / "dpd_design.txt").read_text().splitlines()
+                  if not line.startswith("#")]
+        table = (out / "dpd_evm.csv").read_text().splitlines()[1:]
+        bodies.add((tuple(design), tuple(table)))
+    assert len(bodies) == 1
 
 
 def _count_transmit(tmp_path, monkeypatch, command):

@@ -21,7 +21,6 @@ from swiptsim.experiments import (
     TECHNIQUES,
     Scenario,
     _batch_ci,
-    _transmit,
     append_manifest,
     channel_ofdm,
     closed_form,
@@ -34,8 +33,8 @@ from swiptsim.experiments import (
 )
 from swiptsim.harvester import EhModel
 from swiptsim.link import SplitConfig, achievable_rate, harvested, sinr
-from swiptsim.ofdm import OfdmConfig, map_bits, synthesize_waveforms
-from swiptsim.pa import PaModel, bussgang_analytic_sl
+from swiptsim.ofdm import OfdmConfig, _qpsk, map_bits, synthesize_waveforms
+from swiptsim.pa import PaModel, amplify, bussgang_analytic_sl
 
 
 def test_scenario_validation():
@@ -77,25 +76,38 @@ def test_channel_ofdm_lengthens_the_prefix_for_multitap_only():
 
 def test_technique_reductions():
     base = Scenario(technique="baseline")
-    r_dpd, r_comp, design = technique_reductions(base)
-    assert (r_dpd, r_comp, design) == (0.0, 0.0, None)
+    r_dpd, r_comp, fit = technique_reductions(base)
+    assert (r_dpd, r_comp, fit) == (0.0, 0.0, None)
 
     dpd = Scenario(technique="dpd")
-    r_dpd, r_comp, design = technique_reductions(dpd)
+    r_dpd, r_comp, fit = technique_reductions(dpd)
     ref = design_from_scratch(dpd.pa, dpd.ofdm, baseline_ibo_db=8.0)
     assert r_dpd == pytest.approx(ref.ibo_reduction_db, abs=1e-9)
     assert r_dpd == pytest.approx(2.477963727712632, abs=1e-6)
     assert r_comp == 0.0
-    assert design is not None
+    # the chain applies the design's inverse fit
+    assert fit == ref.inverse_fit
 
     comp = Scenario(technique="companding", mu=1.25)
-    r_dpd, r_comp, design = technique_reductions(comp)
+    r_dpd, r_comp, fit = technique_reductions(comp)
     assert r_dpd == 0.0
     assert r_comp == pytest.approx(1.6322012537441974, abs=1e-9)
+    assert fit is None
 
     both = Scenario(technique="dpd_companding")
-    r_dpd, r_comp, _ = technique_reductions(both)
+    r_dpd, r_comp, fit = technique_reductions(both)
     assert r_dpd > 0.0 and r_comp > 0.0
+    assert fit == ref.inverse_fit
+
+
+def test_degenerate_design_has_no_predistorter():
+    # a linear amplifier leaves nothing to predistort: the design is
+    # degenerate, so the chain runs without a fit and claims no reduction
+    linear_pa = PaModel.polynomial((0.0, 1.0))
+    s = Scenario(technique="dpd", pa=linear_pa, ofdm=OfdmConfig(n_subcarriers=64,
+                                                               oversampling_factor=2))
+    assert experiments._cached_dpd(linear_pa, s.ofdm, s.ibo_db).degenerate
+    assert technique_reductions(s) == (0.0, 0.0, None)
 
 
 def test_explicit_reduction_override():
@@ -134,25 +146,41 @@ def test_closed_form_bussgang_and_expander_factor():
         inflated, bp_c.k_l, bp_c.sigma_d2 * f)
 
 
-def test_transmit_linear_is_passthrough():
-    s = Scenario(technique="linear", ofdm=OfdmConfig(n_subcarriers=64,
-                                                     oversampling_factor=2))
-    rng = np.random.default_rng(0)
-    bits = rng.integers(0, 2, size=2 * 64 * 2)
-    x = synthesize_waveforms(map_bits(bits).reshape(2, 64), s.ofdm)
-    np.testing.assert_array_equal(_transmit(x, s, 0.0, None), x)
+def test_linear_technique_radiates_the_frames(monkeypatch):
+    # the ideal amplifier passes the synthesized frames through untouched:
+    # no amplify call, and the channel sees exactly the frames of the bits
+    s = Scenario(technique="linear", ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2),
+                 trials=2, frame_symbols=2)
+    seen = []
+    real_apply = experiments.apply_channel
+
+    def recording(x, *args):
+        seen.append(x.copy())
+        return real_apply(x, *args)
+
+    def no_amplifier(*args):
+        raise AssertionError("the linear technique reached the amplifier")
+
+    monkeypatch.setattr(experiments, "apply_channel", recording)
+    monkeypatch.setattr(experiments, "amplify", no_amplifier)
+    run_techniques(s, ("linear",))
+    bits = experiments._stream(s.seed, 0).integers(
+        0, 2, size=(s.trials, 2 * 64 * s.frame_symbols), dtype=np.int8)
+    frames = synthesize_waveforms(_qpsk(bits).reshape(-1, s.frame_symbols, 64), s.ofdm)
+    np.testing.assert_array_equal(seen[0], frames.reshape(s.trials, -1))
 
 
-def test_transmit_companding_radiates_hotter():
+def test_companded_drive_radiates_hotter():
+    # the compressed frames drive the amplifier at their natural level, so
+    # at the nominal back-off the companded chain radiates more power
+    s = Scenario()
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, size=2 * 64 * 4)
     x = synthesize_waveforms(map_bits(bits).reshape(4, 64), cfg)
     drive = compress_waveform(x, CompanderParams.default(mu=1.25))
-    base = _transmit(x, Scenario(technique="baseline", ofdm=cfg), 0.0, None)
-    comp = _transmit(drive, Scenario(technique="companding", ofdm=cfg), 0.0, None)
-    p_base = np.mean(np.abs(base) ** 2)
-    p_comp = np.mean(np.abs(comp) ** 2)
+    p_base = np.mean(np.abs(amplify(x, s.pa, s.ibo_db)) ** 2)
+    p_comp = np.mean(np.abs(amplify(drive, s.pa, s.ibo_db)) ** 2)
     assert p_comp > 1.2 * p_base
 
 
@@ -413,12 +441,13 @@ def test_table_pipeline_matches_per_technique_runs():
     for tech, m in zip(TABLE_TECHNIQUES, table):
         _assert_same_metrics(m, run_techniques(replace(base, trials=3, seed=3), (tech,))[0][0])
     # the provenance hashes of the four technique scenarios, and the eta3
-    # values of the common-random-number stream layout
+    # values of the common-random-number stream layout (the two DPD values
+    # as of the single-map predistorted chain of pa.amplify)
     assert [config_hash(replace(base, technique=tech, trials=3, seed=3))
             for tech in TABLE_TECHNIQUES] == [
         "5b98069f1af4", "c1b8ccff4532", "6886a07733d4", "cb29c4bf1d9f"]
     assert [m.eta3 for m in table] == [
-        0.44047054453969364, 0.43686671492052526, 0.44569522164387027, 0.44669321418961644]
+        0.44047054453969364, 0.4368667149205252, 0.44569522164387027, 0.4466932141896164]
 
 
 def test_t_table_matches_scipy_stdtrit():

@@ -1,4 +1,5 @@
 import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swiptsim import ofdm
 from swiptsim.companding import CompanderParams, compress_magnitude, compress_waveform
 from swiptsim.ofdm import (
     OfdmConfig,
@@ -22,6 +24,7 @@ from swiptsim.ofdm import (
     papr_samples_many,
     random_frames,
     random_qpsk_grid,
+    run_bounded,
     synthesize_waveforms,
 )
 
@@ -202,6 +205,25 @@ def test_papr_samples_many_validation():
     for threads in (0, -1):
         with pytest.raises(ValueError, match="threads"):
             papr_samples_many(SMALL, 10, 0, (None,), threads=threads)
+
+
+def test_run_bounded_one_thread_runs_on_the_calling_thread(monkeypatch):
+    # at one thread every job runs on the caller, in order, and no pool is
+    # started; with more, the jobs run on the pool's workers
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started at one thread")
+
+    ran = []
+    work = lambda i: ran.append((i, threading.get_ident()))
+    with monkeypatch.context() as mp:
+        mp.setattr(ofdm, "ThreadPoolExecutor", no_pool)
+        run_bounded(work, ((i,) for i in range(5)), 1)
+        papr_samples_many(SMALL, 10, 0, (None,), chunk=3, threads=1)
+    assert ran == [(i, threading.get_ident()) for i in range(5)]
+    ran.clear()
+    run_bounded(work, ((i,) for i in range(5)), 2)
+    assert sorted(i for i, _ in ran) == list(range(5))
+    assert threading.get_ident() not in {t for _, t in ran}
 
 
 def test_papr_quantiles_frozen():

@@ -12,8 +12,8 @@ from swiptsim.pa import (
     class_a_efficiency,
     efficiency_at_backoff,
     scale_envelope,
-    sspa_am_am,
 )
+from swiptsim.dpd import PolyFit
 
 
 def _gaussian_block(n=2**18, seed=0):
@@ -65,6 +65,30 @@ def test_am_am_monotone(mags):
         assert np.all(np.diff(out) >= -1e-12)
 
 
+# a predistorter-shaped fit: negative at zero, so the drive clamps there
+_FIT = PolyFit(order=3, coeffs=(-0.01, 1.1, 0.3, -0.2), domain_max=1.2, residual_rms=0.0)
+
+
+@given(st.lists(st.complex_numbers(min_magnitude=1e-6, max_magnitude=8.0), min_size=1,
+                max_size=64),
+       st.floats(0.0, 12.0),
+       st.sampled_from([PaModel.sspa(smoothness=1.2), PaModel.sspa(a_sat=0.8, smoothness=3.0),
+                        PaModel.soft_limiter_model()]))
+@settings(max_examples=60, deadline=None)
+def test_amplify_with_fit_is_the_composed_envelope_map(samples, ibo_db, pa):
+    # back-off, the clamped predistorter and the AM/AM curve, one map of
+    # the magnitude; the phase is kept and a zero sample stays zero
+    x = np.array([0j] + samples)
+    g = 10.0 ** (-ibo_db / 20.0)
+    m = np.abs(x)
+    drive = np.clip(_FIT(np.minimum(m * g, _FIT.domain_max)), 0.0, None)
+    expected = np.zeros_like(x)
+    expected[1:] = x[1:] / m[1:] * (pa.am_am(drive[1:]) / g)
+    y = amplify(x, pa, ibo_db, _FIT)
+    assert y[0] == 0
+    np.testing.assert_allclose(y, expected, rtol=1e-12, atol=0.0)
+
+
 def test_apply_pa_phase_preserved():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
@@ -108,7 +132,7 @@ def test_in_place_kernels_match_their_formulas(smoothness):
     m[7] = 0.0
     two_p = 2.0 * smoothness
     formula = m / (1.0 + (m / pa.a_sat) ** two_p) ** (1.0 / two_p)
-    assert sspa_am_am(m, pa).tobytes() == formula.tobytes()
+    assert pa.am_am(m).tobytes() == formula.tobytes()
     x = _gaussian_block(4096, seed=10)
     x[3] = 0.0
     mag = np.abs(x)
