@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import OfdmConfig
+from .ofdm import OfdmConfig, active_tones
 
 CHANNEL_KINDS = ("awgn", "rice_flat", "rayleigh_flat", "rayleigh_multitap")
 
@@ -83,6 +83,4 @@ def apply_channel(x: np.ndarray, taps, cp_length: int | None = None) -> np.ndarr
 def subcarrier_gains(taps, cfg: OfdmConfig) -> np.ndarray:
     """Per-subcarrier complex gains, ordered like the modulator's grid, of
     one realization or of each row of taps with shape (..., n_taps)."""
-    spectrum = np.fft.fft(np.asarray(taps), cfg.n_samples)
-    n, l = cfg.n_subcarriers, cfg.oversampling_factor
-    return np.concatenate([spectrum[..., : n // 2], spectrum[..., n * l - n // 2:]], axis=-1)
+    return active_tones(np.fft.fft(np.asarray(taps), cfg.n_samples), cfg)

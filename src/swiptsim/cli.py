@@ -97,7 +97,6 @@ import numpy as np
 from .channel import CHANNEL_KINDS, ChannelSpec
 from .companding import (
     MU_GRID,
-    CompanderParams,
     analytic_companded_bussgang,
     companded_papr_reductions,
     companded_snr,
@@ -425,8 +424,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
     ofdm = build_ofdm(cfg)
     h = _hash(cfg, seed, trials)
     # mu = 0 is the uncompressed curve; every curve shares one set of symbols
-    transforms = [partial(compress_magnitude, params=CompanderParams.default(mu=mu))
-                  if mu > 0 else None for mu in mu_grid]
+    transforms = [partial(compress_magnitude, mu=mu) if mu > 0 else None for mu in mu_grid]
     curves = papr_samples_many(ofdm, n_trials, seed, transforms, threads=threads)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
@@ -486,16 +484,15 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
     _, ibo_db = build_pa(cfg)
     split = build_split(cfg)
     h = _hash(cfg, seed, trials)
-    grid_params = [CompanderParams.default(mu=mu) for mu in mu_grid]
-    reductions = companded_papr_reductions(ofdm, grid_params, n_trials=papr_trials, seed=seed,
+    reductions = companded_papr_reductions(ofdm, mu_grid, n_trials=papr_trials, seed=seed,
                                            threads=threads)
     rows = []
     series = {"snr_db": []}
-    for mu, params, red in zip(mu_grid, grid_params, reductions):
-        bp = analytic_companded_bussgang(params, ibo_db)
-        snr = companded_snr(params, ofdm.n_subcarriers, split.sigma_a2, bp.sigma_d2)
+    for mu, reduction_db in zip(mu_grid, reductions):
+        bp = analytic_companded_bussgang(mu, ibo_db)
+        snr = companded_snr(mu, ofdm.n_subcarriers, split.sigma_a2, bp.sigma_d2)
         snr_db = 10.0 * np.log10(snr)
-        rows.append((mu, snr_db, red.reduction_db, bp.k_l, bp.sigma_d2))
+        rows.append((mu, snr_db, reduction_db, bp.k_l, bp.sigma_d2))
         series["snr_db"].append((mu, snr_db))
     design = optimize_mu(ofdm.n_subcarriers, ibo_db, split.sigma_a2)
     write_csv(out / "mu_sweep.csv",

@@ -182,9 +182,10 @@ def design_ibo_reduction(
     unless its EVM is below DISTORTION_FREE_EVM (such a chain is scanned to
     the upper bound).  A baseline EVM below DISTORTION_FREE_EVM is
     round-off, not distortion: the design is degenerate at the upper bound
-    without a scan.  Bisection between the last feasible point before the
-    crossing and the crossing refines it to a millidB.  A non-monotone note
-    covers only the scanned part of the grid.
+    without a scan.  24 bisection steps between the last feasible point
+    before the crossing and the crossing refine it to SCAN_STEP_DB / 2^24,
+    about 6e-9 dB.  A non-monotone note covers only the scanned part of the
+    grid.
     """
     evm_base = chain_evm(baseline_ibo_db)
     target = evm_base * (1.0 + EVM_MATCH_TOLERANCE)

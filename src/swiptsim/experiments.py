@@ -38,12 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
-from .companding import (
-    CompanderParams,
-    companding_ibo_reduction_db,
-    compress_waveform,
-    mu_law_noise_factor,
-)
+from .companding import companding_ibo_reduction_db, compress_waveform, mu_law_noise_factor
 from .dpd import DpdDesign, PolyFit, design_from_scratch
 from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
 from .link import (
@@ -56,7 +51,7 @@ from .link import (
     split_noise,
     sinr,
 )
-from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms
+from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms, with_prefix
 from .pa import PaModel, amplify, bussgang_analytic_sl, efficiency_at_backoff
 
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
@@ -165,7 +160,7 @@ def technique_reductions(s: Scenario) -> tuple[float, float, PolyFit | None]:
         return 0.0, 0.0, fit
     r_comp = 0.0
     if _uses_companding(s.technique):
-        r_comp = companding_ibo_reduction_db(CompanderParams.default(mu=s.mu))
+        r_comp = companding_ibo_reduction_db(s.mu)
     if r_dpd + r_comp > s.ibo_db:
         raise ValueError(f"the {s.technique} technique's back-off reduction of "
                          f"{r_dpd + r_comp:g} dB runs past ibo_db = {s.ibo_db:g} dB")
@@ -192,7 +187,7 @@ def closed_form(s: Scenario, r_dpd: float, r_comp: float) -> tuple[float, float]
         k_l, sd2 = bp.k_l, bp.sigma_d2
     f = 1.0
     if _uses_companding(s.technique):
-        f = mu_law_noise_factor(CompanderParams.default(mu=s.mu))
+        f = mu_law_noise_factor(s.mu)
     split = replace(s.split, sigma_a2=s.split.sigma_a2 * f)
     rate = achievable_rate(sinr(split, k_l, sd2 * f, 1.0, p))
     return rate, harvested(split, k_l, sd2 * f, 1.0, p, EhModel.linear()).h_p_norm
@@ -233,15 +228,6 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     # (1 + i, 0) the taps of channel kind i and (1 + i, 1, t) its noise in
     # trial t
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _with_prefix(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Frames of whole symbols (..., symbols * N*L), each symbol with the
-    numerology's cyclic prefix."""
-    if not cfg.cp_length:
-        return x
-    sym = x.reshape(x.shape[:-1] + (-1, cfg.n_samples))
-    return np.concatenate([sym[..., -cfg.cp_length:], sym], axis=-1).reshape(x.shape[:-1] + (-1,))
 
 
 # run_techniques works on blocks of trials of about this many bytes of
@@ -330,7 +316,6 @@ def run_techniques(
     block = max(1, _BLOCK_BYTES // (16 * frame_len))
     blocks = [slice(i, min(i + block, trials)) for i in range(0, trials, block)]
     companded = [_uses_companding(t) for t in techniques]
-    params = CompanderParams.default(mu=s.mu) if any(companded) else None
     # the baseline amplifier output of the uncompressed frames is the power
     # reference of every technique except linear and baseline, which use
     # their own; a baseline at zero reduction transmits exactly that output
@@ -353,17 +338,17 @@ def run_techniques(
 
     def faded(k: int, c: int, rows: slice) -> np.ndarray:
         # technique k's frames of the trials in rows, prefixed, through channel c
-        x = _with_prefix(tx[k, rows], chan_cfg[c])
+        x = with_prefix(tx[k, rows], chan_cfg[c])
         return apply_channel(x, taps[c][rows], chan_cfg[c].cp_length)
 
     def transmit(rows: slice) -> None:
         grids = _qpsk(bits[rows]).reshape(-1, s.frame_symbols, cfg.n_subcarriers)
         x = synthesize_waveforms(grids, cfg).reshape(-1, frame_len)
         compressed = None
-        if params is not None:
-            compressed = compress_waveform(x, params)
+        if any(companded):
+            compressed = compress_waveform(x, s.mu)
             for c, cfg_c in enumerate(chan_cfg):
-                drive = _with_prefix(compressed, cfg_c)
+                drive = with_prefix(compressed, cfg_c)
                 rms_drive[c, rows] = np.sqrt(np.mean(np.abs(drive) ** 2, axis=-1))
         for k, (tech, comp, (r_dpd, _, fit)) in enumerate(zip(techniques, companded,
                                                               reductions)):
@@ -438,7 +423,7 @@ def run_techniques(
                 info_branch(info, split, split_noise(split, z))
                 ber[r, k, rows] = demodulate_and_ber(
                     info, taps[c][rows], chan_cfg[c], bits[rows],
-                    params if companded[k] else None, scale,
+                    s.mu if companded[k] else None, scale,
                 )
 
     run_bounded(receive, ((rows, c) for rows in blocks for c in range(len(channels))), threads)

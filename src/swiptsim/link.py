@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import subcarrier_gains
-from .companding import CompanderParams, expand_waveform
+from .companding import PEAK, expand_waveform
 from .harvester import EhModel, eta3, watts_to_dbm
 from .ofdm import OfdmConfig, demap_symbols, ofdm_demodulate
 
@@ -182,7 +182,7 @@ def demodulate_and_ber(
     taps,
     cfg: OfdmConfig,
     truth_bits: np.ndarray,
-    expander: CompanderParams | None = None,
+    expander: float | None = None,
     expander_scale=None,
 ):
     """Demodulate the information branch and count bit errors.
@@ -190,8 +190,9 @@ def demodulate_and_ber(
     Takes one frame, or a block of frames along the leading axes of
     info_branch (..., samples), with their taps (..., n_taps), truth bits
     (..., bits) and expander scales (...); returns the bit error rate of
-    each frame, a float for a single frame.  Optional mu-law expansion runs
-    first; ``expander_scale`` is the known amplitude gain between the
+    each frame, a float for a single frame.  Mu-law expansion with mu =
+    ``expander`` and the fixed companding.PEAK runs first, unless expander
+    is None; ``expander_scale`` is the known amplitude gain between the
     transmitted compressed waveform and this branch, so the expander
     operates in the domain it was designed for.  Then per symbol: CP
     removal, DFT, single-tap zero-forcing with the true subcarrier gains,
@@ -210,7 +211,7 @@ def demodulate_and_ber(
         # legitimate domain so such samples stay finite.  Only the frames
         # with such a sample are rescaled: (yn * m) / m is not always yn
         m = np.abs(yn)
-        cap = 64.0 * expander.peak
+        cap = 64.0 * PEAK
         over = np.any(m > cap, axis=-1)
         if np.any(over):
             m = m[over]

@@ -126,9 +126,22 @@ def synthesize_waveforms(grids: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     padded = _pack_spectrum(grids, cfg)
     x = np.fft.ifft(padded, norm="ortho")
     x *= np.sqrt(cfg.oversampling_factor)
-    if cfg.cp_length:
-        x = np.concatenate([x[..., -cfg.cp_length:], x], axis=-1)
-    return x
+    return with_prefix(x, cfg)
+
+
+def with_prefix(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Frames of whole symbols (..., symbols * N*L), each symbol with the
+    numerology's cyclic prefix."""
+    if not cfg.cp_length:
+        return x
+    sym = x.reshape(x.shape[:-1] + (-1, cfg.n_samples))
+    return np.concatenate([sym[..., -cfg.cp_length:], sym], axis=-1).reshape(x.shape[:-1] + (-1,))
+
+
+def active_tones(spectrum: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """The N active tones of N*L-point spectra (last axis), in grid order."""
+    n = cfg.n_subcarriers
+    return np.concatenate([spectrum[..., : n // 2], spectrum[..., cfg.n_samples - n // 2:]], axis=-1)
 
 
 def ofdm_demodulate(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -138,10 +151,8 @@ def ofdm_demodulate(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
         x = x[..., cfg.cp_length:]
     if x.shape[-1] != cfg.n_samples:
         raise ValueError("sample count does not match the configuration")
-    spectrum = np.fft.fft(x, norm="ortho")
-    n, l = cfg.n_subcarriers, cfg.oversampling_factor
-    grid = np.concatenate([spectrum[..., : n // 2], spectrum[..., n * l - n // 2:]], axis=-1)
-    grid /= np.sqrt(l)
+    grid = active_tones(np.fft.fft(x, norm="ortho"), cfg)
+    grid /= np.sqrt(cfg.oversampling_factor)
     return grid
 
 

@@ -68,7 +68,8 @@ class PaModel:
         """Output amplitude for a given input amplitude (unit linear gain).
 
         The sspa curve is the smooth saturation m / (1 + (m/A_s)^(2p))^(1/(2p))
-        (Rapp 1991), the soft limiter min(m, A_s).
+        (Rapp 1991), the soft limiter min(m, A_s).  A polynomial whose output
+        is negative at some input is a ValueError naming that input.
         """
         m = np.asarray(magnitude, dtype=float)
         if np.any(m < 0):
@@ -76,7 +77,12 @@ class PaModel:
         if self.kind == "soft_limiter":
             return np.minimum(m, self.a_sat)
         if self.kind == "polynomial":
-            return npoly.polyval(m, np.asarray(self.coeffs))
+            out = npoly.polyval(m, np.asarray(self.coeffs))
+            if np.any(out < 0):
+                # an amplitude, not a phase flip through scale_envelope
+                raise ValueError(f"polynomial AM/AM output is negative at input "
+                                 f"amplitude {np.min(m[out < 0]):.6g}")
+            return out
         two_p = 2.0 * self.smoothness
         # the denominator, in the formula's order, in one array (a scalar for a
         # 0-d m), which then takes the result

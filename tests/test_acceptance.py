@@ -15,7 +15,7 @@ from scipy import stats
 
 from swiptsim.channel import ChannelSpec, sample_channel
 from swiptsim.companding import (
-    CompanderParams,
+    PEAK,
     companding_ibo_reduction_db,
     compress_waveform,
     expand_waveform,
@@ -101,7 +101,7 @@ def test_criterion_3_dpd_design_point():
 
 def test_criterion_4_companding_design_point():
     mu = _mu_star()
-    r = companding_ibo_reduction_db(CompanderParams.default(mu=mu))
+    r = companding_ibo_reduction_db(mu)
     gain = _gain_pts(r)
     ok = abs(mu - 1.25) < 0.15 and abs(r - 1.4) < 0.3 and abs(gain - 3.4) < 1.0
     _report(4, "companding design point", ok,
@@ -113,9 +113,7 @@ def test_criterion_4_companding_design_point():
 
 
 def test_criterion_5_combined_technique():
-    r_total = _dpd_design().ibo_reduction_db + companding_ibo_reduction_db(
-        CompanderParams.default(mu=1.25)
-    )
+    r_total = _dpd_design().ibo_reduction_db + companding_ibo_reduction_db(1.25)
     gain = _gain_pts(r_total)
     ok = abs(r_total - 4.0) < 0.4 and abs(gain - 11.9) < 1.5
     _report(5, "DPD + companding combined", ok,
@@ -179,11 +177,10 @@ def test_criterion_8_property_suite_spot_checks():
     rng = np.random.default_rng(0)
     checks = {}
 
-    params = CompanderParams.default(mu=87.6)
-    mags = rng.random(4096) * params.peak
+    mags = rng.random(4096) * PEAK
     x = mags * np.exp(2j * np.pi * rng.random(4096))
     checks["mu-law roundtrip"] = float(
-        np.max(np.abs(expand_waveform(compress_waveform(x, params), params) - x))
+        np.max(np.abs(expand_waveform(compress_waveform(x, 87.6), 87.6) - x))
     ) <= 1e-10
 
     cfg = OfdmConfig(n_subcarriers=256, oversampling_factor=2)

@@ -694,6 +694,16 @@ def test_dpd_design_outputs(tmp_path):
     assert len(lines) == 2 + 3  # grid 0, 0.5, 1.0
 
 
+def test_dpd_design_rejects_a_negative_polynomial_pa(tmp_path, capsys):
+    # 0 + m - m^2 turns negative above m = 1, which the probe's peaks reach
+    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
+                               "pa": {"kind": "polynomial", "coeffs": [0, 1, -1]}})
+    out = tmp_path / "o"
+    assert main(["dpd-design", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    assert "negative at input amplitude" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_dpd_orders_reach_the_design(tmp_path):
     cfg = write_cfg(tmp_path, {
         "ofdm": SMALL_OFDM,
@@ -996,6 +1006,17 @@ def _console_command() -> tuple[list[str], dict]:
     src = str(Path(swiptsim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return [sys.executable, "-m", "swiptsim.cli"], {**os.environ, "PYTHONPATH": path}
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's Python quick start runs as printed, with the package
+    # source on the path, so a public-API change cannot leave it stale
+    root = Path(__file__).resolve().parents[1]
+    code = (root / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script(tmp_path):

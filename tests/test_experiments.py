@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from swiptsim import experiments
 from swiptsim.channel import CHANNEL_KINDS, ChannelSpec
 from swiptsim.companding import (
-    CompanderParams,
     analytic_companded_bussgang,
     compress_waveform,
     mu_law_noise_factor,
@@ -46,6 +45,11 @@ def test_scenario_validation():
         Scenario(frame_symbols=0)
     with pytest.raises(ValueError, match="ibo_db must be a finite"):
         Scenario(ibo_db=np.inf)
+    # the compander's mu is checked where it enters
+    for mu in (0.0, -1.0):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            Scenario(mu=mu)
+    assert Scenario().mu == 1.25
     with pytest.raises(ValueError, match="runs past"):
         Scenario(ibo_db=2.0, ibo_reduction_db=2.5)
     assert Scenario(ibo_db=2.0, ibo_reduction_db=2.0).ibo_reduction_db == 2.0
@@ -138,9 +142,8 @@ def test_closed_form_bussgang_and_expander_factor():
     assert closed_form(replace(base, technique="linear"), 0.0, 0.0) == plain(base.split, 1.0, 0.0)
 
     comp = replace(base, technique="companding")
-    params = CompanderParams.default(mu=comp.mu)
-    bp_c = analytic_companded_bussgang(params, 8.0)
-    f = mu_law_noise_factor(params)
+    bp_c = analytic_companded_bussgang(comp.mu, 8.0)
+    f = mu_law_noise_factor(comp.mu)
     inflated = replace(base.split, sigma_a2=base.split.sigma_a2 * f)
     assert closed_form(comp, 0.0, technique_reductions(comp)[1]) == plain(
         inflated, bp_c.k_l, bp_c.sigma_d2 * f)
@@ -178,7 +181,7 @@ def test_companded_drive_radiates_hotter():
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, size=2 * 64 * 4)
     x = synthesize_waveforms(map_bits(bits).reshape(4, 64), cfg)
-    drive = compress_waveform(x, CompanderParams.default(mu=1.25))
+    drive = compress_waveform(x, 1.25)
     p_base = np.mean(np.abs(amplify(x, s.pa, s.ibo_db)) ** 2)
     p_comp = np.mean(np.abs(amplify(drive, s.pa, s.ibo_db)) ** 2)
     assert p_comp > 1.2 * p_base

@@ -5,7 +5,7 @@ import pytest
 
 from swiptsim import link
 from swiptsim.channel import ChannelSpec, apply_channel, sample_channel
-from swiptsim.companding import CompanderParams, mu_law_noise_factor
+from swiptsim.companding import PEAK, mu_law_noise_factor
 from swiptsim.experiments import Scenario, closed_form
 from swiptsim.harvester import EhModel, eta3, watts_to_dbm
 from swiptsim.link import (
@@ -142,7 +142,7 @@ def test_companded_sinr_golden_and_noise_inflation():
     assert s == pytest.approx(397.44561957530163, rel=1e-12)
     # expansion scales antenna noise and distortion but not the
     # post-expander processing noise
-    f = mu_law_noise_factor(CompanderParams.default())
+    f = mu_law_noise_factor(1.25)
     manual = 0.5 / (0.5 * 1e-3 * f + 1e-3)
     assert s == pytest.approx(manual, rel=1e-12)
     inflated = dataclasses.replace(split, sigma_a2=1e-3 * f)
@@ -239,9 +239,7 @@ def test_tiny_mu_expander_matches_plain_receiver():
     split = SplitConfig(rho=0.0, sigma_a2=0.5, sigma_p2=0.0)
     rx = info_branch(sig, split, split_noise(split, rng.standard_normal((2, 2, sig.size))))
     plain = demodulate_and_ber(rx, taps, cfg, bits)
-    tiny = CompanderParams.default(mu=1e-9)
-    expanded = demodulate_and_ber(rx, taps, cfg, bits, expander=tiny,
-                                  expander_scale=1.0)
+    expanded = demodulate_and_ber(rx, taps, cfg, bits, expander=1e-9, expander_scale=1.0)
     assert plain > 0.0
     assert expanded == plain
 
@@ -258,23 +256,22 @@ def test_demodulate_block_caps_the_expander_row_by_row(monkeypatch):
                      for _ in range(3)])
     rx = np.stack([apply_channel(x, t, cfg.cp_length) for x, t in zip(rx, taps)])
     rx = rx + 0.05 * (rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape))
-    params = CompanderParams.default()
     scale = np.array([0.7, 1.0, 1.3])
-    rx[1, 10] = 100.0 * params.peak  # beyond the cap of 64 x peak
+    rx[1, 10] = 100.0 * PEAK  # beyond the cap of 64 x peak
     expanded = []
     real_expand = link.expand_waveform
 
-    def recording_expand(waveform, p):
+    def recording_expand(waveform, mu):
         expanded.append(waveform.copy())
-        return real_expand(waveform, p)
+        return real_expand(waveform, mu)
 
     monkeypatch.setattr(link, "expand_waveform", recording_expand)
-    block = demodulate_and_ber(rx, taps, cfg, bits, params, scale)
-    alone = [demodulate_and_ber(rx[i], tuple(taps[i]), cfg, bits[i], params, float(scale[i]))
+    block = demodulate_and_ber(rx, taps, cfg, bits, 1.25, scale)
+    alone = [demodulate_and_ber(rx[i], tuple(taps[i]), cfg, bits[i], 1.25, float(scale[i]))
              for i in range(3)]
     np.testing.assert_array_equal(block, alone)
     np.testing.assert_array_equal(expanded[0], np.stack(expanded[1:]))
-    capped = np.abs(expanded[0]) > 64.0 * params.peak * (1 - 1e-12)
+    capped = np.abs(expanded[0]) > 64.0 * PEAK * (1 - 1e-12)
     assert capped.any(axis=-1).tolist() == [False, True, False]
     assert np.isfinite(block).all()
 
@@ -293,5 +290,4 @@ def test_demodulate_rejections():
     with pytest.raises(ValueError, match="truth bit count"):
         demodulate_and_ber(sig, taps, cfg, bits[:-2])
     with pytest.raises(ValueError, match="positive"):
-        demodulate_and_ber(sig, taps, cfg, bits, expander=CompanderParams.default(),
-                           expander_scale=0.0)
+        demodulate_and_ber(sig, taps, cfg, bits, expander=1.25, expander_scale=0.0)

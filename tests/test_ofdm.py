@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swiptsim import ofdm
-from swiptsim.companding import CompanderParams, compress_magnitude, compress_waveform
+from swiptsim.companding import compress_magnitude, compress_waveform
 from swiptsim.ofdm import (
     OfdmConfig,
     _papr_rows,
@@ -148,8 +148,8 @@ SMALL = OfdmConfig(n_subcarriers=16, oversampling_factor=2)
 _TRANSFORMS = (
     None,
     lambda m: 2.0 * m,
-    partial(compress_magnitude, params=CompanderParams.default(mu=1.25)),
-    partial(compress_magnitude, params=CompanderParams.default(mu=255.0)),
+    partial(compress_magnitude, mu=1.25),
+    partial(compress_magnitude, mu=255.0),
 )
 
 
@@ -184,16 +184,15 @@ def test_envelope_papr_matches_waveform_definition(seed, n, l, cp, mus):
     # complex waveform and takes its magnitude, which differs from the
     # envelope map only by the rounding of the complex multiply
     cfg = OfdmConfig(n_subcarriers=16, oversampling_factor=l, cp_length=cp)
-    params = [CompanderParams.default(mu=mu) for mu in mus]
     many = papr_samples_many(cfg, n, seed,
-                             (None, *(partial(compress_magnitude, params=p) for p in params)))
+                             (None, *(partial(compress_magnitude, mu=mu) for mu in mus)))
     bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2 * cfg.n_subcarriers))
     x = synthesize_waveforms(_qpsk(bits), cfg)
     # the raw row is the complex-abs form bit for bit
     p = np.abs(x) ** 2
     np.testing.assert_array_equal(many[0], 10.0 * np.log10(p.max(axis=-1) / p.mean(axis=-1)))
-    for row, prm in zip(many[1:], params):
-        np.testing.assert_allclose(row, _papr_rows(np.abs(compress_waveform(x, prm))),
+    for row, mu in zip(many[1:], mus):
+        np.testing.assert_allclose(row, _papr_rows(np.abs(compress_waveform(x, mu))),
                                    rtol=0, atol=1e-12)
 
 

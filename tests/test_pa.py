@@ -47,6 +47,17 @@ def test_polynomial_model():
         PaModel.polynomial(())
 
 
+def test_polynomial_negative_output_is_an_error():
+    # a negative AM/AM amplitude would come out of the chain as a phase flip
+    # (-6+0j here), so it is rejected, naming the input amplitude
+    pa = PaModel.polynomial((0, 1, -1))
+    with pytest.raises(ValueError, match="negative at input amplitude 3"):
+        amplify(np.array([3 + 0j]), pa, 0.0)
+    with pytest.raises(ValueError, match="negative at input amplitude 1.5"):
+        pa.am_am(np.array([0.5, 1.5, 2.0]))
+    assert float(pa.am_am(1.0)) == 0.0
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         PaModel("valve")
