@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swiptsim.cli import ConfigError, _mu_grid
 from swiptsim.companding import (
     EXCEEDANCE,
+    MU_GRID,
     PEAK,
     MuDesign,
     analytic_companded_bussgang,
@@ -22,6 +24,7 @@ from swiptsim.companding import (
     mu_law_noise_factor,
     optimize_mu,
 )
+from swiptsim.experiments import Scenario
 from swiptsim.ofdm import OfdmConfig, papr_quantile_db, papr_samples, random_frames
 from swiptsim.pa import PaModel, amplify, bussgang_estimate
 
@@ -32,6 +35,18 @@ PA = PaModel.sspa(smoothness=1.2)
 def test_ensemble_peak_value():
     assert PEAK == pytest.approx(math.sqrt(-math.log(1e-3)), abs=1e-15)
     assert PEAK == pytest.approx(2.628260884878466, abs=1e-12)
+
+
+def test_params_validation():
+    # the compander is its mu; mu > 0 is checked where it enters
+    for mu in (0.0, -1.0):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            Scenario(mu=mu)
+    with pytest.raises(ConfigError, match="mu must be positive"):
+        _mu_grid({"mu_grid": [1.0, 0.0]}, MU_GRID, "mu_sweep", allow_zero=False)
+    with pytest.raises(ConfigError, match="mu must be non-negative"):
+        _mu_grid({"mu_grid": [-1.0]}, MU_GRID, "papr", allow_zero=True)
+    assert Scenario().mu == 1.25
 
 
 @given(

@@ -45,11 +45,6 @@ def test_scenario_validation():
         Scenario(frame_symbols=0)
     with pytest.raises(ValueError, match="ibo_db must be a finite"):
         Scenario(ibo_db=np.inf)
-    # the compander's mu is checked where it enters
-    for mu in (0.0, -1.0):
-        with pytest.raises(ValueError, match="mu must be positive"):
-            Scenario(mu=mu)
-    assert Scenario().mu == 1.25
     with pytest.raises(ValueError, match="runs past"):
         Scenario(ibo_db=2.0, ibo_reduction_db=2.5)
     assert Scenario(ibo_db=2.0, ibo_reduction_db=2.0).ibo_reduction_db == 2.0
