@@ -127,7 +127,6 @@ def frozen_module(csv_path: pathlib.Path) -> str:
         *(f"    ({', '.join(repr(c) for c in seg)})," for seg in curve.segments),
         ")",
         f"SENSITIVITY_DBM = {curve.sensitivity_dbm!r}",
-        f"SATURATION_DBM = {curve.saturation_dbm!r}",
     ]
     return "\n".join(lines) + "\n"
 

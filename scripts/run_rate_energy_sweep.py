@@ -4,7 +4,9 @@
 Sweeps the power-splitting ratio rho for one technique and channel,
 writes the per-point metrics (with confidence intervals) to CSV, and
 appends a provenance line to a JSON-lines manifest so the run can be
-reproduced later.
+reproduced later.  Both carry the command line's provenance hash
+(swiptsim.cli.config_hash) of the technique, channel, rho grid, seed and
+trial count; --threads changes no output.
 
 Run from the repo root:
 
@@ -22,6 +24,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from swiptsim.channel import CHANNEL_KINDS, ChannelSpec  # noqa: E402
+from swiptsim.cli import config_hash  # noqa: E402
 from swiptsim.experiments import (  # noqa: E402
     TECHNIQUES,
     Scenario,
@@ -45,10 +48,15 @@ def main():
     for flag in ("trials", "threads"):
         if getattr(args, flag) < 1:
             ap.error(f"--{flag} must be at least 1")
+    if args.seed < 0:
+        ap.error("--seed must be non-negative")
+    if not all(0.0 <= rho <= 1.0 for rho in args.rho):
+        ap.error("--rho must lie in [0, 1]")
 
     channel = ChannelSpec(kind=args.channel)
-    base = Scenario(technique=args.technique, channel=channel, trials=args.trials,
-                    seed=args.seed)
+    base = Scenario(channel=channel, trials=args.trials, seed=args.seed)
+    h = config_hash({"technique": args.technique, "channel": args.channel,
+                     "rho": [float(rho) for rho in args.rho]}, args.seed, args.trials)
     # one pass: every rho is a receiver on the same draws, and a
     # frequency-selective channel gets a cyclic prefix
     receivers = [(channel, replace(base.split, rho=rho)) for rho in args.rho]
@@ -57,10 +65,11 @@ def main():
 
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / f"rate_energy_{args.technique}_{args.channel}.csv"
-    metrics_to_csv(csv_path, base, "rho", args.rho, rows,
-                 comments=(f"technique={args.technique} channel={args.channel} "
-                           f"trials={args.trials}",))
-    append_manifest(args.out / "manifest.jsonl", base, "rho", len(rows))
+    metrics_to_csv(csv_path, "rho", args.rho, rows, h, args.seed,
+                   comments=(f"technique={args.technique} channel={args.channel} "
+                             f"trials={args.trials}",))
+    append_manifest(args.out / "manifest.jsonl", h, args.seed, "rho", len(rows),
+                    args.trials, args.technique, args.channel)
 
     print(f"{'rho':>6}{'rate b/s/Hz':>13}{'H_P/E':>10}{'eta3':>8}{'+-':>8}")
     for rho, m in zip(args.rho, rows):

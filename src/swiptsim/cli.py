@@ -67,7 +67,15 @@ rate-energy run serially and reject it.
 
 dpd-design measures its EVM table (dpd_evm.csv) on the probe its design
 searched, which carries no cyclic prefix, so ofdm.cp_length changes
-neither the table nor the design.
+neither the table nor the design.  e2e and ber design their predistorter
+on the seed-0 probe with orders 4 and 7 whatever --seed, dpd.pa_order and
+dpd.inverse_order say: their dpd ibo_reduction_db is that of dpd-design
+--seed 0 at the default orders.
+
+Every CSV and dpd_design.txt starts with "# config_hash=<h> seed=<seed>".
+h is config_hash: the first 12 hex digits of a SHA-256 over the raw
+config, the calibration file's bytes, the seed and --trials when given;
+it does not cover the package version.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
 form (experiments.closed_form), not Monte Carlo estimates: the
@@ -322,10 +330,11 @@ def _svg_chart(path: Path, series: dict[str, list[tuple[float, float]]],
     path.write_text("\n".join(parts), encoding="utf-8")
 
 
-def _hash(cfg: dict, seed: int, trials: int | None) -> str:
-    """Provenance hash of the config file contents, the bytes of the
-    calibration file it names, and the command-line overrides that change
-    the output (seed and, when given, --trials)."""
+def config_hash(cfg: dict, seed: int, trials: int | None) -> str:
+    """The provenance hash of every output: the config contents, the bytes
+    of the calibration file it names, and the command-line overrides that
+    change the output (seed and, when given, --trials).
+    scripts/run_rate_energy_sweep.py hashes its own inputs with it."""
     import hashlib
 
     blob = json.dumps(cfg, sort_keys=True, default=str) + f"|seed={seed}"
@@ -411,7 +420,7 @@ def _check_work(base: Scenario, techniques, channels=()) -> None:
         raise ConfigError(str(exc)) from exc
     try:
         for tech in techniques:
-            technique_reductions(replace(base, technique=tech))
+            technique_reductions(base, tech)
     except ValueError as exc:
         raise ConfigError(f"config section 'pa.ibo_db': {exc}") from exc
 
@@ -422,7 +431,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
     n_trials = _trial_count(section, "n_trials", 20000, "papr", trials)
     thresholds = _grid(section, "thresholds_db", (-1.0, 14.0, 0.05), "papr")
     ofdm = build_ofdm(cfg)
-    h = _hash(cfg, seed, trials)
+    h = config_hash(cfg, seed, trials)
     # mu = 0 is the uncompressed curve; every curve shares one set of symbols
     transforms = [partial(compress_magnitude, mu=mu) if mu > 0 else None for mu in mu_grid]
     curves = papr_samples_many(ofdm, n_trials, seed, transforms, threads=threads)
@@ -444,7 +453,7 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     section = cfg.get("dpd", {})
     ofdm = build_ofdm(cfg)
     pa, ibo_db = build_pa(cfg)
-    h = _hash(cfg, seed, trials)
+    h = config_hash(cfg, seed, trials)
     pa_order = _count(section, "pa_order", 4, "dpd")
     inverse_order = _count(section, "inverse_order", 7, "dpd")
     grid = _grid(section, "reduction_grid_db", (0.0, 4.0, 0.25), "dpd")
@@ -483,7 +492,7 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
     ofdm = build_ofdm(cfg)
     _, ibo_db = build_pa(cfg)
     split = build_split(cfg)
-    h = _hash(cfg, seed, trials)
+    h = config_hash(cfg, seed, trials)
     reductions = companded_papr_reductions(ofdm, mu_grid, n_trials=papr_trials, seed=seed,
                                            threads=threads)
     rows = []
@@ -508,7 +517,7 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     base = build_scenario(cfg, seed, trials)
-    h = _hash(cfg, seed, trials)
+    h = config_hash(cfg, seed, trials)
     # one pass for every channel; the table is the configured channel's rows
     receivers = [(replace(base.channel, kind=kind), base.split) for kind in CHANNEL_KINDS]
     _check_work(base, TABLE_TECHNIQUES, [spec for spec, _ in receivers])
@@ -537,7 +546,7 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
                         "ber", "technique")
     channels = _names(section, "channels", CHANNEL_KINDS, CHANNEL_KINDS, "ber", "channel")
     base = build_scenario(cfg, seed, trials)
-    h = _hash(cfg, seed, trials)
+    h = config_hash(cfg, seed, trials)
     # one receiver per channel and Eb/N0 point, each with the whole split
     # replaced: no harvesting and no processing noise
     specs = [replace(base.channel, kind=kind) for kind in channels]
@@ -574,16 +583,15 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
                         ("linear", "baseline", "companding"), "rate_energy",
                         "closed-form technique")
     base = build_scenario(cfg, seed, trials)
-    h = _hash(cfg, seed, trials)
+    h = config_hash(cfg, seed, trials)
     _check_work(base, techniques)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for tech in techniques:
-        s = replace(base, technique=tech)
-        r_dpd, r_comp, _ = technique_reductions(s)
+        r_dpd, r_comp, _ = technique_reductions(base, tech)
         curve_r, curve_h = [], []
         for rho in rho_grid:
-            rate, h_p_norm = closed_form(replace(s, split=replace(s.split, rho=rho)),
+            rate, h_p_norm = closed_form(base, tech, replace(base.split, rho=rho),
                                          r_dpd, r_comp)
             rows.append((rho, tech, rate, h_p_norm))
             curve_r.append((rho, rate))

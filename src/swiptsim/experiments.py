@@ -27,11 +27,10 @@ Measurement conventions, used consistently everywhere:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -70,13 +69,12 @@ _T975 = (
 
 @dataclass(frozen=True)
 class Scenario:
-    """One point of the technique x channel experiment grid; ibo_db is the
+    """The link that the techniques are compared on; ibo_db is the
     amplifier's nominal input back-off, which DPD and companding reduce."""
 
     ofdm: OfdmConfig = OfdmConfig()
     pa: PaModel = PaModel.sspa(smoothness=1.2)
     ibo_db: float = 8.0
-    technique: str = "baseline"
     channel: ChannelSpec = ChannelSpec()
     split: SplitConfig = SplitConfig()
     eh: EhModel | None = None
@@ -88,8 +86,6 @@ class Scenario:
     frame_symbols: int = 4
 
     def __post_init__(self) -> None:
-        if self.technique not in TECHNIQUES:
-            raise ValueError(f"technique must be one of {TECHNIQUES}")
         for name in ("trials", "frame_symbols"):
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -114,11 +110,6 @@ class Scenario:
         return 10.0 ** ((self.p_rf_tx_dbm - 30.0) / 10.0)
 
 
-def config_hash(scenario: Scenario) -> str:
-    blob = json.dumps(asdict(scenario), sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
 def _uses_companding(technique: str) -> bool:
     return technique in ("companding", "dpd_companding")
 
@@ -134,11 +125,11 @@ def _cached_dpd(pa: PaModel, cfg: OfdmConfig, ibo_db: float) -> DpdDesign:
     return design_from_scratch(pa, cfg, baseline_ibo_db=ibo_db)
 
 
-def technique_reductions(s: Scenario) -> tuple[float, float, PolyFit | None]:
-    """(DPD reduction in dB, companding reduction in dB, predistorter) for
-    the scenario; the predistorter is the inverse fit that the transmit
-    chain (pa.amplify) applies, None for a technique without DPD and for a
-    degenerate design.
+def technique_reductions(s: Scenario, technique: str) -> tuple[float, float, PolyFit | None]:
+    """(DPD reduction in dB, companding reduction in dB, predistorter) of
+    the technique on the scenario's link; the predistorter is the inverse
+    fit that the transmit chain (pa.amplify) applies, None for a technique
+    without DPD and for a degenerate design.
 
     An explicit ibo_reduction_db override replaces the derived total
     (attributed to the DPD part for chain purposes); a derived total above
@@ -147,10 +138,12 @@ def technique_reductions(s: Scenario) -> tuple[float, float, PolyFit | None]:
     likewise contributes zero.  The DPD design is shared by every scenario
     at one operating point: it does not depend on the cyclic prefix, and
     its back-off search takes the first EVM crossing of its grid (see
-    design_ibo_reduction).
+    design_ibo_reduction).  An unknown technique is a ValueError.
     """
+    if technique not in TECHNIQUES:
+        raise ValueError(f"technique must be one of {TECHNIQUES}, got {technique!r}")
     r_dpd, fit = 0.0, None
-    if s.technique in ("dpd", "dpd_companding"):
+    if technique in ("dpd", "dpd_companding"):
         design = _cached_dpd(s.pa, replace(s.ofdm, cp_length=0), s.ibo_db)
         if not design.degenerate:
             r_dpd, fit = design.ibo_reduction_db, design.inverse_fit
@@ -159,17 +152,19 @@ def technique_reductions(s: Scenario) -> tuple[float, float, PolyFit | None]:
     if not _saturating(s.pa):
         return 0.0, 0.0, fit
     r_comp = 0.0
-    if _uses_companding(s.technique):
+    if _uses_companding(technique):
         r_comp = companding_ibo_reduction_db(s.mu)
     if r_dpd + r_comp > s.ibo_db:
-        raise ValueError(f"the {s.technique} technique's back-off reduction of "
+        raise ValueError(f"the {technique} technique's back-off reduction of "
                          f"{r_dpd + r_comp:g} dB runs past ibo_db = {s.ibo_db:g} dB")
     return r_dpd, r_comp, fit
 
 
-def closed_form(s: Scenario, r_dpd: float, r_comp: float) -> tuple[float, float]:
-    """Closed-form (rate in bits/s/Hz, H_P/E) of the scenario's technique
-    at its back-off reductions (see technique_reductions).
+def closed_form(s: Scenario, technique: str, split: SplitConfig, r_dpd: float,
+                r_comp: float) -> tuple[float, float]:
+    """Closed-form (rate in bits/s/Hz, H_P/E) of the technique on the
+    scenario's link behind the splitter split, at its back-off reductions
+    (see technique_reductions).
 
     K_L and sigma_d^2 are the soft-limiter Bussgang values at the back-off
     ibo - r_dpd - r_comp, or (1, 0) for the linear technique and for an
@@ -180,15 +175,15 @@ def closed_form(s: Scenario, r_dpd: float, r_comp: float) -> tuple[float, float]
     power as the maximum power.
     """
     p = s.p_rf_tx
-    if s.technique == "linear" or not _saturating(s.pa):
+    if technique == "linear" or not _saturating(s.pa):
         k_l, sd2 = 1.0, 0.0
     else:
         bp = bussgang_analytic_sl(s.ibo_db - r_dpd - r_comp)
         k_l, sd2 = bp.k_l, bp.sigma_d2
     f = 1.0
-    if _uses_companding(s.technique):
+    if _uses_companding(technique):
         f = mu_law_noise_factor(s.mu)
-    split = replace(s.split, sigma_a2=s.split.sigma_a2 * f)
+    split = replace(split, sigma_a2=split.sigma_a2 * f)
     rate = achievable_rate(sinr(split, k_l, sd2 * f, 1.0, p))
     return rate, harvested(split, k_l, sd2 * f, 1.0, p, EhModel.linear()).h_p_norm
 
@@ -300,8 +295,7 @@ def run_techniques(
         raise ValueError("run_techniques needs at least one receiver")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    scenarios = tuple(replace(s, technique=t) for t in techniques)
-    reductions = [technique_reductions(sk) for sk in scenarios]
+    reductions = [technique_reductions(s, t) for t in techniques]
     n_tech = len(techniques)
     # the distinct channels, each with its numerology and its receivers
     channels = list(dict.fromkeys(spec for spec, _ in receivers))
@@ -432,11 +426,11 @@ def run_techniques(
     for r, (spec, split) in enumerate(receivers):
         c = channels.index(spec)
         row = []
-        for k, sk in enumerate(scenarios):
+        for k, tech in enumerate(techniques):
             r_dpd, r_comp, _ = reductions[k]
-            ibo_eff = sk.ibo_db - r_dpd - r_comp
-            eta1 = efficiency_at_backoff(ibo_eff) if _saturating(sk.pa) else 0.5
-            rate, h_p_norm = closed_form(replace(sk, split=split), r_dpd, r_comp)
+            ibo_eff = s.ibo_db - r_dpd - r_comp
+            eta1 = efficiency_at_backoff(ibo_eff) if _saturating(s.pa) else 0.5
+            rate, h_p_norm = closed_form(s, tech, split, r_dpd, r_comp)
             if split.rho > 0.0:
                 eta3_mc = float(eta3_num[c, k].sum() / eta3_den[c, k].sum())
                 eta3_frames = eta3_num[c, k] / eta3_den[c, k]
@@ -470,9 +464,10 @@ def write_csv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def metrics_to_csv(path, s: Scenario, axis: str, values, rows, comments=()) -> None:
-    """One technique along one axis, rows[i] at values[i], under the
-    provenance of the base scenario s."""
+def metrics_to_csv(path, axis: str, values, rows, cfg_hash: str, seed: int,
+                   comments=()) -> None:
+    """One technique along one axis, rows[i] at values[i], with the
+    provenance header of write_csv."""
     cols = (
         axis, "rate_bps_hz", "h_p_norm", "ber", "eta1", "eta3",
         "eta_e2e", "ibo_reduction_db", "eta3_ci", "ber_ci",
@@ -482,21 +477,22 @@ def metrics_to_csv(path, s: Scenario, axis: str, values, rows, comments=()) -> N
          m.ibo_reduction_db, m.eta3_ci, m.ber_ci)
         for v, m in zip(values, rows)
     ]
-    write_csv(path, cols, rows, config_hash(s), s.seed, comments)
+    write_csv(path, cols, rows, cfg_hash, seed, comments)
 
 
-def append_manifest(path, s: Scenario, axis: str, n_points: int) -> None:
+def append_manifest(path, cfg_hash: str, seed: int, axis: str, n_points: int,
+                    trials: int, technique: str, channel: str) -> None:
     """One JSON line per run: enough provenance to reproduce the file."""
     from . import __version__
 
     entry = {
-        "config_hash": config_hash(s),
-        "seed": s.seed,
+        "config_hash": cfg_hash,
+        "seed": seed,
         "axis": axis,
         "n_points": n_points,
-        "trials": s.trials,
-        "technique": s.technique,
-        "channel": s.channel.kind,
+        "trials": trials,
+        "technique": technique,
+        "channel": channel,
         "versions": {"swiptsim": __version__, "numpy": np.__version__},
     }
     with open(path, "a", encoding="utf-8") as fh:

@@ -33,7 +33,6 @@ class RectennaCurve:
     knots: tuple[float, ...]
     segments: tuple[tuple[float, float, float, float], ...]
     sensitivity_dbm: float
-    saturation_dbm: float
 
     def __post_init__(self) -> None:
         if len(self.segments) != len(self.knots) - 1:
@@ -242,13 +241,8 @@ def load_calibration(path_or_text, where: str = "calibration") -> RectennaCurve:
         coeffs = np.polyfit(powers - powers[0], effs, deg=powers.size - 1)
         seg = np.zeros(4)
         seg[4 - coeffs.size:] = coeffs
-        curve = RectennaCurve(
-            knots=(float(powers[0]), float(powers[-1])),
-            segments=(tuple(seg),),
-            sensitivity_dbm=float(powers[0]),
-            saturation_dbm=float(powers[-1]),
-        )
-        return curve
+        return RectennaCurve(knots=(float(powers[0]), float(powers[-1])),
+                             segments=(tuple(seg),), sensitivity_dbm=float(powers[0]))
 
     if interior is None:
         interior = list(np.linspace(powers[0], powers[-1], 10)[1:-1])
@@ -264,15 +258,7 @@ def load_calibration(path_or_text, where: str = "calibration") -> RectennaCurve:
     keep = np.flatnonzero(np.diff(pp.x) > 0)
     knots = tuple(float(v) for v in np.append(pp.x[keep], pp.x[keep[-1] + 1]))
     segments = tuple(tuple(float(c) for c in pp.c[:, j]) for j in keep)
-
-    dense = np.linspace(powers[0], powers[-1], 4001)
-    fitted = _PiecewiseCubic(knots, segments)(dense)
-    curve = RectennaCurve(
-        knots=knots,
-        segments=segments,
-        sensitivity_dbm=float(powers[0]),
-        saturation_dbm=float(dense[int(np.argmax(fitted))]),
-    )
+    curve = RectennaCurve(knots=knots, segments=segments, sensitivity_dbm=float(powers[0]))
     _validate_curve(curve, where)
     return curve
 
@@ -287,7 +273,6 @@ def default_rectenna() -> RectennaCurve:
         knots=_rectenna_default.KNOTS,
         segments=_rectenna_default.SEGMENTS,
         sensitivity_dbm=_rectenna_default.SENSITIVITY_DBM,
-        saturation_dbm=_rectenna_default.SATURATION_DBM,
     )
     _validate_curve(curve, "default rectenna")
     return curve

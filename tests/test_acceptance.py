@@ -151,14 +151,13 @@ def test_criterion_6_efficiency_table():
 
 def test_criterion_7_qpsk_awgn_ber_oracle():
     s = Scenario(
-        technique="linear",
         channel=ChannelSpec(kind="awgn"),
         split=SplitConfig(rho=0.0, sigma_a2=1.0, sigma_p2=0.0),
         trials=245,
         seed=7,
     )
     points = (0.0, 4.0, 8.0)
-    res = run_techniques(s, (s.technique,), _ebn0_receivers(s, points))
+    res = run_techniques(s, ("linear",), _ebn0_receivers(s, points))
     n_bits = 2 * s.ofdm.n_subcarriers * s.frame_symbols * s.trials
     assert n_bits >= 1_000_000
     devs = []
@@ -240,10 +239,10 @@ def test_criterion_8_property_suite_spot_checks():
 
         rhos = (0.2, 0.5, 0.8)
         receivers = [(base.channel, dataclasses.replace(base.split, rho=rho)) for rho in rhos]
-        rows = [res[0] for res in run_techniques(base, (base.technique,), receivers)]
+        rows = [res[0] for res in run_techniques(base, ("baseline",), receivers)]
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "sweep.csv"
-            metrics_to_csv(path, base, "rho", rhos, rows)
+            metrics_to_csv(path, "rho", rhos, rows, "0123456789ab", base.seed)
             return path.read_bytes()
 
     checks["byte-identical CSV"] = csv_bytes() == csv_bytes()
@@ -267,8 +266,8 @@ _KINDS = ("awgn", "rice_flat", "rayleigh_flat", "rayleigh_multitap")
 
 
 def _eta3_by_channel(mu: float):
-    s = Scenario(technique="companding", mu=mu, trials=50, seed=3)
-    res = run_techniques(s, (s.technique,), _ebn0_receivers(s, (0.0, 4.0, 8.0), _KINDS))
+    s = Scenario(mu=mu, trials=50, seed=3)
+    res = run_techniques(s, ("companding",), _ebn0_receivers(s, (0.0, 4.0, 8.0), _KINDS))
     return {kind: [m.eta3 for (m,) in res[3 * i:3 * i + 3]] for i, kind in enumerate(_KINDS)}
 
 

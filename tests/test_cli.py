@@ -7,7 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
-from importlib import resources
+from importlib import resources, util
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +22,11 @@ from swiptsim.cli import (
     ConfigError,
     _SCHEMA,
     _grid,
-    _hash,
     build_eh,
     build_pa,
     build_scenario,
     cmd_papr,
+    config_hash,
     load_config,
     main,
     validate_config,
@@ -334,8 +334,15 @@ def test_config_hash_covers_calibration_bytes(tmp_path):
     assert main(["papr", "--config", cfg, "--out", str(tmp_path / "p"),
                  "--trials", "10"]) == EXIT_CONFIG
     # without the key the hash is the one of the config dict alone
-    assert _hash({"ofdm": SMALL_OFDM}, 3, None) == "5d3d830c7a87"
-    assert _hash({"eh": {"kind": "linear"}}, 0, 50) == "16d08af444b0"
+    assert config_hash({"ofdm": SMALL_OFDM}, 3, None) == "5d3d830c7a87"
+    assert config_hash({"eh": {"kind": "linear"}}, 0, 50) == "16d08af444b0"
+
+
+def test_config_hash_sensitivity():
+    # the one provenance hash moves with any config value
+    a = config_hash({"scenario": {"mu": 1.25}}, 0, None)
+    assert a != config_hash({"scenario": {"mu": 1.3}}, 0, None)
+    assert len(a) == 12
 
 
 def test_papr_svg_emission(tmp_path):
@@ -573,12 +580,28 @@ def test_e2e_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     assert len(outputs) == 1
 
 
+_SCRIPT = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
+
+
+@pytest.fixture(scope="module")
+def sweep_script():
+    """The rate-energy script as a module, so that its main runs in-process."""
+    spec = util.spec_from_file_location("run_rate_energy_sweep", _SCRIPT)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_script(module, monkeypatch, out: Path, *args: str) -> None:
+    monkeypatch.setattr(sys, "argv", [str(_SCRIPT), *args, "--out", str(out)])
+    module.main()
+
+
 def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
     # the script lengthens the cyclic prefix for a frequency-selective
     # channel as the CLI does
-    script = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--channel", "rayleigh_multitap", "--trials", "2",
+        [sys.executable, str(_SCRIPT), "--channel", "rayleigh_multitap", "--trials", "2",
          "--rho", "0.5", "--out", str(tmp_path)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -588,9 +611,8 @@ def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
 
 def _run_pinned_script(tmp_path, threads):
     """The rate-energy script's CSV bytes and manifest lines on a pinned run."""
-    script = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--channel", "rayleigh_multitap", "--trials", "2",
+        [sys.executable, str(_SCRIPT), "--channel", "rayleigh_multitap", "--trials", "2",
          "--rho", "0.3", "0.6", "--seed", "0", "--threads", str(threads),
          "--out", str(tmp_path)],
         capture_output=True, text=True)
@@ -612,24 +634,57 @@ def test_rate_energy_script_csv_body_is_pinned(tmp_path, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
     # the whole file, provenance line included, and the provenance of
-    # append_manifest, at either worker count
+    # append_manifest, at either worker count: the hash is config_hash of
+    # the script's technique, channel and rho grid, its seed and its trials
     data, (line,) = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "cff1f8307cacdefecd03f958d6736b6a7d31a63fde64d73c3f7883b6a43bea24")
+        "0bcf39537cf46f1637e8a2e89b6c9803035eb19f496426f4c922464f0cbf3d6c")
     entry = json.loads(line)
-    assert (entry["config_hash"], entry["axis"], entry["n_points"]) == ("83658331fcb3", "rho", 2)
+    h = config_hash({"technique": "companding", "channel": "rayleigh_multitap",
+                     "rho": [0.3, 0.6]}, 0, 2)
+    assert h == "910f7d2ac83e"
+    assert (entry["config_hash"], entry["axis"], entry["n_points"]) == (h, "rho", 2)
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--threads"])
-def test_rate_energy_script_rejects_a_zero_count(tmp_path, flag):
-    # a usage error, exit 2 as the CLI's config errors, not a traceback
-    script = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
-    proc = subprocess.run([sys.executable, str(script), flag, "0", "--out", str(tmp_path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert f"{flag} must be at least 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
+@pytest.mark.parametrize("args,message", [
+    (("--trials", "0"), "--trials must be at least 1"),
+    (("--threads", "0"), "--threads must be at least 1"),
+    (("--rho", "1.5"), "--rho must lie in [0, 1]"),
+    (("--rho", "0.5", "nan"), "--rho must lie in [0, 1]"),
+    (("--seed", "-1"), "--seed must be non-negative"),
+], ids=["--trials", "--threads", "--rho=1.5", "--rho=nan", "--seed=-1"])
+def test_rate_energy_script_rejects_a_zero_count(tmp_path, monkeypatch, capsys, sweep_script,
+                                                 args, message):
+    # a usage error, exit 2 as the CLI's config errors, not an exception,
+    # and nothing written
+    with pytest.raises(SystemExit) as exit_info:
+        _run_script(sweep_script, monkeypatch, tmp_path / "out", *args)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# the script on a short run, and a second value of each flag
+_SCRIPT_BASE = {"--technique": "companding", "--channel": "awgn", "--trials": "2",
+                "--seed": "0", "--rho": "0.5", "--threads": "1"}
+_SCRIPT_PROBES = [("--technique", "baseline"), ("--channel", "rayleigh_flat"),
+                  ("--trials", "3"), ("--seed", "1"), ("--rho", "0.25"), ("--threads", "2")]
+
+
+@pytest.mark.parametrize("flag,value", _SCRIPT_PROBES, ids=[p[0] for p in _SCRIPT_PROBES])
+def test_every_script_flag_changes_the_rows(tmp_path, monkeypatch, sweep_script, flag, value):
+    # each flag but --threads moves a row of the CSV; --threads moves no byte
+    files = []
+    for name, flags in (("base", _SCRIPT_BASE), ("probe", {**_SCRIPT_BASE, flag: value})):
+        _run_script(sweep_script, monkeypatch, tmp_path / name,
+                    *(arg for item in flags.items() for arg in item))
+        (path,) = (tmp_path / name).glob("*.csv")
+        files.append(path.read_text().splitlines())
+    if flag == "--threads":
+        assert files[0] == files[1]
+    else:
+        rows = [[ln for ln in lines if not ln.startswith("#")] for lines in files]
+        assert rows[0] != rows[1]
 
 
 _SCIPY_PROBE = """
@@ -714,6 +769,36 @@ def test_dpd_orders_reach_the_design(tmp_path):
     lines = (out / "dpd_design.txt").read_text().splitlines()
     assert "pa_order=3" in lines
     assert "inverse_order=5" in lines
+
+
+def _design_reduction(run_dir: Path, dpd_section: dict, seed: int) -> float:
+    """dpd-design's ibo_reduction_db on SMALL_OFDM."""
+    run_dir.mkdir()
+    cfg = write_cfg(run_dir, {"ofdm": SMALL_OFDM, "dpd": {"reduction_grid_db": [0.0],
+                                                          **dpd_section}})
+    assert main(["dpd-design", "--config", cfg, "--seed", str(seed),
+                 "--out", str(run_dir)]) == EXIT_OK
+    lines = (run_dir / "dpd_design.txt").read_text().splitlines()
+    return float(dict(ln.split("=", 1) for ln in lines[1:])["ibo_reduction_db"])
+
+
+def test_e2e_designs_like_dpd_design_at_seed_zero(tmp_path):
+    # e2e designs on the seed-0 probe at the default orders, whatever
+    # --seed and the dpd section say
+    seed0 = _design_reduction(tmp_path / "seed0", {}, 0)
+    # the seed and the orders do move dpd-design's own design
+    assert _design_reduction(tmp_path / "seed1", {}, 1) != seed0
+    orders = {"pa_order": 3, "inverse_order": 5}
+    assert _design_reduction(tmp_path / "orders", orders, 0) != seed0
+    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "dpd": orders,
+                               "scenario": {"trials": 1, "frame_symbols": 1}})
+    for seed in (1, 2):
+        out = tmp_path / f"e2e-{seed}"
+        assert main(["e2e", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        with open(out / "technique_table.csv", newline="") as fh:
+            rows = {r["technique"]: r for r in csv.DictReader(ln for ln in fh
+                                                               if not ln.startswith("#"))}
+        assert float(rows["dpd"]["ibo_reduction_db"]) == float(format(seed0, ".10g"))
 
 
 def test_grid_triples_and_literal_lists():

@@ -23,7 +23,6 @@ from swiptsim.experiments import (
     append_manifest,
     channel_ofdm,
     closed_form,
-    config_hash,
     metrics_to_csv,
     noise_for_ebn0,
     run_techniques,
@@ -37,8 +36,6 @@ from swiptsim.pa import PaModel, amplify, bussgang_analytic_sl
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        Scenario(technique="beamforming")
     with pytest.raises(ValueError):
         Scenario(trials=0)
     with pytest.raises(ValueError):
@@ -74,50 +71,49 @@ def test_channel_ofdm_lengthens_the_prefix_for_multitap_only():
 
 
 def test_technique_reductions():
-    base = Scenario(technique="baseline")
-    r_dpd, r_comp, fit = technique_reductions(base)
+    s = Scenario()
+    r_dpd, r_comp, fit = technique_reductions(s, "baseline")
     assert (r_dpd, r_comp, fit) == (0.0, 0.0, None)
 
-    dpd = Scenario(technique="dpd")
-    r_dpd, r_comp, fit = technique_reductions(dpd)
-    ref = design_from_scratch(dpd.pa, dpd.ofdm, baseline_ibo_db=8.0)
+    r_dpd, r_comp, fit = technique_reductions(s, "dpd")
+    ref = design_from_scratch(s.pa, s.ofdm, baseline_ibo_db=8.0)
     assert r_dpd == pytest.approx(ref.ibo_reduction_db, abs=1e-9)
     assert r_dpd == pytest.approx(2.477963727712632, abs=1e-6)
     assert r_comp == 0.0
     # the chain applies the design's inverse fit
     assert fit == ref.inverse_fit
 
-    comp = Scenario(technique="companding", mu=1.25)
-    r_dpd, r_comp, fit = technique_reductions(comp)
+    r_dpd, r_comp, fit = technique_reductions(Scenario(mu=1.25), "companding")
     assert r_dpd == 0.0
     assert r_comp == pytest.approx(1.6322012537441974, abs=1e-9)
     assert fit is None
 
-    both = Scenario(technique="dpd_companding")
-    r_dpd, r_comp, fit = technique_reductions(both)
+    r_dpd, r_comp, fit = technique_reductions(s, "dpd_companding")
     assert r_dpd > 0.0 and r_comp > 0.0
     assert fit == ref.inverse_fit
+
+    with pytest.raises(ValueError, match="technique must be one of"):
+        technique_reductions(s, "beamforming")
 
 
 def test_degenerate_design_has_no_predistorter():
     # a linear amplifier leaves nothing to predistort: the design is
     # degenerate, so the chain runs without a fit and claims no reduction
     linear_pa = PaModel.polynomial((0.0, 1.0))
-    s = Scenario(technique="dpd", pa=linear_pa, ofdm=OfdmConfig(n_subcarriers=64,
-                                                               oversampling_factor=2))
+    s = Scenario(pa=linear_pa, ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2))
     assert experiments._cached_dpd(linear_pa, s.ofdm, s.ibo_db).degenerate
-    assert technique_reductions(s) == (0.0, 0.0, None)
+    assert technique_reductions(s, "dpd") == (0.0, 0.0, None)
 
 
 def test_explicit_reduction_override():
-    s = Scenario(technique="companding", ibo_reduction_db=3.0)
-    r_dpd, r_comp, _ = technique_reductions(s)
+    s = Scenario(ibo_reduction_db=3.0)
+    r_dpd, r_comp, _ = technique_reductions(s, "companding")
     assert (r_dpd, r_comp) == (3.0, 0.0)
 
 
 def test_non_saturating_pa_has_no_reduction():
-    s = Scenario(technique="companding", pa=PaModel.polynomial((0.0, 1.0)))
-    r_dpd, r_comp, design = technique_reductions(s)
+    s = Scenario(pa=PaModel.polynomial((0.0, 1.0)))
+    r_dpd, r_comp, design = technique_reductions(s, "companding")
     assert (r_dpd, r_comp, design) == (0.0, 0.0, None)
 
 
@@ -125,7 +121,7 @@ def test_closed_form_bussgang_and_expander_factor():
     # K_L and sigma_d^2 come from the soft-limiter formula at the technique's
     # back-off, (1, 0) for the linear technique; a companded technique also
     # scales the antenna noise and the distortion by the expander's factor
-    base = Scenario(technique="baseline", split=SplitConfig(rho=0.5))
+    base = Scenario(split=SplitConfig(rho=0.5))
     p = base.p_rf_tx
 
     def plain(split, k_l, sd2):
@@ -133,22 +129,23 @@ def test_closed_form_bussgang_and_expander_factor():
                 harvested(split, k_l, sd2, 1.0, p, EhModel.linear()).h_p_norm)
 
     bp = bussgang_analytic_sl(8.0)
-    assert closed_form(base, 0.0, 0.0) == plain(base.split, bp.k_l, bp.sigma_d2)
-    assert closed_form(replace(base, technique="linear"), 0.0, 0.0) == plain(base.split, 1.0, 0.0)
+    assert closed_form(base, "baseline", base.split, 0.0, 0.0) == plain(
+        base.split, bp.k_l, bp.sigma_d2)
+    assert closed_form(base, "linear", base.split, 0.0, 0.0) == plain(base.split, 1.0, 0.0)
 
-    comp = replace(base, technique="companding")
-    bp_c = analytic_companded_bussgang(comp.mu, 8.0)
-    f = mu_law_noise_factor(comp.mu)
+    bp_c = analytic_companded_bussgang(base.mu, 8.0)
+    f = mu_law_noise_factor(base.mu)
     inflated = replace(base.split, sigma_a2=base.split.sigma_a2 * f)
-    assert closed_form(comp, 0.0, technique_reductions(comp)[1]) == plain(
+    r_comp = technique_reductions(base, "companding")[1]
+    assert closed_form(base, "companding", base.split, 0.0, r_comp) == plain(
         inflated, bp_c.k_l, bp_c.sigma_d2 * f)
 
 
 def test_linear_technique_radiates_the_frames(monkeypatch):
     # the ideal amplifier passes the synthesized frames through untouched:
     # no amplify call, and the channel sees exactly the frames of the bits
-    s = Scenario(technique="linear", ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2),
-                 trials=2, frame_symbols=2)
+    s = Scenario(ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2), trials=2,
+                 frame_symbols=2)
     seen = []
     real_apply = experiments.apply_channel
 
@@ -183,17 +180,16 @@ def test_companded_drive_radiates_hotter():
 
 
 def test_run_scenario_deterministic():
-    s = Scenario(technique="companding", trials=5, seed=42,
-                 channel=ChannelSpec(kind="rayleigh_flat"))
-    ((a,),) = run_techniques(s, (s.technique,))
-    ((b,),) = run_techniques(s, (s.technique,))
+    s = Scenario(trials=5, seed=42, channel=ChannelSpec(kind="rayleigh_flat"))
+    ((a,),) = run_techniques(s, ("companding",))
+    ((b,),) = run_techniques(s, ("companding",))
     assert a == b
 
 
 def test_run_scenario_rho_zero_harvests_nothing():
     s = Scenario(trials=2, split=SplitConfig(rho=0.0, sigma_a2=1e-3,
                                              sigma_p2=0.0))
-    ((m,),) = run_techniques(s, (s.technique,))
+    ((m,),) = run_techniques(s, ("baseline",))
     assert m.eta3 == 0.0
     assert m.eta_e2e == 0.0
 
@@ -227,9 +223,9 @@ def test_sweep_validation():
 
 
 def _rho_sweep(base, rhos, threads=1):
-    # one technique along rho: one receiver per point on the base's channel
+    # the baseline along rho: one receiver per point on the base's channel
     receivers = [(base.channel, replace(base.split, rho=rho)) for rho in rhos]
-    return [res[0] for res in run_techniques(base, (base.technique,), receivers, threads)]
+    return [res[0] for res in run_techniques(base, ("baseline",), receivers, threads)]
 
 
 def test_sweep_rows_follow_axis_order():
@@ -253,12 +249,13 @@ def test_sweep_threads_match_serial():
 def test_sweep_csv_byte_identical(tmp_path):
     base = Scenario(trials=3, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    metrics_to_csv(p1, base, "rho", (0.2, 0.5, 0.8), _rho_sweep(base, (0.2, 0.5, 0.8)))
-    metrics_to_csv(p2, base, "rho", (0.2, 0.5, 0.8), _rho_sweep(base, (0.2, 0.5, 0.8)))
+    for path in (p1, p2):
+        metrics_to_csv(path, "rho", (0.2, 0.5, 0.8), _rho_sweep(base, (0.2, 0.5, 0.8)),
+                       "0123456789ab", base.seed)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     header = b1.decode().splitlines()
-    assert header[0] == f"# config_hash={config_hash(base)} seed=9"
+    assert header[0] == "# config_hash=0123456789ab seed=9"
     assert header[1].split(",")[0] == "rho"
     assert len(header) == 2 + 3
 
@@ -269,8 +266,8 @@ def test_ci_shrinks_with_trials():
     ratios = []
     for seed in (11, 12, 13):
         base = Scenario(channel=ChannelSpec(kind="rayleigh_flat"), seed=seed)
-        small = run_techniques(replace(base, trials=40), (base.technique,))[0][0].eta3_ci
-        big = run_techniques(replace(base, trials=160), (base.technique,))[0][0].eta3_ci
+        small = run_techniques(replace(base, trials=40), ("baseline",))[0][0].eta3_ci
+        big = run_techniques(replace(base, trials=160), ("baseline",))[0][0].eta3_ci
         ratios.append(small / big)
     geomean = float(np.exp(np.mean(np.log(ratios))))
     assert geomean == pytest.approx(1.8006192433068842, rel=1e-9)
@@ -290,26 +287,15 @@ def test_write_csv_provenance(tmp_path):
 
 def test_append_manifest(tmp_path):
     path = tmp_path / "manifest.jsonl"
-    s = Scenario(trials=1, channel=ChannelSpec(kind="awgn"))
-    append_manifest(path, s, "rho", 2)
-    append_manifest(path, s, "rho", 2)
+    for _ in range(2):
+        append_manifest(path, "0123456789ab", 4, "rho", 2, 1, "baseline", "awgn")
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     entry = json.loads(lines[0])
-    assert entry["config_hash"] == config_hash(s)
-    assert entry["seed"] == s.seed
-    assert entry["axis"] == "rho"
-    assert entry["n_points"] == 2
-    assert entry["technique"] == "baseline"
-    assert entry["channel"] == "awgn"
-    assert set(entry["versions"]) == {"swiptsim", "numpy"}
-
-
-def test_config_hash_sensitivity():
-    a = config_hash(Scenario())
-    b = config_hash(Scenario(mu=1.3))
-    assert a != b
-    assert len(a) == 12
+    versions = entry.pop("versions")
+    assert entry == {"config_hash": "0123456789ab", "seed": 4, "axis": "rho", "n_points": 2,
+                     "trials": 1, "technique": "baseline", "channel": "awgn"}
+    assert set(versions) == {"swiptsim", "numpy"}
 
 
 def _assert_same_metrics(a, b):
@@ -438,12 +424,8 @@ def test_table_pipeline_matches_per_technique_runs():
     (table,) = run_techniques(replace(base, trials=3, seed=3), TABLE_TECHNIQUES)
     for tech, m in zip(TABLE_TECHNIQUES, table):
         _assert_same_metrics(m, run_techniques(replace(base, trials=3, seed=3), (tech,))[0][0])
-    # the provenance hashes of the four technique scenarios, and the eta3
-    # values of the common-random-number stream layout (the two DPD values
-    # as of the single-map predistorted chain of pa.amplify)
-    assert [config_hash(replace(base, technique=tech, trials=3, seed=3))
-            for tech in TABLE_TECHNIQUES] == [
-        "5b98069f1af4", "c1b8ccff4532", "6886a07733d4", "cb29c4bf1d9f"]
+    # the eta3 values of the common-random-number stream layout (the two
+    # DPD values as of the single-map predistorted chain of pa.amplify)
     assert [m.eta3 for m in table] == [
         0.44047054453969364, 0.4368667149205252, 0.44569522164387027, 0.4466932141896164]
 

@@ -41,7 +41,6 @@ def test_default_curve_goldens():
     assert float(curve.eta3(-35.0)) == pytest.approx(0.0007479735287314906, abs=1e-9)
     assert float(curve.eta3(-40.0)) == 0.0
     assert curve.sensitivity_dbm == -35.0
-    assert curve.saturation_dbm == pytest.approx(2.785, abs=1e-6)
     grid = np.arange(-35.0, 21.0)
     vals = curve.eta3(grid)
     assert grid[int(np.argmax(vals))] == 3.0
@@ -81,7 +80,6 @@ def test_default_curve_is_the_fit_of_the_packaged_csv():
     assert frozen.knots == fitted.knots
     assert frozen.segments == fitted.segments
     assert frozen.sensitivity_dbm == fitted.sensitivity_dbm
-    assert frozen.saturation_dbm == fitted.saturation_dbm
 
 
 def test_piecewise_kernel_matches_scipy_ppoly():
@@ -115,7 +113,7 @@ def test_piecewise_kernel_matches_ppoly_on_uneven_knots():
         knots = np.cumsum(np.concatenate([[-40.0], 10.0 ** rng.uniform(-6, 1, 60)]))
         segments = rng.normal(size=(knots.size - 1, 4))
         curve = RectennaCurve(knots=tuple(knots), segments=tuple(map(tuple, segments)),
-                              sensitivity_dbm=knots[0], saturation_dbm=knots[-1])
+                              sensitivity_dbm=knots[0])
         assert curve._cubic.steps > 1
         x = np.concatenate([rng.uniform(knots[0], knots[-1], 10**5), knots,
                             np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
@@ -184,10 +182,10 @@ def test_calibration_rejects_rising_tail():
 def test_curve_shape_validation():
     with pytest.raises(ValueError, match="segment"):
         RectennaCurve(knots=(0.0, 1.0, 2.0), segments=((0, 0, 0, 0.5),),
-                      sensitivity_dbm=0.0, saturation_dbm=1.0)
+                      sensitivity_dbm=0.0)
     with pytest.raises(ValueError, match="ascending"):
         RectennaCurve(knots=(1.0, 1.0), segments=((0, 0, 0, 0.5),),
-                      sensitivity_dbm=0.0, saturation_dbm=1.0)
+                      sensitivity_dbm=0.0)
 
 
 def test_linear_model_harvest():

@@ -130,14 +130,15 @@ def test_sinr_degenerate_cases():
 
 
 def _companded(split):
-    """A companded technique on an amplifier that does not saturate, so
-    its closed form has K_L = 1 and no distortion."""
-    return Scenario(technique="companding", pa=PaModel.polynomial((0.0, 1.0)), split=split)
+    """The closed form of the companded technique on an amplifier that does
+    not saturate, so that K_L = 1 and there is no distortion."""
+    return closed_form(Scenario(pa=PaModel.polynomial((0.0, 1.0))), "companding", split,
+                       0.0, 0.0)
 
 
 def test_companded_sinr_golden_and_noise_inflation():
     split = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)
-    rate, _ = closed_form(_companded(split), 0.0, 0.0)
+    rate, _ = _companded(split)
     s = 2.0**rate - 1.0
     assert s == pytest.approx(397.44561957530163, rel=1e-12)
     # expansion scales antenna noise and distortion but not the
@@ -173,7 +174,7 @@ def test_harvested_goldens_and_limits():
     split = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)
     plain = harvested(split, k_l=1.0, sigma_d2=0.0)
     assert plain.h_p_norm == pytest.approx(0.25075, rel=1e-12)
-    _, comp = closed_form(_companded(split), 0.0, 0.0)
+    _, comp = _companded(split)
     assert comp == pytest.approx(0.25062901687095496, rel=1e-12)
 
     ideal = harvested(SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=0.0),
