@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate src/swiptsim/data/rectenna_default.csv and its fitted curve.
+"""Regenerate src/swiptsim/data/rectenna_default.csv.
 
 The default rectenna curve is a logistic rise times a logistic fall,
 
@@ -11,11 +11,8 @@ solved (see --resolve) so that the curve passes through eta3 = 0.434 at
 OFDM envelope whose mean power is normalized to 0 dBm.  The fall side is
 shaped to put the peak near +3.5 dBm with a breakdown-like decline.
 
-Every run also fits the written CSV (the same spline fit as any
-calibration file, which needs scipy) and writes the knots and segments as
-repr floats to src/swiptsim/_rectenna_default.py; the package reads the
-default curve from that module, so the two files are always regenerated
-together.
+The package uses the written rows as they are, interpolated linearly in
+dBm.  Writing the CSV needs only numpy; --resolve also needs scipy.
 
 Run from the repo root:
 
@@ -31,7 +28,6 @@ import numpy as np
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "swiptsim"
 sys.path.insert(0, str(PACKAGE.parent))
 CSV_PATH = PACKAGE / "data" / "rectenna_default.csv"
-MODULE_PATH = PACKAGE / "_rectenna_default.py"
 
 RISE_C = 1.290
 RISE_W = 5.0
@@ -40,7 +36,6 @@ FALL_W = 2.2
 SCALE = 1.0609
 SENSITIVITY_DBM = -35.0
 GRID_DBM = np.arange(-35.0, 25.0 + 0.5, 1.0)
-INTERIOR_KNOTS = [-30, -25, -20, -15, -10, -7, -4, -2, 0, 2, 4, 6, 8, 10, 13, 16, 20]
 
 TARGET_ETA3_AT_0DBM = 0.434
 
@@ -90,6 +85,12 @@ def main():
     if args.resolve:
         resolve_anchors()
 
+    CSV_PATH.write_text(calibration_csv(), encoding="utf-8")
+    print(f"wrote {CSV_PATH} ({len(GRID_DBM)} rows)")
+
+
+def calibration_csv() -> str:
+    """The text of the default calibration: eta3_analytic on GRID_DBM."""
     eta = eta3_analytic(GRID_DBM)
     lines = [
         "# default rectenna calibration: logistic rise x logistic fall",
@@ -97,37 +98,10 @@ def main():
         f"scale={SCALE} sensitivity_dbm={SENSITIVITY_DBM}",
         "# anchored so eta3(0 dBm) = 0.434 pointwise and power-weighted over",
         "# a clipped OFDM envelope at 0 dBm mean",
-        "# knots: " + ",".join(str(k) for k in INTERIOR_KNOTS),
         "p_in_dbm,eta3",
     ]
     for p, e in zip(GRID_DBM, eta):
         lines.append(f"{p:.1f},{e:.8f}")
-    CSV_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {CSV_PATH} ({len(GRID_DBM)} rows)")
-    MODULE_PATH.write_text(frozen_module(CSV_PATH), encoding="utf-8")
-    print(f"wrote {MODULE_PATH}")
-
-
-def frozen_module(csv_path: pathlib.Path) -> str:
-    """Source of the module holding the fitted curve of csv_path."""
-    from swiptsim.harvester import load_calibration
-
-    curve = load_calibration(csv_path)
-    lines = [
-        '"""The default rectenna curve: the fit of data/rectenna_default.csv.',
-        "",
-        "Generated by scripts/build_rectenna_calibration.py together with the CSV;",
-        "do not edit.  Each segment is (c3, c2, c1, c0) in powers of p - knot.",
-        '"""',
-        "",
-        "KNOTS = (",
-        *(f"    {k!r}," for k in curve.knots),
-        ")",
-        "SEGMENTS = (",
-        *(f"    ({', '.join(repr(c) for c in seg)})," for seg in curve.segments),
-        ")",
-        f"SENSITIVITY_DBM = {curve.sensitivity_dbm!r}",
-    ]
     return "\n".join(lines) + "\n"
 
 

@@ -132,12 +132,14 @@ def class_a_efficiency(papr_db: float) -> float:
 
 
 def efficiency_at_backoff(ibo_db: float) -> float:
-    """Average class-A efficiency at an operating input back-off.
+    """Average efficiency at an operating input back-off,
+    eta_max * 10^(-ibo_db/20).
 
     Backing the drive off by ibo_db leaves the amplitude headroom
-    nu = 10^(ibo_db/20), and the average efficiency of the class-A stage
-    operated at that headroom is eta_max / nu. This is the efficiency
-    bookkeeping used for the technique comparison tables.
+    nu = 10^(ibo_db/20), and the efficiency is taken as eta_max / nu: an
+    amplitude (class-B-like) law, unlike class_a_efficiency's power law
+    eta_max / PAPR. This is the efficiency bookkeeping used for the
+    technique comparison tables.
     """
     if ibo_db < 0:
         raise ValueError("ibo_db must be non-negative")

@@ -225,6 +225,9 @@ def test_main_exit_codes(tmp_path, capsys):
         # a key that the chosen kind does not read
         ("rate-energy", {"eh": {"eta3_linear": 2}}, "eh.eta3_linear"),
         ("rate-energy", {"eh": {"kind": "linear", "calibration": "cal.csv"}}, "eh.calibration"),
+        # a non-finite calibration power, named by file and line
+        ("rate-energy", {"eh": {"calibration": "p_in_dbm,eta3\n-10,0.1\nnan,0.2\n10,0.3\n"}},
+         "calibration:3: non-finite"),
         ("rate-energy", {"pa": {"coeffs": [1]}}, "pa.coeffs"),
         ("rate-energy", {"pa": {"kind": "soft_limiter", "smoothness": 2.0}}, "pa.smoothness"),
         ("rate-energy", {"pa": {"kind": "polynomial", "coeffs": [0, 1], "smoothness": 2.0}},
@@ -460,8 +463,8 @@ _MC_DIGEST_CFG = {
 }
 _MC_CSV_SHA256 = {
     "ber_curves.csv": "c3a3aa9f3cfafbb67f7499458bd6e09fd3fdd4663210b4c26cfd69e07e0e5281",
-    "technique_table.csv": "cfff130c03d8c07cfe65951f5ea7a473fb5e53d321d4fe4af5e3b65dd01a3a5b",
-    "channel_metrics.csv": "78399601fcb6233cf30981aa16e893b9160945d74a692c61e790216b78fc45f3",
+    "technique_table.csv": "61f2fc4ab2b97c9faeddab2df782d555def6f4d8d30beb10ec19eb56565963e3",
+    "channel_metrics.csv": "80875b5c1b2c22feb549d0f210107ee351ef41131710f1bec212ac6ba53da811",
 }
 
 
@@ -628,7 +631,7 @@ def test_rate_energy_script_csv_body_is_pinned(tmp_path, threads):
     data, _ = _run_pinned_script(tmp_path, threads)
     body = data.split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == (
-        "7f90c08440eced7effb6b161a2bfbfc013da95ac36f1dbd670e9af1f8da2f0f6")
+        "a8e3635ea9eedd1068dc39c3c1aced05750ca96d4ea9264f495fa7c45cb18f3e")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -638,7 +641,7 @@ def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
     # the script's technique, channel and rho grid, its seed and its trials
     data, (line,) = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "0bcf39537cf46f1637e8a2e89b6c9803035eb19f496426f4c922464f0cbf3d6c")
+        "c75e0cf21c0c9742f14b182a5cac48394c43d5bd8ac55d3492ad211a283d4b26")
     entry = json.loads(line)
     h = config_hash({"technique": "companding", "channel": "rayleigh_multitap",
                      "rho": [0.3, 0.6]}, 0, 2)
@@ -707,8 +710,8 @@ def _scipy_after(tmp_path, cfg: dict, commands: tuple[str, ...]):
 
 
 def test_runtime_loads_no_scipy(tmp_path):
-    # scipy costs about 0.6 s and 45 MB on import: the package imports it
-    # only to fit a user calibration file
+    # scipy costs about 0.6 s and 45 MB on import: no command imports it,
+    # a calibration file included
     small = {
         "ofdm": SMALL_OFDM,
         "scenario": {"trials": 2, "frame_symbols": 1},
@@ -722,15 +725,12 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert codes == [EXIT_OK] * 6
     assert loaded == []
 
-
-def test_calibration_file_fits_with_scipy(tmp_path):
-    csv_text = (resources.files("swiptsim") / "data" / "rectenna_default.csv").read_text()
     cal = tmp_path / "cal.csv"
-    cal.write_text(csv_text)
+    cal.write_text((resources.files("swiptsim") / "data" / "rectenna_default.csv").read_text())
     cfg = {"ofdm": SMALL_OFDM, "eh": {"calibration": str(cal)}}
     codes, loaded = _scipy_after(tmp_path, cfg, ("rate-energy",))
     assert codes == [EXIT_OK]
-    assert "scipy.interpolate" in loaded
+    assert loaded == []
     # the same curve as the packaged default
     assert build_eh(cfg).curve == EhModel.default().curve
 

@@ -1,4 +1,5 @@
-from importlib import resources
+from importlib import resources, util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from swiptsim.harvester import (
 from swiptsim.link import SplitConfig, harvested
 
 TWO_POINT = "p_in_dbm,eta3\n-10.0,0.1\n10.0,0.3\n"
+_BUILD_SCRIPT = Path(__file__).parents[1] / "scripts" / "build_rectenna_calibration.py"
 
 
 def test_watts_to_dbm():
@@ -36,23 +38,26 @@ def test_model_validation():
 
 
 def test_default_curve_goldens():
+    # the packaged rows themselves: 0 dBm, the sensitivity and the peak row
     curve = default_rectenna()
-    assert float(curve.eta3(0.0)) == pytest.approx(0.4339823331975482, abs=1e-9)
-    assert float(curve.eta3(-35.0)) == pytest.approx(0.0007479735287314906, abs=1e-9)
+    assert float(curve.eta3(0.0)) == 0.43401552
+    assert float(curve.eta3(-35.0)) == 0.00074689
     assert float(curve.eta3(-40.0)) == 0.0
     assert curve.sensitivity_dbm == -35.0
     grid = np.arange(-35.0, 21.0)
     vals = curve.eta3(grid)
     assert grid[int(np.argmax(vals))] == 3.0
-    assert float(vals.max()) == pytest.approx(0.4939396952058397, abs=1e-9)
+    assert float(vals.max()) == 0.49396245
+    # linear in dBm between rows
+    assert float(curve.eta3(2.5)) == pytest.approx((0.48871954 + 0.49396245) / 2, abs=1e-15)
 
 
 def test_default_curve_flat_extrapolation_warns():
     curve = default_rectenna()
     high = float(curve.eta3(25.0))  # last calibrated point, no warning yet
-    assert high == pytest.approx(0.00019084701756307888, abs=1e-9)
+    assert high == 0.00018668
     with pytest.warns(RuntimeWarning, match="calibrated range"):
-        assert float(curve.eta3(30.0)) == pytest.approx(high, abs=1e-15)
+        assert float(curve.eta3(30.0)) == high
 
 
 def test_default_curve_reproduces_its_own_table():
@@ -67,63 +72,17 @@ def test_default_curve_reproduces_its_own_table():
         rows.append((float(row[0]), float(row[1])))
     powers = np.array([r[0] for r in rows])
     effs = np.array([r[1] for r in rows])
-    drift = np.max(np.abs(curve.eta3(powers) - effs))
-    assert drift < 1e-3
+    assert np.array_equal(curve.eta3(powers), effs)
 
 
-def test_default_curve_is_the_fit_of_the_packaged_csv():
-    # the frozen module and the CSV are regenerated together; editing one
+def test_default_curve_is_the_build_script_table():
+    # the packaged CSV is what the build script writes; editing either
     # alone fails here
-    csv_path = resources.files("swiptsim") / "data" / "rectenna_default.csv"
-    fitted = load_calibration(csv_path)
-    frozen = default_rectenna()
-    assert frozen.knots == fitted.knots
-    assert frozen.segments == fitted.segments
-    assert frozen.sensitivity_dbm == fitted.sensitivity_dbm
-
-
-def test_piecewise_kernel_matches_scipy_ppoly():
-    from scipy.interpolate import PPoly
-
-    curve = default_rectenna()
-    knots = np.asarray(curve.knots)
-    pp = PPoly(np.array(curve.segments).T, knots)
-    rng = np.random.default_rng(0)
-    x = np.concatenate([
-        rng.uniform(knots[0] - 5.0, knots[-1] + 5.0, 10**6),
-        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
-        [-np.inf, np.inf, np.nan],
-    ])
-    # the kernel clips to the knot range, as eta3 did before calling PPoly
-    inside = np.clip(x, knots[0], knots[-1])
-    assert np.array_equal(curve._cubic(x), pp(inside), equal_nan=True)
-    # any shape, as eta3 is called on blocks of frames
-    block = x[:6000].reshape(3, 2000)
-    assert np.array_equal(curve._cubic(block), pp(inside[:6000]).reshape(3, 2000))
-    assert curve._cubic(1.5) == pp(1.5)
-
-
-def test_piecewise_kernel_matches_ppoly_on_uneven_knots():
-    # knot gaps over seven decades: the search grid is capped and takes
-    # several refinement steps per point
-    from scipy.interpolate import PPoly
-
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        knots = np.cumsum(np.concatenate([[-40.0], 10.0 ** rng.uniform(-6, 1, 60)]))
-        segments = rng.normal(size=(knots.size - 1, 4))
-        curve = RectennaCurve(knots=tuple(knots), segments=tuple(map(tuple, segments)),
-                              sensitivity_dbm=knots[0])
-        assert curve._cubic.steps > 1
-        x = np.concatenate([rng.uniform(knots[0], knots[-1], 10**5), knots,
-                            np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
-        inside = np.clip(x, knots[0], knots[-1])
-        assert np.array_equal(curve._cubic(x), PPoly(segments.T, knots)(inside))
-
-
-def test_default_curve_knot_count():
-    # 17 interior fit knots plus the two boundaries
-    assert len(default_rectenna().knots) == 19
+    spec = util.spec_from_file_location("build_rectenna_calibration", _BUILD_SCRIPT)
+    script = util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    csv_text = (resources.files("swiptsim") / "data" / "rectenna_default.csv").read_text()
+    assert script.calibration_csv() == csv_text
 
 
 def test_two_point_calibration_is_exact_line():
@@ -162,14 +121,6 @@ def test_calibration_rejects_single_point():
         load_calibration("p_in_dbm,eta3\n0,0.1\n")
 
 
-def test_calibration_rejects_knots_outside_range():
-    text = "# knots: 50\np_in_dbm,eta3\n" + "\n".join(
-        f"{p},{0.1 + 0.01 * i}" for i, p in enumerate(range(-10, 11, 2))
-    )
-    with pytest.raises(ValueError, match="outside the data range"):
-        load_calibration(text)
-
-
 def test_calibration_rejects_rising_tail():
     # efficiency that keeps rising to the edge has no interior maximum
     powers = np.linspace(-20, 20, 30)
@@ -179,13 +130,43 @@ def test_calibration_rejects_rising_tail():
         load_calibration(text)
 
 
+@pytest.mark.parametrize("line,row", [
+    (3, "nan,0.2"), (3, "inf,0.2"), (4, "nan,0.3"), (4, "inf,0.3"), (3, "0,nan"),
+], ids=["interior-nan", "interior-inf", "last-nan", "last-inf", "efficiency-nan"])
+def test_calibration_rejects_non_finite_values(line, row):
+    # rejected with file and line; a last-row inf power would pass the
+    # ascending check and read as a flat last segment
+    rows = ["p_in_dbm,eta3", "-10,0.1", "0,0.2", "10,0.3"]
+    rows[line - 1] = row
+    with pytest.raises(ValueError, match=f"calibration:{line}: non-finite"):
+        load_calibration("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("effs,message", [
+    ((0.1, 0.5, 0.3, 0.31), "rises again past its maximum"),
+    ((0.1, 0.09, 0.5, 0.3), "not single-peaked"),
+    ((0.1, 0.5, 0.3, 0.3000005), None),  # within the 1e-6 tolerance
+    ((0.1, 0.0995, 0.5, 0.3), None),  # within the 1e-3 tolerance
+    ((0.1, 0.2, 0.3), None),  # under four rows: taken as given
+])
+def test_calibration_shape_checks_apply_to_the_rows(effs, message):
+    text = "p_in_dbm,eta3\n" + "\n".join(f"{p},{e}" for p, e in zip(range(-10, 10, 5), effs))
+    if message is None:
+        assert load_calibration(text).efficiency == effs
+    else:
+        with pytest.raises(ValueError, match=message):
+            load_calibration(text)
+
+
 def test_curve_shape_validation():
-    with pytest.raises(ValueError, match="segment"):
-        RectennaCurve(knots=(0.0, 1.0, 2.0), segments=((0, 0, 0, 0.5),),
-                      sensitivity_dbm=0.0)
+    with pytest.raises(ValueError, match="one efficiency per power"):
+        RectennaCurve(p_in_dbm=(0.0, 1.0, 2.0), efficiency=(0.5, 0.5))
     with pytest.raises(ValueError, match="ascending"):
-        RectennaCurve(knots=(1.0, 1.0), segments=((0, 0, 0, 0.5),),
-                      sensitivity_dbm=0.0)
+        RectennaCurve(p_in_dbm=(1.0, 1.0), efficiency=(0.5, 0.5))
+    with pytest.raises(ValueError, match="ascending"):
+        RectennaCurve(p_in_dbm=(1.0, float("nan")), efficiency=(0.5, 0.5))
+    with pytest.raises(ValueError, match="two calibration points"):
+        RectennaCurve(p_in_dbm=(1.0,), efficiency=(0.5,))
 
 
 def test_linear_model_harvest():
