@@ -710,8 +710,7 @@ def _scipy_after(tmp_path, cfg: dict, commands: tuple[str, ...]):
 
 
 def test_runtime_loads_no_scipy(tmp_path):
-    # scipy costs about 0.6 s and 45 MB on import: no command imports it,
-    # a calibration file included
+    # scipy costs about 0.6 s and 45 MB on import: no command imports it
     small = {
         "ofdm": SMALL_OFDM,
         "scenario": {"trials": 2, "frame_symbols": 1},
@@ -725,6 +724,10 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert codes == [EXIT_OK] * 6
     assert loaded == []
 
+
+def test_calibration_file_fits_with_scipy(tmp_path):
+    # the name is from when a calibration file was spline-fit with scipy;
+    # its rows are now interpolated, so a calibration file loads no scipy either
     cal = tmp_path / "cal.csv"
     cal.write_text((resources.files("swiptsim") / "data" / "rectenna_default.csv").read_text())
     cfg = {"ofdm": SMALL_OFDM, "eh": {"calibration": str(cal)}}
