@@ -7,7 +7,7 @@ dpd-design   Predistorter design: fit file plus an EVM/efficiency table.
 mu-sweep     Post-expansion SNR, PAPR reduction, and cascade gain vs mu.
 e2e          Four-technique efficiency table plus per-channel metrics.
 ber          BER vs Eb/N0 per technique and channel.
-rate-energy  Closed-form rate and H_P/E vs splitting ratio.
+rate-energy  Measured rate and H_P/E vs splitting ratio.
 
 Configuration is a JSON object; every key is optional and unknown keys
 are rejected with their location.  Schema (defaults in parentheses):
@@ -17,10 +17,12 @@ are rejected with their location.  Schema (defaults in parentheses):
   pa:          kind ("sspa" | "soft_limiter" | "polynomial"), a_sat (1.0),
                smoothness (1.2; sspa only), coeffs (polynomial only: a
                non-empty list of finite numbers), ibo_db (8.0, >= 0); finite
-  split:       rho (1 - 1e-6), sigma_a2 (1e-3), sigma_p2 (1e-3); finite
+  split:       rho (1 - 1e-6), sigma_a2 (1e-3), sigma_p2 (1e-3); finite;
+               the noise powers are relative to the nominal transmit power
+               (the baseline amplifier's mean output)
   channel:     kind ("awgn"), rice_k_db (20), pdp_db ([0,-10,-20]; a list
                of finite numbers starting at 0)
-  scenario:    mu (1.25, finite and > 0), p_rf_tx_dbm (30, finite),
+  scenario:    mu (1.25, finite and > 0),
                trials (50), frame_symbols (4) (integers >= 1),
                ibo_reduction_db (null, or finite and at most pa.ibo_db)
   eh:          kind ("curve" | "linear"), eta3_linear (0.5; linear only),
@@ -41,7 +43,8 @@ are rejected with their location.  Schema (defaults in parentheses):
                point) and reads no eh key
   rate_energy: rho_grid (0..0.9 plus 1-10^-k tail; non-empty, in [0, 1]),
                techniques (["baseline","companding"]; non-empty, without
-               repeats, from "linear", "baseline", "companding")
+               repeats, from "linear", "baseline", "dpd", "companding",
+               "dpd_companding")
   seed:        integer (0); --seed wins over the file
   svg:         false — also emit minimal SVG line charts
 
@@ -52,18 +55,19 @@ kind does not read (pa.smoothness, pa.coeffs, eh.eta3_linear,
 eh.calibration) is an error, not a silently dropped value.
 
 Flags: --config, --seed, --out, --trials and --threads.  --trials
-overrides the Monte Carlo count of papr, mu-sweep, e2e and ber;
-dpd-design and rate-energy have none and reject it.  papr, mu-sweep, e2e
-and ber read --threads (worker threads for the PAPR batches and for the
-Monte Carlo trial blocks; default every core this process may use); their
-output does not depend on it.  e2e and ber each make one Monte Carlo
-pass (experiments.run_techniques), with one receiver per channel, and in
-ber per channel and Eb/N0 point: every receiver shares the pass's bits
-and transmit frames, and every receiver on a channel its taps and noise
-draws.  Each job being processed holds its block's noise draws on one
-channel, so memory grows with --threads: ber at its defaults peaked at
-58, 63 and 106 MB of RSS at 1, 2 and 12 threads.  dpd-design and
-rate-energy run serially and reject it.
+overrides the Monte Carlo count of papr, mu-sweep, e2e, ber and
+rate-energy; dpd-design has none and rejects it.  Those five commands
+read --threads (worker threads for the PAPR batches and for the Monte
+Carlo trial blocks; default every core this process may use); their
+output does not depend on it.  e2e, ber and rate-energy each make one
+Monte Carlo pass (experiments.run_techniques), with one receiver per
+channel in e2e, per channel and Eb/N0 point in ber, and per splitting
+ratio on the configured channel in rate-energy: every receiver shares
+the pass's bits and transmit frames, and every receiver on a channel its
+taps and noise draws.  Each job being processed holds its block's noise
+draws on one channel, so memory grows with --threads: ber at its
+defaults peaked at 58, 63 and 106 MB of RSS at 1, 2 and 12 threads.
+dpd-design runs serially and rejects it.
 
 dpd-design measures its EVM table (dpd_evm.csv) on the probe its design
 searched, which carries no cyclic prefix, so ofdm.cp_length changes
@@ -77,13 +81,18 @@ h is config_hash: the first 12 hex digits of a SHA-256 over the raw
 config, the calibration file's bytes, the seed and --trials when given;
 it does not cover the package version.
 
-The rate_bps_hz and h_p_norm columns of e2e and rate-energy are one closed
-form (experiments.closed_form), not Monte Carlo estimates: the
-soft-limiter Bussgang model at the technique's back-off, a linear 0.5
-harvester, and no fading.  The closed form ignores pa.a_sat and
-pa.smoothness.  rate-energy reads scenario.ibo_reduction_db like e2e
-does.  A derived back-off reduction above pa.ibo_db is a configuration
-error in e2e, ber and rate-energy, found before any work.
+The rate_bps_hz and h_p_norm columns of e2e and rate-energy come from the
+Monte Carlo pass, so a rate-energy row equals the technique_table.csv row
+of the same technique at the same rho.  rate_bps_hz is the mean over
+trials of log2(1 + K^2 / sigma_d^2), the Bussgang decomposition of the
+zero-forced grid against the sent symbols, after the expander for a
+companded technique: amplifier distortion, fading, split.sigma_a2 and
+split.sigma_p2 enter.  h_p_norm is eta3 * rho * (P_rx + sigma_a2), with
+P_rx the mean received power over the nominal transmit power; sigma_p2
+is not harvested.  A noise-free, distortion-free link has an infinite
+rate and an all-zero information branch a rate of 0; both warn.  A
+derived back-off reduction above pa.ibo_db is a configuration error in
+e2e, ber and rate-energy, found before any work.
 
 Exit codes: 0 success, 2 configuration error (an unknown key, a key the
 section's kind does not read, or a malformed or out-of-range value), 3
@@ -117,7 +126,6 @@ from .experiments import (
     TECHNIQUES,
     Scenario,
     channel_ofdm,
-    closed_form,
     noise_for_ebn0,
     run_techniques,
     technique_reductions,
@@ -142,7 +150,7 @@ _SCHEMA: dict[str, set[str] | type] = {
     "pa": {"kind", "a_sat", "smoothness", "coeffs", "ibo_db"},
     "split": {"rho", "sigma_a2", "sigma_p2"},
     "channel": {"kind", "rice_k_db", "pdp_db"},
-    "scenario": {"mu", "p_rf_tx_dbm", "trials", "frame_symbols", "ibo_reduction_db"},
+    "scenario": {"mu", "trials", "frame_symbols", "ibo_reduction_db"},
     "eh": {"kind", "eta3_linear", "calibration"},
     "papr": {"mu_grid", "n_trials", "thresholds_db"},
     "dpd": {"pa_order", "inverse_order", "reduction_grid_db"},
@@ -333,8 +341,7 @@ def _svg_chart(path: Path, series: dict[str, list[tuple[float, float]]],
 def config_hash(cfg: dict, seed: int, trials: int | None) -> str:
     """The provenance hash of every output: the config contents, the bytes
     of the calibration file it names, and the command-line overrides that
-    change the output (seed and, when given, --trials).
-    scripts/run_rate_energy_sweep.py hashes its own inputs with it."""
+    change the output (seed and, when given, --trials)."""
     import hashlib
 
     blob = json.dumps(cfg, sort_keys=True, default=str) + f"|seed={seed}"
@@ -423,6 +430,26 @@ def _check_work(base: Scenario, techniques, channels=()) -> None:
             technique_reductions(base, tech)
     except ValueError as exc:
         raise ConfigError(f"config section 'pa.ibo_db': {exc}") from exc
+
+
+# what each column of technique_table.csv and rate_energy.csv measures
+_COLUMNS = {
+    "eta1": "PA efficiency 0.5*10^(-IBO/20) at the technique's back-off",
+    "eta3": "Monte Carlo rectenna efficiency, EH input pinned to 0 dBm mean, no noise",
+    "eta1_eta3": "eta1*eta3",
+    "ibo_reduction_db": "back-off reclaimed by DPD and companding",
+    "rate_bps_hz": "Monte Carlo mean of log2(1+K^2/sigma_d^2) of the zero-forced grid "
+                   "(distortion, fading, sigma_a2 and sigma_p2 enter)",
+    "h_p_norm": "eta3*rho*(P_rx+sigma_a2) over the nominal transmit power "
+                "(sigma_p2 is not harvested)",
+    "ber": "Monte Carlo BER of the information branch (sigma_a2 and sigma_p2 enter)",
+}
+
+
+def _column_notes(base: Scenario, columns) -> str:
+    """One comment line: the channel, then what each measured column is."""
+    notes = [f"{c}: {_COLUMNS[c]}" for c in columns if c in _COLUMNS]
+    return f"channel={base.channel.kind}; " + "; ".join(notes)
 
 
 def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
@@ -525,13 +552,13 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     table = results[CHANNEL_KINDS.index(base.channel.kind)]
     rows = [(tech, m.eta1, m.eta3, m.eta_e2e, m.ibo_reduction_db, m.rate_bps_hz,
              m.harvested_norm, m.ber) for tech, m in zip(TABLE_TECHNIQUES, table)]
+    columns = ("technique", "eta1", "eta3", "eta1_eta3", "ibo_reduction_db",
+               "rate_bps_hz", "h_p_norm", "ber")
     chan_rows = [(kind, tech, m.eta1, m.eta3, m.eta_e2e, m.eta3_ci, m.ber)
                  for kind, res in zip(CHANNEL_KINDS, results)
                  for tech, m in zip(TABLE_TECHNIQUES, res)]
-    write_csv(out / "technique_table.csv",
-              ("technique", "eta1", "eta3", "eta1_eta3", "ibo_reduction_db",
-               "rate_bps_hz", "h_p_norm", "ber"),
-              rows, h, seed)
+    write_csv(out / "technique_table.csv", columns, rows, h, seed,
+              comments=(_column_notes(base, columns),))
     write_csv(out / "channel_metrics.csv",
               ("channel", "technique", "eta1", "eta3", "eta1_eta3", "eta3_ci", "ber"),
               chan_rows, h, seed)
@@ -579,27 +606,24 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
     rho_grid = _floats(section, "rho_grid", default_grid, "rate_energy")
     if not all(0.0 <= rho <= 1.0 for rho in rho_grid):
         raise ConfigError("config section 'rate_energy.rho_grid': rho must lie in [0, 1]")
-    techniques = _names(section, "techniques", ("baseline", "companding"),
-                        ("linear", "baseline", "companding"), "rate_energy",
-                        "closed-form technique")
+    techniques = _names(section, "techniques", ("baseline", "companding"), TECHNIQUES,
+                        "rate_energy", "technique")
     base = build_scenario(cfg, seed, trials)
     h = config_hash(cfg, seed, trials)
-    _check_work(base, techniques)
+    _check_work(base, techniques, [base.channel])
+    # one pass: every rho is a receiver on the configured channel's draws
+    receivers = [(base.channel, replace(base.split, rho=rho)) for rho in rho_grid]
+    results = run_techniques(base, techniques, receivers, threads)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for tech in techniques:
-        r_dpd, r_comp, _ = technique_reductions(base, tech)
-        curve_r, curve_h = [], []
-        for rho in rho_grid:
-            rate, h_p_norm = closed_form(base, tech, replace(base.split, rho=rho),
-                                         r_dpd, r_comp)
-            rows.append((rho, tech, rate, h_p_norm))
-            curve_r.append((rho, rate))
-            curve_h.append((rho, h_p_norm))
-        series[f"rate/{tech}"] = curve_r
-        series[f"h_p/{tech}"] = curve_h
-    write_csv(out / "rate_energy.csv",
-              ("rho", "technique", "rate_bps_hz", "h_p_norm"), rows, h, seed)
+    for k, tech in enumerate(techniques):
+        points = [(rho, res[k]) for rho, res in zip(rho_grid, results)]
+        rows += [(rho, tech, m.rate_bps_hz, m.harvested_norm) for rho, m in points]
+        series[f"rate/{tech}"] = [(rho, m.rate_bps_hz) for rho, m in points]
+        series[f"h_p/{tech}"] = [(rho, m.harvested_norm) for rho, m in points]
+    columns = ("rho", "technique", "rate_bps_hz", "h_p_norm")
+    write_csv(out / "rate_energy.csv", columns, rows, h, seed,
+              comments=(_column_notes(base, columns),))
     if svg:
         _svg_chart(out / "rate_energy.svg", series, "rho", "rate / harvested")
     print(f"rate-energy: wrote {out / 'rate_energy.csv'}")
@@ -618,7 +642,7 @@ _COMMANDS = {
 
 # the subcommands without Monte Carlo: they have no trial count and run on
 # the calling thread alone
-_SERIAL = ("dpd-design", "rate-energy")
+_SERIAL = ("dpd-design",)
 
 
 def _usable_cores() -> int:
@@ -640,9 +664,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--trials", type=int, default=None,
-                        help="override the Monte Carlo count of papr, mu-sweep, e2e and ber")
+                        help="override the Monte Carlo count of every command but dpd-design")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for papr, mu-sweep, e2e and ber (default: "
+                        help="worker threads of every command but dpd-design (default: "
                              "every usable core); the output does not depend on it")
     args = parser.parse_args(argv)
 

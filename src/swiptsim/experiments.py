@@ -18,16 +18,20 @@ Measurement conventions, used consistently everywhere:
 * BER is measured at equal average transmit power (PA output normalized
   over the run) through a unit-mean-gain channel, so the noise variance
   alone sets the operating SNR.
-* Rate and H_P/E are closed forms, not Monte Carlo estimates: closed_form
-  uses the soft-limiter Bussgang model at the technique's back-off, a
-  linear 0.5 harvester, and no fading, whatever the scenario's amplifier,
-  harvester and channel; the amplifier's a_sat and smoothness do not
-  enter it.
+* Rate is measured in the same pass as BER: the mean over trials of
+  log2(1 + K^2 / sigma_d^2), the Bussgang decomposition of each frame's
+  zero-forced grid against its transmitted symbols, after the expander
+  for a companded technique (see link.demodulate_and_ber).  Amplifier
+  distortion, fading, the antenna noise and the processing noise enter.
+* H_P/E is eta3 * rho * (P_rx + sigma_a2): the Monte Carlo rectifier
+  efficiency times the EH branch's input, the technique's mean received
+  power P_rx plus the antenna noise, over the nominal transmit power
+  (Zhou, Zhang & Ho, IEEE Trans. Commun. 2013).  The processing noise
+  sigma_p2 is the information branch's and is not harvested.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -37,21 +41,12 @@ from pathlib import Path
 import numpy as np
 
 from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
-from .companding import companding_ibo_reduction_db, compress_waveform, mu_law_noise_factor
+from .companding import companding_ibo_reduction_db, compress_waveform
 from .dpd import DpdDesign, PolyFit, design_from_scratch
 from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
-from .link import (
-    LinkMetrics,
-    SplitConfig,
-    achievable_rate,
-    demodulate_and_ber,
-    harvested,
-    info_branch,
-    split_noise,
-    sinr,
-)
+from .link import LinkMetrics, SplitConfig, demodulate_and_ber, info_branch, split_noise
 from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms, with_prefix
-from .pa import PaModel, amplify, bussgang_analytic_sl, efficiency_at_backoff
+from .pa import PaModel, amplify, efficiency_at_backoff
 
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
 TABLE_TECHNIQUES = ("baseline", "dpd", "companding", "dpd_companding")
@@ -81,7 +76,6 @@ class Scenario:
     trials: int = 50
     seed: int = 0
     mu: float = 1.25
-    p_rf_tx_dbm: float = 30.0
     ibo_reduction_db: float | None = None
     frame_symbols: int = 4
 
@@ -90,7 +84,7 @@ class Scenario:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {n!r}")
-        for name in ("ibo_db", "mu", "p_rf_tx_dbm", "ibo_reduction_db"):
+        for name in ("ibo_db", "mu", "ibo_reduction_db"):
             v = getattr(self, name)
             if v is None and name == "ibo_reduction_db":
                 continue
@@ -103,11 +97,6 @@ class Scenario:
                              f"ibo_db = {self.ibo_db:g} dB")
         if self.eh is None:
             object.__setattr__(self, "eh", EhModel.default())
-
-    @property
-    def p_rf_tx(self) -> float:
-        """Transmit power normalized so that 30 dBm maps to 1.0."""
-        return 10.0 ** ((self.p_rf_tx_dbm - 30.0) / 10.0)
 
 
 def _uses_companding(technique: str) -> bool:
@@ -158,34 +147,6 @@ def technique_reductions(s: Scenario, technique: str) -> tuple[float, float, Pol
         raise ValueError(f"the {technique} technique's back-off reduction of "
                          f"{r_dpd + r_comp:g} dB runs past ibo_db = {s.ibo_db:g} dB")
     return r_dpd, r_comp, fit
-
-
-def closed_form(s: Scenario, technique: str, split: SplitConfig, r_dpd: float,
-                r_comp: float) -> tuple[float, float]:
-    """Closed-form (rate in bits/s/Hz, H_P/E) of the technique on the
-    scenario's link behind the splitter split, at its back-off reductions
-    (see technique_reductions).
-
-    K_L and sigma_d^2 are the soft-limiter Bussgang values at the back-off
-    ibo - r_dpd - r_comp, or (1, 0) for the linear technique and for an
-    amplifier that does not saturate.  A companded technique is always
-    expanded at the receiver (as in run_techniques), so its antenna noise
-    and distortion are scaled by the expander's noise factor.  The link is
-    unfaded (|h|^2 = 1) and the harvester linear at 0.5, with the transmit
-    power as the maximum power.
-    """
-    p = s.p_rf_tx
-    if technique == "linear" or not _saturating(s.pa):
-        k_l, sd2 = 1.0, 0.0
-    else:
-        bp = bussgang_analytic_sl(s.ibo_db - r_dpd - r_comp)
-        k_l, sd2 = bp.k_l, bp.sigma_d2
-    f = 1.0
-    if _uses_companding(technique):
-        f = mu_law_noise_factor(s.mu)
-    split = replace(split, sigma_a2=split.sigma_a2 * f)
-    rate = achievable_rate(sinr(split, k_l, sd2 * f, 1.0, p))
-    return rate, harvested(split, k_l, sd2 * f, 1.0, p, EhModel.linear()).h_p_norm
 
 
 def _batch_ci(samples: np.ndarray) -> float:
@@ -281,9 +242,11 @@ def run_techniques(
 
     The rectifier works on the faded frames with their ensemble mean
     pinned to 0 dBm, which removes rho, so every receiver with rho > 0 on
-    one channel reports the same eta3; the demodulator works on the
-    information branch at equal average transmit power through the faded
-    channel.
+    one channel reports the same eta3; H_P/E scales it by the EH branch's
+    input, rho * (P_rx + sigma_a2) in units of the nominal transmit power.
+    The demodulator works on the information branch at equal average
+    transmit power through the faded channel, and measures each trial's
+    BER and rate there.
     """
     techniques = tuple(techniques)
     receivers = ((s.channel, s.split),) if receivers is None else tuple(receivers)
@@ -326,7 +289,7 @@ def run_techniques(
         taps.append(np.array([sample_channel(spec, rng) for _ in range(trials)]))
     tx = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
     ref_p = np.empty((n_tech, trials))
-    # the received powers only set the rectifier's level
+    # the received powers set the rectifier's level and H_P/E's P_rx
     rx_p = np.empty((len(channels), n_tech, trials))
     rms_drive = np.empty((len(channels), trials))
 
@@ -385,6 +348,7 @@ def run_techniques(
     eta3_num = np.empty((len(channels), n_tech, trials))
     eta3_den = np.empty_like(eta3_num)
     ber = np.empty((len(receivers), n_tech, trials))
+    rates = np.empty_like(ber)
 
     def receive(rows: slice, c: int) -> None:
         # each trial's unit noise on this channel, from its own stream
@@ -392,6 +356,7 @@ def run_techniques(
         z = np.empty((rows.stop - rows.start, 2, 2, n))
         for i in range(rows.start, rows.stop):
             _stream(s.seed, kinds[c], 1, i).standard_normal(out=z[i - rows.start])
+        sent = _qpsk(bits[rows])
         for k in range(n_tech):
             y = faded(k, c, rows)
             if harvests[c]:
@@ -415,8 +380,8 @@ def run_techniques(
                     scale = np.ones_like(rms_rx)
                     np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
                 info_branch(info, split, split_noise(split, z))
-                ber[r, k, rows] = demodulate_and_ber(
-                    info, taps[c][rows], chan_cfg[c], bits[rows],
+                ber[r, k, rows], rates[r, k, rows] = demodulate_and_ber(
+                    info, taps[c][rows], chan_cfg[c], sent,
                     s.mu if companded[k] else None, scale,
                 )
 
@@ -430,15 +395,18 @@ def run_techniques(
             r_dpd, r_comp, _ = reductions[k]
             ibo_eff = s.ibo_db - r_dpd - r_comp
             eta1 = efficiency_at_backoff(ibo_eff) if _saturating(s.pa) else 0.5
-            rate, h_p_norm = closed_form(s, tech, split, r_dpd, r_comp)
             if split.rho > 0.0:
                 eta3_mc = float(eta3_num[c, k].sum() / eta3_den[c, k].sum())
                 eta3_frames = eta3_num[c, k] / eta3_den[c, k]
+                # the EH branch's input in nominal-transmit units
+                p_rx = float(np.mean(rx_p[c, k]) * norm[k] ** 2)
+                h_p_norm = eta3_mc * split.rho * (p_rx + split.sigma_a2)
             else:
-                eta3_mc = 0.0
+                eta3_mc = h_p_norm = 0.0
                 eta3_frames = np.zeros(trials)
             row.append(LinkMetrics(
-                rate_bps_hz=rate, harvested_norm=h_p_norm, ber=float(ber[r, k].mean()),
+                rate_bps_hz=float(rates[r, k].mean()), harvested_norm=h_p_norm,
+                ber=float(ber[r, k].mean()),
                 eta1=eta1, eta3=eta3_mc, eta_e2e=eta1 * eta3_mc,
                 ibo_reduction_db=r_dpd + r_comp,
                 eta3_ci=_batch_ci(eta3_frames), ber_ci=_batch_ci(ber[r, k]),
@@ -462,38 +430,3 @@ def write_csv(
     lines.append(",".join(columns))
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def metrics_to_csv(path, axis: str, values, rows, cfg_hash: str, seed: int,
-                   comments=()) -> None:
-    """One technique along one axis, rows[i] at values[i], with the
-    provenance header of write_csv."""
-    cols = (
-        axis, "rate_bps_hz", "h_p_norm", "ber", "eta1", "eta3",
-        "eta_e2e", "ibo_reduction_db", "eta3_ci", "ber_ci",
-    )
-    rows = [
-        (v, m.rate_bps_hz, m.harvested_norm, m.ber, m.eta1, m.eta3, m.eta_e2e,
-         m.ibo_reduction_db, m.eta3_ci, m.ber_ci)
-        for v, m in zip(values, rows)
-    ]
-    write_csv(path, cols, rows, cfg_hash, seed, comments)
-
-
-def append_manifest(path, cfg_hash: str, seed: int, axis: str, n_points: int,
-                    trials: int, technique: str, channel: str) -> None:
-    """One JSON line per run: enough provenance to reproduce the file."""
-    from . import __version__
-
-    entry = {
-        "config_hash": cfg_hash,
-        "seed": seed,
-        "axis": axis,
-        "n_points": n_points,
-        "trials": trials,
-        "technique": technique,
-        "channel": channel,
-        "versions": {"swiptsim": __version__, "numpy": np.__version__},
-    }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -1,17 +1,17 @@
-"""Power-splitting receiver and the rate / harvested-energy metrics.
+"""Power-splitting receiver and its demodulator.
 
 The receiver taps the incoming waveform into an energy-harvesting branch
 (fraction rho of the power) and an information branch (fraction 1 - rho).
 Antenna noise is picked up before the splitter and therefore appears,
-scaled, in both branches; processing noise is injected per branch.
+scaled, in both branches; processing noise is injected into the
+information branch only.
 
-The closed-form metrics (sinr, harvested) model every transmit
-nonlinearity through its linear (Bussgang) gain K_L and additive
-distortion power sigma_d^2, with no fading by default.  The rate_bps_hz
-and h_p_norm columns come from experiments.closed_form, which feeds them
-the soft-limiter Bussgang model at the technique's back-off, a linear
-0.5 harvester, and, for a companded technique, the antenna noise and
-distortion scaled by the expander's noise factor.
+The demodulator measures each frame's bit error rate and its rate,
+log2(1 + K^2 / sigma_d^2), from the Bussgang decomposition of the
+zero-forced subcarrier grid against the transmitted QPSK symbols
+(Dardari, Tralli & Vaccari, IEEE Trans. Commun. 2000): amplifier and
+compander distortion, fading and both noise terms enter as measured on
+the simulated chain.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from .channel import subcarrier_gains
 from .companding import PEAK, expand_waveform
-from .harvester import EhModel, eta3, watts_to_dbm
 from .ofdm import OfdmConfig, demap_symbols, ofdm_demodulate
+from .pa import BussgangParams, bussgang_estimate
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class SplitConfig:
     the information branch gets the remaining 1 - rho.  The default keeps
     one part per million for the information receiver, which is enough
     given the roughly 60 dB sensitivity gap between the two circuits.
+    sigma_a2 (antenna) and sigma_p2 (processing) are noise powers relative
+    to the nominal transmit power, the baseline amplifier's mean output.
     """
 
     rho: float = 1.0 - 1e-6
@@ -51,17 +53,17 @@ class SplitConfig:
         if self.sigma_a2 < 0.0 or self.sigma_p2 < 0.0:
             raise ValueError("noise variances must be non-negative")
 
-    def gamma_eh(self, p_rf_tx: float) -> float:
-        return self.rho * p_rf_tx
-
-    def gamma_info(self, p_rf_tx: float) -> float:
-        return (1.0 - self.rho) * p_rf_tx
-
 
 @dataclass(frozen=True)
 class LinkMetrics:
-    """One technique's link metrics at its back-off reduction; the CIs are
-    95% half-widths of eta3 and BER, NaN below two trials."""
+    """One technique's link metrics at its back-off reduction.
+
+    rate_bps_hz is the mean over trials of each frame's measured rate (see
+    demodulate_and_ber); harvested_norm (H_P/E) is eta3 * rho * (P_rx +
+    sigma_a2), the rectified power over the nominal transmit power, with
+    P_rx the technique's mean received power; the CIs are 95% half-widths
+    of eta3 and BER, NaN below two trials.
+    """
 
     rate_bps_hz: float
     harvested_norm: float
@@ -119,84 +121,45 @@ def info_branch(y: np.ndarray, split: SplitConfig, noise: np.ndarray) -> np.ndar
     return y
 
 
-def sinr(
-    split: SplitConfig,
-    k_l: float,
-    sigma_d2: float,
-    h_gain2: float = 1.0,
-    p_rf_tx: float = 1.0,
-) -> float:
-    """Post-split SINR of the information branch, distortion counted as noise."""
-    gamma_i = split.gamma_info(p_rf_tx)
-    num = h_gain2 * gamma_i * k_l**2
-    den = h_gain2 * gamma_i * sigma_d2 + (1.0 - split.rho) * split.sigma_a2 + split.sigma_p2
-    if den == 0.0:
+def _rate(bp: BussgangParams):
+    """log2(1 + K^2 / sigma_d^2) of each frame.  A frame with neither noise
+    nor distortion has an infinite rate, or 0 if it carries no signal
+    either (an all-zero branch); both cases warn."""
+    k2 = np.square(bp.k_l)
+    quiet = np.asarray(bp.sigma_d2) == 0.0
+    if np.any(quiet):
         warnings.warn("noise-free and distortion-free link, SINR diverges",
-                      RuntimeWarning, stacklevel=2)
-        return np.inf if num > 0 else 0.0
-    return num / den
-
-
-def achievable_rate(sinr_value: float) -> float:
-    """Shannon rate in bits/s/Hz for the given SINR."""
-    if sinr_value < 0.0:
-        raise ValueError("SINR must be non-negative")
-    return float(np.log2(1.0 + sinr_value))
-
-
-@dataclass(frozen=True)
-class HarvestedEnergy:
-    h_p: float
-    h_p_norm: float
-
-
-def harvested(
-    split: SplitConfig,
-    k_l: float,
-    sigma_d2: float,
-    h_gain2: float = 1.0,
-    p_rf_tx: float = 1.0,
-    eh: EhModel | None = None,
-) -> HarvestedEnergy:
-    """DC power h_p collected by the EH branch.
-
-    Signal, distortion, and noise all carry power into the rectifier, so
-    every term contributes.  h_p_norm divides by the transmit power p_rf_tx
-    to give the dimensionless H_P/E.
-
-    In curve mode the conversion efficiency is read at the total branch
-    power, taken in watts; closed-form sweeps normally use linear mode.
-    """
-    eh = eh if eh is not None else EhModel.linear()
-    p_in = (
-        h_gain2 * split.gamma_eh(p_rf_tx) * (k_l**2 + sigma_d2)
-        + split.rho * split.sigma_a2
-        + split.sigma_p2
-    )
-    h_p = float(eta3(eh, watts_to_dbm(p_in))) * p_in
-    return HarvestedEnergy(h_p=h_p, h_p_norm=h_p / p_rf_tx)
+                      RuntimeWarning, stacklevel=3)
+    sinr = np.divide(k2, bp.sigma_d2, out=np.where(k2 > 0.0, np.inf, 0.0), where=~quiet)
+    return np.log2(1.0 + sinr)
 
 
 def demodulate_and_ber(
     info_branch: np.ndarray,
     taps,
     cfg: OfdmConfig,
-    truth_bits: np.ndarray,
+    sent: np.ndarray,
     expander: float | None = None,
     expander_scale=None,
 ):
-    """Demodulate the information branch and count bit errors.
+    """Demodulate the information branch; (bit error rate, rate in
+    bits/s/Hz) of each frame.
 
     Takes one frame, or a block of frames along the leading axes of
-    info_branch (..., samples), with their taps (..., n_taps), truth bits
-    (..., bits) and expander scales (...); returns the bit error rate of
-    each frame, a float for a single frame.  Mu-law expansion with mu =
-    ``expander`` and the fixed companding.PEAK runs first, unless expander
-    is None; ``expander_scale`` is the known amplitude gain between the
-    transmitted compressed waveform and this branch, so the expander
-    operates in the domain it was designed for.  Then per symbol: CP
-    removal, DFT, single-tap zero-forcing with the true subcarrier gains,
-    and a hard QPSK decision.
+    info_branch (..., samples), with their taps (..., n_taps), sent QPSK
+    symbols (..., symbols x N, as ofdm.map_bits gives them) and expander
+    scales (...); returns floats for a single frame and arrays of shape
+    (...) for a block.  Mu-law expansion with mu = ``expander`` and the
+    fixed companding.PEAK runs first, unless expander is None;
+    ``expander_scale`` is the known amplitude gain between the transmitted
+    compressed waveform and this branch, so the expander operates in the
+    domain it was designed for.  Then per symbol: CP removal, DFT and
+    single-tap zero-forcing with the true subcarrier gains.  The BER
+    counts the hard QPSK decisions on that grid (ofdm.demap_symbols) that
+    differ from the sent bits; the rate is log2(1 + K^2 / sigma_d^2) of
+    the grid's Bussgang decomposition against the sent symbols
+    (pa.bussgang_estimate), so distortion, noise and any expander noise
+    gain count as noise.
     """
     y = np.asarray(info_branch)
     lead = y.shape[:-1]
@@ -227,9 +190,12 @@ def demodulate_and_ber(
     h_k = subcarrier_gains(np.asarray(taps).reshape(lead + (-1,)), cfg)
     if np.any(np.abs(h_k) == 0.0):
         raise ValueError("channel nulls a subcarrier, zero-forcing undefined")
-    bits_hat = demap_symbols((grid_hat / h_k[..., None, :]).ravel()).reshape(lead + (-1,))
-    truth = np.asarray(truth_bits).reshape(lead + (-1,))
-    if truth.shape != bits_hat.shape:
-        raise ValueError("truth bit count does not match the demodulated grid")
-    ber = np.mean(bits_hat != truth, axis=-1)
-    return float(ber) if not lead else ber
+    grid = (grid_hat / h_k[..., None, :]).reshape(lead + (-1,))
+    sent = np.asarray(sent).reshape(lead + (-1,))
+    if sent.shape != grid.shape:
+        raise ValueError("sent symbol count does not match the demodulated grid")
+    ber = np.mean(demap_symbols(grid) != demap_symbols(sent), axis=-1)
+    rate = _rate(bussgang_estimate(sent, grid))
+    if not lead:
+        return float(ber), float(rate)
+    return ber, rate

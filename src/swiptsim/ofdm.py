@@ -78,12 +78,10 @@ def _qpsk(bits: np.ndarray) -> np.ndarray:
 
 
 def demap_symbols(symbols: np.ndarray) -> np.ndarray:
-    """Hard-decision inverse of :func:`map_bits`."""
-    symbols = np.asarray(symbols)
-    bits = np.empty((symbols.size, 2), dtype=np.int64)
-    bits[:, 0] = symbols.real < 0
-    bits[:, 1] = symbols.imag < 0
-    return bits.reshape(-1)
+    """Hard-decision inverse of :func:`map_bits` along the last axis: the
+    bits of symbols (..., n) as booleans (..., 2 n), each True where its
+    part is negative."""
+    return np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64) < 0
 
 
 def random_qpsk_grid(cfg: OfdmConfig, rng: np.random.Generator) -> np.ndarray:

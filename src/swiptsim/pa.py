@@ -146,33 +146,51 @@ def efficiency_at_backoff(ibo_db: float) -> float:
     return MAX_CLASS_A_EFFICIENCY * 10.0 ** (-ibo_db / 20.0)
 
 
+# the floating-point noise of E{|y|^2} - |K_L|^2 E{|x|^2}, relative to
+# E{|y|^2}: on noise-free zero-forced OFDM grids of 16 to 512 subcarriers,
+# through AWGN and the multipath channel, whose exact residuals are about
+# 4e-32, the difference read between -2.5 and 1.0 eps
+_ROUNDING = 16.0 * np.finfo(np.float64).eps
+
+
 @dataclass(frozen=True)
 class BussgangParams:
-    """Linearized-model parameters: gain k_l and distortion variance sigma_d2."""
+    """Linearized-model parameters: gain k_l and distortion variance
+    sigma_d2, floats or arrays of per-row values (see bussgang_estimate)."""
 
     k_l: float
     sigma_d2: float
 
 
 def bussgang_estimate(reference, output) -> BussgangParams:
-    """Empirical Bussgang decomposition of output against reference.
+    """Empirical Bussgang decomposition of output against reference, over
+    the last axis: floats for one-dimensional inputs, and for inputs of
+    shape (..., n) arrays of shape (...), each row bit-identical to the
+    one-dimensional call on that row.
 
     K_L = E{x* g[x]} / E{|x|^2} and sigma_d^2 = E{|g[x]|^2} - |K_L|^2 E{|x|^2}
-    with sample-mean estimators; sigma_d^2 is clamped at zero since tiny
-    negative values only arise from floating-point noise.  The cross term
-    is a pairwise np.sum, not np.vdot, whose BLAS threading would make the
-    last digits depend on the core count.
+    with sample-mean estimators.  sigma_d^2 within _ROUNDING of E{|g[x]|^2}
+    of zero reads as zero: the difference of the two power terms carries
+    that much floating-point noise, of either sign, even when g is exactly
+    linear.  The sums are pairwise np.sum, not np.vdot, whose BLAS
+    threading would make the last digits depend on the core count; a
+    power is the sum of the squared real and imaginary parts.
     """
-    x = np.asarray(reference, dtype=np.complex128)
-    y = np.asarray(output, dtype=np.complex128)
-    if x.size != y.size:
-        raise ValueError("reference and output lengths differ")
-    p_in = float(np.mean(np.abs(x) ** 2))
-    if p_in <= 0:
+    x = np.ascontiguousarray(reference, dtype=np.complex128)
+    y = np.ascontiguousarray(output, dtype=np.complex128)
+    if x.shape != y.shape:
+        raise ValueError("reference and output shapes differ")
+    n = x.shape[-1]
+    p_in = np.sum(np.square(x.view(np.float64)), axis=-1) / n
+    if np.any(p_in <= 0):
         raise ValueError("reference power is zero")
-    k = np.sum(np.conj(x) * y) / (x.size * p_in)
-    sigma_d2 = float(np.mean(np.abs(y) ** 2)) - abs(k) ** 2 * p_in
-    return BussgangParams(float(k.real), max(float(sigma_d2), 0.0))
+    k = np.sum(np.conj(x) * y, axis=-1) / (n * p_in)
+    p_out = np.sum(np.square(y.view(np.float64)), axis=-1) / n
+    sigma_d2 = p_out - np.abs(k) ** 2 * p_in
+    sigma_d2 = np.where(sigma_d2 > _ROUNDING * p_out, sigma_d2, 0.0)
+    if x.ndim == 1:
+        return BussgangParams(float(k.real), float(sigma_d2))
+    return BussgangParams(k.real, sigma_d2)
 
 
 def bussgang_analytic_sl(ibo_db: float) -> BussgangParams:

@@ -7,7 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
-from importlib import resources, util
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +105,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["papr", "--config", ok_cfg, "--out", str(tmp_path / "o"),
                  "--trials", "50"]) == EXIT_OK
 
-    # bogus keys and the keys that no output depended on
+    # bogus keys and the keys that no output depended on (the Monte Carlo
+    # works in units of the nominal transmit power, so scenario.p_rf_tx_dbm
+    # has none to set)
     for section, key in (("ofdm", "bogus"), ("ofdm", "subcarrier_spacing_hz"),
                          ("channel", "carrier_hz"), ("channel", "distance_m"),
-                         ("scenario", "technique")):
+                         ("scenario", "technique"), ("scenario", "p_rf_tx_dbm")):
         bad_key = write_cfg(tmp_path, {section: {key: 1}}, "bad_key.json")
         assert main(["papr", "--config", bad_key, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert f"unknown key '{section}.{key}'" in capsys.readouterr().err
@@ -130,8 +132,8 @@ def test_main_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "--threads" in capsys.readouterr().err
 
-    # the serial subcommands reject a thread count instead of dropping it
-    for command in ("dpd-design", "rate-energy"):
+    # the serial subcommand rejects a thread count instead of dropping it
+    for command in ("dpd-design",):
         for threads in ("1", "2"):
             out = tmp_path / f"serial_{command}_{threads}"
             assert main([command, "--config", ok_cfg, "--threads", threads,
@@ -146,7 +148,7 @@ def test_main_exit_codes(tmp_path, capsys):
 
     # a trial count given to a subcommand without Monte Carlo is an error,
     # not a silent change of the provenance hash
-    for command in ("dpd-design", "rate-energy"):
+    for command in ("dpd-design",):
         out = tmp_path / f"no_trials_{command}"
         assert main([command, "--config", ok_cfg, "--trials", "5",
                      "--out", str(out)]) == EXIT_CONFIG, command
@@ -157,9 +159,9 @@ def test_main_exit_codes(tmp_path, capsys):
     # in papr means "no compression", mu-sweep needs mu > 0; a grid is a
     # list of numbers, and a [min, max, step] triple needs min <= max and a
     # positive step; counts and DPD orders are integers of at least 1;
-    # rate-energy takes rho in [0, 1] and the closed-form techniques only,
-    # once each; a kind-specific key needs its kind, and scenario and
-    # channel values must have the right type and range
+    # rate-energy takes rho in [0, 1] and known techniques, once each; a
+    # kind-specific key needs its kind, and scenario and channel values
+    # must have the right type and range
     bad_papr = [
         ("papr", {"papr": {"thresholds_db": 3}}, "papr.thresholds_db"),
         ("papr", {"papr": {"thresholds_db": ["a", 1, 2]}}, "papr.thresholds_db"),
@@ -195,7 +197,7 @@ def test_main_exit_codes(tmp_path, capsys):
         ("ber", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
         ("rate-energy", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
         # a derived back-off reduction (companding: about 1.63 dB) that runs
-        # past the back-off: found before the Monte Carlo and the closed form
+        # past the back-off: found before the Monte Carlo
         ("e2e", {"pa": {"ibo_db": 1.0}, "scenario": {"trials": 2, "frame_symbols": 1}},
          "runs past ibo_db = 1 dB"),
         ("ber", {"pa": {"ibo_db": 1.0}, "scenario": {"trials": 2, "frame_symbols": 1}},
@@ -206,6 +208,9 @@ def test_main_exit_codes(tmp_path, capsys):
         ("e2e", {"ofdm": {"n_subcarriers": 2, "oversampling_factor": 1}},
          "'rayleigh_multitap' needs a cyclic prefix of 4"),
         ("ber", {"ofdm": {"n_subcarriers": 2, "oversampling_factor": 1}},
+         "'rayleigh_multitap' needs a cyclic prefix of 4"),
+        ("rate-energy", {"ofdm": {"n_subcarriers": 2, "oversampling_factor": 1},
+                         "channel": {"kind": "rayleigh_multitap"}},
          "'rayleigh_multitap' needs a cyclic prefix of 4"),
         ("papr", {"papr": {"mu_grid": [-1.0, 1.25]}}, "papr.mu_grid"),
         ("papr", {"papr": {"mu_grid": []}}, "papr.mu_grid"),
@@ -221,7 +226,7 @@ def test_main_exit_codes(tmp_path, capsys):
         ("rate-energy", {"rate_energy": {"techniques": []}}, "rate_energy.techniques"),
         ("rate-energy", {"rate_energy": {"techniques": ["baseline", "baseline"]}},
          "rate_energy.techniques"),
-        ("rate-energy", {"rate_energy": {"techniques": ["dpd"]}}, "rate_energy.techniques"),
+        ("rate-energy", {"rate_energy": {"techniques": ["mimo"]}}, "rate_energy.techniques"),
         # a key that the chosen kind does not read
         ("rate-energy", {"eh": {"eta3_linear": 2}}, "eh.eta3_linear"),
         ("rate-energy", {"eh": {"kind": "linear", "calibration": "cal.csv"}}, "eh.calibration"),
@@ -234,7 +239,6 @@ def test_main_exit_codes(tmp_path, capsys):
          "pa.smoothness"),
         ("rate-energy", {"pa": {"kind": "polynomial", "coeffs": 5}}, "pa.coeffs"),
         # malformed scenario and channel values
-        ("rate-energy", {"scenario": {"p_rf_tx_dbm": "x"}}, "p_rf_tx_dbm must be a finite"),
         ("rate-energy", {"scenario": {"trials": 2.5}}, "trials must be an integer"),
         ("rate-energy", {"scenario": {"frame_symbols": 1.5}}, "frame_symbols must be an integer"),
         ("rate-energy", {"scenario": {"mu": 0}}, "mu must be positive"),
@@ -463,8 +467,9 @@ _MC_DIGEST_CFG = {
 }
 _MC_CSV_SHA256 = {
     "ber_curves.csv": "c3a3aa9f3cfafbb67f7499458bd6e09fd3fdd4663210b4c26cfd69e07e0e5281",
-    "technique_table.csv": "61f2fc4ab2b97c9faeddab2df782d555def6f4d8d30beb10ec19eb56565963e3",
+    "technique_table.csv": "492b47676dda2c20f8f0806d1c8a9c5f25ccfadf74a8b357d977d1d53e540db5",
     "channel_metrics.csv": "80875b5c1b2c22feb549d0f210107ee351ef41131710f1bec212ac6ba53da811",
+    "rate_energy.csv": "cf7415882086b70e463f2d3136c028c5eb68b9bc6f5eb881e914cd26b44ff317",
 }
 
 
@@ -478,7 +483,8 @@ def test_outputs_match_recorded_digests(tmp_path):
         (cfg, "dpd-design", ("dpd_evm.csv",), []),
         *((mc_cfg, command, names, ["--threads", str(threads)])
           for command, names in (("ber", ("ber_curves.csv",)),
-                                 ("e2e", ("technique_table.csv", "channel_metrics.csv")))
+                                 ("e2e", ("technique_table.csv", "channel_metrics.csv")),
+                                 ("rate-energy", ("rate_energy.csv",)))
           for threads in (1, 2, 3)),
     ):
         out = tmp_path / "-".join((command, *flags))
@@ -583,111 +589,106 @@ def test_e2e_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     assert len(outputs) == 1
 
 
-_SCRIPT = Path(swiptsim.__file__).parents[2] / "scripts" / "run_rate_energy_sweep.py"
+# The checks of scripts/run_rate_energy_sweep.py, the splitting-ratio sweep
+# that rate-energy replaced, run through rate-energy: each script flag maps
+# onto a rate-energy input.
 
 
-@pytest.fixture(scope="module")
-def sweep_script():
-    """The rate-energy script as a module, so that its main runs in-process."""
-    spec = util.spec_from_file_location("run_rate_energy_sweep", _SCRIPT)
-    module = util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _rate_energy(tmp_path: Path, name: str, cfg: dict, *flags: str) -> list[str]:
+    """The lines of rate_energy.csv from one run in tmp_path / name."""
+    run = tmp_path / name
+    run.mkdir()
+    out = run / "out"
+    assert main(["rate-energy", "--config", write_cfg(run, cfg), "--out", str(out),
+                 *flags]) == EXIT_OK
+    return (out / "rate_energy.csv").read_text().splitlines()
 
 
-def _run_script(module, monkeypatch, out: Path, *args: str) -> None:
-    monkeypatch.setattr(sys, "argv", [str(_SCRIPT), *args, "--out", str(out)])
-    module.main()
+def _rows(lines: list[str]) -> list[dict[str, str]]:
+    return list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
 
 
 def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
-    # the script lengthens the cyclic prefix for a frequency-selective
-    # channel as the CLI does
-    proc = subprocess.run(
-        [sys.executable, str(_SCRIPT), "--channel", "rayleigh_multitap", "--trials", "2",
-         "--rho", "0.5", "--out", str(tmp_path)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "rate_energy_companding_rayleigh_multitap.csv").read_text().splitlines()
-    assert lines[-1].startswith("0.5,")
+    # rate-energy lengthens the cyclic prefix for a frequency-selective
+    # channel as e2e does
+    lines = _rate_energy(tmp_path, "o", {"channel": {"kind": "rayleigh_multitap"},
+                                         "rate_energy": {"rho_grid": [0.5],
+                                                         "techniques": ["companding"]}},
+                         "--trials", "2")
+    assert lines[-1].startswith("0.5,companding,")
+
+
+# the script's pinned run: companding on the multipath channel at rho 0.3
+# and 0.6, 2 trials at seed 0
+_PINNED_SWEEP = {"channel": {"kind": "rayleigh_multitap"},
+                 "rate_energy": {"rho_grid": [0.3, 0.6], "techniques": ["companding"]}}
 
 
 def _run_pinned_script(tmp_path, threads):
-    """The rate-energy script's CSV bytes and manifest lines on a pinned run."""
-    proc = subprocess.run(
-        [sys.executable, str(_SCRIPT), "--channel", "rayleigh_multitap", "--trials", "2",
-         "--rho", "0.3", "0.6", "--seed", "0", "--threads", str(threads),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    data = (tmp_path / "rate_energy_companding_rayleigh_multitap.csv").read_bytes()
-    return data, (tmp_path / "manifest.jsonl").read_text().splitlines()
+    """rate_energy.csv's bytes on the pinned run."""
+    _rate_energy(tmp_path, "o", _PINNED_SWEEP, "--trials", "2", "--seed", "0",
+                 "--threads", str(threads))
+    return (tmp_path / "o" / "out" / "rate_energy.csv").read_bytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_rate_energy_script_csv_body_is_pinned(tmp_path, threads):
-    # the bytes of metrics_to_csv after its provenance line, at either worker
-    # count: the rows do not depend on what the config hash covers
-    data, _ = _run_pinned_script(tmp_path, threads)
-    body = data.split(b"\n", 1)[1]
+    # the bytes after the provenance line, at either worker count
+    body = _run_pinned_script(tmp_path, threads).split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == (
-        "a8e3635ea9eedd1068dc39c3c1aced05750ca96d4ea9264f495fa7c45cb18f3e")
+        "1ff895c66d5ee847b5d40ce0b9f72c96d4c5e6be0e733555f853c4a0edec0ae8")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
-    # the whole file, provenance line included, and the provenance of
-    # append_manifest, at either worker count: the hash is config_hash of
-    # the script's technique, channel and rho grid, its seed and its trials
-    data, (line,) = _run_pinned_script(tmp_path, threads)
+    # the whole file, at either worker count; its provenance line carries
+    # config_hash of the config, the seed and --trials
+    data = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "c75e0cf21c0c9742f14b182a5cac48394c43d5bd8ac55d3492ad211a283d4b26")
-    entry = json.loads(line)
-    h = config_hash({"technique": "companding", "channel": "rayleigh_multitap",
-                     "rho": [0.3, 0.6]}, 0, 2)
-    assert h == "910f7d2ac83e"
-    assert (entry["config_hash"], entry["axis"], entry["n_points"]) == (h, "rho", 2)
+        "3db62288a05d60d52d82b6ebf01c97ca7cf76651d956874b19d1da6965bb8fb0")
+    h = config_hash(_PINNED_SWEEP, 0, 2)
+    assert data.startswith(f"# config_hash={h} seed=0\n".encode())
 
 
-@pytest.mark.parametrize("args,message", [
-    (("--trials", "0"), "--trials must be at least 1"),
-    (("--threads", "0"), "--threads must be at least 1"),
-    (("--rho", "1.5"), "--rho must lie in [0, 1]"),
-    (("--rho", "0.5", "nan"), "--rho must lie in [0, 1]"),
-    (("--seed", "-1"), "--seed must be non-negative"),
+@pytest.mark.parametrize("flags,section,message", [
+    (("--trials", "0"), {}, "--trials must be at least 1"),
+    (("--threads", "0"), {}, "--threads must be at least 1"),
+    ((), {"rho_grid": [1.5]}, "rho must lie in [0, 1]"),
+    ((), {"rho_grid": [0.5, float("nan")]}, "values must be finite"),
+    (("--seed", "-1"), {}, "seed must be non-negative"),
 ], ids=["--trials", "--threads", "--rho=1.5", "--rho=nan", "--seed=-1"])
-def test_rate_energy_script_rejects_a_zero_count(tmp_path, monkeypatch, capsys, sweep_script,
-                                                 args, message):
-    # a usage error, exit 2 as the CLI's config errors, not an exception,
-    # and nothing written
-    with pytest.raises(SystemExit) as exit_info:
-        _run_script(sweep_script, monkeypatch, tmp_path / "out", *args)
-    assert exit_info.value.code == 2
+def test_rate_energy_script_rejects_a_zero_count(tmp_path, capsys, flags, section, message):
+    # each input the script rejected: a configuration error, exit 2, and
+    # nothing written
+    cfg = write_cfg(tmp_path, {"rate_energy": section})
+    out = tmp_path / "out"
+    assert main(["rate-energy", "--config", cfg, *flags, "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert not out.exists() or not any(out.iterdir())
 
 
-# the script on a short run, and a second value of each flag
-_SCRIPT_BASE = {"--technique": "companding", "--channel": "awgn", "--trials": "2",
-                "--seed": "0", "--rho": "0.5", "--threads": "1"}
-_SCRIPT_PROBES = [("--technique", "baseline"), ("--channel", "rayleigh_flat"),
-                  ("--trials", "3"), ("--seed", "1"), ("--rho", "0.25"), ("--threads", "2")]
+# a short run, and each script flag as the rate-energy input it maps onto
+_SCRIPT_BASE = {"rate_energy": {"rho_grid": [0.5], "techniques": ["companding"]}}
+_SCRIPT_FLAGS = {"--trials": "2", "--seed": "0", "--threads": "1"}
+_SCRIPT_PROBES = [("--technique", {"rate_energy": {"techniques": ["baseline"]}}, {}),
+                  ("--channel", {"channel": {"kind": "rayleigh_flat"}}, {}),
+                  ("--trials", {}, {"--trials": "3"}),
+                  ("--seed", {}, {"--seed": "1"}),
+                  ("--rho", {"rate_energy": {"rho_grid": [0.25]}}, {}),
+                  ("--threads", {}, {"--threads": "2"})]
 
 
-@pytest.mark.parametrize("flag,value", _SCRIPT_PROBES, ids=[p[0] for p in _SCRIPT_PROBES])
-def test_every_script_flag_changes_the_rows(tmp_path, monkeypatch, sweep_script, flag, value):
-    # each flag but --threads moves a row of the CSV; --threads moves no byte
-    files = []
-    for name, flags in (("base", _SCRIPT_BASE), ("probe", {**_SCRIPT_BASE, flag: value})):
-        _run_script(sweep_script, monkeypatch, tmp_path / name,
-                    *(arg for item in flags.items() for arg in item))
-        (path,) = (tmp_path / name).glob("*.csv")
-        files.append(path.read_text().splitlines())
+@pytest.mark.parametrize("flag,section,flags", _SCRIPT_PROBES, ids=[p[0] for p in _SCRIPT_PROBES])
+def test_every_script_flag_changes_the_rows(tmp_path, flag, section, flags):
+    # each input moves a row of the CSV; --threads moves no byte
+    files = [_rate_energy(tmp_path, name, cfg, *(a for item in fl.items() for a in item))
+             for name, cfg, fl in (("base", _SCRIPT_BASE, _SCRIPT_FLAGS),
+                                   ("probe", _with(_SCRIPT_BASE, section),
+                                    {**_SCRIPT_FLAGS, **flags}))]
     if flag == "--threads":
         assert files[0] == files[1]
     else:
-        rows = [[ln for ln in lines if not ln.startswith("#")] for lines in files]
-        assert rows[0] != rows[1]
+        assert _rows(files[0]) != _rows(files[1])
 
 
 _SCIPY_PROBE = """
@@ -840,12 +841,13 @@ def test_e2e_outputs(tmp_path):
     out = tmp_path / "o"
     assert main(["e2e", "--config", cfg, "--out", str(out)]) == EXIT_OK
     table = (out / "technique_table.csv").read_text().splitlines()
-    assert table[1].startswith("technique,eta1,eta3,")
-    assert len(table) == 2 + 4
+    assert table[1].startswith("# channel=awgn; eta1: ")
+    assert table[2].startswith("technique,eta1,eta3,")
+    assert len(table) == 3 + 4
     chan = (out / "channel_metrics.csv").read_text().splitlines()
     assert len(chan) == 2 + 4 * 4  # four channels x four techniques
 
-    table_rows = list(csv.DictReader(table[1:]))
+    table_rows = _rows(table)
     chan_rows = list(csv.DictReader(chan[1:]))
     for tech in ("baseline", "dpd", "companding", "dpd_companding"):
         # eta1 is a transmit-side number: one DPD design serves every channel
@@ -874,7 +876,7 @@ def test_e2e_runs_on_a_configured_multitap_channel(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert main(["e2e", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert passes == [list(CHANNEL_KINDS)]
-    table = list(csv.DictReader((out / "technique_table.csv").read_text().splitlines()[1:]))
+    table = _rows((out / "technique_table.csv").read_text().splitlines())
     chan = list(csv.DictReader((out / "channel_metrics.csv").read_text().splitlines()[1:]))
     multitap = [r for r in chan if r["channel"] == "rayleigh_multitap"]
     assert [r["technique"] for r in multitap] == [r["technique"] for r in table]
@@ -937,18 +939,22 @@ def test_ber_designs_one_predistorter(tmp_path, monkeypatch):
 
 def test_rate_energy_outputs_and_validation(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
-        "rate_energy": {"rho_grid": [0.0, 0.5, 0.9],
-                        "techniques": ["baseline", "companding"]},
+        "ofdm": SMALL_OFDM,
+        "scenario": {"trials": 2, "frame_symbols": 2},
+        "rate_energy": {"rho_grid": [0.0, 0.5, 0.9], "techniques": list(experiments.TECHNIQUES)},
     })
     out = tmp_path / "o"
     assert main(["rate-energy", "--config", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "rate_energy.csv").read_text().splitlines()
-    assert lines[1] == "rho,technique,rate_bps_hz,h_p_norm"
-    assert len(lines) == 2 + 6
+    # what each column measures, and which noise terms enter
+    assert lines[1].startswith("# channel=awgn; rate_bps_hz: Monte Carlo")
+    assert "sigma_p2 is not harvested" in lines[1]
+    assert lines[2] == "rho,technique,rate_bps_hz,h_p_norm"
+    assert len(lines) == 3 + 3 * 5
 
-    bad = write_cfg(tmp_path, {"rate_energy": {"techniques": ["dpd"]}}, "bad_re.json")
+    bad = write_cfg(tmp_path, {"rate_energy": {"techniques": ["mimo"]}}, "bad_re.json")
     assert main(["rate-energy", "--config", bad, "--out", str(out)]) == EXIT_CONFIG
-    assert "closed-form" in capsys.readouterr().err
+    assert "unknown technique 'mimo'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [
@@ -957,8 +963,10 @@ def test_rate_energy_outputs_and_validation(tmp_path, capsys):
     {"scenario": {"trials": 2, "frame_symbols": 1, "ibo_reduction_db": 2.0}},
 ], ids=["sspa", "polynomial", "ibo_reduction_db"])
 def test_rate_energy_matches_e2e_closed_form(tmp_path, extra):
-    # both commands write one closed form: a rate-energy row equals the
-    # technique-table row of the same technique at the same rho
+    # both commands measure rate and H_P/E in one Monte Carlo pass, and a
+    # receiver's result does not depend on what else shares the pass: a
+    # rate-energy row equals the technique-table row of the same technique
+    # at the same rho
     cfg = write_cfg(tmp_path, {
         "ofdm": SMALL_OFDM,
         "scenario": {"trials": 2, "frame_symbols": 1},
@@ -968,12 +976,46 @@ def test_rate_energy_matches_e2e_closed_form(tmp_path, extra):
     out = tmp_path / "o"
     assert main(["e2e", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert main(["rate-energy", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    table = {r["technique"]: (r["rate_bps_hz"], r["h_p_norm"]) for r in
-             csv.DictReader((out / "technique_table.csv").read_text().splitlines()[1:])}
-    curves = list(csv.DictReader((out / "rate_energy.csv").read_text().splitlines()[1:]))
+    table = {r["technique"]: (r["rate_bps_hz"], r["h_p_norm"])
+             for r in _rows((out / "technique_table.csv").read_text().splitlines())}
+    curves = _rows((out / "rate_energy.csv").read_text().splitlines())
     assert [r["technique"] for r in curves] == ["baseline", "companding"]
     for r in curves:
         assert (r["rate_bps_hz"], r["h_p_norm"]) == table[r["technique"]], r["technique"]
+
+
+def test_rate_energy_follows_the_amplifier(tmp_path):
+    # the rows are measured on the simulated amplifier, so its saturation
+    # level moves every one of them; rho = 0 harvests nothing
+    base = {"ofdm": SMALL_OFDM, "scenario": {"trials": 2, "frame_symbols": 2},
+            "rate_energy": {"rho_grid": [0.0, 0.5]}}
+    rows = [_rows(_rate_energy(tmp_path, f"a_sat{a_sat}", _with(base, {"pa": {"a_sat": a_sat}})))
+            for a_sat in (1.0, 2.0)]
+    for a, b in zip(*rows):
+        assert a["rate_bps_hz"] != b["rate_bps_hz"], a
+        if a["rho"] == "0":
+            assert a["h_p_norm"] == b["h_p_norm"] == "0"
+        else:
+            assert a["h_p_norm"] != b["h_p_norm"], a
+
+
+def test_rate_energy_degenerate_sinr(tmp_path):
+    # rho = 1 without processing noise leaves an all-zero information
+    # branch, whose rate is 0, not NaN; a noise-free, distortion-free link
+    # has an infinite rate; both warn
+    base = {"ofdm": SMALL_OFDM, "scenario": {"trials": 2, "frame_symbols": 2}}
+    with pytest.warns(RuntimeWarning, match="diverges"):
+        lines = _rate_energy(tmp_path, "zero", _with(base, {"split": {"sigma_p2": 0.0},
+                                                            "rate_energy": {"rho_grid": [1.0]}}),
+                             "--threads", "1")
+    assert [(r["technique"], r["rate_bps_hz"]) for r in _rows(lines)] == [
+        ("baseline", "0"), ("companding", "0")]
+    clean = {"split": {"sigma_a2": 0.0, "sigma_p2": 0.0},
+             "rate_energy": {"rho_grid": [0.0], "techniques": ["linear"]}}
+    with pytest.warns(RuntimeWarning, match="diverges"):
+        lines = _rate_energy(tmp_path, "clean", _with(base, clean), "--threads", "1")
+    assert _rows(lines) == [{"rho": "0", "technique": "linear", "rate_bps_hz": "inf",
+                             "h_p_norm": "0"}]
 
 
 def test_seed_from_config_file(tmp_path):
@@ -1022,7 +1064,6 @@ KNOB_PROBES = [
     ("ber", "channel.rice_k_db", 0.0, {"ber": {"channels": ["rice_flat"]}}),
     ("ber", "channel.pdp_db", [0.0, -3.0], {"ber": {"channels": ["rayleigh_multitap"]}}),
     ("rate-energy", "scenario.mu", 4.0, {"rate_energy": {"techniques": ["companding"]}}),
-    ("rate-energy", "scenario.p_rf_tx_dbm", 20.0, {}),
     ("ber", "scenario.trials", 3, {}),
     ("ber", "scenario.frame_symbols", 3, {}),
     ("rate-energy", "scenario.ibo_reduction_db", 2.0, {}),

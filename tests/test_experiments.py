@@ -1,4 +1,3 @@
-import json
 import sys
 from dataclasses import astuple, replace
 
@@ -9,30 +8,23 @@ from hypothesis import strategies as st
 
 from swiptsim import experiments
 from swiptsim.channel import CHANNEL_KINDS, ChannelSpec
-from swiptsim.companding import (
-    analytic_companded_bussgang,
-    compress_waveform,
-    mu_law_noise_factor,
-)
+from swiptsim.companding import compress_waveform
 from swiptsim.dpd import design_from_scratch
 from swiptsim.experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
     Scenario,
     _batch_ci,
-    append_manifest,
     channel_ofdm,
-    closed_form,
-    metrics_to_csv,
     noise_for_ebn0,
     run_techniques,
     technique_reductions,
     write_csv,
 )
 from swiptsim.harvester import EhModel
-from swiptsim.link import SplitConfig, achievable_rate, harvested, sinr
+from swiptsim.link import LinkMetrics, SplitConfig
 from swiptsim.ofdm import OfdmConfig, _qpsk, map_bits, synthesize_waveforms
-from swiptsim.pa import PaModel, amplify, bussgang_analytic_sl
+from swiptsim.pa import PaModel, amplify
 
 
 def test_scenario_validation():
@@ -45,10 +37,11 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="runs past"):
         Scenario(ibo_db=2.0, ibo_reduction_db=2.5)
     assert Scenario(ibo_db=2.0, ibo_reduction_db=2.0).ibo_reduction_db == 2.0
-    s = Scenario()
-    assert s.p_rf_tx == pytest.approx(1.0)  # 30 dBm reference
-    assert Scenario(p_rf_tx_dbm=27.0).p_rf_tx == pytest.approx(10 ** -0.3)
-    assert s.eh is not None  # default rectenna filled in
+    # the pass works in units of the nominal transmit power: there is no
+    # absolute one
+    with pytest.raises(TypeError, match="p_rf_tx_dbm"):
+        Scenario(p_rf_tx_dbm=27.0)
+    assert Scenario().eh is not None  # default rectenna filled in
 
 
 def test_noise_for_ebn0():
@@ -115,30 +108,6 @@ def test_non_saturating_pa_has_no_reduction():
     s = Scenario(pa=PaModel.polynomial((0.0, 1.0)))
     r_dpd, r_comp, design = technique_reductions(s, "companding")
     assert (r_dpd, r_comp, design) == (0.0, 0.0, None)
-
-
-def test_closed_form_bussgang_and_expander_factor():
-    # K_L and sigma_d^2 come from the soft-limiter formula at the technique's
-    # back-off, (1, 0) for the linear technique; a companded technique also
-    # scales the antenna noise and the distortion by the expander's factor
-    base = Scenario(split=SplitConfig(rho=0.5))
-    p = base.p_rf_tx
-
-    def plain(split, k_l, sd2):
-        return (achievable_rate(sinr(split, k_l, sd2, 1.0, p)),
-                harvested(split, k_l, sd2, 1.0, p, EhModel.linear()).h_p_norm)
-
-    bp = bussgang_analytic_sl(8.0)
-    assert closed_form(base, "baseline", base.split, 0.0, 0.0) == plain(
-        base.split, bp.k_l, bp.sigma_d2)
-    assert closed_form(base, "linear", base.split, 0.0, 0.0) == plain(base.split, 1.0, 0.0)
-
-    bp_c = analytic_companded_bussgang(base.mu, 8.0)
-    f = mu_law_noise_factor(base.mu)
-    inflated = replace(base.split, sigma_a2=base.split.sigma_a2 * f)
-    r_comp = technique_reductions(base, "companding")[1]
-    assert closed_form(base, "companding", base.split, 0.0, r_comp) == plain(
-        inflated, bp_c.k_l, bp_c.sigma_d2 * f)
 
 
 def test_linear_technique_radiates_the_frames(monkeypatch):
@@ -232,7 +201,7 @@ def test_sweep_rows_follow_axis_order():
     base = Scenario(trials=2, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
     rows = _rho_sweep(base, (0.2, 0.5, 0.8))
     assert len(rows) == 3
-    # the closed-form rate falls as the information branch's share does
+    # the measured rate falls as the information branch's share does
     rates = [r.rate_bps_hz for r in rows]
     assert rates[0] > rates[1] > rates[2]
     # the pin to 0 dBm removes rho from the rectifier's input
@@ -247,11 +216,14 @@ def test_sweep_threads_match_serial():
 
 
 def test_sweep_csv_byte_identical(tmp_path):
+    # every LinkMetrics field of a rho sweep, through write_csv
     base = Scenario(trials=3, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
+    rhos = (0.2, 0.5, 0.8)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (p1, p2):
-        metrics_to_csv(path, "rho", (0.2, 0.5, 0.8), _rho_sweep(base, (0.2, 0.5, 0.8)),
-                       "0123456789ab", base.seed)
+        rows = [(rho, *astuple(m)) for rho, m in zip(rhos, _rho_sweep(base, rhos))]
+        write_csv(path, ("rho", *LinkMetrics.__dataclass_fields__), rows,
+                  "0123456789ab", base.seed)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     header = b1.decode().splitlines()
@@ -283,19 +255,6 @@ def test_write_csv_provenance(tmp_path):
     assert lines[1] == "# unit test"
     assert lines[2] == "x,y"
     assert lines[3] == "1,2.5"
-
-
-def test_append_manifest(tmp_path):
-    path = tmp_path / "manifest.jsonl"
-    for _ in range(2):
-        append_manifest(path, "0123456789ab", 4, "rho", 2, 1, "baseline", "awgn")
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    entry = json.loads(lines[0])
-    versions = entry.pop("versions")
-    assert entry == {"config_hash": "0123456789ab", "seed": 4, "axis": "rho", "n_points": 2,
-                     "trials": 1, "technique": "baseline", "channel": "awgn"}
-    assert set(versions) == {"swiptsim", "numpy"}
 
 
 def _assert_same_metrics(a, b):

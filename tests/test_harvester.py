@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swiptsim.experiments import Scenario, run_techniques
 from swiptsim.harvester import (
     EhModel,
     RectennaCurve,
@@ -12,7 +13,9 @@ from swiptsim.harvester import (
     load_calibration,
     watts_to_dbm,
 )
-from swiptsim.link import SplitConfig, harvested
+from swiptsim.link import SplitConfig
+from swiptsim.ofdm import OfdmConfig
+from swiptsim.pa import PaModel
 
 TWO_POINT = "p_in_dbm,eta3\n-10.0,0.1\n10.0,0.3\n"
 _BUILD_SCRIPT = Path(__file__).parents[1] / "scripts" / "build_rectenna_calibration.py"
@@ -170,8 +173,11 @@ def test_curve_shape_validation():
 
 
 def test_linear_model_harvest():
-    # the whole transmit power reaches a noiseless harvester
-    split = SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=0.0)
-    res = harvested(split, k_l=1.0, sigma_d2=0.0, p_rf_tx=2e-3, eh=EhModel.linear(0.25))
-    assert res.h_p == pytest.approx(0.25 * 2e-3, rel=1e-12)
-    assert res.h_p_norm == pytest.approx(0.25, rel=1e-12)
+    # the whole nominal transmit power reaches a linear harvester without
+    # antenna noise; the processing noise is not harvested
+    s = Scenario(ofdm=OfdmConfig(n_subcarriers=16, oversampling_factor=2),
+                 pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.25),
+                 split=SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=1e-3), trials=2)
+    ((m,),) = run_techniques(s, ("baseline",))
+    assert m.eta3 == 0.25
+    assert m.harvested_norm == pytest.approx(0.25, rel=1e-12)

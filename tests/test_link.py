@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from swiptsim import link
-from swiptsim.channel import ChannelSpec, apply_channel, sample_channel
-from swiptsim.companding import PEAK, mu_law_noise_factor
-from swiptsim.experiments import Scenario, closed_form
+from swiptsim.channel import ChannelSpec, apply_channel, sample_channel, subcarrier_gains
+from swiptsim.companding import PEAK, companding_ibo_reduction_db
+from swiptsim.experiments import Scenario, run_techniques
 from swiptsim.harvester import EhModel, eta3, watts_to_dbm
 from swiptsim.link import (
     LinkMetrics,
     SplitConfig,
-    achievable_rate,
     demodulate_and_ber,
-    harvested,
     info_branch,
-    sinr,
     split_noise,
 )
-from swiptsim.ofdm import OfdmConfig, map_bits, synthesize_waveforms
-from swiptsim.pa import PaModel
+from swiptsim.ofdm import OfdmConfig, map_bits, ofdm_demodulate, synthesize_waveforms
+from swiptsim.pa import PaModel, bussgang_estimate
+
+SMALL = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
 
 
 def test_split_config_validation():
@@ -29,9 +28,7 @@ def test_split_config_validation():
         SplitConfig(rho=-0.1)
     with pytest.raises(ValueError):
         SplitConfig(sigma_a2=-1e-3)
-    cfg = SplitConfig(rho=0.25)
-    assert cfg.gamma_eh(2.0) == 0.5
-    assert cfg.gamma_info(2.0) == 1.5
+    assert SplitConfig(rho=0.25).rho == 0.25
     assert SplitConfig().rho == pytest.approx(1.0 - 1e-6)
 
 
@@ -107,127 +104,152 @@ def test_split_noise_matches_complex_form(sigma_a2, sigma_p2, trials):
     assert noise.tobytes() == ref.tobytes()
 
 
-def test_sinr_goldens():
-    split = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=0.0)
-    s = sinr(split, k_l=1.0, sigma_d2=0.0)
-    assert s == pytest.approx(1000.0, rel=1e-12)
-    assert achievable_rate(s) == pytest.approx(9.967226258835993, abs=1e-12)
+def _receivers(s, splits):
+    return [(s.channel, split) for split in splits]
 
-    split2 = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)
-    s2 = sinr(split2, k_l=1.0, sigma_d2=0.0)
-    assert s2 == pytest.approx(1000.0 / 3.0, rel=1e-12)
-    assert achievable_rate(s2) == pytest.approx(8.385143389891024, abs=1e-12)
+
+def test_sinr_goldens():
+    # the measured SINR of an ideal link is L (1 - rho) / ((1 - rho) sigma_a2
+    # + sigma_p2), within the Monte Carlo's spread: the demodulator keeps
+    # the in-band 1/L of each noise power
+    s = Scenario(ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=4), trials=40, seed=2)
+    splits = (SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=0.0),
+              SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3))
+    res = run_techniques(s, ("linear",), _receivers(s, splits))
+    for (m,), expected in zip(res, (4000.0, 4000.0 / 3.0)):
+        assert 2.0 ** m.rate_bps_hz - 1.0 == pytest.approx(expected, rel=0.05)
 
 
 def test_sinr_degenerate_cases():
-    clean = SplitConfig(rho=0.5, sigma_a2=0.0, sigma_p2=0.0)
+    # a frame with neither noise nor distortion has an infinite rate and an
+    # all-zero branch a rate of 0, and both warn; noise keeps it finite
+    rng = np.random.default_rng(23)
+    sent, sig = _build_frame(SMALL, rng, 2)
     with pytest.warns(RuntimeWarning, match="diverges"):
-        assert sinr(clean, k_l=1.0, sigma_d2=0.0) == np.inf
-    with pytest.warns(RuntimeWarning):
-        assert sinr(clean, k_l=0.0, sigma_d2=0.0) == 0.0
-    # distortion alone keeps the ratio finite
-    assert np.isfinite(sinr(clean, k_l=1.0, sigma_d2=0.01))
-
-
-def _companded(split):
-    """The closed form of the companded technique on an amplifier that does
-    not saturate, so that K_L = 1 and there is no distortion."""
-    return closed_form(Scenario(pa=PaModel.polynomial((0.0, 1.0))), "companding", split,
-                       0.0, 0.0)
+        assert demodulate_and_ber(sig, (1.0 + 0j,), SMALL, sent) == (0.0, np.inf)
+    with pytest.warns(RuntimeWarning, match="diverges"):
+        assert demodulate_and_ber(np.zeros_like(sig), (1.0 + 0j,), SMALL, sent)[1] == 0.0
+    noisy = sig + 1e-3 * rng.standard_normal(sig.size)
+    assert np.isfinite(demodulate_and_ber(noisy, (1.0 + 0j,), SMALL, sent)[1])
 
 
 def test_companded_sinr_golden_and_noise_inflation():
-    split = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)
-    rate, _ = _companded(split)
-    s = 2.0**rate - 1.0
-    assert s == pytest.approx(397.44561957530163, rel=1e-12)
-    # expansion scales antenna noise and distortion but not the
-    # post-expander processing noise
-    f = mu_law_noise_factor(1.25)
-    manual = 0.5 / (0.5 * 1e-3 * f + 1e-3)
-    assert s == pytest.approx(manual, rel=1e-12)
-    inflated = dataclasses.replace(split, sigma_a2=1e-3 * f)
-    assert rate == achievable_rate(sinr(inflated, k_l=1.0, sigma_d2=0.0))
+    # on an amplifier that does not saturate, the compressed frames radiate
+    # 10^(r/10) times the baseline's power, r the compression's back-off
+    # reduction; the companded rate is measured after the expander, which
+    # amplifies the noise riding the compressed signal, so its SINR gains
+    # less than that over the baseline's on the same draws
+    s = Scenario(pa=PaModel.polynomial((0.0, 1.0)), ofdm=SMALL, trials=10, seed=4,
+                 split=SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3))
+    ((base, comp),) = run_techniques(s, ("baseline", "companding"))
+    gain = (2.0 ** comp.rate_bps_hz - 1.0) / (2.0 ** base.rate_bps_hz - 1.0)
+    assert 1.0 < gain < 10.0 ** (companding_ibo_reduction_db(s.mu) / 10.0)
+    assert (base.rate_bps_hz, comp.rate_bps_hz) == pytest.approx(
+        (9.35912051911005, 9.801418886717432), abs=1e-9)
 
 
 def test_achievable_rate_basics():
-    assert achievable_rate(0.0) == 0.0
-    assert achievable_rate(1.0) == 1.0
-    assert achievable_rate(3.0) == 2.0
-    with pytest.raises(ValueError):
-        achievable_rate(-0.5)
+    # each frame's rate is log2(1 + K^2 / sigma_d^2) of the Bussgang
+    # decomposition of its zero-forced grid against the sent symbols, and a
+    # block of frames gives each frame its own
+    cfg = dataclasses.replace(SMALL, cp_length=4)
+    rng = np.random.default_rng(29)
+    frames = [_build_frame(cfg, rng, 2) for _ in range(3)]
+    sent = np.stack([b for b, _ in frames])
+    taps = np.array([sample_channel(ChannelSpec(kind="rayleigh_multitap"), rng)
+                     for _ in range(3)])
+    rx = np.stack([apply_channel(x, t, cfg.cp_length) for (_, x), t in zip(frames, taps)])
+    rx = rx + 0.05 * (rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape))
+    _, rates = demodulate_and_ber(rx, taps, cfg, sent)
+    for i in range(3):
+        grid = ofdm_demodulate(rx[i].reshape(2, -1), cfg) / subcarrier_gains(taps[i], cfg)
+        bp = bussgang_estimate(sent[i], grid.ravel())
+        assert rates[i] == pytest.approx(np.log2(1.0 + bp.k_l ** 2 / bp.sigma_d2), rel=1e-12)
+        assert demodulate_and_ber(rx[i], tuple(taps[i]), cfg, sent[i])[1] == rates[i]
+    assert 0.0 < rates.min()
 
 
 def test_harvested_additivity():
-    split = SplitConfig(rho=0.7, sigma_a2=2e-3, sigma_p2=5e-4)
-    kwargs = dict(h_gain2=1.3, p_rf_tx=2.0, eh=EhModel.linear(0.5))
-    full = harvested(split, k_l=0.8, sigma_d2=0.05, **kwargs)
-    quiet = dataclasses.replace(split, sigma_a2=0.0, sigma_p2=0.0)
-    sig_only = harvested(quiet, k_l=0.8, sigma_d2=0.0, **kwargs)
-    dist_only = harvested(quiet, k_l=0.0, sigma_d2=0.05, **kwargs)
-    noise_only = harvested(split, k_l=0.0, sigma_d2=0.0, **kwargs)
-    total = sig_only.h_p + dist_only.h_p + noise_only.h_p
-    assert full.h_p == pytest.approx(total, rel=1e-12)
+    # H_P/E is eta3 * rho * (P_rx + sigma_a2): the antenna noise adds its
+    # share, and the processing noise, the information branch's, adds nothing
+    s = Scenario(ofdm=SMALL, trials=3, seed=6, channel=ChannelSpec(kind="rayleigh_flat"))
+    splits = (SplitConfig(rho=0.7, sigma_a2=2e-3, sigma_p2=5e-4),
+              SplitConfig(rho=0.7, sigma_a2=0.0, sigma_p2=5e-4),
+              SplitConfig(rho=0.7, sigma_a2=0.0, sigma_p2=0.0))
+    (full,), (signal,), (quiet,) = run_techniques(s, ("companding",), _receivers(s, splits))
+    assert signal.harvested_norm == quiet.harvested_norm > 0.0
+    assert full.harvested_norm == pytest.approx(
+        quiet.harvested_norm + full.eta3 * 0.7 * 2e-3, rel=1e-12)
 
 
 def test_harvested_goldens_and_limits():
-    split = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)
-    plain = harvested(split, k_l=1.0, sigma_d2=0.0)
-    assert plain.h_p_norm == pytest.approx(0.25075, rel=1e-12)
-    _, comp = _companded(split)
-    assert comp == pytest.approx(0.25062901687095496, rel=1e-12)
-
-    ideal = harvested(SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=0.0),
-                      k_l=1.0, sigma_d2=0.0)
-    assert ideal.h_p_norm == pytest.approx(0.5, rel=1e-12)
+    # a linear amplifier through AWGN delivers the nominal transmit power,
+    # P_rx = 1, to a linear 0.5 harvester; rho = 0 harvests nothing
+    s = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5), ofdm=SMALL,
+                 trials=3, seed=1)
+    splits = (SplitConfig(rho=1.0, sigma_a2=0.0), SplitConfig(rho=0.5), SplitConfig(rho=0.0))
+    (ideal,), (plain,), (none,) = run_techniques(s, ("baseline",), _receivers(s, splits))
+    assert ideal.harvested_norm == pytest.approx(0.5, rel=1e-12)
+    assert plain.harvested_norm == pytest.approx(0.5 * 0.5 * (1.0 + 1e-3), rel=1e-12)
+    assert none.harvested_norm == 0.0
 
 
 def test_harvested_never_exceeds_input():
-    split = SplitConfig(rho=0.9, sigma_a2=1e-3, sigma_p2=1e-3)
+    # the rectified power stays below the EH branch's input, rho (P_rx +
+    # sigma_a2), on a linear harvester and on the packaged curve; the linear
+    # and baseline techniques receive P_rx = 1 through AWGN
+    splits = [SplitConfig(rho=rho, sigma_a2=1e-3) for rho in (0.1, 0.5, 0.9, 1.0)]
     for eh in (EhModel.linear(0.5), EhModel.default()):
-        he = harvested(split, k_l=1.0, sigma_d2=0.02, p_rf_tx=1e-3, eh=eh)
-        p_in = 0.9 * 1e-3 * 1.02 + 0.9 * 1e-3 + 1e-3
-        assert he.h_p <= p_in
+        s = Scenario(ofdm=SMALL, eh=eh, trials=3, seed=7)
+        res = run_techniques(s, ("linear", "baseline"), _receivers(s, splits))
+        for split, row in zip(splits, res):
+            for m in row:
+                assert 0.0 < m.harvested_norm <= split.rho * (1.0 + split.sigma_a2) * (1 + 1e-12)
 
 
 def test_constant_envelope_harvest_matches_closed_form():
     # with a flat envelope the Monte Carlo pass's per-sample rectenna lookup
-    # and the closed form's lookup at the mean power coincide
+    # and a lookup at the mean power coincide
     eh = EhModel.default()
     p_w = np.full(64, 1e-3)
     per_sample = float(np.sum(eta3(eh, watts_to_dbm(p_w)) * p_w)) / p_w.size
-    quiet = SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=0.0)
-    closed = harvested(quiet, k_l=1.0, sigma_d2=0.0, p_rf_tx=1e-3, eh=eh)
-    assert per_sample == pytest.approx(closed.h_p, rel=1e-12)
+    assert per_sample == pytest.approx(float(eta3(eh, watts_to_dbm(1e-3))) * 1e-3, rel=1e-12)
 
 
 def test_rate_energy_tradeoff_monotone_in_rho():
+    # one pass over the splitting ratio: the measured rate falls and H_P/E
+    # rises with rho
     rhos = np.linspace(0.0, 1.0, 21)
-    split0 = SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)
-    rates, energies = [], []
-    for rho in rhos:
-        split = dataclasses.replace(split0, rho=float(rho))
-        rates.append(achievable_rate(sinr(split, 1.0, 0.0)))
-        energies.append(harvested(split, 1.0, 0.0).h_p_norm)
-    assert all(a >= b for a, b in zip(rates, rates[1:]))
-    assert all(a <= b for a, b in zip(energies, energies[1:]))
-    assert rates[-1] == 0.0  # everything to the harvester
+    s = Scenario(ofdm=SMALL, trials=4, seed=3)
+    res = run_techniques(s, ("baseline",),
+                         _receivers(s, [dataclasses.replace(s.split, rho=float(rho))
+                                        for rho in rhos]))
+    rates = [m.rate_bps_hz for (m,) in res]
+    energies = [m.harvested_norm for (m,) in res]
+    assert all(a > b for a, b in zip(rates, rates[1:]))
+    assert all(a < b for a, b in zip(energies, energies[1:]))
+    # everything to the harvester: the branch holds processing noise only
+    assert energies[0] == 0.0
+    assert rates[-1] < 0.05
 
 
 def _build_frame(cfg, rng, n_symbols):
-    bits = rng.integers(0, 2, size=2 * cfg.n_subcarriers * n_symbols)
-    grid = map_bits(bits).reshape(n_symbols, cfg.n_subcarriers)
-    x = synthesize_waveforms(grid, cfg).ravel()
-    return bits, x
+    """(sent QPSK symbols, time-domain frame) of n_symbols random symbols."""
+    sent = map_bits(rng.integers(0, 2, size=2 * cfg.n_subcarriers * n_symbols))
+    x = synthesize_waveforms(sent.reshape(n_symbols, cfg.n_subcarriers), cfg).ravel()
+    return sent, x
 
 
 def test_noiseless_ber_is_zero_through_fading():
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2, cp_length=8)
     rng = np.random.default_rng(11)
-    bits, sig = _build_frame(cfg, rng, 4)
+    sent, sig = _build_frame(cfg, rng, 4)
     taps = sample_channel(ChannelSpec(kind="rayleigh_multitap"), rng)
     rx = apply_channel(sig, taps, cp_length=cfg.cp_length)
-    assert demodulate_and_ber(rx, taps, cfg, bits) == 0.0
+    # a noiseless frame through fading decodes without error, and, with
+    # neither noise nor distortion, at an infinite rate
+    with pytest.warns(RuntimeWarning, match="diverges"):
+        assert demodulate_and_ber(rx, taps, cfg, sent) == (0.0, np.inf)
 
 
 def test_tiny_mu_expander_matches_plain_receiver():
@@ -235,23 +257,24 @@ def test_tiny_mu_expander_matches_plain_receiver():
     # produce the same (non-zero) error rate either way
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
     rng = np.random.default_rng(13)
-    bits, sig = _build_frame(cfg, rng, 4)
+    sent, sig = _build_frame(cfg, rng, 4)
     taps = (1.0 + 0j,)
     split = SplitConfig(rho=0.0, sigma_a2=0.5, sigma_p2=0.0)
     rx = info_branch(sig, split, split_noise(split, rng.standard_normal((2, 2, sig.size))))
-    plain = demodulate_and_ber(rx, taps, cfg, bits)
-    expanded = demodulate_and_ber(rx, taps, cfg, bits, expander=1e-9, expander_scale=1.0)
+    plain, _ = demodulate_and_ber(rx, taps, cfg, sent)
+    expanded, _ = demodulate_and_ber(rx, taps, cfg, sent, expander=1e-9, expander_scale=1.0)
     assert plain > 0.0
     assert expanded == plain
 
 
 def test_demodulate_block_caps_the_expander_row_by_row(monkeypatch):
-    # a block of frames demodulates exactly as each frame alone, and the
-    # expander cap rescales only the frames with a sample beyond it
+    # a block of frames demodulates exactly as each frame alone, BER and
+    # rate, and the expander cap rescales only the frames with a sample
+    # beyond it
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2, cp_length=4)
     rng = np.random.default_rng(19)
     frames = [_build_frame(cfg, rng, 2) for _ in range(3)]
-    bits = np.stack([b for b, _ in frames])
+    sent = np.stack([b for b, _ in frames])
     rx = np.stack([x for _, x in frames])
     taps = np.array([sample_channel(ChannelSpec(kind="rayleigh_multitap"), rng)
                      for _ in range(3)])
@@ -267,10 +290,10 @@ def test_demodulate_block_caps_the_expander_row_by_row(monkeypatch):
         return real_expand(waveform, mu)
 
     monkeypatch.setattr(link, "expand_waveform", recording_expand)
-    block = demodulate_and_ber(rx, taps, cfg, bits, 1.25, scale)
-    alone = [demodulate_and_ber(rx[i], tuple(taps[i]), cfg, bits[i], 1.25, float(scale[i]))
+    block = demodulate_and_ber(rx, taps, cfg, sent, 1.25, scale)
+    alone = [demodulate_and_ber(rx[i], tuple(taps[i]), cfg, sent[i], 1.25, float(scale[i]))
              for i in range(3)]
-    np.testing.assert_array_equal(block, alone)
+    np.testing.assert_array_equal(np.transpose(block), alone)
     np.testing.assert_array_equal(expanded[0], np.stack(expanded[1:]))
     capped = np.abs(expanded[0]) > 64.0 * PEAK * (1 - 1e-12)
     assert capped.any(axis=-1).tolist() == [False, True, False]
@@ -280,15 +303,15 @@ def test_demodulate_block_caps_the_expander_row_by_row(monkeypatch):
 def test_demodulate_rejections():
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
     rng = np.random.default_rng(17)
-    bits, sig = _build_frame(cfg, rng, 2)
+    sent, sig = _build_frame(cfg, rng, 2)
     taps = (1.0 + 0j,)
 
     with pytest.raises(ValueError, match="nulls"):
-        demodulate_and_ber(sig, (0.0 + 0j,), cfg, bits)
+        demodulate_and_ber(sig, (0.0 + 0j,), cfg, sent)
     short = sig[:-1]
     with pytest.raises(ValueError, match="whole number"):
-        demodulate_and_ber(short, taps, cfg, bits)
-    with pytest.raises(ValueError, match="truth bit count"):
-        demodulate_and_ber(sig, taps, cfg, bits[:-2])
+        demodulate_and_ber(short, taps, cfg, sent)
+    with pytest.raises(ValueError, match="sent symbol count"):
+        demodulate_and_ber(sig, taps, cfg, sent[:-2])
     with pytest.raises(ValueError, match="positive"):
-        demodulate_and_ber(sig, taps, cfg, bits, expander=1.25, expander_scale=0.0)
+        demodulate_and_ber(sig, taps, cfg, sent, expander=1.25, expander_scale=0.0)

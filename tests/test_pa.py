@@ -216,6 +216,22 @@ def test_bussgang_residual_orthogonality():
     assert rel < 1e-8
 
 
+def test_bussgang_estimate_rows_match_one_dimensional_calls():
+    # one K_L and sigma_d^2 per row of the last axis, each bit-identical to
+    # the one-dimensional call on that row, for any leading shape
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 3, 64)) + 1j * rng.standard_normal((2, 3, 64))
+    y = amplify(x, PaModel.sspa(), 2.0) + 0.01 * rng.standard_normal(x.shape)
+    y[1, 2] = 0.5 * x[1, 2]  # a distortion-free row reads sigma_d^2 = 0
+    est = bussgang_estimate(x, y)
+    assert est.k_l.shape == est.sigma_d2.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        row = bussgang_estimate(x[i], y[i])
+        assert isinstance(row.k_l, float) and isinstance(row.sigma_d2, float)
+        assert (est.k_l[i], est.sigma_d2[i]) == (row.k_l, row.sigma_d2), i
+    assert est.sigma_d2[1, 2] == 0.0 and est.sigma_d2[0, 0] > 0.0
+
+
 def test_bussgang_estimate_validation():
     with pytest.raises(ValueError):
         bussgang_estimate(np.ones(4, complex), np.ones(5, complex))
