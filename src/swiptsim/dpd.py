@@ -22,9 +22,14 @@ log = logging.getLogger(__name__)
 EVM_MATCH_TOLERANCE = 0.01
 # below this EVM a chain counts as distortion-free
 DISTORTION_FREE_EVM = 1e-9
-# the back-off reduction search's step and upper bound, the probe's length
-# in symbols, and the training ramp's points and reach in units of a_sat
+# the back-off reduction search: a coarse scan, a fine scan inside the
+# first coarse step that crosses, the width below which the refinement of
+# the fine step that crosses stops, and the upper bound; then the probe's
+# length in symbols, and the training ramp's points and reach in units of
+# a_sat
+COARSE_STEP_DB = 0.5
 SCAN_STEP_DB = 0.1
+REFINE_TOL_DB = 1e-4
 MAX_REDUCTION_DB = 8.0
 PROBE_SYMBOLS = 64
 RAMP_POINTS = 4096
@@ -176,16 +181,34 @@ def design_ibo_reduction(
     measured on its one probe, so the comparison is noise-free.
 
     EVM is measured on demodulated constellation points, so distortion
-    that lands out of band does not count against either chain.  The grid
-    of SCAN_STEP_DB increments up to MAX_REDUCTION_DB is scanned upward and
-    stops at the first EVM crossing: the first point above the target,
-    unless its EVM is below DISTORTION_FREE_EVM (such a chain is scanned to
-    the upper bound).  A baseline EVM below DISTORTION_FREE_EVM is
+    that lands out of band does not count against either chain.  A point
+    crosses when its EVM exceeds the target.  The search takes the first
+    crossing among the points it scans:
+
+    1. the COARSE_STEP_DB grid from 0 up to MAX_REDUCTION_DB, upward, up to
+       its first crossing;
+    2. the SCAN_STEP_DB grid inside that coarse bracket, upward, up to its
+       first crossing (or the coarse crossing itself);
+    3. Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on that
+       SCAN_STEP_DB bracket, until it is narrower than REFINE_TOL_DB; the
+       feasible end is the result.
+
+    So a crossing that lies between two feasible coarse points, and turns
+    back below the target before the next one, is not seen.  A
+    non-monotone note covers the scanned points sorted by reduction.  Each
+    refinement point is held at least REFINE_TOL_DB / 4 inside the bracket,
+    so every step shrinks it by that much and the loop ends.  A design
+    makes one baseline evaluation, one per coarse point up to the crossing,
+    at most 4 fine ones and the refinement steps: a few on a smooth EVM
+    curve, tens on one that jumps far above the target.  The default design
+    (N=512, L=4, SSPA p=1.2, 8 dB) makes 14: the baseline, 6 coarse points,
+    4 fine ones and 3 refinement steps.
+
+    Every chain without a crossing is scanned to MAX_REDUCTION_DB: it
+    stops there, or is distortion-free when every scanned EVM is below
+    DISTORTION_FREE_EVM.  A baseline EVM below DISTORTION_FREE_EVM is
     round-off, not distortion: the design is degenerate at the upper bound
-    without a scan.  24 bisection steps between the last feasible point
-    before the crossing and the crossing refine it to SCAN_STEP_DB / 2^24,
-    about 6e-9 dB.  A non-monotone note covers only the scanned part of the
-    grid.
+    without a scan.
     """
     evm_base = chain_evm(baseline_ibo_db)
     target = evm_base * (1.0 + EVM_MATCH_TOLERANCE)
@@ -212,14 +235,24 @@ def design_ibo_reduction(
         log.info("degenerate design: EVM is zero at the baseline")
         return design(MAX_REDUCTION_DB, evm_dpd(MAX_REDUCTION_DB), degenerate=True)
 
-    grid = np.arange(0.0, MAX_REDUCTION_DB + 1e-9, SCAN_STEP_DB)
-    scanned = []
-    for r in grid:
-        scanned.append(evm_dpd(r))
-        if scanned[-1] > target and scanned[-1] >= DISTORTION_FREE_EVM:
-            break
-    evms = np.array(scanned)
-    reductions = grid[:evms.size]
+    # the target exceeds DISTORTION_FREE_EVM here, so a crossing is never round-off
+    scanned: dict[float, float] = {}
+
+    def first_crossing(grid: np.ndarray) -> float | None:
+        for r in grid.tolist():
+            scanned[r] = evm_dpd(r)
+            if scanned[r] > target:
+                return r
+        return None
+
+    hi = first_crossing(np.arange(0.0, MAX_REDUCTION_DB + 1e-9, COARSE_STEP_DB))
+    if hi is not None and hi > 0.0:
+        # the fine points strictly inside the coarse bracket
+        fine = first_crossing(
+            np.arange(hi - COARSE_STEP_DB + SCAN_STEP_DB, hi - 1e-9, SCAN_STEP_DB))
+        hi = hi if fine is None else fine
+    reductions = np.array(sorted(scanned))
+    evms = np.array([scanned[r] for r in reductions])
 
     if np.all(evms < DISTORTION_FREE_EVM):
         notes.append("distortion-free chain: search hit its upper bound")
@@ -233,8 +266,7 @@ def design_ibo_reduction(
         notes.append(msg)
         log.warning(msg)
 
-    feasible = evms <= target
-    if not feasible[0]:
+    if hi == 0.0:
         notes.append(
             f"no feasible reduction: EVM with predistortion at the baseline "
             f"({evms[0]:.4f}) already exceeds {target:.4f}"
@@ -242,21 +274,28 @@ def design_ibo_reduction(
         log.warning(notes[-1])
         return design(0.0, float(evms[0]))
 
-    last = int(np.flatnonzero(feasible).max())
-    lo = float(reductions[last])
-    evm_lo = float(evms[last])
-    if last == len(grid) - 1:
+    if hi is None:
         notes.append("search hit its upper bound; reduction may extend further")
-        return design(lo, evm_lo)
+        return design(MAX_REDUCTION_DB, float(evms[-1]))
 
-    hi = float(reductions[last + 1])
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        evm_mid = evm_dpd(mid)
-        if evm_mid <= target:
-            lo, evm_lo = mid, evm_mid
+    lo = float(reductions[reductions < hi][-1])
+    evm_lo = scanned[lo]
+    g_lo, g_hi = evm_lo - target, scanned[hi] - target
+    moved = None  # the end the last step moved
+    while hi - lo >= REFINE_TOL_DB:
+        # the false-position point, held REFINE_TOL_DB / 4 inside the bracket
+        r = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        r = min(max(r, lo + REFINE_TOL_DB / 4), hi - REFINE_TOL_DB / 4)
+        e = evm_dpd(r)
+        # Illinois: an end kept twice in a row has its EVM gap halved
+        if e > target:
+            if moved == "hi":
+                g_lo *= 0.5
+            hi, g_hi, moved = r, e - target, "hi"
         else:
-            hi = mid
+            if moved == "lo":
+                g_hi *= 0.5
+            lo, evm_lo, g_lo, moved = r, e, e - target, "lo"
     return design(lo, evm_lo)
 
 

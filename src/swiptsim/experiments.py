@@ -126,7 +126,7 @@ def technique_reductions(s: Scenario, technique: str) -> tuple[float, float, Pol
     off from, so reductions are zero there; a degenerate DPD design
     likewise contributes zero.  The DPD design is shared by every scenario
     at one operating point: it does not depend on the cyclic prefix, and
-    its back-off search takes the first EVM crossing of its grid (see
+    its back-off search takes the first EVM crossing it scans (see
     design_ibo_reduction).  An unknown technique is a ValueError.
     """
     if technique not in TECHNIQUES:

@@ -35,7 +35,7 @@ from swiptsim.ofdm import (
     OfdmConfig,
     map_bits,
     papr_quantile_db,
-    papr_samples,
+    papr_samples_many,
     synthesize_waveforms,
 )
 from swiptsim.pa import (
@@ -81,7 +81,9 @@ def test_criterion_1_class_a_efficiency():
 
 def test_criterion_2_papr_ccdf_quantile():
     cfg = OfdmConfig(n_subcarriers=1024)
-    samples = papr_samples(cfg, 100_000, seed=0)
+    # papr_samples(cfg, 100_000, seed=0) bit for bit, its batches on two
+    # threads: 12.449 dB
+    samples = papr_samples_many(cfg, 100_000, 0, (None,), threads=2)[0]
     q = papr_quantile_db(samples, 1e-4)
     ok = abs(q - 12.0) < 0.5
     _report(2, "PAPR at 1e-4 exceedance, N=1024", ok, f"{q:.3f} dB vs 12 +- 0.5 dB")

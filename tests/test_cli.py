@@ -457,8 +457,9 @@ _CSV_SHA256 = {
 # above keep their config hash: a cyclic prefix, which the multipath
 # channel lengthens, and rho = 0.5, so that the rectenna runs; recorded
 # when one pass of common random numbers came to serve every channel and
-# Eb/N0 point, and checked at 1, 2 and 3 threads, which must not move a
-# byte
+# Eb/N0 point (the two e2e files when the DPD search came to refine its
+# crossing to 1e-4 dB), and checked at 1, 2 and 3 threads, which must not
+# move a byte
 _MC_DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
     "split": {"rho": 0.5},
@@ -467,8 +468,8 @@ _MC_DIGEST_CFG = {
 }
 _MC_CSV_SHA256 = {
     "ber_curves.csv": "c3a3aa9f3cfafbb67f7499458bd6e09fd3fdd4663210b4c26cfd69e07e0e5281",
-    "technique_table.csv": "492b47676dda2c20f8f0806d1c8a9c5f25ccfadf74a8b357d977d1d53e540db5",
-    "channel_metrics.csv": "80875b5c1b2c22feb549d0f210107ee351ef41131710f1bec212ac6ba53da811",
+    "technique_table.csv": "a666b2a7be2d0e07cf02acf6a111e3feebe7903d07b567e8f37011d0e9886601",
+    "channel_metrics.csv": "7c406ff2d7a92666bf32b0ef0ec97192bbfc922548bb1c7134d850d0d4761cf9",
     "rate_energy.csv": "cf7415882086b70e463f2d3136c028c5eb68b9bc6f5eb881e914cd26b44ff317",
 }
 
@@ -803,6 +804,26 @@ def test_e2e_designs_like_dpd_design_at_seed_zero(tmp_path):
             rows = {r["technique"]: r for r in csv.DictReader(ln for ln in fh
                                                                if not ln.startswith("#"))}
         assert float(rows["dpd"]["ibo_reduction_db"]) == float(format(seed0, ".10g"))
+
+
+def test_e2e_designs_in_at_most_20_chain_evaluations(tmp_path, monkeypatch):
+    # one EVM per chain evaluation of the DPD design's back-off search, the
+    # baseline included; the cleared cache makes the run design afresh
+    calls = 0
+    real = dpd.evm
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dpd, "evm", counting)
+    experiments._cached_dpd.cache_clear()
+    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
+                               "scenario": {"trials": 1, "frame_symbols": 1}})
+    assert main(["e2e", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert experiments._cached_dpd.cache_info().misses == 1
+    assert 0 < calls <= 20, calls
 
 
 def test_grid_triples_and_literal_lists():

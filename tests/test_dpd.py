@@ -10,6 +10,8 @@ import pytest
 import swiptsim
 from swiptsim import dpd
 from swiptsim.dpd import (
+    EVM_MATCH_TOLERANCE,
+    PolyFit,
     design_from_scratch,
     design_ibo_reduction,
     evm,
@@ -118,7 +120,7 @@ def test_evm_basics():
 
 def test_design_point_frozen():
     design = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)
-    assert design.ibo_reduction_db == pytest.approx(2.477963727712632, abs=1e-9)
+    assert design.ibo_reduction_db == pytest.approx(2.477963434417493, abs=1e-9)
     assert design.evm_baseline == pytest.approx(0.048815681574043805, abs=1e-12)
     assert design.evm_with_dpd <= design.evm_baseline * 1.01 + 1e-12
     assert not design.degenerate
@@ -141,9 +143,9 @@ def test_search_stops_at_first_crossing(monkeypatch):
 
     monkeypatch.setattr(dpd, "evm", counting_chain)
     design = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)
-    assert design.ibo_reduction_db == pytest.approx(2.477963727712632, abs=1e-9)
-    # baseline, grid 0..2.5 dB up to the crossing, 24 bisection steps
-    assert calls <= 52
+    assert design.ibo_reduction_db == pytest.approx(2.477963434417493, abs=1e-9)
+    # baseline, coarse grid 0..2.5 dB, fine grid 2.1..2.4 dB, 3 Illinois steps
+    assert calls == 14
 
 
 def test_probe_evm_blocks_bit_identical(monkeypatch):
@@ -231,6 +233,100 @@ def test_infeasible_inverse_returns_zero():
     design = design_ibo_reduction(pa_fit, bad_inv, 0.0, probe_evm(hard, CFG, seed=1))
     assert design.ibo_reduction_db == 0.0
     assert any("no feasible reduction" in n for n in design.notes)
+
+
+# design_ibo_reduction on scripted chains: EVM _BASE at the 8 dB baseline
+# and curve(reduction) with the predistorter, so every branch of the search
+# runs with a known answer and a known number of chain evaluations
+_BASE = 0.05
+_TARGET = _BASE * (1.0 + EVM_MATCH_TOLERANCE)
+_IDENTITY = PolyFit(order=1, coeffs=(0.0, 1.0), domain_max=1.0, residual_rms=0.0)
+
+
+def _scripted_design(curve, evm_base=_BASE):
+    calls = []
+
+    def chain_evm(ibo_db, inverse_fit=None):
+        calls.append(ibo_db)
+        return evm_base if inverse_fit is None else curve(8.0 - ibo_db)
+
+    return design_ibo_reduction(_IDENTITY, _IDENTITY, 8.0, chain_evm), len(calls)
+
+
+@pytest.mark.parametrize("a, b, calls", [
+    # crossing at 3.087 dB: baseline, coarse 0..3.5, fine 3.1, 5 steps
+    (0.02, 0.3, 13),
+    # crossing at 0.231 dB, inside the first coarse step: baseline, coarse
+    # 0 and 0.5, fine 0.1..0.3, 3 steps
+    (0.045, 0.5, 9),
+])
+def test_search_refines_a_smooth_crossing(a, b, calls):
+    curve = lambda r: a * np.exp(b * r)
+    design, n = _scripted_design(curve)
+    r = design.ibo_reduction_db
+    # the chain sees 8 - (8 - r), which rounds: the design's EVM is its own
+    assert design.evm_with_dpd <= _TARGET < curve(r + 1e-4)
+    assert design.evm_with_dpd == pytest.approx(curve(r), rel=1e-12)
+    assert abs(r - np.log(_TARGET / a) / b) < 1e-4
+    assert design.notes == () and not design.degenerate
+    assert n == calls
+
+
+def test_search_keeps_a_crossing_on_a_coarse_point():
+    # EVM reaches the target exactly at 1.5 dB, which stays feasible: the
+    # fine point 1.6 dB crosses, and one step 2.5e-5 dB above 1.5 closes
+    # the bracket
+    design, n = _scripted_design(lambda r: _TARGET + 0.01 * (r - 1.5))
+    assert design.ibo_reduction_db == 1.5
+    assert design.notes == ()
+    assert n == 1 + 5 + 1 + 1
+
+
+def test_search_takes_the_first_crossing_it_scans():
+    # a bump above the target at 1.2 dB lies between the feasible coarse
+    # points 1.0 and 1.5 dB, so the search does not see it and refines the
+    # next crossing, at 2.5556 dB; the dip from 1.0 to 1.5 dB is noted
+    knots = [0.0, 1.0, 1.2, 1.4, 1.5, 2.0, 3.0, 8.0]
+    values = _TARGET * np.array([0.5, 0.8, 1.5, 0.8, 0.7, 0.75, 1.2, 2.0])
+    curve = lambda r: float(np.interp(r, knots, values))
+    assert curve(1.2) > _TARGET
+    design, n = _scripted_design(curve)
+    assert abs(design.ibo_reduction_db - (2.0 + 0.25 / 0.45)) < 1e-4
+    assert design.evm_with_dpd <= _TARGET
+    assert design.notes == ("EVM not monotone in reduction near 1.0 dB",)
+    assert n == 11
+
+
+@pytest.mark.parametrize("low, high, calls", [
+    # EVM jumps from half to twice the baseline's at 0.337 dB
+    (0.5 * _BASE, 2.0 * _BASE, 19),
+    # a jump from just below the target to 4 times the baseline's EVM takes
+    # more steps: Illinois halves the far end's gap once per step until
+    # the false-position point leaves the near end
+    (0.99 * _TARGET, 4.0 * _BASE, 36),
+])
+def test_search_ends_on_a_step(low, high, calls):
+    design, n = _scripted_design(lambda r: low if r < 0.337 else high)
+    assert 0.337 - 1e-4 < design.ibo_reduction_db < 0.337
+    assert design.evm_with_dpd == low
+    assert n == calls
+
+
+@pytest.mark.parametrize("curve, evm_base, reduction, degenerate, note, calls", [
+    # never crosses: baseline and the 17 coarse points
+    (lambda r: 0.5 * _BASE, _BASE, 8.0, False, "search hit its upper bound", 18),
+    (lambda r: 0.0, _BASE, 8.0, True, "distortion-free chain", 18),
+    # crosses at 0 dB: baseline and one coarse point
+    (lambda r: 2.0 * _BASE, _BASE, 0.0, False, "no feasible reduction", 2),
+    # round-off at the baseline: baseline and the upper bound, no scan
+    (lambda r: 0.0, 0.0, 8.0, True, "distortion-free baseline", 2),
+])
+def test_search_branches(curve, evm_base, reduction, degenerate, note, calls):
+    design, n = _scripted_design(curve, evm_base)
+    assert design.ibo_reduction_db == reduction
+    assert design.degenerate == degenerate
+    assert len(design.notes) == 1 and design.notes[0].startswith(note)
+    assert n == calls
 
 
 def test_save_design_writes_header(tmp_path):
