@@ -26,12 +26,12 @@ are rejected with their location.  Schema (defaults in parentheses):
                trials (50), frame_symbols (4) (integers >= 1),
                ibo_reduction_db (null, or finite and at most pa.ibo_db)
   eh:          kind ("curve" | "linear"), eta3_linear (0.5; linear only),
-               calibration (curve only: path to CSV, default: packaged
-               rectenna; its bytes enter the config hash)
+               calibration (curve only: the path of a CSV file, default:
+               packaged rectenna; its bytes enter the config hash)
   papr:        mu_grid ([0, 1.25, 255]; non-empty, mu >= 0, 0 = uncompressed),
                n_trials (20000, integer >= 1),
                thresholds_db ([-1, 14, 0.05] as min/max/step)
-  dpd:         pa_order (4), inverse_order (7) (integers >= 1),
+  dpd:         inverse_order (7) (integer >= 1),
                reduction_grid_db ([0, 4, 0.25] as min/max/step; no
                reduction above pa.ibo_db)
   mu_sweep:    mu_grid ([0.25 .. 4.0 step 0.25]; non-empty, mu > 0),
@@ -72,9 +72,9 @@ dpd-design runs serially and rejects it.
 dpd-design measures its EVM table (dpd_evm.csv) on the probe its design
 searched, which carries no cyclic prefix, so ofdm.cp_length changes
 neither the table nor the design.  e2e and ber design their predistorter
-on the seed-0 probe with orders 4 and 7 whatever --seed, dpd.pa_order and
-dpd.inverse_order say: their dpd ibo_reduction_db is that of dpd-design
---seed 0 at the default orders.
+on the seed-0 probe with order 7 whatever --seed and dpd.inverse_order
+say: their dpd ibo_reduction_db is that of dpd-design --seed 0 at the
+default order.
 
 Every CSV and dpd_design.txt starts with "# config_hash=<h> seed=<seed>".
 h is config_hash: the first 12 hex digits of a SHA-256 over the raw
@@ -120,7 +120,7 @@ from .companding import (
     compress_magnitude,
     optimize_mu,
 )
-from .dpd import design_with_probe, save_design
+from .dpd import design_from_scratch, save_design
 from .experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
@@ -153,7 +153,7 @@ _SCHEMA: dict[str, set[str] | type] = {
     "scenario": {"mu", "trials", "frame_symbols", "ibo_reduction_db"},
     "eh": {"kind", "eta3_linear", "calibration"},
     "papr": {"mu_grid", "n_trials", "thresholds_db"},
-    "dpd": {"pa_order", "inverse_order", "reduction_grid_db"},
+    "dpd": {"inverse_order", "reduction_grid_db"},
     "mu_sweep": {"mu_grid", "papr_trials"},
     "ber": {"ebn0_db", "techniques", "channels"},
     "rate_energy": {"rho_grid", "techniques"},
@@ -348,8 +348,7 @@ def config_hash(cfg: dict, seed: int, trials: int | None) -> str:
     if trials is not None:
         blob += f"|trials={trials}"
     calibration = cfg.get("eh", {}).get("calibration")
-    # inline CSV text (see load_calibration) is already part of the config
-    if isinstance(calibration, str) and "\n" not in calibration:
+    if isinstance(calibration, str):
         try:
             data = Path(calibration).read_bytes()
         except OSError as exc:
@@ -432,7 +431,8 @@ def _check_work(base: Scenario, techniques, channels=()) -> None:
         raise ConfigError(f"config section 'pa.ibo_db': {exc}") from exc
 
 
-# what each column of technique_table.csv and rate_energy.csv measures
+# what each column of technique_table.csv, rate_energy.csv and mu_sweep.csv
+# measures (mu* is the mu_star comment of mu_sweep.csv)
 _COLUMNS = {
     "eta1": "PA efficiency 0.5*10^(-IBO/20) at the technique's back-off",
     "eta3": "Monte Carlo rectenna efficiency, EH input pinned to 0 dBm mean, no noise",
@@ -442,14 +442,23 @@ _COLUMNS = {
                    "(distortion, fading, sigma_a2 and sigma_p2 enter)",
     "h_p_norm": "eta3*rho*(P_rx+sigma_a2) over the nominal transmit power "
                 "(sigma_p2 is not harvested)",
-    "ber": "Monte Carlo BER of the information branch (sigma_a2 and sigma_p2 enter)",
+    "ber": "Monte Carlo BER of the information branch (sigma_a2 and sigma_p2 enter), which "
+           "gets 1-rho of the received power: 1e-6 at the default rho, where BER reads near "
+           "0.5 (swiptsim ber gives BER vs Eb/N0)",
+    "snr_db": "post-expansion subcarrier SNR",
+    "papr_reduction_db": "PAPR reduction at 1e-3 CCDF, measured on the seeded symbols",
+    "k_l_c": "Bussgang gain of the companded drive",
+    "sigma_d_c2": "its distortion power",
+    "mu*": "the mu maximizing snr_db (snr_db, k_l_c, sigma_d_c2 and mu* are the "
+           "soft-limiter closed form at the companded back-off with the first-order "
+           "expander noise factor, and do not depend on pa.kind, pa.a_sat or pa.smoothness)",
 }
 
 
-def _column_notes(base: Scenario, columns) -> str:
-    """One comment line: the channel, then what each measured column is."""
+def _column_notes(columns, channel: str | None = None) -> str:
+    """One comment line: the channel, if given, then what each column is."""
     notes = [f"{c}: {_COLUMNS[c]}" for c in columns if c in _COLUMNS]
-    return f"channel={base.channel.kind}; " + "; ".join(notes)
+    return "; ".join(notes if channel is None else [f"channel={channel}", *notes])
 
 
 def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
@@ -481,15 +490,13 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     ofdm = build_ofdm(cfg)
     pa, ibo_db = build_pa(cfg)
     h = config_hash(cfg, seed, trials)
-    pa_order = _count(section, "pa_order", 4, "dpd")
     inverse_order = _count(section, "inverse_order", 7, "dpd")
     grid = _grid(section, "reduction_grid_db", (0.0, 4.0, 0.25), "dpd")
     if grid.max() > ibo_db:
         raise ConfigError(f"config section 'dpd.reduction_grid_db': a reduction of "
                           f"{grid.max():g} dB runs past pa.ibo_db = {ibo_db:g} dB")
-    design, design_evm = design_with_probe(
-        pa, ofdm, baseline_ibo_db=ibo_db,
-        pa_order=pa_order, inverse_order=inverse_order, seed=seed,
+    design, design_evm = design_from_scratch(
+        pa, ofdm, baseline_ibo_db=ibo_db, inverse_order=inverse_order, seed=seed,
     )
     save_design(design, str(out / "dpd_design.txt"),
                 header=(f"config_hash={h} seed={seed}",))
@@ -531,11 +538,11 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
         rows.append((mu, snr_db, reduction_db, bp.k_l, bp.sigma_d2))
         series["snr_db"].append((mu, snr_db))
     design = optimize_mu(ofdm.n_subcarriers, ibo_db, split.sigma_a2)
-    write_csv(out / "mu_sweep.csv",
-              ("mu", "snr_db", "papr_reduction_db", "k_l_c", "sigma_d_c2"),
-              rows, h, seed,
+    columns = ("mu", "snr_db", "papr_reduction_db", "k_l_c", "sigma_d_c2")
+    write_csv(out / "mu_sweep.csv", columns, rows, h, seed,
               comments=(f"mu_star={design.mu_star:.4f} at ibo_db={ibo_db:g} "
-                        f"(unimodal={int(design.unimodal)})",))
+                        f"(unimodal={int(design.unimodal)})",
+                        _column_notes((*columns, "mu*"))))
     if svg:
         _svg_chart(out / "mu_sweep.svg", series, "mu", "post-expansion SNR (dB)")
     print(f"mu-sweep: mu* = {design.mu_star:.4f}, wrote {out / 'mu_sweep.csv'}")
@@ -558,7 +565,7 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
                  for kind, res in zip(CHANNEL_KINDS, results)
                  for tech, m in zip(TABLE_TECHNIQUES, res)]
     write_csv(out / "technique_table.csv", columns, rows, h, seed,
-              comments=(_column_notes(base, columns),))
+              comments=(_column_notes(columns, base.channel.kind),))
     write_csv(out / "channel_metrics.csv",
               ("channel", "technique", "eta1", "eta3", "eta1_eta3", "eta3_ci", "ber"),
               chan_rows, h, seed)
@@ -623,7 +630,7 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
         series[f"h_p/{tech}"] = [(rho, m.harvested_norm) for rho, m in points]
     columns = ("rho", "technique", "rate_bps_hz", "h_p_norm")
     write_csv(out / "rate_energy.csv", columns, rows, h, seed,
-              comments=(_column_notes(base, columns),))
+              comments=(_column_notes(columns, base.channel.kind),))
     if svg:
         _svg_chart(out / "rate_energy.svg", series, "rho", "rate / harvested")
     print(f"rate-energy: wrote {out / 'rate_energy.csv'}")

@@ -1,5 +1,5 @@
-"""Polynomial predistortion: amplifier identification, inverse fitting,
-and the back-off reduction design loop.
+"""Polynomial predistortion: inverse fitting and the back-off reduction
+design loop.
 
 Everything works on AM/AM curves (real amplitude polynomials).  The design
 loop finds the largest input back-off reduction whose error vector
@@ -80,11 +80,6 @@ def _ls_poly(x: np.ndarray, y: np.ndarray, order: int) -> PolyFit:
     )
 
 
-def fit_pa_polynomial(train_in: np.ndarray, train_out: np.ndarray, order: int = 4) -> PolyFit:
-    """Fit the amplifier's AM/AM curve, output as a polynomial of the input."""
-    return _ls_poly(train_in, train_out, order)
-
-
 def fit_inverse_polynomial(train_out: np.ndarray, train_in: np.ndarray, order: int = 7) -> PolyFit:
     """Fit the pre-inverse: required drive amplitude as a polynomial of the
     wanted output amplitude.  Fitted directly on the swapped data rather
@@ -129,7 +124,6 @@ def evm(reference: np.ndarray, measured: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DpdDesign:
-    pa_fit: PolyFit
     inverse_fit: PolyFit
     ibo_reduction_db: float
     evm_baseline: float
@@ -171,7 +165,7 @@ def probe_evm(pa_model: PaModel, cfg: OfdmConfig, seed: int = 0):
 
 
 def design_ibo_reduction(
-    pa_fit: PolyFit, inverse_fit: PolyFit, baseline_ibo_db: float, chain_evm
+    inverse_fit: PolyFit, baseline_ibo_db: float, chain_evm
 ) -> DpdDesign:
     """Largest back-off reduction whose predistorted EVM still matches the
     uncorrected chain at the baseline operating point, within a relative
@@ -218,7 +212,6 @@ def design_ibo_reduction(
 
     def design(reduction: float, evm_with_dpd: float, degenerate: bool = False) -> DpdDesign:
         return DpdDesign(
-            pa_fit=pa_fit,
             inverse_fit=inverse_fit,
             ibo_reduction_db=reduction,
             evm_baseline=evm_base,
@@ -303,38 +296,24 @@ def design_from_scratch(
     pa_model: PaModel,
     cfg: OfdmConfig,
     baseline_ibo_db: float = 8.0,
-    pa_order: int = 4,
     inverse_order: int = 7,
     seed: int = 0,
-) -> DpdDesign:
-    """Convenience wrapper: build training data, fit both polynomials, run
-    the reduction search.
+):
+    """Build the training data, fit the predistorter and run the reduction
+    search: returns (design, evaluate), evaluate being the evaluator the
+    search ran on, that of probe_evm(pa_model, cfg without its prefix,
+    seed + 1).  The evaluator writes into one preallocated grid, so it must
+    not be shared between threads.
 
     The design is a property of the amplifier operating point, so it is
     computed on the numerology without a cyclic prefix: one design serves
     every channel, whatever prefix a frequency-selective one needs.
     """
-    return design_with_probe(pa_model, cfg, baseline_ibo_db, pa_order, inverse_order, seed)[0]
-
-
-def design_with_probe(
-    pa_model: PaModel,
-    cfg: OfdmConfig,
-    baseline_ibo_db: float = 8.0,
-    pa_order: int = 4,
-    inverse_order: int = 7,
-    seed: int = 0,
-):
-    """design_from_scratch, and the evaluator its search ran on: that of
-    probe_evm(pa_model, cfg without its prefix, seed + 1).  The evaluator
-    writes into one preallocated grid, so it must not be shared between
-    threads."""
     cfg = replace(cfg, cp_length=0)
     amp_in, amp_out = make_training_set(pa_model, cfg, seed=seed)
-    pa_fit = fit_pa_polynomial(amp_in, amp_out, pa_order)
     inverse_fit = fit_inverse_polynomial(amp_out, amp_in, inverse_order)
     chain_evm = probe_evm(pa_model, cfg, seed=seed + 1)
-    return design_ibo_reduction(pa_fit, inverse_fit, baseline_ibo_db, chain_evm), chain_evm
+    return design_ibo_reduction(inverse_fit, baseline_ibo_db, chain_evm), chain_evm
 
 
 def save_design(design: DpdDesign, path: str, header: tuple[str, ...] = ()) -> None:
@@ -347,10 +326,6 @@ def save_design(design: DpdDesign, path: str, header: tuple[str, ...] = ()) -> N
         f"evm_baseline={design.evm_baseline!r}",
         f"evm_with_dpd={design.evm_with_dpd!r}",
         f"degenerate={int(design.degenerate)}",
-        f"pa_order={design.pa_fit.order}",
-        "pa_coeffs=" + ",".join(repr(c) for c in design.pa_fit.coeffs),
-        f"pa_domain_max={design.pa_fit.domain_max!r}",
-        f"pa_residual_rms={design.pa_fit.residual_rms!r}",
         f"inverse_order={design.inverse_fit.order}",
         "inverse_coeffs=" + ",".join(repr(c) for c in design.inverse_fit.coeffs),
         f"inverse_domain_max={design.inverse_fit.domain_max!r}",

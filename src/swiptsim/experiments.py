@@ -111,7 +111,7 @@ def _saturating(pa: PaModel) -> bool:
 def _cached_dpd(pa: PaModel, cfg: OfdmConfig, ibo_db: float) -> DpdDesign:
     """Design for one operating point; cfg has no cyclic prefix, matching
     the numerology design_from_scratch designs on."""
-    return design_from_scratch(pa, cfg, baseline_ibo_db=ibo_db)
+    return design_from_scratch(pa, cfg, baseline_ibo_db=ibo_db)[0]
 
 
 def technique_reductions(s: Scenario, technique: str) -> tuple[float, float, PolyFit | None]:

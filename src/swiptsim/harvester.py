@@ -7,7 +7,8 @@ and interpolated linearly in dBm: zero below the first row (the
 sensitivity), flat past the last.  A default calibration shaped like a
 single-diode rectifier (sensitivity floor, rising efficiency, peak, then
 breakdown decline) ships with the package as ``data/rectenna_default.csv``,
-written by ``scripts/build_rectenna_calibration.py``.
+written by ``scripts/build_rectenna_calibration.py``.  load_calibration
+reads such a CSV file; parse_calibration parses its text.
 """
 
 from __future__ import annotations
@@ -60,21 +61,6 @@ class RectennaCurve:
         return np.interp(p, self.p_in_dbm, self.efficiency, left=0.0)
 
 
-def _check_shape(curve: RectennaCurve, where: str) -> None:
-    """Reject a measured curve that is not single-peaked inside its range;
-    a table of under four rows is taken as given."""
-    if len(curve.efficiency) < 4:
-        return
-    eta = np.asarray(curve.efficiency)
-    peak = int(np.argmax(eta))
-    if peak == 0 or peak == eta.size - 1:
-        raise ValueError(f"{where}: efficiency has no interior maximum")
-    if np.any(np.diff(eta[peak:]) > 1e-6):
-        raise ValueError(f"{where}: efficiency rises again past its maximum")
-    if np.any(np.diff(eta[: peak + 1]) < -1e-3):
-        raise ValueError(f"{where}: efficiency is not single-peaked")
-
-
 @dataclass(frozen=True)
 class EhModel:
     """Harvester model: constant linear benchmark or rectenna curve."""
@@ -110,7 +96,17 @@ def watts_to_dbm(p_w) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(p_w, dtype=float), _WATT_FLOOR) * 1e3)
 
 
-def _parse_calibration(text: str, where: str) -> RectennaCurve:
+def parse_calibration(text: str, where: str) -> RectennaCurve:
+    """A RectennaCurve from calibration CSV text; ``where`` names the
+    source in every error.
+
+    Format: a ``p_in_dbm,eta3[,p_dc_dbm]`` header, then rows of ascending
+    power; lines starting with ``#`` are comments.  The rows are the curve
+    as given, with no smoothing; sensitivity is the first power row.
+    Raises with line context on a malformed row, and on a curve that breaks
+    the invariants of RectennaCurve or, from four rows up, is not
+    single-peaked inside its range (a shorter table is taken as given).
+    """
     powers: list[float] = []
     effs: list[float] = []
     header: list[str] | None = None
@@ -138,35 +134,26 @@ def _parse_calibration(text: str, where: str) -> RectennaCurve:
         powers.append(p)
         effs.append(e)
     try:
-        return RectennaCurve(p_in_dbm=tuple(powers), efficiency=tuple(effs))
+        curve = RectennaCurve(p_in_dbm=tuple(powers), efficiency=tuple(effs))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-
-
-def load_calibration(path_or_text, where: str = "calibration") -> RectennaCurve:
-    """Build a RectennaCurve from a calibration CSV.
-
-    Format: a ``p_in_dbm,eta3[,p_dc_dbm]`` header, then rows of ascending
-    power; lines starting with ``#`` are comments.  The rows are the curve
-    as given, with no smoothing; sensitivity is the first power row.
-    Raises with file/line context on anything that violates the curve
-    invariants.
-    """
-    try:
-        text = path_or_text.read_text(encoding="utf-8")
-        where = str(path_or_text)
-    except AttributeError:
-        # a multi-line string is inline CSV; anything else is a file path
-        if "\n" in str(path_or_text):
-            text = str(path_or_text)
-        else:
-            with open(path_or_text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            where = str(path_or_text)
-
-    curve = _parse_calibration(text, where)
-    _check_shape(curve, where)
+    if len(effs) < 4:
+        return curve
+    eta = np.asarray(effs)
+    peak = int(np.argmax(eta))
+    if peak == 0 or peak == eta.size - 1:
+        raise ValueError(f"{where}: efficiency has no interior maximum")
+    if np.any(np.diff(eta[peak:]) > 1e-6):
+        raise ValueError(f"{where}: efficiency rises again past its maximum")
+    if np.any(np.diff(eta[: peak + 1]) < -1e-3):
+        raise ValueError(f"{where}: efficiency is not single-peaked")
     return curve
+
+
+def load_calibration(path) -> RectennaCurve:
+    """The RectennaCurve of the calibration CSV file at ``path`` (a str or
+    a Path); see parse_calibration for the format.  Errors name the file."""
+    return parse_calibration(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 @lru_cache(maxsize=1)

@@ -163,24 +163,7 @@ def papr_db(x: np.ndarray) -> float:
     return float(10.0 * np.log10(p.max() / mean))
 
 
-def papr_samples(
-    cfg: OfdmConfig,
-    n_trials: int,
-    seed: int,
-    transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    chunk: Optional[int] = None,
-) -> np.ndarray:
-    """Per-symbol PAPR (dB) of random QPSK OFDM symbols.
-
-    ``transform``, if given, is an envelope map: it takes the sample
-    magnitudes of a batch of symbols and returns the magnitudes whose PAPR
-    is measured (e.g. a compressor's characteristic).  A PAPR depends on
-    the envelope alone, so a map that keeps the phase needs no waveform.
-    """
-    return papr_samples_many(cfg, n_trials, seed, (transform,), chunk)[0]
-
-
-_CHUNK_BYTES = 1 << 20
+_BATCH_BYTES = 1 << 20
 
 
 def papr_samples_many(
@@ -188,43 +171,41 @@ def papr_samples_many(
     n_trials: int,
     seed: int,
     transforms: Sequence[Optional[Callable[[np.ndarray], np.ndarray]]],
-    chunk: Optional[int] = None,
     threads: int = 1,
 ) -> np.ndarray:
     """Per-symbol PAPR (dB) of one set of random QPSK OFDM symbols under
     several envelope maps, shape ``(len(transforms), n_trials)``.
 
-    One seeded draw serves every map: each batch of symbols is drawn,
-    synthesized and reduced to its sample magnitudes once, then row i holds
-    the PAPR of ``transforms[i]`` applied to those magnitudes (``None``
-    measures the raw envelope).  Row i is therefore bit-identical to
-    ``papr_samples(cfg, n_trials, seed, transforms[i])``.
-    ``chunk`` only bounds memory, as symbols per batch; by default a batch
-    holds as many symbols as fit in 1 MiB of complex128 waveform, prefix
-    included.  ``threads`` workers synthesize, map and measure the
+    A transform is an envelope map: it takes the sample magnitudes of a
+    batch of symbols and returns the magnitudes whose PAPR is measured
+    (e.g. a compressor's characteristic); a PAPR depends on the envelope
+    alone, so a map that keeps the phase needs no waveform.  One seeded
+    draw serves every map: each batch of symbols, as many as fit in 1 MiB
+    of complex128 waveform, prefix included, is drawn, synthesized and
+    reduced to its sample magnitudes once, then row i holds the PAPR of
+    ``transforms[i]`` applied to those magnitudes (``None`` measures the
+    raw envelope).  ``threads`` workers synthesize, map and measure the
     batches (see run_bounded), with at most 2 * threads of them in flight
     (the maps must be thread-safe); the bits are still drawn in order on
-    the calling thread and each batch fills its own columns.  Neither the
-    chunk nor the thread count touches the bit stream, so the result does
-    not depend on them.  Memory grows with ``threads``: each worker holds
-    its batch, its last waveform, its magnitudes and the maps' temporaries
-    (peak RSS rose by about 5 MB per thread from 2 to 16 threads at N=512,
-    L=4 with 16 companders).
+    the calling thread and each batch fills its own columns.  So row i
+    depends neither on the other maps nor on the thread count: it equals
+    the one row of a call with ``(transforms[i],)`` at any ``threads``.
+    Memory grows with ``threads``: each worker holds its batch, its last
+    waveform, its magnitudes and the maps' temporaries (peak RSS rose by
+    about 5 MB per thread from 2 to 16 threads at N=512, L=4 with 16
+    companders).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if chunk is None:
-        chunk = max(1, _CHUNK_BYTES // (16 * (cfg.n_samples + cfg.cp_length)))
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    batch = max(1, _BATCH_BYTES // (16 * (cfg.n_samples + cfg.cp_length)))
     rng = np.random.default_rng(seed)
     out = np.empty((len(transforms), n_trials))
 
     def draw(start: int) -> np.ndarray:
         # not random_frames: the compander depends on level, so no normalizing
-        m = min(chunk, n_trials - start)
+        m = min(batch, n_trials - start)
         return rng.integers(0, 2, size=(m, 2 * cfg.n_subcarriers))
 
     # each worker holds its last waveform until its next one is made: this
@@ -240,7 +221,7 @@ def papr_samples_many(
             # one map's temporaries are freed before the next runs
             row[start:start + len(bits)] = _papr_rows(m if transform is None else transform(m))
 
-    run_bounded(measure, ((start, draw(start)) for start in range(0, n_trials, chunk)),
+    run_bounded(measure, ((start, draw(start)) for start in range(0, n_trials, batch)),
                 threads)
     return out
 

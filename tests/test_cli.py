@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -107,10 +108,12 @@ def test_main_exit_codes(tmp_path, capsys):
 
     # bogus keys and the keys that no output depended on (the Monte Carlo
     # works in units of the nominal transmit power, so scenario.p_rf_tx_dbm
-    # has none to set)
+    # has none to set; the predistorter is fitted as an inverse directly,
+    # so no forward amplifier fit has an order to set)
     for section, key in (("ofdm", "bogus"), ("ofdm", "subcarrier_spacing_hz"),
                          ("channel", "carrier_hz"), ("channel", "distance_m"),
-                         ("scenario", "technique"), ("scenario", "p_rf_tx_dbm")):
+                         ("scenario", "technique"), ("scenario", "p_rf_tx_dbm"),
+                         ("dpd", "pa_order")):
         bad_key = write_cfg(tmp_path, {section: {key: 1}}, "bad_key.json")
         assert main(["papr", "--config", bad_key, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert f"unknown key '{section}.{key}'" in capsys.readouterr().err
@@ -155,6 +158,9 @@ def test_main_exit_codes(tmp_path, capsys):
         assert "--trials" in capsys.readouterr().err
         assert not out.exists(), command
 
+    nan_cal = tmp_path / "nan.csv"
+    nan_cal.write_text("p_in_dbm,eta3\n-10,0.1\nnan,0.2\n10,0.3\n")
+
     # PAPR, DPD and rate-energy inputs are rejected before any work; mu = 0
     # in papr means "no compression", mu-sweep needs mu > 0; a grid is a
     # list of numbers, and a [min, max, step] triple needs min <= max and a
@@ -172,11 +178,10 @@ def test_main_exit_codes(tmp_path, capsys):
         ("dpd-design", {"dpd": {"reduction_grid_db": ["a", 1, 2]}}, "dpd.reduction_grid_db"),
         ("dpd-design", {"dpd": {"reduction_grid_db": [0, 1, 0]}}, "dpd.reduction_grid_db"),
         ("dpd-design", {"dpd": {"reduction_grid_db": [0, 4, -1]}}, "dpd.reduction_grid_db"),
-        ("dpd-design", {"dpd": {"pa_order": "x"}}, "dpd.pa_order"),
-        ("dpd-design", {"dpd": {"pa_order": 2.7}}, "dpd.pa_order"),
-        ("dpd-design", {"dpd": {"pa_order": True}}, "dpd.pa_order"),
-        ("dpd-design", {"dpd": {"pa_order": 0}}, "dpd.pa_order"),
+        ("dpd-design", {"dpd": {"inverse_order": "x"}}, "dpd.inverse_order"),
         ("dpd-design", {"dpd": {"inverse_order": 2.7}}, "dpd.inverse_order"),
+        ("dpd-design", {"dpd": {"inverse_order": True}}, "dpd.inverse_order"),
+        ("dpd-design", {"dpd": {"inverse_order": 0}}, "dpd.inverse_order"),
         # a reduction grid that runs past the back-off
         ("dpd-design", {"pa": {"ibo_db": 1.0}}, "dpd.reduction_grid_db"),
         ("dpd-design", {"pa": {"ibo_db": 3.0}, "dpd": {"reduction_grid_db": [0, 3.5]}},
@@ -231,8 +236,11 @@ def test_main_exit_codes(tmp_path, capsys):
         ("rate-energy", {"eh": {"eta3_linear": 2}}, "eh.eta3_linear"),
         ("rate-energy", {"eh": {"kind": "linear", "calibration": "cal.csv"}}, "eh.calibration"),
         # a non-finite calibration power, named by file and line
-        ("rate-energy", {"eh": {"calibration": "p_in_dbm,eta3\n-10,0.1\nnan,0.2\n10,0.3\n"}},
-         "calibration:3: non-finite"),
+        ("rate-energy", {"eh": {"calibration": str(nan_cal)}}, "nan.csv:3: non-finite"),
+        # calibration is always a path: CSV text names no file, in the
+        # harvester (rate-energy) as in the config hash (papr)
+        ("rate-energy", {"eh": {"calibration": nan_cal.read_text()}}, "eh.calibration"),
+        ("papr", {"eh": {"calibration": nan_cal.read_text()}}, "eh.calibration"),
         ("rate-energy", {"pa": {"coeffs": [1]}}, "pa.coeffs"),
         ("rate-energy", {"pa": {"kind": "soft_limiter", "smoothness": 2.0}}, "pa.smoothness"),
         ("rate-energy", {"pa": {"kind": "polynomial", "coeffs": [0, 1], "smoothness": 2.0}},
@@ -439,7 +447,8 @@ def test_papr_outputs_do_not_depend_on_threads(tmp_path):
 
 # sha256 of each CSV at seed 0 on _DIGEST_CFG, recorded before the PAPR
 # path moved from complex waveforms to envelopes (dpd_evm.csv when its
-# table came to be measured on the design's probe whatever the prefix); a
+# table came to be measured on the design's probe whatever the prefix,
+# mu_sweep.csv when a comment line came to say what its columns are); a
 # change that moves a byte of these files updates the digests and says so
 _DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 4, "cp_length": 8},
@@ -448,7 +457,7 @@ _DIGEST_CFG = {
 }
 _CSV_SHA256 = {
     "papr_ccdf.csv": "b0318c0638888392491102f2237c8dfcd61082805440b2c204eeaf393b93d2db",
-    "mu_sweep.csv": "085ae446b3a9338cf415d493f7146fca841eed18023fe729874fc36de93339e1",
+    "mu_sweep.csv": "ecf46ee75559db35d2839c334ae758493cdbb5959e38ef4e42db263b352efc7d",
     "dpd_evm.csv": "a761218ca5c23e5da56805506eefbd7f9901e01c9fd77dd43d8d152a91fa9286",
 }
 
@@ -458,8 +467,9 @@ _CSV_SHA256 = {
 # channel lengthens, and rho = 0.5, so that the rectenna runs; recorded
 # when one pass of common random numbers came to serve every channel and
 # Eb/N0 point (the two e2e files when the DPD search came to refine its
-# crossing to 1e-4 dB), and checked at 1, 2 and 3 threads, which must not
-# move a byte
+# crossing to 1e-4 dB, technique_table.csv again when its ber note came to
+# state the information branch's share), and checked at 1, 2 and 3
+# threads, which must not move a byte
 _MC_DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
     "split": {"rho": 0.5},
@@ -468,7 +478,7 @@ _MC_DIGEST_CFG = {
 }
 _MC_CSV_SHA256 = {
     "ber_curves.csv": "c3a3aa9f3cfafbb67f7499458bd6e09fd3fdd4663210b4c26cfd69e07e0e5281",
-    "technique_table.csv": "a666b2a7be2d0e07cf02acf6a111e3feebe7903d07b567e8f37011d0e9886601",
+    "technique_table.csv": "53ac199bcb60424027467371e5206a43165f51ba8691d48ee1c1e8a0ece7f44e",
     "channel_metrics.csv": "7c406ff2d7a92666bf32b0ef0ec97192bbfc922548bb1c7134d850d0d4761cf9",
     "rate_energy.csv": "cf7415882086b70e463f2d3136c028c5eb68b9bc6f5eb881e914cd26b44ff317",
 }
@@ -747,8 +757,12 @@ def test_dpd_design_outputs(tmp_path):
     })
     out = tmp_path / "o"
     assert main(["dpd-design", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    design_text = (out / "dpd_design.txt").read_text()
-    assert "config_hash=" in design_text
+    design_lines = (out / "dpd_design.txt").read_text().splitlines()
+    assert design_lines[0].startswith("# config_hash=")
+    # the predistorter and its search, and no forward amplifier fit
+    assert [ln.split("=", 1)[0] for ln in design_lines[1:] if not ln.startswith("note=")] == [
+        "baseline_ibo_db", "ibo_reduction_db", "evm_baseline", "evm_with_dpd", "degenerate",
+        "inverse_order", "inverse_coeffs", "inverse_domain_max", "inverse_residual_rms"]
     lines = (out / "dpd_evm.csv").read_text().splitlines()
     assert lines[1] == "ibo_reduction_db,evm,eta1,eta1_gain_pts"
     assert len(lines) == 2 + 3  # grid 0, 0.5, 1.0
@@ -767,12 +781,11 @@ def test_dpd_design_rejects_a_negative_polynomial_pa(tmp_path, capsys):
 def test_dpd_orders_reach_the_design(tmp_path):
     cfg = write_cfg(tmp_path, {
         "ofdm": SMALL_OFDM,
-        "dpd": {"pa_order": 3, "inverse_order": 5, "reduction_grid_db": [0.0]},
+        "dpd": {"inverse_order": 5, "reduction_grid_db": [0.0]},
     })
     out = tmp_path / "o"
     assert main(["dpd-design", "--config", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "dpd_design.txt").read_text().splitlines()
-    assert "pa_order=3" in lines
     assert "inverse_order=5" in lines
 
 
@@ -788,12 +801,12 @@ def _design_reduction(run_dir: Path, dpd_section: dict, seed: int) -> float:
 
 
 def test_e2e_designs_like_dpd_design_at_seed_zero(tmp_path):
-    # e2e designs on the seed-0 probe at the default orders, whatever
+    # e2e designs on the seed-0 probe at the default order, whatever
     # --seed and the dpd section say
     seed0 = _design_reduction(tmp_path / "seed0", {}, 0)
-    # the seed and the orders do move dpd-design's own design
+    # the seed and the order do move dpd-design's own design
     assert _design_reduction(tmp_path / "seed1", {}, 1) != seed0
-    orders = {"pa_order": 3, "inverse_order": 5}
+    orders = {"inverse_order": 5}
     assert _design_reduction(tmp_path / "orders", orders, 0) != seed0
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "dpd": orders,
                                "scenario": {"trials": 1, "frame_symbols": 1}})
@@ -848,7 +861,15 @@ def test_mu_sweep_outputs(tmp_path):
     out = tmp_path / "o"
     assert main(["mu-sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "mu_sweep.csv").read_text().splitlines()
-    assert any("mu_star=" in ln for ln in lines if ln.startswith("#"))
+    comments = [ln for ln in lines if ln.startswith("#")]
+    assert len(comments) == 3
+    assert sum("mu_star=" in ln for ln in comments) == 1
+    # the closed-form columns and mu* are said to be such, the PAPR
+    # reduction to be measured
+    assert comments[2].startswith("# snr_db: ")
+    for column in ("papr_reduction_db: ", "k_l_c: ", "sigma_d_c2: ", "mu*: "):
+        assert column in comments[2]
+    assert "soft-limiter closed form" in comments[2]
     assert "mu,snr_db,papr_reduction_db,k_l_c,sigma_d_c2" in lines
     assert sum(1 for ln in lines if not ln.startswith("#")) == 1 + 2
 
@@ -863,6 +884,8 @@ def test_e2e_outputs(tmp_path):
     assert main(["e2e", "--config", cfg, "--out", str(out)]) == EXIT_OK
     table = (out / "technique_table.csv").read_text().splitlines()
     assert table[1].startswith("# channel=awgn; eta1: ")
+    assert "ber: Monte Carlo BER of the information branch" in table[1]
+    assert "gets 1-rho of the received power" in table[1]
     assert table[2].startswith("technique,eta1,eta3,")
     assert len(table) == 3 + 4
     chan = (out / "channel_metrics.csv").read_text().splitlines()
@@ -1090,11 +1113,11 @@ KNOB_PROBES = [
     ("rate-energy", "scenario.ibo_reduction_db", 2.0, {}),
     ("e2e", "eh.kind", "linear", {}),
     ("e2e", "eh.eta3_linear", 0.3, {"eh": {"kind": "linear"}}),
+    # CSV text, written to a file whose path is the value
     ("e2e", "eh.calibration", "p_in_dbm,eta3\n-30.0,0.1\n20.0,0.3\n", {}),
     ("papr", "papr.mu_grid", [0.0, 4.0], {}),
     ("papr", "papr.n_trials", 60, {}),
     ("papr", "papr.thresholds_db", [2.0, 10.0, 4.0], {}),
-    ("dpd-design", "dpd.pa_order", 3, {}),
     ("dpd-design", "dpd.inverse_order", 5, {}),
     ("dpd-design", "dpd.reduction_grid_db", [0.0, 2.0], {}),
     ("mu-sweep", "mu_sweep.mu_grid", [0.5, 1.0, 3.0], {}),
@@ -1137,9 +1160,44 @@ def test_knob_probes_cover_the_schema():
     assert sorted(probe[1] for probe in KNOB_PROBES) == sorted(leaves)
 
 
+def _docstring_schema(doc: str) -> dict[str, str]:
+    """Each entry of the schema block of doc, its continuation lines joined."""
+    block = doc.split("Schema (defaults in parentheses):\n\n", 1)[1].split("\n\n", 1)[0]
+    entries: dict[str, str] = {}
+    for line in block.splitlines():
+        head = re.match(r"  (\w+):\s+(.*)", line)
+        if head:
+            name = head.group(1)
+            entries[name] = head.group(2)
+        else:
+            entries[name] += " " + line.strip()
+    return entries
+
+
+def test_cli_docstring_schema_names_every_key():
+    # the schema block of the cli docstring and _SCHEMA are kept by hand:
+    # each section of the block names exactly the section's keys, each
+    # followed by its default or rule in parentheses
+    entries = _docstring_schema(cli.__doc__)
+    assert list(entries) == list(_SCHEMA)
+    for name, allowed in _SCHEMA.items():
+        if not isinstance(allowed, set):
+            continue
+        # empty every parenthesis, innermost first, so that only the
+        # top-level text is left
+        text, last = entries[name], None
+        while text != last:
+            last, text = text, re.sub(r"\([^()]*\)", "()", text)
+        assert sorted(re.findall(r"(?:^|, )(\w+) \(\)", text)) == sorted(allowed), name
+
+
 @pytest.mark.parametrize("command,key,value,needs", KNOB_PROBES,
                          ids=[probe[1] for probe in KNOB_PROBES])
 def test_every_config_key_changes_an_output(tmp_path, command, key, value, needs):
+    if key == "eh.calibration":
+        cal = tmp_path / "cal.csv"
+        cal.write_text(value)
+        value = str(cal)
     base = _with(KNOB_BASE, needs)
     section, _, sub = key.rpartition(".")
     probe = _with(base, {section: {sub: value}} if section else {key: value})

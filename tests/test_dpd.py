@@ -16,7 +16,6 @@ from swiptsim.dpd import (
     design_ibo_reduction,
     evm,
     fit_inverse_polynomial,
-    fit_pa_polynomial,
     make_training_set,
     probe_evm,
     save_design,
@@ -29,11 +28,13 @@ PA = PaModel.sspa(smoothness=1.2)
 
 
 def test_fit_recovers_linear_transfer():
+    # an amplifier of gain 0.7 is inverted by the drive out / 0.7, valid up
+    # to the largest output seen
     x = np.linspace(0, 2, 500)
-    fit = fit_pa_polynomial(x, 0.7 * x, order=3)
-    np.testing.assert_allclose(fit.coeffs, [0, 0.7, 0, 0], atol=1e-10)
+    fit = fit_inverse_polynomial(0.7 * x, x, order=3)
+    np.testing.assert_allclose(fit.coeffs, [0, 1 / 0.7, 0, 0], atol=1e-10)
     assert fit.residual_rms < 1e-12
-    assert fit.domain_max == 2.0
+    assert fit.domain_max == 0.7 * 2.0
 
 
 def test_fit_evaluates_as_polyval():
@@ -49,22 +50,22 @@ def test_fit_evaluates_as_polyval():
 
 def test_fit_rejects_degenerate_training():
     with pytest.raises(ValueError):
-        fit_pa_polynomial(np.ones(10), np.ones(10), order=2)
+        fit_inverse_polynomial(np.ones(10), np.ones(10), order=2)
     with pytest.raises(ValueError):
-        fit_pa_polynomial(np.ones(5), np.ones(6), order=1)
+        fit_inverse_polynomial(np.ones(5), np.ones(6), order=1)
 
 
 def test_ls_optimality():
     amp_in, amp_out = make_training_set(PA, CFG, seed=0)
-    fit = fit_pa_polynomial(amp_in, amp_out, order=4)
+    fit = fit_inverse_polynomial(amp_out, amp_in, order=7)
 
     def residual(coeffs):
-        v = np.vander(amp_in, 5, increasing=True)
-        return np.sqrt(np.mean((v @ coeffs - amp_out) ** 2))
+        v = np.vander(amp_out, 8, increasing=True)
+        return np.sqrt(np.mean((v @ coeffs - amp_in) ** 2))
 
     base = residual(np.array(fit.coeffs))
     assert base == pytest.approx(fit.residual_rms, rel=1e-9)
-    for i in range(5):
+    for i in range(8):
         for delta in (1e-3, -1e-3):
             c = np.array(fit.coeffs)
             c[i] += delta
@@ -119,17 +120,20 @@ def test_evm_basics():
 
 
 def test_design_point_frozen():
-    design = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)
+    design, evaluate = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)
     assert design.ibo_reduction_db == pytest.approx(2.477963434417493, abs=1e-9)
     assert design.evm_baseline == pytest.approx(0.048815681574043805, abs=1e-12)
     assert design.evm_with_dpd <= design.evm_baseline * 1.01 + 1e-12
     assert not design.degenerate
     assert design.baseline_ibo_db == 8.0
+    # the evaluator returned is the one the search ran on
+    assert evaluate(8.0) == design.evm_baseline
+    assert evaluate(8.0 - design.ibo_reduction_db, design.inverse_fit) == design.evm_with_dpd
 
 
 def test_design_ignores_cyclic_prefix():
-    with_cp = design_from_scratch(PA, replace(CFG, cp_length=4), seed=0)
-    assert with_cp == design_from_scratch(PA, CFG, seed=0)
+    with_cp = design_from_scratch(PA, replace(CFG, cp_length=4), seed=0)[0]
+    assert with_cp == design_from_scratch(PA, CFG, seed=0)[0]
 
 
 def test_search_stops_at_first_crossing(monkeypatch):
@@ -142,7 +146,7 @@ def test_search_stops_at_first_crossing(monkeypatch):
         return evm(*args, **kwargs)
 
     monkeypatch.setattr(dpd, "evm", counting_chain)
-    design = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)
+    design = design_from_scratch(PA, CFG, baseline_ibo_db=8.0, seed=0)[0]
     assert design.ibo_reduction_db == pytest.approx(2.477963434417493, abs=1e-9)
     # baseline, coarse grid 0..2.5 dB, fine grid 2.1..2.4 dB, 3 Illinois steps
     assert calls == 14
@@ -151,7 +155,7 @@ def test_search_stops_at_first_crossing(monkeypatch):
 def test_probe_evm_blocks_bit_identical(monkeypatch):
     # the probe is amplified and demodulated in blocks of symbols; any
     # block size gives the EVM of the whole probe in one piece
-    design = design_from_scratch(PA, CFG, seed=0)
+    design = design_from_scratch(PA, CFG, seed=0)[0]
     grids, x = random_frames(CFG, 64, np.random.default_rng(5))
     expected = []
     for ibo, fit in ((8.0, None), (5.5, design.inverse_fit)):
@@ -173,7 +177,7 @@ def test_design_does_not_depend_on_blas_threads():
         "from swiptsim.ofdm import OfdmConfig\n"
         "from swiptsim.pa import PaModel, amplify, bussgang_estimate\n"
         "pa = PaModel.sspa(smoothness=1.2)\n"
-        "d = design_from_scratch(pa, OfdmConfig(), 8.0, seed=0)\n"
+        "d, _ = design_from_scratch(pa, OfdmConfig(), 8.0, seed=0)\n"
         "x = np.random.default_rng(0).standard_normal(1 << 17) + 0j\n"
         "b = bussgang_estimate(x, amplify(x, pa, 4.0))\n"
         "print(repr((d.ibo_reduction_db, d.evm_baseline, d.evm_with_dpd, b.k_l, b.sigma_d2)))\n"
@@ -189,14 +193,14 @@ def test_design_does_not_depend_on_blas_threads():
 
 
 def test_chain_evm_monotone_in_reduction():
-    design = design_from_scratch(PA, CFG, seed=0)
+    design = design_from_scratch(PA, CFG, seed=0)[0]
     chain_evm = probe_evm(PA, CFG, seed=3)
     evms = [chain_evm(8.0 - r, design.inverse_fit) for r in (0.0, 1.0, 2.0, 3.0)]
     assert np.all(np.diff(evms) > 0)
 
 
 def test_dpd_beats_no_dpd_at_reduced_backoff():
-    design = design_from_scratch(PA, CFG, seed=0)
+    design = design_from_scratch(PA, CFG, seed=0)[0]
     ibo = 8.0 - design.ibo_reduction_db
     chain_evm = probe_evm(PA, CFG, seed=4)
     with_dpd = chain_evm(ibo, design.inverse_fit)
@@ -207,7 +211,7 @@ def test_dpd_beats_no_dpd_at_reduced_backoff():
 def test_degenerate_design_flagged():
     # a limiter whose knee is far beyond any sample never distorts
     pa = PaModel.soft_limiter_model(a_sat=1e6)
-    design = design_from_scratch(pa, CFG)
+    design = design_from_scratch(pa, CFG)[0]
     assert design.degenerate
     assert design.ibo_reduction_db == 8.0
     assert design.evm_baseline < 1e-12
@@ -217,7 +221,7 @@ def test_degenerate_design_flagged():
 def test_linear_amplifier_design_is_degenerate():
     # the baseline EVM of a linear amplifier is round-off, which the
     # predistorted chain's own round-off cannot match
-    design = design_from_scratch(PaModel.polynomial([0.0, 1.0]), CFG)
+    design = design_from_scratch(PaModel.polynomial([0.0, 1.0]), CFG)[0]
     assert design.evm_baseline < 1e-12
     assert design.degenerate
     assert design.ibo_reduction_db == 8.0
@@ -228,9 +232,8 @@ def test_linear_amplifier_design_is_degenerate():
 def test_infeasible_inverse_returns_zero():
     hard = PaModel.sspa(smoothness=3.0)
     amp_in, amp_out = make_training_set(hard, CFG, seed=0)
-    pa_fit = fit_pa_polynomial(amp_in, amp_out, 4)
     bad_inv = fit_inverse_polynomial(amp_out, amp_in, 1)
-    design = design_ibo_reduction(pa_fit, bad_inv, 0.0, probe_evm(hard, CFG, seed=1))
+    design = design_ibo_reduction(bad_inv, 0.0, probe_evm(hard, CFG, seed=1))
     assert design.ibo_reduction_db == 0.0
     assert any("no feasible reduction" in n for n in design.notes)
 
@@ -250,7 +253,7 @@ def _scripted_design(curve, evm_base=_BASE):
         calls.append(ibo_db)
         return evm_base if inverse_fit is None else curve(8.0 - ibo_db)
 
-    return design_ibo_reduction(_IDENTITY, _IDENTITY, 8.0, chain_evm), len(calls)
+    return design_ibo_reduction(_IDENTITY, 8.0, chain_evm), len(calls)
 
 
 @pytest.mark.parametrize("a, b, calls", [
@@ -330,7 +333,7 @@ def test_search_branches(curve, evm_base, reduction, degenerate, note, calls):
 
 
 def test_save_design_writes_header(tmp_path):
-    design = design_from_scratch(PA, CFG, seed=0)
+    design = design_from_scratch(PA, CFG, seed=0)[0]
     path = tmp_path / "design.txt"
     save_design(design, str(path), header=("written by the test suite",))
     assert path.read_text().startswith("# written by the test suite\n")

@@ -69,7 +69,7 @@ def test_technique_reductions():
     assert (r_dpd, r_comp, fit) == (0.0, 0.0, None)
 
     r_dpd, r_comp, fit = technique_reductions(s, "dpd")
-    ref = design_from_scratch(s.pa, s.ofdm, baseline_ibo_db=8.0)
+    ref = design_from_scratch(s.pa, s.ofdm, baseline_ibo_db=8.0)[0]
     assert r_dpd == pytest.approx(ref.ibo_reduction_db, abs=1e-9)
     assert r_dpd == pytest.approx(2.477963727712632, abs=1e-6)
     assert r_comp == 0.0

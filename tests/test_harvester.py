@@ -11,6 +11,7 @@ from swiptsim.harvester import (
     default_rectenna,
     eta3,
     load_calibration,
+    parse_calibration,
     watts_to_dbm,
 )
 from swiptsim.link import SplitConfig
@@ -89,7 +90,7 @@ def test_default_curve_is_the_build_script_table():
 
 
 def test_two_point_calibration_is_exact_line():
-    curve = load_calibration(TWO_POINT)
+    curve = parse_calibration(TWO_POINT, "calibration")
     assert float(curve.eta3(-10.0)) == pytest.approx(0.1, abs=1e-12)
     assert float(curve.eta3(0.0)) == pytest.approx(0.2, abs=1e-12)
     assert float(curve.eta3(10.0)) == pytest.approx(0.3, abs=1e-12)
@@ -102,26 +103,38 @@ def test_load_calibration_from_str_path(tmp_path):
     assert float(curve.eta3(0.0)) == pytest.approx(0.2, abs=1e-12)
     curve2 = load_calibration(path)  # pathlib object works too
     assert curve2 == curve
+    assert curve == parse_calibration(TWO_POINT, "calibration")
+
+
+def test_load_calibration_takes_a_path_only(tmp_path, monkeypatch):
+    # CSV text is not sniffed as inline data: it names no file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError):
+        load_calibration(TWO_POINT)
+    # errors name the file and line
+    (tmp_path / "bad.csv").write_text("p_in_dbm,eta3\n-10,0.1\n10,1.3\n")
+    with pytest.raises(ValueError, match="bad.csv:3: efficiency 1.3 outside"):
+        load_calibration("bad.csv")
 
 
 def test_calibration_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
-        load_calibration("power,eff\n-10,0.1\n10,0.3\n")
+        parse_calibration("power,eff\n-10,0.1\n10,0.3\n", "calibration")
 
 
 def test_calibration_rejects_out_of_range_efficiency():
     with pytest.raises(ValueError, match="outside"):
-        load_calibration("p_in_dbm,eta3\n-10,0.1\n10,1.3\n")
+        parse_calibration("p_in_dbm,eta3\n-10,0.1\n10,1.3\n", "calibration")
 
 
 def test_calibration_rejects_non_ascending_power():
     with pytest.raises(ValueError, match="ascending"):
-        load_calibration("p_in_dbm,eta3\n10,0.1\n-10,0.3\n")
+        parse_calibration("p_in_dbm,eta3\n10,0.1\n-10,0.3\n", "calibration")
 
 
 def test_calibration_rejects_single_point():
     with pytest.raises(ValueError, match="two calibration points"):
-        load_calibration("p_in_dbm,eta3\n0,0.1\n")
+        parse_calibration("p_in_dbm,eta3\n0,0.1\n", "calibration")
 
 
 def test_calibration_rejects_rising_tail():
@@ -130,7 +143,7 @@ def test_calibration_rejects_rising_tail():
     effs = np.linspace(0.01, 0.9, 30)
     text = "p_in_dbm,eta3\n" + "\n".join(f"{p},{e}" for p, e in zip(powers, effs))
     with pytest.raises(ValueError):
-        load_calibration(text)
+        parse_calibration(text, "calibration")
 
 
 @pytest.mark.parametrize("line,row", [
@@ -142,7 +155,7 @@ def test_calibration_rejects_non_finite_values(line, row):
     rows = ["p_in_dbm,eta3", "-10,0.1", "0,0.2", "10,0.3"]
     rows[line - 1] = row
     with pytest.raises(ValueError, match=f"calibration:{line}: non-finite"):
-        load_calibration("\n".join(rows) + "\n")
+        parse_calibration("\n".join(rows) + "\n", "calibration")
 
 
 @pytest.mark.parametrize("effs,message", [
@@ -155,10 +168,10 @@ def test_calibration_rejects_non_finite_values(line, row):
 def test_calibration_shape_checks_apply_to_the_rows(effs, message):
     text = "p_in_dbm,eta3\n" + "\n".join(f"{p},{e}" for p, e in zip(range(-10, 10, 5), effs))
     if message is None:
-        assert load_calibration(text).efficiency == effs
+        assert parse_calibration(text, "calibration").efficiency == effs
     else:
         with pytest.raises(ValueError, match=message):
-            load_calibration(text)
+            parse_calibration(text, "calibration")
 
 
 def test_curve_shape_validation():

@@ -20,7 +20,6 @@ from swiptsim.ofdm import (
     ofdm_demodulate,
     papr_db,
     papr_quantile_db,
-    papr_samples,
     papr_samples_many,
     random_frames,
     random_qpsk_grid,
@@ -129,22 +128,15 @@ def test_papr_rejects_zero_signal():
 
 
 def test_papr_samples_deterministic():
-    a = papr_samples(CFG, 64, seed=42)
-    b = papr_samples(CFG, 64, seed=42)
+    a = papr_samples_many(CFG, 64, 42, (None,))[0]
+    b = papr_samples_many(CFG, 64, 42, (None,))[0]
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, papr_samples(CFG, 64, seed=43))
-
-
-def test_papr_samples_chunking_consistent():
-    a = papr_samples(CFG, 100, seed=6, chunk=512)
-    b = papr_samples(CFG, 100, seed=6, chunk=7)
-    # every chunk draws a whole number of symbols from one bit stream, so
-    # the chunk size only bounds memory: results are bit-identical
-    np.testing.assert_array_equal(a, papr_samples(CFG, 100, seed=6))
-    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, papr_samples_many(CFG, 64, 43, (None,))[0])
 
 
 SMALL = OfdmConfig(n_subcarriers=16, oversampling_factor=2)
+# 16384-sample symbols: a 1 MiB batch holds 4 of them
+WIDE = OfdmConfig(n_subcarriers=256, oversampling_factor=64)
 _TRANSFORMS = (
     None,
     lambda m: 2.0 * m,
@@ -153,26 +145,30 @@ _TRANSFORMS = (
 )
 
 
-@given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**16),
+@given(n=st.integers(9, 40), seed=st.integers(0, 2**16),
        threads=st.sampled_from((1, 2, 3, 8)),
        picks=st.lists(st.sampled_from(range(len(_TRANSFORMS))), min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_papr_samples_many_matches_single_calls(data, n, seed, threads, picks):
-    # batches drawn in order on the calling thread and measured in a pool,
-    # with more workers than cores and rapid thread switching, give the
-    # single-transform rows of one batch bit for bit; a batch written to the
-    # wrong columns or lost would change them
-    chunk = data.draw(st.none() | st.integers(1, n), label="chunk")
+def test_papr_samples_many_matches_single_calls(n, seed, threads, picks):
+    # batches of 4 symbols, at least 3 of them, drawn in order on the
+    # calling thread and measured in a pool, with more workers than cores
+    # and rapid thread switching, give the rows of one-map serial calls and
+    # of all n symbols drawn and measured at once bit for bit; a batch
+    # written to the wrong columns or lost would change them
+    assert (1 << 20) // (16 * WIDE.n_samples) == 4
     transforms = [_TRANSFORMS[i] for i in picks]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = papr_samples_many(SMALL, n, seed, transforms, chunk=chunk, threads=threads)
+        many = papr_samples_many(WIDE, n, seed, transforms, threads=threads)
     finally:
         sys.setswitchinterval(interval)
     assert many.shape == (len(transforms), n)
+    bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2 * WIDE.n_subcarriers))
+    m = np.abs(synthesize_waveforms(_qpsk(bits), WIDE))
     for row, t in zip(many, transforms):
-        np.testing.assert_array_equal(row, papr_samples(SMALL, n, seed, transform=t, chunk=n))
+        np.testing.assert_array_equal(row, papr_samples_many(WIDE, n, seed, (t,))[0])
+        np.testing.assert_array_equal(row, _papr_rows(m if t is None else t(m)))
 
 
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 24),
@@ -199,8 +195,6 @@ def test_envelope_papr_matches_waveform_definition(seed, n, l, cp, mus):
 def test_papr_samples_many_validation():
     with pytest.raises(ValueError, match="n_trials"):
         papr_samples_many(SMALL, 0, 0, (None,))
-    with pytest.raises(ValueError, match="chunk"):
-        papr_samples_many(SMALL, 10, 0, (None,), chunk=0)
     for threads in (0, -1):
         with pytest.raises(ValueError, match="threads"):
             papr_samples_many(SMALL, 10, 0, (None,), threads=threads)
@@ -217,7 +211,7 @@ def test_run_bounded_one_thread_runs_on_the_calling_thread(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(ofdm, "ThreadPoolExecutor", no_pool)
         run_bounded(work, ((i,) for i in range(5)), 1)
-        papr_samples_many(SMALL, 10, 0, (None,), chunk=3, threads=1)
+        papr_samples_many(WIDE, 10, 0, (None,), threads=1)
     assert ran == [(i, threading.get_ident()) for i in range(5)]
     ran.clear()
     run_bounded(work, ((i,) for i in range(5)), 2)
@@ -226,7 +220,7 @@ def test_run_bounded_one_thread_runs_on_the_calling_thread(monkeypatch):
 
 
 def test_papr_quantiles_frozen():
-    s = papr_samples(CFG, 20000, seed=0)
+    s = papr_samples_many(CFG, 20000, 0, (None,))[0]
     assert papr_quantile_db(s, 1e-3) == pytest.approx(11.410840240811794, abs=1e-9)
     assert papr_quantile_db(s, 1e-4) == pytest.approx(11.892132542189115, abs=1e-9)
     assert float(ccdf_from_samples(s, np.array([9.0]))[0]) == pytest.approx(
@@ -235,13 +229,13 @@ def test_papr_quantiles_frozen():
 
 
 def test_ccdf_nonincreasing_and_bounded():
-    ccdf = ccdf_from_samples(papr_samples(CFG, 2000, seed=7), np.arange(-1.0, 14.01, 0.05))
+    ccdf = ccdf_from_samples(papr_samples_many(CFG, 2000, 7, (None,))[0], np.arange(-1.0, 14.01, 0.05))
     assert np.all(np.diff(ccdf) <= 0)
     assert ccdf[0] <= 1.0 and ccdf[-1] >= 0.0
 
 
 def test_papr_quantile_validates_exceedance():
-    s = papr_samples(CFG, 100, seed=0)
+    s = papr_samples_many(CFG, 100, 0, (None,))[0]
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):
             papr_quantile_db(s, bad)
