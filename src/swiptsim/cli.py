@@ -27,7 +27,7 @@ are rejected with their location.  Schema (defaults in parentheses):
                ibo_reduction_db (null, or finite and at most pa.ibo_db)
   eh:          kind ("curve" | "linear"), eta3_linear (0.5; linear only),
                calibration (curve only: the path of a CSV file, default:
-               packaged rectenna; its bytes enter the config hash)
+               packaged rectenna; its rows enter the config hash)
   papr:        mu_grid ([0, 1.25, 255]; non-empty, mu >= 0, 0 = uncompressed),
                n_trials (20000, integer >= 1),
                thresholds_db ([-1, 14, 0.05] as min/max/step)
@@ -77,9 +77,11 @@ say: their dpd ibo_reduction_db is that of dpd-design --seed 0 at the
 default order.
 
 Every CSV and dpd_design.txt starts with "# config_hash=<h> seed=<seed>".
-h is config_hash: the first 12 hex digits of a SHA-256 over the raw
-config, the calibration file's bytes, the seed and --trials when given;
-it does not cover the package version.
+h is config_hash: the first 12 hex digits of a SHA-256 over the package
+version, the seed and the resolved values the command runs on (the
+scenario with its rectenna rows, grids and counts after --trials, the
+numerology without a prefix in dpd-design), so a key that a command
+does not read moves neither its output nor its hash.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy come from the
 Monte Carlo pass, so a rate-energy row equals the technique_table.csv row
@@ -102,14 +104,17 @@ runtime or I/O error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+import swiptsim
 
 from .channel import CHANNEL_KINDS, ChannelSpec
 from .companding import (
@@ -338,23 +343,22 @@ def _svg_chart(path: Path, series: dict[str, list[tuple[float, float]]],
     path.write_text("\n".join(parts), encoding="utf-8")
 
 
-def config_hash(cfg: dict, seed: int, trials: int | None) -> str:
-    """The provenance hash of every output: the config contents, the bytes
-    of the calibration file it names, and the command-line overrides that
-    change the output (seed and, when given, --trials)."""
-    import hashlib
-
-    blob = json.dumps(cfg, sort_keys=True, default=str) + f"|seed={seed}"
-    if trials is not None:
-        blob += f"|trials={trials}"
-    calibration = cfg.get("eh", {}).get("calibration")
-    if isinstance(calibration, str):
-        try:
-            data = Path(calibration).read_bytes()
-        except OSError as exc:
-            raise ConfigError(f"config section 'eh.calibration': {exc}") from exc
-        blob += f"|calibration={hashlib.sha256(data).hexdigest()}"
+def config_hash(seed: int, *inputs) -> str:
+    """The provenance hash of a command's outputs: the package version, the
+    seed and the resolved values the command runs on, in the order given.
+    A dataclass enters as its fields and an array as its list of values,
+    so the hash is the same in every interpreter."""
+    blob = json.dumps([swiptsim.__version__, seed, *inputs], default=_plain)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _plain(value):
+    """value as JSON data: a dataclass as its fields, an array as a list."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"config_hash cannot serialize {type(value).__name__}")
 
 
 def _count(section: dict, key: str, default: int, where: str) -> int:
@@ -467,7 +471,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
     n_trials = _trial_count(section, "n_trials", 20000, "papr", trials)
     thresholds = _grid(section, "thresholds_db", (-1.0, 14.0, 0.05), "papr")
     ofdm = build_ofdm(cfg)
-    h = config_hash(cfg, seed, trials)
+    h = config_hash(seed, ofdm, mu_grid, n_trials, thresholds)
     # mu = 0 is the uncompressed curve; every curve shares one set of symbols
     transforms = [partial(compress_magnitude, mu=mu) if mu > 0 else None for mu in mu_grid]
     curves = papr_samples_many(ofdm, n_trials, seed, transforms, threads=threads)
@@ -487,14 +491,15 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
 
 def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("dpd", {})
-    ofdm = build_ofdm(cfg)
+    # the design, and so its table, runs on the numerology without a prefix
+    ofdm = replace(build_ofdm(cfg), cp_length=0)
     pa, ibo_db = build_pa(cfg)
-    h = config_hash(cfg, seed, trials)
     inverse_order = _count(section, "inverse_order", 7, "dpd")
     grid = _grid(section, "reduction_grid_db", (0.0, 4.0, 0.25), "dpd")
     if grid.max() > ibo_db:
         raise ConfigError(f"config section 'dpd.reduction_grid_db': a reduction of "
                           f"{grid.max():g} dB runs past pa.ibo_db = {ibo_db:g} dB")
+    h = config_hash(seed, ofdm, pa, ibo_db, inverse_order, grid)
     design, design_evm = design_from_scratch(
         pa, ofdm, baseline_ibo_db=ibo_db, inverse_order=inverse_order, seed=seed,
     )
@@ -525,19 +530,19 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
     papr_trials = _trial_count(section, "papr_trials", 4000, "mu_sweep", trials)
     ofdm = build_ofdm(cfg)
     _, ibo_db = build_pa(cfg)
-    split = build_split(cfg)
-    h = config_hash(cfg, seed, trials)
+    sigma_a2 = build_split(cfg).sigma_a2
+    h = config_hash(seed, ofdm, mu_grid, papr_trials, ibo_db, sigma_a2)
     reductions = companded_papr_reductions(ofdm, mu_grid, n_trials=papr_trials, seed=seed,
                                            threads=threads)
     rows = []
     series = {"snr_db": []}
     for mu, reduction_db in zip(mu_grid, reductions):
         bp = analytic_companded_bussgang(mu, ibo_db)
-        snr = companded_snr(mu, ofdm.n_subcarriers, split.sigma_a2, bp.sigma_d2)
+        snr = companded_snr(mu, ofdm.n_subcarriers, sigma_a2, bp.sigma_d2)
         snr_db = 10.0 * np.log10(snr)
         rows.append((mu, snr_db, reduction_db, bp.k_l, bp.sigma_d2))
         series["snr_db"].append((mu, snr_db))
-    design = optimize_mu(ofdm.n_subcarriers, ibo_db, split.sigma_a2)
+    design = optimize_mu(ofdm.n_subcarriers, ibo_db, sigma_a2)
     columns = ("mu", "snr_db", "papr_reduction_db", "k_l_c", "sigma_d_c2")
     write_csv(out / "mu_sweep.csv", columns, rows, h, seed,
               comments=(f"mu_star={design.mu_star:.4f} at ibo_db={ibo_db:g} "
@@ -551,9 +556,9 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     base = build_scenario(cfg, seed, trials)
-    h = config_hash(cfg, seed, trials)
     # one pass for every channel; the table is the configured channel's rows
     receivers = [(replace(base.channel, kind=kind), base.split) for kind in CHANNEL_KINDS]
+    h = config_hash(seed, base, receivers)
     _check_work(base, TABLE_TECHNIQUES, [spec for spec, _ in receivers])
     results = run_techniques(base, TABLE_TECHNIQUES, receivers, threads)
     table = results[CHANNEL_KINDS.index(base.channel.kind)]
@@ -579,14 +584,15 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     techniques = _names(section, "techniques", ("baseline", "companding"), TECHNIQUES,
                         "ber", "technique")
     channels = _names(section, "channels", CHANNEL_KINDS, CHANNEL_KINDS, "ber", "channel")
-    base = build_scenario(cfg, seed, trials)
-    h = config_hash(cfg, seed, trials)
     # one receiver per channel and Eb/N0 point, each with the whole split
-    # replaced: no harvesting and no processing noise
+    # replaced: no harvesting and no processing noise, so no split or eh key
+    base = build_scenario({k: v for k, v in cfg.items() if k not in ("split", "eh")},
+                          seed, trials)
     specs = [replace(base.channel, kind=kind) for kind in channels]
     receivers = [(spec, SplitConfig(rho=0.0, sigma_a2=noise_for_ebn0(v, base.ofdm),
                                     sigma_p2=0.0))
                  for spec in specs for v in ebn0]
+    h = config_hash(seed, base, techniques, ebn0, receivers)
     _check_work(base, techniques, specs)
     results = run_techniques(base, techniques, receivers, threads)
     n_bits = 2 * base.ofdm.n_subcarriers * base.frame_symbols * base.trials
@@ -615,11 +621,12 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
         raise ConfigError("config section 'rate_energy.rho_grid': rho must lie in [0, 1]")
     techniques = _names(section, "techniques", ("baseline", "companding"), TECHNIQUES,
                         "rate_energy", "technique")
-    base = build_scenario(cfg, seed, trials)
-    h = config_hash(cfg, seed, trials)
-    _check_work(base, techniques, [base.channel])
     # one pass: every rho is a receiver on the configured channel's draws
-    receivers = [(base.channel, replace(base.split, rho=rho)) for rho in rho_grid]
+    base = build_scenario({k: v for k, v in cfg.items() if k != "split"}, seed, trials)
+    split = build_split(cfg)
+    receivers = [(base.channel, replace(split, rho=rho)) for rho in rho_grid]
+    h = config_hash(seed, base, techniques, receivers)
+    _check_work(base, techniques, [base.channel])
     results = run_techniques(base, techniques, receivers, threads)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}

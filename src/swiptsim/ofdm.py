@@ -84,19 +84,11 @@ def demap_symbols(symbols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64) < 0
 
 
-def random_qpsk_grid(cfg: OfdmConfig, rng: np.random.Generator) -> np.ndarray:
-    """One random QPSK subcarrier grid for cfg."""
-    return map_bits(rng.integers(0, 2, size=2 * cfg.n_subcarriers))
-
-
 def random_frames(
     cfg: OfdmConfig, n_symbols: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """n_symbols random QPSK grids, shape (n_symbols, N), and their
     synthesized symbols as one flat waveform scaled to unit mean power.
-
-    The draw equals n_symbols sequential random_qpsk_grid calls and leaves
-    rng in the same state.
     """
     grids = _qpsk(rng.integers(0, 2, size=(n_symbols, 2 * cfg.n_subcarriers)))
     return grids, normalize_power(synthesize_waveforms(grids, cfg).ravel())

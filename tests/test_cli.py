@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import swiptsim
-from swiptsim import cli, dpd, experiments, ofdm, pa
+from swiptsim import cli, dpd, experiments, harvester, ofdm, pa
 from swiptsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -237,10 +238,8 @@ def test_main_exit_codes(tmp_path, capsys):
         ("rate-energy", {"eh": {"kind": "linear", "calibration": "cal.csv"}}, "eh.calibration"),
         # a non-finite calibration power, named by file and line
         ("rate-energy", {"eh": {"calibration": str(nan_cal)}}, "nan.csv:3: non-finite"),
-        # calibration is always a path: CSV text names no file, in the
-        # harvester (rate-energy) as in the config hash (papr)
+        # calibration is always a path: CSV text names no file
         ("rate-energy", {"eh": {"calibration": nan_cal.read_text()}}, "eh.calibration"),
-        ("papr", {"eh": {"calibration": nan_cal.read_text()}}, "eh.calibration"),
         ("rate-energy", {"pa": {"coeffs": [1]}}, "pa.coeffs"),
         ("rate-energy", {"pa": {"kind": "soft_limiter", "smoothness": 2.0}}, "pa.smoothness"),
         ("rate-energy", {"pa": {"kind": "polynomial", "coeffs": [0, 1], "smoothness": 2.0}},
@@ -344,20 +343,27 @@ def test_config_hash_covers_calibration_bytes(tmp_path):
         assert main(["rate-energy", "--config", cfg, "--out", str(out)]) == EXIT_OK
         firsts.append((out / "rate_energy.csv").read_text().splitlines()[0])
     assert firsts[0] != firsts[1]
-    # a file the hash cannot read is a config error on every command
+    # a file that a command's harvester cannot read is a config error
     cal.unlink()
-    assert main(["papr", "--config", cfg, "--out", str(tmp_path / "p"),
+    assert main(["rate-energy", "--config", cfg, "--out", str(tmp_path / "p"),
                  "--trials", "10"]) == EXIT_CONFIG
-    # without the key the hash is the one of the config dict alone
-    assert config_hash({"ofdm": SMALL_OFDM}, 3, None) == "5d3d830c7a87"
-    assert config_hash({"eh": {"kind": "linear"}}, 0, 50) == "16d08af444b0"
+    # the serialization of the resolved values is pinned
+    assert config_hash(3, ofdm.OfdmConfig(**SMALL_OFDM)) == "3cfb074e0f05"
+    assert config_hash(0, experiments.Scenario(eh=EhModel.linear(), trials=50)) == (
+        "5b67aa0b28d3")
 
 
 def test_config_hash_sensitivity():
-    # the one provenance hash moves with any config value
-    a = config_hash({"scenario": {"mu": 1.25}}, 0, None)
-    assert a != config_hash({"scenario": {"mu": 1.3}}, 0, None)
+    # the hash moves with any resolved value, the package version and the
+    # seed; a dataclass enters by its fields and an array by its values
+    a = config_hash(0, experiments.Scenario(mu=1.25))
+    assert a != config_hash(0, experiments.Scenario(mu=1.3))
+    assert a != config_hash(1, experiments.Scenario(mu=1.25))
     assert len(a) == 12
+    assert config_hash(0, np.arange(3.0)) == config_hash(0, [0.0, 1.0, 2.0])
+    assert config_hash(0, np.int64(7)) == config_hash(0, 7)
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        config_hash(0, {1, 2})
 
 
 def test_papr_svg_emission(tmp_path):
@@ -448,7 +454,8 @@ def test_papr_outputs_do_not_depend_on_threads(tmp_path):
 # sha256 of each CSV at seed 0 on _DIGEST_CFG, recorded before the PAPR
 # path moved from complex waveforms to envelopes (dpd_evm.csv when its
 # table came to be measured on the design's probe whatever the prefix,
-# mu_sweep.csv when a comment line came to say what its columns are); a
+# mu_sweep.csv when a comment line came to say what its columns are, and
+# every file when the config hash came to cover the resolved inputs); a
 # change that moves a byte of these files updates the digests and says so
 _DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 4, "cp_length": 8},
@@ -456,20 +463,20 @@ _DIGEST_CFG = {
     "mu_sweep": {"mu_grid": [0.5, 1.25, 4.0, 255.0], "papr_trials": 2000},
 }
 _CSV_SHA256 = {
-    "papr_ccdf.csv": "b0318c0638888392491102f2237c8dfcd61082805440b2c204eeaf393b93d2db",
-    "mu_sweep.csv": "ecf46ee75559db35d2839c334ae758493cdbb5959e38ef4e42db263b352efc7d",
-    "dpd_evm.csv": "a761218ca5c23e5da56805506eefbd7f9901e01c9fd77dd43d8d152a91fa9286",
+    "papr_ccdf.csv": "2c711c12b558bdb98650dd6ee9f23e55822d1e2e2a89142bddfd52d653cb5d1b",
+    "mu_sweep.csv": "f677ad828d47e9107120bea978e82b2b7ccace95408c213a427cef5f6d29089a",
+    "dpd_evm.csv": "8b65cc72d3ddd79e3cf7c4ed985c55e7c341a28256218514e4c17d9f5692777f",
 }
 
 
-# the Monte Carlo commands on a config of their own, so that the digests
-# above keep their config hash: a cyclic prefix, which the multipath
-# channel lengthens, and rho = 0.5, so that the rectenna runs; recorded
-# when one pass of common random numbers came to serve every channel and
-# Eb/N0 point (the two e2e files when the DPD search came to refine its
-# crossing to 1e-4 dB, technique_table.csv again when its ber note came to
-# state the information branch's share), and checked at 1, 2 and 3
-# threads, which must not move a byte
+# the Monte Carlo commands on a config of their own: a cyclic prefix,
+# which the multipath channel lengthens, and rho = 0.5, so that the
+# rectenna runs; recorded when one pass of common random numbers came to
+# serve every channel and Eb/N0 point (the two e2e files when the DPD
+# search came to refine its crossing to 1e-4 dB, technique_table.csv again
+# when its ber note came to state the information branch's share, all four
+# when the config hash came to cover the resolved inputs), and checked at
+# 1, 2 and 3 threads, which must not move a byte
 _MC_DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
     "split": {"rho": 0.5},
@@ -477,10 +484,10 @@ _MC_DIGEST_CFG = {
     "ber": {"ebn0_db": [0.0, 6.0], "techniques": ["baseline", "companding", "dpd"]},
 }
 _MC_CSV_SHA256 = {
-    "ber_curves.csv": "c3a3aa9f3cfafbb67f7499458bd6e09fd3fdd4663210b4c26cfd69e07e0e5281",
-    "technique_table.csv": "53ac199bcb60424027467371e5206a43165f51ba8691d48ee1c1e8a0ece7f44e",
-    "channel_metrics.csv": "7c406ff2d7a92666bf32b0ef0ec97192bbfc922548bb1c7134d850d0d4761cf9",
-    "rate_energy.csv": "cf7415882086b70e463f2d3136c028c5eb68b9bc6f5eb881e914cd26b44ff317",
+    "ber_curves.csv": "8923b92322a026ab58c66bdef4585ed43ca570088397090c0da0e72fd1915cb7",
+    "technique_table.csv": "47ccad9b81d40b491710b0ba98e7ff02befa7bf72ff82a282d4ad719b87ed946",
+    "channel_metrics.csv": "f0a4e90980ad284316de32a46d3c78935e8b57da1502a3b5e42c8b4e58ae7fb3",
+    "rate_energy.csv": "03ed6c2668daeb9c670dee9b509a39082c9923e65202a13c64afa73f6bfa0f60",
 }
 
 
@@ -522,20 +529,18 @@ def test_dpd_design_synthesizes_its_probe_once(tmp_path, monkeypatch):
 
 
 def test_dpd_evm_table_ignores_cyclic_prefix(tmp_path):
-    # the table measures the chain the design searched, so a prefix moves
-    # neither the design nor a byte of the table below its provenance line
-    bodies = set()
+    # the table measures the chain the design searched, and the provenance
+    # hashes the numerology without a prefix that both run on, so a prefix
+    # moves no byte of either file
+    outputs = set()
     for cp in (0, 8):
         cfg = write_cfg(tmp_path, {"ofdm": {"n_subcarriers": 64, "oversampling_factor": 4,
                                             "cp_length": cp},
                                    "dpd": {"reduction_grid_db": [0.0, 2.0, 1.0]}}, f"cp{cp}.json")
         out = tmp_path / f"cp{cp}"
         assert main(["dpd-design", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        design = [line for line in (out / "dpd_design.txt").read_text().splitlines()
-                  if not line.startswith("#")]
-        table = (out / "dpd_evm.csv").read_text().splitlines()[1:]
-        bodies.add((tuple(design), tuple(table)))
-    assert len(bodies) == 1
+        outputs.add(tuple((out / name).read_bytes() for name in ("dpd_design.txt", "dpd_evm.csv")))
+    assert len(outputs) == 1
 
 
 def _count_transmit(tmp_path, monkeypatch, command):
@@ -652,12 +657,14 @@ def test_rate_energy_script_csv_body_is_pinned(tmp_path, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
-    # the whole file, at either worker count; its provenance line carries
-    # config_hash of the config, the seed and --trials
+    # the whole file, at either worker count; its provenance line hashes
+    # the seed, the scenario after --trials, the techniques and the receivers
     data = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "3db62288a05d60d52d82b6ebf01c97ca7cf76651d956874b19d1da6965bb8fb0")
-    h = config_hash(_PINNED_SWEEP, 0, 2)
+        "df58fad690467af24a90f96739323ee7785646d31ccb86a44752afa3404437ad")
+    base = build_scenario({"channel": _PINNED_SWEEP["channel"]}, 0, 2)
+    receivers = [(base.channel, SplitConfig(rho=rho)) for rho in (0.3, 0.6)]
+    h = config_hash(0, base, ("companding",), receivers)
     assert data.startswith(f"# config_hash={h} seed=0\n".encode())
 
 
@@ -808,14 +815,19 @@ def test_e2e_designs_like_dpd_design_at_seed_zero(tmp_path):
     assert _design_reduction(tmp_path / "seed1", {}, 1) != seed0
     orders = {"inverse_order": 5}
     assert _design_reduction(tmp_path / "orders", orders, 0) != seed0
-    cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "dpd": orders,
-                               "scenario": {"trials": 1, "frame_symbols": 1}})
+    cfg = {"ofdm": SMALL_OFDM, "scenario": {"trials": 1, "frame_symbols": 1}}
+    paths = [write_cfg(tmp_path, {**cfg, "dpd": orders}, "e2e-dpd.json"),
+             write_cfg(tmp_path, cfg, "e2e.json")]
     for seed in (1, 2):
-        out = tmp_path / f"e2e-{seed}"
-        assert main(["e2e", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
-        with open(out / "technique_table.csv", newline="") as fh:
-            rows = {r["technique"]: r for r in csv.DictReader(ln for ln in fh
-                                                               if not ln.startswith("#"))}
+        tables = []
+        for i, path in enumerate(paths):
+            out = tmp_path / f"e2e-{seed}-{i}"
+            assert main(["e2e", "--config", path, "--seed", str(seed),
+                         "--out", str(out)]) == EXIT_OK
+            tables.append((out / "technique_table.csv").read_text())
+        # the dpd section moves no byte of the table, provenance line included
+        assert tables[0] == tables[1]
+        rows = {r["technique"]: r for r in _rows(tables[0].splitlines())}
         assert float(rows["dpd"]["ibo_reduction_db"]) == float(format(seed0, ".10g"))
 
 
@@ -1143,14 +1155,25 @@ def _with(cfg: dict, sections: dict) -> dict:
     return out
 
 
+def _set(cfg: dict, key: str, value) -> dict:
+    """cfg with the dotted key set to value."""
+    section, _, sub = key.rpartition(".")
+    return _with(cfg, {section: {sub: value}} if section else {key: value})
+
+
 def _outputs(run_dir: Path, command: str, cfg: dict) -> dict[str, list[str]]:
-    """Every file the subcommand writes, without its config_hash line."""
+    """The lines of every file the subcommand writes."""
     run_dir.mkdir()
     out = run_dir / "out"
     assert main([command, "--config", write_cfg(run_dir, cfg), "--out", str(out)]) == EXIT_OK
-    return {p.name: [ln for ln in p.read_text().splitlines()
-                     if not ln.startswith("# config_hash=")]
-            for p in sorted(out.iterdir())}
+    return {p.name: p.read_text().splitlines() for p in sorted(out.iterdir())}
+
+
+def _provenance(outputs: dict[str, list[str]]) -> tuple[set[str], dict[str, list[str]]]:
+    """The config_hash lines of the outputs, and the outputs without them."""
+    hashed = {ln for lines in outputs.values() for ln in lines if ln.startswith("# config_hash=")}
+    return hashed, {name: [ln for ln in lines if not ln.startswith("# config_hash=")]
+                    for name, lines in outputs.items()}
 
 
 def test_knob_probes_cover_the_schema():
@@ -1199,10 +1222,93 @@ def test_every_config_key_changes_an_output(tmp_path, command, key, value, needs
         cal.write_text(value)
         value = str(cal)
     base = _with(KNOB_BASE, needs)
-    section, _, sub = key.rpartition(".")
-    probe = _with(base, {section: {sub: value}} if section else {key: value})
-    changed = _outputs(tmp_path / "probe", command, probe)
-    assert changed != _outputs(tmp_path / "base", command, base)
+    probe_hash, probe_body = _provenance(_outputs(tmp_path / "probe", command,
+                                                  _set(base, key, value)))
+    base_hash, base_body = _provenance(_outputs(tmp_path / "base", command, base))
+    assert probe_body != base_body
+    # the provenance line moves with every input; svg adds a chart, which
+    # is no input to any CSV
+    assert (probe_hash == base_hash) == (key == "svg")
+
+
+# (subcommand, dotted key, value): a key that the subcommand does not read;
+# the eh.calibration value names a file that does not exist
+UNREAD_PROBES = [
+    ("papr", "pa.ibo_db", 6.0),
+    ("papr", "split.rho", 0.5),
+    ("papr", "scenario.trials", 3),
+    ("papr", "eh.kind", "linear"),
+    ("papr", "dpd.inverse_order", 5),
+    ("dpd-design", "ofdm.cp_length", 4),
+    ("dpd-design", "split.rho", 0.5),
+    ("dpd-design", "scenario.mu", 4.0),
+    ("dpd-design", "channel.kind", "rayleigh_flat"),
+    ("mu-sweep", "pa.smoothness", 3.0),
+    ("mu-sweep", "split.rho", 0.5),
+    ("mu-sweep", "split.sigma_p2", 1e-2),
+    ("mu-sweep", "scenario.trials", 3),
+    ("e2e", "dpd.inverse_order", 5),
+    ("e2e", "ber.ebn0_db", [8.0]),
+    ("e2e", "papr.n_trials", 60),
+    ("ber", "dpd.inverse_order", 5),
+    ("ber", "split.rho", 0.5),
+    ("ber", "eh.kind", "linear"),
+    ("ber", "eh.calibration", "missing.csv"),
+    ("rate-energy", "dpd.inverse_order", 5),
+    ("rate-energy", "split.rho", 0.5),
+]
+
+
+@pytest.mark.parametrize("command,key,value", UNREAD_PROBES,
+                         ids=[f"{command}-{key}" for command, key, _ in UNREAD_PROBES])
+def test_unread_key_moves_no_output_byte(tmp_path, command, key, value):
+    # the provenance hashes what the command runs on, so a key it does not
+    # read leaves every file byte-identical, config_hash line included
+    if key == "eh.calibration":
+        value = str(tmp_path / value)
+    probe = _outputs(tmp_path / "probe", command, _set(KNOB_BASE, key, value))
+    assert probe == _outputs(tmp_path / "base", command, KNOB_BASE)
+
+
+def test_hash_covers_the_package_version_and_the_default_curve(tmp_path, monkeypatch):
+    def hashes(name, commands=tuple(cli._COMMANDS)):
+        return {c: _provenance(_outputs(tmp_path / f"{name}-{c}", c, KNOB_BASE))[0]
+                for c in commands}
+
+    base = hashes("base")
+    monkeypatch.setattr(swiptsim, "__version__", "0.0.0+probe")
+    moved = hashes("version")
+    assert [c for c in cli._COMMANDS if moved[c] == base[c]] == []
+    monkeypatch.undo()
+    # the packaged curve's rows enter through the scenario's harvester
+    curve = harvester.default_rectenna()
+    lower = replace(curve, efficiency=tuple(0.9 * e for e in curve.efficiency))
+    monkeypatch.setattr(harvester, "default_rectenna", lambda: lower)
+    assert hashes("curve", ("e2e",))["e2e"] != base["e2e"]
+
+
+def test_provenance_is_the_same_in_every_interpreter(tmp_path):
+    # a fresh interpreter with another string-hash seed writes the same
+    # provenance line: nothing hashed depends on set order or hash()
+    command, env = _console_command()
+    cfg = write_cfg(tmp_path, KNOB_BASE)
+    firsts = set()
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        proc = subprocess.run(command + ["e2e", "--config", cfg, "--out", str(out)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**env, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        firsts.add((out / "technique_table.csv").read_text().splitlines()[0])
+    assert len(firsts) == 1
+    # a grid enters whole: no summarizing repr hides one interior point of
+    # a long one
+    grid = np.linspace(2.0, 10.0, 1201).tolist()
+    moved = grid[:600] + [grid[600] + 1e-9] + grid[601:]
+    firsts = [_provenance(_outputs(tmp_path / f"grid{i}", "papr",
+                                   _set(KNOB_BASE, "papr.thresholds_db", g)))[0]
+              for i, g in enumerate((grid, moved))]
+    assert firsts[0] != firsts[1]
 
 
 def _console_command() -> tuple[list[str], dict]:

@@ -22,7 +22,6 @@ from swiptsim.ofdm import (
     papr_quantile_db,
     papr_samples_many,
     random_frames,
-    random_qpsk_grid,
     run_bounded,
     synthesize_waveforms,
 )
@@ -73,20 +72,21 @@ def test_qpsk_waveform_unit_power_exact():
     rng = np.random.default_rng(1)
     for l in (1, 2, 4):
         cfg = OfdmConfig(oversampling_factor=l)
-        x = synthesize_waveforms(random_qpsk_grid(cfg, rng), cfg)
+        grid = map_bits(rng.integers(0, 2, size=2 * cfg.n_subcarriers))
+        x = synthesize_waveforms(grid, cfg)
         assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_modulate_demodulate_roundtrip():
     rng = np.random.default_rng(2)
-    grid = random_qpsk_grid(CFG, rng)
+    grid = map_bits(rng.integers(0, 2, size=2 * CFG.n_subcarriers))
     x = synthesize_waveforms(grid, CFG)
     np.testing.assert_allclose(ofdm_demodulate(x, CFG), grid, atol=1e-12)
 
 
 def test_parseval():
     rng = np.random.default_rng(3)
-    grid = random_qpsk_grid(CFG, rng)
+    grid = map_bits(rng.integers(0, 2, size=2 * CFG.n_subcarriers))
     x = synthesize_waveforms(grid, CFG)
     # grid energy N maps to waveform energy N*L under the sqrt(L) convention
     e_grid = np.sum(np.abs(grid) ** 2)
@@ -99,10 +99,11 @@ def test_parseval():
 def test_cyclic_prefix_is_a_copy_of_the_tail():
     cfg = OfdmConfig(cp_length=32)
     rng = np.random.default_rng(4)
-    x = synthesize_waveforms(random_qpsk_grid(cfg, rng), cfg)
+    x = synthesize_waveforms(map_bits(rng.integers(0, 2, size=2 * cfg.n_subcarriers)),
+                             cfg)
     assert x.size == cfg.n_samples + 32
     np.testing.assert_array_equal(x[:32], x[-32:])
-    grid = random_qpsk_grid(cfg, rng)
+    grid = map_bits(rng.integers(0, 2, size=2 * cfg.n_subcarriers))
     np.testing.assert_allclose(
         ofdm_demodulate(synthesize_waveforms(grid, cfg), cfg), grid, atol=1e-12
     )
@@ -118,7 +119,8 @@ def test_papr_scale_invariance(re, im):
     if abs(c) < 1e-6:
         return
     rng = np.random.default_rng(5)
-    x = synthesize_waveforms(random_qpsk_grid(CFG, rng), CFG)
+    x = synthesize_waveforms(map_bits(rng.integers(0, 2, size=2 * CFG.n_subcarriers)),
+                             CFG)
     assert abs(papr_db(c * x) - papr_db(x)) < 1e-10
 
 
@@ -258,12 +260,13 @@ def test_normalize_power():
 )
 @settings(max_examples=40, deadline=None)
 def test_random_frames_matches_sequential_draws(log2_n, l, n_symbols, seed):
-    # one draw for the whole block equals n_symbols random_qpsk_grid calls,
-    # and the generator ends in the same state
+    # one draw for the whole block equals n_symbols single-grid draws, and
+    # the generator ends in the same state
     cfg = OfdmConfig(n_subcarriers=2 ** log2_n, oversampling_factor=l)
     block, alone = np.random.default_rng(seed), np.random.default_rng(seed)
     grids, x = random_frames(cfg, n_symbols, block)
-    expected = np.stack([random_qpsk_grid(cfg, alone) for _ in range(n_symbols)])
+    expected = np.stack([map_bits(alone.integers(0, 2, size=2 * cfg.n_subcarriers))
+                         for _ in range(n_symbols)])
     np.testing.assert_array_equal(grids, expected)
     assert block.bit_generator.state == alone.bit_generator.state
     wave = synthesize_waveforms(expected, cfg).ravel()
