@@ -66,7 +66,7 @@ def apply_channel(x: np.ndarray, taps, cp_length: int | None = None) -> np.ndarr
 
     When ``cp_length`` is given it must cover the channel memory, since the
     receiver relies on the prefix to keep subcarriers separable.  Antenna
-    noise is added at the receiver (see link.split_noise).
+    noise is added at the receiver (see link.info_branch).
     """
     h = np.asarray(taps)
     if cp_length is not None and h.shape[-1] - 1 > cp_length:

@@ -44,7 +44,8 @@ are rejected with their location.  Schema (defaults in parentheses):
   rate_energy: rho_grid (0..0.9 plus 1-10^-k tail; non-empty, in [0, 1]),
                techniques (["baseline","companding"]; non-empty, without
                repeats, from "linear", "baseline", "dpd", "companding",
-               "dpd_companding")
+               "dpd_companding").  rate-energy replaces split.rho with
+               each grid point and does not check it
   seed:        integer (0); --seed wins over the file
   svg:         false — also emit minimal SVG line charts
 
@@ -63,15 +64,15 @@ output does not depend on it.  e2e, ber and rate-energy each make one
 Monte Carlo pass (experiments.run_techniques), with one receiver per
 channel in e2e, per channel and Eb/N0 point in ber, and per splitting
 ratio on the configured channel in rate-energy: every receiver shares
-the pass's bits and transmit frames, and every receiver on a channel its
-taps and noise draws.  Each job being processed holds its block's noise
-draws on one channel, so memory grows with --threads: ber at its
-defaults peaked at 58, 63 and 106 MB of RSS at 1, 2 and 12 threads.
-dpd-design runs serially and rejects it.
+the pass's bits, transmit frames and noise draws, and every receiver on
+a channel its taps.  Each job being processed holds its block's noise
+draws, so memory grows with --threads: ber at its defaults peaked at 57,
+62 and 98-101 MB of RSS at 1, 2 and 12 threads.  dpd-design runs
+serially and rejects it.
 
 dpd-design measures its EVM table (dpd_evm.csv) on the probe its design
-searched, which carries no cyclic prefix, so ofdm.cp_length changes
-neither the table nor the design.  e2e and ber design their predistorter
+searched, which carries no cyclic prefix, so it neither checks nor
+reads ofdm.cp_length.  e2e and ber design their predistorter
 on the seed-0 probe with order 7 whatever --seed and dpd.inverse_order
 say: their dpd ibo_reduction_db is that of dpd-design --seed 0 at the
 default order.
@@ -240,6 +241,13 @@ def build_pa(cfg: dict) -> tuple[PaModel, float]:
 
 def build_split(cfg: dict) -> SplitConfig:
     return _build(SplitConfig, "split", cfg.get("split", {}))
+
+
+def _without(cfg: dict, section: str, key: str) -> dict:
+    """cfg without one key of one section: a command that replaces the key
+    builds the section without it, so that the key is neither checked nor
+    read."""
+    return {**cfg, section: {k: v for k, v in cfg.get(section, {}).items() if k != key}}
 
 
 def build_channel(cfg: dict) -> ChannelSpec:
@@ -492,7 +500,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
 def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("dpd", {})
     # the design, and so its table, runs on the numerology without a prefix
-    ofdm = replace(build_ofdm(cfg), cp_length=0)
+    ofdm = build_ofdm(_without(cfg, "ofdm", "cp_length"))
     pa, ibo_db = build_pa(cfg)
     inverse_order = _count(section, "inverse_order", 7, "dpd")
     grid = _grid(section, "reduction_grid_db", (0.0, 4.0, 0.25), "dpd")
@@ -623,7 +631,7 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
                         "rate_energy", "technique")
     # one pass: every rho is a receiver on the configured channel's draws
     base = build_scenario({k: v for k, v in cfg.items() if k != "split"}, seed, trials)
-    split = build_split(cfg)
+    split = build_split(_without(cfg, "split", "rho"))
     receivers = [(base.channel, replace(split, rho=rho)) for rho in rho_grid]
     h = config_hash(seed, base, techniques, receivers)
     _check_work(base, techniques, [base.channel])

@@ -44,7 +44,7 @@ from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
 from .companding import companding_ibo_reduction_db, compress_waveform
 from .dpd import DpdDesign, PolyFit, design_from_scratch
 from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
-from .link import LinkMetrics, SplitConfig, demodulate_and_ber, info_branch, split_noise
+from .link import LinkMetrics, SplitConfig, demodulate_and_ber, info_branch
 from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms, with_prefix
 from .pa import PaModel, amplify, efficiency_at_backoff
 
@@ -179,10 +179,16 @@ def noise_for_ebn0(ebn0_db: float, cfg: OfdmConfig) -> float:
     return cfg.oversampling_factor / (2.0 * 10.0 ** (ebn0_db / 10.0))
 
 
+# the first stream key of the receiver noise, after the bits' and the
+# channel kinds' keys
+_NOISE = 1 + len(CHANNEL_KINDS)
+
+
 def _stream(seed: int, *key: int) -> np.random.Generator:
     # one independent stream of the run's seed per key: (0,) the bits,
-    # (1 + i, 0) the taps of channel kind i and (1 + i, 1, t) its noise in
-    # trial t
+    # (1 + i, 0) the taps of channel kind i, and (_NOISE, t, 0) and
+    # (_NOISE, t, 1) the unit antenna and information-branch noise of trial
+    # t, which every channel shares
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -212,10 +218,13 @@ def run_techniques(
 
     Common random numbers: the bits come from one stream of the seed and
     are drawn once; each channel's taps come from a stream keyed on (seed,
-    channel kind), and its unit-variance antenna and information-branch
-    noise from streams keyed on (seed, channel kind, trial), and every
-    receiver on a channel scales the same normal draws by its own
-    variances.  Each technique's transmit frames are computed once,
+    channel kind).  The unit-variance antenna and information-branch noise
+    of a trial come from two streams keyed on (seed, trial) alone, each
+    drawn once as (n, 2) normals viewed as n complex samples, n the
+    longest frame of the pass; every channel reads the first samples of
+    its frame's length, and every receiver scales the same draws by its
+    own variances.  The branch's stream is drawn only when some receiver
+    has sigma_p2 > 0.  Each technique's transmit frames are computed once,
     without a cyclic prefix: the chain acts per sample, so a receiver adds
     its own prefix after the amplifier.  The frames are compressed once
     for the companded techniques, and the baseline amplification of the
@@ -224,8 +233,9 @@ def run_techniques(
 
     The trials run in blocks of about _BLOCK_BYTES of frame samples, twice:
     transmit, then, once the ensemble powers are known, one job per block
-    and channel that draws the block's noise, adds the channel's prefix,
-    applies its taps and builds every receiver's branches.  With
+    that draws the block's noise and, channel by channel, adds the
+    channel's prefix, applies its taps and builds every receiver's
+    branches.  With
     threads > 1 a pool of that many workers processes the jobs, at most
     2 * threads in flight, and with 1 the calling thread does (see
     ofdm.run_bounded).
@@ -234,9 +244,9 @@ def run_techniques(
     pass, len(techniques) x trials x frame_symbols x N*L complex128
     samples, because the normalizations need the ensemble powers first, and
     so are every trial's bits (2 N x frame_symbols int8) and every
-    channel's taps.  A job being processed adds its block's unit noise and
-    one receiver's scaled noise (two complex frames per trial each), one
-    faded frame per trial and the temporaries of one technique and receiver
+    channel's taps.  A job being processed adds its block's unit noise (one
+    complex frame per trial, two with processing noise), one faded frame
+    per trial and the temporaries of one channel, technique and receiver
     at a time.  With 4 techniques x 50 trials x 4 symbols at N*L = 2048 the
     frames take 26 MB.
 
@@ -350,42 +360,52 @@ def run_techniques(
     ber = np.empty((len(receivers), n_tech, trials))
     rates = np.empty_like(ber)
 
-    def receive(rows: slice, c: int) -> None:
-        # each trial's unit noise on this channel, from its own stream
-        n = s.frame_symbols * (chan_cfg[c].n_samples + chan_cfg[c].cp_length)
-        z = np.empty((rows.stop - rows.start, 2, 2, n))
-        for i in range(rows.start, rows.stop):
-            _stream(s.seed, kinds[c], 1, i).standard_normal(out=z[i - rows.start])
-        sent = _qpsk(bits[rows])
-        for k in range(n_tech):
-            y = faded(k, c, rows)
-            if harvests[c]:
-                p_w = np.abs(y * eh_pin[c][k])
-                p_w **= 2
-                eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
-                eff *= p_w
-                eta3_num[c, k, rows] = np.sum(eff, axis=-1)
-                eta3_den[c, k, rows] = np.sum(p_w, axis=-1)
-            for r in on_chan[c]:
-                split = receivers[r][1]
-                # the last receiver builds its branch in the faded frames
-                info = np.multiply(y, norm[k], out=y if r == on_chan[c][-1] else None)
-                scale = None
-                if companded[k]:
-                    # known amplitude bookkeeping from the compressed
-                    # transmit waveform to the (noiseless) information-branch
-                    # signal, so the expander operates in its design domain
-                    rms_rx = np.sqrt((1.0 - split.rho) * np.mean(np.abs(info) ** 2, axis=-1))
-                    drive = rms_drive[c, rows]
-                    scale = np.ones_like(rms_rx)
-                    np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
-                info_branch(info, split, split_noise(split, z))
-                ber[r, k, rows], rates[r, k, rows] = demodulate_and_ber(
-                    info, taps[c][rows], chan_cfg[c], sent,
-                    s.mu if companded[k] else None, scale,
-                )
+    # each channel reads the first rx_len[c] samples of a trial's noise
+    rx_len = [s.frame_symbols * (cfg_c.n_samples + cfg_c.cp_length) for cfg_c in chan_cfg]
+    # the antenna's draws, and the branch's if some receiver adds processing noise
+    n_draws = 2 if any(split.sigma_p2 > 0.0 for _, split in receivers) else 1
 
-    run_bounded(receive, ((rows, c) for rows in blocks for c in range(len(channels))), threads)
+    def receive(rows: slice) -> None:
+        # each trial's unit noise, (n, 2) normals from the trial's own
+        # streams viewed as n complex samples
+        draws = np.empty((n_draws, rows.stop - rows.start, max(rx_len)), dtype=np.complex128)
+        for d, z in enumerate(draws):
+            for i, row in enumerate(z, rows.start):
+                _stream(s.seed, _NOISE, i, d).standard_normal(out=row.view(np.float64))
+        sent = _qpsk(bits[rows])
+        for c in range(len(channels)):
+            antenna = draws[0, :, :rx_len[c]]
+            branch = draws[1, :, :rx_len[c]] if n_draws == 2 else None
+            for k in range(n_tech):
+                y = faded(k, c, rows)
+                if harvests[c]:
+                    p_w = np.abs(y * eh_pin[c][k])
+                    p_w **= 2
+                    eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
+                    eff *= p_w
+                    eta3_num[c, k, rows] = np.sum(eff, axis=-1)
+                    eta3_den[c, k, rows] = np.sum(p_w, axis=-1)
+                for r in on_chan[c]:
+                    split = receivers[r][1]
+                    # the last receiver builds its branch in the faded frames
+                    info = np.multiply(y, norm[k], out=y if r == on_chan[c][-1] else None)
+                    scale = None
+                    if companded[k]:
+                        # known amplitude bookkeeping from the compressed
+                        # transmit waveform to the (noiseless)
+                        # information-branch signal, so the expander
+                        # operates in its design domain
+                        rms_rx = np.sqrt((1.0 - split.rho) * np.mean(np.abs(info) ** 2, axis=-1))
+                        drive = rms_drive[c, rows]
+                        scale = np.ones_like(rms_rx)
+                        np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
+                    info_branch(info, split, antenna, branch)
+                    ber[r, k, rows], rates[r, k, rows] = demodulate_and_ber(
+                        info, taps[c][rows], chan_cfg[c], sent,
+                        s.mu if companded[k] else None, scale,
+                    )
+
+    run_bounded(receive, ((rows,) for rows in blocks), threads)
 
     results = []
     for r, (spec, split) in enumerate(receivers):

@@ -18,7 +18,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +41,38 @@ class RectennaCurve:
             raise ValueError("need at least two calibration points")
         if not all(a < b for a, b in zip(self.p_in_dbm, self.p_in_dbm[1:])):
             raise ValueError("power column must be strictly ascending")
+        # the lookup (eta3) equals np.interp on rows with finite values and
+        # slopes; a row at inf, or two rows a subnormal step apart, would
+        # break its cells
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(self.efficiency) / np.diff(self.p_in_dbm)
+        if not (np.all(np.isfinite(self.p_in_dbm)) and np.all(np.isfinite(slopes))):
+            raise ValueError("calibration rows need finite values and finite slopes")
 
     @property
     def sensitivity_dbm(self) -> float:
         return self.p_in_dbm[0]
 
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, ...]:
+        """The lookup table, one entry per cell [x[j], x_next[j]) with
+        slope[j] from value f[j]: cell 0 holds the inputs below the first
+        calibration row and the last cell those at or past the last, both
+        at slope 0.  Then the coefficients of a first guess of an input's
+        cell, from the mean row spacing."""
+        xp = np.asarray(self.p_in_dbm)
+        fp = np.asarray(self.efficiency)
+        x = np.concatenate(([np.nextafter(xp[0], -np.inf)], xp))
+        slope = np.concatenate(([0.0], np.diff(fp) / np.diff(xp), [0.0]))
+        inv_step = (xp.size - 1) / (xp[-1] - xp[0])
+        return (x, np.append(xp, np.inf), slope, np.concatenate(([0.0], fp)),
+                inv_step, 1.0 - xp[0] * inv_step)
+
     def eta3(self, p_in_dbm) -> np.ndarray:
         """Efficiency at the given input power(s); zero below sensitivity,
-        flat extrapolation past the last row."""
+        flat extrapolation past the last row.  Equal to np.interp(p,
+        p_in_dbm, efficiency, left=0.0) bit for bit, without its binary
+        search."""
         p = np.asarray(p_in_dbm, dtype=float)
         hi = self.p_in_dbm[-1]
         if np.any(p > hi):
@@ -58,7 +82,29 @@ class RectennaCurve:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return np.interp(p, self.p_in_dbm, self.efficiency, left=0.0)
+        x, x_next, slope, f, inv_step, offset = self._cells
+        # clipped into the end cells, so that their 0 slopes meet finite
+        # offsets; a NaN stays NaN, and the takes clip its guess (the cast
+        # of a NaN) to cell 0
+        p = np.clip(p, x[0], hi)
+        j = p * inv_step
+        j += offset
+        with np.errstate(invalid="ignore"):
+            j = j.astype(np.intp)
+        # the guess is a cell or so off on a uniform table: move it until
+        # x[j] <= p < x_next[j]
+        while True:
+            x_j = x.take(j, mode="clip")
+            low = p < x_j
+            high = p >= x_next.take(j, mode="clip")
+            if not (low.any() or high.any()):
+                break
+            j += high
+            j -= low
+        p -= x_j
+        p *= slope.take(j, mode="clip")
+        p += f.take(j, mode="clip")
+        return p
 
 
 @dataclass(frozen=True)

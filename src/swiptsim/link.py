@@ -84,40 +84,28 @@ class LinkMetrics:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def split_noise(split: SplitConfig, z: np.ndarray) -> np.ndarray:
-    """The antenna and information-branch noise of shape (..., 2, n), from
-    unit normal draws z of shape (..., 2, 2, n): for the antenna and then
-    the branch, the real and then the imaginary parts.
-
-    Every receiver that shares z scales the same draws by its own
-    variances; a variance of 0 gives zero noise.
-    """
-    noise = np.zeros(z.shape[:-3] + (2, z.shape[-1]), dtype=np.complex128)
-    for row, v in enumerate((split.sigma_a2, split.sigma_p2)):
-        if v != 0.0:
-            scale = np.sqrt(v / 2.0)
-            # the parts written in place equal scale * (re + 1j*im) bit for
-            # bit: the complex product's 0 * x terms add nothing
-            np.multiply(scale, z[..., row, 0, :], out=noise.real[..., row, :])
-            np.multiply(scale, z[..., row, 1, :], out=noise.imag[..., row, :])
-    return noise
-
-
-def info_branch(y: np.ndarray, split: SplitConfig, noise: np.ndarray) -> np.ndarray:
+def info_branch(y: np.ndarray, split: SplitConfig, antenna: np.ndarray,
+                branch: np.ndarray | None = None) -> np.ndarray:
     """The information branch of the received samples y (..., n), built in
-    y's own memory (y is overwritten and returned), for noise from
-    split_noise.
+    y's own memory (y is overwritten and returned).
 
-    The antenna noise rides the signal into the splitter, which passes a
-    1 - rho share of the power; the branch then adds its processing noise.
-    The noise broadcasts against y: the noise of receptions of shape
-    trials + (2, n) for y of shape trials + (n,), or one reception's
-    (2, n) shared by every row of y (alternative transmit waveforms
-    received through one noise realization).
+    antenna and branch are unit normal draws viewed as complex, real and
+    imaginary parts each of unit variance, scaled here by sqrt(sigma_a2 / 2)
+    and sqrt(sigma_p2 / 2): the antenna noise rides the signal into the
+    splitter, which passes a 1 - rho share of the power, and the branch
+    then adds its processing noise.  A variance of 0 adds nothing, and
+    branch may then be None.  The draws broadcast against y: the draws of
+    receptions of shape trials + (n,) for y of the same shape, or one
+    reception's (n,) shared by every row of y (alternative transmit
+    waveforms received through one noise realization).
     """
-    y += noise[..., 0, :]
+    if split.sigma_a2 != 0.0:
+        y += np.sqrt(split.sigma_a2 / 2.0) * antenna
     y *= np.sqrt(1.0 - split.rho)
-    y += noise[..., 1, :]
+    if split.sigma_p2 != 0.0:
+        if branch is None:
+            raise ValueError("sigma_p2 > 0 needs the branch's noise draws")
+        y += np.sqrt(split.sigma_p2 / 2.0) * branch
     return y
 
 

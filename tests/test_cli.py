@@ -475,8 +475,9 @@ _CSV_SHA256 = {
 # serve every channel and Eb/N0 point (the two e2e files when the DPD
 # search came to refine its crossing to 1e-4 dB, technique_table.csv again
 # when its ber note came to state the information branch's share, all four
-# when the config hash came to cover the resolved inputs), and checked at
-# 1, 2 and 3 threads, which must not move a byte
+# when the config hash came to cover the resolved inputs, the three with a
+# ber or rate column when a trial's noise came to be shared by every
+# channel), and checked at 1, 2 and 3 threads, which must not move a byte
 _MC_DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
     "split": {"rho": 0.5},
@@ -484,10 +485,10 @@ _MC_DIGEST_CFG = {
     "ber": {"ebn0_db": [0.0, 6.0], "techniques": ["baseline", "companding", "dpd"]},
 }
 _MC_CSV_SHA256 = {
-    "ber_curves.csv": "8923b92322a026ab58c66bdef4585ed43ca570088397090c0da0e72fd1915cb7",
-    "technique_table.csv": "47ccad9b81d40b491710b0ba98e7ff02befa7bf72ff82a282d4ad719b87ed946",
+    "ber_curves.csv": "7e73b41737ebacd65478286b7868ec4404cb9da5f0bdea247f362514103c048e",
+    "technique_table.csv": "94044c6cb0e11573f40fcc500f52d30b303914c362df3efcef47a0e355c100b3",
     "channel_metrics.csv": "f0a4e90980ad284316de32a46d3c78935e8b57da1502a3b5e42c8b4e58ae7fb3",
-    "rate_energy.csv": "03ed6c2668daeb9c670dee9b509a39082c9923e65202a13c64afa73f6bfa0f60",
+    "rate_energy.csv": "4815c6b5e03d1d1c0d7dfa12bbe60c31199bd414c318bc230e415855c52fc283",
 }
 
 
@@ -652,7 +653,7 @@ def test_rate_energy_script_csv_body_is_pinned(tmp_path, threads):
     # the bytes after the provenance line, at either worker count
     body = _run_pinned_script(tmp_path, threads).split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == (
-        "1ff895c66d5ee847b5d40ce0b9f72c96d4c5e6be0e733555f853c4a0edec0ae8")
+        "429ed5c894334a9d3bbe16a9f134fa8f55bc5b158f43aa53db5d04ee75e6eabc")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -661,7 +662,7 @@ def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
     # the seed, the scenario after --trials, the techniques and the receivers
     data = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "df58fad690467af24a90f96739323ee7785646d31ccb86a44752afa3404437ad")
+        "5219cae25c8f5a2a03a2d246ffc4b723fc6209de53c000e206def8d2fc5059ce")
     base = build_scenario({"channel": _PINNED_SWEEP["channel"]}, 0, 2)
     receivers = [(base.channel, SplitConfig(rho=rho)) for rho in (0.3, 0.6)]
     h = config_hash(0, base, ("companding",), receivers)
@@ -1259,11 +1260,22 @@ UNREAD_PROBES = [
 ]
 
 
-@pytest.mark.parametrize("command,key,value", UNREAD_PROBES,
-                         ids=[f"{command}-{key}" for command, key, _ in UNREAD_PROBES])
+# (subcommand, dotted key, value): a key that the subcommand replaces, at a
+# value that the key's own check would reject
+REPLACED_PROBES = [
+    ("rate-energy", "split.rho", 2),
+    ("dpd-design", "ofdm.cp_length", -1),
+]
+
+
+@pytest.mark.parametrize(
+    "command,key,value", UNREAD_PROBES + REPLACED_PROBES,
+    ids=[f"{command}-{key}" for command, key, _ in UNREAD_PROBES]
+    + [f"{command}-{key}={value}" for command, key, value in REPLACED_PROBES])
 def test_unread_key_moves_no_output_byte(tmp_path, command, key, value):
     # the provenance hashes what the command runs on, so a key it does not
-    # read leaves every file byte-identical, config_hash line included
+    # read leaves every file byte-identical, config_hash line included; a
+    # key it replaces is not checked either, so the command exits 0
     if key == "eh.calibration":
         value = str(tmp_path / value)
     probe = _outputs(tmp_path / "probe", command, _set(KNOB_BASE, key, value))

@@ -376,6 +376,27 @@ def test_receivers_match_single_receiver_runs(techniques, receivers, per_block, 
             _assert_same_metrics(m, run_techniques(s, (tech,), (receiver,))[0][0])
 
 
+def test_noise_is_keyed_by_the_trial_alone():
+    # common random numbers: every channel reads the first samples of its
+    # trial's own noise, so a channel's rows do not depend on a channel with
+    # a longer cyclic prefix sharing the pass, and the antenna noise of a
+    # receiver does not depend on whether another one adds processing noise
+    s = _tiny_scenario("awgn", False, 1e-3, 3, 21)
+    awgn = (ChannelSpec(kind="awgn"), s.split)
+    multitap = (ChannelSpec(kind="rayleigh_multitap"), s.split)
+    assert channel_ofdm(s.ofdm, multitap[0]).cp_length > s.ofdm.cp_length
+    (alone,) = run_techniques(s, TECHNIQUES, [awgn])
+    together, _ = run_techniques(s, TECHNIQUES, [awgn, multitap])
+    for a, b in zip(alone, together):
+        _assert_same_metrics(a, b)
+    first = (s.channel, SplitConfig(rho=0.5, sigma_a2=1e-2, sigma_p2=0.0))
+    passes = [run_techniques(s, TECHNIQUES, [first, (s.channel, SplitConfig(sigma_p2=sp2))])
+              for sp2 in (1e-3, 0.0)]
+    for a, b in zip(passes[0][0], passes[1][0]):
+        _assert_same_metrics(a, b)
+    assert [m.ber for m in passes[0][1]] != [m.ber for m in passes[1][1]]
+
+
 def test_table_pipeline_matches_per_technique_runs():
     # the table is the four single-technique runs it always was
     base = Scenario(ofdm=TINY, channel=ChannelSpec(kind="rice_flat"),

@@ -1,8 +1,11 @@
+import warnings
 from importlib import resources, util
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptsim.experiments import Scenario, run_techniques
 from swiptsim.harvester import (
@@ -87,6 +90,47 @@ def test_default_curve_is_the_build_script_table():
     spec.loader.exec_module(script)
     csv_text = (resources.files("swiptsim") / "data" / "rectenna_default.csv").read_text()
     assert script.calibration_csv() == csv_text
+
+
+# calibration tables: ascending rows, on a uniform grid or not (a curve
+# rejects rows a subnormal step apart, whose slope overflows)
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(2, 40))
+    gap = st.floats(1e-3, 20.0)
+    if draw(st.booleans()):
+        gaps = [draw(gap)] * (n - 1)
+    else:
+        gaps = draw(st.lists(gap, min_size=n - 1, max_size=n - 1))
+    xp = draw(st.floats(-120.0, 20.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    fp = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return xp, np.array(fp)
+
+
+@given(table=_tables(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_lookup_equals_np_interp(table, data):
+    # the table-indexed lookup is np.interp with left=0 bit for bit: on the
+    # rows and their float neighbours, inside, below and past the table,
+    # at NaN and +-inf, for an array, a 0-d array and a Python float; the
+    # beyond-range warning fires exactly when an input exceeds the last row
+    xp, fp = table
+    curve = RectennaCurve(p_in_dbm=tuple(xp), efficiency=tuple(fp))
+    inside = data.draw(st.lists(st.floats(xp[0], xp[-1]), max_size=20))
+    below, past = (data.draw(st.lists(st.floats(0.0, 300.0), max_size=3)) for _ in range(2))
+    p = np.concatenate((xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf), inside,
+                        xp[0] - np.array(below), xp[-1] + np.array(past),
+                        [np.nan, -np.inf, np.inf]))
+    p = p[data.draw(st.permutations(range(p.size)))][:data.draw(st.integers(0, p.size))]
+    for arg in (p, *(np.array(v) for v in p[:3]), *(float(v) for v in p[:3])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = curve.eta3(arg)
+        assert np.array_equal(got, np.interp(arg, xp, fp, left=0.0), equal_nan=True)
+        assert np.shape(got) == np.shape(arg)
+        beyond = bool(np.any(np.asarray(arg) > xp[-1]))
+        assert [(w.category, "calibrated range" in str(w.message)) for w in caught] == (
+            [(RuntimeWarning, True)] if beyond else [])
 
 
 def test_two_point_calibration_is_exact_line():
@@ -183,6 +227,10 @@ def test_curve_shape_validation():
         RectennaCurve(p_in_dbm=(1.0, float("nan")), efficiency=(0.5, 0.5))
     with pytest.raises(ValueError, match="two calibration points"):
         RectennaCurve(p_in_dbm=(1.0,), efficiency=(0.5,))
+    for rows in (((0.0, np.inf), (0.5, 0.5)), ((0.0, 1.0), (0.5, np.inf)),
+                 ((0.0, 5e-324, 1.0), (0.0, 1.0, 0.5))):
+        with pytest.raises(ValueError, match="finite values and finite slopes"):
+            RectennaCurve(*rows)
 
 
 def test_linear_model_harvest():

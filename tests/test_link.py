@@ -13,7 +13,6 @@ from swiptsim.link import (
     SplitConfig,
     demodulate_and_ber,
     info_branch,
-    split_noise,
 )
 from swiptsim.ofdm import OfdmConfig, map_bits, ofdm_demodulate, synthesize_waveforms
 from swiptsim.pa import PaModel, bussgang_estimate
@@ -49,6 +48,12 @@ def _power(x):
     return np.mean(np.abs(x) ** 2)
 
 
+def _unit_draws(rng, shape):
+    """Unit normal draws of shape + (2,) viewed as complex samples of
+    shape shape, as the Monte Carlo pass draws a trial's noise."""
+    return rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+
+
 def test_power_split_bookkeeping():
     # unit-power signal, antenna noise scaled with it by the splitter,
     # then the branch's own processing noise
@@ -56,12 +61,12 @@ def test_power_split_bookkeeping():
     n = 200_000
     x = np.exp(2j * np.pi * rng.random(n))
     split = SplitConfig(rho=0.6, sigma_a2=0.02, sigma_p2=0.01)
-    noise = split_noise(split, rng.standard_normal((2, 2, n)))
-    info = info_branch(x.copy(), split, noise)
+    antenna, branch = _unit_draws(rng, (2, n))
+    info = info_branch(x.copy(), split, antenna, branch)
     assert _power(info) == pytest.approx(0.4 * 1.02 + 0.01, rel=0.01)
     # the antenna-noise realization reaches the branch at its amplitude share
     res_info = info - np.sqrt(0.4) * x
-    cov = np.mean(res_info * np.conj(noise[0])).real
+    cov = np.mean(res_info * np.conj(np.sqrt(0.02 / 2.0) * antenna)).real
     assert cov == pytest.approx(np.sqrt(0.4) * 0.02, rel=0.05)
 
 
@@ -70,7 +75,7 @@ def test_power_split_extreme_ratios():
     x = np.ones(50_000, dtype=complex)
     for rho, expected in ((0.0, 1.04), (1.0, 0.04)):  # all signal, noise only
         split = SplitConfig(rho=rho, sigma_a2=0.0, sigma_p2=0.04)
-        info = info_branch(x.copy(), split, split_noise(split, rng.standard_normal((2, 2, x.size))))
+        info = info_branch(x.copy(), split, *_unit_draws(rng, (2, x.size)))
         assert _power(info) == pytest.approx(expected, rel=0.02)
 
 
@@ -80,28 +85,39 @@ def test_info_branch_broadcasts_one_draw():
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
     split = SplitConfig(rho=0.3, sigma_a2=0.02, sigma_p2=0.01)
-    noise = split_noise(split, np.random.default_rng(7).standard_normal((2, 2, 64)))
-    info = info_branch(rows.copy(), split, noise)
+    noise = _unit_draws(np.random.default_rng(7), (2, 64))
+    info = info_branch(rows.copy(), split, *noise)
     for k, row in enumerate(rows):
-        np.testing.assert_array_equal(info[k], info_branch(row.copy(), split, noise))
+        np.testing.assert_array_equal(info[k], info_branch(row.copy(), split, *noise))
 
 
 @pytest.mark.parametrize("sigma_a2, sigma_p2",
                          [(1e-3, 1e-3), (0.0, 0.02), (0.5, 0.0), (0.0, 0.0)])
 @pytest.mark.parametrize("trials", [(), (3,), (2, 4)])
 def test_split_noise_matches_complex_form(sigma_a2, sigma_p2, trials):
-    # the real and imaginary parts written in place are the complex
-    # product sqrt(v/2) * (re + 1j*im) of the unit draws bit for bit, and a
-    # variance of 0 gives zeros
+    # the splitter's noise is sqrt(v/2) * (re + 1j*im) of (n, 2) unit
+    # draws viewed as complex, bit for bit, in a block of any shape; a
+    # variance of 0 adds nothing, and with sigma_p2 = 0 the branch's draws
+    # may be left out
     split = SplitConfig(rho=0.3, sigma_a2=sigma_a2, sigma_p2=sigma_p2)
-    z = np.random.default_rng(11).standard_normal(tuple(trials) + (2, 2, 64))
-    noise = split_noise(split, z)
-    ref = np.zeros(tuple(trials) + (2, 64), dtype=np.complex128)
-    for row, v in enumerate((sigma_a2, sigma_p2)):
-        if v != 0.0:
-            ref[..., row, :] = np.sqrt(v / 2.0) * (z[..., row, 0, :] + 1j * z[..., row, 1, :])
-    assert noise.shape == ref.shape
-    assert noise.tobytes() == ref.tobytes()
+    rng = np.random.default_rng(11)
+    y = _unit_draws(rng, tuple(trials) + (64,))
+    z = rng.standard_normal((2,) + tuple(trials) + (64, 2))
+    ref = y.copy()
+    if sigma_a2 != 0.0:
+        ref = ref + np.sqrt(sigma_a2 / 2.0) * (z[0, ..., 0] + 1j * z[0, ..., 1])
+    ref = ref * np.sqrt(0.7)
+    if sigma_p2 != 0.0:
+        ref = ref + np.sqrt(sigma_p2 / 2.0) * (z[1, ..., 0] + 1j * z[1, ..., 1])
+    antenna, branch = z.view(np.complex128)[..., 0]
+    info = info_branch(y.copy(), split, antenna, branch)
+    assert info.shape == ref.shape
+    assert info.tobytes() == ref.tobytes()
+    if sigma_p2 == 0.0:
+        assert info_branch(y.copy(), split, antenna).tobytes() == ref.tobytes()
+    else:
+        with pytest.raises(ValueError, match="branch's noise draws"):
+            info_branch(y.copy(), split, antenna)
 
 
 def _receivers(s, splits):
@@ -145,7 +161,7 @@ def test_companded_sinr_golden_and_noise_inflation():
     gain = (2.0 ** comp.rate_bps_hz - 1.0) / (2.0 ** base.rate_bps_hz - 1.0)
     assert 1.0 < gain < 10.0 ** (companding_ibo_reduction_db(s.mu) / 10.0)
     assert (base.rate_bps_hz, comp.rate_bps_hz) == pytest.approx(
-        (9.35912051911005, 9.801418886717432), abs=1e-9)
+        (9.38653619144317, 9.816956680595696), abs=1e-9)
 
 
 def test_achievable_rate_basics():
@@ -260,7 +276,7 @@ def test_tiny_mu_expander_matches_plain_receiver():
     sent, sig = _build_frame(cfg, rng, 4)
     taps = (1.0 + 0j,)
     split = SplitConfig(rho=0.0, sigma_a2=0.5, sigma_p2=0.0)
-    rx = info_branch(sig, split, split_noise(split, rng.standard_normal((2, 2, sig.size))))
+    rx = info_branch(sig, split, _unit_draws(rng, (sig.size,)))
     plain, _ = demodulate_and_ber(rx, taps, cfg, sent)
     expanded, _ = demodulate_and_ber(rx, taps, cfg, sent, expander=1e-9, expander_scale=1.0)
     assert plain > 0.0
