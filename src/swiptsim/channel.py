@@ -31,6 +31,8 @@ class ChannelSpec:
             raise ValueError("Rice K must be finite")
         if not self.pdp_db or self.pdp_db[0] != 0.0:
             raise ValueError("power delay profile must start with a 0 dB tap")
+        if not all(math.isfinite(p) for p in self.pdp_db):
+            raise ValueError(f"power delay profile must be finite, got {self.pdp_db!r}")
 
     @property
     def n_taps(self) -> int:

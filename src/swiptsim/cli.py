@@ -82,7 +82,16 @@ h is config_hash: the first 12 hex digits of a SHA-256 over the package
 version, the seed and the resolved values the command runs on (the
 scenario with its rectenna rows, grids and counts after --trials, the
 numerology without a prefix in dpd-design), so a key that a command
-does not read moves neither its output nor its hash.
+does not read moves neither its output nor its hash.  Such a key is not
+checked either: mu-sweep reads only pa.ibo_db and split.sigma_a2 of
+those two sections, so it runs on {"pa": {"kind": "valve"}} or
+{"split": {"rho": 2}}.
+
+A command writes its files together: into a staging directory inside
+--out, from which they are moved into place once the command has
+returned, so a run that fails leaves --out as it was.  Each move is
+atomic on its own, not the set: a move that fails part-way (a file name
+taken by a directory, say) can still leave a partial set.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy come from the
 Monte Carlo pass, so a rate-energy row equals the technique_table.csv row
@@ -109,6 +118,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -243,11 +253,11 @@ def build_split(cfg: dict) -> SplitConfig:
     return _build(SplitConfig, "split", cfg.get("split", {}))
 
 
-def _without(cfg: dict, section: str, key: str) -> dict:
-    """cfg without one key of one section: a command that replaces the key
-    builds the section without it, so that the key is neither checked nor
-    read."""
-    return {**cfg, section: {k: v for k, v in cfg.get(section, {}).items() if k != key}}
+def _only(cfg: dict, **reads: tuple[str, ...]) -> dict:
+    """cfg with each named section cut to the keys that a command reads (an
+    empty tuple: the section's defaults), so no other key is checked."""
+    return {**cfg, **{section: {k: v for k, v in cfg.get(section, {}).items() if k in keys}
+                      for section, keys in reads.items()}}
 
 
 def build_channel(cfg: dict) -> ChannelSpec:
@@ -493,14 +503,13 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
               comments=(f"n_trials={n_trials} n={ofdm.n_subcarriers} l={ofdm.oversampling_factor}",))
     if svg:
         _svg_chart(out / "papr_ccdf.svg", series, "PAPR threshold (dB)", "CCDF", log_y=True)
-    print(f"papr: wrote {out / 'papr_ccdf.csv'} ({len(mu_grid)} curves)")
     return EXIT_OK
 
 
 def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
     section = cfg.get("dpd", {})
     # the design, and so its table, runs on the numerology without a prefix
-    ofdm = build_ofdm(_without(cfg, "ofdm", "cp_length"))
+    ofdm = build_ofdm(_only(cfg, ofdm=("n_subcarriers", "oversampling_factor")))
     pa, ibo_db = build_pa(cfg)
     inverse_order = _count(section, "inverse_order", 7, "dpd")
     grid = _grid(section, "reduction_grid_db", (0.0, 4.0, 0.25), "dpd")
@@ -528,7 +537,6 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     flag = " (degenerate)" if design.degenerate else ""
     print(f"dpd-design: reduction {design.ibo_reduction_db:.3f} dB{flag}, "
           f"EVM {design.evm_baseline:.4f} -> {design.evm_with_dpd:.4f}")
-    print(f"dpd-design: wrote {out / 'dpd_design.txt'} and {out / 'dpd_evm.csv'}")
     return EXIT_OK
 
 
@@ -537,8 +545,8 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
     mu_grid = _mu_grid(section, MU_GRID, "mu_sweep", allow_zero=False)
     papr_trials = _trial_count(section, "papr_trials", 4000, "mu_sweep", trials)
     ofdm = build_ofdm(cfg)
-    _, ibo_db = build_pa(cfg)
-    sigma_a2 = build_split(cfg).sigma_a2
+    _, ibo_db = build_pa(_only(cfg, pa=("ibo_db",)))
+    sigma_a2 = build_split(_only(cfg, split=("sigma_a2",))).sigma_a2
     h = config_hash(seed, ofdm, mu_grid, papr_trials, ibo_db, sigma_a2)
     reductions = companded_papr_reductions(ofdm, mu_grid, n_trials=papr_trials, seed=seed,
                                            threads=threads)
@@ -558,7 +566,7 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
                         _column_notes((*columns, "mu*"))))
     if svg:
         _svg_chart(out / "mu_sweep.svg", series, "mu", "post-expansion SNR (dB)")
-    print(f"mu-sweep: mu* = {design.mu_star:.4f}, wrote {out / 'mu_sweep.csv'}")
+    print(f"mu-sweep: mu* = {design.mu_star:.4f}")
     return EXIT_OK
 
 
@@ -582,7 +590,6 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     write_csv(out / "channel_metrics.csv",
               ("channel", "technique", "eta1", "eta3", "eta1_eta3", "eta3_ci", "ber"),
               chan_rows, h, seed)
-    print(f"e2e: wrote {out / 'technique_table.csv'} and {out / 'channel_metrics.csv'}")
     return EXIT_OK
 
 
@@ -594,8 +601,7 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     channels = _names(section, "channels", CHANNEL_KINDS, CHANNEL_KINDS, "ber", "channel")
     # one receiver per channel and Eb/N0 point, each with the whole split
     # replaced: no harvesting and no processing noise, so no split or eh key
-    base = build_scenario({k: v for k, v in cfg.items() if k not in ("split", "eh")},
-                          seed, trials)
+    base = build_scenario(_only(cfg, split=(), eh=()), seed, trials)
     specs = [replace(base.channel, kind=kind) for kind in channels]
     receivers = [(spec, SplitConfig(rho=0.0, sigma_a2=noise_for_ebn0(v, base.ofdm),
                                     sigma_p2=0.0))
@@ -617,7 +623,6 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
               rows, h, seed)
     if svg:
         _svg_chart(out / "ber_curves.svg", series, "Eb/N0 (dB)", "BER", log_y=True)
-    print(f"ber: wrote {out / 'ber_curves.csv'} ({len(rows)} points)")
     return EXIT_OK
 
 
@@ -630,8 +635,8 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
     techniques = _names(section, "techniques", ("baseline", "companding"), TECHNIQUES,
                         "rate_energy", "technique")
     # one pass: every rho is a receiver on the configured channel's draws
-    base = build_scenario({k: v for k, v in cfg.items() if k != "split"}, seed, trials)
-    split = build_split(_without(cfg, "split", "rho"))
+    base = build_scenario(_only(cfg, split=()), seed, trials)
+    split = build_split(_only(cfg, split=("sigma_a2", "sigma_p2")))
     receivers = [(base.channel, replace(split, rho=rho)) for rho in rho_grid]
     h = config_hash(seed, base, techniques, receivers)
     _check_work(base, techniques, [base.channel])
@@ -648,7 +653,6 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
               comments=(_column_notes(columns, base.channel.kind),))
     if svg:
         _svg_chart(out / "rate_energy.svg", series, "rho", "rate / harvested")
-    print(f"rate-energy: wrote {out / 'rate_energy.csv'}")
     return EXIT_OK
 
 
@@ -714,7 +718,15 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         svg = bool(cfg.get("svg", False))
-        return _COMMANDS[args.command](cfg, seed, out, args.trials, threads, svg)
+        # a command that fails leaves out as it was: it writes into a staging
+        # directory, whose files are moved into place once it has returned
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as stage:
+            code = _COMMANDS[args.command](cfg, seed, Path(stage), args.trials, threads, svg)
+            names = sorted(os.listdir(stage))
+            for name in names:
+                os.replace(os.path.join(stage, name), out / name)
+        print(f"{args.command}: wrote {', '.join(str(out / name) for name in names)}")
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

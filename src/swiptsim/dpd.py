@@ -60,9 +60,12 @@ class PolyFit:
         return y
 
 
-def _ls_poly(x: np.ndarray, y: np.ndarray, order: int) -> PolyFit:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def fit_inverse_polynomial(train_out: np.ndarray, train_in: np.ndarray, order: int = 7) -> PolyFit:
+    """Fit the pre-inverse: required drive amplitude as a polynomial of the
+    wanted output amplitude.  Fitted directly on the swapped data rather
+    than by composing coefficient vectors."""
+    x = np.asarray(train_out, dtype=float)
+    y = np.asarray(train_in, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("training vectors must be equal-length 1-D arrays")
     if np.unique(np.round(x, 12)).size <= order:
@@ -78,13 +81,6 @@ def _ls_poly(x: np.ndarray, y: np.ndarray, order: int) -> PolyFit:
         domain_max=float(x.max()),
         residual_rms=resid,
     )
-
-
-def fit_inverse_polynomial(train_out: np.ndarray, train_in: np.ndarray, order: int = 7) -> PolyFit:
-    """Fit the pre-inverse: required drive amplitude as a polynomial of the
-    wanted output amplitude.  Fitted directly on the swapped data rather
-    than by composing coefficient vectors."""
-    return _ls_poly(train_out, train_in, order)
 
 
 def make_training_set(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -72,7 +72,7 @@ class Scenario:
     ibo_db: float = 8.0
     channel: ChannelSpec = ChannelSpec()
     split: SplitConfig = SplitConfig()
-    eh: EhModel | None = None
+    eh: EhModel = field(default_factory=EhModel.default)
     trials: int = 50
     seed: int = 0
     mu: float = 1.25
@@ -95,8 +95,6 @@ class Scenario:
         if self.ibo_reduction_db is not None and self.ibo_reduction_db > self.ibo_db:
             raise ValueError(f"ibo_reduction_db = {self.ibo_reduction_db:g} dB runs past "
                              f"ibo_db = {self.ibo_db:g} dB")
-        if self.eh is None:
-            object.__setattr__(self, "eh", EhModel.default())
 
 
 def _uses_companding(technique: str) -> bool:
@@ -235,10 +233,11 @@ def run_techniques(
     transmit, then, once the ensemble powers are known, one job per block
     that draws the block's noise and, channel by channel, adds the
     channel's prefix, applies its taps and builds every receiver's
-    branches.  With
-    threads > 1 a pool of that many workers processes the jobs, at most
-    2 * threads in flight, and with 1 the calling thread does (see
-    ofdm.run_bounded).
+    branches.  With threads > 1 a pool of that many workers processes the
+    jobs, at most 2 * threads in flight, and with 1 the calling thread
+    does (see ofdm.run_bounded).  A pass whose trials fit in one block (at
+    most 4 trials at N=512, L=4 and 4 symbols) makes a single receive job,
+    so it gains nothing from threads > 1.
 
     Memory: every technique's transmit frames are held for the receive
     pass, len(techniques) x trials x frame_symbols x N*L complex128

@@ -51,6 +51,8 @@ class PaModel:
             raise ValueError("smoothness must be positive")
         if self.kind == "polynomial" and not self.coeffs:
             raise ValueError("polynomial model needs coefficients")
+        if self.coeffs is not None and not all(math.isfinite(c) for c in self.coeffs):
+            raise ValueError(f"coeffs must be finite, got {self.coeffs!r}")
 
     @classmethod
     def sspa(cls, a_sat: float = 1.0, smoothness: float = 1.2) -> "PaModel":

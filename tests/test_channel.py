@@ -22,6 +22,13 @@ def test_spec_validation():
     assert ChannelSpec(kind="awgn").n_taps == 1
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_spec_rejects_a_non_finite_tap(bad):
+    # caught where the spec is made, not as a NaN efficiency after a whole pass
+    with pytest.raises(ValueError, match="power delay profile must be finite"):
+        ChannelSpec(kind="rayleigh_multitap", pdp_db=(0.0, bad))
+
+
 def test_awgn_taps_are_unity():
     assert sample_channel(ChannelSpec(kind="awgn"), np.random.default_rng(0)) == (1.0 + 0.0j,)
 

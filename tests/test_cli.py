@@ -1268,18 +1268,137 @@ REPLACED_PROBES = [
 ]
 
 
+# a value of every schema key that the key's reader rejects
+MALFORMED = {
+    "ofdm": {"n_subcarriers": 0, "oversampling_factor": 0, "cp_length": -1},
+    "pa": {"kind": "valve", "a_sat": -1.0, "smoothness": -1.0, "coeffs": [],
+           "ibo_db": -1.0},
+    "split": {"rho": 2.0, "sigma_a2": -1.0, "sigma_p2": -1.0},
+    "channel": {"kind": "tin_can", "rice_k_db": "x", "pdp_db": [-3.0]},
+    "scenario": {"mu": -1.0, "trials": 0, "frame_symbols": 0, "ibo_reduction_db": "x"},
+    "eh": {"kind": "solar", "eta3_linear": 2.0, "calibration": 7},
+    "papr": {"mu_grid": [], "n_trials": 0, "thresholds_db": []},
+    "dpd": {"inverse_order": 0, "reduction_grid_db": []},
+    "mu_sweep": {"mu_grid": [-1.0], "papr_trials": 0},
+    "ber": {"ebn0_db": [], "techniques": ["mimo"], "channels": []},
+    "rate_energy": {"rho_grid": [2.0], "techniques": []},
+}
+
+# the sections, or single keys, that each subcommand reads
+READS = {
+    "papr": ("ofdm", "papr"),
+    "dpd-design": ("ofdm.n_subcarriers", "ofdm.oversampling_factor", "pa", "dpd"),
+    "mu-sweep": ("ofdm", "pa.ibo_db", "split.sigma_a2", "mu_sweep"),
+    "e2e": ("ofdm", "pa", "split", "channel", "scenario", "eh"),
+    "ber": ("ofdm", "pa", "channel", "scenario", "ber"),
+    "rate-energy": ("ofdm", "pa", "split.sigma_a2", "split.sigma_p2", "channel",
+                    "scenario", "eh", "rate_energy"),
+}
+
+
+def _reads(command: str, section: str, key: str) -> bool:
+    return section in READS[command] or f"{section}.{key}" in READS[command]
+
+
+def _every_unread_key_malformed(command: str) -> dict:
+    """KNOB_BASE with every key that the subcommand does not read malformed."""
+    return _with(KNOB_BASE, {section: {key: bad for key, bad in keys.items()
+                                       if not _reads(command, section, key)}
+                             for section, keys in MALFORMED.items()})
+
+
+def test_malformed_values_cover_the_schema():
+    assert {s: set(keys) for s, keys in MALFORMED.items()} == {
+        s: keys for s, keys in _SCHEMA.items() if isinstance(keys, set)}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_read_key_is_checked(tmp_path, command):
+    # the complement of test_unread_key_moves_no_output_byte: each key that
+    # the subcommand reads fails it, alone, at its malformed value
+    read = [(section, key) for section, keys in MALFORMED.items() for key in keys
+            if _reads(command, section, key)]
+    assert read
+    for section, key in read:
+        cfg = write_cfg(tmp_path, _set(KNOB_BASE, f"{section}.{key}",
+                                       MALFORMED[section][key]))
+        out = tmp_path / f"{section}.{key}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG, key
+        assert not any(out.iterdir()), key
+
+
 @pytest.mark.parametrize(
-    "command,key,value", UNREAD_PROBES + REPLACED_PROBES,
+    "command,key,value",
+    UNREAD_PROBES + REPLACED_PROBES + [(command, None, None) for command in cli._COMMANDS],
     ids=[f"{command}-{key}" for command, key, _ in UNREAD_PROBES]
-    + [f"{command}-{key}={value}" for command, key, value in REPLACED_PROBES])
+    + [f"{command}-{key}={value}" for command, key, value in REPLACED_PROBES]
+    + [f"{command}-every-unread-key" for command in cli._COMMANDS])
 def test_unread_key_moves_no_output_byte(tmp_path, command, key, value):
     # the provenance hashes what the command runs on, so a key it does not
     # read leaves every file byte-identical, config_hash line included; a
-    # key it replaces is not checked either, so the command exits 0
+    # key it replaces or does not read is not checked either, so the
+    # command exits 0 (key None: every unread key at once, malformed)
     if key == "eh.calibration":
         value = str(tmp_path / value)
-    probe = _outputs(tmp_path / "probe", command, _set(KNOB_BASE, key, value))
+    cfg = _every_unread_key_malformed(command) if key is None else _set(KNOB_BASE, key, value)
+    probe = _outputs(tmp_path / "probe", command, cfg)
     assert probe == _outputs(tmp_path / "base", command, KNOB_BASE)
+
+
+# the files each subcommand writes with svg on
+FILES = {
+    "papr": ("papr_ccdf.csv", "papr_ccdf.svg"),
+    "dpd-design": ("dpd_design.txt", "dpd_evm.csv", "dpd_evm.svg"),
+    "mu-sweep": ("mu_sweep.csv", "mu_sweep.svg"),
+    "e2e": ("channel_metrics.csv", "technique_table.csv"),
+    "ber": ("ber_curves.csv", "ber_curves.svg"),
+    "rate-energy": ("rate_energy.csv", "rate_energy.svg"),
+}
+
+
+def _contents(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_run_leaves_only_its_files(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, _with(KNOB_BASE, {"svg": True}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    # no staging directory is left, and one line names every file placed
+    assert sorted(_contents(out)) == sorted(FILES[command])
+    wrote = ", ".join(str(out / name) for name in FILES[command])
+    assert capsys.readouterr().out.splitlines()[-1] == f"{command}: wrote {wrote}"
+
+
+@pytest.mark.parametrize("previous", (False, True), ids=("empty", "previous-run"))
+@pytest.mark.parametrize("command,writer,fails_at", [("papr", "_svg_chart", 1),
+                                                    ("e2e", "write_csv", 2)])
+def test_a_failed_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, command,
+                                           writer, fails_at, previous):
+    # the writer fails once the command has written its first file: out
+    # then holds what it held before, byte for byte, and nothing else
+    cfg = write_cfg(tmp_path, _with(KNOB_BASE, {"svg": True}))
+    out = tmp_path / "out"
+    out.mkdir()
+    if previous:
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "1"]) == EXIT_OK
+    before = _contents(out)
+    calls = []
+    real = getattr(cli, writer)
+
+    def failing(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == fails_at:
+            raise OSError("no space left on device")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, writer, failing)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    assert len(calls) == fails_at
+    assert _contents(out) == before
+    assert "wrote" not in capsys.readouterr().out
 
 
 def test_hash_covers_the_package_version_and_the_default_curve(tmp_path, monkeypatch):

@@ -67,6 +67,13 @@ def test_model_validation():
         PaModel.sspa(smoothness=-1.0)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_polynomial_rejects_a_non_finite_coefficient(bad):
+    # caught where the model is made, not as a NaN efficiency after a whole pass
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        PaModel.polynomial([0.0, 1.0, bad])
+
+
 @given(st.lists(st.floats(0, 10, allow_nan=False), min_size=2, max_size=32))
 @settings(max_examples=60, deadline=None)
 def test_am_am_monotone(mags):
