@@ -23,8 +23,7 @@ are rejected with their location.  Schema (defaults in parentheses):
   channel:     kind ("awgn"), rice_k_db (20), pdp_db ([0,-10,-20]; a list
                of finite numbers starting at 0)
   scenario:    mu (1.25, finite and > 0),
-               trials (50), frame_symbols (4) (integers >= 1),
-               ibo_reduction_db (null, or finite and at most pa.ibo_db)
+               trials (50), frame_symbols (4) (integers >= 1)
   eh:          kind ("curve" | "linear"), eta3_linear (0.5; linear only),
                calibration (curve only: the path of a CSV file, default:
                packaged rectenna; its rows enter the config hash)
@@ -51,9 +50,10 @@ are rejected with their location.  Schema (defaults in parentheses):
 
 A grid (thresholds_db, reduction_grid_db) is a non-empty list of finite
 numbers; three values whose third is below the second are [min, max,
-step] and need min <= max and a positive step.  A key that the section's
-kind does not read (pa.smoothness, pa.coeffs, eh.eta3_linear,
-eh.calibration) is an error, not a silently dropped value.
+step] and need min <= max and a positive step.  A boolean is not a
+number anywhere: true is not 1.  A key that the section's kind does not
+read (pa.smoothness, pa.coeffs, eh.eta3_linear, eh.calibration) is an
+error, not a silently dropped value.
 
 Flags: --config, --seed, --out, --trials and --threads.  --trials
 overrides the Monte Carlo count of papr, mu-sweep, e2e, ber and
@@ -89,9 +89,10 @@ those two sections, so it runs on {"pa": {"kind": "valve"}} or
 
 A command writes its files together: into a staging directory inside
 --out, from which they are moved into place once the command has
-returned, so a run that fails leaves --out as it was.  Each move is
-atomic on its own, not the set: a move that fails part-way (a file name
-taken by a directory, say) can still leave a partial set.
+returned, so a run that fails leaves --out as it was.  A file name taken
+by a directory in --out is a runtime error before any file is moved.
+Each move is atomic on its own, not the set: another failure part-way
+(a full disk, a permission change) can still leave a partial set.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy come from the
 Monte Carlo pass, so a rate-energy row equals the technique_table.csv row
@@ -166,7 +167,7 @@ _SCHEMA: dict[str, set[str] | type] = {
     "pa": {"kind", "a_sat", "smoothness", "coeffs", "ibo_db"},
     "split": {"rho", "sigma_a2", "sigma_p2"},
     "channel": {"kind", "rice_k_db", "pdp_db"},
-    "scenario": {"mu", "trials", "frame_symbols", "ibo_reduction_db"},
+    "scenario": {"mu", "trials", "frame_symbols"},
     "eh": {"kind", "eta3_linear", "calibration"},
     "papr": {"mu_grid", "n_trials", "thresholds_db"},
     "dpd": {"inverse_order", "reduction_grid_db"},
@@ -215,6 +216,9 @@ def validate_config(cfg: object, where: str = "config") -> None:
 
 
 def _build(factory, section: str, kwargs: dict):
+    for key, value in kwargs.items():
+        if isinstance(value, bool):
+            raise ConfigError(f"config section '{section}.{key}': must not be a boolean")
     try:
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -274,7 +278,7 @@ def build_eh(cfg: dict) -> EhModel:
         raise ConfigError(f"config section 'eh': unknown kind '{kind}'")
     _check_kind_keys(section, kind, {"eta3_linear": "linear", "calibration": "curve"}, "eh")
     if kind == "linear":
-        return _build(EhModel.linear, "eh", {"eta3": section.get("eta3_linear", 0.5)})
+        return _build(EhModel, "eh", section)
     path = section.get("calibration")
     if path is None:
         return EhModel.default()
@@ -413,6 +417,8 @@ def _floats(section: dict, key: str, default, where: str) -> list[float]:
     raw = section.get(key, default)
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError(f"config section '{where}.{key}': must be a non-empty list")
+    if any(isinstance(v, bool) for v in raw):
+        raise ConfigError(f"config section '{where}.{key}': must not hold a boolean")
     try:
         values = [float(v) for v in raw]
     except (TypeError, ValueError) as exc:
@@ -723,6 +729,9 @@ def main(argv: list[str] | None = None) -> int:
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as stage:
             code = _COMMANDS[args.command](cfg, seed, Path(stage), args.trials, threads, svg)
             names = sorted(os.listdir(stage))
+            for name in names:
+                if (out / name).is_dir():
+                    raise IsADirectoryError(f"{out / name} is a directory: no file was placed")
             for name in names:
                 os.replace(os.path.join(stage, name), out / name)
         print(f"{args.command}: wrote {', '.join(str(out / name) for name in names)}")

@@ -76,7 +76,6 @@ class Scenario:
     trials: int = 50
     seed: int = 0
     mu: float = 1.25
-    ibo_reduction_db: float | None = None
     frame_symbols: int = 4
 
     def __post_init__(self) -> None:
@@ -84,17 +83,12 @@ class Scenario:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {n!r}")
-        for name in ("ibo_db", "mu", "ibo_reduction_db"):
+        for name in ("ibo_db", "mu"):
             v = getattr(self, name)
-            if v is None and name == "ibo_reduction_db":
-                continue
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
-        if self.ibo_reduction_db is not None and self.ibo_reduction_db > self.ibo_db:
-            raise ValueError(f"ibo_reduction_db = {self.ibo_reduction_db:g} dB runs past "
-                             f"ibo_db = {self.ibo_db:g} dB")
 
 
 def _uses_companding(technique: str) -> bool:
@@ -118,14 +112,15 @@ def technique_reductions(s: Scenario, technique: str) -> tuple[float, float, Pol
     fit that the transmit chain (pa.amplify) applies, None for a technique
     without DPD and for a degenerate design.
 
-    An explicit ibo_reduction_db override replaces the derived total
-    (attributed to the DPD part for chain purposes); a derived total above
-    ibo_db is a ValueError.  A non-saturating amplifier has nothing to back
-    off from, so reductions are zero there; a degenerate DPD design
-    likewise contributes zero.  The DPD design is shared by every scenario
-    at one operating point: it does not depend on the cyclic prefix, and
-    its back-off search takes the first EVM crossing it scans (see
-    design_ibo_reduction).  An unknown technique is a ValueError.
+    Each reduction is derived from the technique's own design: DPD's from
+    the predistorter design, companding's from the compression power gain
+    of s.mu; a total above ibo_db is a ValueError.  A non-saturating
+    amplifier has nothing to back off from, so reductions are zero there;
+    a degenerate DPD design likewise contributes zero.  The DPD design is
+    shared by every scenario at one operating point: it does not depend on
+    the cyclic prefix, and its back-off search takes the first EVM
+    crossing it scans (see design_ibo_reduction).  An unknown technique is
+    a ValueError.
     """
     if technique not in TECHNIQUES:
         raise ValueError(f"technique must be one of {TECHNIQUES}, got {technique!r}")
@@ -134,8 +129,6 @@ def technique_reductions(s: Scenario, technique: str) -> tuple[float, float, Pol
         design = _cached_dpd(s.pa, replace(s.ofdm, cp_length=0), s.ibo_db)
         if not design.degenerate:
             r_dpd, fit = design.ibo_reduction_db, design.inverse_fit
-    if s.ibo_reduction_db is not None:
-        return s.ibo_reduction_db, 0.0, fit
     if not _saturating(s.pa):
         return 0.0, 0.0, fit
     r_comp = 0.0
@@ -225,9 +218,10 @@ def run_techniques(
     has sigma_p2 > 0.  Each technique's transmit frames are computed once,
     without a cyclic prefix: the chain acts per sample, so a receiver adds
     its own prefix after the amplifier.  The frames are compressed once
-    for the companded techniques, and the baseline amplification of the
-    uncompressed frames, which sets every technique's power reference, is
-    computed once (and is the baseline technique's own transmit waveform).
+    for the companded techniques.  Linear's power reference is its own
+    frames, every other technique's the baseline amplifier output of the
+    uncompressed frames: the baseline's transmit waveform, or, without a
+    baseline in the pass, an amplification made for the reference alone.
 
     The trials run in blocks of about _BLOCK_BYTES of frame samples, twice:
     transmit, then, once the ensemble powers are known, one job per block
@@ -282,12 +276,7 @@ def run_techniques(
     block = max(1, _BLOCK_BYTES // (16 * frame_len))
     blocks = [slice(i, min(i + block, trials)) for i in range(0, trials, block)]
     companded = [_uses_companding(t) for t in techniques]
-    # the baseline amplifier output of the uncompressed frames is the power
-    # reference of every technique except linear and baseline, which use
-    # their own; a baseline at zero reduction transmits exactly that output
-    own_ref = [t in ("linear", "baseline") for t in techniques]
-    ref_from = next((k for k, t in enumerate(techniques)
-                     if t == "baseline" and reductions[k][0] == 0.0), None)
+    base = techniques.index("baseline") if "baseline" in techniques else None
 
     bits = _stream(s.seed, 0).integers(
         0, 2, size=(trials, 2 * cfg.n_subcarriers * s.frame_symbols), dtype=np.int8)
@@ -297,7 +286,10 @@ def run_techniques(
         rng = _stream(s.seed, key, 0)
         taps.append(np.array([sample_channel(spec, rng) for _ in range(trials)]))
     tx = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
-    ref_p = np.empty((n_tech, trials))
+    # each trial's reference power: [0] the baseline amplifier output of
+    # the uncompressed frames, every technique's but linear's, and [1] the
+    # frames themselves, linear's
+    ref_p = np.zeros((2, trials))
     # the received powers set the rectifier's level and H_P/E's P_rx
     rx_p = np.empty((len(channels), n_tech, trials))
     rms_drive = np.empty((len(channels), trials))
@@ -325,19 +317,14 @@ def run_techniques(
             if tech != "linear":
                 drive = amplify(drive, s.pa, s.ibo_db - r_dpd, fit)
             tx[k, rows] = drive
-            if own_ref[k]:
-                ref_p[k, rows] = np.mean(np.abs(tx[k, rows]) ** 2, axis=-1)
             for c in range(len(channels)):
                 if harvests[c]:
                     rx_p[c, k, rows] = np.mean(np.abs(faded(k, c, rows)) ** 2, axis=-1)
-        if not all(own_ref):
-            if ref_from is not None:
-                p_ref = ref_p[ref_from, rows]
-            else:
-                p_ref = np.mean(np.abs(amplify(x, s.pa, s.ibo_db)) ** 2, axis=-1)
-            for k in range(n_tech):
-                if not own_ref[k]:
-                    ref_p[k, rows] = p_ref
+        if techniques != ("linear",):
+            ref = tx[base, rows] if base is not None else amplify(x, s.pa, s.ibo_db)
+            ref_p[0, rows] = np.mean(np.abs(ref) ** 2, axis=-1)
+        if "linear" in techniques:
+            ref_p[1, rows] = np.mean(np.abs(x) ** 2, axis=-1)
 
     run_bounded(transmit, ((rows,) for rows in blocks), threads)
 
@@ -349,7 +336,7 @@ def run_techniques(
     # radiates its extra power rather than having it scaled away; the
     # rectifier sees its branch pinned to 1 mW ensemble mean, where the
     # thermal noise floor is irrelevant and therefore omitted
-    norm = [np.sqrt(1.0 / (p / trials)) for p in ref_power]
+    norm = [np.sqrt(1.0 / (ref_power[int(t == "linear")] / trials)) for t in techniques]
     eh_pin = [np.sqrt(1e-3 / np.mean(p, axis=-1)) if h else None
               for p, h in zip(rx_p, harvests)]
 

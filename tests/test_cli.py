@@ -198,10 +198,6 @@ def test_main_exit_codes(tmp_path, capsys):
         ("rate-energy", {"pa": {"ibo_db": "8"}}, "pa.ibo_db"),
         ("mu-sweep", {"pa": {"ibo_db": float("inf")}}, "pa.ibo_db"),
         ("dpd-design", {"pa": {"ibo_db": float("nan")}}, "pa.ibo_db"),
-        # a reduction override that runs past the back-off
-        ("e2e", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
-        ("ber", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
-        ("rate-energy", {"scenario": {"ibo_reduction_db": 9.0}}, "ibo_reduction_db"),
         # a derived back-off reduction (companding: about 1.63 dB) that runs
         # past the back-off: found before the Monte Carlo
         ("e2e", {"pa": {"ibo_db": 1.0}, "scenario": {"trials": 2, "frame_symbols": 1}},
@@ -250,7 +246,6 @@ def test_main_exit_codes(tmp_path, capsys):
         ("rate-energy", {"scenario": {"frame_symbols": 1.5}}, "frame_symbols must be an integer"),
         ("rate-energy", {"scenario": {"mu": 0}}, "mu must be positive"),
         ("rate-energy", {"scenario": {"mu": -1}}, "mu must be positive"),
-        ("rate-energy", {"scenario": {"ibo_reduction_db": "x"}}, "ibo_reduction_db must be"),
         ("rate-energy", {"channel": {"pdp_db": 5}}, "channel.pdp_db"),
         ("rate-energy", {"channel": {"pdp_db": [0, "a"]}}, "channel.pdp_db"),
         # non-integer numerology and non-finite splitter and amplifier numbers
@@ -261,6 +256,13 @@ def test_main_exit_codes(tmp_path, capsys):
         ("e2e", {"split": {"sigma_p2": float("inf")}}, "sigma_p2 must be finite"),
         ("e2e", {"pa": {"a_sat": float("nan")}}, "a_sat must be finite"),
         ("e2e", {"pa": {"smoothness": float("inf")}}, "smoothness must be finite"),
+        # a boolean is not a number: true is not rho = 1, a_sat = 1 or K = 1 dB
+        ("e2e", {"split": {"rho": True}}, "split.rho"),
+        ("rate-energy", {"pa": {"a_sat": True}}, "pa.a_sat"),
+        ("rate-energy", {"eh": {"kind": "linear", "eta3_linear": True}}, "eh.eta3_linear"),
+        ("rate-energy", {"channel": {"kind": "rice_flat", "rice_k_db": True}},
+         "channel.rice_k_db"),
+        ("rate-energy", {"channel": {"pdp_db": [0, True]}}, "channel.pdp_db"),
     ]
     for i, (command, section, where) in enumerate(bad_papr):
         path = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, **section}, f"bad_papr{i}.json")
@@ -277,6 +279,7 @@ def test_main_exit_codes(tmp_path, capsys):
         ({"ebn0_db": [float("nan")]}, "ber.ebn0_db"),
         ({"ebn0_db": 4.0}, "ber.ebn0_db"),
         ({"ebn0_db": "48"}, "ber.ebn0_db"),
+        ({"ebn0_db": [True, 4]}, "ber.ebn0_db"),
         ({"techniques": []}, "ber.techniques"),
         ({"techniques": "baseline"}, "ber.techniques"),
         ({"techniques": ["baseline", "baseline"]}, "ber.techniques"),
@@ -289,6 +292,14 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["ber", "--config", path, "--out", str(out)]) == EXIT_CONFIG, section
         assert where in capsys.readouterr().err
         assert not any(out.iterdir()), section
+
+    # each technique's back-off reduction comes from its own design: there
+    # is no override to set
+    path = write_cfg(tmp_path, {"scenario": {"ibo_reduction_db": 2.0}}, "override.json")
+    out = tmp_path / "override"
+    assert main(["e2e", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "unknown key 'scenario.ibo_reduction_db'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_runtime_error_when_out_is_a_file(tmp_path):
@@ -350,7 +361,7 @@ def test_config_hash_covers_calibration_bytes(tmp_path):
     # the serialization of the resolved values is pinned
     assert config_hash(3, ofdm.OfdmConfig(**SMALL_OFDM)) == "3cfb074e0f05"
     assert config_hash(0, experiments.Scenario(eh=EhModel.linear(), trials=50)) == (
-        "5b67aa0b28d3")
+        "d586ffffce72")
 
 
 def test_config_hash_sensitivity():
@@ -477,7 +488,9 @@ _CSV_SHA256 = {
 # when its ber note came to state the information branch's share, all four
 # when the config hash came to cover the resolved inputs, the three with a
 # ber or rate column when a trial's noise came to be shared by every
-# channel), and checked at 1, 2 and 3 threads, which must not move a byte
+# channel, all four when the scenario lost its back-off override, which
+# moved only the config_hash line), and checked at 1, 2 and 3 threads,
+# which must not move a byte
 _MC_DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
     "split": {"rho": 0.5},
@@ -485,10 +498,10 @@ _MC_DIGEST_CFG = {
     "ber": {"ebn0_db": [0.0, 6.0], "techniques": ["baseline", "companding", "dpd"]},
 }
 _MC_CSV_SHA256 = {
-    "ber_curves.csv": "7e73b41737ebacd65478286b7868ec4404cb9da5f0bdea247f362514103c048e",
-    "technique_table.csv": "94044c6cb0e11573f40fcc500f52d30b303914c362df3efcef47a0e355c100b3",
-    "channel_metrics.csv": "f0a4e90980ad284316de32a46d3c78935e8b57da1502a3b5e42c8b4e58ae7fb3",
-    "rate_energy.csv": "4815c6b5e03d1d1c0d7dfa12bbe60c31199bd414c318bc230e415855c52fc283",
+    "ber_curves.csv": "a1ae6caff9c4e8663dbaa50c87d4ae40c9701269ee928c3cdcb244f0ba32244c",
+    "technique_table.csv": "5a2a215481c0f6a9bc8f8568617d5ee16e1fbffdfda3166904237c0fa2fb20f4",
+    "channel_metrics.csv": "8106f7a36f80378b842fb87c509657a9a47443cd7274bf38959c01ad8b5078e2",
+    "rate_energy.csv": "fa716b4cef04348a9a826e10291d028e5b334337c0a34b783f7b1e28433eb27f",
 }
 
 
@@ -662,7 +675,7 @@ def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
     # the seed, the scenario after --trials, the techniques and the receivers
     data = _run_pinned_script(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "5219cae25c8f5a2a03a2d246ffc4b723fc6209de53c000e206def8d2fc5059ce")
+        "6f9efb6d8744005b0f26963a9e23be069b4c1397ab05974558049a43da8f1895")
     base = build_scenario({"channel": _PINNED_SWEEP["channel"]}, 0, 2)
     receivers = [(base.channel, SplitConfig(rho=rho)) for rho in (0.3, 0.6)]
     h = config_hash(0, base, ("companding",), receivers)
@@ -1017,8 +1030,7 @@ def test_rate_energy_outputs_and_validation(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     {},
     {"pa": {"kind": "polynomial", "coeffs": [0.0, 1.0, 0.0, -0.05]}},
-    {"scenario": {"trials": 2, "frame_symbols": 1, "ibo_reduction_db": 2.0}},
-], ids=["sspa", "polynomial", "ibo_reduction_db"])
+], ids=["sspa", "polynomial"])
 def test_rate_energy_matches_e2e_closed_form(tmp_path, extra):
     # both commands measure rate and H_P/E in one Monte Carlo pass, and a
     # receiver's result does not depend on what else shares the pass: a
@@ -1123,7 +1135,6 @@ KNOB_PROBES = [
     ("rate-energy", "scenario.mu", 4.0, {"rate_energy": {"techniques": ["companding"]}}),
     ("ber", "scenario.trials", 3, {}),
     ("ber", "scenario.frame_symbols", 3, {}),
-    ("rate-energy", "scenario.ibo_reduction_db", 2.0, {}),
     ("e2e", "eh.kind", "linear", {}),
     ("e2e", "eh.eta3_linear", 0.3, {"eh": {"kind": "linear"}}),
     # CSV text, written to a file whose path is the value
@@ -1275,7 +1286,7 @@ MALFORMED = {
            "ibo_db": -1.0},
     "split": {"rho": 2.0, "sigma_a2": -1.0, "sigma_p2": -1.0},
     "channel": {"kind": "tin_can", "rice_k_db": "x", "pdp_db": [-3.0]},
-    "scenario": {"mu": -1.0, "trials": 0, "frame_symbols": 0, "ibo_reduction_db": "x"},
+    "scenario": {"mu": -1.0, "trials": 0, "frame_symbols": 0},
     "eh": {"kind": "solar", "eta3_linear": 2.0, "calibration": 7},
     "papr": {"mu_grid": [], "n_trials": 0, "thresholds_db": []},
     "dpd": {"inverse_order": 0, "reduction_grid_db": []},
@@ -1399,6 +1410,18 @@ def test_a_failed_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, comman
     assert len(calls) == fails_at
     assert _contents(out) == before
     assert "wrote" not in capsys.readouterr().out
+
+
+def test_a_blocked_file_name_places_no_file(tmp_path, capsys):
+    # a directory in out that takes one of the command's file names stops
+    # the run before any file is moved: no partial set is left
+    cfg = write_cfg(tmp_path, KNOB_BASE)
+    out = tmp_path / "out"
+    (out / "dpd_evm.csv").mkdir(parents=True)
+    assert main(["dpd-design", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    assert [p.name for p in out.iterdir()] == ["dpd_evm.csv"]
+    assert not any((out / "dpd_evm.csv").iterdir())
+    assert "dpd_evm.csv is a directory" in capsys.readouterr().err
 
 
 def test_hash_covers_the_package_version_and_the_default_curve(tmp_path, monkeypatch):

@@ -34,13 +34,14 @@ def test_scenario_validation():
         Scenario(frame_symbols=0)
     with pytest.raises(ValueError, match="ibo_db must be a finite"):
         Scenario(ibo_db=np.inf)
-    with pytest.raises(ValueError, match="runs past"):
-        Scenario(ibo_db=2.0, ibo_reduction_db=2.5)
-    assert Scenario(ibo_db=2.0, ibo_reduction_db=2.0).ibo_reduction_db == 2.0
     # the pass works in units of the nominal transmit power: there is no
     # absolute one
     with pytest.raises(TypeError, match="p_rf_tx_dbm"):
         Scenario(p_rf_tx_dbm=27.0)
+    # each technique's back-off reduction comes from its own design: there
+    # is no override of it
+    with pytest.raises(TypeError, match="ibo_reduction_db"):
+        Scenario(ibo_reduction_db=1.0)
     assert Scenario().eh is not None  # default rectenna filled in
 
 
@@ -96,12 +97,6 @@ def test_degenerate_design_has_no_predistorter():
     s = Scenario(pa=linear_pa, ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2))
     assert experiments._cached_dpd(linear_pa, s.ofdm, s.ibo_db).degenerate
     assert technique_reductions(s, "dpd") == (0.0, 0.0, None)
-
-
-def test_explicit_reduction_override():
-    s = Scenario(ibo_reduction_db=3.0)
-    r_dpd, r_comp, _ = technique_reductions(s, "companding")
-    assert (r_dpd, r_comp) == (3.0, 0.0)
 
 
 def test_non_saturating_pa_has_no_reduction():
@@ -327,12 +322,17 @@ def test_run_techniques_pool_stress(monkeypatch):
 
 
 def test_run_techniques_reference_without_baseline():
-    # an explicit reduction moves the baseline off the nominal back-off, so
-    # its own waveform is no longer the other techniques' power reference
-    s = replace(_tiny_scenario("rayleigh_flat", False, 1e-3, 3, 5), ibo_reduction_db=1.5)
-    for techniques in (("baseline", "companding"), ("dpd", "baseline"), ("linear", "dpd")):
-        for tech, m in zip(techniques, run_techniques(s, techniques)[0]):
-            _assert_same_metrics(m, run_techniques(s, (tech,))[0][0])
+    # the power reference of every technique but linear is the baseline
+    # amplifier output: the baseline's own waveform when it shares the
+    # pass, computed apart when it does not, bit-identical either way
+    s = _tiny_scenario("rayleigh_flat", False, 1e-3, 3, 5)
+    for tech in [t for t in TECHNIQUES if t != "baseline"]:
+        alone = run_techniques(s, (tech,))[0][0]
+        _assert_same_metrics(run_techniques(s, (tech, "baseline"))[0][0], alone)
+        _assert_same_metrics(run_techniques(s, ("baseline", tech))[0][1], alone)
+    # linear's reference is its own frames, with or without another's
+    for m, tech in zip(run_techniques(s, ("linear", "dpd"))[0], ("linear", "dpd")):
+        _assert_same_metrics(m, run_techniques(s, (tech,))[0][0])
 
 
 def test_run_techniques_validation():
