@@ -89,10 +89,12 @@ those two sections, so it runs on {"pa": {"kind": "valve"}} or
 
 A command writes its files together: into a staging directory inside
 --out, from which they are moved into place once the command has
-returned, so a run that fails leaves --out as it was.  A file name taken
-by a directory in --out is a runtime error before any file is moved.
-Each move is atomic on its own, not the set: another failure part-way
-(a full disk, a permission change) can still leave a partial set.
+returned, so a run that fails leaves --out as it was.  The summary line
+of dpd-design and mu-sweep is printed only once the files are in place.
+A file name taken by a directory in --out is a runtime error before any
+file is moved.  Each move is atomic on its own, not the set: another
+failure part-way (a full disk, a permission change) can still leave a
+partial set.
 
 The rate_bps_hz and h_p_norm columns of e2e and rate-energy come from the
 Monte Carlo pass, so a rate-energy row equals the technique_table.csv row
@@ -141,11 +143,10 @@ from .dpd import design_from_scratch, save_design
 from .experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
+    ConfigError,
     Scenario,
-    channel_ofdm,
     noise_for_ebn0,
     run_techniques,
-    technique_reductions,
     write_csv,
 )
 from .harvester import EhModel, load_calibration
@@ -156,10 +157,6 @@ from .pa import PaModel, efficiency_at_backoff
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-class ConfigError(ValueError):
-    """Configuration problem; reported with its location, exits with 2."""
 
 
 _SCHEMA: dict[str, set[str] | type] = {
@@ -442,23 +439,6 @@ def _names(section: dict, key: str, default, allowed, where: str, what: str) -> 
     return tuple(names)
 
 
-def _check_work(base: Scenario, techniques, channels=()) -> None:
-    """Config errors that the work would meet only late, raised before it:
-    a channel whose cyclic prefix does not fit in the symbol, and a
-    technique whose derived back-off reduction runs past pa.ibo_db (this
-    designs the predistorter, which the run then reuses)."""
-    try:
-        for spec in channels:
-            channel_ofdm(base.ofdm, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        for tech in techniques:
-            technique_reductions(base, tech)
-    except ValueError as exc:
-        raise ConfigError(f"config section 'pa.ibo_db': {exc}") from exc
-
-
 # what each column of technique_table.csv, rate_energy.csv and mu_sweep.csv
 # measures (mu* is the mu_star comment of mu_sweep.csv)
 _COLUMNS = {
@@ -489,7 +469,7 @@ def _column_notes(columns, channel: str | None = None) -> str:
     return "; ".join(notes if channel is None else [f"channel={channel}", *notes])
 
 
-def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
+def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> str | None:
     section = cfg.get("papr", {})
     mu_grid = _mu_grid(section, (0.0, 1.25, 255.0), "papr", allow_zero=True)
     n_trials = _trial_count(section, "n_trials", 20000, "papr", trials)
@@ -509,10 +489,9 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
               comments=(f"n_trials={n_trials} n={ofdm.n_subcarriers} l={ofdm.oversampling_factor}",))
     if svg:
         _svg_chart(out / "papr_ccdf.svg", series, "PAPR threshold (dB)", "CCDF", log_y=True)
-    return EXIT_OK
 
 
-def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
+def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> str | None:
     section = cfg.get("dpd", {})
     # the design, and so its table, runs on the numerology without a prefix
     ofdm = build_ofdm(_only(cfg, ofdm=("n_subcarriers", "oversampling_factor")))
@@ -541,12 +520,11 @@ def cmd_dpd_design(cfg: dict, seed: int, out: Path, trials: int | None, threads:
     if svg:
         _svg_chart(out / "dpd_evm.svg", series, "IBO reduction (dB)", "EVM / eta1")
     flag = " (degenerate)" if design.degenerate else ""
-    print(f"dpd-design: reduction {design.ibo_reduction_db:.3f} dB{flag}, "
-          f"EVM {design.evm_baseline:.4f} -> {design.evm_with_dpd:.4f}")
-    return EXIT_OK
+    return (f"dpd-design: reduction {design.ibo_reduction_db:.3f} dB{flag}, "
+            f"EVM {design.evm_baseline:.4f} -> {design.evm_with_dpd:.4f}")
 
 
-def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
+def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> str | None:
     section = cfg.get("mu_sweep", {})
     mu_grid = _mu_grid(section, MU_GRID, "mu_sweep", allow_zero=False)
     papr_trials = _trial_count(section, "papr_trials", 4000, "mu_sweep", trials)
@@ -572,16 +550,14 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
                         _column_notes((*columns, "mu*"))))
     if svg:
         _svg_chart(out / "mu_sweep.svg", series, "mu", "post-expansion SNR (dB)")
-    print(f"mu-sweep: mu* = {design.mu_star:.4f}")
-    return EXIT_OK
+    return f"mu-sweep: mu* = {design.mu_star:.4f}"
 
 
-def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
+def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> str | None:
     base = build_scenario(cfg, seed, trials)
     # one pass for every channel; the table is the configured channel's rows
     receivers = [(replace(base.channel, kind=kind), base.split) for kind in CHANNEL_KINDS]
     h = config_hash(seed, base, receivers)
-    _check_work(base, TABLE_TECHNIQUES, [spec for spec, _ in receivers])
     results = run_techniques(base, TABLE_TECHNIQUES, receivers, threads)
     table = results[CHANNEL_KINDS.index(base.channel.kind)]
     rows = [(tech, m.eta1, m.eta3, m.eta_e2e, m.ibo_reduction_db, m.rate_bps_hz,
@@ -596,10 +572,9 @@ def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     write_csv(out / "channel_metrics.csv",
               ("channel", "technique", "eta1", "eta3", "eta1_eta3", "eta3_ci", "ber"),
               chan_rows, h, seed)
-    return EXIT_OK
 
 
-def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
+def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> str | None:
     section = cfg.get("ber", {})
     ebn0 = _floats(section, "ebn0_db", (0.0, 4.0, 8.0), "ber")
     techniques = _names(section, "techniques", ("baseline", "companding"), TECHNIQUES,
@@ -613,7 +588,6 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
                                     sigma_p2=0.0))
                  for spec in specs for v in ebn0]
     h = config_hash(seed, base, techniques, ebn0, receivers)
-    _check_work(base, techniques, specs)
     results = run_techniques(base, techniques, receivers, threads)
     n_bits = 2 * base.ofdm.n_subcarriers * base.frame_symbols * base.trials
     rows = []
@@ -629,10 +603,9 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
               rows, h, seed)
     if svg:
         _svg_chart(out / "ber_curves.svg", series, "Eb/N0 (dB)", "BER", log_y=True)
-    return EXIT_OK
 
 
-def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> int:
+def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> str | None:
     section = cfg.get("rate_energy", {})
     default_grid = list(np.linspace(0.0, 0.9, 10)) + [1 - 10.0 ** (-k) for k in range(2, 7)]
     rho_grid = _floats(section, "rho_grid", default_grid, "rate_energy")
@@ -645,7 +618,6 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
     split = build_split(_only(cfg, split=("sigma_a2", "sigma_p2")))
     receivers = [(base.channel, replace(split, rho=rho)) for rho in rho_grid]
     h = config_hash(seed, base, techniques, receivers)
-    _check_work(base, techniques, [base.channel])
     results = run_techniques(base, techniques, receivers, threads)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
@@ -659,7 +631,6 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
               comments=(_column_notes(columns, base.channel.kind),))
     if svg:
         _svg_chart(out / "rate_energy.svg", series, "rho", "rate / harvested")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -727,15 +698,18 @@ def main(argv: list[str] | None = None) -> int:
         # a command that fails leaves out as it was: it writes into a staging
         # directory, whose files are moved into place once it has returned
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as stage:
-            code = _COMMANDS[args.command](cfg, seed, Path(stage), args.trials, threads, svg)
+            summary = _COMMANDS[args.command](cfg, seed, Path(stage), args.trials, threads, svg)
             names = sorted(os.listdir(stage))
             for name in names:
                 if (out / name).is_dir():
                     raise IsADirectoryError(f"{out / name} is a directory: no file was placed")
             for name in names:
                 os.replace(os.path.join(stage, name), out / name)
+        # a command's summary is printed only once its files are in place
+        if summary is not None:
+            print(summary)
         print(f"{args.command}: wrote {', '.join(str(out / name) for name in names)}")
-        return code
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,14 +35,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
 from .companding import companding_ibo_reduction_db, compress_waveform
-from .dpd import DpdDesign, PolyFit, design_from_scratch
+from .dpd import PolyFit, design_from_scratch
 from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
 from .link import LinkMetrics, SplitConfig, demodulate_and_ber, info_branch
 from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms, with_prefix
@@ -60,6 +59,10 @@ _T975 = (
     2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
     2.1098155778333156, 2.1009220402410382, 2.0930240544083087,
 )
+
+
+class ConfigError(ValueError):
+    """Configuration problem; reported with its location, exits with 2."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,14 @@ class Scenario:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
+        if self.ibo_db < 0.0:
+            raise ValueError(f"ibo_db must be non-negative, got {self.ibo_db!r}")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
+
+
+def _uses_dpd(technique: str) -> bool:
+    return technique in ("dpd", "dpd_companding")
 
 
 def _uses_companding(technique: str) -> bool:
@@ -99,45 +108,42 @@ def _saturating(pa: PaModel) -> bool:
     return pa.kind in ("sspa", "soft_limiter")
 
 
-@lru_cache(maxsize=8)
-def _cached_dpd(pa: PaModel, cfg: OfdmConfig, ibo_db: float) -> DpdDesign:
-    """Design for one operating point; cfg has no cyclic prefix, matching
-    the numerology design_from_scratch designs on."""
-    return design_from_scratch(pa, cfg, baseline_ibo_db=ibo_db)[0]
-
-
-def technique_reductions(s: Scenario, technique: str) -> tuple[float, float, PolyFit | None]:
+def technique_reductions(s: Scenario, techniques) -> list[tuple[float, float, PolyFit | None]]:
     """(DPD reduction in dB, companding reduction in dB, predistorter) of
-    the technique on the scenario's link; the predistorter is the inverse
+    each technique on the scenario's link; the predistorter is the inverse
     fit that the transmit chain (pa.amplify) applies, None for a technique
     without DPD and for a degenerate design.
 
     Each reduction is derived from the technique's own design: DPD's from
     the predistorter design, companding's from the compression power gain
-    of s.mu; a total above ibo_db is a ValueError.  A non-saturating
+    of s.mu; a total above ibo_db is a ConfigError.  A non-saturating
     amplifier has nothing to back off from, so reductions are zero there;
-    a degenerate DPD design likewise contributes zero.  The DPD design is
-    shared by every scenario at one operating point: it does not depend on
-    the cyclic prefix, and its back-off search takes the first EVM
-    crossing it scans (see design_ibo_reduction).  An unknown technique is
-    a ValueError.
+    a degenerate DPD design likewise contributes zero.  The predistorter is
+    designed once, when some technique uses DPD, and shared by every
+    technique and receiver: it does not depend on the cyclic prefix, and
+    its back-off search takes the first EVM crossing it scans (see
+    design_ibo_reduction).  An unknown technique is a ValueError.
     """
-    if technique not in TECHNIQUES:
-        raise ValueError(f"technique must be one of {TECHNIQUES}, got {technique!r}")
-    r_dpd, fit = 0.0, None
-    if technique in ("dpd", "dpd_companding"):
-        design = _cached_dpd(s.pa, replace(s.ofdm, cp_length=0), s.ibo_db)
+    techniques = tuple(techniques)
+    for technique in techniques:
+        if technique not in TECHNIQUES:
+            raise ValueError(f"technique must be one of {TECHNIQUES}, got {technique!r}")
+    dpd = (0.0, None)
+    if any(_uses_dpd(t) for t in techniques):
+        design = design_from_scratch(s.pa, s.ofdm, baseline_ibo_db=s.ibo_db)[0]
         if not design.degenerate:
-            r_dpd, fit = design.ibo_reduction_db, design.inverse_fit
-    if not _saturating(s.pa):
-        return 0.0, 0.0, fit
-    r_comp = 0.0
-    if _uses_companding(technique):
-        r_comp = companding_ibo_reduction_db(s.mu)
-    if r_dpd + r_comp > s.ibo_db:
-        raise ValueError(f"the {technique} technique's back-off reduction of "
-                         f"{r_dpd + r_comp:g} dB runs past ibo_db = {s.ibo_db:g} dB")
-    return r_dpd, r_comp, fit
+            dpd = (design.ibo_reduction_db, design.inverse_fit)
+    reductions = []
+    for technique in techniques:
+        r_dpd, fit = dpd if _uses_dpd(technique) else (0.0, None)
+        r_comp = companding_ibo_reduction_db(s.mu) if _uses_companding(technique) else 0.0
+        if not _saturating(s.pa):
+            r_dpd = r_comp = 0.0
+        elif r_dpd + r_comp > s.ibo_db:
+            raise ConfigError(f"the {technique} technique's back-off reduction of "
+                              f"{r_dpd + r_comp:g} dB runs past ibo_db = {s.ibo_db:g} dB")
+        reductions.append((r_dpd, r_comp, fit))
+    return reductions
 
 
 def _batch_ci(samples: np.ndarray) -> float:
@@ -152,15 +158,15 @@ def _batch_ci(samples: np.ndarray) -> float:
 
 def channel_ofdm(ofdm: OfdmConfig, spec: ChannelSpec) -> OfdmConfig:
     """The numerology with a cyclic prefix long enough for the channel;
-    a ValueError naming the channel if that prefix does not fit in the
+    a ConfigError naming the channel if that prefix does not fit in the
     symbol."""
     if spec.kind == "rayleigh_multitap" and ofdm.cp_length < spec.n_taps - 1:
         cp = 2 ** int(np.ceil(np.log2(spec.n_taps)))
         try:
             return replace(ofdm, cp_length=cp)
         except ValueError as exc:
-            raise ValueError(f"channel '{spec.kind}' needs a cyclic prefix of {cp} "
-                             f"samples: {exc}") from exc
+            raise ConfigError(f"channel '{spec.kind}' needs a cyclic prefix of {cp} "
+                              f"samples: {exc}") from exc
     return ofdm
 
 
@@ -206,6 +212,11 @@ def run_techniques(
     Result [r][k] is bit-identical to run_techniques(s, (techniques[k],),
     (receivers[r],))[0][0]: no result depends on the other techniques or
     receivers of the pass, on the block size or on the thread count.
+
+    The pass is checked before any draw: a channel whose prefix does not
+    fit in the symbol, then a technique whose back-off reduction runs past
+    s.ibo_db, is a ConfigError.  The predistorter is designed once per
+    call, in technique_reductions, and serves every technique and receiver.
 
     Common random numbers: the bits come from one stream of the seed and
     are drawn once; each channel's taps come from a stream keyed on (seed,
@@ -261,11 +272,11 @@ def run_techniques(
         raise ValueError("run_techniques needs at least one receiver")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    reductions = [technique_reductions(s, t) for t in techniques]
-    n_tech = len(techniques)
     # the distinct channels, each with its numerology and its receivers
     channels = list(dict.fromkeys(spec for spec, _ in receivers))
     chan_cfg = [channel_ofdm(s.ofdm, spec) for spec in channels]
+    reductions = technique_reductions(s, techniques)
+    n_tech = len(techniques)
     on_chan = [[r for r, (spec, _) in enumerate(receivers) if spec == c] for c in channels]
     harvests = [any(receivers[r][1].rho > 0.0 for r in rs) for rs in on_chan]
 

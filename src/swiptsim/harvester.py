@@ -48,6 +48,8 @@ class RectennaCurve:
             slopes = np.diff(self.efficiency) / np.diff(self.p_in_dbm)
         if not (np.all(np.isfinite(self.p_in_dbm)) and np.all(np.isfinite(slopes))):
             raise ValueError("calibration rows need finite values and finite slopes")
+        if not all(0.0 <= e <= 1.0 for e in self.efficiency):
+            raise ValueError("every efficiency must lie in [0, 1]")
 
     @property
     def sensitivity_dbm(self) -> float:

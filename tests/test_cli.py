@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -393,7 +392,7 @@ def test_handlers_do_not_mutate_config(tmp_path):
     cfg = {"ofdm": dict(SMALL_OFDM), "pa": {"kind": "sspa", "ibo_db": 8.0},
            "papr": {"mu_grid": [0.0], "thresholds_db": [4.0, 10.0, 2.0]}}
     snapshot = copy.deepcopy(cfg)
-    assert cmd_papr(cfg, 0, tmp_path, 50, 1, False) == EXIT_OK
+    assert cmd_papr(cfg, 0, tmp_path, 50, 1, False) is None
     assert cfg == snapshot
 
 
@@ -578,7 +577,6 @@ def _count_transmit(tmp_path, monkeypatch, command):
         return real_am_am(self, magnitude)
 
     monkeypatch.setattr(pa.PaModel, "am_am", counting_am_am)
-    experiments._cached_dpd.cache_clear()
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
                                "scenario": {"trials": 3, "frame_symbols": 2}})
     assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == EXIT_OK
@@ -845,9 +843,9 @@ def test_e2e_designs_like_dpd_design_at_seed_zero(tmp_path):
         assert float(rows["dpd"]["ibo_reduction_db"]) == float(format(seed0, ".10g"))
 
 
-def test_e2e_designs_in_at_most_20_chain_evaluations(tmp_path, monkeypatch):
+def test_e2e_designs_in_at_most_20_chain_evaluations(tmp_path, monkeypatch, design_calls):
     # one EVM per chain evaluation of the DPD design's back-off search, the
-    # baseline included; the cleared cache makes the run design afresh
+    # baseline included, in the run's one design
     calls = 0
     real = dpd.evm
 
@@ -857,12 +855,30 @@ def test_e2e_designs_in_at_most_20_chain_evaluations(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dpd, "evm", counting)
-    experiments._cached_dpd.cache_clear()
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM,
                                "scenario": {"trials": 1, "frame_symbols": 1}})
     assert main(["e2e", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert experiments._cached_dpd.cache_info().misses == 1
+    assert len(design_calls) == 1
     assert 0 < calls <= 20, calls
+
+
+@pytest.mark.parametrize("command,techniques,made", [
+    ("e2e", None, 1),
+    ("ber", ["baseline", "dpd", "dpd_companding"], 1),
+    ("ber", ["linear", "companding"], 0),
+    ("rate-energy", ["dpd", "companding", "dpd_companding"], 1),
+    ("rate-energy", ["baseline", "companding"], 0),
+])
+def test_a_pass_designs_its_predistorter_once(tmp_path, design_calls, command, techniques,
+                                              made):
+    # the pass checks its reductions and designs its predistorter in one
+    # place: one design when some technique uses DPD, and none otherwise
+    cfg = {"ofdm": SMALL_OFDM, "scenario": {"trials": 1, "frame_symbols": 1}}
+    if techniques is not None:
+        cfg[command.replace("-", "_")] = {"techniques": techniques}
+    assert main([command, "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(design_calls) == made
 
 
 def test_grid_triples_and_literal_lists():
@@ -975,20 +991,10 @@ def test_ber_outputs_and_validation(tmp_path, capsys):
     assert main(["ber", "--config", bad_ch, "--out", str(out)]) == EXIT_CONFIG
 
 
-def test_ber_designs_one_predistorter(tmp_path, monkeypatch):
+def test_ber_designs_one_predistorter(tmp_path, design_calls):
     # every Eb/N0 point of every channel shares one operating point, so one
-    # design serves them all at any thread count, though the multipath
-    # channel lengthens the cyclic prefix; the design is slowed down so that
-    # point workers would all miss the cache together if they had to design it
-    designs = []
-    real = experiments.design_from_scratch
-
-    def counting(*args, **kwargs):
-        designs.append(args)
-        time.sleep(0.2)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "design_from_scratch", counting)
+    # design, made before the trial blocks run, serves them all at any
+    # thread count, though the multipath channel lengthens the cyclic prefix
     cfg = write_cfg(tmp_path, {
         "ofdm": SMALL_OFDM,
         "scenario": {"trials": 2, "frame_symbols": 2},
@@ -997,12 +1003,11 @@ def test_ber_designs_one_predistorter(tmp_path, monkeypatch):
     })
     outputs = set()
     for threads in (1, 2, 3):
-        designs.clear()
-        experiments._cached_dpd.cache_clear()
+        design_calls.clear()
         out = tmp_path / f"t{threads}"
         assert main(["ber", "--config", cfg, "--out", str(out),
                      "--threads", str(threads)]) == EXIT_OK
-        assert len(designs) == 1, threads
+        assert len(design_calls) == 1, threads
         outputs.add((out / "ber_curves.csv").read_bytes())
     assert len(outputs) == 1
 
@@ -1422,6 +1427,25 @@ def test_a_blocked_file_name_places_no_file(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["dpd_evm.csv"]
     assert not any((out / "dpd_evm.csv").iterdir())
     assert "dpd_evm.csv is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name,summary", [
+    ("dpd-design", "dpd_evm.csv", "dpd-design: reduction "),
+    ("mu-sweep", "mu_sweep.csv", "mu-sweep: mu* = "),
+])
+def test_a_summary_follows_its_files(tmp_path, capsys, command, name, summary):
+    # a command's summary line is printed once its files are in place, just
+    # before the line naming them: a run stopped by a blocked name prints none
+    cfg = write_cfg(tmp_path, KNOB_BASE)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().out == ""
+    (out / name).rmdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(summary)
+    assert lines[1].startswith(f"{command}: wrote ")
 
 
 def test_hash_covers_the_package_version_and_the_default_curve(tmp_path, monkeypatch):

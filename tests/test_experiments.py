@@ -13,6 +13,7 @@ from swiptsim.dpd import design_from_scratch
 from swiptsim.experiments import (
     TABLE_TECHNIQUES,
     TECHNIQUES,
+    ConfigError,
     Scenario,
     _batch_ci,
     channel_ofdm,
@@ -34,6 +35,12 @@ def test_scenario_validation():
         Scenario(frame_symbols=0)
     with pytest.raises(ValueError, match="ibo_db must be a finite"):
         Scenario(ibo_db=np.inf)
+    # a negative back-off is rejected where it is set, not later as a
+    # reduction that runs past it (or, with a polynomial PA, not at all)
+    for pa in (PaModel.sspa(smoothness=1.2), PaModel.polynomial((0.0, 1.0))):
+        with pytest.raises(ValueError, match="ibo_db must be non-negative, got -1"):
+            Scenario(pa=pa, ibo_db=-1)
+    assert Scenario(ibo_db=0.0).ibo_db == 0.0
     # the pass works in units of the nominal transmit power: there is no
     # absolute one
     with pytest.raises(TypeError, match="p_rf_tx_dbm"):
@@ -64,30 +71,34 @@ def test_channel_ofdm_lengthens_the_prefix_for_multitap_only():
                      ChannelSpec(kind="rayleigh_multitap"))
 
 
-def test_technique_reductions():
-    s = Scenario()
-    r_dpd, r_comp, fit = technique_reductions(s, "baseline")
-    assert (r_dpd, r_comp, fit) == (0.0, 0.0, None)
-
-    r_dpd, r_comp, fit = technique_reductions(s, "dpd")
+def test_technique_reductions(design_calls):
+    s = Scenario(mu=1.25)
     ref = design_from_scratch(s.pa, s.ofdm, baseline_ibo_db=8.0)[0]
+    linear, baseline, dpd, companding, dpd_companding = technique_reductions(s, TECHNIQUES)
+    # one design serves both DPD techniques
+    assert len(design_calls) == 1
+    assert linear == baseline == (0.0, 0.0, None)
+
+    r_dpd, r_comp, fit = dpd
     assert r_dpd == pytest.approx(ref.ibo_reduction_db, abs=1e-9)
     assert r_dpd == pytest.approx(2.477963727712632, abs=1e-6)
     assert r_comp == 0.0
     # the chain applies the design's inverse fit
     assert fit == ref.inverse_fit
 
-    r_dpd, r_comp, fit = technique_reductions(Scenario(mu=1.25), "companding")
+    r_dpd, r_comp, fit = companding
     assert r_dpd == 0.0
     assert r_comp == pytest.approx(1.6322012537441974, abs=1e-9)
     assert fit is None
 
-    r_dpd, r_comp, fit = technique_reductions(s, "dpd_companding")
-    assert r_dpd > 0.0 and r_comp > 0.0
-    assert fit == ref.inverse_fit
+    assert dpd_companding == (dpd[0], companding[1], ref.inverse_fit)
+
+    # a pass without DPD designs nothing
+    assert technique_reductions(s, ("companding", "baseline")) == [companding, baseline]
+    assert len(design_calls) == 1
 
     with pytest.raises(ValueError, match="technique must be one of"):
-        technique_reductions(s, "beamforming")
+        technique_reductions(s, ("baseline", "beamforming"))
 
 
 def test_degenerate_design_has_no_predistorter():
@@ -95,14 +106,30 @@ def test_degenerate_design_has_no_predistorter():
     # degenerate, so the chain runs without a fit and claims no reduction
     linear_pa = PaModel.polynomial((0.0, 1.0))
     s = Scenario(pa=linear_pa, ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2))
-    assert experiments._cached_dpd(linear_pa, s.ofdm, s.ibo_db).degenerate
-    assert technique_reductions(s, "dpd") == (0.0, 0.0, None)
+    assert design_from_scratch(linear_pa, s.ofdm, baseline_ibo_db=s.ibo_db)[0].degenerate
+    assert technique_reductions(s, ("dpd",)) == [(0.0, 0.0, None)]
 
 
 def test_non_saturating_pa_has_no_reduction():
     s = Scenario(pa=PaModel.polynomial((0.0, 1.0)))
-    r_dpd, r_comp, design = technique_reductions(s, "companding")
-    assert (r_dpd, r_comp, design) == (0.0, 0.0, None)
+    assert technique_reductions(s, ("companding",)) == [(0.0, 0.0, None)]
+
+
+def test_run_techniques_checks_its_inputs_before_any_draw(monkeypatch):
+    # a prefix that does not fit and a reduction past ibo_db are config
+    # errors found before the first random draw; the channel's comes first
+    def no_draw(*args):
+        raise AssertionError("run_techniques drew before checking its inputs")
+
+    monkeypatch.setattr(experiments, "_stream", no_draw)
+    tiny = OfdmConfig(n_subcarriers=2, oversampling_factor=1)
+    multitap = [(ChannelSpec(kind="rayleigh_multitap"), SplitConfig())]
+    with pytest.raises(ConfigError, match="'rayleigh_multitap' needs a cyclic prefix of 4"):
+        run_techniques(Scenario(ofdm=tiny), ("baseline",), multitap)
+    with pytest.raises(ConfigError, match="runs past ibo_db = 1 dB"):
+        run_techniques(Scenario(ofdm=tiny, ibo_db=1.0), ("baseline", "companding"))
+    with pytest.raises(ConfigError, match="needs a cyclic prefix"):
+        run_techniques(Scenario(ofdm=tiny, ibo_db=1.0), ("companding",), multitap)
 
 
 def test_linear_technique_radiates_the_frames(monkeypatch):

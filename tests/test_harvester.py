@@ -231,6 +231,12 @@ def test_curve_shape_validation():
                  ((0.0, 5e-324, 1.0), (0.0, 1.0, 0.5))):
         with pytest.raises(ValueError, match="finite values and finite slopes"):
             RectennaCurve(*rows)
+    # an efficiency is a fraction however the curve is built, not only when
+    # parsed: a run never starts on one above 1 or below 0
+    for effs in ((0.5, 2.0), (-0.1, 0.5)):
+        with pytest.raises(ValueError, match=r"efficiency must lie in \[0, 1\]"):
+            RectennaCurve((-10.0, 10.0), effs)
+    assert RectennaCurve((-10.0, 10.0), (0.0, 1.0)).efficiency == (0.0, 1.0)
 
 
 def test_linear_model_harvest():
