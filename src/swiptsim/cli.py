@@ -4,7 +4,7 @@ Subcommands
 -----------
 papr         PAPR CCDF curves for a grid of compression strengths.
 dpd-design   Predistorter design: fit file plus an EVM/efficiency table.
-mu-sweep     Post-expansion SNR, PAPR reduction, and cascade gain vs mu.
+mu-sweep     Post-expansion SNR and PAPR reduction vs mu, plus mu*.
 e2e          Four-technique efficiency table plus per-channel metrics.
 ber          BER vs Eb/N0 per technique and channel.
 rate-energy  Measured rate and H_P/E vs splitting ratio.
@@ -56,33 +56,37 @@ read (pa.smoothness, pa.coeffs, eh.eta3_linear, eh.calibration) is an
 error, not a silently dropped value.
 
 Flags: --config, --seed, --out, --trials and --threads.  --trials
-overrides the Monte Carlo count of papr, mu-sweep, e2e, ber and
-rate-energy; dpd-design has none and rejects it.  Those five commands
-read --threads (worker threads for the PAPR batches and for the Monte
-Carlo trial blocks; default every core this process may use); their
-output does not depend on it.  e2e, ber and rate-energy each make one
-Monte Carlo pass (experiments.run_techniques), with one receiver per
-channel in e2e, per channel and Eb/N0 point in ber, and per splitting
-ratio on the configured channel in rate-energy: every receiver shares
-the pass's bits, transmit frames and noise draws, and every receiver on
-a channel its taps.  Each job being processed holds its block's noise
-draws, so memory grows with --threads: ber at its defaults peaked at 57,
-62 and 98-101 MB of RSS at 1, 2 and 12 threads.  dpd-design runs
-serially and rejects it.
+replaces the Monte Carlo count of papr, mu-sweep, e2e, ber and
+rate-energy, which is then neither read nor checked; dpd-design has none
+and rejects it.  Those five commands read --threads (worker threads for
+the PAPR batches and for the Monte Carlo trial blocks; default every
+core this process may use); their output does not depend on it.  e2e,
+ber and rate-energy each make one Monte Carlo pass
+(experiments.run_techniques) over a grid of channels and splitters:
+every channel kind and the configured splitter in e2e, the listed
+channels and one splitter per Eb/N0 point in ber, and the configured
+channel and one splitter per splitting ratio in rate-energy.  Every
+channel and splitter shares the pass's bits, transmit frames and noise
+draws, and every splitter on a channel its taps.  Each job being
+processed holds its block's noise draws, so memory grows with --threads:
+ber at its defaults peaked at 57, 62 and 98-101 MB of RSS at 1, 2 and 12
+threads.  dpd-design runs serially and rejects it.
 
 dpd-design measures its EVM table (dpd_evm.csv) on the probe its design
 searched, which carries no cyclic prefix, so it neither checks nor
-reads ofdm.cp_length.  e2e and ber design their predistorter
-on the seed-0 probe with order 7 whatever --seed and dpd.inverse_order
-say: their dpd ibo_reduction_db is that of dpd-design --seed 0 at the
-default order.
+reads ofdm.cp_length.  e2e, ber and rate-energy design their
+predistorter on the seed-0 probe with order 7 whatever --seed and
+dpd.inverse_order say: their dpd ibo_reduction_db is that of dpd-design
+--seed 0 at the default order.
 
 Every CSV and dpd_design.txt starts with "# config_hash=<h> seed=<seed>".
 h is config_hash: the first 12 hex digits of a SHA-256 over the package
-version, the seed and the resolved values the command runs on (the
-scenario with its rectenna rows, grids and counts after --trials, the
-numerology without a prefix in dpd-design), so a key that a command
-does not read moves neither its output nor its hash.  Such a key is not
+version, the seed and the resolved values the command runs on, each
+once (the scenario with its rectenna rows, the channels and splitters
+of a Monte Carlo pass or the configured ones they are made from, grids
+and counts after --trials, the numerology without a prefix in
+dpd-design), so a key that a command does not read moves neither its
+output nor its hash.  Such a key is not
 checked either: mu-sweep reads only pa.ibo_db and split.sigma_a2 of
 those two sections, so it runs on {"pa": {"kind": "valve"}} or
 {"split": {"rho": 2}}.
@@ -292,20 +296,8 @@ def build_scenario(cfg: dict, seed: int, trials: int | None) -> Scenario:
     if trials is not None:
         section["trials"] = trials
     pa, ibo_db = build_pa(cfg)
-    return _build(
-        Scenario,
-        "scenario",
-        dict(
-            ofdm=build_ofdm(cfg),
-            pa=pa,
-            ibo_db=ibo_db,
-            channel=build_channel(cfg),
-            split=build_split(cfg),
-            eh=build_eh(cfg),
-            seed=seed,
-            **section,
-        ),
-    )
+    return _build(Scenario, "scenario", dict(ofdm=build_ofdm(cfg), pa=pa, ibo_db=ibo_db,
+                                             eh=build_eh(cfg), seed=seed, **section))
 
 
 def _grid(section: dict, key: str, default, where: str) -> np.ndarray:
@@ -391,10 +383,9 @@ def _count(section: dict, key: str, default: int, where: str) -> int:
 
 def _trial_count(section: dict, key: str, default: int, where: str,
                  trials: int | None) -> int:
-    """The section's Monte Carlo count, or --trials when given; the
-    configured value must be a count either way."""
-    n = _count(section, key, default, where)
-    return trials if trials is not None else n
+    """--trials when given, which replaces the section's Monte Carlo count
+    unread, else that count."""
+    return trials if trials is not None else _count(section, key, default, where)
 
 
 def _mu_grid(section: dict, default, where: str, allow_zero: bool) -> list[float]:
@@ -554,21 +545,23 @@ def cmd_mu_sweep(cfg: dict, seed: int, out: Path, trials: int | None, threads: i
 
 
 def cmd_e2e(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, svg: bool) -> str | None:
-    base = build_scenario(cfg, seed, trials)
+    s = build_scenario(cfg, seed, trials)
+    channel, split = build_channel(cfg), build_split(cfg)
+    h = config_hash(seed, s, channel, split)
     # one pass for every channel; the table is the configured channel's rows
-    receivers = [(replace(base.channel, kind=kind), base.split) for kind in CHANNEL_KINDS]
-    h = config_hash(seed, base, receivers)
-    results = run_techniques(base, TABLE_TECHNIQUES, receivers, threads)
-    table = results[CHANNEL_KINDS.index(base.channel.kind)]
+    results = run_techniques(s, TABLE_TECHNIQUES,
+                             [replace(channel, kind=kind) for kind in CHANNEL_KINDS], [split],
+                             threads)
+    (table,) = results[CHANNEL_KINDS.index(channel.kind)]
     rows = [(tech, m.eta1, m.eta3, m.eta_e2e, m.ibo_reduction_db, m.rate_bps_hz,
              m.harvested_norm, m.ber) for tech, m in zip(TABLE_TECHNIQUES, table)]
     columns = ("technique", "eta1", "eta3", "eta1_eta3", "ibo_reduction_db",
                "rate_bps_hz", "h_p_norm", "ber")
     chan_rows = [(kind, tech, m.eta1, m.eta3, m.eta_e2e, m.eta3_ci, m.ber)
-                 for kind, res in zip(CHANNEL_KINDS, results)
+                 for kind, (res,) in zip(CHANNEL_KINDS, results)
                  for tech, m in zip(TABLE_TECHNIQUES, res)]
     write_csv(out / "technique_table.csv", columns, rows, h, seed,
-              comments=(_column_notes(columns, base.channel.kind),))
+              comments=(_column_notes(columns, channel.kind),))
     write_csv(out / "channel_metrics.csv",
               ("channel", "technique", "eta1", "eta3", "eta1_eta3", "eta3_ci", "ber"),
               chan_rows, h, seed)
@@ -580,20 +573,18 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
     techniques = _names(section, "techniques", ("baseline", "companding"), TECHNIQUES,
                         "ber", "technique")
     channels = _names(section, "channels", CHANNEL_KINDS, CHANNEL_KINDS, "ber", "channel")
-    # one receiver per channel and Eb/N0 point, each with the whole split
-    # replaced: no harvesting and no processing noise, so no split or eh key
-    base = build_scenario(_only(cfg, split=(), eh=()), seed, trials)
-    specs = [replace(base.channel, kind=kind) for kind in channels]
-    receivers = [(spec, SplitConfig(rho=0.0, sigma_a2=noise_for_ebn0(v, base.ofdm),
-                                    sigma_p2=0.0))
-                 for spec in specs for v in ebn0]
-    h = config_hash(seed, base, techniques, ebn0, receivers)
-    results = run_techniques(base, techniques, receivers, threads)
-    n_bits = 2 * base.ofdm.n_subcarriers * base.frame_symbols * base.trials
+    # one splitter per Eb/N0 point, which replaces the whole split section:
+    # no harvesting and no processing noise, so no split or eh key
+    s = build_scenario(_only(cfg, eh=()), seed, trials)
+    specs = [replace(build_channel(cfg), kind=kind) for kind in channels]
+    h = config_hash(seed, s, techniques, ebn0, specs)
+    splits = [SplitConfig(rho=0.0, sigma_a2=noise_for_ebn0(v, s.ofdm), sigma_p2=0.0)
+              for v in ebn0]
+    results = run_techniques(s, techniques, specs, splits, threads)
+    n_bits = 2 * s.ofdm.n_subcarriers * s.frame_symbols * s.trials
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for i, kind in enumerate(channels):
-        points = results[i * len(ebn0):(i + 1) * len(ebn0)]
+    for kind, points in zip(channels, results):
         for k, tech in enumerate(techniques):
             rows += [(kind, tech, v, res[k].ber, res[k].ber_ci, n_bits)
                      for v, res in zip(ebn0, points)]
@@ -613,12 +604,13 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
         raise ConfigError("config section 'rate_energy.rho_grid': rho must lie in [0, 1]")
     techniques = _names(section, "techniques", ("baseline", "companding"), TECHNIQUES,
                         "rate_energy", "technique")
-    # one pass: every rho is a receiver on the configured channel's draws
-    base = build_scenario(_only(cfg, split=()), seed, trials)
+    # one pass: every rho is a splitter on the configured channel's draws
+    s = build_scenario(cfg, seed, trials)
+    channel = build_channel(cfg)
     split = build_split(_only(cfg, split=("sigma_a2", "sigma_p2")))
-    receivers = [(base.channel, replace(split, rho=rho)) for rho in rho_grid]
-    h = config_hash(seed, base, techniques, receivers)
-    results = run_techniques(base, techniques, receivers, threads)
+    splits = [replace(split, rho=rho) for rho in rho_grid]
+    h = config_hash(seed, s, techniques, channel, splits)
+    (results,) = run_techniques(s, techniques, [channel], splits, threads)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for k, tech in enumerate(techniques):
@@ -628,7 +620,7 @@ def cmd_rate_energy(cfg: dict, seed: int, out: Path, trials: int | None, threads
         series[f"h_p/{tech}"] = [(rho, m.harvested_norm) for rho, m in points]
     columns = ("rho", "technique", "rate_bps_hz", "h_p_norm")
     write_csv(out / "rate_energy.csv", columns, rows, h, seed,
-              comments=(_column_notes(columns, base.channel.kind),))
+              comments=(_column_notes(columns, channel.kind),))
     if svg:
         _svg_chart(out / "rate_energy.svg", series, "rho", "rate / harvested")
 

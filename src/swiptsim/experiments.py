@@ -1,12 +1,11 @@
 """Scenario definitions, the Monte Carlo runner, and CSV output.
 
-A Scenario bundles the full transmit/channel/receive configuration;
-run_techniques turns it into one LinkMetrics per technique and receiver,
-with batch-means confidence intervals, for several techniques at several
-receivers (channel and splitter pairs) over one set of random draws
-(TABLE_TECHNIQUES gives the four-technique efficiency comparison).  A
-sweep over the splitting ratio or Eb/N0 is one pass with one receiver per
-point.
+A Scenario bundles the transmitter, the amplifier's operating point,
+the rectenna and the Monte Carlo sizes; run_techniques turns it into one
+LinkMetrics per channel, splitter and technique, with batch-means
+confidence intervals, over one set of random draws (TABLE_TECHNIQUES
+gives the four-technique efficiency comparison).  A sweep over the
+splitting ratio or Eb/N0 is one pass with one splitter per point.
 
 Measurement conventions, used consistently everywhere:
 
@@ -43,7 +42,7 @@ from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
 from .companding import companding_ibo_reduction_db, compress_waveform
 from .dpd import PolyFit, design_from_scratch
 from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
-from .link import LinkMetrics, SplitConfig, demodulate_and_ber, info_branch
+from .link import LinkMetrics, demodulate_and_ber, info_branch
 from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms, with_prefix
 from .pa import PaModel, amplify, efficiency_at_backoff
 
@@ -67,14 +66,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """The link that the techniques are compared on; ibo_db is the
-    amplifier's nominal input back-off, which DPD and companding reduce."""
+    """The transmitter and rectenna that the techniques are compared with;
+    ibo_db is the amplifier's nominal input back-off, which DPD and
+    companding reduce.  The channels and splitters are run_techniques's."""
 
     ofdm: OfdmConfig = OfdmConfig()
     pa: PaModel = PaModel.sspa(smoothness=1.2)
     ibo_db: float = 8.0
-    channel: ChannelSpec = ChannelSpec()
-    split: SplitConfig = SplitConfig()
     eh: EhModel = field(default_factory=EhModel.default)
     trials: int = 50
     seed: int = 0
@@ -116,33 +114,42 @@ def technique_reductions(s: Scenario, techniques) -> list[tuple[float, float, Po
 
     Each reduction is derived from the technique's own design: DPD's from
     the predistorter design, companding's from the compression power gain
-    of s.mu; a total above ibo_db is a ConfigError.  A non-saturating
-    amplifier has nothing to back off from, so reductions are zero there;
-    a degenerate DPD design likewise contributes zero.  The predistorter is
-    designed once, when some technique uses DPD, and shared by every
-    technique and receiver: it does not depend on the cyclic prefix, and
-    its back-off search takes the first EVM crossing it scans (see
-    design_ibo_reduction).  An unknown technique is a ValueError.
+    of s.mu; a total above ibo_db is a ConfigError, found before the
+    predistorter is designed when companding's share alone runs past it.
+    A non-saturating amplifier has nothing to back off from, so reductions
+    are zero there; a degenerate DPD design likewise contributes zero.  The
+    predistorter is designed once, when some technique uses DPD, and shared
+    by every technique, channel and splitter: it does not depend on the
+    cyclic prefix, and its back-off search takes the first EVM crossing it
+    scans (see design_ibo_reduction).  An unknown technique is a
+    ValueError.
     """
     techniques = tuple(techniques)
     for technique in techniques:
         if technique not in TECHNIQUES:
             raise ValueError(f"technique must be one of {TECHNIQUES}, got {technique!r}")
+    saturating = _saturating(s.pa)
+
+    def check(technique: str, total_db: float) -> None:
+        if saturating and total_db > s.ibo_db:
+            raise ConfigError(f"the {technique} technique's back-off reduction of "
+                              f"{total_db:g} dB runs past ibo_db = {s.ibo_db:g} dB")
+
+    r_comps = [companding_ibo_reduction_db(s.mu) if _uses_companding(t) else 0.0
+               for t in techniques]
+    # a DPD reduction is never negative, so this total can only grow
+    for technique, r_comp in zip(techniques, r_comps):
+        check(technique, r_comp)
     dpd = (0.0, None)
     if any(_uses_dpd(t) for t in techniques):
         design = design_from_scratch(s.pa, s.ofdm, baseline_ibo_db=s.ibo_db)[0]
         if not design.degenerate:
             dpd = (design.ibo_reduction_db, design.inverse_fit)
     reductions = []
-    for technique in techniques:
+    for technique, r_comp in zip(techniques, r_comps):
         r_dpd, fit = dpd if _uses_dpd(technique) else (0.0, None)
-        r_comp = companding_ibo_reduction_db(s.mu) if _uses_companding(technique) else 0.0
-        if not _saturating(s.pa):
-            r_dpd = r_comp = 0.0
-        elif r_dpd + r_comp > s.ibo_db:
-            raise ConfigError(f"the {technique} technique's back-off reduction of "
-                              f"{r_dpd + r_comp:g} dB runs past ibo_db = {s.ibo_db:g} dB")
-        reductions.append((r_dpd, r_comp, fit))
+        check(technique, r_dpd + r_comp)
+        reductions.append((r_dpd, r_comp, fit) if saturating else (0.0, 0.0, fit))
     return reductions
 
 
@@ -200,23 +207,25 @@ _BLOCK_BYTES = 1 << 19
 
 
 def run_techniques(
-    s: Scenario, techniques, receivers=None, threads: int = 1
-) -> tuple[tuple[LinkMetrics, ...], ...]:
-    """Monte Carlo evaluation of several techniques at several receivers
-    over one set of draws: results[r][k] is the LinkMetrics of technique k
-    at receiver r, deterministic for a fixed seed.
+    s: Scenario, techniques, channels, splits, threads: int = 1
+) -> tuple[tuple[tuple[LinkMetrics, ...], ...], ...]:
+    """Monte Carlo evaluation of several techniques through several
+    channels into several power splitters over one set of draws:
+    results[c][p][k] is the LinkMetrics of technique k through channel c
+    into splitter p, deterministic for a fixed seed.
 
-    A receiver is a (ChannelSpec, SplitConfig) pair; the default is the
-    scenario's own (s.channel, s.split).  Each receiver's numerology is
-    s.ofdm with a prefix long enough for its channel (see channel_ofdm).
-    Result [r][k] is bit-identical to run_techniques(s, (techniques[k],),
-    (receivers[r],))[0][0]: no result depends on the other techniques or
-    receivers of the pass, on the block size or on the thread count.
+    channels are ChannelSpecs and splits SplitConfigs, at least one of
+    each.  Each channel's numerology is s.ofdm with a prefix long enough
+    for it (see channel_ofdm).  Result [c][p][k] is bit-identical to
+    run_techniques(s, (techniques[k],), (channels[c],), (splits[p],))[0][0][0]:
+    no result depends on the other techniques, channels or splitters of
+    the pass, on the block size or on the thread count.
 
     The pass is checked before any draw: a channel whose prefix does not
     fit in the symbol, then a technique whose back-off reduction runs past
     s.ibo_db, is a ConfigError.  The predistorter is designed once per
-    call, in technique_reductions, and serves every technique and receiver.
+    call, in technique_reductions, and serves every technique, channel and
+    splitter.
 
     Common random numbers: the bits come from one stream of the seed and
     are drawn once; each channel's taps come from a stream keyed on (seed,
@@ -224,20 +233,20 @@ def run_techniques(
     of a trial come from two streams keyed on (seed, trial) alone, each
     drawn once as (n, 2) normals viewed as n complex samples, n the
     longest frame of the pass; every channel reads the first samples of
-    its frame's length, and every receiver scales the same draws by its
-    own variances.  The branch's stream is drawn only when some receiver
+    its frame's length, and every splitter scales the same draws by its
+    own variances.  The branch's stream is drawn only when some splitter
     has sigma_p2 > 0.  Each technique's transmit frames are computed once,
-    without a cyclic prefix: the chain acts per sample, so a receiver adds
-    its own prefix after the amplifier.  The frames are compressed once
-    for the companded techniques.  Linear's power reference is its own
-    frames, every other technique's the baseline amplifier output of the
-    uncompressed frames: the baseline's transmit waveform, or, without a
-    baseline in the pass, an amplification made for the reference alone.
+    without a cyclic prefix: the chain acts per sample, so each channel
+    adds its own prefix after the amplifier.  The frames are compressed
+    once for the companded techniques.  Linear's power reference is its
+    own frames, every other technique's the baseline amplifier output of
+    the uncompressed frames: the baseline's transmit waveform, or, without
+    a baseline in the pass, an amplification made for the reference alone.
 
     The trials run in blocks of about _BLOCK_BYTES of frame samples, twice:
     transmit, then, once the ensemble powers are known, one job per block
     that draws the block's noise and, channel by channel, adds the
-    channel's prefix, applies its taps and builds every receiver's
+    channel's prefix, applies its taps and builds every splitter's
     branches.  With threads > 1 a pool of that many workers processes the
     jobs, at most 2 * threads in flight, and with 1 the calling thread
     does (see ofdm.run_bounded).  A pass whose trials fit in one block (at
@@ -250,37 +259,33 @@ def run_techniques(
     so are every trial's bits (2 N x frame_symbols int8) and every
     channel's taps.  A job being processed adds its block's unit noise (one
     complex frame per trial, two with processing noise), one faded frame
-    per trial and the temporaries of one channel, technique and receiver
+    per trial and the temporaries of one channel, technique and splitter
     at a time.  With 4 techniques x 50 trials x 4 symbols at N*L = 2048 the
     frames take 26 MB.
 
     The rectifier works on the faded frames with their ensemble mean
-    pinned to 0 dBm, which removes rho, so every receiver with rho > 0 on
-    one channel reports the same eta3; H_P/E scales it by the EH branch's
-    input, rho * (P_rx + sigma_a2) in units of the nominal transmit power.
-    The demodulator works on the information branch at equal average
-    transmit power through the faded channel, and measures each trial's
-    BER and rate there.
+    pinned to 0 dBm, which removes rho, so every splitter with rho > 0
+    reports its channel's and technique's eta3; H_P/E scales it by the EH
+    branch's input, rho * (P_rx + sigma_a2) in units of the nominal
+    transmit power.  The demodulator works on the information branch at
+    equal average transmit power through the faded channel, and measures
+    each trial's BER and rate there.
     """
-    techniques = tuple(techniques)
-    receivers = ((s.channel, s.split),) if receivers is None else tuple(receivers)
+    techniques, channels, splits = tuple(techniques), tuple(channels), tuple(splits)
     if not techniques:
         raise ValueError("run_techniques needs at least one technique")
     if len(set(techniques)) != len(techniques):
         raise ValueError(f"techniques must not repeat, got {techniques}")
-    if not receivers:
-        raise ValueError("run_techniques needs at least one receiver")
+    if not channels or not splits:
+        raise ValueError("run_techniques needs at least one channel and one splitter")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    # the distinct channels, each with its numerology and its receivers
-    channels = list(dict.fromkeys(spec for spec, _ in receivers))
     chan_cfg = [channel_ofdm(s.ofdm, spec) for spec in channels]
     reductions = technique_reductions(s, techniques)
     n_tech = len(techniques)
-    on_chan = [[r for r, (spec, _) in enumerate(receivers) if spec == c] for c in channels]
-    harvests = [any(receivers[r][1].rho > 0.0 for r in rs) for rs in on_chan]
+    harvests = any(split.rho > 0.0 for split in splits)
 
-    # the frames carry no prefix: each receiver adds its own
+    # the frames carry no prefix: each channel adds its own
     cfg = replace(s.ofdm, cp_length=0)
     trials = s.trials
     frame_len = s.frame_symbols * cfg.n_samples
@@ -291,10 +296,9 @@ def run_techniques(
 
     bits = _stream(s.seed, 0).integers(
         0, 2, size=(trials, 2 * cfg.n_subcarriers * s.frame_symbols), dtype=np.int8)
-    kinds = [1 + CHANNEL_KINDS.index(spec.kind) for spec in channels]
     taps = []
-    for spec, key in zip(channels, kinds):
-        rng = _stream(s.seed, key, 0)
+    for spec in channels:
+        rng = _stream(s.seed, 1 + CHANNEL_KINDS.index(spec.kind), 0)
         taps.append(np.array([sample_channel(spec, rng) for _ in range(trials)]))
     tx = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
     # each trial's reference power: [0] the baseline amplifier output of
@@ -328,8 +332,8 @@ def run_techniques(
             if tech != "linear":
                 drive = amplify(drive, s.pa, s.ibo_db - r_dpd, fit)
             tx[k, rows] = drive
-            for c in range(len(channels)):
-                if harvests[c]:
+            if harvests:
+                for c in range(len(channels)):
                     rx_p[c, k, rows] = np.mean(np.abs(faded(k, c, rows)) ** 2, axis=-1)
         if techniques != ("linear",):
             ref = tx[base, rows] if base is not None else amplify(x, s.pa, s.ibo_db)
@@ -348,19 +352,18 @@ def run_techniques(
     # rectifier sees its branch pinned to 1 mW ensemble mean, where the
     # thermal noise floor is irrelevant and therefore omitted
     norm = [np.sqrt(1.0 / (ref_power[int(t == "linear")] / trials)) for t in techniques]
-    eh_pin = [np.sqrt(1e-3 / np.mean(p, axis=-1)) if h else None
-              for p, h in zip(rx_p, harvests)]
+    eh_pin = np.sqrt(1e-3 / np.mean(rx_p, axis=-1)) if harvests else None
 
-    # the rectifier's sums, written for the channels that harvest
+    # the rectifier's sums, written when some splitter harvests
     eta3_num = np.empty((len(channels), n_tech, trials))
     eta3_den = np.empty_like(eta3_num)
-    ber = np.empty((len(receivers), n_tech, trials))
+    ber = np.empty((len(channels), len(splits), n_tech, trials))
     rates = np.empty_like(ber)
 
     # each channel reads the first rx_len[c] samples of a trial's noise
     rx_len = [s.frame_symbols * (cfg_c.n_samples + cfg_c.cp_length) for cfg_c in chan_cfg]
-    # the antenna's draws, and the branch's if some receiver adds processing noise
-    n_draws = 2 if any(split.sigma_p2 > 0.0 for _, split in receivers) else 1
+    # the antenna's draws, and the branch's if some splitter adds processing noise
+    n_draws = 2 if any(split.sigma_p2 > 0.0 for split in splits) else 1
 
     def receive(rows: slice) -> None:
         # each trial's unit noise, (n, 2) normals from the trial's own
@@ -375,61 +378,63 @@ def run_techniques(
             branch = draws[1, :, :rx_len[c]] if n_draws == 2 else None
             for k in range(n_tech):
                 y = faded(k, c, rows)
-                if harvests[c]:
-                    p_w = np.abs(y * eh_pin[c][k])
+                if harvests:
+                    p_w = np.abs(y * eh_pin[c, k])
                     p_w **= 2
                     eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
                     eff *= p_w
                     eta3_num[c, k, rows] = np.sum(eff, axis=-1)
                     eta3_den[c, k, rows] = np.sum(p_w, axis=-1)
-                for r in on_chan[c]:
-                    split = receivers[r][1]
-                    # the last receiver builds its branch in the faded frames
-                    info = np.multiply(y, norm[k], out=y if r == on_chan[c][-1] else None)
+                # the noiseless information branch before the split
+                y *= norm[k]
+                if companded[k]:
+                    p_info = np.mean(np.abs(y) ** 2, axis=-1)
+                for p, split in enumerate(splits):
+                    # the last splitter builds its branch in the faded frames
+                    info = y if p == len(splits) - 1 else y.copy()
                     scale = None
                     if companded[k]:
                         # known amplitude bookkeeping from the compressed
                         # transmit waveform to the (noiseless)
                         # information-branch signal, so the expander
                         # operates in its design domain
-                        rms_rx = np.sqrt((1.0 - split.rho) * np.mean(np.abs(info) ** 2, axis=-1))
+                        rms_rx = np.sqrt((1.0 - split.rho) * p_info)
                         drive = rms_drive[c, rows]
                         scale = np.ones_like(rms_rx)
                         np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
                     info_branch(info, split, antenna, branch)
-                    ber[r, k, rows], rates[r, k, rows] = demodulate_and_ber(
+                    ber[c, p, k, rows], rates[c, p, k, rows] = demodulate_and_ber(
                         info, taps[c][rows], chan_cfg[c], sent,
                         s.mu if companded[k] else None, scale,
                     )
 
     run_bounded(receive, ((rows,) for rows in blocks), threads)
 
-    results = []
-    for r, (spec, split) in enumerate(receivers):
-        c = channels.index(spec)
-        row = []
-        for k, tech in enumerate(techniques):
-            r_dpd, r_comp, _ = reductions[k]
-            ibo_eff = s.ibo_db - r_dpd - r_comp
-            eta1 = efficiency_at_backoff(ibo_eff) if _saturating(s.pa) else 0.5
-            if split.rho > 0.0:
-                eta3_mc = float(eta3_num[c, k].sum() / eta3_den[c, k].sum())
-                eta3_frames = eta3_num[c, k] / eta3_den[c, k]
-                # the EH branch's input in nominal-transmit units
-                p_rx = float(np.mean(rx_p[c, k]) * norm[k] ** 2)
-                h_p_norm = eta3_mc * split.rho * (p_rx + split.sigma_a2)
-            else:
-                eta3_mc = h_p_norm = 0.0
-                eta3_frames = np.zeros(trials)
-            row.append(LinkMetrics(
-                rate_bps_hz=float(rates[r, k].mean()), harvested_norm=h_p_norm,
-                ber=float(ber[r, k].mean()),
-                eta1=eta1, eta3=eta3_mc, eta_e2e=eta1 * eta3_mc,
-                ibo_reduction_db=r_dpd + r_comp,
-                eta3_ci=_batch_ci(eta3_frames), ber_ci=_batch_ci(ber[r, k]),
-            ))
-        results.append(tuple(row))
-    return tuple(results)
+    eta1 = [efficiency_at_backoff(s.ibo_db - r_dpd - r_comp) if _saturating(s.pa) else 0.5
+            for r_dpd, r_comp, _ in reductions]
+
+    def metrics(c: int, p: int, k: int) -> LinkMetrics:
+        split = splits[p]
+        if split.rho > 0.0:
+            eta3_mc = float(eta3_num[c, k].sum() / eta3_den[c, k].sum())
+            eta3_frames = eta3_num[c, k] / eta3_den[c, k]
+            # the EH branch's input in nominal-transmit units
+            p_rx = float(np.mean(rx_p[c, k]) * norm[k] ** 2)
+            h_p_norm = eta3_mc * split.rho * (p_rx + split.sigma_a2)
+        else:
+            eta3_mc = h_p_norm = 0.0
+            eta3_frames = np.zeros(trials)
+        return LinkMetrics(
+            rate_bps_hz=float(rates[c, p, k].mean()), harvested_norm=h_p_norm,
+            ber=float(ber[c, p, k].mean()),
+            eta1=eta1[k], eta3=eta3_mc, eta_e2e=eta1[k] * eta3_mc,
+            ibo_reduction_db=reductions[k][0] + reductions[k][1],
+            eta3_ci=_batch_ci(eta3_frames), ber_ci=_batch_ci(ber[c, p, k]),
+        )
+
+    return tuple(tuple(tuple(metrics(c, p, k) for k in range(n_tech))
+                       for p in range(len(splits)))
+                 for c in range(len(channels)))
 
 
 def _fmt(v) -> str:

@@ -125,7 +125,8 @@ def test_criterion_5_combined_technique():
 
 
 def test_criterion_6_efficiency_table():
-    (results,) = run_techniques(Scenario(seed=1, trials=50), TABLE_TECHNIQUES)
+    ((results,),) = run_techniques(Scenario(seed=1, trials=50), TABLE_TECHNIQUES,
+                                   [ChannelSpec()], [SplitConfig()])
     rows = dict(zip(TABLE_TECHNIQUES, results))
     order = ("baseline", "dpd", "companding", "dpd_companding")
     eta1 = [100.0 * rows[t].eta1 for t in order]
@@ -152,14 +153,10 @@ def test_criterion_6_efficiency_table():
 
 
 def test_criterion_7_qpsk_awgn_ber_oracle():
-    s = Scenario(
-        channel=ChannelSpec(kind="awgn"),
-        split=SplitConfig(rho=0.0, sigma_a2=1.0, sigma_p2=0.0),
-        trials=245,
-        seed=7,
-    )
+    s = Scenario(trials=245, seed=7)
     points = (0.0, 4.0, 8.0)
-    res = run_techniques(s, ("linear",), _ebn0_receivers(s, points))
+    (res,) = run_techniques(s, ("linear",), [ChannelSpec(kind="awgn")],
+                            _ebn0_splits(s, points, rho=0.0, sigma_p2=0.0))
     n_bits = 2 * s.ofdm.n_subcarriers * s.frame_symbols * s.trials
     assert n_bits >= 1_000_000
     devs = []
@@ -207,36 +204,36 @@ def test_criterion_8_property_suite_spot_checks():
     # rho (P_rx + sigma_a2), P_rx at rho = 1 without antenna noise
     small = Scenario(ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2), trials=3, seed=8)
     techniques = ("linear", "baseline", "companding")
-    ((*p_rx,),) = run_techniques(
-        dataclasses.replace(small, eh=EhModel.linear(1.0)), techniques,
-        [(small.channel, SplitConfig(rho=1.0, sigma_a2=0.0))])
+    (((*p_rx,),),) = run_techniques(
+        dataclasses.replace(small, eh=EhModel.linear(1.0)), techniques, [ChannelSpec()],
+        [SplitConfig(rho=1.0, sigma_a2=0.0)])
     splits = [SplitConfig(rho=float(rng.uniform(0, 1)), sigma_a2=float(rng.uniform(0, 1e-2)),
                           sigma_p2=float(rng.uniform(0, 1e-2))) for _ in range(20)]
-    res = run_techniques(small, techniques, [(small.channel, split) for split in splits])
+    (res,) = run_techniques(small, techniques, [ChannelSpec()], splits)
     checks["harvested <= input"] = all(
         m.harvested_norm <= split.rho * (p.harvested_norm + split.sigma_a2) * (1.0 + 1e-12)
         for split, row in zip(splits, res) for m, p in zip(row, p_rx))
 
     rhos = np.linspace(0.0, 1.0, 11)
-    sweep = run_techniques(small, techniques, [
-        (small.channel, SplitConfig(rho=float(rho), sigma_a2=1e-3, sigma_p2=1e-3))
-        for rho in rhos])
+    (sweep,) = run_techniques(small, techniques, [ChannelSpec()], [
+        SplitConfig(rho=float(rho), sigma_a2=1e-3, sigma_p2=1e-3) for rho in rhos])
     rates = [[row[k].rate_bps_hz for row in sweep] for k in range(len(techniques))]
     hps = [[row[k].harvested_norm for row in sweep] for k in range(len(techniques))]
     checks["rate/energy monotone in rho"] = all(
         all(a >= b for a, b in zip(r, r[1:])) and all(a <= b for a, b in zip(h, h[1:]))
         for r, h in zip(rates, hps))
 
-    base = Scenario(trials=3, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
+    base = Scenario(trials=3, seed=9)
 
     def csv_bytes():
         import tempfile
         from pathlib import Path
 
         rhos = (0.2, 0.5, 0.8)
-        receivers = [(base.channel, dataclasses.replace(base.split, rho=rho)) for rho in rhos]
+        (points,) = run_techniques(base, ("baseline",), [ChannelSpec(kind="rayleigh_flat")],
+                                   [SplitConfig(rho=rho) for rho in rhos])
         rows = [(rho, m.rate_bps_hz, m.harvested_norm, m.eta3, m.ber)
-                for rho, (m,) in zip(rhos, run_techniques(base, ("baseline",), receivers))]
+                for rho, (m,) in zip(rhos, points)]
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "sweep.csv"
             write_csv(path, ("rho", "rate_bps_hz", "h_p_norm", "eta3", "ber"), rows,
@@ -251,31 +248,29 @@ def test_criterion_8_property_suite_spot_checks():
     assert all(checks.values()), checks
 
 
-def _ebn0_receivers(s: Scenario, points, kinds=None):
-    # one receiver per channel and Eb/N0 point, each keeping the scenario's
-    # splitting ratio and processing noise
-    kinds = (s.channel.kind,) if kinds is None else kinds
-    return [(ChannelSpec(kind=kind),
-             dataclasses.replace(s.split, sigma_a2=noise_for_ebn0(v, s.ofdm)))
-            for kind in kinds for v in points]
+def _ebn0_splits(s: Scenario, points, **split):
+    # one splitter per Eb/N0 point, each with the given splitting ratio and
+    # processing noise
+    return [SplitConfig(sigma_a2=noise_for_ebn0(v, s.ofdm), **split) for v in points]
 
 
 _KINDS = ("awgn", "rice_flat", "rayleigh_flat", "rayleigh_multitap")
+_CHANNELS = [ChannelSpec(kind=kind) for kind in _KINDS]
 
 
 def _eta3_by_channel(mu: float):
     s = Scenario(mu=mu, trials=50, seed=3)
-    res = run_techniques(s, ("companding",), _ebn0_receivers(s, (0.0, 4.0, 8.0), _KINDS))
-    return {kind: [m.eta3 for (m,) in res[3 * i:3 * i + 3]] for i, kind in enumerate(_KINDS)}
+    res = run_techniques(s, ("companding",), _CHANNELS, _ebn0_splits(s, (0.0, 4.0, 8.0)))
+    return {kind: [m.eta3 for (m,) in points] for kind, points in zip(_KINDS, res)}
 
 
 def _ber_by_channel(mu: float):
     techniques = ("baseline", "companding")
-    s = Scenario(mu=mu, trials=60, seed=5,
-                 split=SplitConfig(rho=0.0, sigma_a2=1.0, sigma_p2=0.0))
-    res = run_techniques(s, techniques, _ebn0_receivers(s, (0.0, 4.0, 8.0), _KINDS))
-    return {(kind, tech): [r[k].ber for r in res[3 * i:3 * i + 3]]
-            for i, kind in enumerate(_KINDS) for k, tech in enumerate(techniques)}
+    s = Scenario(mu=mu, trials=60, seed=5)
+    res = run_techniques(s, techniques, _CHANNELS,
+                         _ebn0_splits(s, (0.0, 4.0, 8.0), rho=0.0, sigma_p2=0.0))
+    return {(kind, tech): [r[k].ber for r in points]
+            for kind, points in zip(_KINDS, res) for k, tech in enumerate(techniques)}
 
 
 def test_criterion_9_fading_channel_trends():

@@ -32,7 +32,7 @@ from swiptsim.cli import (
     main,
     validate_config,
 )
-from swiptsim.channel import CHANNEL_KINDS
+from swiptsim.channel import CHANNEL_KINDS, ChannelSpec
 from swiptsim.harvester import EhModel
 from swiptsim.link import SplitConfig
 
@@ -360,7 +360,7 @@ def test_config_hash_covers_calibration_bytes(tmp_path):
     # the serialization of the resolved values is pinned
     assert config_hash(3, ofdm.OfdmConfig(**SMALL_OFDM)) == "3cfb074e0f05"
     assert config_hash(0, experiments.Scenario(eh=EhModel.linear(), trials=50)) == (
-        "d586ffffce72")
+        "869375c7f37c")
 
 
 def test_config_hash_sensitivity():
@@ -487,7 +487,8 @@ _CSV_SHA256 = {
 # when its ber note came to state the information branch's share, all four
 # when the config hash came to cover the resolved inputs, the three with a
 # ber or rate column when a trial's noise came to be shared by every
-# channel, all four when the scenario lost its back-off override, which
+# channel, all four when the scenario lost its back-off override and again
+# when it lost its channel and splitter to the pass's grid, each of which
 # moved only the config_hash line), and checked at 1, 2 and 3 threads,
 # which must not move a byte
 _MC_DIGEST_CFG = {
@@ -497,10 +498,10 @@ _MC_DIGEST_CFG = {
     "ber": {"ebn0_db": [0.0, 6.0], "techniques": ["baseline", "companding", "dpd"]},
 }
 _MC_CSV_SHA256 = {
-    "ber_curves.csv": "a1ae6caff9c4e8663dbaa50c87d4ae40c9701269ee928c3cdcb244f0ba32244c",
-    "technique_table.csv": "5a2a215481c0f6a9bc8f8568617d5ee16e1fbffdfda3166904237c0fa2fb20f4",
-    "channel_metrics.csv": "8106f7a36f80378b842fb87c509657a9a47443cd7274bf38959c01ad8b5078e2",
-    "rate_energy.csv": "fa716b4cef04348a9a826e10291d028e5b334337c0a34b783f7b1e28433eb27f",
+    "ber_curves.csv": "cb968558383c25d9cf3fb772afd6ef94d525ae70fbb1a945baf11e3e66ce0ed7",
+    "technique_table.csv": "8e27749595052ccaf8a0661c04b89c125a838c7ab8e2913d34ec7e38a9305836",
+    "channel_metrics.csv": "13f2be06d2b78209f0b1a89f1b12412a67a81278a8f8f8dcab805c2e73053efb",
+    "rate_energy.csv": "f88d60de958a8130f3be06d08ec55baef192f49df0613c85ee61b6a5b237e294",
 }
 
 
@@ -617,9 +618,8 @@ def test_e2e_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     assert len(outputs) == 1
 
 
-# The checks of scripts/run_rate_energy_sweep.py, the splitting-ratio sweep
-# that rate-energy replaced, run through rate-energy: each script flag maps
-# onto a rate-energy input.
+# The splitting-ratio sweep of rate-energy: its channel, its pinned bytes,
+# the inputs it rejects and the inputs that move its rows.
 
 
 def _rate_energy(tmp_path: Path, name: str, cfg: dict, *flags: str) -> list[str]:
@@ -636,7 +636,7 @@ def _rows(lines: list[str]) -> list[dict[str, str]]:
     return list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
 
 
-def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
+def test_rate_energy_runs_on_a_multitap_channel(tmp_path):
     # rate-energy lengthens the cyclic prefix for a frequency-selective
     # channel as e2e does
     lines = _rate_energy(tmp_path, "o", {"channel": {"kind": "rayleigh_multitap"},
@@ -646,13 +646,13 @@ def test_rate_energy_script_runs_on_a_multitap_channel(tmp_path):
     assert lines[-1].startswith("0.5,companding,")
 
 
-# the script's pinned run: companding on the multipath channel at rho 0.3
-# and 0.6, 2 trials at seed 0
+# the pinned sweep: companding on the multipath channel at rho 0.3 and 0.6,
+# 2 trials at seed 0
 _PINNED_SWEEP = {"channel": {"kind": "rayleigh_multitap"},
                  "rate_energy": {"rho_grid": [0.3, 0.6], "techniques": ["companding"]}}
 
 
-def _run_pinned_script(tmp_path, threads):
+def _run_pinned_sweep(tmp_path, threads):
     """rate_energy.csv's bytes on the pinned run."""
     _rate_energy(tmp_path, "o", _PINNED_SWEEP, "--trials", "2", "--seed", "0",
                  "--threads", str(threads))
@@ -660,23 +660,24 @@ def _run_pinned_script(tmp_path, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_rate_energy_script_csv_body_is_pinned(tmp_path, threads):
+def test_rate_energy_csv_body_is_pinned(tmp_path, threads):
     # the bytes after the provenance line, at either worker count
-    body = _run_pinned_script(tmp_path, threads).split(b"\n", 1)[1]
+    body = _run_pinned_sweep(tmp_path, threads).split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == (
         "429ed5c894334a9d3bbe16a9f134fa8f55bc5b158f43aa53db5d04ee75e6eabc")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
+def test_rate_energy_outputs_are_pinned(tmp_path, threads):
     # the whole file, at either worker count; its provenance line hashes
-    # the seed, the scenario after --trials, the techniques and the receivers
-    data = _run_pinned_script(tmp_path, threads)
+    # the seed, the scenario after --trials, the techniques, the channel
+    # and the splitters
+    data = _run_pinned_sweep(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "6f9efb6d8744005b0f26963a9e23be069b4c1397ab05974558049a43da8f1895")
-    base = build_scenario({"channel": _PINNED_SWEEP["channel"]}, 0, 2)
-    receivers = [(base.channel, SplitConfig(rho=rho)) for rho in (0.3, 0.6)]
-    h = config_hash(0, base, ("companding",), receivers)
+        "9e4031687681e9cfd2c18daa29d28e38d7780870a7a4d07e17abe5bc01d61597")
+    h = config_hash(0, build_scenario({}, 0, 2), ("companding",),
+                    ChannelSpec(kind="rayleigh_multitap"),
+                    [SplitConfig(rho=rho) for rho in (0.3, 0.6)])
     assert data.startswith(f"# config_hash={h} seed=0\n".encode())
 
 
@@ -686,10 +687,10 @@ def test_rate_energy_script_outputs_are_pinned(tmp_path, threads):
     ((), {"rho_grid": [1.5]}, "rho must lie in [0, 1]"),
     ((), {"rho_grid": [0.5, float("nan")]}, "values must be finite"),
     (("--seed", "-1"), {}, "seed must be non-negative"),
-], ids=["--trials", "--threads", "--rho=1.5", "--rho=nan", "--seed=-1"])
-def test_rate_energy_script_rejects_a_zero_count(tmp_path, capsys, flags, section, message):
-    # each input the script rejected: a configuration error, exit 2, and
-    # nothing written
+], ids=["--trials=0", "--threads=0", "rho_grid=1.5", "rho_grid=nan", "--seed=-1"])
+def test_rate_energy_rejects_a_bad_input(tmp_path, capsys, flags, section, message):
+    # a zero count, a splitting ratio outside [0, 1] or not finite, and a
+    # negative seed: a configuration error, exit 2, and nothing written
     cfg = write_cfg(tmp_path, {"rate_energy": section})
     out = tmp_path / "out"
     assert main(["rate-energy", "--config", cfg, *flags, "--out", str(out)]) == EXIT_CONFIG
@@ -697,10 +698,11 @@ def test_rate_energy_script_rejects_a_zero_count(tmp_path, capsys, flags, sectio
     assert not out.exists() or not any(out.iterdir())
 
 
-# a short run, and each script flag as the rate-energy input it maps onto
-_SCRIPT_BASE = {"rate_energy": {"rho_grid": [0.5], "techniques": ["companding"]}}
-_SCRIPT_FLAGS = {"--trials": "2", "--seed": "0", "--threads": "1"}
-_SCRIPT_PROBES = [("--technique", {"rate_energy": {"techniques": ["baseline"]}}, {}),
+# a short sweep, and each of its inputs moved, named by the flag or the
+# config key that moves it
+_SHORT_SWEEP = {"rate_energy": {"rho_grid": [0.5], "techniques": ["companding"]}}
+_SHORT_FLAGS = {"--trials": "2", "--seed": "0", "--threads": "1"}
+_INPUT_PROBES = [("--technique", {"rate_energy": {"techniques": ["baseline"]}}, {}),
                   ("--channel", {"channel": {"kind": "rayleigh_flat"}}, {}),
                   ("--trials", {}, {"--trials": "3"}),
                   ("--seed", {}, {"--seed": "1"}),
@@ -708,13 +710,13 @@ _SCRIPT_PROBES = [("--technique", {"rate_energy": {"techniques": ["baseline"]}},
                   ("--threads", {}, {"--threads": "2"})]
 
 
-@pytest.mark.parametrize("flag,section,flags", _SCRIPT_PROBES, ids=[p[0] for p in _SCRIPT_PROBES])
+@pytest.mark.parametrize("flag,section,flags", _INPUT_PROBES, ids=[p[0] for p in _INPUT_PROBES])
 def test_every_script_flag_changes_the_rows(tmp_path, flag, section, flags):
     # each input moves a row of the CSV; --threads moves no byte
     files = [_rate_energy(tmp_path, name, cfg, *(a for item in fl.items() for a in item))
-             for name, cfg, fl in (("base", _SCRIPT_BASE, _SCRIPT_FLAGS),
-                                   ("probe", _with(_SCRIPT_BASE, section),
-                                    {**_SCRIPT_FLAGS, **flags}))]
+             for name, cfg, fl in (("base", _SHORT_SWEEP, _SHORT_FLAGS),
+                                   ("probe", _with(_SHORT_SWEEP, section),
+                                    {**_SHORT_FLAGS, **flags}))]
     if flag == "--threads":
         assert files[0] == files[1]
     else:
@@ -881,6 +883,28 @@ def test_a_pass_designs_its_predistorter_once(tmp_path, design_calls, command, t
     assert len(design_calls) == made
 
 
+@pytest.mark.parametrize("command,techniques", [
+    ("e2e", None),
+    ("ber", ["dpd", "companding"]),
+    ("rate-energy", ["dpd_companding"]),
+])
+def test_a_reduction_past_ibo_db_designs_nothing(tmp_path, capsys, design_calls, command,
+                                                 techniques):
+    # companding's reduction (about 1.63 dB) alone runs past the back-off,
+    # and a DPD reduction is never negative, so the pass fails before it
+    # designs its predistorter
+    cfg = {"ofdm": SMALL_OFDM, "pa": {"ibo_db": 1.0},
+           "scenario": {"trials": 2, "frame_symbols": 1}}
+    if techniques is not None:
+        cfg[command.replace("-", "_")] = {"techniques": techniques}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == (
+        EXIT_CONFIG)
+    assert "reduction of 1.6322 dB runs past ibo_db = 1 dB" in capsys.readouterr().err
+    assert design_calls == []
+    assert not any(out.iterdir())
+
+
 def test_grid_triples_and_literal_lists():
     # three values whose third is below the second are [min, max, step];
     # any other list is taken as it is
@@ -952,9 +976,9 @@ def test_e2e_runs_on_a_configured_multitap_channel(tmp_path, monkeypatch):
     passes = []
     real = cli.run_techniques
 
-    def counting(s, techniques, receivers, *args):
-        passes.append([spec.kind for spec, _ in receivers])
-        return real(s, techniques, receivers, *args)
+    def counting(s, techniques, channels, splits, *args):
+        passes.append([spec.kind for spec in channels])
+        return real(s, techniques, channels, splits, *args)
 
     monkeypatch.setattr(cli, "run_techniques", counting)
     cfg = write_cfg(tmp_path, {"ofdm": SMALL_OFDM, "channel": {"kind": "rayleigh_multitap"},
@@ -1036,11 +1060,11 @@ def test_rate_energy_outputs_and_validation(tmp_path, capsys):
     {},
     {"pa": {"kind": "polynomial", "coeffs": [0.0, 1.0, 0.0, -0.05]}},
 ], ids=["sspa", "polynomial"])
-def test_rate_energy_matches_e2e_closed_form(tmp_path, extra):
+def test_rate_energy_matches_e2e_rows(tmp_path, extra):
     # both commands measure rate and H_P/E in one Monte Carlo pass, and a
-    # receiver's result does not depend on what else shares the pass: a
-    # rate-energy row equals the technique-table row of the same technique
-    # at the same rho
+    # channel's or a splitter's result does not depend on what else shares
+    # the pass: a rate-energy row equals the technique-table row of the same
+    # technique at the same rho
     cfg = write_cfg(tmp_path, {
         "ofdm": SMALL_OFDM,
         "scenario": {"trials": 2, "frame_symbols": 1},
@@ -1359,6 +1383,29 @@ def test_unread_key_moves_no_output_byte(tmp_path, command, key, value):
     cfg = _every_unread_key_malformed(command) if key is None else _set(KNOB_BASE, key, value)
     probe = _outputs(tmp_path / "probe", command, cfg)
     assert probe == _outputs(tmp_path / "base", command, KNOB_BASE)
+
+
+@pytest.mark.parametrize("command,key", [
+    ("papr", "papr.n_trials"),
+    ("mu-sweep", "mu_sweep.papr_trials"),
+    ("e2e", "scenario.trials"),
+    ("ber", "scenario.trials"),
+    ("rate-energy", "scenario.trials"),
+])
+def test_trials_replaces_a_count_unread(tmp_path, command, key):
+    # --trials replaces the configured Monte Carlo count, which is then not
+    # read: a malformed count exits 0 and moves no byte against a config
+    # without it
+    section, _, sub = key.partition(".")
+    clean = copy.deepcopy(KNOB_BASE)
+    del clean[section][sub]
+    files = []
+    for name, cfg in (("clean", clean), ("malformed", _set(clean, key, MALFORMED[section][sub]))):
+        out = tmp_path / name
+        assert main([command, "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
+                     "--out", str(out), "--trials", "3"]) == EXIT_OK
+        files.append(_contents(out))
+    assert files[0] == files[1]
 
 
 # the files each subcommand writes with svg on

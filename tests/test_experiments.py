@@ -27,6 +27,11 @@ from swiptsim.link import LinkMetrics, SplitConfig
 from swiptsim.ofdm import OfdmConfig, _qpsk, map_bits, synthesize_waveforms
 from swiptsim.pa import PaModel, amplify
 
+# a pass's channels or splitters: AWGN, the default splitter, flat Rayleigh
+AWGN = (ChannelSpec(),)
+SPLIT = (SplitConfig(),)
+RAYLEIGH = ChannelSpec(kind="rayleigh_flat")
+
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
@@ -49,6 +54,10 @@ def test_scenario_validation():
     # is no override of it
     with pytest.raises(TypeError, match="ibo_reduction_db"):
         Scenario(ibo_reduction_db=1.0)
+    # the channels and splitters are the pass's arguments, not the link's
+    for name, value in (("channel", ChannelSpec()), ("split", SplitConfig())):
+        with pytest.raises(TypeError, match=name):
+            Scenario(**{name: value})
     assert Scenario().eh is not None  # default rectenna filled in
 
 
@@ -123,13 +132,13 @@ def test_run_techniques_checks_its_inputs_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(experiments, "_stream", no_draw)
     tiny = OfdmConfig(n_subcarriers=2, oversampling_factor=1)
-    multitap = [(ChannelSpec(kind="rayleigh_multitap"), SplitConfig())]
+    multitap = [ChannelSpec(kind="rayleigh_multitap")]
     with pytest.raises(ConfigError, match="'rayleigh_multitap' needs a cyclic prefix of 4"):
-        run_techniques(Scenario(ofdm=tiny), ("baseline",), multitap)
+        run_techniques(Scenario(ofdm=tiny), ("baseline",), multitap, SPLIT)
     with pytest.raises(ConfigError, match="runs past ibo_db = 1 dB"):
-        run_techniques(Scenario(ofdm=tiny, ibo_db=1.0), ("baseline", "companding"))
+        run_techniques(Scenario(ofdm=tiny, ibo_db=1.0), ("baseline", "companding"), AWGN, SPLIT)
     with pytest.raises(ConfigError, match="needs a cyclic prefix"):
-        run_techniques(Scenario(ofdm=tiny, ibo_db=1.0), ("companding",), multitap)
+        run_techniques(Scenario(ofdm=tiny, ibo_db=1.0), ("companding",), multitap, SPLIT)
 
 
 def test_linear_technique_radiates_the_frames(monkeypatch):
@@ -149,7 +158,7 @@ def test_linear_technique_radiates_the_frames(monkeypatch):
 
     monkeypatch.setattr(experiments, "apply_channel", recording)
     monkeypatch.setattr(experiments, "amplify", no_amplifier)
-    run_techniques(s, ("linear",))
+    run_techniques(s, ("linear",), AWGN, SPLIT)
     bits = experiments._stream(s.seed, 0).integers(
         0, 2, size=(s.trials, 2 * 64 * s.frame_symbols), dtype=np.int8)
     frames = synthesize_waveforms(_qpsk(bits).reshape(-1, s.frame_symbols, 64), s.ofdm)
@@ -171,16 +180,16 @@ def test_companded_drive_radiates_hotter():
 
 
 def test_run_scenario_deterministic():
-    s = Scenario(trials=5, seed=42, channel=ChannelSpec(kind="rayleigh_flat"))
-    ((a,),) = run_techniques(s, ("companding",))
-    ((b,),) = run_techniques(s, ("companding",))
+    s = Scenario(trials=5, seed=42)
+    (((a,),),) = run_techniques(s, ("companding",), [RAYLEIGH], SPLIT)
+    (((b,),),) = run_techniques(s, ("companding",), [RAYLEIGH], SPLIT)
     assert a == b
 
 
 def test_run_scenario_rho_zero_harvests_nothing():
-    s = Scenario(trials=2, split=SplitConfig(rho=0.0, sigma_a2=1e-3,
-                                             sigma_p2=0.0))
-    ((m,),) = run_techniques(s, ("baseline",))
+    s = Scenario(trials=2)
+    (((m,),),) = run_techniques(s, ("baseline",), AWGN,
+                                [SplitConfig(rho=0.0, sigma_a2=1e-3, sigma_p2=0.0)])
     assert m.eta3 == 0.0
     assert m.eta_e2e == 0.0
 
@@ -190,7 +199,8 @@ def test_identity_chain_has_textbook_efficiencies():
     # every technique equivalent: eta1 stays at the class-A ceiling and
     # eta3 at the configured constant
     base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5))
-    for m in run_techniques(replace(base, seed=2, trials=5), TABLE_TECHNIQUES)[0]:
+    for m in run_techniques(replace(base, seed=2, trials=5), TABLE_TECHNIQUES, AWGN,
+                            SPLIT)[0][0]:
         assert m.eta1 == 0.5
         assert m.eta3 == 0.5
         assert m.eta_e2e == 0.25
@@ -198,29 +208,31 @@ def test_identity_chain_has_textbook_efficiencies():
 
 
 def test_table_pipeline_order_and_shape():
-    base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5),
-                    split=SplitConfig(rho=0.5))
-    (results,) = run_techniques(replace(base, seed=0, trials=2), TABLE_TECHNIQUES)
+    base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5))
+    ((results,),) = run_techniques(replace(base, seed=0, trials=2), TABLE_TECHNIQUES, AWGN,
+                                   [SplitConfig(rho=0.5)])
     assert TABLE_TECHNIQUES == ("baseline", "dpd", "companding", "dpd_companding")
     assert len(results) == len(TABLE_TECHNIQUES)
 
 
 def test_sweep_validation():
     s = Scenario(trials=1)
-    with pytest.raises(ValueError, match="at least one receiver"):
-        run_techniques(s, ("baseline",), ())
+    for channels, splits in (((), SPLIT), (AWGN, ()), ((), ())):
+        with pytest.raises(ValueError, match="at least one channel and one splitter"):
+            run_techniques(s, ("baseline",), channels, splits)
     with pytest.raises(ValueError, match="threads"):
-        run_techniques(s, ("baseline",), ((s.channel, s.split),), threads=0)
+        run_techniques(s, ("baseline",), AWGN, SPLIT, threads=0)
 
 
 def _rho_sweep(base, rhos, threads=1):
-    # the baseline along rho: one receiver per point on the base's channel
-    receivers = [(base.channel, replace(base.split, rho=rho)) for rho in rhos]
-    return [res[0] for res in run_techniques(base, ("baseline",), receivers, threads)]
+    # the baseline along rho: one splitter per point through Rayleigh fading
+    splits = [SplitConfig(rho=rho) for rho in rhos]
+    (points,) = run_techniques(base, ("baseline",), [RAYLEIGH], splits, threads)
+    return [res[0] for res in points]
 
 
 def test_sweep_rows_follow_axis_order():
-    base = Scenario(trials=2, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
+    base = Scenario(trials=2, seed=9)
     rows = _rho_sweep(base, (0.2, 0.5, 0.8))
     assert len(rows) == 3
     # the measured rate falls as the information branch's share does
@@ -231,7 +243,7 @@ def test_sweep_rows_follow_axis_order():
 
 
 def test_sweep_threads_match_serial():
-    base = Scenario(trials=3, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
+    base = Scenario(trials=3, seed=9)
     serial = _rho_sweep(base, (0.2, 0.5, 0.8), threads=1)
     pooled = _rho_sweep(base, (0.2, 0.5, 0.8), threads=3)
     assert serial == pooled
@@ -239,7 +251,7 @@ def test_sweep_threads_match_serial():
 
 def test_sweep_csv_byte_identical(tmp_path):
     # every LinkMetrics field of a rho sweep, through write_csv
-    base = Scenario(trials=3, seed=9, channel=ChannelSpec(kind="rayleigh_flat"))
+    base = Scenario(trials=3, seed=9)
     rhos = (0.2, 0.5, 0.8)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (p1, p2):
@@ -259,9 +271,9 @@ def test_ci_shrinks_with_trials():
     # or take estimator noise; geometric mean over three seeds
     ratios = []
     for seed in (11, 12, 13):
-        base = Scenario(channel=ChannelSpec(kind="rayleigh_flat"), seed=seed)
-        small = run_techniques(replace(base, trials=40), ("baseline",))[0][0].eta3_ci
-        big = run_techniques(replace(base, trials=160), ("baseline",))[0][0].eta3_ci
+        base = Scenario(seed=seed)
+        small, big = (run_techniques(replace(base, trials=n), ("baseline",), [RAYLEIGH],
+                                     SPLIT)[0][0][0].eta3_ci for n in (40, 160))
         ratios.append(small / big)
     geomean = float(np.exp(np.mean(np.log(ratios))))
     assert geomean == pytest.approx(1.7997888575199306, rel=1e-9)
@@ -290,11 +302,20 @@ technique_subsets = st.permutations(TECHNIQUES).flatmap(
     lambda order: st.integers(1, len(order)).map(lambda n: tuple(order[:n])))
 
 
-def _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed):
-    split = SplitConfig(rho=0.0 if rho_zero else SplitConfig().rho, sigma_p2=sigma_p2)
+def _tiny_scenario(kind, trials, seed):
     cp = 4 if kind == "rayleigh_multitap" else 0
-    return Scenario(ofdm=replace(TINY, cp_length=cp), channel=ChannelSpec(kind=kind),
-                    split=split, trials=trials, seed=seed, frame_symbols=2)
+    return Scenario(ofdm=replace(TINY, cp_length=cp), trials=trials, seed=seed,
+                    frame_symbols=2)
+
+
+def _tiny_split(rho_zero, sigma_p2):
+    return SplitConfig(rho=0.0 if rho_zero else SplitConfig().rho, sigma_p2=sigma_p2)
+
+
+def _one_receiver(s, techniques, kind, split, threads=1):
+    """Each technique's metrics through one channel into one splitter."""
+    (((*res,),),) = run_techniques(s, techniques, [ChannelSpec(kind=kind)], [split], threads)
+    return res
 
 
 @given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),
@@ -304,11 +325,11 @@ def _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed):
 def test_run_techniques_matches_single_runs(techniques, kind, rho_zero, sigma_p2,
                                             trials, seed):
     # one shared pass gives every technique exactly its own run's result
-    s = _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed)
-    (shared,) = run_techniques(s, techniques)
+    s, split = _tiny_scenario(kind, trials, seed), _tiny_split(rho_zero, sigma_p2)
+    shared = _one_receiver(s, techniques, kind, split)
     assert len(shared) == len(techniques)
     for tech, m in zip(techniques, shared):
-        _assert_same_metrics(m, run_techniques(s, (tech,))[0][0])
+        _assert_same_metrics(m, _one_receiver(s, (tech,), kind, split)[0])
 
 
 @given(techniques=technique_subsets, kind=st.sampled_from(CHANNEL_KINDS),
@@ -318,14 +339,14 @@ def test_run_techniques_matches_single_runs(techniques, kind, rho_zero, sigma_p2
 def test_run_techniques_blocks_and_threads_bit_identical(techniques, kind, rho_zero,
                                                          sigma_p2, trials, seed):
     # neither the trials per block nor the worker count touches a result
-    s = _tiny_scenario(kind, rho_zero, sigma_p2, trials, seed)
+    s, split = _tiny_scenario(kind, trials, seed), _tiny_split(rho_zero, sigma_p2)
     frame_bytes = 16 * s.frame_symbols * (s.ofdm.n_samples + s.ofdm.cp_length)
-    (reference,) = run_techniques(s, techniques)
+    reference = _one_receiver(s, techniques, kind, split)
     for per_block in (1, 2, 3, 4, trials):
         for threads in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(experiments, "_BLOCK_BYTES", per_block * frame_bytes)
-                (blocked,) = run_techniques(s, techniques, threads=threads)
+                blocked = _one_receiver(s, techniques, kind, split, threads)
             for a, b in zip(blocked, reference):
                 _assert_same_metrics(a, b)
 
@@ -333,17 +354,18 @@ def test_run_techniques_blocks_and_threads_bit_identical(techniques, kind, rho_z
 def test_run_techniques_pool_stress(monkeypatch):
     # more workers than cores, one trial per block and a short switch
     # interval: every block's slice of the shared result arrays arrives
-    s = _tiny_scenario("rayleigh_multitap", False, 1e-3, 24, 11)
-    receivers = [(ChannelSpec(kind=kind), s.split) for kind in CHANNEL_KINDS]
-    reference = run_techniques(s, TECHNIQUES, receivers)
+    s = _tiny_scenario("rayleigh_multitap", 24, 11)
+    channels = [ChannelSpec(kind=kind) for kind in CHANNEL_KINDS]
+    splits = [_tiny_split(False, 1e-3)]
+    reference = run_techniques(s, TECHNIQUES, channels, splits)
     monkeypatch.setattr(experiments, "_BLOCK_BYTES", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        stressed = run_techniques(s, TECHNIQUES, receivers, threads=8)
+        stressed = run_techniques(s, TECHNIQUES, channels, splits, threads=8)
     finally:
         sys.setswitchinterval(interval)
-    for res_a, res_b in zip(stressed, reference):
+    for (res_a,), (res_b,) in zip(stressed, reference):
         for a, b in zip(res_a, res_b):
             _assert_same_metrics(a, b)
 
@@ -352,55 +374,63 @@ def test_run_techniques_reference_without_baseline():
     # the power reference of every technique but linear is the baseline
     # amplifier output: the baseline's own waveform when it shares the
     # pass, computed apart when it does not, bit-identical either way
-    s = _tiny_scenario("rayleigh_flat", False, 1e-3, 3, 5)
+    s, split = _tiny_scenario("rayleigh_flat", 3, 5), _tiny_split(False, 1e-3)
+
+    def run(techniques):
+        return _one_receiver(s, techniques, "rayleigh_flat", split)
+
     for tech in [t for t in TECHNIQUES if t != "baseline"]:
-        alone = run_techniques(s, (tech,))[0][0]
-        _assert_same_metrics(run_techniques(s, (tech, "baseline"))[0][0], alone)
-        _assert_same_metrics(run_techniques(s, ("baseline", tech))[0][1], alone)
+        (alone,) = run((tech,))
+        _assert_same_metrics(run((tech, "baseline"))[0], alone)
+        _assert_same_metrics(run(("baseline", tech))[1], alone)
     # linear's reference is its own frames, with or without another's
-    for m, tech in zip(run_techniques(s, ("linear", "dpd"))[0], ("linear", "dpd")):
-        _assert_same_metrics(m, run_techniques(s, (tech,))[0][0])
+    for m, tech in zip(run(("linear", "dpd")), ("linear", "dpd")):
+        _assert_same_metrics(m, run((tech,))[0])
 
 
 def test_run_techniques_validation():
     s = Scenario(trials=1)
     with pytest.raises(ValueError, match="at least one"):
-        run_techniques(s, ())
+        run_techniques(s, (), AWGN, SPLIT)
     with pytest.raises(ValueError, match="repeat"):
-        run_techniques(s, ("baseline", "baseline"))
+        run_techniques(s, ("baseline", "baseline"), AWGN, SPLIT)
     with pytest.raises(ValueError, match="technique"):
-        run_techniques(s, ("beamforming",))
+        run_techniques(s, ("beamforming",), AWGN, SPLIT)
     with pytest.raises(ValueError, match="threads"):
-        run_techniques(s, ("baseline",), threads=0)
-    with pytest.raises(ValueError, match="at least one receiver"):
-        run_techniques(s, ("baseline",), ())
+        run_techniques(s, ("baseline",), AWGN, SPLIT, threads=0)
+    with pytest.raises(ValueError, match="at least one channel and one splitter"):
+        run_techniques(s, ("baseline",), (), SPLIT)
 
 
 @given(techniques=technique_subsets,
-       receivers=st.lists(
-           st.tuples(st.sampled_from(CHANNEL_KINDS), st.sampled_from((0.0, 0.3, 0.9)),
-                     st.sampled_from((0.0, 4.0, 12.0)), st.sampled_from((0.0, 1e-3))),
-           min_size=1, max_size=5),
+       kinds=st.lists(st.sampled_from(CHANNEL_KINDS), min_size=1, max_size=3),
+       splits=st.lists(
+           st.tuples(st.sampled_from((0.0, 0.3, 0.9)), st.sampled_from((0.0, 4.0, 12.0)),
+                     st.sampled_from((0.0, 1e-3))),
+           min_size=1, max_size=3),
        per_block=st.integers(1, 4), threads=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_receivers_match_single_receiver_runs(techniques, receivers, per_block, threads,
+def test_receivers_match_single_receiver_runs(techniques, kinds, splits, per_block, threads,
                                               seed):
-    # every receiver of a pass gets exactly what a pass of its own gives it,
-    # whatever else shares the draws, the block size and the worker count
-    s = _tiny_scenario("awgn", False, 1e-3, 3, seed)
-    receivers = [(ChannelSpec(kind=kind),
-                  SplitConfig(rho=rho, sigma_a2=noise_for_ebn0(ebn0, s.ofdm), sigma_p2=sp2))
-                 for kind, rho, ebn0, sp2 in receivers]
+    # every channel and splitter of a pass gets exactly what a pass of its
+    # own gives it, whatever else shares the draws, the block size and the
+    # worker count
+    s = _tiny_scenario("awgn", 3, seed)
+    splits = [SplitConfig(rho=rho, sigma_a2=noise_for_ebn0(ebn0, s.ofdm), sigma_p2=sp2)
+              for rho, ebn0, sp2 in splits]
     frame_bytes = 16 * s.frame_symbols * s.ofdm.n_samples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_BLOCK_BYTES", per_block * frame_bytes)
-        shared = run_techniques(s, techniques, receivers, threads)
-    assert len(shared) == len(receivers)
-    for receiver, res in zip(receivers, shared):
-        assert len(res) == len(techniques)
-        for tech, m in zip(techniques, res):
-            _assert_same_metrics(m, run_techniques(s, (tech,), (receiver,))[0][0])
+        shared = run_techniques(s, techniques, [ChannelSpec(kind=k) for k in kinds], splits,
+                                threads)
+    assert len(shared) == len(kinds)
+    for kind, points in zip(kinds, shared):
+        assert len(points) == len(splits)
+        for split, res in zip(splits, points):
+            assert len(res) == len(techniques)
+            for tech, m in zip(techniques, res):
+                _assert_same_metrics(m, _one_receiver(s, (tech,), kind, split)[0])
 
 
 def test_noise_is_keyed_by_the_trial_alone():
@@ -408,16 +438,16 @@ def test_noise_is_keyed_by_the_trial_alone():
     # trial's own noise, so a channel's rows do not depend on a channel with
     # a longer cyclic prefix sharing the pass, and the antenna noise of a
     # receiver does not depend on whether another one adds processing noise
-    s = _tiny_scenario("awgn", False, 1e-3, 3, 21)
-    awgn = (ChannelSpec(kind="awgn"), s.split)
-    multitap = (ChannelSpec(kind="rayleigh_multitap"), s.split)
-    assert channel_ofdm(s.ofdm, multitap[0]).cp_length > s.ofdm.cp_length
-    (alone,) = run_techniques(s, TECHNIQUES, [awgn])
-    together, _ = run_techniques(s, TECHNIQUES, [awgn, multitap])
+    s = _tiny_scenario("awgn", 3, 21)
+    split = _tiny_split(False, 1e-3)
+    multitap = ChannelSpec(kind="rayleigh_multitap")
+    assert channel_ofdm(s.ofdm, multitap).cp_length > s.ofdm.cp_length
+    ((alone,),) = run_techniques(s, TECHNIQUES, AWGN, [split])
+    (together,), _ = run_techniques(s, TECHNIQUES, [ChannelSpec(), multitap], [split])
     for a, b in zip(alone, together):
         _assert_same_metrics(a, b)
-    first = (s.channel, SplitConfig(rho=0.5, sigma_a2=1e-2, sigma_p2=0.0))
-    passes = [run_techniques(s, TECHNIQUES, [first, (s.channel, SplitConfig(sigma_p2=sp2))])
+    first = SplitConfig(rho=0.5, sigma_a2=1e-2, sigma_p2=0.0)
+    passes = [run_techniques(s, TECHNIQUES, AWGN, [first, SplitConfig(sigma_p2=sp2)])[0]
               for sp2 in (1e-3, 0.0)]
     for a, b in zip(passes[0][0], passes[1][0]):
         _assert_same_metrics(a, b)
@@ -426,11 +456,10 @@ def test_noise_is_keyed_by_the_trial_alone():
 
 def test_table_pipeline_matches_per_technique_runs():
     # the table is the four single-technique runs it always was
-    base = Scenario(ofdm=TINY, channel=ChannelSpec(kind="rice_flat"),
-                    split=SplitConfig(rho=0.5))
-    (table,) = run_techniques(replace(base, trials=3, seed=3), TABLE_TECHNIQUES)
+    s, split = Scenario(ofdm=TINY, trials=3, seed=3), SplitConfig(rho=0.5)
+    table = _one_receiver(s, TABLE_TECHNIQUES, "rice_flat", split)
     for tech, m in zip(TABLE_TECHNIQUES, table):
-        _assert_same_metrics(m, run_techniques(replace(base, trials=3, seed=3), (tech,))[0][0])
+        _assert_same_metrics(m, _one_receiver(s, (tech,), "rice_flat", split)[0])
     # the eta3 values of the common-random-number stream layout (the two
     # DPD values as of the design searched to 1e-4 dB)
     assert [m.eta3 for m in table] == [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swiptsim.channel import ChannelSpec
 from swiptsim.experiments import Scenario, run_techniques
 from swiptsim.harvester import (
     EhModel,
@@ -243,8 +244,8 @@ def test_linear_model_harvest():
     # the whole nominal transmit power reaches a linear harvester without
     # antenna noise; the processing noise is not harvested
     s = Scenario(ofdm=OfdmConfig(n_subcarriers=16, oversampling_factor=2),
-                 pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.25),
-                 split=SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=1e-3), trials=2)
-    ((m,),) = run_techniques(s, ("baseline",))
+                 pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.25), trials=2)
+    (((m,),),) = run_techniques(s, ("baseline",), [ChannelSpec()],
+                                [SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=1e-3)])
     assert m.eta3 == 0.25
     assert m.harvested_norm == pytest.approx(0.25, rel=1e-12)

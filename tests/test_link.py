@@ -120,8 +120,10 @@ def test_split_noise_matches_complex_form(sigma_a2, sigma_p2, trials):
             info_branch(y.copy(), split, antenna)
 
 
-def _receivers(s, splits):
-    return [(s.channel, split) for split in splits]
+def _through(s, techniques, splits, channel=ChannelSpec()):
+    """results[p][k] of the pass through one channel into each splitter."""
+    (points,) = run_techniques(s, techniques, [channel], splits)
+    return points
 
 
 def test_sinr_goldens():
@@ -131,7 +133,7 @@ def test_sinr_goldens():
     s = Scenario(ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=4), trials=40, seed=2)
     splits = (SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=0.0),
               SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3))
-    res = run_techniques(s, ("linear",), _receivers(s, splits))
+    res = _through(s, ("linear",), splits)
     for (m,), expected in zip(res, (4000.0, 4000.0 / 3.0)):
         assert 2.0 ** m.rate_bps_hz - 1.0 == pytest.approx(expected, rel=0.05)
 
@@ -155,9 +157,9 @@ def test_companded_sinr_golden_and_noise_inflation():
     # reduction; the companded rate is measured after the expander, which
     # amplifies the noise riding the compressed signal, so its SINR gains
     # less than that over the baseline's on the same draws
-    s = Scenario(pa=PaModel.polynomial((0.0, 1.0)), ofdm=SMALL, trials=10, seed=4,
-                 split=SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3))
-    ((base, comp),) = run_techniques(s, ("baseline", "companding"))
+    s = Scenario(pa=PaModel.polynomial((0.0, 1.0)), ofdm=SMALL, trials=10, seed=4)
+    ((base, comp),) = _through(s, ("baseline", "companding"),
+                               [SplitConfig(rho=0.5, sigma_a2=1e-3, sigma_p2=1e-3)])
     gain = (2.0 ** comp.rate_bps_hz - 1.0) / (2.0 ** base.rate_bps_hz - 1.0)
     assert 1.0 < gain < 10.0 ** (companding_ibo_reduction_db(s.mu) / 10.0)
     assert (base.rate_bps_hz, comp.rate_bps_hz) == pytest.approx(
@@ -188,11 +190,12 @@ def test_achievable_rate_basics():
 def test_harvested_additivity():
     # H_P/E is eta3 * rho * (P_rx + sigma_a2): the antenna noise adds its
     # share, and the processing noise, the information branch's, adds nothing
-    s = Scenario(ofdm=SMALL, trials=3, seed=6, channel=ChannelSpec(kind="rayleigh_flat"))
+    s = Scenario(ofdm=SMALL, trials=3, seed=6)
     splits = (SplitConfig(rho=0.7, sigma_a2=2e-3, sigma_p2=5e-4),
               SplitConfig(rho=0.7, sigma_a2=0.0, sigma_p2=5e-4),
               SplitConfig(rho=0.7, sigma_a2=0.0, sigma_p2=0.0))
-    (full,), (signal,), (quiet,) = run_techniques(s, ("companding",), _receivers(s, splits))
+    (full,), (signal,), (quiet,) = _through(s, ("companding",), splits,
+                                            ChannelSpec(kind="rayleigh_flat"))
     assert signal.harvested_norm == quiet.harvested_norm > 0.0
     assert full.harvested_norm == pytest.approx(
         quiet.harvested_norm + full.eta3 * 0.7 * 2e-3, rel=1e-12)
@@ -204,7 +207,7 @@ def test_harvested_goldens_and_limits():
     s = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5), ofdm=SMALL,
                  trials=3, seed=1)
     splits = (SplitConfig(rho=1.0, sigma_a2=0.0), SplitConfig(rho=0.5), SplitConfig(rho=0.0))
-    (ideal,), (plain,), (none,) = run_techniques(s, ("baseline",), _receivers(s, splits))
+    (ideal,), (plain,), (none,) = _through(s, ("baseline",), splits)
     assert ideal.harvested_norm == pytest.approx(0.5, rel=1e-12)
     assert plain.harvested_norm == pytest.approx(0.5 * 0.5 * (1.0 + 1e-3), rel=1e-12)
     assert none.harvested_norm == 0.0
@@ -217,7 +220,7 @@ def test_harvested_never_exceeds_input():
     splits = [SplitConfig(rho=rho, sigma_a2=1e-3) for rho in (0.1, 0.5, 0.9, 1.0)]
     for eh in (EhModel.linear(0.5), EhModel.default()):
         s = Scenario(ofdm=SMALL, eh=eh, trials=3, seed=7)
-        res = run_techniques(s, ("linear", "baseline"), _receivers(s, splits))
+        res = _through(s, ("linear", "baseline"), splits)
         for split, row in zip(splits, res):
             for m in row:
                 assert 0.0 < m.harvested_norm <= split.rho * (1.0 + split.sigma_a2) * (1 + 1e-12)
@@ -237,9 +240,7 @@ def test_rate_energy_tradeoff_monotone_in_rho():
     # rises with rho
     rhos = np.linspace(0.0, 1.0, 21)
     s = Scenario(ofdm=SMALL, trials=4, seed=3)
-    res = run_techniques(s, ("baseline",),
-                         _receivers(s, [dataclasses.replace(s.split, rho=float(rho))
-                                        for rho in rhos]))
+    res = _through(s, ("baseline",), [SplitConfig(rho=float(rho)) for rho in rhos])
     rates = [m.rate_bps_hz for (m,) in res]
     energies = [m.harvested_norm for (m,) in res]
     assert all(a > b for a, b in zip(rates, rates[1:]))
