@@ -39,7 +39,8 @@ are rejected with their location.  Schema (defaults in parentheses):
                (["baseline","companding"]), channels (all four); the lists
                are non-empty and without repeats.  ber replaces the whole
                split section (rho 0, sigma_p2 0, sigma_a2 from each Eb/N0
-               point) and reads no eh key
+               point) and channel.kind (each listed channel), and reads no
+               eh key
   rate_energy: rho_grid (0..0.9 plus 1-10^-k tail; non-empty, in [0, 1]),
                techniques (["baseline","companding"]; non-empty, without
                repeats, from "linear", "baseline", "dpd", "companding",
@@ -134,6 +135,7 @@ import numpy as np
 
 import swiptsim
 
+from . import harvester
 from .channel import CHANNEL_KINDS, ChannelSpec
 from .companding import (
     MU_GRID,
@@ -153,7 +155,6 @@ from .experiments import (
     run_techniques,
     write_csv,
 )
-from .harvester import EhModel, load_calibration
 from .link import SplitConfig
 from .ofdm import OfdmConfig, ccdf_from_samples, papr_samples_many
 from .pa import PaModel, efficiency_at_backoff
@@ -272,21 +273,27 @@ def build_channel(cfg: dict) -> ChannelSpec:
     return _build(ChannelSpec, "channel", section)
 
 
-def build_eh(cfg: dict) -> EhModel:
+def build_eh(cfg: dict) -> harvester.RectennaCurve | float:
+    """The harvester: the rectenna curve, or the linear benchmark's eta3_linear."""
     section = dict(cfg.get("eh", {}))
     kind = section.get("kind", "curve")
     if kind not in ("linear", "curve"):
         raise ConfigError(f"config section 'eh': unknown kind '{kind}'")
     _check_kind_keys(section, kind, {"eta3_linear": "linear", "calibration": "curve"}, "eh")
     if kind == "linear":
-        return _build(EhModel, "eh", section)
+        eta = section.get("eta3_linear", 0.5)
+        if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not 0.0 <= eta <= 1.0:
+            raise ConfigError(f"config section 'eh.eta3_linear': must be a number in [0, 1], "
+                              f"got {eta!r}")
+        return float(eta)
     path = section.get("calibration")
     if path is None:
-        return EhModel.default()
+        # looked up in the module at call time, so a replaced default is seen
+        return harvester.default_rectenna()
     if not isinstance(path, str):
         raise ConfigError("config section 'eh.calibration': must be a path string")
     try:
-        return EhModel(kind="curve", curve=load_calibration(path))
+        return harvester.load_calibration(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config section 'eh.calibration': {exc}") from exc
 
@@ -448,7 +455,8 @@ _COLUMNS = {
     "papr_reduction_db": "PAPR reduction at 1e-3 CCDF, measured on the seeded symbols",
     "k_l_c": "Bussgang gain of the companded drive",
     "sigma_d_c2": "its distortion power",
-    "mu*": "the mu maximizing snr_db (snr_db, k_l_c, sigma_d_c2 and mu* are the "
+    "mu*": f"the mu in [{MU_GRID[0]:g}, {MU_GRID[-1]:g}] maximizing snr_db, searched there "
+           "whatever mu_grid holds (snr_db, k_l_c, sigma_d_c2 and mu* are the "
            "soft-limiter closed form at the companded back-off with the first-order "
            "expander noise factor, and do not depend on pa.kind, pa.a_sat or pa.smoothness)",
 }
@@ -574,9 +582,11 @@ def cmd_ber(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, s
                         "ber", "technique")
     channels = _names(section, "channels", CHANNEL_KINDS, CHANNEL_KINDS, "ber", "channel")
     # one splitter per Eb/N0 point, which replaces the whole split section:
-    # no harvesting and no processing noise, so no split or eh key
+    # no harvesting and no processing noise, so no split or eh key; and each
+    # listed kind replaces channel.kind
     s = build_scenario(_only(cfg, eh=()), seed, trials)
-    specs = [replace(build_channel(cfg), kind=kind) for kind in channels]
+    channel = build_channel(_only(cfg, channel=("rice_k_db", "pdp_db")))
+    specs = [replace(channel, kind=kind) for kind in channels]
     h = config_hash(seed, s, techniques, ebn0, specs)
     splits = [SplitConfig(rho=0.0, sigma_a2=noise_for_ebn0(v, s.ofdm), sigma_p2=0.0)
               for v in ebn0]

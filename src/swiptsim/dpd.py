@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ofdm import OfdmConfig, ofdm_demodulate, random_frames
-from .pa import PaModel, amplify
+from .pa import PaModel, amplify, polyval
 
 log = logging.getLogger(__name__)
 
@@ -50,14 +50,7 @@ class PolyFit:
             raise ValueError("coefficient count must equal order + 1")
 
     def __call__(self, amplitude: np.ndarray) -> np.ndarray:
-        # numpy's polyval, c[-1] + x*0 then c[i] + y*x, in one array
-        x = np.asarray(amplitude, dtype=float)
-        y = x * 0.0
-        y += self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            y *= x
-            y += c
-        return y
+        return polyval(amplitude, self.coeffs)
 
 
 def fit_inverse_polynomial(train_out: np.ndarray, train_in: np.ndarray, order: int = 7) -> PolyFit:

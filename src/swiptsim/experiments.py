@@ -41,9 +41,9 @@ import numpy as np
 from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
 from .companding import companding_ibo_reduction_db, compress_waveform
 from .dpd import PolyFit, design_from_scratch
-from .harvester import EhModel, eta3 as eh_curve_eta3, watts_to_dbm
+from .harvester import RectennaCurve, default_rectenna, eta3 as eh_curve_eta3, watts_to_dbm
 from .link import LinkMetrics, demodulate_and_ber, info_branch
-from .ofdm import OfdmConfig, _qpsk, run_bounded, synthesize_waveforms, with_prefix
+from .ofdm import OfdmConfig, map_bits, run_bounded, synthesize_waveforms, with_prefix
 from .pa import PaModel, amplify, efficiency_at_backoff
 
 TECHNIQUES = ("linear", "baseline", "dpd", "companding", "dpd_companding")
@@ -66,14 +66,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """The transmitter and rectenna that the techniques are compared with;
+    """The transmitter and harvester that the techniques are compared with;
     ibo_db is the amplifier's nominal input back-off, which DPD and
-    companding reduce.  The channels and splitters are run_techniques's."""
+    companding reduce, and eh the harvester: a rectenna curve, or one
+    efficiency in [0, 1] for the linear benchmark.  The channels and
+    splitters are run_techniques's."""
 
     ofdm: OfdmConfig = OfdmConfig()
     pa: PaModel = PaModel.sspa(smoothness=1.2)
     ibo_db: float = 8.0
-    eh: EhModel = field(default_factory=EhModel.default)
+    eh: RectennaCurve | float = field(default_factory=default_rectenna)
     trials: int = 50
     seed: int = 0
     mu: float = 1.25
@@ -92,6 +94,10 @@ class Scenario:
             raise ValueError(f"ibo_db must be non-negative, got {self.ibo_db!r}")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
+        eh = self.eh
+        if not isinstance(eh, RectennaCurve) and (
+                isinstance(eh, bool) or not isinstance(eh, numbers.Real) or not 0.0 <= eh <= 1.0):
+            raise ValueError(f"eh must be a RectennaCurve or an efficiency in [0, 1], got {eh!r}")
 
 
 def _uses_dpd(technique: str) -> bool:
@@ -243,15 +249,14 @@ def run_techniques(
     the uncompressed frames: the baseline's transmit waveform, or, without
     a baseline in the pass, an amplification made for the reference alone.
 
-    The trials run in blocks of about _BLOCK_BYTES of frame samples, twice:
-    transmit, then, once the ensemble powers are known, one job per block
-    that draws the block's noise and, channel by channel, adds the
-    channel's prefix, applies its taps and builds every splitter's
-    branches.  With threads > 1 a pool of that many workers processes the
-    jobs, at most 2 * threads in flight, and with 1 the calling thread
-    does (see ofdm.run_bounded).  A pass whose trials fit in one block (at
-    most 4 trials at N=512, L=4 and 4 symbols) makes a single receive job,
-    so it gains nothing from threads > 1.
+    The trials run in blocks of about _BLOCK_BYTES of frame samples, and
+    of at most ceil(trials / threads) trials, so that every worker gets a
+    block, twice: transmit, then, once the ensemble powers are known, one
+    job per block that draws the block's noise and, channel by channel,
+    adds the channel's prefix, applies its taps and builds every
+    splitter's branches.  With threads > 1 a pool of that many workers
+    processes the jobs, at most 2 * threads in flight, and with 1 the
+    calling thread does (see ofdm.run_bounded).
 
     Memory: every technique's transmit frames are held for the receive
     pass, len(techniques) x trials x frame_symbols x N*L complex128
@@ -289,7 +294,7 @@ def run_techniques(
     cfg = replace(s.ofdm, cp_length=0)
     trials = s.trials
     frame_len = s.frame_symbols * cfg.n_samples
-    block = max(1, _BLOCK_BYTES // (16 * frame_len))
+    block = max(1, min(_BLOCK_BYTES // (16 * frame_len), math.ceil(trials / threads)))
     blocks = [slice(i, min(i + block, trials)) for i in range(0, trials, block)]
     companded = [_uses_companding(t) for t in techniques]
     base = techniques.index("baseline") if "baseline" in techniques else None
@@ -315,7 +320,7 @@ def run_techniques(
         return apply_channel(x, taps[c][rows], chan_cfg[c].cp_length)
 
     def transmit(rows: slice) -> None:
-        grids = _qpsk(bits[rows]).reshape(-1, s.frame_symbols, cfg.n_subcarriers)
+        grids = map_bits(bits[rows]).reshape(-1, s.frame_symbols, cfg.n_subcarriers)
         x = synthesize_waveforms(grids, cfg).reshape(-1, frame_len)
         compressed = None
         if any(companded):
@@ -372,7 +377,7 @@ def run_techniques(
         for d, z in enumerate(draws):
             for i, row in enumerate(z, rows.start):
                 _stream(s.seed, _NOISE, i, d).standard_normal(out=row.view(np.float64))
-        sent = _qpsk(bits[rows])
+        sent = map_bits(bits[rows])
         for c in range(len(channels)):
             antenna = draws[0, :, :rx_len[c]]
             branch = draws[1, :, :rx_len[c]] if n_draws == 2 else None

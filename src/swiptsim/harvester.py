@@ -1,6 +1,7 @@
 """RF-to-DC harvester models.
 
-Two flavors: a constant-efficiency linear benchmark, and a measured-curve
+A harvester is its efficiency: one number in [0, 1] for the
+constant-efficiency linear benchmark, or a RectennaCurve, a measured-curve
 rectenna whose conversion efficiency depends on instantaneous input power.
 The curve is its calibration table, ``p_in_dbm,eta3`` rows used as given
 and interpolated linearly in dBm: zero below the first row (the
@@ -109,35 +110,11 @@ class RectennaCurve:
         return p
 
 
-@dataclass(frozen=True)
-class EhModel:
-    """Harvester model: constant linear benchmark or rectenna curve."""
-
-    kind: str = "curve"
-    eta3_linear: float = 0.5
-    curve: RectennaCurve | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("linear", "curve"):
-            raise ValueError(f"unknown harvester kind {self.kind!r}")
-        if not 0.0 <= self.eta3_linear <= 1.0:
-            raise ValueError("eta3_linear must lie in [0, 1]")
-        if self.kind == "curve" and self.curve is None:
-            raise ValueError("curve mode needs a RectennaCurve")
-
-    @classmethod
-    def linear(cls, eta3: float = 0.5) -> "EhModel":
-        return cls(kind="linear", eta3_linear=eta3, curve=None)
-
-    @classmethod
-    def default(cls) -> "EhModel":
-        return cls(kind="curve", curve=default_rectenna())
-
-
-def eta3(model: EhModel, p_in_dbm) -> np.ndarray:
-    if model.kind == "linear":
-        return np.full_like(np.asarray(p_in_dbm, dtype=float), model.eta3_linear)
-    return model.curve.eta3(p_in_dbm)
+def eta3(model: RectennaCurve | float, p_in_dbm) -> np.ndarray:
+    """Efficiency at the input power(s): the curve's, or the linear benchmark's."""
+    if isinstance(model, RectennaCurve):
+        return model.eta3(p_in_dbm)
+    return np.full_like(np.asarray(p_in_dbm, dtype=float), model)
 
 
 def watts_to_dbm(p_w) -> np.ndarray:

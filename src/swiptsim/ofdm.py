@@ -59,21 +59,12 @@ class OfdmConfig:
 
 
 def map_bits(bits: np.ndarray) -> np.ndarray:
-    """Gray-map a 0/1 vector onto unit-energy QPSK symbols.
+    """Gray-map the 0/1 bit pairs along the last axis onto unit-energy QPSK
+    symbols, unchecked.
 
     The first bit of each pair selects the sign of the real part, the second
     the sign of the imaginary part, 0 mapping to +: 00 -> (1+1j)/sqrt(2).
     """
-    bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.size % 2 != 0:
-        raise ValueError("bit vector must be one-dimensional with even length")
-    if bits.size and not np.isin(bits, (0, 1)).all():
-        raise ValueError("bits must be 0 or 1")
-    return _qpsk(bits)
-
-
-def _qpsk(bits: np.ndarray) -> np.ndarray:
-    # unchecked map_bits on the bit pairs along the last axis
     return _QPSK_SCALE * ((1.0 - 2.0 * bits[..., 0::2]) + 1j * (1.0 - 2.0 * bits[..., 1::2]))
 
 
@@ -90,8 +81,9 @@ def random_frames(
     """n_symbols random QPSK grids, shape (n_symbols, N), and their
     synthesized symbols as one flat waveform scaled to unit mean power.
     """
-    grids = _qpsk(rng.integers(0, 2, size=(n_symbols, 2 * cfg.n_subcarriers)))
-    return grids, normalize_power(synthesize_waveforms(grids, cfg).ravel())
+    grids = map_bits(rng.integers(0, 2, size=(n_symbols, 2 * cfg.n_subcarriers)))
+    x = synthesize_waveforms(grids, cfg).ravel()
+    return grids, x / np.sqrt(np.mean(np.abs(x) ** 2))
 
 
 def _pack_spectrum(grids: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -207,7 +199,7 @@ def papr_samples_many(
     held = threading.local()
 
     def measure(start: int, bits: np.ndarray) -> None:
-        held.x = synthesize_waveforms(_qpsk(bits), cfg)
+        held.x = synthesize_waveforms(map_bits(bits), cfg)
         m = np.abs(held.x)
         for row, transform in zip(out, transforms):
             # one map's temporaries are freed before the next runs
@@ -263,12 +255,3 @@ def papr_quantile_db(papr_db_samples: np.ndarray, exceedance: float) -> float:
     if not 0.0 < exceedance < 1.0:
         raise ValueError("exceedance must lie in (0, 1)")
     return float(np.quantile(np.asarray(papr_db_samples), 1.0 - exceedance))
-
-
-def normalize_power(samples: np.ndarray) -> np.ndarray:
-    """Scale a sample block to unit average power."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    p = np.mean(np.abs(samples) ** 2)
-    if p <= 0:
-        raise ValueError("cannot normalize a zero-power block")
-    return samples / np.sqrt(p)

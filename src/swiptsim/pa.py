@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 MAX_CLASS_A_EFFICIENCY = 0.5
 
@@ -79,7 +78,7 @@ class PaModel:
         if self.kind == "soft_limiter":
             return np.minimum(m, self.a_sat)
         if self.kind == "polynomial":
-            out = npoly.polyval(m, np.asarray(self.coeffs))
+            out = polyval(m, self.coeffs)
             if np.any(out < 0):
                 # an amplitude, not a phase flip through scale_envelope
                 raise ValueError(f"polynomial AM/AM output is negative at input "
@@ -93,6 +92,18 @@ class PaModel:
         d += 1.0
         d **= 1.0 / two_p
         return np.divide(m, d, out=d if d.ndim else None)
+
+
+def polyval(x, coeffs) -> np.ndarray:
+    """The polynomial of ascending coefficients at x, by numpy's polyval
+    recurrence, c[-1] + x*0 then c[i] + y*x, in one array: the same bits."""
+    x = np.asarray(x, dtype=float)
+    y = x * 0.0
+    y += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        y *= x
+        y += c
+    return y
 
 
 def scale_envelope(x: np.ndarray, f) -> np.ndarray:

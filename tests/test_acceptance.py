@@ -29,7 +29,6 @@ from swiptsim.experiments import (
     run_techniques,
     write_csv,
 )
-from swiptsim.harvester import EhModel
 from swiptsim.link import SplitConfig
 from swiptsim.ofdm import (
     OfdmConfig,
@@ -205,7 +204,7 @@ def test_criterion_8_property_suite_spot_checks():
     small = Scenario(ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2), trials=3, seed=8)
     techniques = ("linear", "baseline", "companding")
     (((*p_rx,),),) = run_techniques(
-        dataclasses.replace(small, eh=EhModel.linear(1.0)), techniques, [ChannelSpec()],
+        dataclasses.replace(small, eh=1.0), techniques, [ChannelSpec()],
         [SplitConfig(rho=1.0, sigma_a2=0.0)])
     splits = [SplitConfig(rho=float(rng.uniform(0, 1)), sigma_a2=float(rng.uniform(0, 1e-2)),
                           sigma_p2=float(rng.uniform(0, 1e-2))) for _ in range(20)]

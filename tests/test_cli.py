@@ -23,9 +23,12 @@ from swiptsim.cli import (
     ConfigError,
     _SCHEMA,
     _grid,
+    build_channel,
     build_eh,
+    build_ofdm,
     build_pa,
     build_scenario,
+    build_split,
     cmd_papr,
     config_hash,
     load_config,
@@ -33,7 +36,6 @@ from swiptsim.cli import (
     validate_config,
 )
 from swiptsim.channel import CHANNEL_KINDS, ChannelSpec
-from swiptsim.harvester import EhModel
 from swiptsim.link import SplitConfig
 
 SMALL_OFDM = {"n_subcarriers": 64, "oversampling_factor": 2}
@@ -85,8 +87,9 @@ def test_build_helpers():
     with pytest.raises(ConfigError, match="'pa'"):
         build_pa({"pa": {"kind": "valve"}})
 
-    assert build_eh({"eh": {"kind": "linear", "eta3_linear": 0.4}}).eta3_linear == 0.4
-    assert build_eh({}).kind == "curve"
+    assert build_eh({"eh": {"kind": "linear", "eta3_linear": 0.4}}) == 0.4
+    assert build_eh({"eh": {"kind": "linear"}}) == 0.5
+    assert build_eh({}) == harvester.default_rectenna()
     with pytest.raises(ConfigError, match="unknown kind"):
         build_eh({"eh": {"kind": "diode"}})
     with pytest.raises(ConfigError, match="eh.calibration"):
@@ -359,8 +362,8 @@ def test_config_hash_covers_calibration_bytes(tmp_path):
                  "--trials", "10"]) == EXIT_CONFIG
     # the serialization of the resolved values is pinned
     assert config_hash(3, ofdm.OfdmConfig(**SMALL_OFDM)) == "3cfb074e0f05"
-    assert config_hash(0, experiments.Scenario(eh=EhModel.linear(), trials=50)) == (
-        "869375c7f37c")
+    assert config_hash(0, experiments.Scenario(eh=0.5, trials=50)) == (
+        "b39d564abf0a")
 
 
 def test_config_hash_sensitivity():
@@ -464,9 +467,10 @@ def test_papr_outputs_do_not_depend_on_threads(tmp_path):
 # sha256 of each CSV at seed 0 on _DIGEST_CFG, recorded before the PAPR
 # path moved from complex waveforms to envelopes (dpd_evm.csv when its
 # table came to be measured on the design's probe whatever the prefix,
-# mu_sweep.csv when a comment line came to say what its columns are, and
-# every file when the config hash came to cover the resolved inputs); a
-# change that moves a byte of these files updates the digests and says so
+# mu_sweep.csv when a comment line came to say what its columns are and
+# again when it came to say where mu* is searched, and every file when the
+# config hash came to cover the resolved inputs); a change that moves a
+# byte of these files updates the digests and says so
 _DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 4, "cp_length": 8},
     "papr": {"mu_grid": [0.0, 1.25, 255.0], "n_trials": 2000},
@@ -474,7 +478,7 @@ _DIGEST_CFG = {
 }
 _CSV_SHA256 = {
     "papr_ccdf.csv": "2c711c12b558bdb98650dd6ee9f23e55822d1e2e2a89142bddfd52d653cb5d1b",
-    "mu_sweep.csv": "f677ad828d47e9107120bea978e82b2b7ccace95408c213a427cef5f6d29089a",
+    "mu_sweep.csv": "e6c270d3599cc6df38d26f1d3d1a5cb97bd40a0fb61af3006572773f65d669cb",
     "dpd_evm.csv": "8b65cc72d3ddd79e3cf7c4ed985c55e7c341a28256218514e4c17d9f5692777f",
 }
 
@@ -488,8 +492,9 @@ _CSV_SHA256 = {
 # when the config hash came to cover the resolved inputs, the three with a
 # ber or rate column when a trial's noise came to be shared by every
 # channel, all four when the scenario lost its back-off override and again
-# when it lost its channel and splitter to the pass's grid, each of which
-# moved only the config_hash line), and checked at 1, 2 and 3 threads,
+# when it lost its channel and splitter to the pass's grid, and all four
+# when its harvester came to be the curve or the efficiency itself, each of
+# which moved only the config_hash line), and checked at 1, 2 and 3 threads,
 # which must not move a byte
 _MC_DIGEST_CFG = {
     "ofdm": {"n_subcarriers": 64, "oversampling_factor": 2, "cp_length": 4},
@@ -498,10 +503,10 @@ _MC_DIGEST_CFG = {
     "ber": {"ebn0_db": [0.0, 6.0], "techniques": ["baseline", "companding", "dpd"]},
 }
 _MC_CSV_SHA256 = {
-    "ber_curves.csv": "cb968558383c25d9cf3fb772afd6ef94d525ae70fbb1a945baf11e3e66ce0ed7",
-    "technique_table.csv": "8e27749595052ccaf8a0661c04b89c125a838c7ab8e2913d34ec7e38a9305836",
-    "channel_metrics.csv": "13f2be06d2b78209f0b1a89f1b12412a67a81278a8f8f8dcab805c2e73053efb",
-    "rate_energy.csv": "f88d60de958a8130f3be06d08ec55baef192f49df0613c85ee61b6a5b237e294",
+    "ber_curves.csv": "7b9962639661d52ffbe1867b190d7318f5df5f0dee9e871f5c13f89f24c92af7",
+    "technique_table.csv": "8da8b77fcf2f5a35f66af7b6a210a851f515357303c959d4a971e1dbadf8f6f4",
+    "channel_metrics.csv": "0b477e2b0ee2bee915c882044d54efb8566a81c8bcfc911b433a300229ff5647",
+    "rate_energy.csv": "89979aad4c26417fb077c52342b4233120a3b8d5955c4286c3adad94d7e35c95",
 }
 
 
@@ -674,7 +679,7 @@ def test_rate_energy_outputs_are_pinned(tmp_path, threads):
     # and the splitters
     data = _run_pinned_sweep(tmp_path, threads)
     assert hashlib.sha256(data).hexdigest() == (
-        "9e4031687681e9cfd2c18daa29d28e38d7780870a7a4d07e17abe5bc01d61597")
+        "a9ed89bce46610038d7cff47de3b80c333b97ad2c1ab9fd41e271ecddab3ecdc")
     h = config_hash(0, build_scenario({}, 0, 2), ("companding",),
                     ChannelSpec(kind="rayleigh_multitap"),
                     [SplitConfig(rho=rho) for rho in (0.3, 0.6)])
@@ -768,7 +773,7 @@ def test_calibration_file_fits_with_scipy(tmp_path):
     assert codes == [EXIT_OK]
     assert loaded == []
     # the same curve as the packaged default
-    assert build_eh(cfg).curve == EhModel.default().curve
+    assert build_eh(cfg) == harvester.default_rectenna()
 
 
 def test_dpd_design_outputs(tmp_path):
@@ -1255,6 +1260,42 @@ def test_cli_docstring_schema_names_every_key():
         assert sorted(re.findall(r"(?:^|, )(\w+) \(\)", text)) == sorted(allowed), name
 
 
+def _docstring_number(text: str) -> float:
+    """A schema default: a number, or a difference of two such as 1 - 1e-6."""
+    terms = text.split(" - ")
+    return float(terms[0]) - sum(float(t) for t in terms[1:])
+
+
+def test_cli_docstring_schema_states_the_defaults():
+    # each numeric default that the schema block states in parentheses, up
+    # to its first comma or semicolon, is the one the builders resolve from
+    # an empty config (eta3_linear's from a linear harvester)
+    pa, ibo_db = build_pa({})
+    scenario = build_scenario({}, 0, None)
+    resolved = {
+        "ofdm": vars(build_ofdm({})),
+        "pa": {**vars(pa), "ibo_db": ibo_db},
+        "split": vars(build_split({})),
+        "channel": vars(build_channel({})),
+        "scenario": {name: getattr(scenario, name) for name in ("mu", "trials", "frame_symbols")},
+        "eh": {"eta3_linear": build_eh({"eh": {"kind": "linear"}})},
+    }
+    entries = _docstring_schema(cli.__doc__)
+    stated = {(name, key): _docstring_number(value)
+              for name in resolved
+              for key, value in re.findall(r"(\w+) \((\d[^,;)]*)", entries[name])}
+    assert sorted(stated) == sorted([
+        ("ofdm", "n_subcarriers"), ("ofdm", "oversampling_factor"), ("ofdm", "cp_length"),
+        ("pa", "a_sat"), ("pa", "smoothness"), ("pa", "ibo_db"),
+        ("split", "rho"), ("split", "sigma_a2"), ("split", "sigma_p2"),
+        ("channel", "rice_k_db"),
+        ("scenario", "mu"), ("scenario", "trials"), ("scenario", "frame_symbols"),
+        ("eh", "eta3_linear"),
+    ])
+    for (name, key), value in stated.items():
+        assert resolved[name][key] == value, f"{name}.{key}"
+
+
 @pytest.mark.parametrize("command,key,value,needs", KNOB_PROBES,
                          ids=[probe[1] for probe in KNOB_PROBES])
 def test_every_config_key_changes_an_output(tmp_path, command, key, value, needs):
@@ -1305,6 +1346,7 @@ UNREAD_PROBES = [
 REPLACED_PROBES = [
     ("rate-energy", "split.rho", 2),
     ("dpd-design", "ofdm.cp_length", -1),
+    ("ber", "channel.kind", "tin_can"),
 ]
 
 
@@ -1330,7 +1372,7 @@ READS = {
     "dpd-design": ("ofdm.n_subcarriers", "ofdm.oversampling_factor", "pa", "dpd"),
     "mu-sweep": ("ofdm", "pa.ibo_db", "split.sigma_a2", "mu_sweep"),
     "e2e": ("ofdm", "pa", "split", "channel", "scenario", "eh"),
-    "ber": ("ofdm", "pa", "channel", "scenario", "ber"),
+    "ber": ("ofdm", "pa", "channel.rice_k_db", "channel.pdp_db", "scenario", "ber"),
     "rate-energy": ("ofdm", "pa", "split.sigma_a2", "split.sigma_p2", "channel",
                     "scenario", "eh", "rate_energy"),
 }

@@ -22,9 +22,8 @@ from swiptsim.experiments import (
     technique_reductions,
     write_csv,
 )
-from swiptsim.harvester import EhModel
 from swiptsim.link import LinkMetrics, SplitConfig
-from swiptsim.ofdm import OfdmConfig, _qpsk, map_bits, synthesize_waveforms
+from swiptsim.ofdm import OfdmConfig, map_bits, run_bounded, synthesize_waveforms
 from swiptsim.pa import PaModel, amplify
 
 # a pass's channels or splitters: AWGN, the default splitter, flat Rayleigh
@@ -161,7 +160,7 @@ def test_linear_technique_radiates_the_frames(monkeypatch):
     run_techniques(s, ("linear",), AWGN, SPLIT)
     bits = experiments._stream(s.seed, 0).integers(
         0, 2, size=(s.trials, 2 * 64 * s.frame_symbols), dtype=np.int8)
-    frames = synthesize_waveforms(_qpsk(bits).reshape(-1, s.frame_symbols, 64), s.ofdm)
+    frames = synthesize_waveforms(map_bits(bits).reshape(-1, s.frame_symbols, 64), s.ofdm)
     np.testing.assert_array_equal(seen[0], frames.reshape(s.trials, -1))
 
 
@@ -198,7 +197,7 @@ def test_identity_chain_has_textbook_efficiencies():
     # a perfectly linear amplifier and a constant-efficiency harvester make
     # every technique equivalent: eta1 stays at the class-A ceiling and
     # eta3 at the configured constant
-    base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5))
+    base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=0.5)
     for m in run_techniques(replace(base, seed=2, trials=5), TABLE_TECHNIQUES, AWGN,
                             SPLIT)[0][0]:
         assert m.eta1 == 0.5
@@ -208,7 +207,7 @@ def test_identity_chain_has_textbook_efficiencies():
 
 
 def test_table_pipeline_order_and_shape():
-    base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5))
+    base = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=0.5)
     ((results,),) = run_techniques(replace(base, seed=0, trials=2), TABLE_TECHNIQUES, AWGN,
                                    [SplitConfig(rho=0.5)])
     assert TABLE_TECHNIQUES == ("baseline", "dpd", "companding", "dpd_companding")
@@ -368,6 +367,26 @@ def test_run_techniques_pool_stress(monkeypatch):
     for (res_a,), (res_b,) in zip(stressed, reference):
         for a, b in zip(res_a, res_b):
             _assert_same_metrics(a, b)
+
+
+def test_a_small_pass_gives_every_thread_a_block(monkeypatch):
+    # the trials per block are capped at ceil(trials / threads): 4 trials
+    # fill one block at N=512, L=4 and 4 symbols, yet make 2 receive jobs on
+    # 2 threads, while 50 trials keep their blocks of 4
+    jobs = []
+
+    def recording(work, blocks, threads):
+        blocks = [rows for (rows,) in blocks]
+        jobs.append([rows.stop - rows.start for rows in blocks])
+        run_bounded(work, ((rows,) for rows in blocks), threads)
+
+    monkeypatch.setattr(experiments, "run_bounded", recording)
+    split = [SplitConfig(rho=0.0, sigma_a2=1e-3, sigma_p2=0.0)]
+    for trials, threads, sizes in ((4, 1, [4]), (4, 2, [2, 2]), (50, 2, [4] * 12 + [2])):
+        jobs.clear()
+        run_techniques(Scenario(trials=trials), ("baseline",), AWGN, split, threads)
+        # the transmit pass, then the receive pass
+        assert jobs == [sizes, sizes]
 
 
 def test_run_techniques_reference_without_baseline():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from swiptsim.channel import ChannelSpec
 from swiptsim.experiments import Scenario, run_techniques
 from swiptsim.harvester import (
-    EhModel,
     RectennaCurve,
     default_rectenna,
     eta3,
@@ -34,15 +33,13 @@ def test_watts_to_dbm():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        EhModel(kind="quadratic")
-    with pytest.raises(ValueError):
-        EhModel.linear(eta3=1.5)
-    with pytest.raises(ValueError):
-        EhModel(kind="curve", curve=None)
-    lin = EhModel.linear(0.5)
-    assert float(eta3(lin, -100.0)) == 0.5
-    assert float(eta3(lin, 50.0)) == 0.5
+    # a harvester is a rectenna curve or one efficiency in [0, 1]
+    for bad in (1.5, -0.1, float("nan"), True, "0.5", None):
+        with pytest.raises(ValueError, match="eh must be"):
+            Scenario(eh=bad)
+    assert Scenario(eh=0).eh == 0
+    assert float(eta3(0.5, -100.0)) == 0.5
+    assert float(eta3(0.5, 50.0)) == 0.5
 
 
 def test_default_curve_goldens():
@@ -244,7 +241,7 @@ def test_linear_model_harvest():
     # the whole nominal transmit power reaches a linear harvester without
     # antenna noise; the processing noise is not harvested
     s = Scenario(ofdm=OfdmConfig(n_subcarriers=16, oversampling_factor=2),
-                 pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.25), trials=2)
+                 pa=PaModel.polynomial((0.0, 1.0)), eh=0.25, trials=2)
     (((m,),),) = run_techniques(s, ("baseline",), [ChannelSpec()],
                                 [SplitConfig(rho=1.0, sigma_a2=0.0, sigma_p2=1e-3)])
     assert m.eta3 == 0.25

@@ -7,7 +7,7 @@ from swiptsim import link
 from swiptsim.channel import ChannelSpec, apply_channel, sample_channel, subcarrier_gains
 from swiptsim.companding import PEAK, companding_ibo_reduction_db
 from swiptsim.experiments import Scenario, run_techniques
-from swiptsim.harvester import EhModel, eta3, watts_to_dbm
+from swiptsim.harvester import default_rectenna, eta3, watts_to_dbm
 from swiptsim.link import (
     LinkMetrics,
     SplitConfig,
@@ -204,7 +204,7 @@ def test_harvested_additivity():
 def test_harvested_goldens_and_limits():
     # a linear amplifier through AWGN delivers the nominal transmit power,
     # P_rx = 1, to a linear 0.5 harvester; rho = 0 harvests nothing
-    s = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=EhModel.linear(0.5), ofdm=SMALL,
+    s = Scenario(pa=PaModel.polynomial((0.0, 1.0)), eh=0.5, ofdm=SMALL,
                  trials=3, seed=1)
     splits = (SplitConfig(rho=1.0, sigma_a2=0.0), SplitConfig(rho=0.5), SplitConfig(rho=0.0))
     (ideal,), (plain,), (none,) = _through(s, ("baseline",), splits)
@@ -218,7 +218,7 @@ def test_harvested_never_exceeds_input():
     # sigma_a2), on a linear harvester and on the packaged curve; the linear
     # and baseline techniques receive P_rx = 1 through AWGN
     splits = [SplitConfig(rho=rho, sigma_a2=1e-3) for rho in (0.1, 0.5, 0.9, 1.0)]
-    for eh in (EhModel.linear(0.5), EhModel.default()):
+    for eh in (0.5, default_rectenna()):
         s = Scenario(ofdm=SMALL, eh=eh, trials=3, seed=7)
         res = _through(s, ("linear", "baseline"), splits)
         for split, row in zip(splits, res):
@@ -229,7 +229,7 @@ def test_harvested_never_exceeds_input():
 def test_constant_envelope_harvest_matches_closed_form():
     # with a flat envelope the Monte Carlo pass's per-sample rectenna lookup
     # and a lookup at the mean power coincide
-    eh = EhModel.default()
+    eh = default_rectenna()
     p_w = np.full(64, 1e-3)
     per_sample = float(np.sum(eta3(eh, watts_to_dbm(p_w)) * p_w)) / p_w.size
     assert per_sample == pytest.approx(float(eta3(eh, watts_to_dbm(1e-3))) * 1e-3, rel=1e-12)
