@@ -61,9 +61,12 @@ replaces the Monte Carlo count of papr, mu-sweep, e2e, ber and
 rate-energy, which is then neither read nor checked; dpd-design has none
 and rejects it.  Those five commands read --threads (worker threads for
 the PAPR batches and for the Monte Carlo trial blocks; default every
-core this process may use); their output does not depend on it.  e2e,
-ber and rate-energy each make one Monte Carlo pass
-(experiments.run_techniques) over a grid of channels and splitters:
+core this process may use); their output does not depend on it.  papr
+and mu-sweep draw one set of symbols and measure the PAPR of every grid
+mu on it (companding.papr_samples), on the compressed envelope: no
+companded waveform is built.  e2e, ber and rate-energy each make one
+Monte Carlo pass (experiments.run_techniques), on no more threads than
+it has trial blocks, over a grid of channels and splitters:
 every channel kind and the configured splitter in e2e, the listed
 channels and one splitter per Eb/N0 point in ber, and the configured
 channel and one splitter per splitting ratio in rate-energy.  Every
@@ -128,7 +131,6 @@ import os
 import sys
 import tempfile
 from dataclasses import fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +144,8 @@ from .companding import (
     analytic_companded_bussgang,
     companded_papr_reductions,
     companded_snr,
-    compress_magnitude,
     optimize_mu,
+    papr_samples,
 )
 from .dpd import design_from_scratch, save_design
 from .experiments import (
@@ -156,7 +158,7 @@ from .experiments import (
     write_csv,
 )
 from .link import SplitConfig
-from .ofdm import OfdmConfig, ccdf_from_samples, papr_samples_many
+from .ofdm import OfdmConfig, ccdf_from_samples
 from .pa import PaModel, efficiency_at_backoff
 
 EXIT_OK = 0
@@ -476,8 +478,7 @@ def cmd_papr(cfg: dict, seed: int, out: Path, trials: int | None, threads: int, 
     ofdm = build_ofdm(cfg)
     h = config_hash(seed, ofdm, mu_grid, n_trials, thresholds)
     # mu = 0 is the uncompressed curve; every curve shares one set of symbols
-    transforms = [partial(compress_magnitude, mu=mu) if mu > 0 else None for mu in mu_grid]
-    curves = papr_samples_many(ofdm, n_trials, seed, transforms, threads=threads)
+    curves = papr_samples(ofdm, n_trials, seed, mu_grid, threads=threads)
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for mu, samples in zip(mu_grid, curves):

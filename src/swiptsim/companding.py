@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -18,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ofdm import OfdmConfig, papr_quantile_db, papr_samples_many
+from . import ofdm
+from .ofdm import OfdmConfig, papr_quantile_db, run_bounded
 from .pa import BussgangParams, bussgang_analytic_sl, scale_envelope
 
 log = logging.getLogger(__name__)
@@ -110,6 +112,90 @@ def companding_ibo_reduction_db(mu: float) -> float:
     return 10.0 * math.log10(compressed_power_gain(mu))
 
 
+_BATCH_BYTES = 1 << 20
+
+
+def papr_samples(
+    cfg: OfdmConfig,
+    n_trials: int,
+    seed: int,
+    mus: Sequence[float],
+    threads: int = 1,
+) -> np.ndarray:
+    """Per-symbol PAPR (dB) of one set of random QPSK OFDM symbols after
+    mu-law compression with each mu, shape ``(len(mus), n_trials)``; mu = 0
+    is the raw envelope.
+
+    Compression keeps the phase, so a PAPR depends on the compressed
+    envelope alone and no waveform is built.  PAPR is scale-free and the
+    mu-law map is increasing, so row mu is measured on log1p(mu m / PEAK)
+    of the sample magnitudes m, without the map's PEAK / log1p(mu) factor,
+    and its peak is the map of the symbol's peak magnitude.  The raw row is
+    max(m)^2 over the mean of m^2.
+
+    One seeded draw serves every mu: each batch of symbols, as many as fit
+    in 1 MiB of complex128 waveform, prefix included, is drawn, synthesized
+    and reduced to its sample magnitudes and their peak once, then every
+    row is measured in one buffer of the batch's size.  ``threads``
+    workers synthesize and measure the batches (see run_bounded), with at
+    most 2 * threads of them in flight; the bits are still drawn in order
+    on the calling thread and each batch fills its own columns.  So row i
+    depends neither on the other mus nor on the thread count: it equals the
+    one row of a call with ``(mus[i],)`` at any ``threads``.  Memory grows
+    with ``threads``: each worker holds its batch, its last waveform, its
+    magnitudes and the buffer, which is made per batch and not kept
+    between batches (peak RSS of mu-sweep at its defaults, N=512, L=4 and
+    16 mus, rose by about 4 MB per thread, from 48 MB at 2 threads to
+    108 MB at 16, on a 2-core machine).
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if not all(0.0 <= mu < math.inf for mu in mus):
+        raise ValueError(f"every mu must be finite and >= 0, got {list(mus)}")
+    n = cfg.n_samples + cfg.cp_length
+    batch = max(1, _BATCH_BYTES // (16 * n))
+    rng = np.random.default_rng(seed)
+    out = np.empty((len(mus), n_trials))
+
+    def draw(start: int) -> np.ndarray:
+        # not random_frames: the compander depends on level, so no normalizing
+        m = min(batch, n_trials - start)
+        return rng.integers(0, 2, size=(m, 2 * cfg.n_subcarriers))
+
+    # each worker holds its last waveform until its next one is made: this
+    # keeps the allocator from returning the top of the heap to the system
+    # and faulting it back in every batch (about 50 page faults per symbol
+    # at N=1024, L=4 without it)
+    held = threading.local()
+
+    def measure(start: int, bits: np.ndarray) -> None:
+        # looked up on ofdm, so that a wrap of its bindings (the benchmark's
+        # span tracer, a test's counter) sees the synthesis
+        held.x = ofdm.synthesize_waveforms(ofdm.map_bits(bits), cfg)
+        m = np.abs(held.x)
+        peak = m.max(axis=-1)
+        buf = np.empty_like(m)
+        cols = slice(start, start + len(bits))
+        for row, mu in zip(out, mus):
+            if mu == 0.0:
+                # max(m)^2 is max(m^2) and sum / n numpy's mean, bit for bit
+                top = np.square(peak)
+                np.square(m, out=buf)
+            else:
+                c = mu / PEAK
+                top = np.square(np.log1p(peak * c))
+                np.multiply(m, c, out=buf)
+                np.log1p(buf, out=buf)
+                np.square(buf, out=buf)
+            row[cols] = 10.0 * np.log10(top / (buf.sum(axis=-1) / n))
+
+    run_bounded(measure, ((start, draw(start)) for start in range(0, n_trials, batch)),
+                threads)
+    return out
+
+
 def companded_papr_reductions(
     cfg: OfdmConfig,
     mus: Sequence[float],
@@ -120,18 +206,13 @@ def companded_papr_reductions(
     """PAPR reduction in dB at the CCDF exceedance EXCEEDANCE, before minus
     after compression with each mu, from one seeded set of symbols.
 
-    Every entry is compressed from the same waveforms, so the "before"
-    PAPR is measured once and shared.  Compression keeps the phase, so the
-    PAPR is measured on the compressed envelope, with no compressed
-    waveform built.  Entry i equals
+    One :func:`papr_samples` call measures the raw envelope and every mu on
+    the same waveforms, so the "before" PAPR is measured once and shared.
+    Entry i equals
     ``companded_papr_reductions(cfg, [mus[i]], n_trials, seed)[0]``
-    for any ``threads`` (see :func:`papr_samples_many`).
+    for any ``threads``.
     """
-    samples = papr_samples_many(
-        cfg, n_trials, seed,
-        (None, *(partial(compress_magnitude, mu=mu) for mu in mus)),
-        threads=threads,
-    )
+    samples = papr_samples(cfg, n_trials, seed, (0.0, *mus), threads=threads)
     before = papr_quantile_db(samples[0], EXCEEDANCE)
     return [before - papr_quantile_db(after, EXCEEDANCE) for after in samples[1:]]
 

@@ -249,14 +249,15 @@ def run_techniques(
     the uncompressed frames: the baseline's transmit waveform, or, without
     a baseline in the pass, an amplification made for the reference alone.
 
-    The trials run in blocks of about _BLOCK_BYTES of frame samples, and
-    of at most ceil(trials / threads) trials, so that every worker gets a
-    block, twice: transmit, then, once the ensemble powers are known, one
-    job per block that draws the block's noise and, channel by channel,
-    adds the channel's prefix, applies its taps and builds every
-    splitter's branches.  With threads > 1 a pool of that many workers
-    processes the jobs, at most 2 * threads in flight, and with 1 the
-    calling thread does (see ofdm.run_bounded).
+    The trials run in blocks of about _BLOCK_BYTES of frame samples,
+    twice: transmit, then, once the ensemble powers are known, one job per
+    block that draws the block's noise and, channel by channel, adds the
+    channel's prefix, applies its taps and builds every splitter's
+    branches.  A pool of min(threads, blocks) workers processes the jobs,
+    at most 2 * threads in flight, and with one worker the calling thread
+    does (see ofdm.run_bounded).  Blocks are not split to feed more
+    workers, since smaller ones gain nothing from a second thread (see
+    _BLOCK_BYTES), so a pass of one block starts no pool.
 
     Memory: every technique's transmit frames are held for the receive
     pass, len(techniques) x trials x frame_symbols x N*L complex128
@@ -294,8 +295,9 @@ def run_techniques(
     cfg = replace(s.ofdm, cp_length=0)
     trials = s.trials
     frame_len = s.frame_symbols * cfg.n_samples
-    block = max(1, min(_BLOCK_BYTES // (16 * frame_len), math.ceil(trials / threads)))
+    block = max(1, _BLOCK_BYTES // (16 * frame_len))
     blocks = [slice(i, min(i + block, trials)) for i in range(0, trials, block)]
+    threads = min(threads, len(blocks))
     companded = [_uses_companding(t) for t in techniques]
     base = techniques.index("baseline") if "baseline" in techniques else None
 

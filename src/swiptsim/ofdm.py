@@ -9,11 +9,10 @@ sample rate) travels separately as an OfdmConfig.
 from __future__ import annotations
 
 import numbers
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 # numpy loads these on first use (numpy.ma through np.unique and
@@ -147,69 +146,6 @@ def papr_db(x: np.ndarray) -> float:
     return float(10.0 * np.log10(p.max() / mean))
 
 
-_BATCH_BYTES = 1 << 20
-
-
-def papr_samples_many(
-    cfg: OfdmConfig,
-    n_trials: int,
-    seed: int,
-    transforms: Sequence[Optional[Callable[[np.ndarray], np.ndarray]]],
-    threads: int = 1,
-) -> np.ndarray:
-    """Per-symbol PAPR (dB) of one set of random QPSK OFDM symbols under
-    several envelope maps, shape ``(len(transforms), n_trials)``.
-
-    A transform is an envelope map: it takes the sample magnitudes of a
-    batch of symbols and returns the magnitudes whose PAPR is measured
-    (e.g. a compressor's characteristic); a PAPR depends on the envelope
-    alone, so a map that keeps the phase needs no waveform.  One seeded
-    draw serves every map: each batch of symbols, as many as fit in 1 MiB
-    of complex128 waveform, prefix included, is drawn, synthesized and
-    reduced to its sample magnitudes once, then row i holds the PAPR of
-    ``transforms[i]`` applied to those magnitudes (``None`` measures the
-    raw envelope).  ``threads`` workers synthesize, map and measure the
-    batches (see run_bounded), with at most 2 * threads of them in flight
-    (the maps must be thread-safe); the bits are still drawn in order on
-    the calling thread and each batch fills its own columns.  So row i
-    depends neither on the other maps nor on the thread count: it equals
-    the one row of a call with ``(transforms[i],)`` at any ``threads``.
-    Memory grows with ``threads``: each worker holds its batch, its last
-    waveform, its magnitudes and the maps' temporaries (peak RSS rose by
-    about 5 MB per thread from 2 to 16 threads at N=512, L=4 with 16
-    companders).
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    batch = max(1, _BATCH_BYTES // (16 * (cfg.n_samples + cfg.cp_length)))
-    rng = np.random.default_rng(seed)
-    out = np.empty((len(transforms), n_trials))
-
-    def draw(start: int) -> np.ndarray:
-        # not random_frames: the compander depends on level, so no normalizing
-        m = min(batch, n_trials - start)
-        return rng.integers(0, 2, size=(m, 2 * cfg.n_subcarriers))
-
-    # each worker holds its last waveform until its next one is made: this
-    # keeps the allocator from returning the top of the heap to the system
-    # and faulting it back in every batch (about 50 page faults per symbol
-    # at N=1024, L=4 without it)
-    held = threading.local()
-
-    def measure(start: int, bits: np.ndarray) -> None:
-        held.x = synthesize_waveforms(map_bits(bits), cfg)
-        m = np.abs(held.x)
-        for row, transform in zip(out, transforms):
-            # one map's temporaries are freed before the next runs
-            row[start:start + len(bits)] = _papr_rows(m if transform is None else transform(m))
-
-    run_bounded(measure, ((start, draw(start)) for start in range(0, n_trials, batch)),
-                threads)
-    return out
-
-
 def run_bounded(work: Callable, jobs: Iterable[tuple], threads: int) -> None:
     """Call work(*job) for every job on a pool of ``threads`` worker threads,
     with at most 2 * threads jobs in flight; with one thread, on the calling
@@ -233,12 +169,6 @@ def run_bounded(work: Callable, jobs: Iterable[tuple], threads: int) -> None:
                 pending.popleft().result()
         for future in pending:
             future.result()
-
-
-def _papr_rows(m: np.ndarray) -> np.ndarray:
-    # per-row PAPR (dB) of sample magnitudes
-    p = m ** 2
-    return 10.0 * np.log10(p.max(axis=-1) / p.mean(axis=-1))
 
 
 def ccdf_from_samples(

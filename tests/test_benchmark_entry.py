@@ -3,7 +3,8 @@ through cli.load_config, cli.build_scenario(cfg, seed, None) and cli.main;
 this runs it once, untraced, on each benchmark workload's tiny config and
 command line, and applies the workload's own output check, so that a
 change to those entry points or to a workload's path shows here and not
-only in a benchmark run."""
+only in a benchmark run.  It also checks that the benchmark's span
+tracer (perfbench/tracer.py) still finds the PAPR sampler's bindings."""
 
 import importlib.util
 import json
@@ -53,3 +54,23 @@ def test_benchmark_child_runs_each_workload(tmp_path, name):
     for output in workload.outputs:
         assert (out / output).is_file(), output
     workload.check(out, cfg)
+
+
+def test_tracer_binds_the_papr_sampler():
+    # perfbench/tracer.py wraps functions by their module bindings and skips
+    # a binding that is gone, which would leave the PAPR pass untimed; its
+    # install() patches the package, so it runs in a process of its own
+    code = (
+        "import importlib.util, json, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "spec = importlib.util.spec_from_file_location("
+        f"'perfbench_tracer', {str(ROOT / 'perfbench' / 'tracer.py')!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "print(json.dumps(tracer.Tracer().install()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    missing = json.loads(proc.stdout.splitlines()[-1])
+    assert not {"companding:papr_samples", "cli:papr_samples"} & set(missing)

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -23,9 +22,10 @@ from swiptsim.companding import (
     expand_waveform,
     mu_law_noise_factor,
     optimize_mu,
+    papr_samples,
 )
 from swiptsim.experiments import Scenario
-from swiptsim.ofdm import OfdmConfig, papr_quantile_db, papr_samples_many, random_frames
+from swiptsim.ofdm import OfdmConfig, papr_quantile_db, random_frames
 from swiptsim.pa import PaModel, amplify, bussgang_estimate
 
 CFG = OfdmConfig()
@@ -162,7 +162,7 @@ def test_companded_bussgang_empirical_goldens():
 
 def test_papr_reduction_goldens():
     r, r255 = companded_papr_reductions(CFG, [1.25, 255.0], n_trials=4000, seed=0)
-    before = papr_quantile_db(papr_samples_many(CFG, 4000, 0, (None,))[0], EXCEEDANCE)
+    before = papr_quantile_db(papr_samples(CFG, 4000, 0, (0.0,))[0], EXCEEDANCE)
     assert before == pytest.approx(11.344707240183373, abs=1e-9)
     assert r == pytest.approx(2.6296297317342265, abs=1e-9)
     assert r255 == pytest.approx(8.710256614734073, abs=1e-9)
@@ -176,9 +176,9 @@ def test_papr_reductions_share_one_draw():
     single = [companded_papr_reductions(cfg, [mu], n_trials=300, seed=3)[0] for mu in grid]
     assert many == single
     # each entry is the shared "before" minus its own "after"
-    before = papr_quantile_db(papr_samples_many(cfg, 300, 3, (None,))[0], EXCEEDANCE)
+    before = papr_quantile_db(papr_samples(cfg, 300, 3, (0.0,))[0], EXCEEDANCE)
     assert many == [before - papr_quantile_db(
-        papr_samples_many(cfg, 300, 3, (partial(compress_magnitude, mu=mu),))[0], EXCEEDANCE)
+        papr_samples(cfg, 300, 3, (mu,))[0], EXCEEDANCE)
         for mu in grid]
     assert companded_papr_reductions(cfg, [], n_trials=10) == []
 

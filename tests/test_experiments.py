@@ -369,24 +369,25 @@ def test_run_techniques_pool_stress(monkeypatch):
             _assert_same_metrics(a, b)
 
 
-def test_a_small_pass_gives_every_thread_a_block(monkeypatch):
-    # the trials per block are capped at ceil(trials / threads): 4 trials
-    # fill one block at N=512, L=4 and 4 symbols, yet make 2 receive jobs on
-    # 2 threads, while 50 trials keep their blocks of 4
+def test_a_small_pass_starts_no_more_workers_than_blocks(monkeypatch):
+    # a block holds 4 trials at N=512, L=4 and 4 symbols whatever the
+    # thread count: 4 trials make one block, run without a pool on 2
+    # threads, while 50 trials keep their 13 blocks on both workers
     jobs = []
 
     def recording(work, blocks, threads):
         blocks = [rows for (rows,) in blocks]
-        jobs.append([rows.stop - rows.start for rows in blocks])
+        jobs.append(([rows.stop - rows.start for rows in blocks], threads))
         run_bounded(work, ((rows,) for rows in blocks), threads)
 
     monkeypatch.setattr(experiments, "run_bounded", recording)
     split = [SplitConfig(rho=0.0, sigma_a2=1e-3, sigma_p2=0.0)]
-    for trials, threads, sizes in ((4, 1, [4]), (4, 2, [2, 2]), (50, 2, [4] * 12 + [2])):
+    for trials, threads, sizes, workers in ((4, 1, [4], 1), (4, 2, [4], 1),
+                                            (50, 2, [4] * 12 + [2], 2)):
         jobs.clear()
         run_techniques(Scenario(trials=trials), ("baseline",), AWGN, split, threads)
         # the transmit pass, then the receive pass
-        assert jobs == [sizes, sizes]
+        assert jobs == [(sizes, workers), (sizes, workers)]
 
 
 def test_run_techniques_reference_without_baseline():

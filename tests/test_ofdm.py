@@ -1,6 +1,5 @@
 import sys
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,17 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swiptsim import ofdm
-from swiptsim.companding import compress_magnitude, compress_waveform
+from swiptsim.companding import PEAK, compress_waveform, papr_samples
 from swiptsim.ofdm import (
     OfdmConfig,
-    _papr_rows,
     ccdf_from_samples,
     demap_symbols,
     map_bits,
     ofdm_demodulate,
     papr_db,
     papr_quantile_db,
-    papr_samples_many,
     random_frames,
     run_bounded,
     synthesize_waveforms,
@@ -121,47 +118,58 @@ def test_papr_rejects_zero_signal():
 
 
 def test_papr_samples_deterministic():
-    a = papr_samples_many(CFG, 64, 42, (None,))[0]
-    b = papr_samples_many(CFG, 64, 42, (None,))[0]
+    a = papr_samples(CFG, 64, 42, (0.0,))[0]
+    b = papr_samples(CFG, 64, 42, (0.0,))[0]
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, papr_samples_many(CFG, 64, 43, (None,))[0])
+    assert not np.array_equal(a, papr_samples(CFG, 64, 43, (0.0,))[0])
+
+
+def _papr_rows(m):
+    # per-row PAPR (dB) of sample magnitudes, as max over mean of their squares
+    p = m ** 2
+    return 10.0 * np.log10(p.max(axis=-1) / p.mean(axis=-1))
 
 
 SMALL = OfdmConfig(n_subcarriers=16, oversampling_factor=2)
 # 16384-sample symbols: a 1 MiB batch holds 4 of them
 WIDE = OfdmConfig(n_subcarriers=256, oversampling_factor=64)
-_TRANSFORMS = (
-    None,
-    lambda m: 2.0 * m,
-    partial(compress_magnitude, mu=1.25),
-    partial(compress_magnitude, mu=255.0),
-)
 
 
 @given(n=st.integers(9, 40), seed=st.integers(0, 2**16),
        threads=st.sampled_from((1, 2, 3, 8)),
-       picks=st.lists(st.sampled_from(range(len(_TRANSFORMS))), min_size=1, max_size=5))
+       mus=st.lists(st.sampled_from((0.0, 0.01, 1.25, 255.0)), min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_papr_samples_many_matches_single_calls(n, seed, threads, picks):
+def test_papr_samples_many_matches_single_calls(n, seed, threads, mus):
     # batches of 4 symbols, at least 3 of them, drawn in order on the
     # calling thread and measured in a pool, with more workers than cores
-    # and rapid thread switching, give the rows of one-map serial calls and
+    # and rapid thread switching, give the rows of one-mu serial calls and
     # of all n symbols drawn and measured at once bit for bit; a batch
     # written to the wrong columns or lost would change them
     assert (1 << 20) // (16 * WIDE.n_samples) == 4
-    transforms = [_TRANSFORMS[i] for i in picks]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = papr_samples_many(WIDE, n, seed, transforms, threads=threads)
+        many = papr_samples(WIDE, n, seed, mus, threads=threads)
     finally:
         sys.setswitchinterval(interval)
-    assert many.shape == (len(transforms), n)
+    assert many.shape == (len(mus), n)
     bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2 * WIDE.n_subcarriers))
     m = np.abs(synthesize_waveforms(map_bits(bits), WIDE))
-    for row, t in zip(many, transforms):
-        np.testing.assert_array_equal(row, papr_samples_many(WIDE, n, seed, (t,))[0])
-        np.testing.assert_array_equal(row, _papr_rows(m if t is None else t(m)))
+    for row, mu in zip(many, mus):
+        np.testing.assert_array_equal(row, papr_samples(WIDE, n, seed, (mu,))[0])
+        # the raw row; a companded row on the mu-law map without its
+        # PEAK / log1p(mu) factor, its peak the maximum over the mapped row
+        np.testing.assert_array_equal(row, _papr_rows(m if mu == 0 else np.log1p(m * (mu / PEAK))))
+
+
+@given(m=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=64),
+       mu=st.floats(1e-3, 1e3))
+def test_mu_law_map_keeps_the_peak(m, mu):
+    # the map of the peak magnitude is the peak of the mapped magnitudes,
+    # bit for bit, so the sampler maps one peak per symbol instead of
+    # taking a maximum over the mapped row
+    m, c = np.array([m, m[::-1]]), mu / PEAK
+    np.testing.assert_array_equal(np.log1p(m.max(axis=-1) * c), np.log1p(m * c).max(axis=-1))
 
 
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 24),
@@ -169,12 +177,11 @@ def test_papr_samples_many_matches_single_calls(n, seed, threads, picks):
        mus=st.lists(st.floats(0.01, 255.0), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_envelope_papr_matches_waveform_definition(seed, n, l, cp, mus):
-    # the PAPR is measured on the envelope; the definition compresses the
-    # complex waveform and takes its magnitude, which differs from the
-    # envelope map only by the rounding of the complex multiply
+    # the PAPR is measured on the scale-free envelope map; the definition
+    # compresses the complex waveform and takes its magnitude, which differs
+    # only by the rounding of the map's factor and of the complex multiply
     cfg = OfdmConfig(n_subcarriers=16, oversampling_factor=l, cp_length=cp)
-    many = papr_samples_many(cfg, n, seed,
-                             (None, *(partial(compress_magnitude, mu=mu) for mu in mus)))
+    many = papr_samples(cfg, n, seed, (0.0, *mus))
     bits = np.random.default_rng(seed).integers(0, 2, size=(n, 2 * cfg.n_subcarriers))
     x = synthesize_waveforms(map_bits(bits), cfg)
     # the raw row is the complex-abs form bit for bit
@@ -187,10 +194,13 @@ def test_envelope_papr_matches_waveform_definition(seed, n, l, cp, mus):
 
 def test_papr_samples_many_validation():
     with pytest.raises(ValueError, match="n_trials"):
-        papr_samples_many(SMALL, 0, 0, (None,))
+        papr_samples(SMALL, 0, 0, (0.0,))
     for threads in (0, -1):
         with pytest.raises(ValueError, match="threads"):
-            papr_samples_many(SMALL, 10, 0, (None,), threads=threads)
+            papr_samples(SMALL, 10, 0, (0.0,), threads=threads)
+    for mu in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="mu"):
+            papr_samples(SMALL, 10, 0, (1.25, mu))
 
 
 def test_run_bounded_one_thread_runs_on_the_calling_thread(monkeypatch):
@@ -204,7 +214,7 @@ def test_run_bounded_one_thread_runs_on_the_calling_thread(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(ofdm, "ThreadPoolExecutor", no_pool)
         run_bounded(work, ((i,) for i in range(5)), 1)
-        papr_samples_many(WIDE, 10, 0, (None,), threads=1)
+        papr_samples(WIDE, 10, 0, (0.0,), threads=1)
     assert ran == [(i, threading.get_ident()) for i in range(5)]
     ran.clear()
     run_bounded(work, ((i,) for i in range(5)), 2)
@@ -213,7 +223,7 @@ def test_run_bounded_one_thread_runs_on_the_calling_thread(monkeypatch):
 
 
 def test_papr_quantiles_frozen():
-    s = papr_samples_many(CFG, 20000, 0, (None,))[0]
+    s = papr_samples(CFG, 20000, 0, (0.0,))[0]
     assert papr_quantile_db(s, 1e-3) == pytest.approx(11.410840240811794, abs=1e-9)
     assert papr_quantile_db(s, 1e-4) == pytest.approx(11.892132542189115, abs=1e-9)
     assert float(ccdf_from_samples(s, np.array([9.0]))[0]) == pytest.approx(
@@ -222,13 +232,13 @@ def test_papr_quantiles_frozen():
 
 
 def test_ccdf_nonincreasing_and_bounded():
-    ccdf = ccdf_from_samples(papr_samples_many(CFG, 2000, 7, (None,))[0], np.arange(-1.0, 14.01, 0.05))
+    ccdf = ccdf_from_samples(papr_samples(CFG, 2000, 7, (0.0,))[0], np.arange(-1.0, 14.01, 0.05))
     assert np.all(np.diff(ccdf) <= 0)
     assert ccdf[0] <= 1.0 and ccdf[-1] >= 0.0
 
 
 def test_papr_quantile_validates_exceedance():
-    s = papr_samples_many(CFG, 100, 0, (None,))[0]
+    s = papr_samples(CFG, 100, 0, (0.0,))[0]
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):
             papr_quantile_db(s, bad)
