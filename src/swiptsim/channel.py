@@ -61,10 +61,12 @@ def sample_channel(spec: ChannelSpec, rng: np.random.Generator) -> tuple[complex
     return tuple(complex(t) for t in draws)
 
 
-def apply_channel(x: np.ndarray, taps, cp_length: int | None = None) -> np.ndarray:
-    """Convolve samples with channel taps, into a new array of x's length:
-    a one-dimensional x with one realization, or each row of x (..., n)
-    with its own row of taps (..., n_taps).
+def apply_channel(x: np.ndarray, taps, cp_length: int | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Convolve samples with channel taps, into a new array of x's length,
+    or into ``out``, which must not share memory with x: a one-dimensional
+    x with one realization, or each row of x (..., n) with its own row of
+    taps (..., n_taps).
 
     When ``cp_length`` is given it must cover the channel memory, since the
     receiver relies on the prefix to keep subcarriers separable.  Antenna
@@ -76,7 +78,7 @@ def apply_channel(x: np.ndarray, taps, cp_length: int | None = None) -> np.ndarr
             f"cyclic prefix of {cp_length} samples cannot absorb a "
             f"{h.shape[-1]}-tap channel"
         )
-    out = x * h[..., :1]
+    out = np.multiply(x, h[..., :1], out=out)
     for lag in range(1, h.shape[-1]):
         out[..., lag:] += x[..., :-lag] * h[..., lag:lag + 1]
     return out

@@ -42,9 +42,13 @@ def compress_magnitude(magnitude: np.ndarray, mu: float) -> np.ndarray:
     return PEAK * np.log1p(mu * m / PEAK) / math.log1p(mu)
 
 
-def expand_magnitude(magnitude: np.ndarray, mu: float) -> np.ndarray:
+def expand_magnitude(magnitude: np.ndarray, mu: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(PEAK / mu) * expm1(m * log1p(mu) / PEAK), into ``out`` if given."""
     m = np.asarray(magnitude, dtype=float)
-    return (PEAK / mu) * np.expm1(m * math.log1p(mu) / PEAK)
+    out = np.multiply(m, math.log1p(mu), out=out)
+    out = np.divide(out, PEAK, out=out)
+    out = np.expm1(out, out=out)
+    return np.multiply(out, PEAK / mu, out=out)
 
 
 def mu_law_noise_factor(mu: float) -> float:
@@ -222,9 +226,22 @@ def compress_waveform(waveform: np.ndarray, mu: float) -> np.ndarray:
     return scale_envelope(waveform, partial(compress_magnitude, mu=mu))
 
 
-def expand_waveform(waveform: np.ndarray, mu: float) -> np.ndarray:
-    """Inverse of :func:`compress_waveform`."""
-    return scale_envelope(waveform, partial(expand_magnitude, mu=mu))
+def expand_waveform(waveform: np.ndarray, mu: float, magnitude: np.ndarray | None = None,
+                    gain: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`compress_waveform`, into a new array.
+
+    Given ``magnitude``, |waveform|, and ``gain``, a float array of the
+    same shape, it runs in place instead: the gain expand_magnitude(m) / m
+    (0 where m = 0) is evaluated in ``gain``, and waveform is multiplied by
+    it and returned, bit for bit the new array's values.
+    """
+    if magnitude is None:
+        waveform = np.array(waveform)
+        magnitude = np.abs(waveform)
+    gain = expand_magnitude(magnitude, mu, gain)
+    np.divide(gain, magnitude, out=gain, where=magnitude > 0)
+    waveform *= gain
+    return waveform
 
 
 def analytic_companded_bussgang(mu: float, ibo_db: float) -> BussgangParams:

@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import channel
 from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
 from .companding import companding_ibo_reduction_db, compress_waveform
 from .dpd import PolyFit, design_from_scratch
@@ -212,6 +214,35 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 _BLOCK_BYTES = 1 << 19
 
 
+class _Workspace:
+    """Named arrays that one Monte Carlo job reuses from block to block, so
+    that a pass takes no new frame-size memory per block.
+
+    ``take(name, shape, dtype)`` returns a view of the named buffer, which
+    grows to the largest size asked for and is otherwise kept.  Only
+    run_techniques names buffers; the library functions it calls get them
+    as explicit ``out``/``scratch`` arrays.  A workspace serves one job at
+    a time; it is not locked.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _mean_power(y: np.ndarray, work: _Workspace) -> np.ndarray:
+    """mean(|y|^2) over the last axis, |y|^2 in the "power" buffer."""
+    p = np.abs(y, out=work.take("power", y.shape, np.float64))
+    p **= 2
+    return np.mean(p, axis=-1)
+
+
 def run_techniques(
     s: Scenario, techniques, channels, splits, threads: int = 1
 ) -> tuple[tuple[tuple[LinkMetrics, ...], ...], ...]:
@@ -253,21 +284,37 @@ def run_techniques(
     twice: transmit, then, once the ensemble powers are known, one job per
     block that draws the block's noise and, channel by channel, adds the
     channel's prefix, applies its taps and builds every splitter's
-    branches.  A pool of min(threads, blocks) workers processes the jobs,
-    at most 2 * threads in flight, and with one worker the calling thread
-    does (see ofdm.run_bounded).  Blocks are not split to feed more
-    workers, since smaller ones gain nothing from a second thread (see
-    _BLOCK_BYTES), so a pass of one block starts no pool.
+    branches.  Each quantity is computed at the level it depends on: the
+    sent symbols and bits once per block, the zero-forcing gains once per
+    block and channel (channel.subcarrier_gains), and the compressed
+    frames' rms once per prefix length, not per channel.  A pool of
+    min(threads, blocks) workers processes the jobs, at most 2 * threads
+    in flight, and with one worker the calling thread does (see
+    ofdm.run_bounded).  Blocks are not split to feed more workers, since
+    smaller ones gain nothing from a second thread (see _BLOCK_BYTES), so
+    a pass of one block starts no pool.
 
     Memory: every technique's transmit frames are held for the receive
     pass, len(techniques) x trials x frame_symbols x N*L complex128
     samples, because the normalizations need the ensemble powers first, and
     so are every trial's bits (2 N x frame_symbols int8) and every
-    channel's taps.  A job being processed adds its block's unit noise (one
-    complex frame per trial, two with processing noise), one faded frame
-    per trial and the temporaries of one channel, technique and splitter
-    at a time.  With 4 techniques x 50 trials x 4 symbols at N*L = 2048 the
-    frames take 26 MB.
+    channel's taps.  A job being processed works in a workspace
+    (_Workspace) of block-sized buffers, which it takes from the jobs that
+    are done, so at most one per worker exists and a pass reuses the same
+    memory from block to block instead of allocating and returning
+    frame-size temporaries.  Each buffer holds one value at a time, in
+    this order: "draws", the block's unit noise (one complex frame per
+    trial, two with processing noise); "faded", the faded frames; "copy",
+    the prefixed frames, then the rectenna's y * pin, then a splitter's
+    copy of the faded frames; "power" and "efficiency", the float |y|^2
+    and eta3 frames; and "scratch", the scaled noise of
+    link.info_branch and then the expander's magnitudes and gains and the
+    DFT of link.demodulate_and_ber, which builds the grid in the branch
+    it demodulates.  Only smaller temporaries (the Bussgang sums' and the
+    bit decisions') are allocated per call.  With 4 techniques x 50 trials
+    x 4 symbols at N*L = 2048 the frames take 26 MB, and each worker's
+    workspace of a 4-trial block about 3 MB more, which it keeps for the
+    whole pass.
 
     The rectifier works on the faded frames with their ensemble mean
     pinned to 0 dBm, which removes rho, so every splitter with rho > 0
@@ -314,22 +361,46 @@ def run_techniques(
     ref_p = np.zeros((2, trials))
     # the received powers set the rectifier's level and H_P/E's P_rx
     rx_p = np.empty((len(channels), n_tech, trials))
-    rms_drive = np.empty((len(channels), trials))
+    # a received frame's length on each channel; each channel reads the
+    # first rx_len[c] samples of a trial's noise
+    rx_len = [s.frame_symbols * (cfg_c.n_samples + cfg_c.cp_length) for cfg_c in chan_cfg]
+    # the compressed frames' rms, once per prefix length the channels need
+    prefix_cfg = {cfg_c.cp_length: cfg_c for cfg_c in chan_cfg}
+    rms_drive = {cp: np.empty(trials) for cp in prefix_cfg}
 
-    def faded(k: int, c: int, rows: slice) -> np.ndarray:
-        # technique k's frames of the trials in rows, prefixed, through channel c
-        x = with_prefix(tx[k, rows], chan_cfg[c])
-        return apply_channel(x, taps[c][rows], chan_cfg[c].cp_length)
+    # the workspaces of the jobs that are done, which the next jobs reuse
+    # (a deque's append and pop are atomic)
+    spare: deque[_Workspace] = deque()
 
-    def transmit(rows: slice) -> None:
+    def pooled(job):
+        # job(rows, work) in a spare workspace, or a new one if none is free
+        def run(rows: slice) -> None:
+            try:
+                work = spare.pop()
+            except IndexError:
+                work = _Workspace()
+            try:
+                job(rows, work)
+            finally:
+                spare.append(work)
+        return run
+
+    def faded(k: int, c: int, rows: slice, work: _Workspace) -> np.ndarray:
+        # technique k's frames of the trials in rows, prefixed (in "copy"),
+        # through channel c (into "faded")
+        shape = (rows.stop - rows.start, rx_len[c])
+        x = with_prefix(tx[k, rows], chan_cfg[c], work.take("copy", shape))
+        return apply_channel(x, taps[c][rows], chan_cfg[c].cp_length, work.take("faded", shape))
+
+    def transmit(rows: slice, work: _Workspace) -> None:
         grids = map_bits(bits[rows]).reshape(-1, s.frame_symbols, cfg.n_subcarriers)
         x = synthesize_waveforms(grids, cfg).reshape(-1, frame_len)
         compressed = None
         if any(companded):
             compressed = compress_waveform(x, s.mu)
-            for c, cfg_c in enumerate(chan_cfg):
-                drive = with_prefix(compressed, cfg_c)
-                rms_drive[c, rows] = np.sqrt(np.mean(np.abs(drive) ** 2, axis=-1))
+            power = np.abs(compressed) ** 2
+            for cp, cfg_c in prefix_cfg.items():
+                rms_drive[cp][rows] = np.sqrt(np.mean(with_prefix(power, cfg_c), axis=-1))
         for k, (tech, comp, (r_dpd, _, fit)) in enumerate(zip(techniques, companded,
                                                               reductions)):
             # the companded chain drives the amplifier with the compressed
@@ -341,14 +412,14 @@ def run_techniques(
             tx[k, rows] = drive
             if harvests:
                 for c in range(len(channels)):
-                    rx_p[c, k, rows] = np.mean(np.abs(faded(k, c, rows)) ** 2, axis=-1)
+                    rx_p[c, k, rows] = _mean_power(faded(k, c, rows, work), work)
         if techniques != ("linear",):
             ref = tx[base, rows] if base is not None else amplify(x, s.pa, s.ibo_db)
             ref_p[0, rows] = np.mean(np.abs(ref) ** 2, axis=-1)
         if "linear" in techniques:
             ref_p[1, rows] = np.mean(np.abs(x) ** 2, axis=-1)
 
-    run_bounded(transmit, ((rows,) for rows in blocks), threads)
+    run_bounded(pooled(transmit), ((rows,) for rows in blocks), threads)
 
     # a sequential sum in trial order, as the reference powers always were
     ref_power = np.cumsum(ref_p, axis=1)[:, -1]
@@ -367,38 +438,45 @@ def run_techniques(
     ber = np.empty((len(channels), len(splits), n_tech, trials))
     rates = np.empty_like(ber)
 
-    # each channel reads the first rx_len[c] samples of a trial's noise
-    rx_len = [s.frame_symbols * (cfg_c.n_samples + cfg_c.cp_length) for cfg_c in chan_cfg]
     # the antenna's draws, and the branch's if some splitter adds processing noise
     n_draws = 2 if any(split.sigma_p2 > 0.0 for split in splits) else 1
 
-    def receive(rows: slice) -> None:
+    def receive(rows: slice, work: _Workspace) -> None:
         # each trial's unit noise, (n, 2) normals from the trial's own
         # streams viewed as n complex samples
-        draws = np.empty((n_draws, rows.stop - rows.start, max(rx_len)), dtype=np.complex128)
+        draws = work.take("draws", (n_draws, rows.stop - rows.start, max(rx_len)))
         for d, z in enumerate(draws):
             for i, row in enumerate(z, rows.start):
                 _stream(s.seed, _NOISE, i, d).standard_normal(out=row.view(np.float64))
         sent = map_bits(bits[rows])
+        sent_bits = bits[rows].astype(bool)
         for c in range(len(channels)):
+            gains = channel.subcarrier_gains(taps[c][rows], chan_cfg[c])
             antenna = draws[0, :, :rx_len[c]]
             branch = draws[1, :, :rx_len[c]] if n_draws == 2 else None
+            shape = antenna.shape
+            scratch = work.take("scratch", shape)
             for k in range(n_tech):
-                y = faded(k, c, rows)
+                y = faded(k, c, rows, work)
                 if harvests:
-                    p_w = np.abs(y * eh_pin[c, k])
+                    p_w = np.multiply(y, eh_pin[c, k], out=work.take("copy", shape))
+                    p_w = np.abs(p_w, out=work.take("power", shape, np.float64))
                     p_w **= 2
-                    eff = eh_curve_eta3(s.eh, watts_to_dbm(p_w))
+                    eff = watts_to_dbm(p_w, out=work.take("efficiency", shape, np.float64))
+                    eff = eh_curve_eta3(s.eh, eff, out=eff)
                     eff *= p_w
                     eta3_num[c, k, rows] = np.sum(eff, axis=-1)
                     eta3_den[c, k, rows] = np.sum(p_w, axis=-1)
                 # the noiseless information branch before the split
                 y *= norm[k]
                 if companded[k]:
-                    p_info = np.mean(np.abs(y) ** 2, axis=-1)
+                    p_info = _mean_power(y, work)
                 for p, split in enumerate(splits):
                     # the last splitter builds its branch in the faded frames
-                    info = y if p == len(splits) - 1 else y.copy()
+                    info = y
+                    if p < len(splits) - 1:
+                        info = work.take("copy", shape)
+                        np.copyto(info, y)
                     scale = None
                     if companded[k]:
                         # known amplitude bookkeeping from the compressed
@@ -406,16 +484,16 @@ def run_techniques(
                         # information-branch signal, so the expander
                         # operates in its design domain
                         rms_rx = np.sqrt((1.0 - split.rho) * p_info)
-                        drive = rms_drive[c, rows]
+                        drive = rms_drive[chan_cfg[c].cp_length][rows]
                         scale = np.ones_like(rms_rx)
                         np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
-                    info_branch(info, split, antenna, branch)
+                    info_branch(info, split, antenna, branch, scratch)
                     ber[c, p, k, rows], rates[c, p, k, rows] = demodulate_and_ber(
-                        info, taps[c][rows], chan_cfg[c], sent,
-                        s.mu if companded[k] else None, scale,
+                        info, gains, chan_cfg[c], sent, sent_bits,
+                        s.mu if companded[k] else None, scale, scratch,
                     )
 
-    run_bounded(receive, ((rows,) for rows in blocks), threads)
+    run_bounded(pooled(receive), ((rows,) for rows in blocks), threads)
 
     eta1 = [efficiency_at_backoff(s.ibo_db - r_dpd - r_comp) if _saturating(s.pa) else 0.5
             for r_dpd, r_comp, _ in reductions]

@@ -71,11 +71,11 @@ class RectennaCurve:
         return (x, np.append(xp, np.inf), slope, np.concatenate(([0.0], fp)),
                 inv_step, 1.0 - xp[0] * inv_step)
 
-    def eta3(self, p_in_dbm) -> np.ndarray:
+    def eta3(self, p_in_dbm, out: np.ndarray | None = None) -> np.ndarray:
         """Efficiency at the given input power(s); zero below sensitivity,
         flat extrapolation past the last row.  Equal to np.interp(p,
         p_in_dbm, efficiency, left=0.0) bit for bit, without its binary
-        search."""
+        search.  Computed in ``out`` if given, which may be the input."""
         p = np.asarray(p_in_dbm, dtype=float)
         hi = self.p_in_dbm[-1]
         if np.any(p > hi):
@@ -89,7 +89,7 @@ class RectennaCurve:
         # clipped into the end cells, so that their 0 slopes meet finite
         # offsets; a NaN stays NaN, and the takes clip its guess (the cast
         # of a NaN) to cell 0
-        p = np.clip(p, x[0], hi)
+        p = np.clip(p, x[0], hi, out=out)
         j = p * inv_step
         j += offset
         with np.errstate(invalid="ignore"):
@@ -110,15 +110,24 @@ class RectennaCurve:
         return p
 
 
-def eta3(model: RectennaCurve | float, p_in_dbm) -> np.ndarray:
-    """Efficiency at the input power(s): the curve's, or the linear benchmark's."""
+def eta3(model: RectennaCurve | float, p_in_dbm, out: np.ndarray | None = None) -> np.ndarray:
+    """Efficiency at the input power(s): the curve's, or the linear
+    benchmark's; in ``out`` if given, which may be the input."""
     if isinstance(model, RectennaCurve):
-        return model.eta3(p_in_dbm)
-    return np.full_like(np.asarray(p_in_dbm, dtype=float), model)
+        return model.eta3(p_in_dbm, out)
+    if out is None:
+        return np.full_like(np.asarray(p_in_dbm, dtype=float), model)
+    out.fill(model)
+    return out
 
 
-def watts_to_dbm(p_w) -> np.ndarray:
-    return 10.0 * np.log10(np.maximum(np.asarray(p_w, dtype=float), _WATT_FLOOR) * 1e3)
+def watts_to_dbm(p_w, out: np.ndarray | None = None) -> np.ndarray:
+    """10 log10(1e3 p_w), p_w floored at _WATT_FLOOR; in ``out`` if given,
+    which may be the input."""
+    p = np.maximum(np.asarray(p_w, dtype=float), _WATT_FLOOR, out=out)
+    p = np.multiply(p, 1e3, out=out)
+    p = np.log10(p, out=out)
+    return np.multiply(p, 10.0, out=out)
 
 
 def parse_calibration(text: str, where: str) -> RectennaCurve:

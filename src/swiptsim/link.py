@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import subcarrier_gains
 from .companding import PEAK, expand_waveform
 from .ofdm import OfdmConfig, demap_symbols, ofdm_demodulate
 from .pa import BussgangParams, bussgang_estimate
@@ -76,8 +75,11 @@ class LinkMetrics:
     ber_ci: float
 
     def __post_init__(self) -> None:
-        if self.rate_bps_hz < 0.0:
-            raise ValueError("rate must be non-negative")
+        # written so that NaN fails too; an infinite rate is legal
+        if not self.rate_bps_hz >= 0.0:
+            raise ValueError(f"rate must be non-negative, got {self.rate_bps_hz}")
+        if not self.harvested_norm >= 0.0:
+            raise ValueError(f"harvested_norm must be non-negative, got {self.harvested_norm}")
         for name in ("ber", "eta1", "eta3", "eta_e2e"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -85,7 +87,7 @@ class LinkMetrics:
 
 
 def info_branch(y: np.ndarray, split: SplitConfig, antenna: np.ndarray,
-                branch: np.ndarray | None = None) -> np.ndarray:
+                branch: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """The information branch of the received samples y (..., n), built in
     y's own memory (y is overwritten and returned).
 
@@ -97,15 +99,21 @@ def info_branch(y: np.ndarray, split: SplitConfig, antenna: np.ndarray,
     branch may then be None.  The draws broadcast against y: the draws of
     receptions of shape trials + (n,) for y of the same shape, or one
     reception's (n,) shared by every row of y (alternative transmit
-    waveforms received through one noise realization).
+    waveforms received through one noise realization).  The scaled draws
+    are formed in ``scratch``, a complex array of the draws' shape that
+    does not share memory with y, if given, and in new arrays if not.
     """
+    if split.sigma_p2 != 0.0 and branch is None:
+        raise ValueError("sigma_p2 > 0 needs the branch's noise draws")
+
+    def scaled(variance: float, draws: np.ndarray) -> np.ndarray:
+        return np.multiply(np.sqrt(variance / 2.0), draws, out=scratch)
+
     if split.sigma_a2 != 0.0:
-        y += np.sqrt(split.sigma_a2 / 2.0) * antenna
+        y += scaled(split.sigma_a2, antenna)
     y *= np.sqrt(1.0 - split.rho)
     if split.sigma_p2 != 0.0:
-        if branch is None:
-            raise ValueError("sigma_p2 > 0 needs the branch's noise draws")
-        y += np.sqrt(split.sigma_p2 / 2.0) * branch
+        y += scaled(split.sigma_p2, branch)
     return y
 
 
@@ -122,67 +130,102 @@ def _rate(bp: BussgangParams):
     return np.log2(1.0 + sinr)
 
 
+def _head(buf: np.ndarray, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """The first prod(shape) elements of buf's memory, viewed as dtype in
+    shape."""
+    flat = buf.reshape(-1).view(dtype)
+    return flat[:math.prod(shape)].reshape(shape)
+
+
 def demodulate_and_ber(
     info_branch: np.ndarray,
-    taps,
+    gains: np.ndarray,
     cfg: OfdmConfig,
     sent: np.ndarray,
+    sent_bits: np.ndarray,
     expander: float | None = None,
     expander_scale=None,
+    scratch: np.ndarray | None = None,
 ):
     """Demodulate the information branch; (bit error rate, rate in
     bits/s/Hz) of each frame.
 
     Takes one frame, or a block of frames along the leading axes of
-    info_branch (..., samples), with their taps (..., n_taps), sent QPSK
-    symbols (..., symbols x N, as ofdm.map_bits gives them) and expander
-    scales (...); returns floats for a single frame and arrays of shape
-    (...) for a block.  Mu-law expansion with mu = ``expander`` and the
-    fixed companding.PEAK runs first, unless expander is None;
-    ``expander_scale`` is the known amplitude gain between the transmitted
-    compressed waveform and this branch, so the expander operates in the
-    domain it was designed for.  Then per symbol: CP removal, DFT and
-    single-tap zero-forcing with the true subcarrier gains.  The BER
-    counts the hard QPSK decisions on that grid (ofdm.demap_symbols) that
-    differ from the sent bits; the rate is log2(1 + K^2 / sigma_d^2) of
-    the grid's Bussgang decomposition against the sent symbols
-    (pa.bussgang_estimate), so distortion, noise and any expander noise
-    gain count as noise.
+    info_branch (..., samples), with their channels' subcarrier gains
+    (..., N, from channel.subcarrier_gains), sent QPSK symbols (...,
+    symbols x N, as ofdm.map_bits gives them), the bits those symbols
+    carry (..., 2 x symbols x N, 0/1 or bool, as map_bits took them) and
+    expander scales (...); returns floats for a single frame and arrays of shape
+    (...) for a block.  The gains and bits are inputs so that a receiver
+    computes them once per block and channel, not once per call; only
+    their shapes and the gains' zeros are checked, so bits that are not
+    those of ``sent`` give a wrong BER and no error.
+
+    Mu-law expansion with mu = ``expander`` and the fixed companding.PEAK
+    runs first, unless expander is None; ``expander_scale`` is the known
+    amplitude gain between the transmitted compressed waveform and this
+    branch, so the expander operates in the domain it was designed for.
+    Then per symbol: CP removal, DFT and single-tap zero-forcing with the
+    true subcarrier gains.  The BER counts the hard QPSK decisions on that
+    grid (ofdm.demap_symbols) that differ from the sent bits; the rate is
+    log2(1 + K^2 / sigma_d^2) of the grid's Bussgang decomposition against
+    the sent symbols (pa.bussgang_estimate), so distortion, noise and any
+    expander noise gain count as noise.
+
+    The branch is demodulated in its own memory, expander and grid: a
+    C-contiguous complex128 info_branch is overwritten, as info_branch
+    builds the branch in y's, and any other is copied first.  The
+    expander's magnitudes and gains and the DFT are formed in ``scratch``,
+    a complex128 array of info_branch's size that does not share memory
+    with it, if given, and in a new one if not.
     """
-    y = np.asarray(info_branch)
+    y = np.ascontiguousarray(info_branch, dtype=np.complex128)
     lead = y.shape[:-1]
-    if expander is not None:
-        scale = np.broadcast_to(1.0 if expander_scale is None else expander_scale, lead)
-        if np.any(scale <= 0.0):
-            raise ValueError("expander_scale must be positive")
-        scale = scale[..., None]
-        yn = y / scale
-        # noise can push samples far past the compressor's output range,
-        # where the expander grows exponentially; saturate well above the
-        # legitimate domain so such samples stay finite.  Only the frames
-        # with such a sample are rescaled: (yn * m) / m is not always yn
-        m = np.abs(yn)
-        cap = 64.0 * PEAK
-        over = np.any(m > cap, axis=-1)
-        if np.any(over):
-            m = m[over]
-            yn[over] = yn[over] * np.minimum(m, cap) / np.where(m > 0, m, 1.0)
-        y = expand_waveform(yn, expander) * scale
+    gains = np.asarray(gains)
+    if np.any(gains == 0.0):
+        raise ValueError("channel nulls a subcarrier, zero-forcing undefined")
     sym_len = cfg.n_samples + cfg.cp_length
     if y.shape[-1] % sym_len:
         raise ValueError(
             f"branch length {y.shape[-1]} is not a whole number of "
             f"{sym_len}-sample symbols"
         )
-    grid_hat = ofdm_demodulate(y.reshape(lead + (-1, sym_len)), cfg)
-    h_k = subcarrier_gains(np.asarray(taps).reshape(lead + (-1,)), cfg)
-    if np.any(np.abs(h_k) == 0.0):
-        raise ValueError("channel nulls a subcarrier, zero-forcing undefined")
-    grid = (grid_hat / h_k[..., None, :]).reshape(lead + (-1,))
+    n_grid = y.shape[-1] // sym_len * cfg.n_subcarriers
     sent = np.asarray(sent).reshape(lead + (-1,))
-    if sent.shape != grid.shape:
+    sent_bits = np.asarray(sent_bits).reshape(lead + (-1,))
+    if sent.shape[-1] != n_grid or sent_bits.shape[-1] != 2 * n_grid:
         raise ValueError("sent symbol count does not match the demodulated grid")
-    ber = np.mean(demap_symbols(grid) != demap_symbols(sent), axis=-1)
+    if scratch is None:
+        scratch = np.empty_like(y)
+    if expander is not None:
+        scale = np.broadcast_to(1.0 if expander_scale is None else expander_scale, lead)
+        # written so that NaN fails too
+        if not np.all(scale > 0.0):
+            raise ValueError("expander_scale must be positive")
+        scale = scale[..., None]
+        y /= scale
+        # the magnitudes and the gains: two float arrays in scratch's memory
+        m, gain = _head(scratch, (2,) + y.shape, np.float64)
+        np.abs(y, out=m)
+        # noise can push samples far past the compressor's output range,
+        # where the expander grows exponentially; saturate well above the
+        # legitimate domain so such samples stay finite.  Only the frames
+        # with such a sample are rescaled: (y * m) / m is not always y
+        cap = 64.0 * PEAK
+        over = np.any(m > cap, axis=-1)
+        if np.any(over):
+            m_over = m[over]
+            y[over] = y[over] * np.minimum(m_over, cap) / np.where(m_over > 0, m_over, 1.0)
+            m[over] = np.abs(y[over])
+        expand_waveform(y, expander, m, gain)
+        y *= scale
+    symbols = y.reshape(lead + (-1, sym_len))
+    grid = ofdm_demodulate(symbols, cfg,
+                           out=_head(y, symbols.shape[:-1] + (cfg.n_subcarriers,)),
+                           spectrum=_head(scratch, symbols.shape[:-1] + (cfg.n_samples,)))
+    grid /= gains[..., None, :]
+    grid = grid.reshape(lead + (-1,))
+    ber = np.mean(demap_symbols(grid) != sent_bits, axis=-1)
     rate = _rate(bussgang_estimate(sent, grid))
     if not lead:
         return float(ber), float(rate)

@@ -110,29 +110,43 @@ def synthesize_waveforms(grids: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     return with_prefix(x, cfg)
 
 
-def with_prefix(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+def with_prefix(x: np.ndarray, cfg: OfdmConfig, out: np.ndarray | None = None) -> np.ndarray:
     """Frames of whole symbols (..., symbols * N*L), each symbol with the
-    numerology's cyclic prefix."""
+    numerology's cyclic prefix, into ``out`` if given; x itself when the
+    numerology has no prefix."""
     if not cfg.cp_length:
         return x
     sym = x.reshape(x.shape[:-1] + (-1, cfg.n_samples))
-    return np.concatenate([sym[..., -cfg.cp_length:], sym], axis=-1).reshape(x.shape[:-1] + (-1,))
+    if out is not None:
+        out = out.reshape(sym.shape[:-1] + (cfg.cp_length + cfg.n_samples,))
+    return np.concatenate([sym[..., -cfg.cp_length:], sym], axis=-1,
+                          out=out).reshape(x.shape[:-1] + (-1,))
 
 
-def active_tones(spectrum: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """The N active tones of N*L-point spectra (last axis), in grid order."""
+def active_tones(spectrum: np.ndarray, cfg: OfdmConfig,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The N active tones of N*L-point spectra (last axis), in grid order,
+    into ``out`` if given."""
     n = cfg.n_subcarriers
-    return np.concatenate([spectrum[..., : n // 2], spectrum[..., cfg.n_samples - n // 2:]], axis=-1)
+    return np.concatenate([spectrum[..., : n // 2], spectrum[..., cfg.n_samples - n // 2:]],
+                          axis=-1, out=out)
 
 
-def ofdm_demodulate(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+def ofdm_demodulate(x: np.ndarray, cfg: OfdmConfig, out: np.ndarray | None = None,
+                    spectrum: np.ndarray | None = None) -> np.ndarray:
     """Recover the subcarrier grid of each time-domain symbol (last axis);
-    inverse of :func:`synthesize_waveforms` up to numerical precision."""
+    inverse of :func:`synthesize_waveforms` up to numerical precision.
+
+    The DFT is taken into ``spectrum`` (x's shape without the prefix) and
+    the grid into ``out`` if given, and into new arrays if not.  out may
+    share memory with x, which the DFT has read by the time out is written.
+    """
     if cfg.cp_length:
         x = x[..., cfg.cp_length:]
     if x.shape[-1] != cfg.n_samples:
         raise ValueError("sample count does not match the configuration")
-    grid = active_tones(np.fft.fft(x, norm="ortho"), cfg)
+    spectrum = np.fft.fft(x, norm="ortho", out=spectrum)
+    grid = active_tones(spectrum, cfg, out)
     grid /= np.sqrt(cfg.oversampling_factor)
     return grid
 

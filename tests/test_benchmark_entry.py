@@ -4,7 +4,8 @@ this runs it once, untraced, on each benchmark workload's tiny config and
 command line, and applies the workload's own output check, so that a
 change to those entry points or to a workload's path shows here and not
 only in a benchmark run.  It also checks that the benchmark's span
-tracer (perfbench/tracer.py) still finds the PAPR sampler's bindings."""
+tracer (perfbench/tracer.py) still finds the bindings of the PAPR sampler
+and of the receive job's stages."""
 
 import importlib.util
 import json
@@ -56,10 +57,11 @@ def test_benchmark_child_runs_each_workload(tmp_path, name):
     workload.check(out, cfg)
 
 
-def test_tracer_binds_the_papr_sampler():
-    # perfbench/tracer.py wraps functions by their module bindings and skips
-    # a binding that is gone, which would leave the PAPR pass untimed; its
-    # install() patches the package, so it runs in a process of its own
+def _missing_bindings() -> set[str]:
+    """The bindings that perfbench/tracer.py's Tracer().install() reports
+    missing.  The tracer wraps functions by their module bindings and skips
+    a binding that is gone, which would leave its stage untimed; install()
+    patches the package, so it runs in a process of its own."""
     code = (
         "import importlib.util, json, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
@@ -72,5 +74,17 @@ def test_tracer_binds_the_papr_sampler():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    missing = json.loads(proc.stdout.splitlines()[-1])
-    assert not {"companding:papr_samples", "cli:papr_samples"} & set(missing)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_tracer_binds_the_papr_sampler():
+    assert not {"companding:papr_samples", "cli:papr_samples"} & _missing_bindings()
+
+
+def test_tracer_binds_the_receive_spans():
+    # the receive job's demodulation, expander, zero-forcing gains and
+    # rectenna lookup
+    receive = {"link:demodulate_and_ber", "experiments:demodulate_and_ber",
+               "link:expand_waveform", "channel:subcarrier_gains",
+               "experiments:eh_curve_eta3"}
+    assert not receive & _missing_bindings()

@@ -390,6 +390,28 @@ def test_a_small_pass_starts_no_more_workers_than_blocks(monkeypatch):
         assert jobs == [(sizes, workers), (sizes, workers)]
 
 
+def test_the_receive_pass_takes_the_gains_once_per_block_and_channel(monkeypatch):
+    # the zero-forcing gains depend on a block's taps and the channel alone,
+    # so they are computed once per block and channel, not per technique
+    # and splitter, and through the channel module, whose binding the
+    # benchmark's tracer times
+    calls = []
+    real = experiments.channel.subcarrier_gains
+
+    def counting(taps, cfg):
+        calls.append(len(taps))
+        return real(taps, cfg)
+
+    monkeypatch.setattr(experiments.channel, "subcarrier_gains", counting)
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", 1)
+    s = _tiny_scenario("rayleigh_multitap", 3, 2)
+    channels = [ChannelSpec(kind="rayleigh_flat"), ChannelSpec(kind="rayleigh_multitap")]
+    splits = [_tiny_split(False, 0.0), _tiny_split(True, 1e-3)]
+    run_techniques(s, ("baseline", "companding"), channels, splits)
+    # 3 one-trial blocks x 2 channels
+    assert calls == [1] * 6
+
+
 def test_run_techniques_reference_without_baseline():
     # the power reference of every technique but linear is the baseline
     # amplifier output: the baseline's own waveform when it shares the

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptsim import link
 from swiptsim.channel import ChannelSpec, apply_channel, sample_channel, subcarrier_gains
@@ -14,8 +17,14 @@ from swiptsim.link import (
     demodulate_and_ber,
     info_branch,
 )
-from swiptsim.ofdm import OfdmConfig, map_bits, ofdm_demodulate, synthesize_waveforms
-from swiptsim.pa import PaModel, bussgang_estimate
+from swiptsim.ofdm import (
+    OfdmConfig,
+    demap_symbols,
+    map_bits,
+    ofdm_demodulate,
+    synthesize_waveforms,
+)
+from swiptsim.pa import PaModel, bussgang_estimate, scale_envelope
 
 SMALL = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
 
@@ -36,8 +45,12 @@ def test_link_metrics_validation():
     ok = dict(rate_bps_hz=1.0, harvested_norm=0.0, ber=0.0, eta1=0.5, eta3=0.5,
               eta_e2e=0.25, ibo_reduction_db=0.0, eta3_ci=float("nan"), ber_ci=float("nan"))
     assert LinkMetrics(**ok).ibo_reduction_db == 0.0
-    with pytest.raises(ValueError):
-        LinkMetrics(**{**ok, "rate_bps_hz": -1.0})
+    # an infinite rate (a noise-free link) is legal, NaN is not
+    assert LinkMetrics(**{**ok, "rate_bps_hz": float("inf")}).rate_bps_hz == float("inf")
+    for name in ("rate_bps_hz", "harvested_norm"):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match=name.split("_")[0]):
+                LinkMetrics(**{**ok, name: bad})
     with pytest.raises(ValueError):
         LinkMetrics(**{**ok, "ber": 1.5})
     with pytest.raises(ValueError):
@@ -143,12 +156,13 @@ def test_sinr_degenerate_cases():
     # all-zero branch a rate of 0, and both warn; noise keeps it finite
     rng = np.random.default_rng(23)
     sent, sig = _build_frame(SMALL, rng, 2)
+    known = (subcarrier_gains((1.0 + 0j,), SMALL), SMALL, sent, demap_symbols(sent))
     with pytest.warns(RuntimeWarning, match="diverges"):
-        assert demodulate_and_ber(sig, (1.0 + 0j,), SMALL, sent) == (0.0, np.inf)
+        assert demodulate_and_ber(sig.copy(), *known) == (0.0, np.inf)
     with pytest.warns(RuntimeWarning, match="diverges"):
-        assert demodulate_and_ber(np.zeros_like(sig), (1.0 + 0j,), SMALL, sent)[1] == 0.0
+        assert demodulate_and_ber(np.zeros_like(sig), *known)[1] == 0.0
     noisy = sig + 1e-3 * rng.standard_normal(sig.size)
-    assert np.isfinite(demodulate_and_ber(noisy, (1.0 + 0j,), SMALL, sent)[1])
+    assert np.isfinite(demodulate_and_ber(noisy, *known)[1])
 
 
 def test_companded_sinr_golden_and_noise_inflation():
@@ -178,12 +192,15 @@ def test_achievable_rate_basics():
                      for _ in range(3)])
     rx = np.stack([apply_channel(x, t, cfg.cp_length) for (_, x), t in zip(frames, taps)])
     rx = rx + 0.05 * (rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape))
-    _, rates = demodulate_and_ber(rx, taps, cfg, sent)
+    _, rates = demodulate_and_ber(rx.copy(), subcarrier_gains(taps, cfg), cfg, sent,
+                                  demap_symbols(sent))
     for i in range(3):
         grid = ofdm_demodulate(rx[i].reshape(2, -1), cfg) / subcarrier_gains(taps[i], cfg)
         bp = bussgang_estimate(sent[i], grid.ravel())
         assert rates[i] == pytest.approx(np.log2(1.0 + bp.k_l ** 2 / bp.sigma_d2), rel=1e-12)
-        assert demodulate_and_ber(rx[i], tuple(taps[i]), cfg, sent[i])[1] == rates[i]
+        alone = demodulate_and_ber(rx[i].copy(), subcarrier_gains(tuple(taps[i]), cfg), cfg,
+                                   sent[i], demap_symbols(sent[i]))
+        assert alone[1] == rates[i]
     assert 0.0 < rates.min()
 
 
@@ -266,7 +283,8 @@ def test_noiseless_ber_is_zero_through_fading():
     # a noiseless frame through fading decodes without error, and, with
     # neither noise nor distortion, at an infinite rate
     with pytest.warns(RuntimeWarning, match="diverges"):
-        assert demodulate_and_ber(rx, taps, cfg, sent) == (0.0, np.inf)
+        assert demodulate_and_ber(rx, subcarrier_gains(taps, cfg), cfg, sent,
+                                  demap_symbols(sent)) == (0.0, np.inf)
 
 
 def test_tiny_mu_expander_matches_plain_receiver():
@@ -278,8 +296,9 @@ def test_tiny_mu_expander_matches_plain_receiver():
     taps = (1.0 + 0j,)
     split = SplitConfig(rho=0.0, sigma_a2=0.5, sigma_p2=0.0)
     rx = info_branch(sig, split, _unit_draws(rng, (sig.size,)))
-    plain, _ = demodulate_and_ber(rx, taps, cfg, sent)
-    expanded, _ = demodulate_and_ber(rx, taps, cfg, sent, expander=1e-9, expander_scale=1.0)
+    known = (subcarrier_gains(taps, cfg), cfg, sent, demap_symbols(sent))
+    plain, _ = demodulate_and_ber(rx.copy(), *known)
+    expanded, _ = demodulate_and_ber(rx.copy(), *known, expander=1e-9, expander_scale=1.0)
     assert plain > 0.0
     assert expanded == plain
 
@@ -287,7 +306,8 @@ def test_tiny_mu_expander_matches_plain_receiver():
 def test_demodulate_block_caps_the_expander_row_by_row(monkeypatch):
     # a block of frames demodulates exactly as each frame alone, BER and
     # rate, and the expander cap rescales only the frames with a sample
-    # beyond it
+    # beyond it: the expander sees the capped waveform, whatever buffers
+    # it is handed
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2, cp_length=4)
     rng = np.random.default_rng(19)
     frames = [_build_frame(cfg, rng, 2) for _ in range(3)]
@@ -302,13 +322,15 @@ def test_demodulate_block_caps_the_expander_row_by_row(monkeypatch):
     expanded = []
     real_expand = link.expand_waveform
 
-    def recording_expand(waveform, mu):
+    def recording_expand(waveform, mu, *buffers):
         expanded.append(waveform.copy())
-        return real_expand(waveform, mu)
+        return real_expand(waveform, mu, *buffers)
 
     monkeypatch.setattr(link, "expand_waveform", recording_expand)
-    block = demodulate_and_ber(rx, taps, cfg, sent, 1.25, scale)
-    alone = [demodulate_and_ber(rx[i], tuple(taps[i]), cfg, sent[i], 1.25, float(scale[i]))
+    block = demodulate_and_ber(rx.copy(), subcarrier_gains(taps, cfg), cfg, sent,
+                               demap_symbols(sent), 1.25, scale)
+    alone = [demodulate_and_ber(rx[i].copy(), subcarrier_gains(tuple(taps[i]), cfg), cfg,
+                                sent[i], demap_symbols(sent[i]), 1.25, float(scale[i]))
              for i in range(3)]
     np.testing.assert_array_equal(np.transpose(block), alone)
     np.testing.assert_array_equal(expanded[0], np.stack(expanded[1:]))
@@ -321,14 +343,111 @@ def test_demodulate_rejections():
     cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
     rng = np.random.default_rng(17)
     sent, sig = _build_frame(cfg, rng, 2)
-    taps = (1.0 + 0j,)
+    gains, bits = subcarrier_gains((1.0 + 0j,), cfg), demap_symbols(sent)
 
     with pytest.raises(ValueError, match="nulls"):
-        demodulate_and_ber(sig, (0.0 + 0j,), cfg, sent)
+        demodulate_and_ber(sig, subcarrier_gains((0.0 + 0j,), cfg), cfg, sent, bits)
     short = sig[:-1]
     with pytest.raises(ValueError, match="whole number"):
-        demodulate_and_ber(short, taps, cfg, sent)
+        demodulate_and_ber(short, gains, cfg, sent, bits)
     with pytest.raises(ValueError, match="sent symbol count"):
-        demodulate_and_ber(sig, taps, cfg, sent[:-2])
-    with pytest.raises(ValueError, match="positive"):
-        demodulate_and_ber(sig, taps, cfg, sent, expander=1.25, expander_scale=0.0)
+        demodulate_and_ber(sig, gains, cfg, sent[:-2], bits)
+    with pytest.raises(ValueError, match="sent symbol count"):
+        demodulate_and_ber(sig, gains, cfg, sent, bits[:-4])
+    # NaN fails the sign check too, instead of passing as a scale
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            demodulate_and_ber(sig.copy(), gains, cfg, sent, bits, expander=1.25,
+                               expander_scale=bad)
+
+
+def _reference_demodulate(y, taps, cfg, sent, expander=None, expander_scale=None):
+    """The demodulator's arithmetic in new arrays, with the gains and the
+    sent bits derived in the call: the expander as the envelope map of
+    (PEAK / mu) expm1(m log1p(mu) / PEAK), then DFT, zero-forcing, BER
+    and rate."""
+    lead = y.shape[:-1]
+    if expander is not None:
+        scale = np.broadcast_to(1.0 if expander_scale is None else expander_scale, lead)
+        scale = scale[..., None]
+        yn = y / scale
+        m = np.abs(yn)
+        cap = 64.0 * PEAK
+        over = np.any(m > cap, axis=-1)
+        if np.any(over):
+            m = m[over]
+            yn[over] = yn[over] * np.minimum(m, cap) / np.where(m > 0, m, 1.0)
+        y = scale_envelope(
+            yn, lambda m: (PEAK / expander) * np.expm1(m * math.log1p(expander) / PEAK)) * scale
+    symbols = y.reshape(lead + (-1, cfg.n_samples + cfg.cp_length))[..., cfg.cp_length:]
+    spectrum = np.fft.fft(symbols, norm="ortho")
+    n = cfg.n_subcarriers
+    grid = np.concatenate([spectrum[..., : n // 2], spectrum[..., cfg.n_samples - n // 2:]],
+                          axis=-1)
+    grid /= np.sqrt(cfg.oversampling_factor)
+    h_k = subcarrier_gains(np.asarray(taps).reshape(lead + (-1,)), cfg)
+    grid = (grid / h_k[..., None, :]).reshape(lead + (-1,))
+    sent = sent.reshape(lead + (-1,))
+    ber = np.mean(demap_symbols(grid) != demap_symbols(sent), axis=-1)
+    bp = bussgang_estimate(sent, grid)
+    return ber, np.log2(1.0 + np.square(bp.k_l) / bp.sigma_d2)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 3), n_splits=st.integers(1, 3),
+       multitap=st.booleans(), companded=st.booleans(), capped=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_receive_kernel_is_bit_identical(seed, frames, n_splits, multitap, companded, capped):
+    # the receive job's kernel: each splitter's branch built in a copy of
+    # the faded frames and demodulated with the block's gains and sent bits,
+    # one copy and one scratch array reused across the splitters, gives
+    # every BER and rate of the new-array arithmetic bit for bit
+    cfg = OfdmConfig(n_subcarriers=16, oversampling_factor=2, cp_length=4 if multitap else 0)
+    rng = np.random.default_rng(seed)
+    built = [_build_frame(cfg, rng, 2) for _ in range(frames)]
+    sent = np.stack([b for b, _ in built])
+    spec = ChannelSpec(kind="rayleigh_multitap" if multitap else "rayleigh_flat")
+    taps = np.array([sample_channel(spec, rng) for _ in range(frames)])
+    rx = np.stack([apply_channel(x, t, cfg.cp_length) for (_, x), t in zip(built, taps)])
+    scale = rng.uniform(0.5, 2.0, frames)
+    if capped:
+        rx[-1, 3] = 100.0 * PEAK * scale[-1]  # beyond the expander's cap
+    antenna, branch = _unit_draws(rng, (2,) + rx.shape)
+    splits = [SplitConfig(rho=float(rho), sigma_a2=float(a), sigma_p2=float(p))
+              for rho, a, p in rng.uniform(0.0, 0.05, (n_splits, 3))]
+    mu = 1.25 if companded else None
+    info, scratch = np.empty_like(rx), np.empty_like(rx)
+    gains, bits = subcarrier_gains(taps, cfg), demap_symbols(sent)
+    for split in splits:
+        np.copyto(info, rx)
+        info_branch(info, split, antenna, branch, scratch)
+        got = demodulate_and_ber(info, gains, cfg, sent, bits, mu, scale, scratch)
+        ref_info = (rx + np.sqrt(split.sigma_a2 / 2.0) * antenna) * np.sqrt(1.0 - split.rho)
+        ref_info = ref_info + np.sqrt(split.sigma_p2 / 2.0) * branch
+        ref = _reference_demodulate(ref_info, taps, cfg, sent, mu, scale)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+@pytest.mark.parametrize("expander", [None, 1.25])
+def test_demodulate_overwrites_only_a_complex128_branch(expander):
+    # a C-contiguous complex128 branch is demodulated in its own memory, so
+    # it is overwritten; any other branch (complex64, strided, real) is
+    # copied first and left as it was
+    cfg = OfdmConfig(n_subcarriers=64, oversampling_factor=2, cp_length=4)
+    rng = np.random.default_rng(31)
+    sent, sig = _build_frame(cfg, rng, 2)
+    known = (subcarrier_gains((1.0 + 0j,), cfg), cfg, sent, demap_symbols(sent),
+             expander, 1.5)
+    rx = (sig + 0.05 * rng.standard_normal(sig.size)).astype(np.complex64)
+    wide = rx.astype(np.complex128)
+    expected = demodulate_and_ber(wide.copy(), *known)
+
+    assert demodulate_and_ber(wide, *known) == expected
+    assert wide.tobytes() != rx.astype(np.complex128).tobytes()
+    strided = np.repeat(rx.astype(np.complex128), 2)[::2]
+    for kept in (rx, strided):
+        before = kept.copy()
+        assert demodulate_and_ber(kept, *known) == expected
+        assert kept.tobytes() == before.tobytes()
+    real = rx.real.copy()
+    demodulate_and_ber(real, *known)
+    assert real.tobytes() == rx.real.tobytes()
