@@ -72,9 +72,10 @@ channels and one splitter per Eb/N0 point in ber, and the configured
 channel and one splitter per splitting ratio in rate-energy.  Every
 channel and splitter shares the pass's bits, transmit frames and noise
 draws, and every splitter on a channel its taps.  Each job being
-processed holds its block's noise draws, so memory grows with --threads:
-ber at its defaults peaked at 57, 62 and 98-101 MB of RSS at 1, 2 and 12
-threads.  dpd-design runs serially and rejects it.
+processed holds its block's frames and noise draws, so memory grows with
+--threads, not with --trials: ber at its defaults peaked at 47, 54 and
+113 MB of RSS at 1, 2 and 12 threads.  dpd-design runs serially and
+rejects it.
 
 dpd-design measures its EVM table (dpd_evm.csv) on the probe its design
 searched, which carries no cyclic prefix, so it neither checks nor

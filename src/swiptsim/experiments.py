@@ -272,49 +272,60 @@ def run_techniques(
     longest frame of the pass; every channel reads the first samples of
     its frame's length, and every splitter scales the same draws by its
     own variances.  The branch's stream is drawn only when some splitter
-    has sigma_p2 > 0.  Each technique's transmit frames are computed once,
-    without a cyclic prefix: the chain acts per sample, so each channel
-    adds its own prefix after the amplifier.  The frames are compressed
-    once for the companded techniques.  Linear's power reference is its
-    own frames, every other technique's the baseline amplifier output of
-    the uncompressed frames: the baseline's transmit waveform, or, without
-    a baseline in the pass, an amplification made for the reference alone.
+    has sigma_p2 > 0.  Each technique's transmit frames are built without
+    a cyclic prefix: the chain acts per sample, so each channel adds its
+    own prefix after the amplifier.  Linear's power reference is its own
+    frames, every other technique's the baseline amplifier output of the
+    uncompressed frames: the baseline's transmit waveform, or, without a
+    baseline in the pass or a harvesting splitter, an amplification made
+    for the reference alone.
 
-    The trials run in blocks of about _BLOCK_BYTES of frame samples,
-    twice: transmit, then, once the ensemble powers are known, one job per
-    block that draws the block's noise and, channel by channel, adds the
-    channel's prefix, applies its taps and builds every splitter's
-    branches.  Each quantity is computed at the level it depends on: the
-    sent symbols and bits once per block, the zero-forcing gains once per
-    block and channel (channel.subcarrier_gains), and the compressed
-    frames' rms once per prefix length, not per channel.  A pool of
-    min(threads, blocks) workers processes the jobs, at most 2 * threads
-    in flight, and with one worker the calling thread does (see
-    ofdm.run_bounded).  Blocks are not split to feed more workers, since
-    smaller ones gain nothing from a second thread (see _BLOCK_BYTES), so
-    a pass of one block starts no pool.
+    The trials run in blocks of about _BLOCK_BYTES of frame samples, in
+    two passes of one job per block, and each job builds its block's
+    frames from the block's bits: the uncompressed frames, the compressed
+    ones once for the companded techniques, and one technique's transmit
+    frames at a time.  The power job keeps only what the normalizations
+    need: the reference powers and, when some splitter harvests, every
+    technique's received power through every channel; with no harvesting
+    splitter it builds only the uncompressed frames and the reference
+    amplification.  Once the ensemble powers are known, the receive job
+    builds the frames again, draws the block's noise and, technique by
+    technique and channel by channel, adds the channel's prefix, applies
+    its taps and builds every splitter's branches.  Each quantity is
+    computed at the level it depends on: the sent symbols (those the
+    frames are built from) and bits once per block, the zero-forcing gains
+    once per block and channel (channel.subcarrier_gains), and the
+    compressed frames' rms once per block and prefix length, not per
+    channel.  A pool of min(threads, blocks) workers processes the jobs,
+    at most 2 * threads in flight, and with one worker the calling thread
+    does (see ofdm.run_bounded).  Blocks are not split to feed more
+    workers, since smaller ones gain nothing from a second thread (see
+    _BLOCK_BYTES), so a pass of one block starts no pool.
 
-    Memory: every technique's transmit frames are held for the receive
-    pass, len(techniques) x trials x frame_symbols x N*L complex128
-    samples, because the normalizations need the ensemble powers first, and
-    so are every trial's bits (2 N x frame_symbols int8) and every
-    channel's taps.  A job being processed works in a workspace
-    (_Workspace) of block-sized buffers, which it takes from the jobs that
-    are done, so at most one per worker exists and a pass reuses the same
-    memory from block to block instead of allocating and returning
-    frame-size temporaries.  Each buffer holds one value at a time, in
-    this order: "draws", the block's unit noise (one complex frame per
-    trial, two with processing noise); "faded", the faded frames; "copy",
-    the prefixed frames, then the rectenna's y * pin, then a splitter's
-    copy of the faded frames; "power" and "efficiency", the float |y|^2
-    and eta3 frames; and "scratch", the scaled noise of
-    link.info_branch and then the expander's magnitudes and gains and the
-    DFT of link.demodulate_and_ber, which builds the grid in the branch
-    it demodulates.  Only smaller temporaries (the Bussgang sums' and the
-    bit decisions') are allocated per call.  With 4 techniques x 50 trials
-    x 4 symbols at N*L = 2048 the frames take 26 MB, and each worker's
-    workspace of a 4-trial block about 3 MB more, which it keeps for the
-    whole pass.
+    Memory: no frame outlives its job, so a pass holds per trial only its
+    bits (2 N x frame_symbols int8), every channel's taps and the
+    per-frame results, and its peak barely grows with the trial count.
+    The price is that each frame is built twice, once per pass.  A job
+    being processed works in a workspace (_Workspace) of block-sized
+    buffers, which it takes from the jobs that are done, so at most one
+    per worker exists and both passes reuse the same memory from block to
+    block instead of allocating and returning frame-size temporaries.
+    Each buffer holds one value at a time, in this order: "tx", one
+    technique's transmit frames (or the reference amplification);
+    "draws", the block's unit noise (one complex frame per trial, two
+    with processing noise); "faded", the faded frames; "copy", the
+    prefixed frames, then the rectenna's y * pin, then a splitter's copy
+    of the faded frames; "power" and "efficiency", the float |x|^2 of a
+    power or an rms, then the float |y|^2 and eta3 frames; and "scratch",
+    the scaled noise of link.info_branch and then the expander's
+    magnitudes and gains and the DFT of link.demodulate_and_ber, which
+    builds the grid in the branch it demodulates.  The block's
+    uncompressed and compressed frames are allocated once per job, and
+    only smaller temporaries (the Bussgang sums' and the bit decisions')
+    per call.  With a 4-trial block of 4 symbols at N*L = 2048, each
+    worker's workspace takes about 3.5 MB with processing noise and 3 MB
+    without, which it keeps for the whole pass, and a job being processed
+    1 MB more for its block's frames.
 
     The rectifier works on the faded frames with their ensemble mean
     pinned to 0 dBm, which removes rho, so every splitter with rho > 0
@@ -354,7 +365,6 @@ def run_techniques(
     for spec in channels:
         rng = _stream(s.seed, 1 + CHANNEL_KINDS.index(spec.kind), 0)
         taps.append(np.array([sample_channel(spec, rng) for _ in range(trials)]))
-    tx = np.empty((n_tech, trials, frame_len), dtype=np.complex128)
     # each trial's reference power: [0] the baseline amplifier output of
     # the uncompressed frames, every technique's but linear's, and [1] the
     # frames themselves, linear's
@@ -364,9 +374,7 @@ def run_techniques(
     # a received frame's length on each channel; each channel reads the
     # first rx_len[c] samples of a trial's noise
     rx_len = [s.frame_symbols * (cfg_c.n_samples + cfg_c.cp_length) for cfg_c in chan_cfg]
-    # the compressed frames' rms, once per prefix length the channels need
     prefix_cfg = {cfg_c.cp_length: cfg_c for cfg_c in chan_cfg}
-    rms_drive = {cp: np.empty(trials) for cp in prefix_cfg}
 
     # the workspaces of the jobs that are done, which the next jobs reuse
     # (a deque's append and pop are atomic)
@@ -385,41 +393,54 @@ def run_techniques(
                 spare.append(work)
         return run
 
-    def faded(k: int, c: int, rows: slice, work: _Workspace) -> np.ndarray:
-        # technique k's frames of the trials in rows, prefixed (in "copy"),
-        # through channel c (into "faded")
+    def source(rows: slice, compress: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        # the sent symbols of the trials in rows, their uncompressed frames
+        # and, if compress, their compressed frames
+        sent = map_bits(bits[rows])
+        grids = sent.reshape(-1, s.frame_symbols, cfg.n_subcarriers)
+        x = synthesize_waveforms(grids, cfg).reshape(-1, frame_len)
+        return sent, x, compress_waveform(x, s.mu) if compress else None
+
+    def transmitted(k: int, x: np.ndarray, compressed: np.ndarray | None,
+                    out: np.ndarray) -> np.ndarray:
+        # technique k's transmit frames, into out: the companded chain
+        # drives the amplifier with the compressed frames at their natural
+        # (hotter) level, since the compression power gain is exactly the
+        # back-off reduction the technique claims
+        frames = compressed if companded[k] else x
+        if techniques[k] == "linear":
+            np.copyto(out, frames)
+            return out
+        r_dpd, _, fit = reductions[k]
+        return amplify(frames, s.pa, s.ibo_db - r_dpd, fit, out)
+
+    def faded(frames: np.ndarray, c: int, rows: slice, work: _Workspace) -> np.ndarray:
+        # the frames of the trials in rows, prefixed (in "copy"), through
+        # channel c (into "faded")
         shape = (rows.stop - rows.start, rx_len[c])
-        x = with_prefix(tx[k, rows], chan_cfg[c], work.take("copy", shape))
+        x = with_prefix(frames, chan_cfg[c], work.take("copy", shape))
         return apply_channel(x, taps[c][rows], chan_cfg[c].cp_length, work.take("faded", shape))
 
-    def transmit(rows: slice, work: _Workspace) -> None:
-        grids = map_bits(bits[rows]).reshape(-1, s.frame_symbols, cfg.n_subcarriers)
-        x = synthesize_waveforms(grids, cfg).reshape(-1, frame_len)
-        compressed = None
-        if any(companded):
-            compressed = compress_waveform(x, s.mu)
-            power = np.abs(compressed) ** 2
-            for cp, cfg_c in prefix_cfg.items():
-                rms_drive[cp][rows] = np.sqrt(np.mean(with_prefix(power, cfg_c), axis=-1))
-        for k, (tech, comp, (r_dpd, _, fit)) in enumerate(zip(techniques, companded,
-                                                              reductions)):
-            # the companded chain drives the amplifier with the compressed
-            # frames at their natural (hotter) level: the compression power
-            # gain is exactly the back-off reduction the technique claims
-            drive = compressed if comp else x
-            if tech != "linear":
-                drive = amplify(drive, s.pa, s.ibo_db - r_dpd, fit)
-            tx[k, rows] = drive
-            if harvests:
+    def powers(rows: slice, work: _Workspace) -> None:
+        # the block's reference powers, and its received powers when some
+        # splitter harvests; the frames are built again in receive
+        _, x, compressed = source(rows, harvests and any(companded))
+        tx = work.take("tx", x.shape)
+        if harvests:
+            for k in range(n_tech):
+                y = transmitted(k, x, compressed, tx)
+                if k == base:
+                    ref_p[0, rows] = _mean_power(y, work)
                 for c in range(len(channels)):
-                    rx_p[c, k, rows] = _mean_power(faded(k, c, rows, work), work)
-        if techniques != ("linear",):
-            ref = tx[base, rows] if base is not None else amplify(x, s.pa, s.ibo_db)
-            ref_p[0, rows] = np.mean(np.abs(ref) ** 2, axis=-1)
+                    rx_p[c, k, rows] = _mean_power(faded(y, c, rows, work), work)
+        # the reference amplification, unless the baseline's frames were it
+        if techniques != ("linear",) and not (harvests and base is not None):
+            ref = amplify(x, s.pa, s.ibo_db, out=tx)
+            ref_p[0, rows] = _mean_power(ref, work)
         if "linear" in techniques:
-            ref_p[1, rows] = np.mean(np.abs(x) ** 2, axis=-1)
+            ref_p[1, rows] = _mean_power(x, work)
 
-    run_bounded(pooled(transmit), ((rows,) for rows in blocks), threads)
+    run_bounded(pooled(powers), ((rows,) for rows in blocks), threads)
 
     # a sequential sum in trial order, as the reference powers always were
     ref_power = np.cumsum(ref_p, axis=1)[:, -1]
@@ -442,22 +463,33 @@ def run_techniques(
     n_draws = 2 if any(split.sigma_p2 > 0.0 for split in splits) else 1
 
     def receive(rows: slice, work: _Workspace) -> None:
+        # the block's frames, built again from the same bits
+        sent, x, compressed = source(rows, any(companded))
+        # the compressed frames' rms, once per prefix length the channels need
+        rms_tx = {}
+        if compressed is not None:
+            power = np.abs(compressed, out=work.take("power", x.shape, np.float64))
+            power **= 2
+            rms_tx = {cp: np.sqrt(np.mean(with_prefix(power, cfg_c), axis=-1))
+                      for cp, cfg_c in prefix_cfg.items()}
         # each trial's unit noise, (n, 2) normals from the trial's own
         # streams viewed as n complex samples
         draws = work.take("draws", (n_draws, rows.stop - rows.start, max(rx_len)))
         for d, z in enumerate(draws):
             for i, row in enumerate(z, rows.start):
                 _stream(s.seed, _NOISE, i, d).standard_normal(out=row.view(np.float64))
-        sent = map_bits(bits[rows])
         sent_bits = bits[rows].astype(bool)
-        for c in range(len(channels)):
-            gains = channel.subcarrier_gains(taps[c][rows], chan_cfg[c])
-            antenna = draws[0, :, :rx_len[c]]
-            branch = draws[1, :, :rx_len[c]] if n_draws == 2 else None
-            shape = antenna.shape
-            scratch = work.take("scratch", shape)
-            for k in range(n_tech):
-                y = faded(k, c, rows, work)
+        gains = [channel.subcarrier_gains(taps[c][rows], chan_cfg[c])
+                 for c in range(len(channels))]
+        for k in range(n_tech):
+            # one technique's transmit frames at a time
+            tx = transmitted(k, x, compressed, work.take("tx", x.shape))
+            for c in range(len(channels)):
+                antenna = draws[0, :, :rx_len[c]]
+                branch = draws[1, :, :rx_len[c]] if n_draws == 2 else None
+                shape = antenna.shape
+                scratch = work.take("scratch", shape)
+                y = faded(tx, c, rows, work)
                 if harvests:
                     p_w = np.multiply(y, eh_pin[c, k], out=work.take("copy", shape))
                     p_w = np.abs(p_w, out=work.take("power", shape, np.float64))
@@ -484,12 +516,12 @@ def run_techniques(
                         # information-branch signal, so the expander
                         # operates in its design domain
                         rms_rx = np.sqrt((1.0 - split.rho) * p_info)
-                        drive = rms_drive[chan_cfg[c].cp_length][rows]
+                        drive = rms_tx[chan_cfg[c].cp_length]
                         scale = np.ones_like(rms_rx)
                         np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
                     info_branch(info, split, antenna, branch, scratch)
                     ber[c, p, k, rows], rates[c, p, k, rows] = demodulate_and_ber(
-                        info, gains, chan_cfg[c], sent, sent_bits,
+                        info, gains[c], chan_cfg[c], sent, sent_bits,
                         s.mu if companded[k] else None, scale, scratch,
                     )
 

@@ -106,20 +106,21 @@ def polyval(x, coeffs) -> np.ndarray:
     return y
 
 
-def scale_envelope(x: np.ndarray, f) -> np.ndarray:
-    """x with every sample magnitude m mapped to f(m) and its phase kept;
-    zero samples stay zero."""
+def scale_envelope(x: np.ndarray, f, out: np.ndarray | None = None) -> np.ndarray:
+    """x with every sample magnitude m mapped to f(m) and its phase kept,
+    into ``out`` if given; zero samples stay zero."""
     # the magnitudes (0-d for a scalar x, so that they can be written) are
     # overwritten with the gains f(m) / m; a zero magnitude keeps gain 0
     m = np.asarray(np.abs(x))
     np.divide(f(m), m, out=m, where=m > 0)
-    return x * m
+    return np.multiply(x, m, out=out)
 
 
-def amplify(x: np.ndarray, pa: PaModel, ibo_db: float, inverse_fit=None) -> np.ndarray:
+def amplify(x: np.ndarray, pa: PaModel, ibo_db: float, inverse_fit=None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """The transmit chain on a waveform of any shape: back-off, optional
     predistortion and the AM/AM characteristic, with the back-off gain
-    divided out again, as one envelope map.
+    divided out again, as one envelope map, into ``out`` if given.
 
     With g = 10^(-ibo_db/20) each magnitude m maps to am_am(pd(m g)) / g.
     pd is the identity, or, given inverse_fit, a predistorter polynomial
@@ -134,7 +135,7 @@ def amplify(x: np.ndarray, pa: PaModel, ibo_db: float, inverse_fit=None) -> np.n
             u = np.clip(inverse_fit(np.minimum(u, inverse_fit.domain_max)), 0.0, None)
         return pa.am_am(u) / g
 
-    return scale_envelope(x, envelope)
+    return scale_envelope(x, envelope, out)
 
 
 def class_a_efficiency(papr_db: float) -> float:

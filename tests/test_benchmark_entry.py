@@ -5,7 +5,7 @@ command line, and applies the workload's own output check, so that a
 change to those entry points or to a workload's path shows here and not
 only in a benchmark run.  It also checks that the benchmark's span
 tracer (perfbench/tracer.py) still finds the bindings of the PAPR sampler
-and of the receive job's stages."""
+and of the Monte Carlo jobs' transmit and receive stages."""
 
 import importlib.util
 import json
@@ -88,3 +88,11 @@ def test_tracer_binds_the_receive_spans():
                "link:expand_waveform", "channel:subcarrier_gains",
                "experiments:eh_curve_eta3"}
     assert not receive & _missing_bindings()
+
+
+def test_tracer_binds_the_transmit_spans():
+    # the bit map, synthesis, compressor and channel with which each Monte
+    # Carlo job builds its block's frames, in both passes
+    transmit = {"experiments:map_bits", "experiments:synthesize_waveforms",
+                "experiments:compress_waveform", "experiments:apply_channel"}
+    assert not transmit & _missing_bindings()

@@ -590,23 +590,27 @@ def _count_transmit(tmp_path, monkeypatch, command):
 
 
 def test_e2e_techniques_share_each_frame(tmp_path, monkeypatch):
-    # one transmit pass over the whole Monte Carlo: each trial is
-    # synthesized once for all four techniques and all four channels (plus
-    # the DPD design's own two batches, through ofdm), and each technique
-    # amplifies each frame once, the baseline output doubling as every
-    # technique's power reference; the Monte Carlo works on blocks of
-    # frames, so frames are counted, not calls
+    # a pass holds no frames between its two passes, so each block builds
+    # its frames twice, once for the ensemble powers and once for the
+    # receive job: each trial is synthesized once per pass for all
+    # four techniques and all four channels (plus the DPD design's own two
+    # batches, through ofdm), and each technique amplifies each frame once
+    # per pass, the baseline output doubling as every technique's power
+    # reference; the Monte Carlo works on blocks of frames, so frames are
+    # counted, not calls
     synth, frames = _count_transmit(tmp_path, monkeypatch, "e2e")
-    assert synth == {"experiments": 3, "ofdm": 2}
-    assert frames == 4 * 3
+    assert synth == {"experiments": 2 * 3, "ofdm": 2}
+    assert frames == 2 * 4 * 3
 
 
 def test_ber_techniques_share_each_frame(tmp_path, monkeypatch):
-    # one synthesis per trial serves every channel and Eb/N0 point, and
-    # each of the two default techniques amplifies each frame once
+    # one synthesis per trial and pass serves every channel and Eb/N0
+    # point; with no harvesting splitter the power pass amplifies each
+    # frame once, for the reference alone, and the receive job once per
+    # default technique
     synth, frames = _count_transmit(tmp_path, monkeypatch, "ber")
-    assert synth == {"experiments": 3, "ofdm": 0}
-    assert frames == 2 * 3
+    assert synth == {"experiments": 2 * 3, "ofdm": 0}
+    assert frames == 3 + 2 * 3
 
 
 def test_e2e_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -386,7 +387,7 @@ def test_a_small_pass_starts_no_more_workers_than_blocks(monkeypatch):
                                             (50, 2, [4] * 12 + [2], 2)):
         jobs.clear()
         run_techniques(Scenario(trials=trials), ("baseline",), AWGN, split, threads)
-        # the transmit pass, then the receive pass
+        # the power pass, then the receive pass
         assert jobs == [(sizes, workers), (sizes, workers)]
 
 
@@ -410,6 +411,30 @@ def test_the_receive_pass_takes_the_gains_once_per_block_and_channel(monkeypatch
     run_techniques(s, ("baseline", "companding"), channels, splits)
     # 3 one-trial blocks x 2 channels
     assert calls == [1] * 6
+
+
+def test_pass_memory_does_not_grow_with_trials(monkeypatch):
+    # each block builds its transmit frames in its own jobs, so a pass holds
+    # per trial only its bits, taps and per-frame results, well under one
+    # frame (2 symbols at N*L = 128, 4096 B of complex128) per extra trial;
+    # no DPD, whose design's peak would hide the pass's
+    frame_bytes = 16 * 2 * 128
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", frame_bytes)
+    channels = [ChannelSpec(kind="rayleigh_multitap")]
+    split = [SplitConfig(rho=0.5)]
+
+    def peak(trials):
+        s = Scenario(ofdm=OfdmConfig(n_subcarriers=64, oversampling_factor=2),
+                     trials=trials, seed=1, frame_symbols=2)
+        tracemalloc.start()
+        try:
+            run_techniques(s, ("baseline", "companding"), channels, split)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # lazy imports and first-use caches
+    assert (peak(128) - peak(8)) / (128 - 8) < frame_bytes
 
 
 def test_run_techniques_reference_without_baseline():

@@ -156,6 +156,10 @@ def test_in_place_kernels_match_their_formulas(smoothness):
     mag = np.abs(x)
     ref = x * np.divide(pa.am_am(mag), mag, out=np.zeros_like(mag), where=mag > 0)
     assert scale_envelope(x, pa.am_am).tobytes() == ref.tobytes()
+    # the transmit chain writes the same bits into a given array
+    out = np.empty_like(x)
+    assert amplify(x, pa, 3.0, out=out) is out
+    assert out.tobytes() == amplify(x, pa, 3.0).tobytes()
 
 
 def test_soft_limiter_two_branch():
