@@ -62,11 +62,14 @@ def sample_channel(spec: ChannelSpec, rng: np.random.Generator) -> tuple[complex
 
 
 def apply_channel(x: np.ndarray, taps, cp_length: int | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Convolve samples with channel taps, into a new array of x's length,
     or into ``out``, which must not share memory with x: a one-dimensional
     x with one realization, or each row of x (..., n) with its own row of
-    taps (..., n_taps).
+    taps (..., n_taps).  Each later tap's product is formed in ``scratch``,
+    a complex array of x's shape sharing memory with neither, if given,
+    and in a new array per tap if not.
 
     When ``cp_length`` is given it must cover the channel memory, since the
     receiver relies on the prefix to keep subcarriers separable.  Antenna
@@ -80,7 +83,8 @@ def apply_channel(x: np.ndarray, taps, cp_length: int | None = None,
         )
     out = np.multiply(x, h[..., :1], out=out)
     for lag in range(1, h.shape[-1]):
-        out[..., lag:] += x[..., :-lag] * h[..., lag:lag + 1]
+        term = None if scratch is None else scratch[..., lag:]
+        out[..., lag:] += np.multiply(x[..., :-lag], h[..., lag:lag + 1], out=term)
     return out
 
 

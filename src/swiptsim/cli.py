@@ -73,8 +73,8 @@ channel and one splitter per splitting ratio in rate-energy.  Every
 channel and splitter shares the pass's bits, transmit frames and noise
 draws, and every splitter on a channel its taps.  Each job being
 processed holds its block's frames and noise draws, so memory grows with
---threads, not with --trials: ber at its defaults peaked at 47, 54 and
-113 MB of RSS at 1, 2 and 12 threads.  dpd-design runs serially and
+--threads, not with --trials: ber at its defaults peaked at 47, 53 and
+108 MB of RSS at 1, 2 and 12 threads.  dpd-design runs serially and
 rejects it.
 
 dpd-design measures its EVM table (dpd_evm.csv) on the probe its design

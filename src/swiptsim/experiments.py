@@ -19,9 +19,12 @@ Measurement conventions, used consistently everywhere:
   alone sets the operating SNR.
 * Rate is measured in the same pass as BER: the mean over trials of
   log2(1 + K^2 / sigma_d^2), the Bussgang decomposition of each frame's
-  zero-forced grid against its transmitted symbols, after the expander
-  for a companded technique (see link.demodulate_and_ber).  Amplifier
-  distortion, fading, the antenna noise and the processing noise enter.
+  zero-forced grid against its transmitted symbols (link.score_grid).  A
+  companded technique's grid is demodulated in the time domain after the
+  expander (link.demodulate_and_ber); every other technique's receiver is
+  linear, and its grid is formed on the tones (link.info_grids), equal to
+  the time-domain grid up to rounding.  Amplifier distortion, fading, the
+  antenna noise and the processing noise enter.
 * H_P/E is eta3 * rho * (P_rx + sigma_a2): the Monte Carlo rectifier
   efficiency times the EH branch's input, the technique's mean received
   power P_rx plus the antenna noise, over the nominal transmit power
@@ -44,7 +47,7 @@ from .channel import CHANNEL_KINDS, ChannelSpec, apply_channel, sample_channel
 from .companding import companding_ibo_reduction_db, compress_waveform
 from .dpd import PolyFit, design_from_scratch
 from .harvester import RectennaCurve, default_rectenna, eta3 as eh_curve_eta3, watts_to_dbm
-from .link import LinkMetrics, demodulate_and_ber, info_branch
+from .link import LinkMetrics, receive_companded, receive_linear, symbol_tones, zero_force
 from .ofdm import OfdmConfig, map_bits, run_bounded, synthesize_waveforms, with_prefix
 from .pa import PaModel, amplify, efficiency_at_backoff
 
@@ -161,14 +164,18 @@ def technique_reductions(s: Scenario, techniques) -> list[tuple[float, float, Po
     return reductions
 
 
-def _batch_ci(samples: np.ndarray) -> float:
-    """95% half-width via batch means."""
-    n = samples.size
-    b = min(N_CI_BATCHES, n)
+def _batch_ci(samples: np.ndarray):
+    """95% half-widths via batch means over the last axis, NaN below two
+    samples: a float for one-dimensional samples, and for samples (..., n)
+    an array (...), each entry bit-identical to the one-dimensional call."""
+    b = min(N_CI_BATCHES, samples.shape[-1])
     if b < 2:
-        return float("nan")
-    means = np.array([chunk.mean() for chunk in np.array_split(samples, b)])
-    return float(_T975[b - 2] * means.std(ddof=1) / np.sqrt(b))
+        ci = np.full(samples.shape[:-1], np.nan)
+    else:
+        means = np.stack([chunk.mean(axis=-1)
+                          for chunk in np.array_split(samples, b, axis=-1)], axis=-1)
+        ci = _T975[b - 2] * means.std(axis=-1, ddof=1) / np.sqrt(b)
+    return float(ci) if samples.ndim == 1 else ci
 
 
 def channel_ofdm(ofdm: OfdmConfig, spec: ChannelSpec) -> OfdmConfig:
@@ -218,8 +225,9 @@ class _Workspace:
     """Named arrays that one Monte Carlo job reuses from block to block, so
     that a pass takes no new frame-size memory per block.
 
-    ``take(name, shape, dtype)`` returns a view of the named buffer, which
-    grows to the largest size asked for and is otherwise kept.  Only
+    ``take(name, shape, dtype)`` returns a view of the named buffer's
+    bytes, which grow to the largest size asked for and are otherwise
+    kept, so one buffer may hold values of different types in turn.  Only
     run_techniques names buffers; the library functions it calls get them
     as explicit ``out``/``scratch`` arrays.  A workspace serves one job at
     a time; it is not locked.
@@ -229,11 +237,11 @@ class _Workspace:
         self._buffers: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-        size = math.prod(shape)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
         buf = self._buffers.get(name)
-        if buf is None or buf.dtype != dtype or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
 
 
 def _mean_power(y: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -289,9 +297,21 @@ def run_techniques(
     technique's received power through every channel; with no harvesting
     splitter it builds only the uncompressed frames and the reference
     amplification.  Once the ensemble powers are known, the receive job
-    builds the frames again, draws the block's noise and, technique by
-    technique and channel by channel, adds the channel's prefix, applies
-    its taps and builds every splitter's branches.  Each quantity is
+    builds the frames again, draws the block's noise and receives each
+    technique with one of link's two receivers.  A companded technique's
+    expander is a nonlinearity between the channel and the DFT, so it is
+    received in the time domain (link.receive_companded): channel by
+    channel its frames get the channel's prefix and taps, and every
+    splitter's branch is built, expanded and demodulated.  Every other
+    technique's receiver is linear, and the prefix makes each channel one
+    gain per tone, so its zero-forced grid is a sum of tones
+    (link.info_grids): its transmit frames' tones, taken once per block at
+    the demodulator's level, plus each noise draw's tones over the
+    channel's gains, taken once per block and prefix length, divided once
+    per channel and shared by every linear technique.  link.receive_linear
+    forms the splitters' grids as many at a time as a frame's room holds
+    and scores them.  Faded frames are built only for the rectifier, when
+    some splitter harvests, and for the expander.  Each quantity is
     computed at the level it depends on: the sent symbols (those the
     frames are built from) and bits once per block, the zero-forcing gains
     once per block and channel (channel.subcarrier_gains), and the
@@ -311,21 +331,26 @@ def run_techniques(
     per worker exists and both passes reuse the same memory from block to
     block instead of allocating and returning frame-size temporaries.
     Each buffer holds one value at a time, in this order: "tx", one
-    technique's transmit frames (or the reference amplification);
-    "draws", the block's unit noise (one complex frame per trial, two
-    with processing noise); "faded", the faded frames; "copy", the
-    prefixed frames, then the rectenna's y * pin, then a splitter's copy
-    of the faded frames; "power" and "efficiency", the float |x|^2 of a
-    power or an rms, then the float |y|^2 and eta3 frames; and "scratch",
-    the scaled noise of link.info_branch and then the expander's
-    magnitudes and gains and the DFT of link.demodulate_and_ber, which
-    builds the grid in the branch it demodulates.  The block's
-    uncompressed and compressed frames are allocated once per job, and
-    only smaller temporaries (the Bussgang sums' and the bit decisions')
-    per call.  With a 4-trial block of 4 symbols at N*L = 2048, each
-    worker's workspace takes about 3.5 MB with processing noise and 3 MB
-    without, which it keeps for the whole pass, and a job being processed
-    1 MB more for its block's frames.
+    technique's transmit frames (or the reference amplification), then the
+    noise draws' tones and their zero-forced copies; "tones", the linear
+    techniques' transmit tones, 1/L of a frame each; "draws", the block's
+    unit noise (one complex frame per trial, two with processing noise);
+    "faded", the faded frames; "copy", the prefixed frames, then the
+    rectenna's y * pin and then its float eta3 frames, then a splitter's
+    copy of the faded frames; "power", the float |x|^2 of a power or an
+    rms, then the rectenna's float |y|^2; and "scratch", the later taps'
+    products of channel.apply_channel, the scaled noise of
+    link.info_branch and then the expander's magnitudes and gains and the
+    DFT of link.demodulate_and_ber, which builds the grid in the branch it
+    demodulates, then the DFT of each tone taken and the linear receiver's
+    grids.  The block's uncompressed and compressed frames are allocated
+    once per job, and only temporaries of at most a frame's size (the
+    Bussgang sums' and the bit decisions' of a stack of grids) per call.
+    With a 4-trial block of 4 symbols at N*L = 2048, each worker's
+    workspace takes about 3.25 MB with processing noise and 2.75 MB
+    without, plus 0.125 MB per linear technique, which it keeps for the
+    whole pass, and a job being processed 1 MB more for its block's
+    frames.
 
     The rectifier works on the faded frames with their ensemble mean
     pinned to 0 dBm, which removes rho, so every splitter with rho > 0
@@ -416,10 +441,12 @@ def run_techniques(
 
     def faded(frames: np.ndarray, c: int, rows: slice, work: _Workspace) -> np.ndarray:
         # the frames of the trials in rows, prefixed (in "copy"), through
-        # channel c (into "faded")
+        # channel c (into "faded", each later tap's product in "scratch")
         shape = (rows.stop - rows.start, rx_len[c])
         x = with_prefix(frames, chan_cfg[c], work.take("copy", shape))
-        return apply_channel(x, taps[c][rows], chan_cfg[c].cp_length, work.take("faded", shape))
+        scratch = work.take("scratch", shape) if channels[c].n_taps > 1 else None
+        return apply_channel(x, taps[c][rows], chan_cfg[c].cp_length, work.take("faded", shape),
+                             scratch)
 
     def powers(rows: slice, work: _Workspace) -> None:
         # the block's reference powers, and its received powers when some
@@ -461,10 +488,16 @@ def run_techniques(
 
     # the antenna's draws, and the branch's if some splitter adds processing noise
     n_draws = 2 if any(split.sigma_p2 > 0.0 for split in splits) else 1
+    # the techniques with no expander before the DFT, received on the tones
+    linear = [k for k in range(n_tech) if not companded[k]]
+    # the splitter grids a frame's room holds at a time in the linear
+    # receiver, one fewer with processing noise, whose scaled draw takes one
+    n_slots = max(cfg.oversampling_factor, n_draws)
 
     def receive(rows: slice, work: _Workspace) -> None:
         # the block's frames, built again from the same bits
         sent, x, compressed = source(rows, any(companded))
+        n_rows = rows.stop - rows.start
         # the compressed frames' rms, once per prefix length the channels need
         rms_tx = {}
         if compressed is not None:
@@ -474,79 +507,87 @@ def run_techniques(
                       for cp, cfg_c in prefix_cfg.items()}
         # each trial's unit noise, (n, 2) normals from the trial's own
         # streams viewed as n complex samples
-        draws = work.take("draws", (n_draws, rows.stop - rows.start, max(rx_len)))
+        draws = work.take("draws", (n_draws, n_rows, max(rx_len)))
         for d, z in enumerate(draws):
             for i, row in enumerate(z, rows.start):
                 _stream(s.seed, _NOISE, i, d).standard_normal(out=row.view(np.float64))
         sent_bits = bits[rows].astype(bool)
         gains = [channel.subcarrier_gains(taps[c][rows], chan_cfg[c])
                  for c in range(len(channels))]
+        tone_shape = (n_rows, s.frame_symbols, cfg.n_subcarriers)
+        tones = work.take("tones", (len(linear),) + tone_shape)
         for k in range(n_tech):
             # one technique's transmit frames at a time
             tx = transmitted(k, x, compressed, work.take("tx", x.shape))
-            for c in range(len(channels)):
-                antenna = draws[0, :, :rx_len[c]]
-                branch = draws[1, :, :rx_len[c]] if n_draws == 2 else None
-                shape = antenna.shape
-                scratch = work.take("scratch", shape)
+            # faded frames only for the rectenna and the expander
+            for c in range(len(channels) if harvests or companded[k] else 0):
+                shape = (n_rows, rx_len[c])
                 y = faded(tx, c, rows, work)
                 if harvests:
                     p_w = np.multiply(y, eh_pin[c, k], out=work.take("copy", shape))
                     p_w = np.abs(p_w, out=work.take("power", shape, np.float64))
                     p_w **= 2
-                    eff = watts_to_dbm(p_w, out=work.take("efficiency", shape, np.float64))
+                    eff = watts_to_dbm(p_w, out=work.take("copy", shape, np.float64))
                     eff = eh_curve_eta3(s.eh, eff, out=eff)
                     eff *= p_w
                     eta3_num[c, k, rows] = np.sum(eff, axis=-1)
                     eta3_den[c, k, rows] = np.sum(p_w, axis=-1)
-                # the noiseless information branch before the split
-                y *= norm[k]
                 if companded[k]:
-                    p_info = _mean_power(y, work)
-                for p, split in enumerate(splits):
-                    # the last splitter builds its branch in the faded frames
-                    info = y
-                    if p < len(splits) - 1:
-                        info = work.take("copy", shape)
-                        np.copyto(info, y)
-                    scale = None
-                    if companded[k]:
-                        # known amplitude bookkeeping from the compressed
-                        # transmit waveform to the (noiseless)
-                        # information-branch signal, so the expander
-                        # operates in its design domain
-                        rms_rx = np.sqrt((1.0 - split.rho) * p_info)
-                        drive = rms_tx[chan_cfg[c].cp_length]
-                        scale = np.ones_like(rms_rx)
-                        np.divide(rms_rx, drive, out=scale, where=np.minimum(drive, rms_rx) > 0)
-                    info_branch(info, split, antenna, branch, scratch)
-                    ber[c, p, k, rows], rates[c, p, k, rows] = demodulate_and_ber(
-                        info, gains[c], chan_cfg[c], sent, sent_bits,
-                        s.mu if companded[k] else None, scale, scratch,
-                    )
+                    y *= norm[k]
+                    ber[c, :, k, rows], rates[c, :, k, rows] = receive_companded(
+                        y, splits, draws[..., :rx_len[c]], gains[c], chan_cfg[c], sent,
+                        sent_bits, s.mu, rms_tx[chan_cfg[c].cp_length],
+                        work.take("copy", shape), work.take("power", shape, np.float64),
+                        work.take("scratch", shape))
+            if not companded[k]:
+                # the transmit frames' tones at the demodulator's level
+                tx *= norm[k]
+                symbol_tones(tx, cfg, out=tones[linear.index(k)],
+                             spectrum=work.take("scratch", x.shape))
+        if not linear:
+            return
+        # each noise draw's tones once per prefix length, zero-forced once
+        # per channel, shared by every linear technique and splitter
+        # (in the transmit frames' buffer, free once every tone is taken)
+        noise, zf = work.take("tx", (2, n_draws) + tone_shape)
+        for cp, cfg_c in prefix_cfg.items():
+            length = s.frame_symbols * (cfg_c.n_samples + cp)
+            for d in range(n_draws):
+                symbol_tones(draws[d, :, :length], cfg_c, out=noise[d],
+                             spectrum=work.take("scratch", (n_rows, length)))
+            for c in (c for c in range(len(channels)) if chan_cfg[c].cp_length == cp):
+                zero_force(noise, gains[c], out=zf)
+                slots = work.take("scratch", (n_slots,) + tone_shape)
+                for i, k in enumerate(linear):
+                    ber[c, :, k, rows], rates[c, :, k, rows] = receive_linear(
+                        tones[i], splits, zf, sent, sent_bits, slots)
 
     run_bounded(pooled(receive), ((rows,) for rows in blocks), threads)
 
     eta1 = [efficiency_at_backoff(s.ibo_db - r_dpd - r_comp) if _saturating(s.pa) else 0.5
             for r_dpd, r_comp, _ in reductions]
 
+    # the confidence intervals of every result at once
+    ber_ci = _batch_ci(ber)
+    eta3_ci = _batch_ci(eta3_num / eta3_den) if harvests else None
+    no_eta3_ci = _batch_ci(np.zeros(trials))
+
     def metrics(c: int, p: int, k: int) -> LinkMetrics:
         split = splits[p]
         if split.rho > 0.0:
             eta3_mc = float(eta3_num[c, k].sum() / eta3_den[c, k].sum())
-            eta3_frames = eta3_num[c, k] / eta3_den[c, k]
             # the EH branch's input in nominal-transmit units
             p_rx = float(np.mean(rx_p[c, k]) * norm[k] ** 2)
             h_p_norm = eta3_mc * split.rho * (p_rx + split.sigma_a2)
         else:
             eta3_mc = h_p_norm = 0.0
-            eta3_frames = np.zeros(trials)
         return LinkMetrics(
             rate_bps_hz=float(rates[c, p, k].mean()), harvested_norm=h_p_norm,
             ber=float(ber[c, p, k].mean()),
             eta1=eta1[k], eta3=eta3_mc, eta_e2e=eta1[k] * eta3_mc,
             ibo_reduction_db=reductions[k][0] + reductions[k][1],
-            eta3_ci=_batch_ci(eta3_frames), ber_ci=_batch_ci(ber[c, p, k]),
+            eta3_ci=float(eta3_ci[c, k]) if split.rho > 0.0 else no_eta3_ci,
+            ber_ci=float(ber_ci[c, p, k]),
         )
 
     return tuple(tuple(tuple(metrics(c, p, k) for k in range(n_tech))

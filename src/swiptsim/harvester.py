@@ -52,10 +52,6 @@ class RectennaCurve:
         if not all(0.0 <= e <= 1.0 for e in self.efficiency):
             raise ValueError("every efficiency must lie in [0, 1]")
 
-    @property
-    def sensitivity_dbm(self) -> float:
-        return self.p_in_dbm[0]
-
     @cached_property
     def _cells(self) -> tuple[np.ndarray, ...]:
         """The lookup table, one entry per cell [x[j], x_next[j]) with

@@ -178,9 +178,10 @@ class BussgangParams:
 
 def bussgang_estimate(reference, output) -> BussgangParams:
     """Empirical Bussgang decomposition of output against reference, over
-    the last axis: floats for one-dimensional inputs, and for inputs of
-    shape (..., n) arrays of shape (...), each row bit-identical to the
-    one-dimensional call on that row.
+    the last axis: floats for a one-dimensional output, and for an output
+    of shape (..., n) arrays of shape (...), each row bit-identical to the
+    one-dimensional call on that row.  The reference broadcasts against the
+    output, so one reference row may serve several outputs.
 
     K_L = E{x* g[x]} / E{|x|^2} and sigma_d^2 = E{|g[x]|^2} - |K_L|^2 E{|x|^2}
     with sample-mean estimators.  sigma_d^2 within _ROUNDING of E{|g[x]|^2}
@@ -192,8 +193,8 @@ def bussgang_estimate(reference, output) -> BussgangParams:
     """
     x = np.ascontiguousarray(reference, dtype=np.complex128)
     y = np.ascontiguousarray(output, dtype=np.complex128)
-    if x.shape != y.shape:
-        raise ValueError("reference and output shapes differ")
+    if np.broadcast_shapes(x.shape, y.shape) != y.shape:
+        raise ValueError("the reference does not broadcast to the output's shape")
     n = x.shape[-1]
     p_in = np.sum(np.square(x.view(np.float64)), axis=-1) / n
     if np.any(p_in <= 0):
@@ -202,7 +203,7 @@ def bussgang_estimate(reference, output) -> BussgangParams:
     p_out = np.sum(np.square(y.view(np.float64)), axis=-1) / n
     sigma_d2 = p_out - np.abs(k) ** 2 * p_in
     sigma_d2 = np.where(sigma_d2 > _ROUNDING * p_out, sigma_d2, 0.0)
-    if x.ndim == 1:
+    if y.ndim == 1:
         return BussgangParams(float(k.real), float(sigma_d2))
     return BussgangParams(k.real, sigma_d2)
 

@@ -82,9 +82,9 @@ def test_tracer_binds_the_papr_sampler():
 
 
 def test_tracer_binds_the_receive_spans():
-    # the receive job's demodulation, expander, zero-forcing gains and
-    # rectenna lookup
-    receive = {"link:demodulate_and_ber", "experiments:demodulate_and_ber",
+    # the receive job's demodulation (both receivers' DFTs, called in
+    # link), expander, zero-forcing gains and rectenna lookup
+    receive = {"link:demodulate_and_ber", "link:ofdm_demodulate",
                "link:expand_waveform", "channel:subcarrier_gains",
                "experiments:eh_curve_eta3"}
     assert not receive & _missing_bindings()

@@ -165,6 +165,22 @@ def test_linear_technique_radiates_the_frames(monkeypatch):
     np.testing.assert_array_equal(seen[0], frames.reshape(s.trials, -1))
 
 
+def test_linear_receivers_without_harvesting_fade_no_frame(monkeypatch):
+    # the linear receiver works on the tones and only the rectenna or an
+    # expander needs faded frames, so a pass of linear-receiver techniques
+    # into splitters that harvest nothing never applies a channel
+    def no_channel(*args):
+        raise AssertionError("the pass faded a frame")
+
+    monkeypatch.setattr(experiments, "apply_channel", no_channel)
+    s = _tiny_scenario("rayleigh_multitap", 3, 5)
+    channels = [ChannelSpec(kind=kind) for kind in CHANNEL_KINDS]
+    splits = [SplitConfig(rho=0.0, sigma_p2=1e-3), SplitConfig(rho=0.0, sigma_a2=0.1)]
+    results = run_techniques(s, ("linear", "baseline", "dpd"), channels, splits)
+    assert all(0.0 < m.rate_bps_hz < np.inf for points in results for res in points
+               for m in res)
+
+
 def test_companded_drive_radiates_hotter():
     # the compressed frames drive the amplifier at their natural level, so
     # at the nominal back-off the companded chain radiates more power
@@ -554,3 +570,16 @@ def test_batch_ci_matches_student_t_quantile():
         expected = float(stats.t.ppf(0.975, b - 1) * means.std(ddof=1) / np.sqrt(b))
         assert _batch_ci(samples) == expected
     assert np.isnan(_batch_ci(np.ones(1)))
+
+
+def test_batch_ci_rows_match_one_dimensional_calls():
+    # a block of samples gives each row's half-width bit for bit, as the
+    # pass computes every result's intervals at once
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 19, 20, 21, 50, 333):
+        block = rng.random((2, 3, n))
+        ci = _batch_ci(block)
+        assert ci.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            alone = _batch_ci(block[i])
+            assert ci[i] == alone or (np.isnan(ci[i]) and np.isnan(alone)), (n, i)

@@ -48,7 +48,7 @@ def test_default_curve_goldens():
     assert float(curve.eta3(0.0)) == 0.43401552
     assert float(curve.eta3(-35.0)) == 0.00074689
     assert float(curve.eta3(-40.0)) == 0.0
-    assert curve.sensitivity_dbm == -35.0
+    assert curve.p_in_dbm[0] == -35.0
     grid = np.arange(-35.0, 21.0)
     vals = curve.eta3(grid)
     assert grid[int(np.argmax(vals))] == 3.0

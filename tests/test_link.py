@@ -7,15 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swiptsim import link
-from swiptsim.channel import ChannelSpec, apply_channel, sample_channel, subcarrier_gains
+from swiptsim.channel import (
+    CHANNEL_KINDS,
+    ChannelSpec,
+    apply_channel,
+    sample_channel,
+    subcarrier_gains,
+)
 from swiptsim.companding import PEAK, companding_ibo_reduction_db
-from swiptsim.experiments import Scenario, run_techniques
+from swiptsim.experiments import Scenario, channel_ofdm, run_techniques
 from swiptsim.harvester import default_rectenna, eta3, watts_to_dbm
 from swiptsim.link import (
     LinkMetrics,
     SplitConfig,
     demodulate_and_ber,
     info_branch,
+    info_grids,
+    receive_linear,
+    symbol_tones,
+    zero_force,
 )
 from swiptsim.ofdm import (
     OfdmConfig,
@@ -23,8 +33,9 @@ from swiptsim.ofdm import (
     map_bits,
     ofdm_demodulate,
     synthesize_waveforms,
+    with_prefix,
 )
-from swiptsim.pa import PaModel, bussgang_estimate, scale_envelope
+from swiptsim.pa import PaModel, amplify, bussgang_estimate, scale_envelope
 
 SMALL = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
 
@@ -451,3 +462,48 @@ def test_demodulate_overwrites_only_a_complex128_branch(expander):
     real = rx.real.copy()
     demodulate_and_ber(real, *known)
     assert real.tobytes() == rx.real.tobytes()
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("sigma_p2", [0.0, 1e-2])
+def test_linear_receiver_matches_the_time_domain(kind, sigma_p2):
+    # a receiver without an expander is linear, so its zero-forced grid is
+    # the transmit frames' tones plus each noise draw's tones over the
+    # channel's gains: the grids of info_grids match the time-domain
+    # chain's (prefix, fading, info_branch, DFT, zero-forcing) to rounding,
+    # and receive_linear gives demodulate_and_ber's BER exactly
+    spec = ChannelSpec(kind=kind)
+    base = OfdmConfig(n_subcarriers=64, oversampling_factor=2)
+    cfg = channel_ofdm(base, spec)
+    rng = np.random.default_rng(40 + CHANNEL_KINDS.index(kind))
+    trials, n_symbols, norm = 3, 2, 1.3
+    sent = map_bits(rng.integers(0, 2, size=(trials, 2 * 64 * n_symbols)))
+    bits = demap_symbols(sent)
+    x = synthesize_waveforms(sent.reshape(-1, 64), base).reshape(trials, -1)
+    tx = amplify(x, PaModel.sspa(), 3.0)
+    taps = np.array([sample_channel(spec, rng) for _ in range(trials)])
+    rx = apply_channel(with_prefix(tx, cfg), taps, cfg.cp_length) * norm
+    draws = _unit_draws(rng, (2,) + rx.shape)
+    n_draws = 2 if sigma_p2 else 1
+    splits = tuple(SplitConfig(rho=rho, sigma_a2=0.5, sigma_p2=sigma_p2)
+                   for rho in (0.0, 0.5, 1.0 - 1e-6))
+    gains = subcarrier_gains(taps, cfg)
+
+    tones = symbol_tones(tx * norm, base)
+    noise = zero_force(symbol_tones(draws[:n_draws], cfg), gains)
+    grids = info_grids(tones, splits, *noise)
+    slots = np.empty((2,) + tones.shape, complex)
+    ber, rate = receive_linear(tones, splits, noise, sent, bits, slots)
+    for p, split in enumerate(splits):
+        info = info_branch(rx.copy(), split, *draws[:n_draws])
+        expected = zero_force(symbol_tones(info, cfg), gains)
+        assert np.max(np.abs(grids[p] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        ber_t, rate_t = demodulate_and_ber(info, gains, cfg, sent, bits)
+        assert ber[p].tobytes() == ber_t.tobytes()
+        np.testing.assert_allclose(rate[p], rate_t, rtol=1e-9)
+    assert np.count_nonzero(ber) >= len(splits)
+
+    nulled = gains.copy()
+    nulled[1, 5] = 0.0
+    with pytest.raises(ValueError, match="nulls"):
+        zero_force(symbol_tones(draws[:n_draws], cfg), nulled)

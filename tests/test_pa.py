@@ -243,6 +243,22 @@ def test_bussgang_estimate_rows_match_one_dimensional_calls():
     assert est.sigma_d2[1, 2] == 0.0 and est.sigma_d2[0, 0] > 0.0
 
 
+def test_bussgang_estimate_broadcasts_the_reference():
+    # one reference row serves a stack of outputs, each bit-identical to
+    # its own call; a reference that does not broadcast is refused
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    y = 0.7 * x + 0.05 * (rng.standard_normal((2, 3, 64)) + 1j * rng.standard_normal((2, 3, 64)))
+    est = bussgang_estimate(x, y)
+    assert est.k_l.shape == est.sigma_d2.shape == (2, 3)
+    for p in range(2):
+        alone = bussgang_estimate(x, y[p])
+        assert est.k_l[p].tobytes() == alone.k_l.tobytes()
+        assert est.sigma_d2[p].tobytes() == alone.sigma_d2.tobytes()
+    with pytest.raises(ValueError):
+        bussgang_estimate(y, x)
+
+
 def test_bussgang_estimate_validation():
     with pytest.raises(ValueError):
         bussgang_estimate(np.ones(4, complex), np.ones(5, complex))
